@@ -2,29 +2,17 @@
 // enumeration, faulty-circuit construction, QVF computation, and end-to-end
 // campaign throughput.
 //
-// Execution-mode flags (combine with any google-benchmark flags):
-//   --no-checkpoint  disable prefix checkpointing (full re-simulation per
-//                    config) — the PR 1 baseline;
-//   --no-batch       keep checkpointing but submit per-config run_suffix
-//                    jobs instead of one run_suffix_batch per injection
-//                    point — the batching baseline;
-//   --no-tree        keep checkpointing and batching but disable the
-//                    prefix-tree engine (snapshot chains + deduplication +
-//                    the density suffix-response path) — the PR 2 flat
-//                    batch engine is the tree baseline;
+// Mode flags (combine with any google-benchmark flags):
 //   --idle-noise     run the campaigns with moment-scheduled idle-qubit
-//                    relaxation (moment-aware snapshots); combine with
-//                    --no-checkpoint for the re-simulation baseline this
-//                    mode used to be stuck at;
+//                    relaxation (moment-aware snapshots);
 //   --json           skip google-benchmark and instead time one single- and
 //                    one double-fault campaign per paper circuit (30-degree
 //                    grid), printing one machine-readable JSON line each:
 //                      {"bench":"perf_campaign","circuit":"bv",
-//                       "campaign":"single","mode":"tree","checkpoint":true,
-//                       "batch":true,"tree":true,"shards":1,
+//                       "campaign":"single","mode":"tree","shards":1,
 //                       "wall_ms":123.456,"executions":N}
 //                    (the mode flags in effect always ride along, so bench
-//                    trajectories can distinguish engine configurations)
+//                    trajectories can distinguish configurations)
 //                    so BENCH_*.json files can track the perf trajectory;
 //   --shards N       (with --json) run each campaign through the sharded
 //                    path instead: plan N cost-weighted shards, execute
@@ -63,20 +51,14 @@ namespace {
 
 using namespace qufi;
 
-bool g_use_checkpoints = true;
-bool g_use_batch = true;
-bool g_use_tree = true;
 bool g_idle_noise = false;
 bool g_adaptive = false;
 unsigned g_shards = 1;
 unsigned g_grid_div = 1;
 
 std::string mode_label() {
-  std::string label;
-  if (g_shards > 1) label = "shards" + std::to_string(g_shards);
-  else if (!g_use_checkpoints) label = "no-checkpoint";
-  else if (!g_use_batch) label = "no-batch";
-  else label = g_use_tree ? "tree" : "no-tree";
+  std::string label =
+      g_shards > 1 ? "shards" + std::to_string(g_shards) : "tree";
   if (g_idle_noise) label += "+idle";
   if (g_adaptive) label += "+adaptive";
   return label;
@@ -90,9 +72,6 @@ CampaignSpec small_spec() {
   spec.grid.theta_step_deg = 60.0;
   spec.grid.phi_step_deg = 90.0;
   spec.threads = 2;
-  spec.use_checkpoints = g_use_checkpoints;
-  spec.use_batch = g_use_batch;
-  spec.use_tree = g_use_tree;
   spec.idle_noise = g_idle_noise;
   return spec;
 }
@@ -111,9 +90,6 @@ CampaignSpec paper_spec_30deg(const std::string& name, int width) {
   // the merge stream columnar blocks instead of materializing the campaign.
   spec.grid.theta_step_deg = 30.0 / static_cast<double>(g_grid_div);
   spec.grid.phi_step_deg = 30.0 / static_cast<double>(g_grid_div);
-  spec.use_checkpoints = g_use_checkpoints;
-  spec.use_batch = g_use_batch;
-  spec.use_tree = g_use_tree;
   spec.idle_noise = g_idle_noise;
   return spec;
 }
@@ -242,13 +218,12 @@ void print_json_line(const char* circuit, const char* campaign,
   std::printf(
       "{\"bench\":\"perf_campaign\",\"circuit\":\"%s\","
       "\"campaign\":\"%s\",\"mode\":\"%s\","
-      "\"checkpoint\":%s,\"batch\":%s,\"tree\":%s,\"idle_noise\":%s,"
+      "\"idle_noise\":%s,"
       "\"adaptive\":%s,"
       "\"shards\":%u,\"grid_div\":%u,\"wall_ms\":%.3f,\"executions\":%llu,"
       "\"merge_ms\":%.3f,\"partial_bytes\":%llu,\"peak_rss_kb\":%llu%s}\n",
       circuit, campaign, mode_label().c_str(),
-      g_use_checkpoints ? "true" : "false", g_use_batch ? "true" : "false",
-      g_use_tree ? "true" : "false", g_idle_noise ? "true" : "false",
+      g_idle_noise ? "true" : "false",
       g_adaptive ? "true" : "false", g_shards, g_grid_div, wall_ms,
       static_cast<unsigned long long>(executions), sharded.merge_ms,
       static_cast<unsigned long long>(sharded.partial_bytes),
@@ -413,15 +388,9 @@ int main(int argc, char** argv) {
       std::printf(
           "perf_campaign: campaign-throughput benchmarks (google-benchmark "
           "suite or --json one-shot timing)\n"
-          "execution-mode flags:\n"
-          "  --no-checkpoint  full re-simulation per config (PR 1 baseline)\n"
-          "  --no-batch       checkpointed, per-config run_suffix jobs "
-          "(batching baseline)\n"
-          "  --no-tree        checkpointed + batched, prefix-tree engine "
-          "disabled (tree baseline)\n"
+          "mode flags:\n"
           "  --idle-noise     moment-scheduled idle-qubit relaxation "
-          "(combines with every other mode; the moment-aware snapshot "
-          "engine vs its --no-checkpoint re-simulation baseline)\n"
+          "(moment-aware snapshots; combines with every other flag)\n"
           "  --adaptive       adaptive QVF estimation (default policy): the "
           "--json single-fault lines run the estimator instead of the "
           "exhaustive sweep and gain configs_evaluated (grid configs the "
@@ -441,13 +410,7 @@ int main(int argc, char** argv) {
           "any other flags are forwarded to google-benchmark.\n");
       return 0;
     }
-    if (std::strcmp(argv[i], "--no-checkpoint") == 0) {
-      g_use_checkpoints = false;
-    } else if (std::strcmp(argv[i], "--no-batch") == 0) {
-      g_use_batch = false;
-    } else if (std::strcmp(argv[i], "--no-tree") == 0) {
-      g_use_tree = false;
-    } else if (std::strcmp(argv[i], "--idle-noise") == 0) {
+    if (std::strcmp(argv[i], "--idle-noise") == 0) {
       g_idle_noise = true;
     } else if (std::strcmp(argv[i], "--adaptive") == 0) {
       g_adaptive = true;

@@ -37,7 +37,6 @@ struct CliOptions {
   std::uint64_t seed = 0x51754649;
   std::size_t points = 0;
   bool double_faults = false;
-  bool use_tree = true;
   bool idle_noise = false;
   bool adaptive = false;
   AdaptivePolicy adaptive_policy;
@@ -59,7 +58,6 @@ struct CliOptions {
       "  --seed N          campaign seed\n"
       "  --points N        cap injection points (0 = all)\n"
       "  --double          run the double-fault campaign\n"
-      "  --no-tree         disable the prefix-tree engine (flat batch baseline)\n"
       "  --idle-noise      moment-scheduled idle-qubit relaxation\n"
       "  --adaptive        adaptive QVF estimation (single-fault only):\n"
       "                    sweep a coarse deterministic lattice per point,\n"
@@ -94,7 +92,6 @@ CliOptions parse(int argc, char** argv) {
     else if (arg == "--seed") options.seed = std::stoull(value());
     else if (arg == "--points") options.points = std::stoull(value());
     else if (arg == "--double") options.double_faults = true;
-    else if (arg == "--no-tree") options.use_tree = false;
     else if (arg == "--idle-noise") options.idle_noise = true;
     else if (arg == "--adaptive") options.adaptive = true;
     else if (arg == "--adaptive-budget") {
@@ -118,15 +115,6 @@ CliOptions parse(int argc, char** argv) {
   return options;
 }
 
-algo::AlgorithmCircuit build_circuit(const CliOptions& options) {
-  if (options.circuit == "ghz") return algo::ghz(options.width);
-  if (options.circuit == "grover") {
-    return algo::grover(options.width,
-                        (1ULL << options.width) - 1);  // mark all-ones
-  }
-  return algo::paper_circuit(options.circuit, options.width);
-}
-
 noise::BackendProperties build_backend(const CliOptions& options) {
   return noise::fake_backend_by_name(options.backend, options.width);
 }
@@ -136,7 +124,7 @@ noise::BackendProperties build_backend(const CliOptions& options) {
 int main(int argc, char** argv) {
   try {
     const CliOptions options = parse(argc, argv);
-    const auto bench = build_circuit(options);
+    const auto bench = algo::paper_circuit(options.circuit, options.width);
 
     CampaignSpec spec;
     spec.circuit = bench.circuit;
@@ -149,7 +137,6 @@ int main(int argc, char** argv) {
     spec.shots = options.shots;
     spec.seed = options.seed;
     spec.max_points = options.points;
-    spec.use_tree = options.use_tree;
     spec.idle_noise = options.idle_noise;
     if (options.adaptive) {
       require(!options.double_faults,

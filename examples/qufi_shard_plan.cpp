@@ -37,7 +37,6 @@ struct CliOptions {
   std::uint64_t seed = 0x51754649;
   std::size_t points = 0;
   bool double_faults = false;
-  bool use_tree = true;
   bool idle_noise = false;
   bool adaptive = false;
   AdaptivePolicy adaptive_policy;
@@ -61,7 +60,6 @@ struct CliOptions {
       "  --seed N            campaign seed\n"
       "  --points N          cap injection points (0 = all)\n"
       "  --double            plan the double-fault campaign\n"
-      "  --no-tree           stamp manifests with the flat (non-tree) engine\n"
       "  --idle-noise        moment-scheduled idle relaxation (density only)\n"
       "  --adaptive          plan an adaptive-estimation campaign: workers\n"
       "                      inherit the policy; sweep costs scale to the\n"
@@ -97,7 +95,6 @@ CliOptions parse(int argc, char** argv) {
     else if (arg == "--seed") options.seed = std::stoull(value());
     else if (arg == "--points") options.points = std::stoull(value());
     else if (arg == "--double") options.double_faults = true;
-    else if (arg == "--no-tree") options.use_tree = false;
     else if (arg == "--idle-noise") options.idle_noise = true;
     else if (arg == "--adaptive") options.adaptive = true;
     else if (arg == "--adaptive-budget") {
@@ -124,14 +121,6 @@ CliOptions parse(int argc, char** argv) {
   return options;
 }
 
-algo::AlgorithmCircuit build_circuit(const CliOptions& options) {
-  if (options.circuit == "ghz") return algo::ghz(options.width);
-  if (options.circuit == "grover") {
-    return algo::grover(options.width, (1ULL << options.width) - 1);
-  }
-  return algo::paper_circuit(options.circuit, options.width);
-}
-
 noise::BackendProperties build_device(const CliOptions& options) {
   return noise::fake_backend_by_name(options.device, options.width);
 }
@@ -141,7 +130,7 @@ noise::BackendProperties build_device(const CliOptions& options) {
 int main(int argc, char** argv) {
   try {
     const CliOptions options = parse(argc, argv);
-    const auto bench = build_circuit(options);
+    const auto bench = algo::paper_circuit(options.circuit, options.width);
 
     CampaignSpec spec;
     spec.circuit = bench.circuit;
@@ -154,7 +143,6 @@ int main(int argc, char** argv) {
     spec.shots = options.shots;
     spec.seed = options.seed;
     spec.max_points = options.points;
-    spec.use_tree = options.use_tree;
     spec.idle_noise = options.idle_noise;
     if (options.adaptive) {
       require(!options.double_faults,

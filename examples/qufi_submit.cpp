@@ -38,7 +38,6 @@ namespace {
       "  --seed N            campaign seed\n"
       "  --points N          cap injection points (0 = all)\n"
       "  --double            submit the double-fault campaign\n"
-      "  --no-tree           flat (non-tree) engine\n"
       "  --idle-noise        moment-scheduled idle relaxation\n"
       "  --shards N          shard count                    (default 2)\n"
       "  --policy NAME       cost | points | tree           (default cost)\n"
@@ -73,7 +72,6 @@ int main(int argc, char** argv) {
     else if (arg == "--seed") request.seed = std::stoull(value());
     else if (arg == "--points") request.max_points = std::stoull(value());
     else if (arg == "--double") request.double_fault = true;
-    else if (arg == "--no-tree") request.use_tree = false;
     else if (arg == "--idle-noise") request.idle_noise = true;
     else if (arg == "--shards")
       request.shards = static_cast<std::uint32_t>(std::stoul(value()));

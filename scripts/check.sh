@@ -4,8 +4,9 @@
 # README lists must be present in the build tree.
 #
 # Opt-in legs:
-#   CHECK_SANITIZE=1  rebuild the kernel-facing suites plus the adaptive
-#                     estimation suite under ASan+UBSan in build-asan/ and
+#   CHECK_SANITIZE=1  rebuild the kernel-facing suites, the adaptive
+#                     estimation, dispatcher, and campaign-engine (tree,
+#                     checkpoint) suites under ASan+UBSan in build-asan/ and
 #                     run them (the leg .github/workflows/ci.yml runs on
 #                     every push).
 set -euo pipefail
@@ -141,7 +142,7 @@ fi
 echo "idle-noise smoke OK (moment-aware 2-shard merge == single-process)"
 
 # Adaptive-estimation campaigns ride the identical plan -> worker -> merge
-# path: the policy travels in the v4 manifest, every worker runs the
+# path: the policy travels in the manifest, every worker runs the
 # deterministic estimator over its points, and the merged CSV — including
 # the derived configs_evaluated / ci_halfwidth / est_qvf columns, which
 # exporters recompute by replay — must be byte-identical to the
@@ -370,21 +371,23 @@ fi
 
 # ---- opt-in sanitizer pass ---------------------------------------------------
 # CHECK_SANITIZE=1 rebuilds the kernel-facing tests, the adaptive
-# estimation suite, and the dispatcher/journal suite under ASan+UBSan in a
-# separate build tree and runs them, so the vectorized pointer arithmetic,
-# the estimator's cell bookkeeping, and the journal's recovery/truncation
-# paths are exercised with checking on before merge.
+# estimation suite, the dispatcher/journal suite, and the campaign engine's
+# tree and checkpoint suites under ASan+UBSan in a separate build tree and
+# runs them, so the vectorized pointer arithmetic, the estimator's cell
+# bookkeeping, the journal's recovery/truncation paths, and the snapshot
+# tree sweep are exercised with checking on before merge.
 if [[ "${CHECK_SANITIZE:-0}" == "1" ]]; then
   cmake -B build-asan -S . -DQUFI_SANITIZE=ON -DQUFI_BUILD_BENCHES=OFF \
     -DQUFI_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j --target test_kernels test_sim test_adaptive \
-    test_dispatcher
-  for t in test_kernels test_sim test_adaptive test_dispatcher; do
+    test_dispatcher test_tree test_checkpoint
+  for t in test_kernels test_sim test_adaptive test_dispatcher test_tree \
+    test_checkpoint; do
     ./build-asan/$t > /dev/null
   done
   # The vectorized sets must survive sanitized runs too, not just the default.
   for kset in $(./build/perf_simulator --list-kernels); do
     QUFI_KERNELS="$kset" ./build-asan/test_kernels > /dev/null
   done
-  echo "sanitizer pass OK (test_kernels + test_sim + test_adaptive + test_dispatcher under ASan+UBSan)"
+  echo "sanitizer pass OK (test_kernels + test_sim + test_adaptive + test_dispatcher + test_tree + test_checkpoint under ASan+UBSan)"
 fi

@@ -82,8 +82,11 @@ circ::QuantumCircuit random_circuit(int num_qubits, int depth,
 circ::QuantumCircuit iqp_circuit(int num_qubits, std::uint64_t seed,
                                  double two_qubit_fraction = 0.5);
 
-/// Builds one of the three paper circuits by name ("bv", "dj", "qft") at
-/// the given total width, with the defaults above. Throws on unknown name.
+/// Builds a benchmark circuit by name at the given total width, with the
+/// defaults above: the three paper circuits ("bv", "dj", "qft"), "ghz", or
+/// "grover" (marking the all-ones state). The single by-name dispatcher
+/// behind every CLI and submission. Throws qufi::Error on an unknown name
+/// or a width outside [1, 63], before any builder runs.
 AlgorithmCircuit paper_circuit(const std::string& name, int num_qubits);
 
 }  // namespace qufi::algo

@@ -66,6 +66,11 @@ AlgorithmCircuit qft_benchmark(int num_qubits, std::uint64_t value) {
 }
 
 AlgorithmCircuit paper_circuit(const std::string& name, int num_qubits) {
+  // Basis states and default inputs are 64-bit masks: bound the width
+  // before any builder shifts by it.
+  require(num_qubits >= 1 && num_qubits < 64,
+          "paper_circuit: width " + std::to_string(num_qubits) +
+              " out of range [1, 63]");
   if (name == "bv") {
     return bernstein_vazirani(num_qubits, default_bv_secret(num_qubits));
   }
@@ -77,8 +82,12 @@ AlgorithmCircuit paper_circuit(const std::string& name, int num_qubits) {
   if (name == "qft") {
     return qft_benchmark(num_qubits, default_qft_value(num_qubits));
   }
+  if (name == "ghz") return ghz(num_qubits);
+  if (name == "grover") {
+    return grover(num_qubits, (1ULL << num_qubits) - 1);  // mark all-ones
+  }
   throw Error("paper_circuit: unknown circuit name '" + name +
-              "' (expected bv, dj or qft)");
+              "' (expected bv, dj, qft, ghz or grover)");
 }
 
 }  // namespace qufi::algo

@@ -95,8 +95,9 @@ class Backend {
   /// \return True when prepare_prefix captures real simulator state, so
   ///         run_suffix skips re-executing the prefix. The base
   ///         implementation only records the circuit split (run_suffix
-  ///         re-simulates from scratch), so campaigns use this to decide
-  ///         whether grouping work by injection point pays off.
+  ///         re-simulates from scratch). Campaigns run the same engine
+  ///         either way; snapshot stores (the dist snapshot cache) use this
+  ///         to skip persisting snapshots that carry no state.
   virtual bool supports_checkpointing() const { return false; }
 
   /// Digest of any execution *schedule* a snapshot at (circuit,

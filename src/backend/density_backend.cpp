@@ -1243,50 +1243,48 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
   };
   std::vector<ResponseGroup> groups;
   std::vector<std::ptrdiff_t> group_of(configs.size(), -1);
-  if (suffix_response_enabled_) {
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      if (needs_splice[c] || configs[c].injected.empty()) continue;
-      std::vector<int> targets;
-      bool eligible = true;
-      for (const auto& instr : configs[c].injected) {
-        if (circ::gate_info(instr.kind).num_qubits != 1) {
-          eligible = false;
-          break;
-        }
-        const int q = to_compact[static_cast<std::size_t>(instr.qubits[0])];
-        if (std::find(targets.begin(), targets.end(), q) == targets.end()) {
-          targets.push_back(q);
-        }
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    if (needs_splice[c] || configs[c].injected.empty()) continue;
+    std::vector<int> targets;
+    bool eligible = true;
+    for (const auto& instr : configs[c].injected) {
+      if (circ::gate_info(instr.kind).num_qubits != 1) {
+        eligible = false;
+        break;
       }
-      if (!eligible || targets.size() > 2) continue;
-      std::sort(targets.begin(), targets.end());
-      auto it = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
-        return g.targets == targets && g.shape == shape_of[c];
-      });
-      if (it == groups.end()) {
-        groups.push_back(ResponseGroup{std::move(targets), shape_of[c], {}});
-        it = groups.end() - 1;
+      const int q = to_compact[static_cast<std::size_t>(instr.qubits[0])];
+      if (std::find(targets.begin(), targets.end(), q) == targets.end()) {
+        targets.push_back(q);
       }
-      it->config_indices.push_back(c);
-      group_of[c] = it - groups.begin();
     }
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      const std::size_t threshold = groups[g].targets.size() == 1
-                                        ? kResponseMinConfigs1q
-                                        : kResponseMinConfigs2q;
-      // Below break-even, or a moment-aware shape whose pre-injection ops
-      // touch a target (the slot channel would not factor out): replay
-      // path. Both predicates are pure functions of the batch contents, so
-      // the choice is identical across chunkings and shardings.
-      const bool ineligible =
-          groups[g].config_indices.size() < threshold ||
-          (idle && !idle_response_eligible(
-                       *compiled_of[groups[g].config_indices.front()],
-                       groups[g].targets));
-      if (ineligible) {
-        for (const std::size_t c : groups[g].config_indices) group_of[c] = -1;
-        groups[g].config_indices.clear();
-      }
+    if (!eligible || targets.size() > 2) continue;
+    std::sort(targets.begin(), targets.end());
+    auto it = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
+      return g.targets == targets && g.shape == shape_of[c];
+    });
+    if (it == groups.end()) {
+      groups.push_back(ResponseGroup{std::move(targets), shape_of[c], {}});
+      it = groups.end() - 1;
+    }
+    it->config_indices.push_back(c);
+    group_of[c] = it - groups.begin();
+  }
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const std::size_t threshold = groups[g].targets.size() == 1
+                                      ? kResponseMinConfigs1q
+                                      : kResponseMinConfigs2q;
+    // Below break-even, or a moment-aware shape whose pre-injection ops
+    // touch a target (the slot channel would not factor out): replay
+    // path. Both predicates are pure functions of the batch contents, so
+    // the choice is identical across chunkings and shardings.
+    const bool ineligible =
+        groups[g].config_indices.size() < threshold ||
+        (idle && !idle_response_eligible(
+                     *compiled_of[groups[g].config_indices.front()],
+                     groups[g].targets));
+    if (ineligible) {
+      for (const std::size_t c : groups[g].config_indices) group_of[c] = -1;
+      groups[g].config_indices.clear();
     }
   }
 

@@ -103,27 +103,18 @@ class DensityMatrixBackend : public Backend {
 
   const noise::NoiseModel& noise_model() const { return noise_model_; }
 
-  /// Enables the suffix-response fast path inside run_suffix_batch: large
-  /// same-qubit batches are evaluated against a precomputed linear-response
-  /// basis of the compiled suffix (one basis replay per slot matrix unit,
-  /// then a small weighted sum per config) instead of one full suffix
-  /// replay per config. Results match the replay path within floating-point
-  /// reassociation (QVF parity well under 1e-9); small batches always use
-  /// the replay path. Campaigns drive this from CampaignSpec::use_tree —
-  /// the response basis is the deepest level of the prefix tree (the
-  /// injection site itself as a shared split point). Set before submitting
-  /// work; not synchronized against in-flight batches.
-  void set_suffix_response_enabled(bool enabled) {
-    suffix_response_enabled_ = enabled;
-  }
-  bool suffix_response_enabled() const { return suffix_response_enabled_; }
-
-  /// Minimum same-target group sizes at which the response path engages
-  /// (the m^4 basis replays must amortize: 2 x 16 for one target qubit,
-  /// 2 x 256 for a pair). Public so campaign chunking can guarantee every
-  /// full chunk stays on the fast path — the response-vs-replay decision
-  /// must be a pure function of the batch contents, never of thread count
-  /// or sharding (the byte-identity contract).
+  /// Minimum same-target group sizes at which run_suffix_batch takes the
+  /// suffix-response path: large same-qubit batches are evaluated against a
+  /// precomputed linear-response basis of the compiled suffix (one basis
+  /// replay per slot matrix unit, then a small weighted sum per config)
+  /// instead of one full suffix replay per config, matching the replay path
+  /// within floating-point reassociation (QVF parity well under 1e-9). The
+  /// m^4 basis replays must amortize: 2 x 16 for one target qubit, 2 x 256
+  /// for a pair; smaller groups always replay. Public so campaign chunking
+  /// can guarantee every full chunk stays on the fast path — the
+  /// response-vs-replay decision must be a pure function of the batch
+  /// contents, never of thread count or sharding (the byte-identity
+  /// contract).
   static constexpr std::size_t kResponseMinConfigs1q = 32;
   static constexpr std::size_t kResponseMinConfigs2q = 512;
 
@@ -139,7 +130,6 @@ class DensityMatrixBackend : public Backend {
 
   noise::NoiseModel noise_model_;
   bool idle_noise_;
-  bool suffix_response_enabled_ = true;
 };
 
 }  // namespace qufi::backend

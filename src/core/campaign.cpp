@@ -47,13 +47,9 @@ Prepared prepare(const CampaignSpec& spec) {
   if (spec.backend_override) {
     prep.exec = spec.backend_override;
   } else {
-    auto density = std::make_unique<backend::DensityMatrixBackend>(
+    prep.owned_backend = std::make_unique<backend::DensityMatrixBackend>(
         noise::NoiseModel::from_backend(spec.backend, spec.noise_scale),
         spec.idle_noise);
-    // The suffix-response fast path is part of the tree engine, so the
-    // --no-tree baseline measures the PR 2 flat-batch engine faithfully.
-    density->set_suffix_response_enabled(spec.use_tree);
-    prep.owned_backend = std::move(density);
     prep.exec = prep.owned_backend.get();
   }
   return prep;
@@ -66,9 +62,9 @@ Prepared prepare(const CampaignSpec& spec) {
 /// work. Nodes none of whose members have work are skipped entirely — the
 /// next extension jumps across them — so e.g. double-fault points with no
 /// coupled active neighbor never materialize a snapshot. At most two
-/// snapshots are alive per chain, bounding memory like the flat engine
-/// (few-point campaigns that store the handful of snapshots for chunked
-/// sweeping are bounded by the pool size instead).
+/// snapshots are alive per chain (few-point campaigns that store the
+/// handful of snapshots for chunked sweeping are bounded by the pool size
+/// instead).
 template <typename HasWork, typename Visit>
 void run_tree_chains(util::ThreadPool& pool, backend::Backend& exec,
                      const circ::QuantumCircuit& circuit,
@@ -126,10 +122,110 @@ static_assert(kTreeChunk1q >=
 static_assert(kTreeChunk2q >=
               backend::DensityMatrixBackend::kResponseMinConfigs2q);
 
+/// The sweep shared by single- and double-fault campaigns. Subset
+/// position s injects at `splits[s]` and owns the flat configs
+/// [slice_begin[s], slice_begin[s + 1]); positions with an empty slice
+/// never materialize a snapshot. Snapshots come from run_tree_chains, and
+/// each slice is swept in chunk_slice chunks of at least `chunk_floor`
+/// configs via `sweep(s, begin, end, snapshot)`. With at least as many
+/// points as lanes, chunks run inline on their chain's lane (at most two
+/// live snapshots per lane); with fewer, the few snapshots are stored and
+/// the chunks fan out across the pool so no lane idles. Chunk boundaries
+/// are the same either way, so records are too.
+template <typename Sweep>
+void sweep_snapshot_tree(util::ThreadPool& pool, const Prepared& prep,
+                         const CampaignSpec& spec,
+                         std::span<const std::size_t> splits,
+                         std::span<const std::size_t> slice_begin,
+                         std::size_t chunk_floor, const Sweep& sweep) {
+  const SnapshotTreePlan tree = plan_snapshot_tree(splits, pool.size());
+  const auto has_work = [&](std::size_t s) {
+    return slice_begin[s] < slice_begin[s + 1];
+  };
+  const auto chunks_of = [&](std::size_t s) {
+    return chunk_slice(slice_begin[s], slice_begin[s + 1], chunk_floor);
+  };
+  if (splits.size() >= pool.size()) {
+    run_tree_chains(pool, *prep.exec, prep.transpiled.circuit, spec, tree,
+                    has_work,
+                    [&](std::size_t s,
+                        const backend::PrefixSnapshotPtr& snapshot) {
+                      for (const auto& [begin, end] : chunks_of(s)) {
+                        sweep(s, begin, end, *snapshot);
+                      }
+                    });
+    return;
+  }
+  std::vector<backend::PrefixSnapshotPtr> snapshots(splits.size());
+  run_tree_chains(pool, *prep.exec, prep.transpiled.circuit, spec, tree,
+                  has_work,
+                  [&](std::size_t s,
+                      const backend::PrefixSnapshotPtr& snapshot) {
+                    snapshots[s] = snapshot;
+                  });
+  struct ChunkItem {
+    std::size_t subset_pos, begin, end;
+  };
+  std::vector<ChunkItem> chunks;
+  for (std::size_t s = 0; s < splits.size(); ++s) {
+    for (const auto& [begin, end] : chunks_of(s)) {
+      chunks.push_back({s, begin, end});
+    }
+  }
+  pool.parallel_for(chunks.size(), [&](std::size_t i) {
+    const ChunkItem& chunk = chunks[i];
+    sweep(chunk.subset_pos, chunk.begin, chunk.end,
+          *snapshots[chunk.subset_pos]);
+  });
+}
+
+/// Split index of each subset position's injection point.
+std::vector<std::size_t> subset_splits(
+    const std::vector<InjectionPoint>& points,
+    std::span<const std::size_t> subset) {
+  std::vector<std::size_t> splits(subset.size());
+  for (std::size_t s = 0; s < subset.size(); ++s) {
+    splits[s] = points[subset[s]].split_index();
+  }
+  return splits;
+}
+
+/// One run_suffix_batch submission, with the result count checked.
+std::vector<backend::ExecutionResult> run_batch(
+    const Prepared& prep, const CampaignSpec& spec,
+    const backend::PrefixSnapshot& snapshot,
+    std::span<const backend::SuffixConfig> configs) {
+  auto runs = prep.exec->run_suffix_batch(snapshot, configs, spec.shots);
+  require(runs.size() == configs.size(),
+          "campaign: run_suffix_batch returned wrong result count");
+  return runs;
+}
+
 std::uint64_t config_seed(const CampaignSpec& spec, std::uint64_t a,
                           std::uint64_t b, std::uint64_t c, std::uint64_t d) {
   const std::uint64_t words[] = {spec.seed, a, b, c, d};
   return util::hash_combine(words);
+}
+
+/// The single source of a single-fault config's fault gate and seed, shared
+/// by the exhaustive and adaptive engines. Addressed by the GLOBAL (point,
+/// phi, theta) triple, with `rem` = phi_index x num_theta + theta_index, so
+/// results are independent of scheduling, batch composition and sharding.
+backend::SuffixConfig single_fault_config(const CampaignSpec& spec,
+                                          const InjectionPoint& point,
+                                          std::size_t global_point,
+                                          std::size_t rem) {
+  const int num_theta = spec.grid.num_theta();
+  const int phi_index = static_cast<int>(rem / num_theta);
+  const int theta_index = static_cast<int>(rem % num_theta);
+  const PhaseShiftFault fault{spec.grid.theta_at(theta_index),
+                              spec.grid.phi_at(phi_index)};
+  backend::SuffixConfig config;
+  config.injected = {fault.as_instruction(point.qubit)};
+  config.seed =
+      config_seed(spec, global_point, static_cast<std::uint64_t>(phi_index),
+                  static_cast<std::uint64_t>(theta_index), 0);
+  return config;
 }
 
 double faultfree_qvf(const Prepared& prep, const CampaignSpec& spec) {
@@ -300,174 +396,44 @@ CampaignResult single_campaign_impl(const CampaignSpec& spec, Prepared& prep,
     result.records.resize(total);
   }
 
-  // The single source of a config's fault gate and seed, addressed by the
-  // GLOBAL (point, phi, theta) triple so results are independent of
-  // scheduling, of batched vs per-config submission, and of sharding.
-  const auto make_config = [&](std::size_t global_point, std::size_t rem) {
-    const int phi_index = static_cast<int>(rem / num_theta);
-    const int theta_index = static_cast<int>(rem % num_theta);
-    const InjectionPoint& point = result.points[global_point];
-    const PhaseShiftFault fault{spec.grid.theta_at(theta_index),
-                                spec.grid.phi_at(phi_index)};
-    backend::SuffixConfig config;
-    config.injected = {fault.as_instruction(point.qubit)};
-    config.seed =
-        config_seed(spec, global_point, static_cast<std::uint64_t>(phi_index),
-                    static_cast<std::uint64_t>(theta_index), 0);
-    return config;
-  };
+  // Subset position s owns the flat record slots [s x configs_per_point,
+  // (s + 1) x configs_per_point); `rem` is the slot's offset in the grid.
+  std::vector<std::size_t> slice_begin(subset.size() + 1);
+  for (std::size_t s = 0; s <= subset.size(); ++s) {
+    slice_begin[s] = s * configs_per_point;
+  }
 
-  // Fills and scores the record slot for config `rem` at subset position
-  // `s`; shared by the per-config and batched paths so record addressing
-  // has a single source.
-  const auto fill_record = [&](std::size_t s, std::size_t rem,
-                               std::span<const double> probs) {
-    InjectionRecord& rec = emitter
-                               ? emitter->slot(s, rem)
-                               : result.records[s * configs_per_point + rem];
-    rec.point_index = static_cast<std::uint32_t>(subset[s]);
-    rec.theta_index = static_cast<int>(rem % num_theta);
-    rec.phi_index = static_cast<int>(rem / num_theta);
-    score_record(rec, probs, prep.golden);
-    if (emitter) emitter->complete_one(s);
-  };
-
-  // One config = one faulty execution.
-  const auto run_config = [&](std::size_t s, std::size_t rem,
-                              const backend::PrefixSnapshot* snapshot) {
-    const backend::SuffixConfig config = make_config(subset[s], rem);
-    backend::ExecutionResult run;
-    if (snapshot) {
-      run = prep.exec->run_suffix(*snapshot, config.injected, spec.shots,
-                                  config.seed);
-    } else {
-      run = prep.exec->run(
-          backend::splice_circuit(prep.transpiled.circuit,
-                                  result.points[subset[s]].split_index(),
-                                  config.injected),
-          spec.shots, config.seed);
-    }
-    fill_record(s, rem, run.probabilities);
-  };
-
-  // Sweeps configs [begin, end) at one point from its snapshot: one
-  // run_suffix_batch submission when batching, per-config run_suffix jobs
-  // otherwise (the --no-batch baseline).
-  const auto sweep_range = [&](std::size_t s, std::size_t begin,
-                               std::size_t end,
-                               const backend::PrefixSnapshot* snapshot) {
-    if (!spec.use_batch) {
-      for (std::size_t rem = begin; rem < end; ++rem) {
-        run_config(s, rem, snapshot);
-      }
-      return;
-    }
+  // Sweeps flat configs [begin, end) of subset position s from its
+  // snapshot as one batch, filling and scoring their record slots.
+  const auto sweep = [&](std::size_t s, std::size_t begin, std::size_t end,
+                         const backend::PrefixSnapshot& snapshot) {
+    const InjectionPoint& point = result.points[subset[s]];
     std::vector<backend::SuffixConfig> configs;
     configs.reserve(end - begin);
-    for (std::size_t rem = begin; rem < end; ++rem) {
-      configs.push_back(make_config(subset[s], rem));
+    for (std::size_t idx = begin; idx < end; ++idx) {
+      configs.push_back(
+          single_fault_config(spec, point, subset[s], idx - slice_begin[s]));
     }
-    const auto runs =
-        prep.exec->run_suffix_batch(*snapshot, configs, spec.shots);
-    require(runs.size() == configs.size(),
-            "campaign: run_suffix_batch returned wrong result count");
-    for (std::size_t k = 0; k < runs.size(); ++k) {
-      fill_record(s, begin + k, runs[k].probabilities);
+    const auto runs = run_batch(prep, spec, snapshot, configs);
+    for (std::size_t idx = begin; idx < end; ++idx) {
+      const std::size_t rem = idx - slice_begin[s];
+      InjectionRecord& rec =
+          emitter ? emitter->slot(s, rem) : result.records[idx];
+      rec.point_index = static_cast<std::uint32_t>(subset[s]);
+      rec.theta_index = static_cast<int>(rem % num_theta);
+      rec.phi_index = static_cast<int>(rem / num_theta);
+      score_record(rec, runs[idx - begin].probabilities, prep.golden);
+      if (emitter) emitter->complete_one(s);
     }
   };
 
+  // Prefix-tree engine: one snapshot per unique split (operand points of a
+  // multi-qubit gate share one), derived along chains, each point's grid
+  // swept in fixed-size chunks.
   util::ThreadPool pool(static_cast<std::size_t>(
       spec.threads > 0 ? spec.threads : 0));
-  if (subset.empty()) {
-    // Empty shard: metadata + full point table, no work (idempotent).
-  } else if (spec.use_checkpoints && prep.exec->supports_checkpointing() &&
-             spec.use_tree) {
-    // Prefix-tree engine: one snapshot per unique split (operand points of
-    // a multi-qubit gate share one), derived along chains instead of
-    // re-evolved from scratch. Grids are swept in fixed-size chunks whose
-    // boundaries depend only on the grid (see chunk_slice), so records are
-    // identical whether chunks run inline on a chain's lane (many points)
-    // or fan out across the pool (few points).
-    std::vector<std::size_t> splits(subset.size());
-    for (std::size_t s = 0; s < subset.size(); ++s) {
-      splits[s] = result.points[subset[s]].split_index();
-    }
-    const SnapshotTreePlan tree = plan_snapshot_tree(splits, pool.size());
-    const auto chunks = chunk_slice(0, configs_per_point, kTreeChunk1q);
-    const auto always = [](std::size_t) { return true; };
-    if (subset.size() >= pool.size()) {
-      // Enough points to saturate the pool: chains stream, each point's
-      // chunks run inline, at most two live snapshots per lane.
-      run_tree_chains(pool, *prep.exec, prep.transpiled.circuit, spec, tree,
-                      always,
-                      [&](std::size_t s,
-                          const backend::PrefixSnapshotPtr& snap) {
-                        for (const auto& [begin, end] : chunks) {
-                          sweep_range(s, begin, end, snap.get());
-                        }
-                      });
-    } else {
-      // Fewer points than lanes: derive the (few) snapshots via chains,
-      // then fan the same chunks out across the pool so no lane idles.
-      std::vector<backend::PrefixSnapshotPtr> snapshots(subset.size());
-      run_tree_chains(pool, *prep.exec, prep.transpiled.circuit, spec, tree,
-                      always,
-                      [&](std::size_t s,
-                          const backend::PrefixSnapshotPtr& snap) {
-                        snapshots[s] = snap;
-                      });
-      pool.parallel_for(
-          subset.size() * chunks.size(), [&](std::size_t item) {
-            const std::size_t s = item / chunks.size();
-            const auto& [begin, end] = chunks[item % chunks.size()];
-            sweep_range(s, begin, end, snapshots[s].get());
-          });
-    }
-  } else if (spec.use_checkpoints && prep.exec->supports_checkpointing()) {
-    // All configs at one injection point share the gate prefix before the
-    // fault, so the natural unit of parallel work is the point: evolve the
-    // prefix once, then sweep the whole grid from that snapshot.
-    if (subset.size() >= pool.size()) {
-      // Enough points to saturate the pool; at most one live snapshot per
-      // lane bounds snapshot memory.
-      pool.parallel_for(subset.size(), [&](std::size_t s) {
-        const auto snapshot = prep.exec->prepare_prefix(
-            prep.transpiled.circuit, result.points[subset[s]].split_index(),
-            spec.shots, spec.seed);
-        sweep_range(s, 0, configs_per_point, snapshot.get());
-      });
-    } else {
-      // Fewer points than workers: prepare the (few) snapshots in
-      // parallel, then chunk each point's grid sweep across the pool so no
-      // lane idles. Snapshots are immutable and thread-shareable; each
-      // chunk is its own (smaller) batch submission.
-      std::vector<backend::PrefixSnapshotPtr> snapshots(subset.size());
-      pool.parallel_for(subset.size(), [&](std::size_t s) {
-        snapshots[s] = prep.exec->prepare_prefix(
-            prep.transpiled.circuit, result.points[subset[s]].split_index(),
-            spec.shots, spec.seed);
-      });
-      const std::size_t chunks_per_point = std::min(
-          configs_per_point,
-          (pool.size() + subset.size() - 1) / subset.size());
-      const std::size_t chunk_size =
-          (configs_per_point + chunks_per_point - 1) / chunks_per_point;
-      pool.parallel_for(
-          subset.size() * chunks_per_point, [&](std::size_t item) {
-            const std::size_t s = item / chunks_per_point;
-            const std::size_t begin = (item % chunks_per_point) * chunk_size;
-            const std::size_t end =
-                std::min(begin + chunk_size, configs_per_point);
-            if (begin < end) sweep_range(s, begin, end, snapshots[s].get());
-          });
-    }
-  } else {
-    // No prefix amortization available: fan out per config so small point
-    // counts still use every worker.
-    pool.parallel_for(total, [&](std::size_t idx) {
-      run_config(idx / configs_per_point, idx % configs_per_point, nullptr);
-    });
-  }
+  sweep_snapshot_tree(pool, prep, spec, subset_splits(result.points, subset),
+                      slice_begin, kTreeChunk1q, sweep);
 
   result.meta = base_metadata(spec, prep);
   result.meta.double_fault = false;
@@ -499,8 +465,6 @@ CampaignResult adaptive_campaign_impl(const CampaignSpec& spec, Prepared& prep,
   result.point_estimates.resize(result.points.size());
 
   const int num_theta = spec.grid.num_theta();
-  const bool checkpointed =
-      spec.use_checkpoints && prep.exec->supports_checkpointing();
   std::vector<std::vector<InjectionRecord>> blocks(subset.size());
   std::atomic<std::uint64_t> executions{0};
 
@@ -509,67 +473,28 @@ CampaignResult adaptive_campaign_impl(const CampaignSpec& spec, Prepared& prep,
   pool.parallel_for(subset.size(), [&](std::size_t s) {
     const std::size_t global_point = subset[s];
     const InjectionPoint& point = result.points[global_point];
-    backend::PrefixSnapshotPtr snapshot;
-    if (checkpointed) {
-      snapshot = prep.exec->prepare_prefix(prep.transpiled.circuit,
-                                           point.split_index(), spec.shots,
-                                           spec.seed);
-    }
+    const backend::PrefixSnapshotPtr snapshot = prep.exec->prepare_prefix(
+        prep.transpiled.circuit, point.split_index(), spec.shots, spec.seed);
     auto& block = blocks[s];
 
-    const auto make_config = [&](std::uint32_t rem) {
-      const int phi_index = static_cast<int>(rem / num_theta);
-      const int theta_index = static_cast<int>(rem % num_theta);
-      const PhaseShiftFault fault{spec.grid.theta_at(theta_index),
-                                  spec.grid.phi_at(phi_index)};
-      backend::SuffixConfig config;
-      config.injected = {fault.as_instruction(point.qubit)};
-      config.seed = config_seed(spec, global_point,
-                                static_cast<std::uint64_t>(phi_index),
-                                static_cast<std::uint64_t>(theta_index), 0);
-      return config;
-    };
-    const auto score = [&](std::uint32_t rem, std::span<const double> probs) {
-      InjectionRecord rec;
-      rec.point_index = static_cast<std::uint32_t>(global_point);
-      rec.theta_index = static_cast<int>(rem % num_theta);
-      rec.phi_index = static_cast<int>(rem / num_theta);
-      score_record(rec, probs, prep.golden);
-      block.push_back(rec);
-      return rec.qvf;
-    };
     const AdaptiveBatchEval eval =
         [&](std::span<const std::uint32_t> rems) -> std::vector<double> {
+      std::vector<backend::SuffixConfig> configs;
+      configs.reserve(rems.size());
+      for (const std::uint32_t rem : rems) {
+        configs.push_back(single_fault_config(spec, point, global_point, rem));
+      }
+      const auto runs = run_batch(prep, spec, *snapshot, configs);
       std::vector<double> qvfs;
       qvfs.reserve(rems.size());
-      if (checkpointed && spec.use_batch) {
-        std::vector<backend::SuffixConfig> configs;
-        configs.reserve(rems.size());
-        for (const std::uint32_t rem : rems) {
-          configs.push_back(make_config(rem));
-        }
-        const auto runs =
-            prep.exec->run_suffix_batch(*snapshot, configs, spec.shots);
-        require(runs.size() == configs.size(),
-                "campaign: run_suffix_batch returned wrong result count");
-        for (std::size_t k = 0; k < runs.size(); ++k) {
-          qvfs.push_back(score(rems[k], runs[k].probabilities));
-        }
-      } else {
-        for (const std::uint32_t rem : rems) {
-          const backend::SuffixConfig config = make_config(rem);
-          backend::ExecutionResult run;
-          if (checkpointed) {
-            run = prep.exec->run_suffix(*snapshot, config.injected,
-                                        spec.shots, config.seed);
-          } else {
-            run = prep.exec->run(
-                backend::splice_circuit(prep.transpiled.circuit,
-                                        point.split_index(), config.injected),
-                spec.shots, config.seed);
-          }
-          qvfs.push_back(score(rem, run.probabilities));
-        }
+      for (std::size_t k = 0; k < runs.size(); ++k) {
+        InjectionRecord rec;
+        rec.point_index = static_cast<std::uint32_t>(global_point);
+        rec.theta_index = static_cast<int>(rems[k] % num_theta);
+        rec.phi_index = static_cast<int>(rems[k] / num_theta);
+        score_record(rec, runs[k].probabilities, prep.golden);
+        block.push_back(rec);
+        qvfs.push_back(rec.qvf);
       }
       return qvfs;
     };
@@ -690,8 +615,8 @@ CampaignResult double_campaign_impl(const CampaignSpec& spec, Prepared& prep,
           "double campaign: no coupled active neighbors (check topology)");
 
   // Each subset point owns one contiguous slice of `configs` (the list is
-  // ordered by point). The boundaries drive both the checkpointed sweeps
-  // and the streaming emitter, so compute them once up front.
+  // ordered by point). The boundaries drive both the tree sweep and the
+  // streaming emitter, so compute them once up front.
   std::vector<std::size_t> slice_begin(subset.size() + 1, 0);
   std::vector<std::size_t> subset_pos(result.points.size(), 0);
   for (std::size_t s = 0; s < subset.size(); ++s) subset_pos[subset[s]] = s;
@@ -714,179 +639,52 @@ CampaignResult double_campaign_impl(const CampaignSpec& spec, Prepared& prep,
     result.records.resize(configs.size());
   }
 
-  // The single source of a flat config's fault pair and seed, shared by
-  // batched and per-config submission.
-  const auto make_config = [&](std::size_t idx) {
-    const Config& cfg = configs[idx];
-    const InjectionPoint& point = result.points[cfg.point_index];
-    const PhaseShiftFault primary{spec.grid.theta_at(cfg.theta_index),
-                                  spec.grid.phi_at(cfg.phi_index)};
-    const PhaseShiftFault secondary{spec.grid.theta_at(cfg.theta1_index),
-                                    spec.grid.phi_at(cfg.phi1_index)};
-    backend::SuffixConfig sc;
-    sc.injected = {primary.as_instruction(point.qubit),
-                   secondary.as_instruction(cfg.neighbor)};
-    sc.seed = config_seed(spec, cfg.global_index, cfg.point_index,
-                          static_cast<std::uint64_t>(cfg.theta_index),
-                          static_cast<std::uint64_t>(cfg.phi_index));
-    return sc;
-  };
-
-  // Fills and scores record `idx`; shared by the per-config and batched
-  // paths so the field mapping from Config has a single source.
-  const auto fill_record = [&](std::size_t idx, std::span<const double> probs) {
-    const Config& cfg = configs[idx];
-    const std::size_t s = subset_pos[cfg.point_index];
-    InjectionRecord& rec = emitter ? emitter->slot(s, idx - slice_begin[s])
-                                   : result.records[idx];
-    rec.point_index = cfg.point_index;
-    rec.theta_index = cfg.theta_index;
-    rec.phi_index = cfg.phi_index;
-    rec.neighbor_qubit = cfg.neighbor;
-    rec.theta1_index = cfg.theta1_index;
-    rec.phi1_index = cfg.phi1_index;
-    score_record(rec, probs, prep.golden);
-    if (emitter) emitter->complete_one(s);
-  };
-
-  const auto run_config = [&](std::size_t idx,
-                              const backend::PrefixSnapshot* snapshot) {
-    const backend::SuffixConfig sc = make_config(idx);
-    backend::ExecutionResult run;
-    if (snapshot) {
-      run = prep.exec->run_suffix(*snapshot, sc.injected, spec.shots, sc.seed);
-    } else {
-      run = prep.exec->run(
-          backend::splice_circuit(
-              prep.transpiled.circuit,
-              result.points[configs[idx].point_index].split_index(),
-              sc.injected),
-          spec.shots, sc.seed);
-    }
-    fill_record(idx, run.probabilities);
-  };
-
-  // Sweeps flat configs [begin, end) — all at the same point — from one
-  // snapshot, batched or per-config.
-  const auto sweep_range = [&](std::size_t begin, std::size_t end,
-                               const backend::PrefixSnapshot* snapshot) {
-    if (!spec.use_batch) {
-      for (std::size_t idx = begin; idx < end; ++idx) {
-        run_config(idx, snapshot);
-      }
-      return;
-    }
+  // Sweeps flat configs [begin, end) — all in subset position s's slice —
+  // from its snapshot as one batch, filling and scoring their records.
+  const auto sweep = [&](std::size_t s, std::size_t begin, std::size_t end,
+                         const backend::PrefixSnapshot& snapshot) {
     std::vector<backend::SuffixConfig> batch;
     batch.reserve(end - begin);
     for (std::size_t idx = begin; idx < end; ++idx) {
-      batch.push_back(make_config(idx));
+      // The single source of a flat config's fault pair and seed.
+      const Config& cfg = configs[idx];
+      const PhaseShiftFault primary{spec.grid.theta_at(cfg.theta_index),
+                                    spec.grid.phi_at(cfg.phi_index)};
+      const PhaseShiftFault secondary{spec.grid.theta_at(cfg.theta1_index),
+                                      spec.grid.phi_at(cfg.phi1_index)};
+      backend::SuffixConfig sc;
+      sc.injected = {
+          primary.as_instruction(result.points[cfg.point_index].qubit),
+          secondary.as_instruction(cfg.neighbor)};
+      sc.seed = config_seed(spec, cfg.global_index, cfg.point_index,
+                            static_cast<std::uint64_t>(cfg.theta_index),
+                            static_cast<std::uint64_t>(cfg.phi_index));
+      batch.push_back(std::move(sc));
     }
-    const auto runs = prep.exec->run_suffix_batch(*snapshot, batch, spec.shots);
-    require(runs.size() == batch.size(),
-            "campaign: run_suffix_batch returned wrong result count");
-    for (std::size_t k = 0; k < runs.size(); ++k) {
-      fill_record(begin + k, runs[k].probabilities);
+    const auto runs = run_batch(prep, spec, snapshot, batch);
+    for (std::size_t idx = begin; idx < end; ++idx) {
+      const Config& cfg = configs[idx];
+      InjectionRecord& rec = emitter ? emitter->slot(s, idx - slice_begin[s])
+                                     : result.records[idx];
+      rec.point_index = cfg.point_index;
+      rec.theta_index = cfg.theta_index;
+      rec.phi_index = cfg.phi_index;
+      rec.neighbor_qubit = cfg.neighbor;
+      rec.theta1_index = cfg.theta1_index;
+      rec.phi1_index = cfg.phi1_index;
+      score_record(rec, runs[idx - begin].probabilities, prep.golden);
+      if (emitter) emitter->complete_one(s);
     }
   };
 
+  // Prefix-tree engine (see single_campaign_impl): each point's slice — the
+  // full primary x secondary grid over every coupled neighbor — sweeps from
+  // its shared snapshot. Points with an empty slice (no coupled active
+  // neighbor) never materialize a snapshot.
   util::ThreadPool pool(static_cast<std::size_t>(
       spec.threads > 0 ? spec.threads : 0));
-  if (configs.empty()) {
-    // Empty shard (or no neighbors anywhere in the subset): metadata only.
-  } else if (spec.use_checkpoints && prep.exec->supports_checkpointing()) {
-    // Every config in a point's slice shares the prefix before the
-    // injection site and sweeps from one snapshot.
-    if (spec.use_tree) {
-      // Prefix-tree engine: snapshots deduplicated by split and derived
-      // along chains; each point's slice — the full primary x secondary
-      // grid over every coupled neighbor — sweeps from its shared
-      // snapshot in deterministic fixed-size chunks (see the single-fault
-      // tree branch). Points whose slice is empty (no coupled active
-      // neighbor) are skipped without materializing a snapshot.
-      std::vector<std::size_t> splits(subset.size());
-      for (std::size_t s = 0; s < subset.size(); ++s) {
-        splits[s] = result.points[subset[s]].split_index();
-      }
-      const SnapshotTreePlan tree = plan_snapshot_tree(splits, pool.size());
-      const auto has_work = [&](std::size_t s) {
-        return slice_begin[s] < slice_begin[s + 1];
-      };
-      if (subset.size() >= pool.size()) {
-        run_tree_chains(
-            pool, *prep.exec, prep.transpiled.circuit, spec, tree, has_work,
-            [&](std::size_t s, const backend::PrefixSnapshotPtr& snap) {
-              for (const auto& [begin, end] : chunk_slice(
-                       slice_begin[s], slice_begin[s + 1], kTreeChunk2q)) {
-                sweep_range(begin, end, snap.get());
-              }
-            });
-      } else {
-        std::vector<backend::PrefixSnapshotPtr> snapshots(subset.size());
-        run_tree_chains(
-            pool, *prep.exec, prep.transpiled.circuit, spec, tree, has_work,
-            [&](std::size_t s, const backend::PrefixSnapshotPtr& snap) {
-              snapshots[s] = snap;
-            });
-        struct ChunkItem {
-          std::size_t subset_pos, begin, end;
-        };
-        std::vector<ChunkItem> chunks;
-        for (std::size_t s = 0; s < subset.size(); ++s) {
-          for (const auto& [begin, end] : chunk_slice(
-                   slice_begin[s], slice_begin[s + 1], kTreeChunk2q)) {
-            chunks.push_back({s, begin, end});
-          }
-        }
-        pool.parallel_for(chunks.size(), [&](std::size_t i) {
-          sweep_range(chunks[i].begin, chunks[i].end,
-                      snapshots[chunks[i].subset_pos].get());
-        });
-      }
-    } else if (subset.size() >= pool.size()) {
-      pool.parallel_for(subset.size(), [&](std::size_t s) {
-        if (slice_begin[s] == slice_begin[s + 1]) return;  // no neighbors
-        const auto snapshot = prep.exec->prepare_prefix(
-            prep.transpiled.circuit, result.points[subset[s]].split_index(),
-            spec.shots, spec.seed);
-        sweep_range(slice_begin[s], slice_begin[s + 1], snapshot.get());
-      });
-    } else {
-      // Fewer points than workers: shared snapshots, slices chunked across
-      // lanes so the (large) secondary sweeps saturate the pool.
-      std::vector<backend::PrefixSnapshotPtr> snapshots(subset.size());
-      pool.parallel_for(subset.size(), [&](std::size_t s) {
-        if (slice_begin[s] == slice_begin[s + 1]) return;
-        snapshots[s] = prep.exec->prepare_prefix(
-            prep.transpiled.circuit, result.points[subset[s]].split_index(),
-            spec.shots, spec.seed);
-      });
-      struct ChunkItem {
-        std::size_t subset_pos, begin, end;
-      };
-      std::vector<ChunkItem> chunks;
-      const std::size_t chunks_per_point =
-          (pool.size() + subset.size() - 1) / subset.size();
-      for (std::size_t s = 0; s < subset.size(); ++s) {
-        const std::size_t len = slice_begin[s + 1] - slice_begin[s];
-        if (len == 0) continue;
-        const std::size_t n_chunks = std::min(len, chunks_per_point);
-        const std::size_t chunk_size = (len + n_chunks - 1) / n_chunks;
-        for (std::size_t k = 0; k < n_chunks; ++k) {
-          const std::size_t begin = slice_begin[s] + k * chunk_size;
-          const std::size_t end =
-              std::min(begin + chunk_size, slice_begin[s + 1]);
-          if (begin < end) chunks.push_back({s, begin, end});
-        }
-      }
-      pool.parallel_for(chunks.size(), [&](std::size_t i) {
-        sweep_range(chunks[i].begin, chunks[i].end,
-                    snapshots[chunks[i].subset_pos].get());
-      });
-    }
-  } else {
-    pool.parallel_for(configs.size(),
-                      [&](std::size_t idx) { run_config(idx, nullptr); });
-  }
+  sweep_snapshot_tree(pool, prep, spec, subset_splits(result.points, subset),
+                      slice_begin, kTreeChunk2q, sweep);
 
   result.meta = base_metadata(spec, prep);
   result.meta.double_fault = true;
@@ -937,57 +735,24 @@ std::vector<NamedFaultQvf> run_named_fault_campaign(
   require(!points.empty(), "named-fault campaign: no injection points");
 
   // One prefix snapshot per point covers every named fault injected there,
-  // so the point loop is the parallel (and amortization) axis.
-  const bool checkpointed =
-      spec.use_checkpoints && prep.exec->supports_checkpointing();
+  // so the point loop is the parallel (and amortization) axis, and all
+  // named faults at one point go out as a single batch.
   std::vector<std::vector<double>> qvfs(
       faults.size(), std::vector<double>(points.size(), 0.0));
   util::ThreadPool pool(static_cast<std::size_t>(
       spec.threads > 0 ? spec.threads : 0));
   pool.parallel_for(points.size(), [&](std::size_t p) {
     const InjectionPoint& point = points[p];
-    // Single source of each fault's injected gate and seed, shared by the
-    // batched, sequential-suffix, and full-run submission paths.
-    const auto make_config = [&](std::size_t f) {
-      backend::SuffixConfig config;
-      config.injected = {faults[f].fault.as_instruction(point.qubit)};
-      config.seed = config_seed(spec, f, p, 0, 1);
-      return config;
-    };
-    backend::PrefixSnapshotPtr snapshot;
-    if (checkpointed) {
-      snapshot = prep.exec->prepare_prefix(
-          prep.transpiled.circuit, point.split_index(), spec.shots, spec.seed);
-    }
-    if (snapshot && spec.use_batch) {
-      // All named faults at one point go out as a single batch.
-      std::vector<backend::SuffixConfig> batch;
-      batch.reserve(faults.size());
-      for (std::size_t f = 0; f < faults.size(); ++f) {
-        batch.push_back(make_config(f));
-      }
-      const auto runs =
-          prep.exec->run_suffix_batch(*snapshot, batch, spec.shots);
-      require(runs.size() == batch.size(),
-              "campaign: run_suffix_batch returned wrong result count");
-      for (std::size_t f = 0; f < faults.size(); ++f) {
-        qvfs[f][p] = compute_qvf(runs[f].probabilities, prep.golden);
-      }
-      return;
-    }
+    const auto snapshot = prep.exec->prepare_prefix(
+        prep.transpiled.circuit, point.split_index(), spec.shots, spec.seed);
+    std::vector<backend::SuffixConfig> batch(faults.size());
     for (std::size_t f = 0; f < faults.size(); ++f) {
-      const backend::SuffixConfig config = make_config(f);
-      backend::ExecutionResult run;
-      if (snapshot) {
-        run = prep.exec->run_suffix(*snapshot, config.injected, spec.shots,
-                                    config.seed);
-      } else {
-        run = prep.exec->run(
-            backend::splice_circuit(prep.transpiled.circuit,
-                                    point.split_index(), config.injected),
-            spec.shots, config.seed);
-      }
-      qvfs[f][p] = compute_qvf(run.probabilities, prep.golden);
+      batch[f].injected = {faults[f].fault.as_instruction(point.qubit)};
+      batch[f].seed = config_seed(spec, f, p, 0, 1);
+    }
+    const auto runs = run_batch(prep, spec, *snapshot, batch);
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      qvfs[f][p] = compute_qvf(runs[f].probabilities, prep.golden);
     }
   });
 

@@ -39,9 +39,9 @@ struct CampaignSpec {
   /// Apply thermal relaxation to idle qubits per circuit moment (the
   /// calibrated-T1/T2 extension of the paper's noise model; see
   /// docs/CAMPAIGNS.md). The density backend's snapshots are moment-aware,
-  /// so idle-noise campaigns run through the same checkpoint/batch/tree
-  /// engine as plain ones — records match the --no-checkpoint re-simulation
-  /// reference within the usual 1e-9 QVF bound. Ignored when a
+  /// so idle-noise campaigns run through the same snapshot-tree engine as
+  /// plain ones — records match a full re-simulation of every faulty
+  /// circuit within the usual 1e-9 QVF bound. Ignored when a
   /// backend_override executes the campaign (configure the override
   /// itself); recorded in CampaignMetadata::idle_noise either way so shard
   /// merges can refuse to mix modes.
@@ -68,53 +68,13 @@ struct CampaignSpec {
 
   int threads = 0;  ///< worker threads; 0 = hardware concurrency
 
-  /// Evolve the gate prefix of each injection point once (one backend
-  /// snapshot per point) and sweep the whole (theta, phi) grid from it,
-  /// instead of re-simulating the full faulty circuit per config. Only
-  /// takes effect when the executing backend supports checkpointing; the
-  /// exact density-matrix backend produces bit-identical records either
-  /// way. Disable for the re-simulation baseline (bench --no-checkpoint).
-  bool use_checkpoints = true;
-
-  /// Submit each injection point's configs as one Backend::run_suffix_batch
-  /// call (chunked across pool lanes when points are scarce) instead of
-  /// per-config run_suffix jobs, letting the backend amortize suffix
-  /// compilation and scratch state across the grid. Only takes effect
-  /// together with use_checkpoints on a checkpointing backend; records
-  /// match the per-config path within 1e-9 (QVF parity) on the density
-  /// backend. Disable for the batching baseline (bench --no-batch).
-  bool use_batch = true;
-
-  /// Run the prefix-tree engine: the subset's injection points are
-  /// deduplicated by split index and organized into chains of nested split
-  /// points, each snapshot derived from its predecessor via
-  /// Backend::extend_snapshot instead of re-evolved from the initial state,
-  /// and each point's whole grid (for double campaigns: the full
-  /// primary x secondary grid across every neighbor) sweeps from its shared
-  /// per-point snapshot as one batch. On the density backend this also
-  /// enables the suffix-response fast path inside run_suffix_batch (see
-  /// DensityMatrixBackend::set_suffix_response_enabled) — the deepest tree
-  /// level, where the injection site itself is the shared split point.
-  /// Only takes effect together with use_checkpoints on a checkpointing
-  /// backend. Records match the flat engine within 1e-9 (QVF parity);
-  /// snapshot derivation itself is bit-identical to from-scratch prepares,
-  /// so sharding and tree shape never interact. Disable for the PR 2
-  /// flat-batch baseline (bench --no-tree).
-  ///
-  /// Caveat: campaigns only toggle the suffix-response path on the backend
-  /// they construct themselves. A caller-supplied backend_override is
-  /// never mutated — a DensityMatrixBackend passed in with its default
-  /// (enabled) response setting keeps it even when use_tree is false, so
-  /// for a faithful --no-tree baseline over an override, call
-  /// set_suffix_response_enabled(false) on it yourself (the dist shard
-  /// runner does exactly that from the manifest's use_tree knob).
-  bool use_tree = true;
-
   /// Execute on this backend instead of the density-matrix simulator built
   /// from `backend` (e.g. SimulatedHardwareBackend). Must be thread-safe:
-  /// run(), prepare_prefix(), run_suffix() and run_suffix_batch() are all
-  /// called concurrently from pool workers (batched campaigns submit
-  /// multiple chunks against one shared snapshot). Not owned.
+  /// run(), prepare_prefix(), extend_snapshot() and run_suffix_batch() are
+  /// all called concurrently from pool workers (campaigns submit multiple
+  /// chunks against one shared snapshot). A backend without checkpointing
+  /// runs the same engine through the base splice fallback, which
+  /// re-simulates each config with the same per-config seed. Not owned.
   backend::Backend* backend_override = nullptr;
 
   /// Stream each injection point's completed record slice out of the engine

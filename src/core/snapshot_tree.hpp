@@ -45,8 +45,8 @@ struct SnapshotTreePlan {
   std::uint64_t scratch_gates() const;
   /// Gates advanced via extend_snapshot (sum of child - parent splits).
   std::uint64_t extended_gates() const;
-  /// Gates the flat engine would evolve for the same input: one
-  /// from-scratch prefix per input point (before deduplication).
+  /// Gates one from-scratch prefix per input point would evolve (before
+  /// deduplication) — the cost the tree saves against.
   std::uint64_t flat_gates() const;
 };
 

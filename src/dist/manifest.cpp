@@ -43,10 +43,9 @@ void save_manifest(const ShardManifest& manifest, const std::string& path) {
   std::ofstream out(path);
   require(out.is_open(), "manifest: cannot open for writing: " + path);
 
-  // Written files always use the current format (use_tree is a v2 key,
-  // idle_noise a v3 key, adaptive a v4 key), whatever version the in-memory
-  // manifest was loaded from.
-  out << "qufi-shard-manifest " << 4 << "\n";
+  // Written files always use the current format, whatever version the
+  // in-memory manifest claims.
+  out << "qufi-shard-manifest " << 5 << "\n";
   out << "shard " << manifest.shard_index << " " << manifest.shard_count
       << "\n";
   out << "device " << manifest.device << "\n";
@@ -62,9 +61,6 @@ void save_manifest(const ShardManifest& manifest, const std::string& path) {
   out << "noise_scale " << g17(manifest.noise_scale) << "\n";
   out << "max_points " << manifest.max_points << "\n";
   out << "double " << (manifest.double_fault ? 1 : 0) << "\n";
-  out << "use_checkpoints " << (manifest.use_checkpoints ? 1 : 0) << "\n";
-  out << "use_batch " << (manifest.use_batch ? 1 : 0) << "\n";
-  out << "use_tree " << (manifest.use_tree ? 1 : 0) << "\n";
   out << "idle_noise " << (manifest.idle_noise ? 1 : 0) << "\n";
   if (manifest.adaptive) {
     out << "adaptive " << g17(manifest.adaptive->max_config_fraction) << " "
@@ -123,7 +119,7 @@ ShardManifest load_manifest(const std::string& path) {
       if (key != "qufi-shard-manifest") fail("missing manifest header");
       std::uint32_t version = 0;
       if (!(ls >> version)) fail("bad header");
-      if (version < 1 || version > 4) fail("unsupported manifest version");
+      if (version != 5) fail("unsupported manifest version");
       m.format_version = version;
       saw_header = true;
       continue;
@@ -160,18 +156,6 @@ ShardManifest load_manifest(const std::string& path) {
       int v = 0;
       if (!(ls >> v)) fail("bad double line");
       m.double_fault = v != 0;
-    } else if (key == "use_checkpoints") {
-      int v = 0;
-      if (!(ls >> v)) fail("bad use_checkpoints line");
-      m.use_checkpoints = v != 0;
-    } else if (key == "use_batch") {
-      int v = 0;
-      if (!(ls >> v)) fail("bad use_batch line");
-      m.use_batch = v != 0;
-    } else if (key == "use_tree") {
-      int v = 0;
-      if (!(ls >> v)) fail("bad use_tree line");
-      m.use_tree = v != 0;
     } else if (key == "idle_noise") {
       int v = 0;
       if (!(ls >> v)) fail("bad idle_noise line");
@@ -257,9 +241,6 @@ CampaignSpec manifest_to_spec(const ShardManifest& manifest) {
   spec.seed = manifest.seed;
   spec.noise_scale = manifest.noise_scale;
   spec.max_points = manifest.max_points;
-  spec.use_checkpoints = manifest.use_checkpoints;
-  spec.use_batch = manifest.use_batch;
-  spec.use_tree = manifest.use_tree;
   spec.idle_noise = manifest.idle_noise;
   spec.adaptive = manifest.adaptive;
   return spec;
@@ -304,9 +285,6 @@ std::vector<ShardManifest> make_manifests(const CampaignSpec& spec,
     m.noise_scale = spec.noise_scale;
     m.max_points = spec.max_points;
     m.double_fault = double_fault;
-    m.use_checkpoints = spec.use_checkpoints;
-    m.use_batch = spec.use_batch;
-    m.use_tree = spec.use_tree;
     m.idle_noise = spec.idle_noise;
     m.adaptive = spec.adaptive;
     m.point_indices = shard.point_indices;

@@ -21,16 +21,16 @@ enum class WorkerBackendKind {
 /// on another machine needs to execute its points bit-compatibly with the
 /// single-process campaign — the full campaign definition (circuit embedded
 /// instruction-by-instruction with exact parameter bits, device name, grid,
-/// seeds, engine knobs) plus this shard's global point indices.
+/// seeds, execution mode) plus this shard's global point indices.
 ///
 /// Manifests are plain text (one `key value...` line each, circuit block at
 /// the end); the format is versioned and documented in docs/SHARDING.md.
 struct ShardManifest {
-  /// v1: initial format. v2: adds the optional `use_tree` engine knob.
-  /// v3: adds the optional `idle_noise` execution-mode knob. v4: adds the
-  /// optional `adaptive` estimation-policy key. Absent keys default (so
-  /// v1-v3 files load unchanged, with adaptive off).
-  std::uint32_t format_version = 4;
+  /// v5: the only readable version. v1-v4 carried engine-mode keys for
+  /// execution modes that no longer exist, so they are rejected rather
+  /// than half-understood. The optional keys (`idle_noise`, `adaptive`)
+  /// default off when absent.
+  std::uint32_t format_version = 5;
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
 
@@ -51,9 +51,6 @@ struct ShardManifest {
   double noise_scale = 1.0;
   std::size_t max_points = 0;
   bool double_fault = false;
-  bool use_checkpoints = true;
-  bool use_batch = true;
-  bool use_tree = true;
   /// Moment-scheduled idle-qubit relaxation (density backend only; the
   /// trajectory family has no idle mode and run_shard rejects the combo).
   bool idle_noise = false;
@@ -80,7 +77,7 @@ void save_manifest(const ShardManifest& manifest, const std::string& path);
 ShardManifest load_manifest(const std::string& path);
 
 /// Rebuilds the CampaignSpec a worker executes: circuit, device properties
-/// (resolved from `device`), grid, seeds, and engine knobs. The execution
+/// (resolved from `device`), grid, seeds, and execution mode. The execution
 /// backend itself (density vs trajectory, snapshot caching) is chosen by
 /// run_shard, not the spec.
 CampaignSpec manifest_to_spec(const ShardManifest& manifest);

@@ -30,13 +30,8 @@ ShardRunOutput run_shard(const ShardManifest& manifest,
             "run_shard: idle_noise requires the density backend");
     exec = std::make_unique<backend::TrajectoryBackend>(noise_model);
   } else {
-    auto density = std::make_unique<backend::DensityMatrixBackend>(
+    exec = std::make_unique<backend::DensityMatrixBackend>(
         noise_model, manifest.idle_noise);
-    // Workers must mirror the coordinator's engine exactly: the
-    // suffix-response path is part of the tree engine (see CampaignSpec::
-    // use_tree), so a --no-tree plan keeps every shard on the flat batch.
-    density->set_suffix_response_enabled(spec.use_tree);
-    exec = std::move(density);
   }
 
   std::unique_ptr<SnapshotCachingBackend> cache;

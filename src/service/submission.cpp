@@ -31,7 +31,7 @@ void save_submission(const CampaignRequest& request,
   {
     std::ofstream out(temp);
     require(out.is_open(), "submission: cannot open for writing: " + temp);
-    out << "qufi-submission 1\n";
+    out << "qufi-submission 2\n";
     out << "name " << request.name << "\n";
     out << "priority " << request.priority << "\n";
     out << "circuit " << request.circuit << "\n";
@@ -44,7 +44,6 @@ void save_submission(const CampaignRequest& request,
     out << "seed " << request.seed << "\n";
     out << "max_points " << request.max_points << "\n";
     out << "double " << (request.double_fault ? 1 : 0) << "\n";
-    out << "use_tree " << (request.use_tree ? 1 : 0) << "\n";
     out << "idle_noise " << (request.idle_noise ? 1 : 0) << "\n";
     out << "shards " << request.shards << "\n";
     out << "policy " << request.policy << "\n";
@@ -79,7 +78,7 @@ CampaignRequest load_submission(const std::string& path) {
     if (line_no == 1 || !versioned) {
       if (key != "qufi-submission") fail("not a qufi-submission file");
       int version = 0;
-      if (!(ls >> version) || version != 1) {
+      if (!(ls >> version) || version != 2) {
         fail("unsupported submission version");
       }
       versioned = true;
@@ -112,10 +111,6 @@ CampaignRequest load_submission(const std::string& path) {
       int v = 0;
       if (!(ls >> v)) fail("bad double line");
       request.double_fault = v != 0;
-    } else if (key == "use_tree") {
-      int v = 0;
-      if (!(ls >> v)) fail("bad use_tree line");
-      request.use_tree = v != 0;
     } else if (key == "idle_noise") {
       int v = 0;
       if (!(ls >> v)) fail("bad idle_noise line");
@@ -142,14 +137,8 @@ CampaignJob plan_submission(const CampaignRequest& request) {
   require(request.shards >= 1,
           "submission: shards must be >= 1 (campaign " + request.name + ")");
 
-  algo::AlgorithmCircuit bench = [&] {
-    if (request.circuit == "ghz") return algo::ghz(request.width);
-    if (request.circuit == "grover") {
-      return algo::grover(request.width,
-                          (1ULL << static_cast<unsigned>(request.width)) - 1);
-    }
-    return algo::paper_circuit(request.circuit, request.width);
-  }();
+  const algo::AlgorithmCircuit bench =
+      algo::paper_circuit(request.circuit, request.width);
 
   CampaignSpec spec;
   spec.circuit = bench.circuit;
@@ -162,7 +151,6 @@ CampaignJob plan_submission(const CampaignRequest& request) {
   spec.shots = request.shots;
   spec.seed = request.seed;
   spec.max_points = request.max_points;
-  spec.use_tree = request.use_tree;
   spec.idle_noise = request.idle_noise;
 
   dist::ShardPolicy policy;

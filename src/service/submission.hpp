@@ -11,7 +11,8 @@ namespace qufi::service {
 /// campaign *definition* (the same knobs qufi_cli and qufi_shard_plan
 /// take), not the planned shards — the dispatcher plans on intake, so a
 /// submission stays a dozen lines of text however large the campaign is.
-/// Serialized as versioned `key value` lines (docs/DISPATCHER.md).
+/// Serialized as versioned `key value` lines (docs/DISPATCHER.md); only
+/// version 2 is readable (v1 carried a removed engine-mode key).
 struct CampaignRequest {
   std::string name;
   int priority = 0;
@@ -26,7 +27,6 @@ struct CampaignRequest {
   std::uint64_t seed = 0x51754649;
   std::size_t max_points = 0;
   bool double_fault = false;
-  bool use_tree = true;
   bool idle_noise = false;
   std::uint32_t shards = 2;
   std::string policy = "cost";          ///< cost | points | tree
@@ -45,8 +45,9 @@ CampaignRequest load_submission(const std::string& path);
 /// Turns a request into a dispatchable job: builds the circuit and device,
 /// plans the shard partition (deterministic — re-planning the same request
 /// reproduces identical manifests), and stamps the job's name, priority and
-/// CSV path. Throws qufi::Error on unknown circuit/policy/backend names or
-/// invalid combinations (idle noise on the trajectory family).
+/// CSV path. Throws qufi::Error on unknown circuit/policy/backend names,
+/// out-of-range widths, or invalid combinations (idle noise on the
+/// trajectory family).
 CampaignJob plan_submission(const CampaignRequest& request);
 
 }  // namespace qufi::service

@@ -1,6 +1,6 @@
 // Prefix-checkpointed execution tests: the two-phase backend API, campaign
-// equivalence against full re-simulation, integer point striding, and
-// thread-pool exception short-circuiting.
+// equivalence against full re-simulation (the ResimulatingBackend oracle),
+// integer point striding, and thread-pool exception short-circuiting.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +16,7 @@
 #include "core/qvf.hpp"
 #include "noise/backend_props.hpp"
 #include "noise/noise_model.hpp"
+#include "resimulating_backend.hpp"
 #include "util/thread_pool.hpp"
 
 namespace qufi {
@@ -266,21 +267,10 @@ TEST(PrefixCheckpoint, IdentityFaultReproducesFaultFreeRun) {
   }
 }
 
-// ---- campaign-level equivalence (the acceptance property) ------------------
+// ---- campaign engine vs full re-simulation (the acceptance property) -------
 
-void expect_campaigns_match(const CampaignResult& a, const CampaignResult& b,
-                            double tol) {
-  ASSERT_EQ(a.records.size(), b.records.size());
-  ASSERT_EQ(a.meta.executions, b.meta.executions);
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].point_index, b.records[i].point_index);
-    EXPECT_EQ(a.records[i].theta_index, b.records[i].theta_index);
-    EXPECT_EQ(a.records[i].phi_index, b.records[i].phi_index);
-    EXPECT_NEAR(a.records[i].qvf, b.records[i].qvf, tol) << "record " << i;
-    EXPECT_NEAR(a.records[i].pa, b.records[i].pa, tol) << "record " << i;
-    EXPECT_NEAR(a.records[i].pb, b.records[i].pb, tol) << "record " << i;
-  }
-}
+using testing_oracle::expect_campaigns_match;
+using testing_oracle::resimulated;
 
 TEST(CheckpointEquivalence, SingleFaultCampaignsMatchOnPaperCircuits) {
   const std::pair<const char*, int> circuits[] = {
@@ -289,13 +279,9 @@ TEST(CheckpointEquivalence, SingleFaultCampaignsMatchOnPaperCircuits) {
     auto spec = quick_spec(name, width);
     spec.max_points = 10;  // multiple injection points across the circuit
 
-    spec.use_checkpoints = true;
-    const auto checkpointed = run_single_fault_campaign(spec);
-    spec.use_checkpoints = false;
-    const auto resimulated = run_single_fault_campaign(spec);
-
     SCOPED_TRACE(name);
-    expect_campaigns_match(checkpointed, resimulated, 1e-9);
+    expect_campaigns_match(run_single_fault_campaign(spec),
+                         resimulated(spec, run_single_fault_campaign), 1e-9);
   }
 }
 
@@ -306,16 +292,12 @@ TEST(CheckpointEquivalence, GhzCampaignMatches) {
   spec.expected_outputs = bench.expected_outputs;
   spec.grid.theta_step_deg = 60.0;
   spec.grid.phi_step_deg = 90.0;
-  // More workers than points exercises the chunked grid sweep (shared
-  // snapshots split across lanes).
+  // More workers than points exercises the chunk fan-out (stored snapshots,
+  // chunks spread across lanes).
   spec.threads = 16;
   spec.max_points = 8;
-
-  spec.use_checkpoints = true;
-  const auto checkpointed = run_single_fault_campaign(spec);
-  spec.use_checkpoints = false;
-  const auto resimulated = run_single_fault_campaign(spec);
-  expect_campaigns_match(checkpointed, resimulated, 1e-9);
+  expect_campaigns_match(run_single_fault_campaign(spec),
+                         resimulated(spec, run_single_fault_campaign), 1e-9);
 }
 
 TEST(CheckpointEquivalence, DoubleFaultCampaignsMatch) {
@@ -324,27 +306,14 @@ TEST(CheckpointEquivalence, DoubleFaultCampaignsMatch) {
   spec.grid.phi_step_deg = 90.0;
   spec.grid.phi_max_deg = 180.0;
   spec.max_points = 6;
-
-  spec.use_checkpoints = true;
-  const auto checkpointed = run_double_fault_campaign(spec);
-  spec.use_checkpoints = false;
-  const auto resimulated = run_double_fault_campaign(spec);
-
-  ASSERT_EQ(checkpointed.records.size(), resimulated.records.size());
-  for (std::size_t i = 0; i < checkpointed.records.size(); ++i) {
-    EXPECT_EQ(checkpointed.records[i].neighbor_qubit,
-              resimulated.records[i].neighbor_qubit);
-    EXPECT_EQ(checkpointed.records[i].theta1_index,
-              resimulated.records[i].theta1_index);
-    EXPECT_NEAR(checkpointed.records[i].qvf, resimulated.records[i].qvf, 1e-9);
-  }
+  expect_campaigns_match(run_double_fault_campaign(spec),
+                         resimulated(spec, run_double_fault_campaign), 1e-9);
 }
 
 TEST(CheckpointEquivalence, IdleNoiseCampaignsMatchOnPaperCircuits) {
-  // The re-admission acceptance property: idle-noise campaigns with the
-  // full checkpoint/batch/tree engine must match the --no-checkpoint
-  // re-simulation reference (the mode's prior permanent baseline) within
-  // the 1e-9 QVF bound, on more than one paper circuit.
+  // Idle-noise campaigns run the moment-aware snapshot tree and must match
+  // the full re-simulation of every faulty circuit within the 1e-9 QVF
+  // bound, on more than one paper circuit.
   const std::pair<const char*, int> circuits[] = {
       {"bv", 4}, {"dj", 3}, {"qft", 3}};
   for (const auto& [name, width] : circuits) {
@@ -352,16 +321,11 @@ TEST(CheckpointEquivalence, IdleNoiseCampaignsMatchOnPaperCircuits) {
     spec.max_points = 10;
     spec.idle_noise = true;
 
-    spec.use_checkpoints = true;
-    spec.use_batch = true;
-    spec.use_tree = true;
-    const auto engine = run_single_fault_campaign(spec);
-    spec.use_checkpoints = false;
-    const auto resimulated = run_single_fault_campaign(spec);
-
     SCOPED_TRACE(name);
+    const auto engine = run_single_fault_campaign(spec);
     EXPECT_TRUE(engine.meta.idle_noise);
-    expect_campaigns_match(engine, resimulated, 1e-9);
+    expect_campaigns_match(
+        engine, resimulated(spec, run_single_fault_campaign), 1e-9);
   }
 }
 
@@ -372,68 +336,36 @@ TEST(CheckpointEquivalence, IdleNoiseDoubleFaultCampaignMatches) {
   spec.grid.phi_max_deg = 180.0;
   spec.max_points = 6;
   spec.idle_noise = true;
-
-  spec.use_checkpoints = true;
-  const auto engine = run_double_fault_campaign(spec);
-  spec.use_checkpoints = false;
-  const auto resimulated = run_double_fault_campaign(spec);
-
-  ASSERT_EQ(engine.records.size(), resimulated.records.size());
-  for (std::size_t i = 0; i < engine.records.size(); ++i) {
-    EXPECT_EQ(engine.records[i].neighbor_qubit,
-              resimulated.records[i].neighbor_qubit);
-    EXPECT_EQ(engine.records[i].theta1_index,
-              resimulated.records[i].theta1_index);
-    EXPECT_NEAR(engine.records[i].qvf, resimulated.records[i].qvf, 1e-9)
-        << "record " << i;
-  }
-}
-
-TEST(CheckpointEquivalence, IdleNoiseTreeMatchesFlatEngine) {
-  // Tree engine (snapshot chains + response basis) vs the flat batch
-  // engine, both under idle noise: re-admission covers the whole pipeline,
-  // not just the first checkpointing rung.
-  auto spec = quick_spec("bv", 4);
-  spec.max_points = 10;
-  spec.idle_noise = true;
-  spec.use_checkpoints = true;
-  spec.use_batch = true;
-
-  spec.use_tree = true;
-  const auto tree = run_single_fault_campaign(spec);
-  spec.use_tree = false;
-  const auto flat = run_single_fault_campaign(spec);
-  expect_campaigns_match(tree, flat, 1e-9);
+  expect_campaigns_match(run_double_fault_campaign(spec),
+                         resimulated(spec, run_double_fault_campaign), 1e-9);
 }
 
 TEST(CheckpointEquivalence, SampledCampaignsMatchBitExactly) {
   // With shots > 0 the density backend samples from the exact distribution
-  // using the per-config seed; checkpointing must not disturb the stream.
+  // using the per-config seed; the snapshot tree must not disturb the
+  // stream.
   auto spec = quick_spec("bv", 4);
   spec.shots = 128;
   spec.max_points = 5;
-
-  spec.use_checkpoints = true;
-  const auto checkpointed = run_single_fault_campaign(spec);
-  spec.use_checkpoints = false;
-  const auto resimulated = run_single_fault_campaign(spec);
-  expect_campaigns_match(checkpointed, resimulated, 1e-12);
+  expect_campaigns_match(run_single_fault_campaign(spec),
+                         resimulated(spec, run_single_fault_campaign), 1e-12);
 }
 
 TEST(CheckpointEquivalence, NamedFaultCampaignMatches) {
   auto spec = quick_spec("bv", 4);
   spec.max_points = 6;
   const auto faults = gate_equivalent_faults();
+  const auto named = [&](const CampaignSpec& s) {
+    return run_named_fault_campaign(s, faults);
+  };
 
-  spec.use_checkpoints = true;
-  const auto checkpointed = run_named_fault_campaign(spec, faults);
-  spec.use_checkpoints = false;
-  const auto resimulated = run_named_fault_campaign(spec, faults);
-
-  ASSERT_EQ(checkpointed.size(), resimulated.size());
-  for (std::size_t f = 0; f < checkpointed.size(); ++f) {
-    EXPECT_EQ(checkpointed[f].fault_name, resimulated[f].fault_name);
-    EXPECT_NEAR(checkpointed[f].mean_qvf, resimulated[f].mean_qvf, 1e-9);
+  const auto engine = named(spec);
+  const auto reference = resimulated(spec, named);
+  ASSERT_EQ(engine.size(), reference.size());
+  for (std::size_t f = 0; f < engine.size(); ++f) {
+    EXPECT_EQ(engine[f].fault_name, reference[f].fault_name);
+    EXPECT_EQ(engine[f].executions, reference[f].executions);
+    EXPECT_NEAR(engine[f].mean_qvf, reference[f].mean_qvf, 1e-9);
   }
 }
 
@@ -526,102 +458,6 @@ TEST(BatchApi, BaseFallbackLoopsRunSuffix) {
     const auto sequential = backend.run_suffix(
         *snapshot, configs[c].injected, 0, configs[c].seed);
     EXPECT_EQ(batched[c].probabilities, sequential.probabilities);
-  }
-}
-
-TEST(BatchEquivalence, SingleFaultCampaignsMatchOnPaperCircuits) {
-  const std::pair<const char*, int> circuits[] = {
-      {"bv", 4}, {"dj", 3}, {"qft", 3}};
-  for (const auto& [name, width] : circuits) {
-    auto spec = quick_spec(name, width);
-    spec.max_points = 10;
-    spec.use_checkpoints = true;
-
-    spec.use_batch = true;
-    const auto batched = run_single_fault_campaign(spec);
-    spec.use_batch = false;
-    const auto sequential = run_single_fault_campaign(spec);
-
-    SCOPED_TRACE(name);
-    expect_campaigns_match(batched, sequential, 1e-9);
-  }
-}
-
-TEST(BatchEquivalence, GhzCampaignMatchesAcrossChunkedLanes) {
-  const auto bench = algo::ghz(3);
-  CampaignSpec spec;
-  spec.circuit = bench.circuit;
-  spec.expected_outputs = bench.expected_outputs;
-  spec.grid.theta_step_deg = 60.0;
-  spec.grid.phi_step_deg = 90.0;
-  // More workers than points exercises the chunked-batch path (each chunk
-  // is its own run_suffix_batch submission against a shared snapshot).
-  spec.threads = 16;
-  spec.max_points = 8;
-  spec.use_checkpoints = true;
-
-  spec.use_batch = true;
-  const auto batched = run_single_fault_campaign(spec);
-  spec.use_batch = false;
-  const auto sequential = run_single_fault_campaign(spec);
-  expect_campaigns_match(batched, sequential, 1e-9);
-}
-
-TEST(BatchEquivalence, DoubleFaultCampaignsMatch) {
-  auto spec = quick_spec("bv", 4);
-  spec.grid.theta_step_deg = 90.0;
-  spec.grid.phi_step_deg = 90.0;
-  spec.grid.phi_max_deg = 180.0;
-  spec.max_points = 6;
-  spec.use_checkpoints = true;
-
-  spec.use_batch = true;
-  const auto batched = run_double_fault_campaign(spec);
-  spec.use_batch = false;
-  const auto sequential = run_double_fault_campaign(spec);
-
-  ASSERT_EQ(batched.records.size(), sequential.records.size());
-  for (std::size_t i = 0; i < batched.records.size(); ++i) {
-    EXPECT_EQ(batched.records[i].neighbor_qubit,
-              sequential.records[i].neighbor_qubit);
-    EXPECT_EQ(batched.records[i].theta1_index,
-              sequential.records[i].theta1_index);
-    EXPECT_EQ(batched.records[i].phi1_index,
-              sequential.records[i].phi1_index);
-    EXPECT_NEAR(batched.records[i].qvf, sequential.records[i].qvf, 1e-9)
-        << "record " << i;
-  }
-}
-
-TEST(BatchEquivalence, SampledCampaignsMatch) {
-  // Per-config seeds are carried inside the batch, so the sampling streams
-  // match the per-config path regardless of submission granularity.
-  auto spec = quick_spec("bv", 4);
-  spec.shots = 128;
-  spec.max_points = 5;
-  spec.use_checkpoints = true;
-
-  spec.use_batch = true;
-  const auto batched = run_single_fault_campaign(spec);
-  spec.use_batch = false;
-  const auto sequential = run_single_fault_campaign(spec);
-  expect_campaigns_match(batched, sequential, 1e-9);
-}
-
-TEST(BatchEquivalence, NamedFaultCampaignMatches) {
-  auto spec = quick_spec("bv", 4);
-  spec.max_points = 6;
-  const auto faults = gate_equivalent_faults();
-
-  spec.use_batch = true;
-  const auto batched = run_named_fault_campaign(spec, faults);
-  spec.use_batch = false;
-  const auto sequential = run_named_fault_campaign(spec, faults);
-
-  ASSERT_EQ(batched.size(), sequential.size());
-  for (std::size_t f = 0; f < batched.size(); ++f) {
-    EXPECT_EQ(batched[f].fault_name, sequential[f].fault_name);
-    EXPECT_NEAR(batched[f].mean_qvf, sequential[f].mean_qvf, 1e-9);
   }
 }
 

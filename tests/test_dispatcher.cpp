@@ -25,6 +25,7 @@
 #include "service/clock.hpp"
 #include "service/dispatcher.hpp"
 #include "service/fleet.hpp"
+#include "service/submission.hpp"
 #include "util/error.hpp"
 
 namespace qufi {
@@ -893,6 +894,107 @@ TEST(Journal, CorruptionSweepNeverSilentlyDropsTransitions) {
             << "flip at " << pos << ": diagnosis names no offset: " << what;
       }
     }
+  }
+}
+
+// ---- submission format ------------------------------------------------------
+
+service::CampaignRequest sample_request() {
+  service::CampaignRequest request;
+  request.name = "dj5";
+  request.priority = 7;
+  request.circuit = "dj";
+  request.width = 5;
+  request.device = "jakarta";
+  request.opt_level = 2;
+  request.theta_step = 30.0;
+  request.phi_step = 0.1;  // not exactly representable: needs all 17 digits
+  request.phi_max = 180.0;
+  request.shots = 512;
+  request.seed = 0xDEADBEEFCAFEULL;
+  request.max_points = 9;
+  request.double_fault = true;
+  request.idle_noise = true;
+  request.shards = 3;
+  request.policy = "tree";
+  request.backend_kind = "density";
+  request.csv_path = "out/dj5.csv";
+  return request;
+}
+
+/// Expects loading `text` as a submission to throw a qufi::Error whose
+/// message contains `reason`.
+void expect_submission_rejected(const TempDir& dir, const std::string& text,
+                                const std::string& reason) {
+  const std::string path = dir.str("bad.submission");
+  spit(path, text);
+  try {
+    (void)service::load_submission(path);
+    ADD_FAILURE() << "submission loaded; expected: " << reason;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Submission, V2SaveLoadRoundTripPreservesEverything) {
+  TempDir dir("submission");
+  const auto request = sample_request();
+  const std::string path = dir.str("dj5.submission");
+  service::save_submission(request, path);
+  EXPECT_EQ(slurp(path).rfind("qufi-submission 2\n", 0), 0u);
+
+  const auto loaded = service::load_submission(path);
+  EXPECT_EQ(loaded.name, request.name);
+  EXPECT_EQ(loaded.priority, request.priority);
+  EXPECT_EQ(loaded.circuit, request.circuit);
+  EXPECT_EQ(loaded.width, request.width);
+  EXPECT_EQ(loaded.device, request.device);
+  EXPECT_EQ(loaded.opt_level, request.opt_level);
+  EXPECT_EQ(loaded.theta_step, request.theta_step);  // exact bits
+  EXPECT_EQ(loaded.phi_step, request.phi_step);
+  EXPECT_EQ(loaded.phi_max, request.phi_max);
+  EXPECT_EQ(loaded.shots, request.shots);
+  EXPECT_EQ(loaded.seed, request.seed);
+  EXPECT_EQ(loaded.max_points, request.max_points);
+  EXPECT_EQ(loaded.double_fault, request.double_fault);
+  EXPECT_EQ(loaded.idle_noise, request.idle_noise);
+  EXPECT_EQ(loaded.shards, request.shards);
+  EXPECT_EQ(loaded.policy, request.policy);
+  EXPECT_EQ(loaded.backend_kind, request.backend_kind);
+  EXPECT_EQ(loaded.csv_path, request.csv_path);
+}
+
+TEST(Submission, V1FileIsRejectedWithANamedError) {
+  TempDir dir("submission_v1");
+  expect_submission_rejected(dir,
+                             "qufi-submission 1\n"
+                             "name bv4\n"
+                             "circuit bv\n"
+                             "use_tree 1\n"
+                             "csv out/bv4.csv\n",
+                             "unsupported submission version");
+}
+
+TEST(Submission, StrayUseTreeKeyIsRejected) {
+  TempDir dir("submission_key");
+  const std::string path = dir.str("good.submission");
+  service::save_submission(sample_request(), path);
+  expect_submission_rejected(dir, slurp(path) + "use_tree 1\n",
+                             "unknown key: use_tree");
+}
+
+TEST(Submission, OutOfRangeWidthsThrowBeforeAnyShift) {
+  // Spool input is untrusted: widths that would overflow a 64-bit basis
+  // mask must be rejected by the circuit builder, not shifted.
+  const std::pair<const char*, int> bad[] = {
+      {"grover", 64}, {"grover", -1}, {"dj", 66}, {"ghz", 65}, {"qft", 64}};
+  for (const auto& [circuit, width] : bad) {
+    auto request = sample_request();
+    request.circuit = circuit;
+    request.width = width;
+    EXPECT_THROW((void)service::plan_submission(request), Error)
+        << circuit << " width " << width;
   }
 }
 

@@ -554,46 +554,6 @@ TEST(ShardPlan, TreeCostChargesExtensionNotFullPrefix) {
   EXPECT_EQ(dist::tree_point_cost(deeper, 30, 20), 1u + 5 + 5);
 }
 
-TEST(ShardManifest, UseTreeKnobRoundTripsAndV1FilesStillLoad) {
-  TempDir dir("manifest_tree");
-  auto spec = quick_spec("bv", 4);
-  spec.use_tree = false;
-  const auto plan = dist::plan_campaign_shards(spec, 1);
-  const auto manifests = dist::make_manifests(
-      spec, "casablanca", dist::WorkerBackendKind::Density, plan, false);
-  const auto path = (dir.path / "tree.manifest").string();
-  dist::save_manifest(manifests[0], path);
-  const auto loaded = dist::load_manifest(path);
-  EXPECT_FALSE(loaded.use_tree);
-  EXPECT_FALSE(dist::manifest_to_spec(loaded).use_tree);
-
-  // A v1 file (no use_tree key) still loads, defaulting the knob on.
-  std::string text;
-  {
-    std::ifstream in(path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    text = buffer.str();
-  }
-  const auto header = text.find("qufi-shard-manifest 4");
-  ASSERT_NE(header, std::string::npos);
-  text.replace(header, 21, "qufi-shard-manifest 1");
-  const auto tree_line = text.find("use_tree 0\n");
-  ASSERT_NE(tree_line, std::string::npos);
-  text.erase(tree_line, 11);
-  const auto idle_line = text.find("idle_noise 0\n");
-  ASSERT_NE(idle_line, std::string::npos);
-  text.erase(idle_line, 13);
-  const auto v1_path = (dir.path / "v1.manifest").string();
-  {
-    std::ofstream out(v1_path);
-    out << text;
-  }
-  const auto v1 = dist::load_manifest(v1_path);
-  EXPECT_EQ(v1.format_version, 1u);
-  EXPECT_TRUE(v1.use_tree);
-}
-
 TEST(SnapshotCache, ExtendSharesTheCanonicalKeySpace) {
   TempDir dir("cache_extend");
   const auto qc = small_circuit();
@@ -631,7 +591,6 @@ TEST(ShardMerge, TreePlannedDoubleFaultShardsMatchSingleProcess) {
   spec.grid.phi_step_deg = 90.0;
   spec.grid.phi_max_deg = 180.0;
   spec.max_points = 4;
-  spec.use_tree = true;
 
   const auto single = run_double_fault_campaign(spec);
   const auto plan = dist::plan_campaign_shards(spec, 3,
@@ -730,11 +689,12 @@ TEST(ShardManifest, IdleNoiseKnobRoundTripsAndOlderVersionsDefaultOff) {
   const auto path = (dir.path / "idle.manifest").string();
   dist::save_manifest(manifests[0], path);
   const auto loaded = dist::load_manifest(path);
-  EXPECT_EQ(loaded.format_version, 4u);
+  EXPECT_EQ(loaded.format_version, 5u);
   EXPECT_TRUE(loaded.idle_noise);
   EXPECT_TRUE(dist::manifest_to_spec(loaded).idle_noise);
 
-  // A v2 file (no idle_noise key) still loads, defaulting the mode off.
+  // Any other version is rejected, not guessed at: the future v6, and the
+  // older v4, whose engine-mode keys this reader no longer knows.
   std::string text;
   {
     std::ifstream in(path);
@@ -742,30 +702,27 @@ TEST(ShardManifest, IdleNoiseKnobRoundTripsAndOlderVersionsDefaultOff) {
     buffer << in.rdbuf();
     text = buffer.str();
   }
-  const auto header = text.find("qufi-shard-manifest 4");
+  const auto header = text.find("qufi-shard-manifest 5");
   ASSERT_NE(header, std::string::npos);
-  text.replace(header, 21, "qufi-shard-manifest 2");
-  const auto idle_line = text.find("idle_noise 1\n");
-  ASSERT_NE(idle_line, std::string::npos);
-  text.erase(idle_line, 13);
-  const auto v2_path = (dir.path / "v2.manifest").string();
-  {
-    std::ofstream out(v2_path);
-    out << text;
+  for (const char* version : {"6", "4"}) {
+    std::string other = text;
+    other.replace(header, 21, std::string("qufi-shard-manifest ") + version);
+    const auto other_path = (dir.path / ("v" + std::string(version) +
+                                         ".manifest"))
+                                .string();
+    {
+      std::ofstream out(other_path);
+      out << other;
+    }
+    try {
+      (void)dist::load_manifest(other_path);
+      ADD_FAILURE() << "version " << version << " loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported manifest version"),
+                std::string::npos)
+          << e.what();
+    }
   }
-  const auto v2 = dist::load_manifest(v2_path);
-  EXPECT_EQ(v2.format_version, 2u);
-  EXPECT_FALSE(v2.idle_noise);
-
-  // Unknown future versions are rejected, not guessed at.
-  text.replace(text.find("qufi-shard-manifest 2"), 21,
-               "qufi-shard-manifest 5");
-  const auto v5_path = (dir.path / "v5.manifest").string();
-  {
-    std::ofstream out(v5_path);
-    out << text;
-  }
-  EXPECT_THROW((void)dist::load_manifest(v5_path), Error);
 }
 
 TEST(PartialResult, IdleNoiseFlagRoundTripsAndV1FilesDefaultOff) {

@@ -1,8 +1,9 @@
 // Prefix-tree engine tests: the snapshot-tree planner, extend_snapshot on
 // both checkpointing backends (parent-vs-from-scratch bit equivalence,
 // chain hops, serialized derived snapshots), the density suffix-response
-// batch path, and tree-vs-flat campaign parity (single and double fault,
-// including points with no coupled active neighbor).
+// batch path, and tree-engine campaigns against full re-simulation (single
+// and double fault with the response path active, shard-subset unions,
+// points with no coupled active neighbor).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -16,6 +17,7 @@
 #include "core/snapshot_tree.hpp"
 #include "noise/backend_props.hpp"
 #include "noise/noise_model.hpp"
+#include "resimulating_backend.hpp"
 #include "util/error.hpp"
 
 namespace qufi {
@@ -272,7 +274,6 @@ TEST(SuffixResponse, LargeSingleQubitBatchMatchesSequentialRunSuffix) {
       transpiled, InjectionStrategy::OperandsAfterEachGate);
   backend::DensityMatrixBackend backend(
       noise::NoiseModel::from_backend(spec.backend, 1.0));
-  ASSERT_TRUE(backend.suffix_response_enabled());
   const InjectionPoint& point = points[points.size() / 2];
   const auto snapshot =
       backend.prepare_prefix(transpiled.circuit, point.split_index());
@@ -334,61 +335,10 @@ TEST(SuffixResponse, LargeTwoQubitBatchMatchesSequentialRunSuffix) {
   }
 }
 
-TEST(SuffixResponse, DisabledBackendKeepsTheReplayPath) {
-  // With the flag off (the --no-tree engine), large batches must keep the
-  // PR 2 fused-replay semantics: within 1e-12 of per-config run_suffix
-  // (the fused superops were never bit-equal to the two-pass execute),
-  // matching the pre-existing BatchApi contract.
-  auto spec = quick_spec("dj", 3);
-  spec.grid.theta_step_deg = 30.0;
-  spec.grid.phi_step_deg = 30.0;
-  const auto transpiled = campaign_transpile(spec);
-  const auto points = enumerate_injection_points(
-      transpiled, InjectionStrategy::OperandsAfterEachGate);
-  backend::DensityMatrixBackend backend(
-      noise::NoiseModel::from_backend(spec.backend, 1.0));
-  backend.set_suffix_response_enabled(false);
-  const InjectionPoint& point = points.front();
-  const auto snapshot =
-      backend.prepare_prefix(transpiled.circuit, point.split_index());
+// ---- tree engine vs full re-simulation, response path active --------------
 
-  std::vector<backend::SuffixConfig> configs;
-  for (const auto& fault : spec.grid.enumerate()) {
-    configs.push_back(backend::SuffixConfig{
-        {fault.as_instruction(point.qubit)}, configs.size()});
-  }
-  const auto batched = backend.run_suffix_batch(*snapshot, configs, 0);
-  for (std::size_t c = 0; c < configs.size(); c += 11) {
-    const auto sequential = backend.run_suffix(
-        *snapshot, configs[c].injected, 0, configs[c].seed);
-    ASSERT_EQ(batched[c].probabilities.size(),
-              sequential.probabilities.size());
-    for (std::size_t s = 0; s < sequential.probabilities.size(); ++s) {
-      EXPECT_NEAR(batched[c].probabilities[s], sequential.probabilities[s],
-                  1e-12)
-          << "config " << c << " state " << s;
-    }
-  }
-}
-
-// ---- tree-vs-flat campaign parity (the acceptance property) ----------------
-
-void expect_campaigns_match(const CampaignResult& a, const CampaignResult& b,
-                            double tol) {
-  ASSERT_EQ(a.records.size(), b.records.size());
-  ASSERT_EQ(a.meta.executions, b.meta.executions);
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].point_index, b.records[i].point_index);
-    EXPECT_EQ(a.records[i].theta_index, b.records[i].theta_index);
-    EXPECT_EQ(a.records[i].phi_index, b.records[i].phi_index);
-    EXPECT_EQ(a.records[i].neighbor_qubit, b.records[i].neighbor_qubit);
-    EXPECT_EQ(a.records[i].theta1_index, b.records[i].theta1_index);
-    EXPECT_EQ(a.records[i].phi1_index, b.records[i].phi1_index);
-    EXPECT_NEAR(a.records[i].qvf, b.records[i].qvf, tol) << "record " << i;
-    EXPECT_NEAR(a.records[i].pa, b.records[i].pa, tol) << "record " << i;
-    EXPECT_NEAR(a.records[i].pb, b.records[i].pb, tol) << "record " << i;
-  }
-}
+using testing_oracle::expect_campaigns_match;
+using testing_oracle::resimulated;
 
 TEST(TreeEquivalence, SingleFaultCampaignsMatchOnPaperCircuits) {
   const std::pair<const char*, int> circuits[] = {
@@ -399,13 +349,9 @@ TEST(TreeEquivalence, SingleFaultCampaignsMatchOnPaperCircuits) {
     spec.grid.phi_step_deg = 30.0;
     spec.max_points = 6;
 
-    spec.use_tree = true;
-    const auto tree = run_single_fault_campaign(spec);
-    spec.use_tree = false;
-    const auto flat = run_single_fault_campaign(spec);
-
     SCOPED_TRACE(name);
-    expect_campaigns_match(tree, flat, 1e-9);
+    expect_campaigns_match(run_single_fault_campaign(spec),
+                         resimulated(spec, run_single_fault_campaign), 1e-9);
   }
 }
 
@@ -414,12 +360,8 @@ TEST(TreeEquivalence, DoubleFaultCampaignsMatchWithResponseActive) {
   spec.grid.theta_step_deg = 45.0;  // 5x8 primary grid: 540 pair configs,
   spec.grid.phi_step_deg = 45.0;    // above the 2q response threshold
   spec.max_points = 3;
-
-  spec.use_tree = true;
-  const auto tree = run_double_fault_campaign(spec);
-  spec.use_tree = false;
-  const auto flat = run_double_fault_campaign(spec);
-  expect_campaigns_match(tree, flat, 1e-9);
+  expect_campaigns_match(run_double_fault_campaign(spec),
+                         resimulated(spec, run_double_fault_campaign), 1e-9);
 }
 
 TEST(TreeEquivalence, ChunkedLanesAndSampledCampaignsMatch) {
@@ -432,12 +374,8 @@ TEST(TreeEquivalence, ChunkedLanesAndSampledCampaignsMatch) {
   spec.threads = 16;  // more lanes than points
   spec.max_points = 8;
   spec.shots = 128;
-
-  spec.use_tree = true;
-  const auto tree = run_single_fault_campaign(spec);
-  spec.use_tree = false;
-  const auto flat = run_single_fault_campaign(spec);
-  expect_campaigns_match(tree, flat, 1e-9);
+  expect_campaigns_match(run_single_fault_campaign(spec),
+                         resimulated(spec, run_single_fault_campaign), 1e-9);
 }
 
 TEST(TreeEquivalence, DoubleFaultSubsetsUnionToTheFullRun) {
@@ -448,7 +386,6 @@ TEST(TreeEquivalence, DoubleFaultSubsetsUnionToTheFullRun) {
   spec.grid.phi_step_deg = 90.0;
   spec.grid.phi_max_deg = 180.0;
   spec.max_points = 6;
-  spec.use_tree = true;
 
   const auto full = run_double_fault_campaign(spec);
   const std::size_t evens[] = {0, 2, 4};
@@ -485,7 +422,6 @@ TEST(TreeEquivalence, EmptyNeighborPointsYieldNoRecordsAndNoCrash) {
   spec.grid.theta_step_deg = 90.0;
   spec.grid.phi_step_deg = 90.0;
   spec.threads = 2;
-  spec.use_tree = true;
 
   const auto points = campaign_points(spec);
   ASSERT_FALSE(points.empty());
@@ -496,20 +432,6 @@ TEST(TreeEquivalence, EmptyNeighborPointsYieldNoRecordsAndNoCrash) {
   EXPECT_TRUE(result.records.empty());
   EXPECT_EQ(result.meta.executions, 0u);
   EXPECT_EQ(result.points.size(), points.size());
-}
-
-TEST(TreeEquivalence, NamedAndNoBatchEnginesStillMatch) {
-  // --no-batch + tree: chains without the batched sweep (run_suffix per
-  // config) must still match the flat engine.
-  auto spec = quick_spec("bv", 4);
-  spec.max_points = 5;
-  spec.use_batch = false;
-
-  spec.use_tree = true;
-  const auto tree = run_single_fault_campaign(spec);
-  spec.use_tree = false;
-  const auto flat = run_single_fault_campaign(spec);
-  expect_campaigns_match(tree, flat, 1e-9);
 }
 
 }  // namespace
