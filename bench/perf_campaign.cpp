@@ -178,7 +178,6 @@ ShardedRunStats run_sharded(const CampaignSpec& spec, unsigned num_shards,
   }
   for (auto& w : workers) w.join();
   for (const auto& output : outputs) {
-    stats.executions += output.partial.meta.executions;
     stats.partial_bytes += output.partial_bytes;
   }
 

@@ -1,20 +1,19 @@
-// Shard-merge CLI — recombines partial-result files into the full campaign
-// (docs/SHARDING.md). Deterministic: output row order is canonical
-// (ascending point index), independent of the order partials are listed or
-// arrived in; on the density backend the merged CSV is byte-identical to
-// the one a single-process `qufi_cli --csv` run writes.
+// Shard-merge CLI — recombines QUFIPART partial files (docs/SHARDING.md,
+// docs/RESULT_FORMAT.md) into the full campaign. Deterministic: output row
+// order is canonical (ascending point index), independent of the order
+// partials are listed or arrived in; on the density backend the merged CSV
+// is byte-identical to the one a single-process `qufi_cli --csv` run
+// writes.
 //
-// When every input is a binary columnar partial (QUFIPART,
-// docs/RESULT_FORMAT.md) the merge streams: a k-way merge over block
-// iterators holds at most one decoded block per shard in memory, so merge
-// peak-RSS is bounded by shards x block size, not by the campaign. Text
-// partials (or a mix) fall back to the in-memory merge with identical
-// semantics and output bytes.
+// The merge streams: a k-way merge over block iterators holds at most one
+// decoded block per shard in memory, so merge peak-RSS is bounded by
+// shards x block size, not by the campaign. An input that is not a sealed
+// QUFIPART file is refused with the reader's diagnosis.
 //
 // Usage examples:
-//   qufi_shard_merge --out merged.csv parts/part_000.csv parts/part_001.csv
+//   qufi_shard_merge --out merged.csv parts/part_000.qp parts/part_001.qp
 //   qufi_shard_merge --out merged.qp --format columnar parts/part_*.qp
-//   qufi_shard_merge --out partial.csv --allow-partial parts/part_000.csv
+//   qufi_shard_merge --out partial.csv --allow-partial parts/part_000.qp
 //
 // --format picks the *output* flavor: csv (campaign CSV, default) or
 // columnar (one merged QUFIPART file, convertible via qufi_export_csv).
@@ -24,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "core/result_io.hpp"
 #include "dist/merge.hpp"
 #include "util/error.hpp"
 
@@ -32,7 +30,7 @@ namespace {
 
 [[noreturn]] void usage(const char* argv0) {
   std::printf(
-      "usage: %s --out PATH [options] PARTIAL...\n"
+      "usage: %s --out PATH [options] PARTIAL.qp...\n"
       "  --out PATH       merged campaign file to write\n"
       "  --format FMT     output format: csv (default) or columnar\n"
       "  --allow-partial  merge even when shard outputs are missing; the\n"
@@ -82,54 +80,18 @@ int main(int argc, char** argv) {
   if (format != "csv" && format != "columnar") usage(argv[0]);
 
   try {
-    bool all_columnar = true;
-    for (const auto& path : inputs) {
-      all_columnar = all_columnar && qufi::resio::is_result_file(path);
-    }
-
-    if (all_columnar) {
-      const auto stats =
-          format == "csv"
-              ? qufi::dist::merge_result_files_to_csv(inputs, out_path,
-                                                      options)
-              : qufi::dist::merge_result_files(inputs, out_path, options);
-      std::printf(
-          "{\"tool\":\"qufi_shard_merge\",\"mode\":\"streaming\","
-          "\"partials\":%zu,\"records\":%llu,\"duplicates\":%llu,"
-          "\"input_bytes\":%llu,%s,\"format\":\"%s\",\"out\":\"%s\"}\n",
-          inputs.size(),
-          static_cast<unsigned long long>(stats.merged_records),
-          static_cast<unsigned long long>(stats.duplicate_records),
-          static_cast<unsigned long long>(stats.input_bytes),
-          missing_json(stats.missing).c_str(), format.c_str(),
-          out_path.c_str());
-      return 0;
-    }
-
-    std::vector<qufi::dist::PartialResult> parts;
-    parts.reserve(inputs.size());
-    for (const auto& path : inputs) {
-      parts.push_back(qufi::dist::read_partial_any(path));
-    }
-    const auto merged = qufi::dist::merge_partial_results(parts, options);
-    if (format == "csv") {
-      merged.write_csv(out_path);
-    } else {
-      qufi::dist::PartialResult whole;
-      whole.expected_total_records = merged.records.size();
-      whole.meta = merged.meta;
-      whole.points = merged.points;
-      whole.records = merged.records;
-      qufi::dist::write_partial_columnar(out_path, whole);
-    }
-    const auto missing = qufi::dist::find_missing_points(
-        merged.points.size(), merged.records);
+    const auto stats =
+        format == "csv"
+            ? qufi::dist::merge_result_files_to_csv(inputs, out_path, options)
+            : qufi::dist::merge_result_files(inputs, out_path, options);
     std::printf(
-        "{\"tool\":\"qufi_shard_merge\",\"mode\":\"in-memory\","
-        "\"partials\":%zu,\"records\":%zu,\"mean_qvf\":%.6f,%s,"
-        "\"format\":\"%s\",\"out\":\"%s\"}\n",
-        parts.size(), merged.records.size(), merged.qvf_stats().mean(),
-        missing_json(missing).c_str(), format.c_str(), out_path.c_str());
+        "{\"tool\":\"qufi_shard_merge\",\"partials\":%zu,\"records\":%llu,"
+        "\"duplicates\":%llu,\"input_bytes\":%llu,%s,\"format\":\"%s\","
+        "\"out\":\"%s\"}\n",
+        inputs.size(), static_cast<unsigned long long>(stats.merged_records),
+        static_cast<unsigned long long>(stats.duplicate_records),
+        static_cast<unsigned long long>(stats.input_bytes),
+        missing_json(stats.missing).c_str(), format.c_str(), out_path.c_str());
     return 0;
   } catch (const qufi::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -1,16 +1,15 @@
-// Shard-worker CLI — executes exactly one shard manifest and writes the
-// partial-result file the merger consumes (docs/SHARDING.md). Workers are
-// stateless and idempotent: re-running a manifest reproduces the same
-// partial bit-for-bit, and --snapshot-dir lets retries (or co-located
-// workers) resume serialized prefix snapshots instead of re-simulating.
+// Shard-worker CLI — executes exactly one shard manifest and streams the
+// binary QUFIPART partial the merger consumes (docs/SHARDING.md,
+// docs/RESULT_FORMAT.md). Workers are stateless and idempotent: re-running
+// a manifest reproduces the same partial bit-for-bit, and --snapshot-dir
+// lets retries (or co-located workers) resume serialized prefix snapshots
+// instead of re-simulating.
 //
 // Usage examples:
 //   qufi_shard_worker --manifest shards/shard_000.manifest \
-//                     --out parts/part_000.csv
+//                     --out parts/part_000.qp
 //   qufi_shard_worker --manifest shards/shard_001.manifest \
-//                     --out parts/part_001.csv --snapshot-dir snaps/ -j 4
-//   qufi_shard_worker --manifest shards/shard_002.manifest \
-//                     --out parts/part_002.qp --format columnar
+//                     --out parts/part_001.qp --snapshot-dir snaps/ -j 4
 
 #include <cstdio>
 #include <cstdlib>
@@ -25,10 +24,8 @@ namespace {
   std::printf(
       "usage: %s --manifest PATH --out PATH [options]\n"
       "  --manifest PATH      shard manifest from qufi_shard_plan\n"
-      "  --out PATH           partial-result file to write\n"
-      "  --format FMT         partial format: csv (text, default) or\n"
-      "                       columnar (binary QUFIPART, streamed to disk as\n"
-      "                       points complete; docs/RESULT_FORMAT.md)\n"
+      "  --out PATH           QUFIPART partial to write (streamed to disk\n"
+      "                       as points complete; docs/RESULT_FORMAT.md)\n"
       "  --snapshot-dir DIR   load/save serialized prefix snapshots here\n"
       "  --compress-snapshots store cache snapshots deflate-compressed\n"
       "  -j, --threads N      worker threads (0 = hardware concurrency)\n",
@@ -39,7 +36,7 @@ namespace {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string manifest_path, out_path, format = "csv";
+  std::string manifest_path;
   qufi::dist::ShardRunOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -48,38 +45,31 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--manifest") manifest_path = value();
-    else if (arg == "--out") out_path = value();
-    else if (arg == "--format") format = value();
+    else if (arg == "--out") options.columnar_output_path = value();
     else if (arg == "--snapshot-dir") options.snapshot_dir = value();
     else if (arg == "--compress-snapshots") options.compress_snapshots = true;
     else if (arg == "-j" || arg == "--threads")
       options.threads = std::stoi(value());
     else usage(argv[0]);
   }
-  if (manifest_path.empty() || out_path.empty()) usage(argv[0]);
-  if (format != "csv" && format != "columnar") usage(argv[0]);
+  if (manifest_path.empty() || options.columnar_output_path.empty()) {
+    usage(argv[0]);
+  }
 
   try {
     const auto manifest = qufi::dist::load_manifest(manifest_path);
-    // Columnar partials stream straight out of the engine: run_shard opens
-    // the QUFIPART writer itself, so the records never accumulate in memory.
-    if (format == "columnar") options.columnar_output_path = out_path;
     const auto output = qufi::dist::run_shard(manifest, options);
-    if (format == "csv") qufi::dist::write_partial(out_path, output.partial);
-    const std::size_t records = format == "columnar"
-                                    ? output.streamed_records
-                                    : output.partial.records.size();
     std::printf(
         "{\"tool\":\"qufi_shard_worker\",\"shard\":%u,\"of\":%u,"
-        "\"points\":%zu,\"records\":%zu,\"format\":\"%s\","
-        "\"partial_bytes\":%llu,\"snapshot_hits\":%llu,"
-        "\"snapshot_misses\":%llu,\"out\":\"%s\"}\n",
-        output.partial.shard_index, output.partial.shard_count,
-        manifest.point_indices.size(), records, format.c_str(),
+        "\"points\":%zu,\"records\":%llu,\"partial_bytes\":%llu,"
+        "\"snapshot_hits\":%llu,\"snapshot_misses\":%llu,\"out\":\"%s\"}\n",
+        manifest.shard_index, manifest.shard_count,
+        manifest.point_indices.size(),
+        static_cast<unsigned long long>(output.streamed_records),
         static_cast<unsigned long long>(output.partial_bytes),
         static_cast<unsigned long long>(output.snapshot_hits),
         static_cast<unsigned long long>(output.snapshot_misses),
-        out_path.c_str());
+        options.columnar_output_path.c_str());
     return 0;
   } catch (const qufi::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -193,8 +193,8 @@ bool spool_has_pending(const DaemonOptions& options) {
 /// QVF map callers can tail while the campaign runs. Row bytes match the
 /// final CSV's first rows; the preamble converges once a shard seals (the
 /// fault-free QVF stops being the streaming placeholder).
-void write_partial_csv(const std::string& path,
-                       const dist::PrefixMergeResult& prefix) {
+void write_prefix_csv(const std::string& path,
+                      const dist::PrefixMergeResult& prefix) {
   const std::string temp = path + ".tmp";
   {
     util::CsvWriter csv(temp);
@@ -248,7 +248,7 @@ void emit_progress(const DaemonOptions& options,
               ",\"sealed_inputs\":" + std::to_string(prefix.sealed_inputs);
       if (view.state == service::CampaignState::Queued ||
           view.state == service::CampaignState::Running) {
-        write_partial_csv((std::filesystem::path(options.work_dir) /
+        write_prefix_csv((std::filesystem::path(options.work_dir) /
                            (view.name + ".partial.csv"))
                               .string(),
                           prefix);

@@ -5,10 +5,10 @@
 #
 # Opt-in legs:
 #   CHECK_SANITIZE=1  rebuild the kernel-facing suites, the adaptive
-#                     estimation, dispatcher, and campaign-engine (tree,
-#                     checkpoint) suites under ASan+UBSan in build-asan/ and
-#                     run them (the leg .github/workflows/ci.yml runs on
-#                     every push).
+#                     estimation, dispatcher, campaign-engine (tree,
+#                     checkpoint) and binary-reader (result_io, dist) suites
+#                     under ASan+UBSan in build-asan/ and run them (the leg
+#                     .github/workflows/ci.yml runs on every push).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -72,135 +72,77 @@ fi
 echo "docs check OK (README.md, docs/{ARCHITECTURE,CAMPAIGNS,SHARDING,SNAPSHOT_FORMAT,RESULT_FORMAT,DISPATCHER}.md, $bench_count bench executables, $flag_count perf flags)"
 
 # ---- sharding smoke ----------------------------------------------------------
-# Drive the distribution layer end to end through its real CLIs — plan two
-# shards, execute each as a separate worker process (one resuming serialized
-# snapshots), merge — and require the merged CSV to be byte-identical to the
-# single-process campaign (the docs/SHARDING.md equivalence contract).
+# Drive the distribution layer end to end through its real CLIs, once per
+# campaign kind: plan two shards, execute each as a separate worker process
+# streaming a QUFIPART partial (one resuming serialized v4 snapshot files),
+# then merge twice — straight to CSV, and to a merged QUFIPART file that
+# qufi_export_csv converts. Both CSVs must be byte-identical to the
+# single-process `qufi_cli --csv` run (the docs/SHARDING.md equivalence
+# contract and the docs/RESULT_FORMAT.md projection contract). The kinds:
+#  - single-fault: the paper's primary sweep;
+#  - double-fault: the full primary x secondary grid through the tree engine
+#    and the tree-aware shard policy;
+#  - idle-noise: moment-aware snapshots (the re-admission contract of
+#    docs/CAMPAIGNS.md);
+#  - adaptive: the policy travels in the manifest and every worker runs the
+#    deterministic estimator, so the derived configs_evaluated /
+#    ci_halfwidth / est_qvf columns, which exporters recompute by replay,
+#    must match too (docs/CAMPAIGNS.md "Adaptive estimation").
 smoke_dir=build/shard_smoke
 rm -rf "$smoke_dir"
 mkdir -p "$smoke_dir"
-./build/qufi_shard_plan --circuit bv --width 4 --theta-step 60 --phi-step 90 \
-  --points 4 --shards 2 --out-dir "$smoke_dir" > /dev/null
-./build/qufi_shard_worker --manifest "$smoke_dir/shard_000.manifest" \
-  --out "$smoke_dir/part_000.csv" --snapshot-dir "$smoke_dir/snaps" > /dev/null
-./build/qufi_shard_worker --manifest "$smoke_dir/shard_001.manifest" \
-  --out "$smoke_dir/part_001.csv" > /dev/null
-./build/qufi_shard_merge --out "$smoke_dir/merged.csv" \
-  "$smoke_dir/part_001.csv" "$smoke_dir/part_000.csv" > /dev/null
-./build/qufi_cli --circuit bv --width 4 --theta-step 60 --phi-step 90 \
-  --points 4 --csv "$smoke_dir/single.csv" > /dev/null
-if ! diff -q "$smoke_dir/merged.csv" "$smoke_dir/single.csv" > /dev/null; then
-  echo "sharding smoke FAILED: merged shard CSV differs from single-process CSV" >&2
-  diff "$smoke_dir/merged.csv" "$smoke_dir/single.csv" | head -5 >&2
-  exit 1
-fi
-echo "sharding smoke OK (2-shard plan -> worker -> merge == single-process)"
-
-# Same contract for the double-fault campaign through the tree engine and
-# the tree-aware shard policy: the full primary x secondary grid, planned
-# as two shards (one resuming serialized snapshots), must merge
-# byte-identically to the single-process qufi_cli run.
-./build/qufi_shard_plan --circuit bv --width 4 --double --theta-step 60 \
-  --phi-step 90 --points 4 --shards 2 --policy tree \
-  --out-dir "$smoke_dir/double" > /dev/null
-./build/qufi_shard_worker --manifest "$smoke_dir/double/shard_000.manifest" \
-  --out "$smoke_dir/double/part_000.csv" \
-  --snapshot-dir "$smoke_dir/double/snaps" > /dev/null
-./build/qufi_shard_worker --manifest "$smoke_dir/double/shard_001.manifest" \
-  --out "$smoke_dir/double/part_001.csv" > /dev/null
-./build/qufi_shard_merge --out "$smoke_dir/double/merged.csv" \
-  "$smoke_dir/double/part_001.csv" "$smoke_dir/double/part_000.csv" > /dev/null
-./build/qufi_cli --circuit bv --width 4 --double --theta-step 60 \
-  --phi-step 90 --points 4 --csv "$smoke_dir/double/single.csv" > /dev/null
-if ! diff -q "$smoke_dir/double/merged.csv" "$smoke_dir/double/single.csv" > /dev/null; then
-  echo "double-fault smoke FAILED: merged shard CSV differs from single-process CSV" >&2
-  diff "$smoke_dir/double/merged.csv" "$smoke_dir/double/single.csv" | head -5 >&2
-  exit 1
-fi
-echo "double-fault smoke OK (tree-policy 2-shard merge == single-process)"
-
-# Idle-noise campaigns run through the same plan -> worker -> merge path
-# with moment-aware snapshots (one worker resuming serialized v3 snapshot
-# files): the merged CSV must still be byte-identical to the single-process
-# idle-noise run — the re-admission contract of docs/CAMPAIGNS.md.
-./build/qufi_shard_plan --circuit bv --width 4 --idle-noise --theta-step 60 \
-  --phi-step 90 --points 4 --shards 2 --out-dir "$smoke_dir/idle" > /dev/null
-./build/qufi_shard_worker --manifest "$smoke_dir/idle/shard_000.manifest" \
-  --out "$smoke_dir/idle/part_000.csv" \
-  --snapshot-dir "$smoke_dir/idle/snaps" > /dev/null
-./build/qufi_shard_worker --manifest "$smoke_dir/idle/shard_001.manifest" \
-  --out "$smoke_dir/idle/part_001.csv" > /dev/null
-./build/qufi_shard_merge --out "$smoke_dir/idle/merged.csv" \
-  "$smoke_dir/idle/part_001.csv" "$smoke_dir/idle/part_000.csv" > /dev/null
-./build/qufi_cli --circuit bv --width 4 --idle-noise --theta-step 60 \
-  --phi-step 90 --points 4 --csv "$smoke_dir/idle/single.csv" > /dev/null
-if ! diff -q "$smoke_dir/idle/merged.csv" "$smoke_dir/idle/single.csv" > /dev/null; then
-  echo "idle-noise smoke FAILED: merged shard CSV differs from single-process CSV" >&2
-  diff "$smoke_dir/idle/merged.csv" "$smoke_dir/idle/single.csv" | head -5 >&2
-  exit 1
-fi
-echo "idle-noise smoke OK (moment-aware 2-shard merge == single-process)"
-
-# Adaptive-estimation campaigns ride the identical plan -> worker -> merge
-# path: the policy travels in the manifest, every worker runs the
-# deterministic estimator over its points, and the merged CSV — including
-# the derived configs_evaluated / ci_halfwidth / est_qvf columns, which
-# exporters recompute by replay — must be byte-identical to the
-# single-process `qufi_cli --adaptive` run (docs/CAMPAIGNS.md "Adaptive
-# estimation" determinism contract).
-./build/qufi_shard_plan --circuit bv --width 4 --adaptive --points 4 \
-  --shards 2 --out-dir "$smoke_dir/adaptive" > /dev/null
-./build/qufi_shard_worker --manifest "$smoke_dir/adaptive/shard_000.manifest" \
-  --out "$smoke_dir/adaptive/part_000.csv" \
-  --snapshot-dir "$smoke_dir/adaptive/snaps" > /dev/null
-./build/qufi_shard_worker --manifest "$smoke_dir/adaptive/shard_001.manifest" \
-  --out "$smoke_dir/adaptive/part_001.csv" > /dev/null
-./build/qufi_shard_merge --out "$smoke_dir/adaptive/merged.csv" \
-  "$smoke_dir/adaptive/part_001.csv" "$smoke_dir/adaptive/part_000.csv" > /dev/null
-./build/qufi_cli --circuit bv --width 4 --adaptive --points 4 \
-  --csv "$smoke_dir/adaptive/single.csv" > /dev/null
-if ! diff -q "$smoke_dir/adaptive/merged.csv" "$smoke_dir/adaptive/single.csv" > /dev/null; then
-  echo "adaptive smoke FAILED: merged shard CSV differs from single-process --adaptive CSV" >&2
-  diff "$smoke_dir/adaptive/merged.csv" "$smoke_dir/adaptive/single.csv" | head -5 >&2
-  exit 1
-fi
-echo "adaptive smoke OK (estimation-policy 2-shard merge == single-process)"
-
-# Columnar result-path smoke: the same three campaigns (single, double,
-# idle-noise) through the binary QUFIPART pipeline — workers streaming
-# columnar partials, a streaming k-way merge to a merged container, and a
-# CSV export — must all be byte-identical to the single-process CSV each
-# text smoke above already produced (the docs/RESULT_FORMAT.md projection
-# contract). The direct merge-to-CSV path is checked too.
-for variant in single double idle; do
-  case "$variant" in
-    single) vdir="$smoke_dir";        vlabel="single-fault" ;;
-    double) vdir="$smoke_dir/double"; vlabel="double-fault" ;;
-    idle)   vdir="$smoke_dir/idle";   vlabel="idle-noise" ;;
-  esac
-  ./build/qufi_shard_worker --manifest "$vdir/shard_000.manifest" \
-    --format columnar --out "$vdir/part_000.qp" \
-    --snapshot-dir "$vdir/snaps" > /dev/null
-  ./build/qufi_shard_worker --manifest "$vdir/shard_001.manifest" \
-    --format columnar --out "$vdir/part_001.qp" > /dev/null
-  ./build/qufi_shard_merge --format columnar --out "$vdir/merged.qp" \
-    "$vdir/part_001.qp" "$vdir/part_000.qp" > /dev/null
-  ./build/qufi_export_csv --out "$vdir/exported.csv" "$vdir/merged.qp" \
+# shard_smoke LABEL DIR CAMPAIGN_FLAGS [PLAN_FLAGS] — the flags are
+# word-split on purpose (none contains spaces).
+shard_smoke() {
+  local label="$1" dir="$2" flags="$3" plan_flags="${4:-}"
+  ./build/qufi_shard_plan $flags $plan_flags --shards 2 --out-dir "$dir" \
     > /dev/null
-  if ! diff -q "$vdir/exported.csv" "$vdir/single.csv" > /dev/null; then
-    echo "columnar smoke FAILED ($vlabel): merge+export CSV differs from single-process CSV" >&2
-    diff "$vdir/exported.csv" "$vdir/single.csv" | head -5 >&2
-    exit 1
-  fi
-  ./build/qufi_shard_merge --format csv --out "$vdir/streamed.csv" \
-    "$vdir/part_001.qp" "$vdir/part_000.qp" > /dev/null
-  if ! diff -q "$vdir/streamed.csv" "$vdir/single.csv" > /dev/null; then
-    echo "columnar smoke FAILED ($vlabel): streaming merge-to-CSV differs from single-process CSV" >&2
-    diff "$vdir/streamed.csv" "$vdir/single.csv" | head -5 >&2
+  ./build/qufi_shard_worker --manifest "$dir/shard_000.manifest" \
+    --out "$dir/part_000.qp" --snapshot-dir "$dir/snaps" > /dev/null
+  ./build/qufi_shard_worker --manifest "$dir/shard_001.manifest" \
+    --out "$dir/part_001.qp" > /dev/null
+  ./build/qufi_shard_merge --format csv --out "$dir/merged.csv" \
+    "$dir/part_001.qp" "$dir/part_000.qp" > /dev/null
+  ./build/qufi_shard_merge --format columnar --out "$dir/merged.qp" \
+    "$dir/part_001.qp" "$dir/part_000.qp" > /dev/null
+  ./build/qufi_export_csv --out "$dir/exported.csv" "$dir/merged.qp" \
+    > /dev/null
+  ./build/qufi_cli $flags --csv "$dir/single.csv" > /dev/null
+  for out in merged exported; do
+    if ! diff -q "$dir/$out.csv" "$dir/single.csv" > /dev/null; then
+      echo "$label smoke FAILED: $out CSV differs from single-process CSV" >&2
+      diff "$dir/$out.csv" "$dir/single.csv" | head -5 >&2
+      exit 1
+    fi
+  done
+  echo "$label smoke OK (2-shard plan -> QUFIPART workers -> merge to CSV, and merge -> export, == single-process)"
+}
+shard_smoke single-fault "$smoke_dir/single" \
+  "--circuit bv --width 4 --theta-step 60 --phi-step 90 --points 4"
+shard_smoke double-fault "$smoke_dir/double" \
+  "--circuit bv --width 4 --double --theta-step 60 --phi-step 90 --points 4" \
+  "--policy tree"
+shard_smoke idle-noise "$smoke_dir/idle" \
+  "--circuit bv --width 4 --idle-noise --theta-step 60 --phi-step 90 --points 4"
+shard_smoke adaptive "$smoke_dir/adaptive" \
+  "--circuit bv --width 4 --adaptive --points 4"
+
+# A partial that is not a sealed QUFIPART file — a worker killed mid-write
+# (torn), or a text file — must stop the merge with a diagnosis (exit 1) and
+# leave no CSV behind, never merge into a silently wrong one.
+single_dir="$smoke_dir/single"
+part_size=$(wc -c < "$single_dir/part_001.qp")
+head -c $((part_size - 5)) "$single_dir/part_001.qp" > "$single_dir/torn.qp"
+for bad in "$single_dir/torn.qp" "$single_dir/single.csv"; do
+  rc=0
+  ./build/qufi_shard_merge --out "$single_dir/rejected.csv" \
+    "$single_dir/part_000.qp" "$bad" > /dev/null 2>&1 || rc=$?
+  if [[ $rc -ne 1 || -e "$single_dir/rejected.csv" ]]; then
+    echo "partial rejection FAILED: merging $bad exited $rc (want 1, no CSV)" >&2
     exit 1
   fi
 done
-echo "columnar smoke OK (QUFIPART worker -> streaming merge -> export == single-process, 3 campaigns)"
+echo "partial rejection OK (torn and plain-text partials refused by the merge)"
 
 # The sharded bench line must keep reporting the result-path metrics the
 # README documents (merge_ms, partial_bytes), so perf trajectories can
@@ -371,23 +313,25 @@ fi
 
 # ---- opt-in sanitizer pass ---------------------------------------------------
 # CHECK_SANITIZE=1 rebuilds the kernel-facing tests, the adaptive
-# estimation suite, the dispatcher/journal suite, and the campaign engine's
-# tree and checkpoint suites under ASan+UBSan in a separate build tree and
+# estimation suite, the dispatcher/journal suite, the campaign engine's
+# tree and checkpoint suites, and the binary-reader suites (QUFIPART and
+# snapshot corruption sweeps) under ASan+UBSan in a separate build tree and
 # runs them, so the vectorized pointer arithmetic, the estimator's cell
-# bookkeeping, the journal's recovery/truncation paths, and the snapshot
-# tree sweep are exercised with checking on before merge.
+# bookkeeping, the journal's recovery/truncation paths, the snapshot tree
+# sweep, and every reader fed a corrupt file are exercised with checking on
+# before merge.
 if [[ "${CHECK_SANITIZE:-0}" == "1" ]]; then
   cmake -B build-asan -S . -DQUFI_SANITIZE=ON -DQUFI_BUILD_BENCHES=OFF \
     -DQUFI_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j --target test_kernels test_sim test_adaptive \
-    test_dispatcher test_tree test_checkpoint
+    test_dispatcher test_tree test_checkpoint test_result_io test_dist
   for t in test_kernels test_sim test_adaptive test_dispatcher test_tree \
-    test_checkpoint; do
+    test_checkpoint test_result_io test_dist; do
     ./build-asan/$t > /dev/null
   done
   # The vectorized sets must survive sanitized runs too, not just the default.
   for kset in $(./build/perf_simulator --list-kernels); do
     QUFI_KERNELS="$kset" ./build-asan/test_kernels > /dev/null
   done
-  echo "sanitizer pass OK (test_kernels + test_sim + test_adaptive + test_dispatcher + test_tree + test_checkpoint under ASan+UBSan)"
+  echo "sanitizer pass OK (test_kernels + test_sim + test_adaptive + test_dispatcher + test_tree + test_checkpoint + test_result_io + test_dist under ASan+UBSan)"
 fi

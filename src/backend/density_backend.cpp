@@ -193,7 +193,7 @@ struct Compaction {
 
 /// Digest of the sealed moment schedule a moment-aware snapshot at
 /// (circuit, prefix_length) depends on: the split, the sealing boundary and
-/// the per-active-qubit moment frontier. Stored in v3 snapshot containers
+/// the per-active-qubit moment frontier. Stored in density snapshot payloads
 /// and folded into dist snapshot-cache keys, so a snapshot written under a
 /// different scheduler (or loaded at the wrong boundary) is rejected
 /// instead of silently resuming a different schedule.
@@ -1092,7 +1092,7 @@ bool DensityMatrixBackend::save_snapshot(const PrefixSnapshot& snapshot,
   util::ByteWriter payload;
   snapio::write_circuit(payload, *snap->circuit());
   payload.u64(snap->prefix_length());
-  // v3 moment-aware header: idle flag, sealed-moment cursor, idle-schedule
+  // Moment-aware header: idle flag, sealed-moment cursor, idle-schedule
   // digest (zeros for plain snapshots — the flag keeps a moment-aware
   // state from ever being resumed as a flat gate prefix, or vice versa).
   payload.u8(snap->idle_noise() ? 1 : 0);
@@ -1118,16 +1118,10 @@ PrefixSnapshotPtr DensityMatrixBackend::load_snapshot(std::istream& in) const {
   const std::uint64_t prefix_length = r.u64();
   require(prefix_length <= circuit.size(),
           "load_snapshot: prefix length exceeds circuit size");
-  // v3 moment-aware header; v1/v2 payloads predate idle-noise
-  // checkpointing, so they are always plain gate-prefix snapshots.
-  bool snapshot_idle = false;
-  std::uint64_t moment_cursor = 0;
-  std::uint64_t schedule_digest = 0;
-  if (container.version >= 3) {
-    snapshot_idle = r.u8() != 0;
-    moment_cursor = r.u64();
-    schedule_digest = r.u64();
-  }
+  // Moment-aware header (all zero for a plain gate-prefix snapshot).
+  const bool snapshot_idle = r.u8() != 0;
+  const std::uint64_t moment_cursor = r.u64();
+  const std::uint64_t schedule_digest = r.u64();
   require(snapshot_idle == idle_mode_active(),
           "load_snapshot: snapshot idle-noise mode does not match the "
           "backend");

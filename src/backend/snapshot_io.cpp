@@ -79,8 +79,10 @@ void write_container(std::ostream& out, SnapshotKind kind,
 Container read_container(std::istream& in) {
   std::string bytes{std::istreambuf_iterator<char>(in),
                     std::istreambuf_iterator<char>()};
-  // magic + version + kind + checksum is the minimum viable container.
-  require(bytes.size() >= sizeof kMagic + 4 + 4 + 8, "snapshot: truncated");
+  // magic + version + kind + codec + raw size + checksum is the minimum
+  // viable container.
+  require(bytes.size() >= sizeof kMagic + 4 + 4 + 1 + 8 + 8,
+          "snapshot: truncated");
   require(std::memcmp(bytes.data(), kMagic, sizeof kMagic) == 0,
           "snapshot: bad magic");
 
@@ -91,36 +93,28 @@ Container read_container(std::istream& in) {
   require(tail.u64() == util::fnv1a64(body), "snapshot: checksum mismatch");
 
   util::ByteReader r(body);
-  const std::uint32_t version = r.u32();
-  require(version >= kMinReadVersion && version <= kVersion,
-          "snapshot: unsupported version");
+  require(r.u32() == kVersion, "snapshot: unsupported version");
   const std::uint32_t kind = r.u32();
   require(kind == static_cast<std::uint32_t>(SnapshotKind::Density) ||
               kind == static_cast<std::uint32_t>(SnapshotKind::Trajectory),
           "snapshot: unknown backend kind");
 
   Container c;
-  c.version = version;
   c.kind = static_cast<SnapshotKind>(kind);
-  if (version >= 4) {
-    // v4 body: codec tag + raw payload size + stored (maybe compressed)
-    // payload. The checksum above covered the stored bytes, so corruption
-    // is already ruled out before any decompression runs.
-    const std::uint8_t codec = r.u8();
-    const std::uint64_t raw_size = r.u64();
-    const std::string_view stored = body.substr(4 + 4 + 1 + 8);
-    if (codec == static_cast<std::uint8_t>(PayloadCodec::Deflate)) {
-      c.payload = util::deflate_decompress(
-          stored, static_cast<std::size_t>(raw_size));
-    } else {
-      require(codec == static_cast<std::uint8_t>(PayloadCodec::None),
-              "snapshot: unknown payload codec");
-      require(stored.size() == raw_size,
-              "snapshot: payload size mismatch");
-      c.payload.assign(stored);
-    }
+  // Body: codec tag + raw payload size + stored (maybe compressed) payload.
+  // The checksum above covered the stored bytes, so corruption is already
+  // ruled out before any decompression runs.
+  const std::uint8_t codec = r.u8();
+  const std::uint64_t raw_size = r.u64();
+  const std::string_view stored = body.substr(4 + 4 + 1 + 8);
+  if (codec == static_cast<std::uint8_t>(PayloadCodec::Deflate)) {
+    c.payload =
+        util::deflate_decompress(stored, static_cast<std::size_t>(raw_size));
   } else {
-    c.payload.assign(body.substr(8));
+    require(codec == static_cast<std::uint8_t>(PayloadCodec::None),
+            "snapshot: unknown payload codec");
+    require(stored.size() == raw_size, "snapshot: payload size mismatch");
+    c.payload.assign(stored);
   }
   return c;
 }

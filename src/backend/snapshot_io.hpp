@@ -19,21 +19,17 @@ enum class SnapshotKind : std::uint32_t {
 
 /// 8-byte file magic; the version bumps on any layout change (no in-place
 /// migration — old snapshots are cheap to regenerate from the circuit).
-/// v2: trajectory shots carry their prefix RNG state (4 u64 words per shot)
-/// so serialized snapshots stay extendable (prefix-tree derivation).
-/// v3: density payloads carry the moment-aware idle-noise header (idle flag,
-/// sealed-moment cursor, idle-schedule digest) so moment-scheduled
-/// executions can resume a serialized prefix.
-/// v4: the container body carries a payload codec tag + raw size, so
-/// payloads can optionally be deflate-compressed on disk (the checksum
-/// covers the *stored* bytes — corruption is detected before inflating).
-/// Readers accept v1-v4 (the per-kind loaders decide what the payload can
-/// express — see docs/SNAPSHOT_FORMAT.md for the compatibility table).
+/// v4 is the current layout: the container body carries a payload codec
+/// tag + raw size, so payloads can optionally be deflate-compressed on disk
+/// (the checksum covers the *stored* bytes — corruption is detected before
+/// inflating); density payloads carry the moment-aware idle-noise header
+/// and trajectory shots their prefix RNG state. Readers accept only v4
+/// (docs/SNAPSHOT_FORMAT.md); a snapshot cache treats any other version as
+/// a miss and re-simulates.
 inline constexpr char kMagic[8] = {'Q', 'U', 'F', 'I', 'S', 'N', 'A', 'P'};
 inline constexpr std::uint32_t kVersion = 4;
-inline constexpr std::uint32_t kMinReadVersion = 1;
 
-/// How a v4+ container's payload bytes are stored on disk. read_container
+/// How a container's payload bytes are stored on disk. read_container
 /// always hands loaders the *decompressed* payload, so per-kind payload
 /// formats never see the codec.
 enum class PayloadCodec : std::uint8_t {
@@ -61,13 +57,9 @@ void write_container(std::ostream& out, SnapshotKind kind,
                      const std::string& payload,
                      PayloadCodec codec = PayloadCodec::None);
 
-/// A parsed container: the format version, the kind tag, and the payload
-/// bytes (already decompressed for v4 containers with a non-None codec).
-/// Loaders branch on `version` to parse payload fields that
-/// were added in later formats (and to reject versions whose payload cannot
-/// express what the backend needs, e.g. trajectory RNG state before v2).
+/// A parsed container: the kind tag and the payload bytes (already
+/// decompressed when the stored codec is not None).
 struct Container {
-  std::uint32_t version = kVersion;
   SnapshotKind kind = SnapshotKind::Density;
   std::string payload;
 };

@@ -281,11 +281,6 @@ PrefixSnapshotPtr TrajectoryBackend::load_snapshot(std::istream& in) const {
   const snapio::Container container = snapio::read_container(in);
   require(container.kind == snapio::SnapshotKind::Trajectory,
           "load_snapshot: container was not written by a trajectory backend");
-  // v1 trajectory payloads predate the per-shot RNG state, so they cannot
-  // resume prefix randomness (not extendable, not CRN-reproducible): reject
-  // instead of misparsing the shorter per-shot layout.
-  require(container.version >= 2,
-          "load_snapshot: trajectory payload requires container v2+");
 
   util::ByteReader r(container.payload);
   circ::QuantumCircuit circuit = snapio::read_circuit(r);

@@ -21,6 +21,8 @@ constexpr std::uint8_t kEndTag = 'E';
 constexpr std::uint64_t kBlockPrefixBytes = 4 + 4 + 8;
 /// Per-record columnar footprint: 6 u32 index columns + 3 f64 columns.
 constexpr std::uint64_t kRecordBytes = 6 * 4 + 3 * 8;
+/// Point-table entry: instr_index (u64) + qubit, logical_qubit, moment.
+constexpr std::uint64_t kPointBytes = 8 + 4 + 4 + 4;
 /// End-marker body: total_records, executions, injections.
 constexpr std::uint64_t kEndBodyBytes = 3 * 8;
 
@@ -49,7 +51,7 @@ void encode_header(util::ByteWriter& w, const ResultFileHeader& h) {
   w.u8(h.meta.double_fault ? 1 : 0);
   w.u8(h.meta.idle_noise ? 1 : 0);
   w.f64(h.meta.faultfree_qvf);
-  // v2 adaptive fields — fixed-size, so set_meta()'s byte-size-identical
+  // Adaptive fields are fixed-size, so set_meta()'s byte-size-identical
   // header rewrite keeps working whatever the flag values.
   w.u8(h.meta.adaptive ? 1 : 0);
   w.f64(h.meta.adaptive_policy.max_config_fraction);
@@ -65,7 +67,7 @@ void encode_header(util::ByteWriter& w, const ResultFileHeader& h) {
   }
 }
 
-ResultFileHeader decode_header(util::ByteReader& r, std::uint32_t version) {
+ResultFileHeader decode_header(util::ByteReader& r, const std::string& path) {
   ResultFileHeader h;
   h.shard_index = r.u32();
   h.shard_count = r.u32();
@@ -83,15 +85,18 @@ ResultFileHeader decode_header(util::ByteReader& r, std::uint32_t version) {
   h.meta.double_fault = r.u8() != 0;
   h.meta.idle_noise = r.u8() != 0;
   h.meta.faultfree_qvf = r.f64();
-  if (version >= 2) {
-    h.meta.adaptive = r.u8() != 0;
-    h.meta.adaptive_policy.max_config_fraction = r.f64();
-    h.meta.adaptive_policy.qvf_ci_target = r.f64();
-    h.meta.adaptive_policy.min_configs_per_point = r.u32();
-    h.meta.adaptive_policy.seed = r.u64();
-  }
+  h.meta.adaptive = r.u8() != 0;
+  h.meta.adaptive_policy.max_config_fraction = r.f64();
+  h.meta.adaptive_policy.qvf_ci_target = r.f64();
+  h.meta.adaptive_policy.min_configs_per_point = r.u32();
+  h.meta.adaptive_policy.seed = r.u64();
   const std::uint64_t num_points = r.u64();
-  h.points.reserve(num_points);
+  // The count is checksum-covered but still untrusted: bound it by the
+  // bytes left before reserving, so a crafted header cannot request an
+  // impossible allocation.
+  require(num_points <= r.remaining() / kPointBytes,
+          "result file " + path + ": point table size exceeds the header");
+  h.points.reserve(static_cast<std::size_t>(num_points));
   for (std::uint64_t i = 0; i < num_points; ++i) {
     InjectionPoint p;
     p.instr_index = static_cast<std::size_t>(r.u64());
@@ -315,12 +320,11 @@ ResultReader::ResultReader(std::string path, ReadMode mode)
                                        "magic");
   require(std::memcmp(magic.data(), kResultMagic, sizeof(kResultMagic)) == 0,
           "result file " + path_ + ": bad magic (not a QUFIPART file)");
-  std::uint32_t version = 0;
   {
     const std::string bytes = read_exact(in_, 4, path_, "version");
     util::ByteReader r(bytes);
-    version = r.u32();
-    require(version >= 1 && version <= kResultVersion,
+    const std::uint32_t version = r.u32();
+    require(version == kResultVersion,
             "result file " + path_ + ": unsupported container version " +
                 std::to_string(version));
   }
@@ -335,7 +339,7 @@ ResultReader::ResultReader(std::string path, ReadMode mode)
           "result file " + path_ + ": header checksum mismatch");
   {
     util::ByteReader r(header_bytes);
-    header_ = decode_header(r, version);
+    header_ = decode_header(r, path_);
     require(r.at_end(),
             "result file " + path_ + ": header has trailing bytes");
   }
@@ -495,15 +499,6 @@ std::vector<InjectionRecord> ResultReader::read_block(std::size_t i) {
                 ": records not sorted by point index");
   }
   return records;
-}
-
-bool is_result_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  char magic[sizeof(kResultMagic)] = {};
-  in.read(magic, sizeof(magic));
-  return in.gcount() == sizeof(magic) &&
-         std::memcmp(magic, kResultMagic, sizeof(kResultMagic)) == 0;
 }
 
 bool result_header_available(const std::string& path) {

@@ -13,9 +13,8 @@ namespace qufi::resio {
 
 /// 8-byte file magic of the binary columnar result/partial container — the
 /// result-layer sibling of QUFISNAP (docs/RESULT_FORMAT.md). The version
-/// bumps on any layout change; readers reject newer versions but accept all
-/// older ones (v1 files simply carry no adaptive metadata — adaptive
-/// defaults off).
+/// bumps on any layout change, and readers accept only the version they
+/// write: a partial in any other version is recomputed from its manifest.
 inline constexpr char kResultMagic[8] = {'Q', 'U', 'F', 'I',
                                          'P', 'A', 'R', 'T'};
 /// v2: fixed-size adaptive-estimation fields after faultfree_qvf (flag,
@@ -221,9 +220,6 @@ class ResultReader {
   std::uint64_t executions_ = 0;
   std::uint64_t injections_ = 0;
 };
-
-/// Sniffs the 8-byte magic: true when `path` starts with "QUFIPART".
-bool is_result_file(const std::string& path);
 
 /// True when `path` currently holds at least a complete header section
 /// (magic through header checksum) — the gate incremental mergers use to

@@ -18,15 +18,6 @@ namespace qufi::dist {
 
 namespace {
 
-/// Uniform view over in-memory shard results and file-loaded partials.
-/// `label` names the input in diagnostics ("shard 3", "input 0").
-struct ShardView {
-  const CampaignMetadata* meta;
-  const std::vector<InjectionPoint>* points;
-  const std::vector<InjectionRecord>* records;
-  std::string label;
-};
-
 /// Campaign-identity comparison without the fault-free QVF: live partials
 /// carry the streaming placeholder there until their writer seals, so the
 /// incremental (prefix) merge must not treat the placeholder-vs-real
@@ -133,88 +124,6 @@ std::string conflict_message(const std::string& a, const std::string& b,
          "); duplicates must be bit-exact retries";
 }
 
-CampaignResult merge_views(std::span<const ShardView> shards,
-                           const MergeOptions& options) {
-  require(!shards.empty(), "merge: no shard results");
-  for (const ShardView& shard : shards) {
-    // Checked before the general metadata comparison so the mode mixup —
-    // an idle-noise shard merged into a plain campaign (or vice versa) —
-    // fails with a diagnosis, not a generic mismatch.
-    require(shards[0].meta->idle_noise == shard.meta->idle_noise,
-            "merge: cannot mix idle-noise and non-idle shards (the "
-            "idle_noise execution mode changes every record; re-run the "
-            "shard with the campaign's mode)");
-    require_adaptive_compatible(*shards[0].meta, *shard.meta);
-    require(meta_matches(*shards[0].meta, *shard.meta),
-            "merge: shard metadata mismatch (different campaigns?)");
-    require(points_match(*shards[0].points, *shard.points),
-            "merge: shard point tables differ (different campaigns?)");
-  }
-
-  const std::size_t num_points = shards[0].points->size();
-  // Per-point record slices, taken from the first shard (in input order)
-  // that executed the point. Shards are idempotent retry units, so a point
-  // appearing in several shards is legal — but only when the duplicates
-  // agree bit-exactly; disagreement means divergent workers, not a retry.
-  std::vector<std::vector<const InjectionRecord*>> buckets(num_points);
-  std::vector<int> owner(num_points, -1);
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    // Bucket this shard's records per point (order-preserving).
-    std::vector<std::vector<const InjectionRecord*>> mine(num_points);
-    for (const InjectionRecord& r : *shards[s].records) {
-      require(r.point_index < num_points,
-              "merge: record references point outside the table");
-      mine[r.point_index].push_back(&r);
-    }
-    for (std::size_t p = 0; p < num_points; ++p) {
-      if (mine[p].empty()) continue;
-      if (owner[p] < 0) {
-        owner[p] = static_cast<int>(s);
-        buckets[p] = std::move(mine[p]);
-        continue;
-      }
-      const std::string& owner_label =
-          shards[static_cast<std::size_t>(owner[p])].label;
-      const std::uint32_t point = static_cast<std::uint32_t>(p);
-      require(buckets[p].size() == mine[p].size(),
-              conflict_message(owner_label, shards[s].label, point,
-                               std::to_string(buckets[p].size()) + " vs " +
-                                   std::to_string(mine[p].size()) +
-                                   " records"));
-      for (std::size_t k = 0; k < mine[p].size(); ++k) {
-        require(record_matches(*buckets[p][k], *mine[p][k]),
-                conflict_message(owner_label, shards[s].label, point,
-                                 "record " + std::to_string(k) + " of " +
-                                     std::to_string(mine[p].size()) +
-                                     " differs"));
-      }
-    }
-  }
-
-  CampaignResult merged;
-  merged.meta = *shards[0].meta;
-  merged.points = *shards[0].points;
-  // Ascending point index — the single-process enumeration order — so the
-  // output is independent of shard arrival order.
-  for (std::size_t p = 0; p < num_points; ++p) {
-    for (const InjectionRecord* r : buckets[p]) merged.records.push_back(*r);
-  }
-  merged.meta.executions = merged.records.size();
-  merged.meta.injections =
-      campaign_injections(merged.records.size(), merged.meta.shots);
-
-  if (!options.allow_incomplete && options.expected_records > 0) {
-    require(merged.records.size() == options.expected_records,
-            "merge: incomplete campaign (missing shard output?)");
-  }
-  if (!options.allow_incomplete && merged.meta.adaptive) {
-    require_adaptive_coverage(
-        find_missing_points(num_points, merged.records));
-  }
-  project_point_estimates(merged);
-  return merged;
-}
-
 }  // namespace
 
 std::string MissingPointReport::describe() const {
@@ -249,35 +158,84 @@ MissingPointReport find_missing_points(std::size_t num_points,
 
 CampaignResult merge_shard_results(std::span<const CampaignResult> shards,
                                    const MergeOptions& options) {
-  std::vector<ShardView> views;
-  views.reserve(shards.size());
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    views.push_back({&shards[s].meta, &shards[s].points, &shards[s].records,
-                     "input " + std::to_string(s)});
+  require(!shards.empty(), "merge: no shard results");
+  for (const CampaignResult& shard : shards) {
+    // Checked before the general metadata comparison so the mode mixup —
+    // an idle-noise shard merged into a plain campaign (or vice versa) —
+    // fails with a diagnosis, not a generic mismatch.
+    require(shards[0].meta.idle_noise == shard.meta.idle_noise,
+            "merge: cannot mix idle-noise and non-idle shards (the "
+            "idle_noise execution mode changes every record; re-run the "
+            "shard with the campaign's mode)");
+    require_adaptive_compatible(shards[0].meta, shard.meta);
+    require(meta_matches(shards[0].meta, shard.meta),
+            "merge: shard metadata mismatch (different campaigns?)");
+    require(points_match(shards[0].points, shard.points),
+            "merge: shard point tables differ (different campaigns?)");
   }
-  return merge_views(views, options);
-}
 
-CampaignResult merge_partial_results(std::span<const PartialResult> parts,
-                                     const MergeOptions& options) {
-  require(!parts.empty(), "merge: no partial results");
-  for (const PartialResult& part : parts) {
-    require(part.shard_count == parts[0].shard_count,
-            "merge: partials disagree on shard count");
-    require(part.expected_total_records == parts[0].expected_total_records,
-            "merge: partials disagree on expected record count");
+  const std::size_t num_points = shards[0].points.size();
+  // Per-point record slices, taken from the first shard (in input order)
+  // that executed the point. Shards are idempotent retry units, so a point
+  // appearing in several shards is legal — but only when the duplicates
+  // agree bit-exactly; disagreement means divergent workers, not a retry.
+  std::vector<std::vector<const InjectionRecord*>> buckets(num_points);
+  std::vector<int> owner(num_points, -1);
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    // Bucket this shard's records per point (order-preserving).
+    std::vector<std::vector<const InjectionRecord*>> mine(num_points);
+    for (const InjectionRecord& r : shards[s].records) {
+      require(r.point_index < num_points,
+              "merge: record references point outside the table");
+      mine[r.point_index].push_back(&r);
+    }
+    for (std::size_t p = 0; p < num_points; ++p) {
+      if (mine[p].empty()) continue;
+      if (owner[p] < 0) {
+        owner[p] = static_cast<int>(s);
+        buckets[p] = std::move(mine[p]);
+        continue;
+      }
+      const std::string owner_label = "input " + std::to_string(owner[p]);
+      const std::string label = "input " + std::to_string(s);
+      const std::uint32_t point = static_cast<std::uint32_t>(p);
+      require(buckets[p].size() == mine[p].size(),
+              conflict_message(owner_label, label, point,
+                               std::to_string(buckets[p].size()) + " vs " +
+                                   std::to_string(mine[p].size()) +
+                                   " records"));
+      for (std::size_t k = 0; k < mine[p].size(); ++k) {
+        require(record_matches(*buckets[p][k], *mine[p][k]),
+                conflict_message(owner_label, label, point,
+                                 "record " + std::to_string(k) + " of " +
+                                     std::to_string(mine[p].size()) +
+                                     " differs"));
+      }
+    }
   }
-  MergeOptions effective = options;
-  if (effective.expected_records == 0) {
-    effective.expected_records = parts[0].expected_total_records;
+
+  CampaignResult merged;
+  merged.meta = shards[0].meta;
+  merged.points = shards[0].points;
+  // Ascending point index — the single-process enumeration order — so the
+  // output is independent of shard arrival order.
+  for (std::size_t p = 0; p < num_points; ++p) {
+    for (const InjectionRecord* r : buckets[p]) merged.records.push_back(*r);
   }
-  std::vector<ShardView> views;
-  views.reserve(parts.size());
-  for (const PartialResult& part : parts) {
-    views.push_back({&part.meta, &part.points, &part.records,
-                     "shard " + std::to_string(part.shard_index)});
+  merged.meta.executions = merged.records.size();
+  merged.meta.injections =
+      campaign_injections(merged.records.size(), merged.meta.shots);
+
+  if (!options.allow_incomplete && options.expected_records > 0) {
+    require(merged.records.size() == options.expected_records,
+            "merge: incomplete campaign (missing shard output?)");
   }
-  return merge_views(views, effective);
+  if (!options.allow_incomplete && merged.meta.adaptive) {
+    require_adaptive_coverage(
+        find_missing_points(num_points, merged.records));
+  }
+  project_point_estimates(merged);
+  return merged;
 }
 
 namespace {

@@ -2,16 +2,17 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "core/results.hpp"
-#include "dist/partial.hpp"
 
 namespace qufi::dist {
 
 /// Knobs for recombining shard outputs.
 struct MergeOptions {
   /// Expected record count of the full campaign; 0 skips the completeness
-  /// check (merge_partial_results then defaults it to the partials' own
+  /// check (the file merges then default it to the partials' own
   /// expected_total_records).
   std::uint64_t expected_records = 0;
   /// Accept an incomplete merge (lost shard recovery): suppresses the
@@ -45,12 +46,6 @@ struct MergeOptions {
 ///         conflicting duplicate points, or a failed completeness check.
 CampaignResult merge_shard_results(std::span<const CampaignResult> shards,
                                    const MergeOptions& options = {});
-
-/// File-level merge: validates the PartialResult headers (matching shard
-/// counts, consistent expected totals) and merges, defaulting the
-/// completeness check to the partials' expected_total_records.
-CampaignResult merge_partial_results(std::span<const PartialResult> parts,
-                                     const MergeOptions& options = {});
 
 /// Which injection points ended a merge with zero records. For single-fault
 /// campaigns that is exactly the not-yet-merged set (every point sweeps a
@@ -92,7 +87,7 @@ struct StreamingMergeStats {
 /// the campaign: each input contributes at most one decoded block at a time
 /// (peak memory O(shards x block), not O(campaign)), and the output
 /// streams through a resio::ResultWriter. Semantics match
-/// merge_partial_results — order-independent (ascending global point
+/// merge_shard_results — order-independent (ascending global point
 /// order), duplicate-tolerant for bit-exact retries, completeness checked
 /// against expected_total_records — with conflicts diagnosed by shard and
 /// point ("shard 2 and shard 5 disagree on point 17"). Throws qufi::Error

@@ -14,6 +14,9 @@ namespace qufi::dist {
 
 ShardRunOutput run_shard(const ShardManifest& manifest,
                          const ShardRunOptions& options) {
+  require(!options.columnar_output_path.empty(),
+          "run_shard: columnar_output_path is required (the shard's "
+          "QUFIPART partial)");
   CampaignSpec spec = manifest_to_spec(manifest);
   spec.threads = options.threads;
 
@@ -47,78 +50,63 @@ ShardRunOutput run_shard(const ShardManifest& manifest,
     spec.backend_override = exec.get();
   }
 
+  // The file header — point table, metadata, expected total — is needed
+  // before the first record exists, so mirror the campaign's own derivation
+  // (one extra transpile, same enumeration).
+  const auto transpiled = campaign_transpile(spec);
+  resio::ResultFileHeader header;
+  header.shard_index = manifest.shard_index;
+  header.shard_count = manifest.shard_count;
+  header.points = stride_points(
+      enumerate_injection_points(transpiled, spec.strategy), spec.max_points);
   // Completeness total for the merger: planner-stamped when available,
   // otherwise derived here (hand-written manifests; double campaigns pay a
   // transpile via campaign_point_neighbor_pairs in that fallback only).
-  const auto derive_expected = [&](std::size_t num_points) -> std::uint64_t {
-    if (manifest.expected_records > 0) return manifest.expected_records;
-    // Adaptive campaigns decide their record count while running, so the
-    // total is unknowable here; 0 tells the merger to use point coverage
-    // as its completeness check instead.
-    if (spec.adaptive) return 0;
-    if (manifest.double_fault) {
-      return double_campaign_executions(
-          campaign_point_neighbor_pairs(spec).size(), spec.grid);
-    }
-    return single_campaign_executions(num_points, spec.grid);
-  };
-
-  std::unique_ptr<resio::ResultWriter> writer;
-  std::unique_ptr<resio::ResultFileSink> sink;
-  if (!options.columnar_output_path.empty()) {
-    // Streaming mode needs the file header — point table, metadata,
-    // expected total — before the first record exists, so mirror the
-    // campaign's own derivation (one extra transpile, same enumeration).
-    const auto transpiled = campaign_transpile(spec);
-    resio::ResultFileHeader header;
-    header.shard_index = manifest.shard_index;
-    header.shard_count = manifest.shard_count;
-    header.points = stride_points(
-        enumerate_injection_points(transpiled, spec.strategy),
-        spec.max_points);
-    header.expected_total_records = derive_expected(header.points.size());
-    header.meta.circuit_name = spec.circuit.name();
-    header.meta.backend_name = spec.backend_override->name();
-    header.meta.circuit_qubits = spec.circuit.num_qubits();
-    header.meta.transpiled_gates = transpiled.circuit.num_unitary_gates();
-    header.meta.grid = spec.grid;
-    header.meta.shots = spec.shots;
-    header.meta.seed = spec.seed;
-    header.meta.double_fault = manifest.double_fault;
-    header.meta.idle_noise = spec.idle_noise;
-    if (spec.adaptive) {
-      header.meta.adaptive = true;
-      header.meta.adaptive_policy = *spec.adaptive;
-    }
-    // faultfree_qvf is only known once the campaign has run the fault-free
-    // reference; set_meta patches it in before finish() seals the header.
-    header.meta.faultfree_qvf = 0.0;
-    writer = std::make_unique<resio::ResultWriter>(
-        options.columnar_output_path, header, resio::kDefaultBlockRecords,
-        options.columnar_live ? resio::WriteMode::Live
-                              : resio::WriteMode::TempRename);
-    sink = std::make_unique<resio::ResultFileSink>(*writer);
-    spec.record_sink = sink.get();
+  // Adaptive campaigns decide their record count while running, so the
+  // total stays 0 and the merger uses point coverage as its completeness
+  // check instead.
+  if (manifest.expected_records > 0) {
+    header.expected_total_records = manifest.expected_records;
+  } else if (!spec.adaptive) {
+    header.expected_total_records =
+        manifest.double_fault
+            ? double_campaign_executions(
+                  campaign_point_neighbor_pairs(spec).size(), spec.grid)
+            : single_campaign_executions(header.points.size(), spec.grid);
   }
+  header.meta.circuit_name = spec.circuit.name();
+  header.meta.backend_name = spec.backend_override->name();
+  header.meta.circuit_qubits = spec.circuit.num_qubits();
+  header.meta.transpiled_gates = transpiled.circuit.num_unitary_gates();
+  header.meta.grid = spec.grid;
+  header.meta.shots = spec.shots;
+  header.meta.seed = spec.seed;
+  header.meta.double_fault = manifest.double_fault;
+  header.meta.idle_noise = spec.idle_noise;
+  if (spec.adaptive) {
+    header.meta.adaptive = true;
+    header.meta.adaptive_policy = *spec.adaptive;
+  }
+  // faultfree_qvf is only known once the campaign has run the fault-free
+  // reference; set_meta patches it in before finish() seals the header.
+  header.meta.faultfree_qvf = 0.0;
+  resio::ResultWriter writer(
+      options.columnar_output_path, header, resio::kDefaultBlockRecords,
+      options.columnar_live ? resio::WriteMode::Live
+                            : resio::WriteMode::TempRename);
+  resio::ResultFileSink sink(writer);
+  spec.record_sink = &sink;
 
   const CampaignResult result =
       manifest.double_fault
           ? run_double_fault_campaign_subset(spec, manifest.point_indices)
           : run_single_fault_campaign_subset(spec, manifest.point_indices);
+  writer.set_meta(result.meta);
+  writer.finish(result.meta.executions, result.meta.injections);
 
   ShardRunOutput out;
-  out.partial.shard_index = manifest.shard_index;
-  out.partial.shard_count = manifest.shard_count;
-  out.partial.expected_total_records = derive_expected(result.points.size());
-  out.partial.meta = result.meta;
-  out.partial.points = result.points;
-  out.partial.records = result.records;
-  if (writer) {
-    writer->set_meta(result.meta);
-    writer->finish(result.meta.executions, result.meta.injections);
-    out.partial_bytes = writer->bytes_written();
-    out.streamed_records = writer->records_written();
-  }
+  out.partial_bytes = writer.bytes_written();
+  out.streamed_records = writer.records_written();
   if (cache) {
     out.snapshot_hits = cache->hits();
     out.snapshot_misses = cache->misses();

@@ -8,7 +8,7 @@
 // thread counts, and plan -> subset -> merge shard splits), budget
 // monotonicity with prefix-nested sampling sequences, replay/engine
 // agreement of the derived statistics, format round trips (columnar
-// container, shard manifest, text partial), and the merger's refusal to
+// container, shard manifest), and the merger's refusal to
 // mix adaptive and exhaustive shards or differing policies.
 #include <gtest/gtest.h>
 
@@ -16,8 +16,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -31,35 +29,14 @@
 #include "dist/manifest.hpp"
 #include "dist/merge.hpp"
 #include "dist/shard_plan.hpp"
+#include "support/test_files.hpp"
 #include "util/error.hpp"
 
 namespace qufi {
 namespace {
 
-namespace fs = std::filesystem;
-
-struct TempDir {
-  fs::path path;
-  explicit TempDir(const std::string& tag) {
-    path = fs::temp_directory_path() /
-           ("qufi_adaptive_" + tag + "_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-  std::string str(const std::string& name) const {
-    return (path / name).string();
-  }
-};
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.is_open()) << "cannot open " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+using test_support::slurp;
+using test_support::TempDir;
 
 /// The campaign behind tests/golden/<name>4q_single_15deg.csv: the paper
 /// circuit at width 4 on fake_casablanca, full 15-degree grid (312 configs
@@ -153,8 +130,8 @@ TEST(AdaptiveGold, ExhaustiveFixturesAreFresh) {
     TempDir dir("gold_" + name);
     const auto fresh_path = dir.str("fresh.csv");
     result.write_csv(fresh_path);
-    const std::string fresh = read_file(fresh_path);
-    const std::string golden = read_file(gold_path(name));
+    const std::string fresh = slurp(fresh_path);
+    const std::string golden = slurp(gold_path(name));
     ASSERT_FALSE(golden.empty());
     EXPECT_EQ(fresh, golden)
         << "exhaustive campaign drifted from " << gold_path(name)
@@ -168,7 +145,7 @@ TEST(AdaptiveGold, ExhaustiveFixturesAreFresh) {
 // with committed exhaustive gold.
 TEST(AdaptiveAccuracy, DefaultPolicyMeetsErrorAndBudgetOnGoldCircuits) {
   for (const std::string name : {"bv", "dj"}) {
-    const std::string golden = read_file(gold_path(name));
+    const std::string golden = slurp(gold_path(name));
     ASSERT_FALSE(golden.empty());
     std::map<std::uint32_t, double> exhaustive;
     ASSERT_NO_FATAL_FAILURE(exhaustive = gold_point_means(golden));
@@ -213,7 +190,7 @@ TEST(AdaptiveDeterminism, RerunsAndThreadCountsAreBitIdentical) {
   const auto b = dir.str("b.csv");
   first.write_csv(a);
   threaded.write_csv(b);
-  EXPECT_EQ(read_file(a), read_file(b));
+  EXPECT_EQ(slurp(a), slurp(b));
 }
 
 TEST(AdaptiveDeterminism, RefinementSeedSelectsADifferentSample) {
@@ -247,7 +224,7 @@ TEST(AdaptiveShardInvariance, PlanRunMergeMatchesSingleProcess) {
   TempDir dir("shards");
   const auto single_csv = dir.str("single.csv");
   single.write_csv(single_csv);
-  const std::string single_bytes = read_file(single_csv);
+  const std::string single_bytes = slurp(single_csv);
 
   for (const std::uint32_t num_shards : {1u, 2u, 8u}) {
     const auto plan = dist::plan_campaign_shards(spec, num_shards);
@@ -263,7 +240,7 @@ TEST(AdaptiveShardInvariance, PlanRunMergeMatchesSingleProcess) {
     const auto merged_csv =
         dir.str("merged_" + std::to_string(num_shards) + ".csv");
     merged.write_csv(merged_csv);
-    EXPECT_EQ(read_file(merged_csv), single_bytes)
+    EXPECT_EQ(slurp(merged_csv), single_bytes)
         << num_shards << "-shard merge CSV differs from single-process run";
   }
 }
@@ -417,7 +394,7 @@ TEST(AdaptiveFormats, ColumnarContainerRoundTripsThePolicy) {
   EXPECT_EQ(reader.header().meta.adaptive_policy, *spec.adaptive);
 }
 
-TEST(AdaptiveFormats, ManifestAndTextPartialRoundTripThePolicy) {
+TEST(AdaptiveFormats, ManifestRoundTripsThePolicy) {
   auto spec = gold_spec("dj");
   spec.max_points = 4;
   spec.adaptive = AdaptivePolicy{};
@@ -450,17 +427,6 @@ TEST(AdaptiveFormats, ManifestAndTextPartialRoundTripThePolicy) {
                                           dist::WorkerBackendKind::Density,
                                           plan, /*double_fault=*/true),
                Error);
-
-  const auto result = run_single_fault_campaign(spec);
-  dist::PartialResult partial;
-  partial.meta = result.meta;
-  partial.points = result.points;
-  partial.records = result.records;
-  const auto partial_path = dir.str("shard.partial.csv");
-  dist::write_partial(partial_path, partial);
-  const auto loaded = dist::read_partial(partial_path);
-  EXPECT_TRUE(loaded.meta.adaptive);
-  EXPECT_EQ(loaded.meta.adaptive_policy, *spec.adaptive);
 }
 
 // ---- merge policy enforcement ---------------------------------------------

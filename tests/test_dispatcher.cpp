@@ -26,6 +26,7 @@
 #include "service/dispatcher.hpp"
 #include "service/fleet.hpp"
 #include "service/submission.hpp"
+#include "support/test_files.hpp"
 #include "util/error.hpp"
 
 namespace qufi {
@@ -33,20 +34,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
-struct TempDir {
-  fs::path path;
-  explicit TempDir(const std::string& tag) {
-    path = fs::temp_directory_path() /
-           ("qufi_disp_" + tag + "_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-  std::string str(const std::string& name) const {
-    return (path / name).string();
-  }
-};
+using test_support::for_each_byte_flip;
+using test_support::for_each_truncation;
+using test_support::slurp;
+using test_support::spit;
+using test_support::TempDir;
 
 /// Small paper circuit on a coarse grid: fast enough to run many times per
 /// test, large enough that a 2-shard split is non-trivial.
@@ -89,13 +81,6 @@ void run_lease(const service::ShardLease& lease) {
 std::string reference_csv(const CampaignSpec& spec, const std::string& path) {
   run_single_fault_campaign(spec).write_csv(path);
   return path;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.is_open()) << path;
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
 }
 
 // ---- submission + priority --------------------------------------------------
@@ -805,11 +790,6 @@ TEST(Dispatcher, RestartAtEveryJournalPrefixYieldsIdenticalResults) {
 
 namespace {
 
-void spit(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
 /// Records a small but representative journal: submit, two acquires, a
 /// heartbeat batch, an expiry requeue, completions, and the terminal
 /// record.
@@ -855,8 +835,8 @@ TEST(Journal, CorruptionSweepNeverSilentlyDropsTransitions) {
   // Every-length truncation: reading must recover exactly the records whose
   // lines survived whole — a strict prefix, never a resequenced subset —
   // and flag the torn tail.
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    spit(path, bytes.substr(0, len));
+  for_each_truncation(bytes, [&](const std::string& prefix, std::size_t len) {
+    spit(path, prefix);
     const auto got = service::read_journal(path);
     ASSERT_LE(got.events.size(), full.events.size()) << "len=" << len;
     ASSERT_LE(got.valid_bytes, len) << "len=" << len;
@@ -867,34 +847,31 @@ TEST(Journal, CorruptionSweepNeverSilentlyDropsTransitions) {
       ASSERT_EQ(got.events[i].type, full.events[i].type) << "len=" << len;
     }
     ASSERT_EQ(got.last_seq, got.events.size()) << "len=" << len;
-  }
+  });
 
   // Byte flips: corruption of any acknowledged byte either throws with a
   // diagnosis naming the byte offset, or — only when the flip tears the
   // final newline — reads as a torn tail missing exactly that last record.
   // Silently skipping a middle record is never acceptable.
-  for (const unsigned char mask : {0x01, 0x80}) {
-    for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
-      std::string mutated = bytes;
-      mutated[pos] = static_cast<char>(mutated[pos] ^ mask);
-      spit(path, mutated);
-      try {
-        const auto got = service::read_journal(path);
-        ASSERT_TRUE(got.truncated_tail)
-            << "flip at " << pos << " mask " << int(mask)
-            << " read clean with " << got.events.size() << " events";
-        ASSERT_EQ(got.events.size() + 1, full.events.size())
-            << "flip at " << pos << " mask " << int(mask);
-        ASSERT_GE(pos, got.valid_bytes)
-            << "flip at " << pos << " mask " << int(mask)
-            << " dropped records before the flipped byte";
-      } catch (const Error& e) {
-        const std::string what = e.what();
-        ASSERT_NE(what.find("offset"), std::string::npos)
-            << "flip at " << pos << ": diagnosis names no offset: " << what;
-      }
+  for_each_byte_flip(bytes, [&](const std::string& mutated, std::size_t pos,
+                                unsigned mask) {
+    spit(path, mutated);
+    try {
+      const auto got = service::read_journal(path);
+      ASSERT_TRUE(got.truncated_tail)
+          << "flip at " << pos << " mask " << mask << " read clean with "
+          << got.events.size() << " events";
+      ASSERT_EQ(got.events.size() + 1, full.events.size())
+          << "flip at " << pos << " mask " << mask;
+      ASSERT_GE(pos, got.valid_bytes)
+          << "flip at " << pos << " mask " << mask
+          << " dropped records before the flipped byte";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      ASSERT_NE(what.find("offset"), std::string::npos)
+          << "flip at " << pos << ": diagnosis names no offset: " << what;
     }
-  }
+  });
 }
 
 // ---- submission format ------------------------------------------------------

@@ -1,10 +1,10 @@
 // Distribution-layer tests: snapshot serialization round-trips (both
 // checkpointing backends) and corruption rejection, shard planning,
-// manifest/partial round-trips, the snapshot cache, and N-shard merge
-// equivalence against the single-process campaign.
+// manifest round-trips, the snapshot cache, shard execution into QUFIPART
+// partials, and N-shard merge equivalence against the single-process
+// campaign.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,12 +17,13 @@
 #include "core/result_io.hpp"
 #include "dist/manifest.hpp"
 #include "dist/merge.hpp"
-#include "dist/partial.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/shard_runner.hpp"
 #include "dist/snapshot_cache.hpp"
 #include "noise/backend_props.hpp"
 #include "noise/noise_model.hpp"
+#include "support/test_files.hpp"
+#include "util/binary_io.hpp"
 #include "util/compress.hpp"
 #include "util/error.hpp"
 
@@ -30,6 +31,10 @@ namespace qufi {
 namespace {
 
 namespace fs = std::filesystem;
+using test_support::for_each_byte_flip;
+using test_support::for_each_truncation;
+using test_support::slurp;
+using test_support::TempDir;
 
 CampaignSpec quick_spec(const std::string& name, int width) {
   const auto bench = algo::paper_circuit(name, width);
@@ -102,18 +107,36 @@ CampaignResult run_sharded(const CampaignSpec& spec, std::uint32_t shards,
   return dist::merge_shard_results(results, options);
 }
 
-struct TempDir {
-  fs::path path;
-  explicit TempDir(const std::string& tag) {
-    path = fs::temp_directory_path() /
-           ("qufi_dist_" + tag + "_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(path);
+/// A QUFIPART partial loaded back as the campaign result it encodes
+/// (executions/injections from the end marker).
+CampaignResult load_result(const std::string& path) {
+  auto file = resio::read_result_file(path);
+  CampaignResult result;
+  result.meta = file.header.meta;
+  result.meta.executions = file.executions;
+  result.meta.injections = file.injections;
+  result.points = std::move(file.header.points);
+  result.records = std::move(file.records);
+  return result;
+}
+
+/// Runs every manifest through run_shard into `dir`/part_<k>.qp, then
+/// file-merges the partials: the worker -> merger path of a real fleet.
+CampaignResult run_manifests(const std::vector<dist::ShardManifest>& manifests,
+                             const TempDir& dir) {
+  std::vector<std::string> paths;
+  for (const auto& manifest : manifests) {
+    dist::ShardRunOptions options;
+    options.snapshot_dir = dir.str("snaps");
+    options.threads = 2;
+    options.columnar_output_path =
+        dir.str("part_" + std::to_string(manifest.shard_index) + ".qp");
+    (void)dist::run_shard(manifest, options);
+    paths.push_back(options.columnar_output_path);
   }
-  ~TempDir() { fs::remove_all(path); }
-  std::string str() const { return path.string(); }
-};
+  (void)dist::merge_result_files(paths, dir.str("merged.qp"));
+  return load_result(dir.str("merged.qp"));
+}
 
 // ---- snapshot serialization ------------------------------------------------
 
@@ -205,6 +228,28 @@ TEST(SnapshotSerialization, RejectsCorruptHeaderTruncationAndWrongKind) {
   {  // wrong backend kind
     std::istringstream in(good);
     EXPECT_THROW((void)trajectory.load_snapshot(in), Error);
+  }
+  {  // a retired v3 container (no codec fields), framed with a valid
+     // checksum: rejected by version, so a cache re-simulates it
+    std::istringstream current(good);
+    const auto payload = backend::snapio::read_container(current).payload;
+    util::ByteWriter body;
+    body.u32(3);
+    body.u32(
+        static_cast<std::uint32_t>(backend::snapio::SnapshotKind::Density));
+    body.raw(payload.data(), payload.size());
+    util::ByteWriter checksum;
+    checksum.u64(util::fnv1a64(body.data()));
+    std::istringstream in(std::string(backend::snapio::kMagic, 8) +
+                          body.data() + checksum.data());
+    try {
+      (void)density.load_snapshot(in);
+      ADD_FAILURE() << "v3 container loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("snapshot: unsupported version"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -327,7 +372,7 @@ TEST(ShardPlan, DeterministicAndCostBalanced) {
   EXPECT_LT(max_cost - min_cost, max_cost);
 }
 
-// ---- manifest / partial round-trips ----------------------------------------
+// ---- manifest round-trips -------------------------------------------
 
 TEST(ShardManifest, SaveLoadRoundTripPreservesEverything) {
   TempDir dir("manifest");
@@ -365,51 +410,6 @@ TEST(ShardManifest, SaveLoadRoundTripPreservesEverything) {
       EXPECT_EQ(a.params[k], b.params[k]) << "instr " << i;  // exact bits
     }
   }
-}
-
-TEST(PartialResult, WriteReadRoundTripIsExact) {
-  TempDir dir("partial");
-  auto spec = quick_spec("bv", 4);
-  spec.max_points = 4;
-  const std::size_t subset[] = {1, 3};
-  const auto shard = run_single_fault_campaign_subset(spec, subset);
-
-  dist::PartialResult partial;
-  partial.shard_index = 1;
-  partial.shard_count = 2;
-  partial.expected_total_records =
-      single_campaign_executions(shard.points.size(), spec.grid);
-  partial.meta = shard.meta;
-  partial.points = shard.points;
-  partial.records = shard.records;
-
-  const auto path = (dir.path / "part.csv").string();
-  dist::write_partial(path, partial);
-  const auto loaded = dist::read_partial(path);
-
-  EXPECT_EQ(loaded.shard_index, 1u);
-  EXPECT_EQ(loaded.shard_count, 2u);
-  EXPECT_EQ(loaded.expected_total_records, partial.expected_total_records);
-  EXPECT_EQ(loaded.meta.circuit_name, shard.meta.circuit_name);
-  EXPECT_EQ(loaded.meta.backend_name, shard.meta.backend_name);
-  EXPECT_EQ(loaded.meta.faultfree_qvf, shard.meta.faultfree_qvf);  // exact
-  EXPECT_EQ(loaded.meta.executions, shard.meta.executions);
-  ASSERT_EQ(loaded.points.size(), shard.points.size());
-  CampaignResult reconstructed;
-  reconstructed.meta = loaded.meta;
-  reconstructed.points = loaded.points;
-  reconstructed.records = loaded.records;
-  expect_same_records(reconstructed, shard);
-}
-
-TEST(PartialResult, ReadRejectsGarbage) {
-  TempDir dir("garbage");
-  const auto path = (dir.path / "bad.csv").string();
-  {
-    std::ofstream out(path);
-    out << "not,a,partial\n";
-  }
-  EXPECT_THROW((void)dist::read_partial(path), Error);
 }
 
 // ---- shard execution + merge equivalence -----------------------------------
@@ -643,11 +643,11 @@ TEST(SnapshotSerialization, IdleNoiseRoundTripCarriesMomentCursor) {
 }
 
 TEST(SnapshotSerialization, ExhaustiveFlipAndTruncationSweepNeverLoads) {
-  // The loader-robustness sweep: for a small v3 container, every
-  // single-byte corruption and every truncation must be rejected with a
-  // qufi::Error — never a crash, never a silently loaded snapshot. The
-  // container checksum covers version, kind and payload; the magic guards
-  // the head; ByteReader guards the tail.
+  // The loader-robustness sweep: for a small container, every single-byte
+  // corruption and every truncation must be rejected with a qufi::Error —
+  // never a crash, never a silently loaded snapshot. The container checksum
+  // covers version, kind and payload; the magic guards the head;
+  // ByteReader guards the tail.
   const auto qc = small_circuit();
   backend::DensityMatrixBackend be(
       noise::NoiseModel::from_backend(noise::fake_casablanca()),
@@ -662,21 +662,17 @@ TEST(SnapshotSerialization, ExhaustiveFlipAndTruncationSweepNeverLoads) {
     std::istringstream in(good);
     EXPECT_NO_THROW((void)be.load_snapshot(in));
   }
-  for (std::size_t offset = 0; offset < good.size(); ++offset) {
-    for (const char mask : {char(0x01), char(0x80)}) {
-      std::string bad = good;
-      bad[offset] ^= mask;
-      std::istringstream in(bad);
-      EXPECT_THROW((void)be.load_snapshot(in), Error)
-          << "flipped byte " << offset << " mask " << int(mask)
-          << " loaded anyway";
-    }
-  }
-  for (std::size_t len = 0; len < good.size(); ++len) {
-    std::istringstream in(good.substr(0, len));
+  for_each_byte_flip(good, [&](const std::string& bad, std::size_t offset,
+                               unsigned mask) {
+    std::istringstream in(bad);
+    EXPECT_THROW((void)be.load_snapshot(in), Error)
+        << "flipped byte " << offset << " mask " << mask << " loaded anyway";
+  });
+  for_each_truncation(good, [&](const std::string& prefix, std::size_t len) {
+    std::istringstream in(prefix);
     EXPECT_THROW((void)be.load_snapshot(in), Error)
         << "truncation to " << len << " bytes loaded anyway";
-  }
+  });
 }
 
 TEST(ShardManifest, IdleNoiseKnobRoundTripsAndOlderVersionsDefaultOff) {
@@ -723,54 +719,6 @@ TEST(ShardManifest, IdleNoiseKnobRoundTripsAndOlderVersionsDefaultOff) {
           << e.what();
     }
   }
-}
-
-TEST(PartialResult, IdleNoiseFlagRoundTripsAndV1FilesDefaultOff) {
-  TempDir dir("partial_idle");
-  auto spec = quick_spec("bv", 4);
-  spec.max_points = 2;
-  spec.idle_noise = true;
-  const std::size_t subset[] = {0, 1};
-  const auto shard = run_single_fault_campaign_subset(spec, subset);
-  ASSERT_TRUE(shard.meta.idle_noise);
-
-  dist::PartialResult partial;
-  partial.shard_index = 0;
-  partial.shard_count = 1;
-  partial.expected_total_records =
-      single_campaign_executions(shard.points.size(), spec.grid);
-  partial.meta = shard.meta;
-  partial.points = shard.points;
-  partial.records = shard.records;
-  const auto path = (dir.path / "idle_part.csv").string();
-  dist::write_partial(path, partial);
-  const auto loaded = dist::read_partial(path);
-  EXPECT_EQ(loaded.format_version, 3u);
-  EXPECT_TRUE(loaded.meta.idle_noise);
-
-  // Strip the v2 row and downgrade the header: a v1 partial still reads,
-  // with the mode defaulting off.
-  std::string text;
-  {
-    std::ifstream in(path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    text = buffer.str();
-  }
-  const auto header = text.find("qufi_partial,3");
-  ASSERT_NE(header, std::string::npos);
-  text.replace(header, 14, "qufi_partial,1");
-  const auto idle_row = text.find("idle_noise,1\n");
-  ASSERT_NE(idle_row, std::string::npos);
-  text.erase(idle_row, 13);
-  const auto v1_path = (dir.path / "v1_part.csv").string();
-  {
-    std::ofstream out(v1_path);
-    out << text;
-  }
-  const auto v1 = dist::read_partial(v1_path);
-  EXPECT_EQ(v1.format_version, 1u);
-  EXPECT_FALSE(v1.meta.idle_noise);
 }
 
 TEST(ShardMerge, RefusesToMixIdleNoiseAndPlainShards) {
@@ -820,14 +768,7 @@ TEST(ShardRunner, IdleNoiseManifestMatchesDirectSubsetRun) {
       spec, "casablanca", dist::WorkerBackendKind::Density, plan, false);
   ASSERT_TRUE(manifests[0].idle_noise);
 
-  std::vector<dist::PartialResult> parts;
-  for (const auto& manifest : manifests) {
-    dist::ShardRunOptions options;
-    options.snapshot_dir = (dir.path / "snaps").string();
-    options.threads = 2;
-    parts.push_back(dist::run_shard(manifest, options).partial);
-  }
-  const auto merged = dist::merge_partial_results(parts);
+  const auto merged = run_manifests(manifests, dir);
   const auto single = run_single_fault_campaign(spec);
   EXPECT_EQ(merged.meta.backend_name, single.meta.backend_name);
   EXPECT_TRUE(merged.meta.idle_noise);
@@ -838,7 +779,17 @@ TEST(ShardRunner, IdleNoiseManifestMatchesDirectSubsetRun) {
   auto bad = manifests[0];
   bad.backend_kind = dist::WorkerBackendKind::Trajectory;
   bad.shots = 32;
-  EXPECT_THROW((void)dist::run_shard(bad, {}), Error);
+  dist::ShardRunOptions options;
+  options.columnar_output_path = dir.str("bad.qp");
+  try {
+    (void)dist::run_shard(bad, options);
+    ADD_FAILURE() << "trajectory + idle_noise manifest ran";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("idle_noise requires the density"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(fs::exists(options.columnar_output_path));
 }
 
 TEST(SnapshotCache, IdleNoiseKeysSeparateFromPlainSnapshots) {
@@ -878,26 +829,13 @@ TEST(ShardRunner, ManifestExecutionMatchesDirectSubsetRun) {
   const auto manifests = dist::make_manifests(
       spec, "casablanca", dist::WorkerBackendKind::Density, plan, false);
 
-  std::vector<dist::PartialResult> parts;
-  for (const auto& manifest : manifests) {
-    dist::ShardRunOptions options;
-    options.snapshot_dir = (dir.path / "snaps").string();
-    options.threads = 2;
-    parts.push_back(dist::run_shard(manifest, options).partial);
-  }
-  const auto merged = dist::merge_partial_results(parts);
+  const auto merged = run_manifests(manifests, dir);
   const auto single = run_single_fault_campaign(spec);
   EXPECT_EQ(merged.meta.backend_name, single.meta.backend_name);
   expect_same_records(merged, single);
 }
 
 // ---- columnar partials and the streaming file merge ------------------------
-
-std::string slurp_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
 
 /// Subset-runs spec as `shards` columnar partial files on disk.
 std::vector<std::string> write_columnar_shards(const fs::path& dir,
@@ -908,16 +846,16 @@ std::vector<std::string> write_columnar_shards(const fs::path& dir,
   for (std::size_t k = 0; k < plan.shards.size(); ++k) {
     const auto result =
         run_single_fault_campaign_subset(spec, plan.shards[k].point_indices);
-    dist::PartialResult partial;
-    partial.shard_index = static_cast<std::uint32_t>(k);
-    partial.shard_count = static_cast<std::uint32_t>(plan.shards.size());
-    partial.expected_total_records =
+    resio::ResultFileHeader header;
+    header.shard_index = static_cast<std::uint32_t>(k);
+    header.shard_count = static_cast<std::uint32_t>(plan.shards.size());
+    header.expected_total_records =
         single_campaign_executions(result.points.size(), spec.grid);
-    partial.meta = result.meta;
-    partial.points = result.points;
-    partial.records = result.records;
+    header.meta = result.meta;
+    header.points = result.points;
     paths.push_back((dir / ("part_" + std::to_string(k) + ".qp")).string());
-    dist::write_partial_columnar(paths.back(), partial);
+    resio::write_result_file(paths.back(), header, result.records,
+                             result.meta.executions, result.meta.injections);
   }
   return paths;
 }
@@ -951,30 +889,28 @@ TEST(StreamingMerge, FileMergeMatchesInMemoryAndSingleProcessAt2And8Shards) {
     // Streaming CSV export == CampaignResult::write_csv, byte for byte.
     const std::string merged_csv = (sub / "merged.csv").string();
     (void)dist::merge_result_files_to_csv(paths, merged_csv);
-    EXPECT_EQ(slurp_file(merged_csv), slurp_file(reference_csv))
+    EXPECT_EQ(slurp(merged_csv), slurp(reference_csv))
         << shards << "-shard streaming CSV diverges from write_csv";
 
-    // And the same partials through the in-memory path agree too.
-    std::vector<dist::PartialResult> parts;
-    for (const auto& path : paths) {
-      parts.push_back(dist::read_partial_any(path));
-    }
-    expect_same_records(dist::merge_partial_results(parts), single);
+    // And the same partials through the in-memory reference merge agree too.
+    std::vector<CampaignResult> parts;
+    for (const auto& path : paths) parts.push_back(load_result(path));
+    expect_same_records(dist::merge_shard_results(parts), single);
   }
 }
 
 TEST(StreamingMerge, BitExactDuplicatesMergeConflictsAreNamed) {
   TempDir dir("conflict");
   // Synthetic two-point campaign so the duplicate bits are fully controlled.
-  dist::PartialResult base;
-  base.shard_index = 0;
-  base.shard_count = 2;
-  base.expected_total_records = 2;
-  base.meta.circuit_name = "conflict_test";
-  base.meta.backend_name = "synthetic";
-  base.meta.grid.theta_step_deg = 60.0;
-  base.meta.grid.phi_step_deg = 90.0;
-  base.points.resize(2);
+  resio::ResultFileHeader header;
+  header.shard_count = 2;
+  header.expected_total_records = 2;
+  header.meta.circuit_name = "conflict_test";
+  header.meta.backend_name = "synthetic";
+  header.meta.grid.theta_step_deg = 60.0;
+  header.meta.grid.phi_step_deg = 90.0;
+  header.points.resize(2);
+  std::vector<InjectionRecord> records;
   for (std::uint32_t p = 0; p < 2; ++p) {
     InjectionRecord r;
     r.point_index = p;
@@ -984,24 +920,22 @@ TEST(StreamingMerge, BitExactDuplicatesMergeConflictsAreNamed) {
     r.qvf = p == 1 ? 0.0 : 0.5;
     r.pa = 0.25;
     r.pb = 0.75;
-    base.records.push_back(r);
+    records.push_back(r);
   }
 
-  auto retry = base;
-  retry.shard_index = 1;
-
-  const std::string a_path = (dir.path / "a.qp").string();
-  const std::string ok_path = (dir.path / "ok.qp").string();
-  const std::string bad_path = (dir.path / "bad.qp").string();
-  dist::write_partial_columnar(a_path, base);
-  dist::write_partial_columnar(ok_path, retry);
+  const std::string a_path = dir.str("a.qp");
+  const std::string ok_path = dir.str("ok.qp");
+  const std::string bad_path = dir.str("bad.qp");
+  resio::write_result_file(a_path, header, records, 2, 2);
+  header.shard_index = 1;  // the retry
+  resio::write_result_file(ok_path, header, records, 2, 2);
   // A "retry" that disagrees only in the sign bit of a zero: operator==
   // would accept it, the bit-exact duplicate check must not.
-  retry.records[1].qvf = -0.0;
-  dist::write_partial_columnar(bad_path, retry);
+  records[1].qvf = -0.0;
+  resio::write_result_file(bad_path, header, records, 2, 2);
 
   // Bit-exact duplicates are confirmations, counted but merged once.
-  const std::string merged_path = (dir.path / "merged.qp").string();
+  const std::string merged_path = dir.str("merged.qp");
   const std::string good_inputs[] = {a_path, ok_path};
   const auto stats = dist::merge_result_files(good_inputs, merged_path);
   EXPECT_EQ(stats.merged_records, 2u);
@@ -1020,11 +954,11 @@ TEST(StreamingMerge, BitExactDuplicatesMergeConflictsAreNamed) {
     EXPECT_NE(message.find("shard 1"), std::string::npos) << message;
   }
 
-  // The in-memory merge applies the identical rule with the same naming.
-  const dist::PartialResult bad_parts[] = {dist::read_partial_any(a_path),
-                                           dist::read_partial_any(bad_path)};
+  // The in-memory reference merge applies the identical rule.
+  const CampaignResult bad_parts[] = {load_result(a_path),
+                                      load_result(bad_path)};
   try {
-    (void)dist::merge_partial_results(bad_parts);
+    (void)dist::merge_shard_results(bad_parts);
     FAIL() << "conflicting duplicate not detected (in-memory)";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("disagree on point 1"),
@@ -1064,40 +998,47 @@ TEST(ShardRunner, StreamingColumnarOutputMatchesInMemoryPartial) {
       spec, "casablanca", dist::WorkerBackendKind::Density, plan, false);
 
   for (std::size_t k = 0; k < manifests.size(); ++k) {
-    dist::ShardRunOptions plain;
-    plain.threads = 2;
-    const auto reference = dist::run_shard(manifests[k], plain);
+    auto shard_spec = dist::manifest_to_spec(manifests[k]);
+    shard_spec.threads = 2;
+    const auto reference = run_single_fault_campaign_subset(
+        shard_spec, manifests[k].point_indices);
 
-    dist::ShardRunOptions streaming = plain;
-    streaming.columnar_output_path =
-        (dir.path / ("part_" + std::to_string(k) + ".qp")).string();
-    const auto streamed = dist::run_shard(manifests[k], streaming);
-    EXPECT_TRUE(streamed.partial.records.empty())
-        << "streaming mode must not accumulate records";
+    dist::ShardRunOptions options;
+    options.threads = 2;
+    options.columnar_output_path =
+        dir.str("part_" + std::to_string(k) + ".qp");
+    const auto streamed = dist::run_shard(manifests[k], options);
     EXPECT_GT(streamed.partial_bytes, 0u);
-    EXPECT_EQ(streamed.streamed_records, reference.partial.records.size());
-    EXPECT_EQ(fs::file_size(streaming.columnar_output_path),
+    EXPECT_EQ(streamed.streamed_records, reference.records.size());
+    EXPECT_EQ(fs::file_size(options.columnar_output_path),
               streamed.partial_bytes);
 
-    // The streamed file is a complete partial: same shard identity, same
-    // metadata (fault-free QVF patched in after the run), same record bits.
+    // The streamed file is a complete partial: the manifest's shard
+    // identity and completeness total, the subset run's metadata
+    // (fault-free QVF patched in after the run) and record bits.
     const auto from_disk =
-        dist::read_partial_any(streaming.columnar_output_path);
-    EXPECT_EQ(from_disk.shard_index, reference.partial.shard_index);
-    EXPECT_EQ(from_disk.shard_count, reference.partial.shard_count);
-    EXPECT_EQ(from_disk.expected_total_records,
-              reference.partial.expected_total_records);
-    EXPECT_EQ(from_disk.meta.faultfree_qvf,
-              reference.partial.meta.faultfree_qvf);
-    EXPECT_EQ(from_disk.meta.executions, reference.partial.meta.executions);
-    ASSERT_EQ(from_disk.records.size(), reference.partial.records.size());
-    for (std::size_t i = 0; i < from_disk.records.size(); ++i) {
-      EXPECT_EQ(from_disk.records[i].point_index,
-                reference.partial.records[i].point_index);
-      EXPECT_EQ(from_disk.records[i].qvf, reference.partial.records[i].qvf);
-      EXPECT_EQ(from_disk.records[i].pa, reference.partial.records[i].pa);
-      EXPECT_EQ(from_disk.records[i].pb, reference.partial.records[i].pb);
-    }
+        resio::read_result_file(options.columnar_output_path);
+    EXPECT_EQ(from_disk.header.shard_index, manifests[k].shard_index);
+    EXPECT_EQ(from_disk.header.shard_count, manifests[k].shard_count);
+    EXPECT_EQ(from_disk.header.expected_total_records,
+              single_campaign_executions(reference.points.size(), spec.grid));
+    EXPECT_EQ(from_disk.header.meta.faultfree_qvf,
+              reference.meta.faultfree_qvf);
+    EXPECT_EQ(from_disk.header.meta.backend_name, reference.meta.backend_name);
+    EXPECT_EQ(from_disk.executions, reference.meta.executions);
+    CampaignResult loaded;
+    loaded.records = from_disk.records;
+    expect_same_records(loaded, reference);
+  }
+
+  // The partial is the only output, so a run without a path is refused.
+  try {
+    (void)dist::run_shard(manifests[0], dist::ShardRunOptions{});
+    ADD_FAILURE() << "run_shard ran without an output path";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("columnar_output_path"),
+              std::string::npos)
+        << e.what();
   }
 }
 

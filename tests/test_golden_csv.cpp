@@ -10,15 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "algorithms/algorithms.hpp"
 #include "core/campaign.hpp"
+#include "support/test_files.hpp"
 
 namespace qufi {
 namespace {
+
+using test_support::slurp;
 
 /// The campaign behind the committed file — byte-identical output requires
 /// identical spec bits, so change these only together with the fixture.
@@ -32,22 +34,14 @@ CampaignSpec golden_spec() {
   return spec;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.is_open()) << "cannot open " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 TEST(GoldenCsv, Bv2qSingleFaultCampaignIsByteIdenticalToCommittedFile) {
   const auto result = run_single_fault_campaign(golden_spec());
   const std::string fresh_path =
       ::testing::TempDir() + "qufi_golden_bv2q.csv";
   result.write_csv(fresh_path);
-  const std::string fresh = read_file(fresh_path);
+  const std::string fresh = slurp(fresh_path);
   const std::string golden =
-      read_file(std::string(QUFI_SOURCE_DIR) + "/tests/golden/bv2q_single.csv");
+      slurp(std::string(QUFI_SOURCE_DIR) + "/tests/golden/bv2q_single.csv");
   std::remove(fresh_path.c_str());
 
   ASSERT_FALSE(golden.empty());
@@ -59,7 +53,7 @@ TEST(GoldenCsv, Bv2qSingleFaultCampaignIsByteIdenticalToCommittedFile) {
 
 TEST(GoldenCsv, CommittedFilePinsTheDocumentedColumnSchema) {
   const std::string golden =
-      read_file(std::string(QUFI_SOURCE_DIR) + "/tests/golden/bv2q_single.csv");
+      slurp(std::string(QUFI_SOURCE_DIR) + "/tests/golden/bv2q_single.csv");
   std::istringstream lines(golden);
   std::string header_comment, columns;
   ASSERT_TRUE(std::getline(lines, header_comment));

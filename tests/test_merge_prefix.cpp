@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <numeric>
@@ -26,27 +25,14 @@
 #include "core/result_io.hpp"
 #include "dist/merge.hpp"
 #include "dist/shard_plan.hpp"
+#include "support/test_files.hpp"
 #include "util/error.hpp"
 
 namespace qufi {
 namespace {
 
-namespace fs = std::filesystem;
-
-struct TempDir {
-  fs::path path;
-  explicit TempDir(const std::string& tag) {
-    path = fs::temp_directory_path() /
-           ("qufi_prefix_" + tag + "_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-  std::string str(const std::string& name) const {
-    return (path / name).string();
-  }
-};
+using test_support::slurp;
+using test_support::TempDir;
 
 CampaignSpec quick_spec(const std::string& name, int width) {
   const auto bench = algo::paper_circuit(name, width);
@@ -302,13 +288,7 @@ TEST(MergePrefix, AdaptiveShardSchedulesMergeToTheSingleProcessCsv) {
   const auto single = run_single_fault_campaign(spec);
   const auto single_csv = dir.str("single.csv");
   single.write_csv(single_csv);
-  std::string single_bytes;
-  {
-    std::ifstream in(single_csv, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    single_bytes = buffer.str();
-  }
+  const std::string single_bytes = slurp(single_csv);
   ASSERT_FALSE(single_bytes.empty());
 
   const auto plan =
@@ -364,10 +344,7 @@ TEST(MergePrefix, AdaptiveShardSchedulesMergeToTheSingleProcessCsv) {
     const auto merged_csv = dir.str("t" + std::to_string(trial) + ".csv");
     const auto stats = dist::merge_result_files_to_csv(inputs, merged_csv);
     EXPECT_GT(stats.duplicate_records, 0u) << "trial " << trial;
-    std::ifstream in(merged_csv, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    EXPECT_EQ(buffer.str(), single_bytes)
+    EXPECT_EQ(slurp(merged_csv), single_bytes)
         << "trial " << trial << " (retry of shard " << retried << ")";
     ++trial;
   }

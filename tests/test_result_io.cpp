@@ -1,16 +1,13 @@
 // QUFIPART container tests (docs/RESULT_FORMAT.md): round-trips through
 // ResultWriter/ResultReader, the block invariants that make the streaming
 // k-way merge possible, exhaustive corruption rejection (every byte flipped,
-// every truncation length), and the bit-exactness property shared by the
-// text and columnar partial formats.
+// every truncation length), and the double-bit exactness of a partial
+// through write -> read -> merge.
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cfloat>
-#include <cmath>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <span>
 #include <string>
@@ -18,7 +15,7 @@
 
 #include "core/result_io.hpp"
 #include "dist/merge.hpp"
-#include "dist/partial.hpp"
+#include "support/test_files.hpp"
 #include "util/binary_io.hpp"
 #include "util/error.hpp"
 
@@ -26,36 +23,36 @@ namespace qufi {
 namespace {
 
 namespace fs = std::filesystem;
+using test_support::for_each_byte_flip;
+using test_support::for_each_truncation;
+using test_support::slurp;
+using test_support::spit;
+using test_support::TempDir;
 
-struct TempDir {
-  fs::path path;
-  explicit TempDir(const std::string& tag) {
-    path = fs::temp_directory_path() /
-           ("qufi_resio_" + tag + "_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-  std::string str() const { return (path / "file").string(); }
-  std::string str(const std::string& name) const {
-    return (path / name).string();
-  }
-};
-
-/// A header over `num_points` synthetic points with distinctive metadata.
+/// A header over `num_points` synthetic points in which every field holds a
+/// non-default value, so a field the codec drops or swaps shows up.
 resio::ResultFileHeader test_header(std::size_t num_points) {
   resio::ResultFileHeader header;
-  header.shard_index = 0;
-  header.shard_count = 1;
+  header.shard_index = 2;
+  header.shard_count = 5;
+  header.expected_total_records = 12345;
   header.meta.circuit_name = "resio_test";
   header.meta.backend_name = "synthetic";
   header.meta.circuit_qubits = 4;
   header.meta.transpiled_gates = 17;
   header.meta.grid.theta_step_deg = 30.0;
-  header.meta.grid.phi_step_deg = 30.0;
+  header.meta.grid.phi_step_deg = 45.0;
+  header.meta.grid.theta_max_deg = 90.0;
+  header.meta.grid.phi_max_deg = 270.0;
   header.meta.shots = 1024;
   header.meta.seed = 0x51754649;
+  header.meta.double_fault = true;
+  header.meta.idle_noise = true;
+  header.meta.adaptive = true;
+  header.meta.adaptive_policy.max_config_fraction = 0.375;
+  header.meta.adaptive_policy.qvf_ci_target = 0.0078125;
+  header.meta.adaptive_policy.min_configs_per_point = 11;
+  header.meta.adaptive_policy.seed = 0xFEEDFACE;
   header.meta.faultfree_qvf = 0.125;
   for (std::size_t i = 0; i < num_points; ++i) {
     InjectionPoint p;
@@ -115,18 +112,6 @@ void expect_bit_identical(const std::vector<InjectionRecord>& a,
   }
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  return bytes;
-}
-
-void spit(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
 // ---- round trips -----------------------------------------------------------
 
 TEST(ResultIo, RoundTripAcrossMultipleBlocks) {
@@ -134,29 +119,42 @@ TEST(ResultIo, RoundTripAcrossMultipleBlocks) {
   const auto header = test_header(9);
   const auto records = test_records(9, 7);  // 63 records, block cut at 8+
 
-  resio::write_result_file(dir.str(), header, records, /*executions=*/64,
-                           /*injections=*/63, /*block_records=*/8);
-  ASSERT_TRUE(resio::is_result_file(dir.str()));
+  resio::write_result_file(dir.str("file"), header, records,
+                           /*executions=*/64, /*injections=*/63,
+                           /*block_records=*/8);
 
-  const auto loaded = resio::read_result_file(dir.str());
-  EXPECT_EQ(loaded.header.shard_index, header.shard_index);
-  EXPECT_EQ(loaded.header.shard_count, header.shard_count);
-  EXPECT_EQ(loaded.header.meta.circuit_name, header.meta.circuit_name);
-  EXPECT_EQ(loaded.header.meta.backend_name, header.meta.backend_name);
-  EXPECT_EQ(loaded.header.meta.seed, header.meta.seed);
-  EXPECT_EQ(loaded.header.meta.faultfree_qvf, header.meta.faultfree_qvf);
-  ASSERT_EQ(loaded.header.points.size(), header.points.size());
+  const auto loaded = resio::read_result_file(dir.str("file"));
+  const auto& got = loaded.header;
+  EXPECT_EQ(got.shard_index, header.shard_index);
+  EXPECT_EQ(got.shard_count, header.shard_count);
+  EXPECT_EQ(got.expected_total_records, header.expected_total_records);
+  EXPECT_EQ(got.meta.circuit_name, header.meta.circuit_name);
+  EXPECT_EQ(got.meta.backend_name, header.meta.backend_name);
+  EXPECT_EQ(got.meta.circuit_qubits, header.meta.circuit_qubits);
+  EXPECT_EQ(got.meta.transpiled_gates, header.meta.transpiled_gates);
+  EXPECT_EQ(got.meta.grid.theta_step_deg, header.meta.grid.theta_step_deg);
+  EXPECT_EQ(got.meta.grid.phi_step_deg, header.meta.grid.phi_step_deg);
+  EXPECT_EQ(got.meta.grid.theta_max_deg, header.meta.grid.theta_max_deg);
+  EXPECT_EQ(got.meta.grid.phi_max_deg, header.meta.grid.phi_max_deg);
+  EXPECT_EQ(got.meta.shots, header.meta.shots);
+  EXPECT_EQ(got.meta.seed, header.meta.seed);
+  EXPECT_EQ(got.meta.double_fault, header.meta.double_fault);
+  EXPECT_EQ(got.meta.idle_noise, header.meta.idle_noise);
+  EXPECT_EQ(got.meta.adaptive, header.meta.adaptive);
+  EXPECT_EQ(got.meta.adaptive_policy, header.meta.adaptive_policy);
+  EXPECT_EQ(got.meta.faultfree_qvf, header.meta.faultfree_qvf);
+  ASSERT_EQ(got.points.size(), header.points.size());
   for (std::size_t i = 0; i < header.points.size(); ++i) {
-    EXPECT_EQ(loaded.header.points[i].instr_index,
-              header.points[i].instr_index);
-    EXPECT_EQ(loaded.header.points[i].qubit, header.points[i].qubit);
-    EXPECT_EQ(loaded.header.points[i].moment, header.points[i].moment);
+    EXPECT_EQ(got.points[i].instr_index, header.points[i].instr_index);
+    EXPECT_EQ(got.points[i].qubit, header.points[i].qubit);
+    EXPECT_EQ(got.points[i].logical_qubit, header.points[i].logical_qubit);
+    EXPECT_EQ(got.points[i].moment, header.points[i].moment);
   }
   EXPECT_EQ(loaded.executions, 64u);
   EXPECT_EQ(loaded.injections, 63u);
   expect_bit_identical(loaded.records, records);
 
-  resio::ResultReader reader(dir.str());
+  resio::ResultReader reader(dir.str("file"));
   EXPECT_GT(reader.num_blocks(), 1u) << "block size 8 must split 63 records";
   for (std::size_t i = 0; i < reader.num_blocks(); ++i) {
     const auto& info = reader.block_info(i);
@@ -175,14 +173,14 @@ TEST(ResultIo, CompletionOrderAppendsYieldSortedDisjointBlocks) {
 
   // Emit whole points in scrambled completion order, as a campaign sink
   // would; the writer must cut blocks so ranges stay disjoint.
-  resio::ResultWriter writer(dir.str(), header, /*block_records=*/4);
+  resio::ResultWriter writer(dir.str("file"), header, /*block_records=*/4);
   const std::size_t order[] = {3, 0, 4, 1, 2};
   for (const std::size_t p : order) {
     writer.append(std::span<const InjectionRecord>(&records[p * 3], 3));
   }
   writer.finish(/*executions=*/15, /*injections=*/15);
 
-  const auto loaded = resio::read_result_file(dir.str());
+  const auto loaded = resio::read_result_file(dir.str("file"));
   expect_bit_identical(loaded.records, records);  // reader sorts by point
 }
 
@@ -192,7 +190,7 @@ TEST(ResultIo, SetMetaPatchesHeaderBeforeSeal) {
   header.meta.faultfree_qvf = 0.0;  // streaming placeholder
   const auto records = test_records(2, 2);
 
-  resio::ResultWriter writer(dir.str(), header);
+  resio::ResultWriter writer(dir.str("file"), header);
   writer.append(records);
   auto meta = header.meta;
   meta.faultfree_qvf = 0.03125;
@@ -200,7 +198,7 @@ TEST(ResultIo, SetMetaPatchesHeaderBeforeSeal) {
   writer.set_meta(meta);
   writer.finish(/*executions=*/5, /*injections=*/4);
 
-  const auto loaded = resio::read_result_file(dir.str());
+  const auto loaded = resio::read_result_file(dir.str("file"));
   EXPECT_EQ(loaded.header.meta.faultfree_qvf, 0.03125);
   EXPECT_EQ(loaded.executions, 5u);
 
@@ -214,11 +212,11 @@ TEST(ResultIo, SetMetaPatchesHeaderBeforeSeal) {
 TEST(ResultIo, AbortedWriterLeavesNothingBehind) {
   TempDir dir("abort");
   {
-    resio::ResultWriter writer(dir.str(), test_header(2));
+    resio::ResultWriter writer(dir.str("file"), test_header(2));
     writer.append(test_records(2, 2));
     // No finish(): destructor must remove the temp file.
   }
-  EXPECT_FALSE(fs::exists(dir.str()));
+  EXPECT_FALSE(fs::exists(dir.str("file")));
   std::size_t entries = 0;
   for (const auto& entry : fs::directory_iterator(dir.path)) {
     (void)entry;
@@ -229,7 +227,7 @@ TEST(ResultIo, AbortedWriterLeavesNothingBehind) {
 
 TEST(ResultIo, RejectsDescendingPointsWithinSpan) {
   TempDir dir("descending");
-  resio::ResultWriter writer(dir.str(), test_header(3));
+  resio::ResultWriter writer(dir.str("file"), test_header(3));
   auto records = test_records(3, 1);
   std::swap(records[0], records[2]);  // 2, 1, 0
   EXPECT_THROW(writer.append(records), Error);
@@ -252,24 +250,19 @@ TEST(ResultIo, ExhaustiveByteFlipAndTruncationSweep) {
   ASSERT_GT(good.size(), 0u);
 
   const std::string mutant_path = dir.str("mutant");
-  for (const unsigned char mask : {0x01u, 0x80u}) {
-    for (std::size_t i = 0; i < good.size(); ++i) {
-      std::string mutant = good;
-      mutant[i] = static_cast<char>(static_cast<unsigned char>(mutant[i]) ^
-                                    mask);
-      spit(mutant_path, mutant);
-      try {
-        (void)resio::read_result_file(mutant_path);
-        FAIL() << "byte " << i << " mask " << static_cast<int>(mask)
-               << ": corruption not detected";
-      } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("result file"),
-                  std::string::npos)
-            << "byte " << i << ": diagnosis should name the file/section: "
-            << e.what();
-      }
+  for_each_byte_flip(good, [&](const std::string& mutant, std::size_t i,
+                               unsigned mask) {
+    spit(mutant_path, mutant);
+    try {
+      (void)resio::read_result_file(mutant_path);
+      FAIL() << "byte " << i << " mask " << mask
+             << ": corruption not detected";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("result file"), std::string::npos)
+          << "byte " << i << ": diagnosis should name the file/section: "
+          << e.what();
     }
-  }
+  });
 
   // Ground truth for the tail sweep: every block of the intact file, in the
   // reader's sorted order (which here is also file order — write_result_file
@@ -280,24 +273,19 @@ TEST(ResultIo, ExhaustiveByteFlipAndTruncationSweep) {
     full_blocks.push_back(full.read_block(b));
   }
 
+  // Tail mode: every truncation is exactly what a live writer killed
+  // mid-append leaves behind. Below a complete header the reader cannot
+  // exist and must throw (result_header_available is the gate callers probe
+  // first); from the header on it must succeed, index only the complete
+  // blocks, and hand each of them back bit-identical to the intact file's —
+  // a tail read never returns a torn block.
   std::uint64_t last_indexed = 0;
-  for (std::size_t len = 0; len <= good.size(); ++len) {
-    spit(mutant_path, good.substr(0, len));
-    if (len < good.size()) {
-      EXPECT_THROW((void)resio::read_result_file(mutant_path), Error)
-          << "truncation to " << len << " bytes not detected";
-    }
-    // Tail mode: every truncation is exactly what a live writer killed
-    // mid-append leaves behind. Below a complete header the reader cannot
-    // exist and must throw (result_header_available is the gate callers
-    // probe first); from the header on it must succeed, index only the
-    // complete blocks, and hand each of them back bit-identical to the
-    // intact file's — a tail read never returns a torn block.
+  const auto check_tail = [&](std::size_t len) {
     if (!resio::result_header_available(mutant_path)) {
       EXPECT_THROW(resio::ResultReader(mutant_path, resio::ReadMode::Tail),
                    Error)
           << "no complete header at " << len << " bytes";
-      continue;
+      return;
     }
     resio::ResultReader tail(mutant_path, resio::ReadMode::Tail);
     EXPECT_EQ(tail.sealed(), len == good.size())
@@ -315,7 +303,15 @@ TEST(ResultIo, ExhaustiveByteFlipAndTruncationSweep) {
           << "block " << b << " at " << len << " bytes";
       expect_bit_identical(tail.read_block(b), full_blocks[b]);
     }
-  }
+  };
+  for_each_truncation(good, [&](const std::string& prefix, std::size_t len) {
+    spit(mutant_path, prefix);
+    EXPECT_THROW((void)resio::read_result_file(mutant_path), Error)
+        << "truncation to " << len << " bytes not detected";
+    check_tail(len);
+  });
+  spit(mutant_path, good);
+  check_tail(good.size());
   EXPECT_EQ(last_indexed, full.indexed_records());
 }
 
@@ -383,11 +379,39 @@ TEST(ResultIo, CorruptionDiagnosisNamesTheBadSection) {
     mutant[0] = 'X';
     EXPECT_NE(message_for(mutant).find("bad magic"), std::string::npos);
   }
-  {  // version
+  {  // version: a newer one, and the retired v1 — only v2 is read
     std::string mutant = good;
     mutant[8] = 99;
-    EXPECT_NE(message_for(mutant).find("unsupported container version"),
+    EXPECT_NE(message_for(mutant).find("unsupported container version 99"),
               std::string::npos);
+    mutant[8] = 1;
+    EXPECT_NE(message_for(mutant).find("unsupported container version 1"),
+              std::string::npos);
+  }
+  {  // a text file (e.g. a CSV handed to the merger) is not a partial
+    const std::string message =
+        message_for("shard,0,2\nrecord,0,0,0,-1,-1,-1,0.5,0.25,0.75\n");
+    EXPECT_NE(message.find("bad magic"), std::string::npos) << message;
+  }
+  {  // a checksum-valid header claiming 2^62 points: diagnosed, not reserved
+    const std::string size_bytes = good.substr(8 + 4, 8);
+    util::ByteReader sizer(size_bytes);
+    const std::size_t header_size = static_cast<std::size_t>(sizer.u64());
+    // The header ends with the point count (u64) and 3 points x 20 bytes.
+    std::string header = good.substr(8 + 4 + 8, header_size - 3 * 20 - 8);
+    util::ByteWriter count;
+    count.u64(std::uint64_t{1} << 62);
+    header += count.data();
+    util::ByteWriter framed;
+    framed.raw(good.data(), 8 + 4);  // magic + version
+    framed.u64(header.size());
+    framed.raw(header.data(), header.size());
+    framed.u64(util::fnv1a64(header));
+    const std::string message = message_for(framed.data());
+    EXPECT_NE(message.find("point table size exceeds the header"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find(mutant_path), std::string::npos) << message;
   }
   {  // header body (first byte past magic + version + header size)
     std::string mutant = good;
@@ -423,13 +447,12 @@ TEST(ResultIo, CorruptionDiagnosisNamesTheBadSection) {
   }
 }
 
-// ---- text/columnar bit-exactness property ----------------------------------
+// ---- double-bit exactness through write -> read -> merge -----------------
 
 /// The property the merger relies on: a record survives write -> read ->
-/// merge with its exact double bits through *both* partial formats — text
-/// (%.17g round-trip) and columnar (raw bits) — including negative zero and
+/// merge with its exact double bits, including negative zero and
 /// subnormals.
-TEST(ResultIo, TextAndColumnarPartialsRoundTripDoubleBitsExactly) {
+TEST(ResultIo, PartialsRoundTripDoubleBitsExactly) {
   TempDir dir("bitexact");
 
   const double specials[] = {
@@ -447,12 +470,9 @@ TEST(ResultIo, TextAndColumnarPartialsRoundTripDoubleBitsExactly) {
   };
   const std::size_t n = sizeof(specials) / sizeof(specials[0]);
 
-  dist::PartialResult partial;
-  partial.shard_index = 0;
-  partial.shard_count = 1;
-  partial.expected_total_records = n;
-  partial.meta = test_header(n).meta;
-  partial.points = test_header(n).points;
+  auto header = test_header(n);
+  header.expected_total_records = n;
+  std::vector<InjectionRecord> records;
   for (std::size_t i = 0; i < n; ++i) {
     InjectionRecord r;
     r.point_index = static_cast<std::uint32_t>(i);
@@ -464,35 +484,21 @@ TEST(ResultIo, TextAndColumnarPartialsRoundTripDoubleBitsExactly) {
     r.qvf = specials[i];
     r.pa = specials[(i + 3) % n];
     r.pb = -specials[(i + 5) % n];
-    partial.records.push_back(r);
+    records.push_back(r);
   }
 
-  const std::string text_path = dir.str("partial.csv");
-  const std::string columnar_path = dir.str("partial.qp");
-  dist::write_partial(text_path, partial);
-  dist::write_partial_columnar(columnar_path, partial);
+  const std::string partial_path = dir.str("partial.qp");
+  resio::write_result_file(partial_path, header, records, /*executions=*/n,
+                           /*injections=*/n);
+  expect_bit_identical(resio::read_result_file(partial_path).records,
+                       records);
 
-  const auto from_text = dist::read_partial_any(text_path);
-  const auto from_columnar = dist::read_partial_any(columnar_path);
-  expect_bit_identical(from_text.records, partial.records);
-  expect_bit_identical(from_columnar.records, partial.records);
-
-  // Through the merge as well: a lone shard merges to itself, and the two
-  // formats must agree bit-for-bit — they carry the same doubles.
-  const dist::PartialResult text_parts[] = {from_text};
-  const dist::PartialResult columnar_parts[] = {from_columnar};
-  const auto merged_text = dist::merge_partial_results(text_parts);
-  const auto merged_columnar = dist::merge_partial_results(columnar_parts);
-  expect_bit_identical(merged_text.records, partial.records);
-  expect_bit_identical(merged_columnar.records, partial.records);
-
-  // And through the streaming file merge.
+  // A lone shard merges to itself, bit for bit.
   const std::string merged_path = dir.str("merged.qp");
-  const std::string inputs[] = {columnar_path};
+  const std::string inputs[] = {partial_path};
   const auto stats = dist::merge_result_files(inputs, merged_path);
   EXPECT_EQ(stats.merged_records, n);
-  expect_bit_identical(resio::read_result_file(merged_path).records,
-                       partial.records);
+  expect_bit_identical(resio::read_result_file(merged_path).records, records);
 }
 
 }  // namespace
