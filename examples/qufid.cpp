@@ -196,7 +196,7 @@ bool spool_has_pending(const DaemonOptions& options) {
 void write_prefix_csv(const std::string& path,
                       const dist::PrefixMergeResult& prefix) {
   const std::string temp = path + ".tmp";
-  {
+  try {
     util::CsvWriter csv(temp);
     write_csv_preamble(csv, prefix.meta);
     if (prefix.meta.adaptive) {
@@ -224,6 +224,10 @@ void write_prefix_csv(const std::string& path,
         write_csv_record(csv, prefix.meta, prefix.points, record);
       }
     }
+    csv.close();
+  } catch (...) {
+    std::remove(temp.c_str());
+    throw;
   }
   if (std::rename(temp.c_str(), path.c_str()) != 0) {
     std::remove(temp.c_str());

@@ -6,8 +6,9 @@
 # Opt-in legs:
 #   CHECK_SANITIZE=1  rebuild the kernel-facing suites, the adaptive
 #                     estimation, dispatcher, campaign-engine (tree,
-#                     checkpoint) and binary-reader (result_io, dist) suites
-#                     under ASan+UBSan in build-asan/ and run them (the leg
+#                     checkpoint, campaign), binary-reader (result_io, dist)
+#                     and util (buffered CSV writer) suites under ASan+UBSan
+#                     in build-asan/ and run them (the leg
 #                     .github/workflows/ci.yml runs on every push).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -314,24 +315,26 @@ fi
 # ---- opt-in sanitizer pass ---------------------------------------------------
 # CHECK_SANITIZE=1 rebuilds the kernel-facing tests, the adaptive
 # estimation suite, the dispatcher/journal suite, the campaign engine's
-# tree and checkpoint suites, and the binary-reader suites (QUFIPART and
-# snapshot corruption sweeps) under ASan+UBSan in a separate build tree and
-# runs them, so the vectorized pointer arithmetic, the estimator's cell
-# bookkeeping, the journal's recovery/truncation paths, the snapshot tree
-# sweep, and every reader fed a corrupt file are exercised with checking on
-# before merge.
+# tree, checkpoint and campaign suites, the binary-reader suites (QUFIPART
+# and snapshot corruption sweeps) and the util suite under ASan+UBSan in a
+# separate build tree and runs them, so the vectorized pointer arithmetic,
+# the estimator's cell bookkeeping, the journal's recovery/truncation paths,
+# the snapshot tree sweep and its dynamically claimed chains, every reader
+# fed a corrupt file, and the buffered CSV writer's failure paths are
+# exercised with checking on before merge.
 if [[ "${CHECK_SANITIZE:-0}" == "1" ]]; then
   cmake -B build-asan -S . -DQUFI_SANITIZE=ON -DQUFI_BUILD_BENCHES=OFF \
     -DQUFI_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j --target test_kernels test_sim test_adaptive \
-    test_dispatcher test_tree test_checkpoint test_result_io test_dist
+    test_dispatcher test_tree test_checkpoint test_result_io test_dist \
+    test_campaign test_util
   for t in test_kernels test_sim test_adaptive test_dispatcher test_tree \
-    test_checkpoint test_result_io test_dist; do
+    test_checkpoint test_result_io test_dist test_campaign test_util; do
     ./build-asan/$t > /dev/null
   done
   # The vectorized sets must survive sanitized runs too, not just the default.
   for kset in $(./build/perf_simulator --list-kernels); do
     QUFI_KERNELS="$kset" ./build-asan/test_kernels > /dev/null
   done
-  echo "sanitizer pass OK (test_kernels + test_sim + test_adaptive + test_dispatcher + test_tree + test_checkpoint + test_result_io + test_dist under ASan+UBSan)"
+  echo "sanitizer pass OK (test_kernels + test_sim + test_adaptive + test_dispatcher + test_tree + test_checkpoint + test_result_io + test_dist + test_campaign + test_util under ASan+UBSan)"
 fi

@@ -356,7 +356,9 @@ struct BakedOp {
   int q0 = 0, q1 = 0, q2 = 0;
   util::Mat2 m1{};
   util::Mat4 m4{};
-  noise::SuperOp2 so2{};
+  /// Held out of line: it is 16x the size of m4 and only Superop2 ops need
+  /// it, while compiled suffixes of many snapshots are alive at once.
+  std::unique_ptr<const noise::SuperOp2> so2;
 };
 
 /// Bakes one instruction into `op` (gate matrix built once, noise fused in).
@@ -406,8 +408,10 @@ bool bake_instruction(const Instruction& instr,
       op.kind = BakedOp::Kind::Superop2;
       op.q0 = compact(lo);
       op.q1 = compact(hi);
-      op.so2 = noise::compose_superops(
-          *superop, noise::channel_superop(noise::KrausChannel2{{u_sorted}}));
+      op.so2 = std::make_unique<const noise::SuperOp2>(
+          noise::compose_superops(*superop,
+                                  noise::channel_superop(
+                                      noise::KrausChannel2{{u_sorted}})));
     } else {
       op.kind = BakedOp::Kind::Unitary2;
       op.q0 = compact(instr.qubits[0]);
@@ -433,7 +437,9 @@ std::vector<BakedOp> bake_suffix(const circ::QuantumCircuit& circuit,
   const auto& instrs = circuit.instructions();
   for (std::size_t i = prefix_length; i < instrs.size(); ++i) {
     BakedOp op;
-    if (bake_instruction(instrs[i], to_compact, nm, op)) ops.push_back(op);
+    if (bake_instruction(instrs[i], to_compact, nm, op)) {
+      ops.push_back(std::move(op));
+    }
   }
   return ops;
 }
@@ -450,7 +456,7 @@ void apply_baked_op(sim::DensityMatrix& dm, const BakedOp& op) {
       dm.apply_superop1(op.m4, op.q0);
       break;
     case BakedOp::Kind::Superop2:
-      dm.apply_superop2(op.so2.a, op.q0, op.q1);
+      dm.apply_superop2(op.so2->a, op.q0, op.q1);
       break;
     case BakedOp::Kind::CCX: {
       const Instruction mapped{GateKind::CCX, {op.q0, op.q1, op.q2}, {}, {}};
@@ -696,12 +702,12 @@ DensitySnapshot::CompiledSuffix compile_idle_suffix(
         BakedOp op;
         op.kind = BakedOp::Kind::Inject;
         op.q0 = static_cast<int>(i - split);
-        compiled.ops.push_back(op);
+        compiled.ops.push_back(std::move(op));
         continue;
       }
       BakedOp op;
       if (bake_instruction(instrs[i], to_compact, nm, op)) {
-        compiled.ops.push_back(op);
+        compiled.ops.push_back(std::move(op));
       }
     }
     if (duration > 0.0) {
@@ -713,7 +719,7 @@ DensitySnapshot::CompiledSuffix compile_idle_suffix(
         op.kind = BakedOp::Kind::Superop1;
         op.q0 = static_cast<int>(k);
         op.m4 = noise::channel_superop(idle);
-        compiled.ops.push_back(op);
+        compiled.ops.push_back(std::move(op));
       }
     }
   }

@@ -122,6 +122,15 @@ static_assert(kTreeChunk1q >=
 static_assert(kTreeChunk2q >=
               backend::DensityMatrixBackend::kResponseMinConfigs2q);
 
+/// Snapshot-tree chains planned per pool lane. A split's first batch
+/// replays its whole suffix to build the response basis, so a split costs
+/// in proportion to its suffix length: with one chain per lane, the lane
+/// holding the earliest splits carried several times the work of the last
+/// one. Several chains per lane, claimed in index order (heaviest first),
+/// let lanes that finish early take more. 4 and 16 per lane measured
+/// within 10% of 8 on perfbench's single_sweep (4-vCPU Xeon).
+constexpr std::size_t kChainsPerLane = 8;
+
 /// The sweep shared by single- and double-fault campaigns. Subset
 /// position s injects at `splits[s]` and owns the flat configs
 /// [slice_begin[s], slice_begin[s + 1]); positions with an empty slice
@@ -138,7 +147,8 @@ void sweep_snapshot_tree(util::ThreadPool& pool, const Prepared& prep,
                          std::span<const std::size_t> splits,
                          std::span<const std::size_t> slice_begin,
                          std::size_t chunk_floor, const Sweep& sweep) {
-  const SnapshotTreePlan tree = plan_snapshot_tree(splits, pool.size());
+  const SnapshotTreePlan tree =
+      plan_snapshot_tree(splits, pool.size() * kChainsPerLane);
   const auto has_work = [&](std::size_t s) {
     return slice_begin[s] < slice_begin[s + 1];
   };

@@ -134,6 +134,7 @@ void write_heatmap_csv(const HeatmapGrid& grid, const std::string& path) {
     for (double v : grid.mean_qvf[j]) row.push_back(util::CsvWriter::field(v));
     csv.write_row(row);
   }
+  csv.close();
 }
 
 }  // namespace qufi

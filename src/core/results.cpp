@@ -192,29 +192,33 @@ void write_csv_record(util::CsvWriter& csv, const CampaignMetadata& meta,
                       const InjectionRecord& r,
                       const AdaptivePointEstimate* estimate) {
   const auto& p = points[r.point_index];
-  const bool dbl = r.theta1_index >= 0;
-  std::vector<std::string> row = {
-      util::CsvWriter::field(r.point_index),
-      util::CsvWriter::field(p.instr_index),
-      util::CsvWriter::field(p.qubit),
-      util::CsvWriter::field(p.logical_qubit),
-      util::CsvWriter::field(p.moment),
-      util::CsvWriter::field(meta.grid.theta_at(r.theta_index)),
-      util::CsvWriter::field(meta.grid.phi_at(r.phi_index)),
-      util::CsvWriter::field(r.neighbor_qubit),
-      dbl ? util::CsvWriter::field(meta.grid.theta_at(r.theta1_index)) : "",
-      dbl ? util::CsvWriter::field(meta.grid.phi_at(r.phi1_index)) : "",
-      util::CsvWriter::field(r.qvf), util::CsvWriter::field(r.pa),
-      util::CsvWriter::field(r.pb)};
+  csv.cell(r.point_index);
+  csv.cell(p.instr_index);
+  csv.cell(p.qubit);
+  csv.cell(p.logical_qubit);
+  csv.cell(p.moment);
+  csv.cell(meta.grid.theta_at(r.theta_index));
+  csv.cell(meta.grid.phi_at(r.phi_index));
+  csv.cell(r.neighbor_qubit);
+  if (r.theta1_index >= 0) {
+    csv.cell(meta.grid.theta_at(r.theta1_index));
+    csv.cell(meta.grid.phi_at(r.phi1_index));
+  } else {
+    csv.cell("");
+    csv.cell("");
+  }
+  csv.cell(r.qvf);
+  csv.cell(r.pa);
+  csv.cell(r.pb);
   if (meta.adaptive) {
     require(estimate != nullptr,
             "write_csv_record: adaptive campaign rows need the point's "
             "estimate (see adaptive_point_estimate)");
-    row.push_back(util::CsvWriter::field(estimate->configs_evaluated));
-    row.push_back(util::CsvWriter::field(estimate->ci_halfwidth));
-    row.push_back(util::CsvWriter::field(estimate->est_qvf));
+    csv.cell(estimate->configs_evaluated);
+    csv.cell(estimate->ci_halfwidth);
+    csv.cell(estimate->est_qvf);
   }
-  csv.write_row(row);
+  csv.end_row();
 }
 
 AdaptivePointEstimate adaptive_point_estimate(
@@ -237,7 +241,7 @@ void CampaignResult::write_csv(const std::string& path) const {
   static std::atomic<std::uint64_t> counter{0};
   const std::string temp = path + ".tmp." + std::to_string(::getpid()) + "." +
                            std::to_string(counter.fetch_add(1));
-  {
+  try {
     util::CsvWriter csv(temp);
     write_csv_preamble(csv, meta);
     // Rows are emitted in canonical point-ascending order no matter how the
@@ -275,6 +279,10 @@ void CampaignResult::write_csv(const std::string& path) const {
         begin = end;
       }
     }
+    csv.close();
+  } catch (...) {
+    std::remove(temp.c_str());
+    throw;
   }
   if (std::rename(temp.c_str(), path.c_str()) != 0) {
     std::remove(temp.c_str());

@@ -58,9 +58,10 @@ struct SnapshotTreePlan {
 ///                   sequence is typically nondecreasing, but any order is
 ///                   handled (nodes are planned over the sorted unique
 ///                   splits).
-/// \param max_chains Parallelism bound: unique splits are partitioned into
-///                   at most this many contiguous chains (integer striding,
-///                   deterministic). 0 is treated as 1.
+/// \param max_chains Unique splits are partitioned into at most this many
+///                   contiguous chains (integer striding, deterministic),
+///                   in ascending split order; the campaign engine plans
+///                   several per pool lane. 0 is treated as 1.
 /// \return The deduplicated chain forest; empty when `splits` is empty.
 SnapshotTreePlan plan_snapshot_tree(std::span<const std::size_t> splits,
                                     std::size_t max_chains);

@@ -470,6 +470,7 @@ StreamingMergeStats merge_result_files_to_csv(
       csv = std::make_unique<util::CsvWriter>(temp);
       write_csv_preamble(*csv, streams[0].reader->header().meta);
     }
+    csv->close();
   } catch (...) {
     std::remove(temp.c_str());
     throw;

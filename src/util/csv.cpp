@@ -1,43 +1,98 @@
 #include "util/csv.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
+
 #include "util/error.hpp"
 
 namespace qufi::util {
 
 namespace {
 
-bool needs_quoting(const std::string& field) {
-  return field.find_first_of(",\"\n\r") != std::string::npos;
-}
+// Buffered bytes are written once this many are pending.
+constexpr std::size_t kFlushBytes = 1 << 18;
 
-std::string quote(const std::string& field) {
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
+bool needs_quoting(std::string_view field) {
+  return field.find_first_of(",\"\n\r") != std::string_view::npos;
 }
 
 }  // namespace
 
-CsvWriter::CsvWriter(const std::string& path) : out_(path), path_(path) {
-  require(out_.good(), "CsvWriter: cannot open " + path);
+CsvWriter::CsvWriter(const std::string& path) : path_(path) {
+  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  require(fd_ >= 0, "CsvWriter: cannot open " + path);
+  buf_.reserve(kFlushBytes + 4096);
+}
+
+CsvWriter::~CsvWriter() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void CsvWriter::flush_buffer() {
+  std::size_t done = 0;
+  while (done < buf_.size()) {
+    const ssize_t n = ::write(fd_, buf_.data() + done, buf_.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      const int err = n < 0 ? errno : EIO;
+      throw Error("CsvWriter: write failed for " + path_ + ": " +
+                  std::strerror(err));
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  buf_.clear();
+}
+
+void CsvWriter::cell(std::string_view text) {
+  separate();
+  if (!needs_quoting(text)) {
+    buf_ += text;
+    return;
+  }
+  buf_ += '"';
+  for (const char c : text) {
+    if (c == '"') buf_ += '"';
+    buf_ += c;
+  }
+  buf_ += '"';
+}
+
+void CsvWriter::end_row() {
+  if (fd_ < 0) throw Error("CsvWriter: write after close for " + path_);
+  buf_ += '\n';
+  row_open_ = false;
+  if (buf_.size() >= kFlushBytes) flush_buffer();
 }
 
 void CsvWriter::write_row(const std::vector<std::string>& fields) {
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << (needs_quoting(fields[i]) ? quote(fields[i]) : fields[i]);
-  }
-  out_ << '\n';
-  out_.flush();
-  require(out_.good(), "CsvWriter: write failed for " + path_);
+  for (const auto& field : fields) cell(field);
+  end_row();
 }
 
 void CsvWriter::write_row(std::initializer_list<std::string> fields) {
-  write_row(std::vector<std::string>(fields));
+  for (const auto& field : fields) cell(field);
+  end_row();
+}
+
+void CsvWriter::close() {
+  require(fd_ >= 0, "CsvWriter: " + path_ + " is already closed");
+  try {
+    flush_buffer();
+  } catch (...) {
+    ::close(fd_);
+    fd_ = -1;
+    throw;
+  }
+  const int rc = ::close(fd_);
+  const int err = errno;
+  fd_ = -1;
+  if (rc != 0) {
+    throw Error("CsvWriter: close failed for " + path_ + ": " +
+                std::strerror(err));
+  }
 }
 
 std::vector<std::string> split_csv_line(const std::string& line) {

@@ -2,12 +2,15 @@
 // whole-file read/write, and the corruption sweeps the binary-format tests
 // (snapshot containers, QUFIPART partials, the dispatcher journal) run over
 // a known-good byte string. Each sweep only generates the mutants; the
-// calling test keeps its own assertions about what a reader must do.
+// calling test keeps its own assertions about what a reader must do. A
+// file-size cap makes writers hit a real I/O error mid-file.
 #pragma once
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -56,6 +59,30 @@ inline void spit(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
+
+/// Caps the size of every file this process writes while in scope: a write
+/// past `bytes` fails with EFBIG (SIGXFSZ is ignored meanwhile), the error
+/// a full disk or quota gives a writer.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(rlim_t bytes) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit cap = saved_;
+    cap.rlim_cur = bytes;
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &cap), 0);
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*previous_handler_)(int) = SIG_DFL;
+};
 
 /// Calls fn(mutant, offset, mask) for every single-byte corruption of
 /// `bytes`: each offset XORed with 0x01 (low bit) and 0x80 (high bit).

@@ -18,6 +18,7 @@
 #include "core/report.hpp"
 #include "core/results.hpp"
 #include "sim/statevector.hpp"
+#include "support/test_files.hpp"
 #include "util/error.hpp"
 
 namespace qufi {
@@ -180,17 +181,42 @@ TEST(SingleCampaign, ThetaPiIsWorstRow) {
   EXPECT_GT(mean_flip, mean_none + 0.2);
 }
 
+/// Runs the campaign at several thread counts and byte-compares the CSVs:
+/// the pool size sets the snapshot-tree chain count (and, above the point
+/// count, selects the fan-out branch), so every run walks a differently
+/// shaped tree.
+void expect_identical_across_thread_counts(
+    CampaignSpec spec, CampaignResult (*run)(const CampaignSpec&)) {
+  const test_support::TempDir dir("thread_counts");
+  std::string reference;
+  for (const int threads : {1, 2, 3, 4, 16}) {
+    spec.threads = threads;
+    const std::string path = dir.str(std::to_string(threads) + ".csv");
+    run(spec).write_csv(path);
+    const std::string bytes = test_support::slurp(path);
+    if (reference.empty()) reference = bytes;
+    EXPECT_TRUE(bytes == reference) << threads << " threads";
+  }
+}
+
 TEST(SingleCampaign, DeterministicAcrossThreadCounts) {
   auto spec = quick_spec();
   spec.shots = 64;  // exercise the sampling path too
-  spec.threads = 1;
-  const auto a = run_single_fault_campaign(spec);
-  spec.threads = 4;
-  const auto b = run_single_fault_campaign(spec);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.records[i].qvf, b.records[i].qvf) << i;
-  }
+  expect_identical_across_thread_counts(spec, run_single_fault_campaign);
+}
+
+TEST(DoubleCampaign, CsvBytesIdenticalAcrossThreadCounts) {
+  auto spec = quick_spec();
+  spec.grid.theta_step_deg = 90.0;
+  spec.grid.phi_step_deg = 90.0;
+  spec.grid.phi_max_deg = 180.0;
+  expect_identical_across_thread_counts(spec, run_double_fault_campaign);
+}
+
+TEST(SingleCampaign, IdleNoiseCsvBytesIdenticalAcrossThreadCounts) {
+  auto spec = quick_spec();
+  spec.idle_noise = true;
+  expect_identical_across_thread_counts(spec, run_single_fault_campaign);
 }
 
 TEST(SingleCampaign, GoldenFromIdealSimWhenNotProvided) {
@@ -397,6 +423,24 @@ TEST(Results, WriteCsvIsAtomicNoTempLeftBehind) {
   }
   EXPECT_EQ(entries, 1u);
   fs::remove_all(dir);
+}
+
+TEST(Results, WriteCsvFailureNamesThePathAndLeavesNoTempFile) {
+  const auto result = run_single_fault_campaign(quick_spec());
+  const test_support::TempDir dir("csv_write_failure");
+  const std::string path = dir.str("out.csv");
+  {
+    const test_support::FileSizeCap cap(1024);
+    try {
+      result.write_csv(path);
+      ADD_FAILURE() << "write_csv succeeded past the file-size cap";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir.path))
+      << "temp file left behind";
 }
 
 // ------------------------------------------------------- record streaming

@@ -899,6 +899,28 @@ TEST(StreamingMerge, FileMergeMatchesInMemoryAndSingleProcessAt2And8Shards) {
   }
 }
 
+TEST(StreamingMerge, CsvWriteFailureNamesThePathAndLeavesNoTempFile) {
+  TempDir dir("csv_failure");
+  auto spec = quick_spec("bv", 4);
+  spec.max_points = 6;
+  const auto paths = write_columnar_shards(dir.path, spec, 2);
+  const std::string csv = dir.str("merged.csv");
+  {
+    const test_support::FileSizeCap cap(1024);
+    try {
+      (void)dist::merge_result_files_to_csv(paths, csv);
+      ADD_FAILURE() << "merge succeeded past the file-size cap";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(csv), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    EXPECT_EQ(entry.path().extension(), ".qp")
+        << "left behind: " << entry.path();
+  }
+}
+
 TEST(StreamingMerge, BitExactDuplicatesMergeConflictsAreNamed) {
   TempDir dir("conflict");
   // Synthetic two-point campaign so the duplicate bits are fully controlled.

@@ -6,6 +6,7 @@
 // points with no coupled active neighbor).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "algorithms/algorithms.hpp"
@@ -93,6 +94,46 @@ TEST(SnapshotTreePlanner, PartitionsIntoAtMostMaxChains) {
   const auto wide = plan_snapshot_tree(splits, 100);
   EXPECT_EQ(wide.num_chains(), 20u);
   EXPECT_EQ(wide.extended_gates(), 0u);
+}
+
+TEST(SnapshotTreePlanner, SeveralChainsPerLaneCoverEachSplitOnce) {
+  // A campaign-shaped input: 2q-gate operand pairs share splits, and the
+  // chain budget (4 lanes x 8 chains per lane) is below the unique count.
+  std::vector<std::size_t> splits;
+  for (std::size_t split = 1; split <= 90; ++split) {
+    splits.push_back(split);
+    if (split % 3 == 0) splits.push_back(split);
+  }
+  const auto plan = plan_snapshot_tree(splits, 4 * 8);
+  ASSERT_EQ(plan.num_chains(), 32u);
+  ASSERT_EQ(plan.nodes.size(), 90u);
+  EXPECT_EQ(plan.chain_begin.front(), 0u);
+  EXPECT_EQ(plan.chain_begin.back(), plan.nodes.size());
+  for (std::size_t c = 0; c < plan.num_chains(); ++c) {
+    // Contiguous, non-empty, headed by a root; equal counts within one.
+    ASSERT_LT(plan.chain_begin[c], plan.chain_begin[c + 1]);
+    const std::size_t length = plan.chain_begin[c + 1] - plan.chain_begin[c];
+    EXPECT_TRUE(length == 2 || length == 3) << "chain " << c;
+    EXPECT_EQ(plan.nodes[plan.chain_begin[c]].parent, -1);
+    for (std::size_t i = plan.chain_begin[c] + 1; i < plan.chain_begin[c + 1];
+         ++i) {
+      EXPECT_EQ(plan.nodes[i].parent, static_cast<std::ptrdiff_t>(i - 1));
+    }
+  }
+  // Every unique split is one node, in ascending (chain-claim) order, and
+  // every input position is a member of exactly that node.
+  std::vector<int> seen(splits.size(), 0);
+  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
+    EXPECT_EQ(plan.nodes[i].split, i + 1);
+    for (const std::size_t pos : plan.nodes[i].members) {
+      EXPECT_EQ(splits[pos], plan.nodes[i].split);
+      ++seen[pos];
+    }
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+            static_cast<std::ptrdiff_t>(splits.size()));
+  // Each non-head node extends its predecessor by one gate.
+  EXPECT_EQ(plan.extended_gates(), 90u - 32u);
 }
 
 TEST(SnapshotTreePlanner, EmptyInputAndZeroChains) {

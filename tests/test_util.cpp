@@ -3,10 +3,15 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <numbers>
+#include <sstream>
 
+#include "support/test_files.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/bitstring.hpp"
 #include "util/csv.hpp"
@@ -244,6 +249,7 @@ TEST(Csv, RoundTripWithQuoting) {
   {
     CsvWriter csv(path);
     csv.write_row({"plain", "with,comma", "with\"quote", "multi\nline"});
+    csv.close();
   }
   std::ifstream in(path);
   std::string content((std::istreambuf_iterator<char>(in)),
@@ -264,9 +270,80 @@ TEST(Csv, OpenFailureThrows) {
   EXPECT_THROW(CsvWriter("/nonexistent_dir_xyz/file.csv"), Error);
 }
 
-TEST(Csv, FieldFormatsDoublesRoundTrip) {
-  const std::string f = CsvWriter::field(0.1 + 0.2);
-  EXPECT_DOUBLE_EQ(std::stod(f), 0.1 + 0.2);
+TEST(Csv, FieldFormatsNumbersExactly) {
+  const auto ostream_g17 = [](double v) {
+    std::ostringstream os;
+    os.precision(17);
+    os << v;
+    return os.str();
+  };
+  const double doubles[] = {-0.0, 5e-324, 0.1 + 0.2, 1e21, 1e-5, 1.0};
+  const char* expected[] = {"-0", "4.9406564584124654e-324",
+                            "0.30000000000000004", "1e+21",
+                            "1.0000000000000001e-05", "1"};
+  for (std::size_t i = 0; i < std::size(doubles); ++i) {
+    char printf_g17[64];
+    std::snprintf(printf_g17, sizeof printf_g17, "%.17g", doubles[i]);
+    EXPECT_EQ(CsvWriter::field(doubles[i]), printf_g17) << i;
+    EXPECT_EQ(CsvWriter::field(doubles[i]), ostream_g17(doubles[i])) << i;
+    EXPECT_EQ(CsvWriter::field(doubles[i]), expected[i]) << i;
+  }
+  EXPECT_EQ(CsvWriter::field(std::int32_t{-1}), "-1");  // no neighbor qubit
+  EXPECT_EQ(CsvWriter::field(0), "0");
+  EXPECT_EQ(CsvWriter::field(std::numeric_limits<std::uint64_t>::max()),
+            "18446744073709551615");  // a seed
+}
+
+TEST(Csv, CellsMatchWriteRowBytes) {
+  const test_support::TempDir dir("csv_cells");
+  const std::string by_row = dir.str("rows.csv");
+  const std::string by_cell = dir.str("cells.csv");
+  {
+    CsvWriter csv(by_row);
+    csv.write_row({"a,b", CsvWriter::field(-1), "", CsvWriter::field(0.5)});
+    csv.close();
+  }
+  {
+    CsvWriter csv(by_cell);
+    csv.cell("a,b");
+    csv.cell(-1);
+    csv.cell("");
+    csv.cell(0.5);
+    csv.end_row();
+    csv.close();
+  }
+  EXPECT_EQ(test_support::slurp(by_cell), "\"a,b\",-1,,0.5\n");
+  EXPECT_EQ(test_support::slurp(by_cell), test_support::slurp(by_row));
+}
+
+TEST(Csv, CloseReportsWriteFailureNamingThePath) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is absent";
+  }
+  {
+    // A few rows stay buffered until close(), which must report the error.
+    CsvWriter csv("/dev/full");
+    csv.write_row({"point_index", "qvf"});
+    csv.write_row({"0", "0.5"});
+    try {
+      csv.close();
+      ADD_FAILURE() << "close() succeeded on /dev/full";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+          << e.what();
+    }
+  }
+  {
+    // Past the buffer, the failing block write throws from the row itself.
+    CsvWriter csv("/dev/full");
+    const std::string wide(1024, 'x');
+    EXPECT_THROW(
+        {
+          for (int i = 0; i < 4096; ++i) csv.write_row({wide});
+          csv.close();
+        },
+        Error);
+  }
 }
 
 // ------------------------------------------------------------- bitstring
