@@ -20,6 +20,7 @@
 #include "dist/manifest.hpp"
 #include "dist/shard_plan.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -91,9 +92,12 @@ CliOptions parse(int argc, char** argv) {
     else if (arg == "--theta-step") options.theta_step = std::stod(value());
     else if (arg == "--phi-step") options.phi_step = std::stod(value());
     else if (arg == "--phi-max") options.phi_max = std::stod(value());
-    else if (arg == "--shots") options.shots = std::stoull(value());
-    else if (arg == "--seed") options.seed = std::stoull(value());
-    else if (arg == "--points") options.points = std::stoull(value());
+    else if (arg == "--shots")
+      options.shots = util::parse_unsigned_flag<std::uint64_t>(arg, value());
+    else if (arg == "--seed")
+      options.seed = util::parse_unsigned_flag<std::uint64_t>(arg, value());
+    else if (arg == "--points")
+      options.points = util::parse_unsigned_flag<std::size_t>(arg, value());
     else if (arg == "--double") options.double_faults = true;
     else if (arg == "--idle-noise") options.idle_noise = true;
     else if (arg == "--adaptive") options.adaptive = true;
@@ -106,13 +110,14 @@ CliOptions parse(int argc, char** argv) {
     } else if (arg == "--adaptive-min") {
       options.adaptive = true;
       options.adaptive_policy.min_configs_per_point =
-          static_cast<std::uint32_t>(std::stoul(value()));
+          util::parse_unsigned_flag<std::uint32_t>(arg, value());
     } else if (arg == "--adaptive-seed") {
       options.adaptive = true;
-      options.adaptive_policy.seed = std::stoull(value());
+      options.adaptive_policy.seed =
+          util::parse_unsigned_flag<std::uint64_t>(arg, value());
     }
     else if (arg == "--shards")
-      options.shards = static_cast<std::uint32_t>(std::stoul(value()));
+      options.shards = util::parse_unsigned_flag<std::uint32_t>(arg, value());
     else if (arg == "--policy") options.policy = value();
     else if (arg == "--backend-kind") options.backend_kind = value();
     else if (arg == "--out-dir") options.out_dir = value();

@@ -1,15 +1,14 @@
 // Shard-worker CLI — executes exactly one shard manifest and streams the
 // binary QUFIPART partial the merger consumes (docs/SHARDING.md,
 // docs/RESULT_FORMAT.md). Workers are stateless and idempotent: re-running
-// a manifest reproduces the same partial bit-for-bit, and --snapshot-dir
-// lets retries (or co-located workers) resume serialized prefix snapshots
-// instead of re-simulating.
+// a manifest reproduces the same partial bit-for-bit, whatever the thread
+// count.
 //
 // Usage examples:
 //   qufi_shard_worker --manifest shards/shard_000.manifest \
 //                     --out parts/part_000.qp
 //   qufi_shard_worker --manifest shards/shard_001.manifest \
-//                     --out parts/part_001.qp --snapshot-dir snaps/ -j 4
+//                     --out parts/part_001.qp -j 4
 
 #include <cstdio>
 #include <cstdlib>
@@ -26,8 +25,6 @@ namespace {
       "  --manifest PATH      shard manifest from qufi_shard_plan\n"
       "  --out PATH           QUFIPART partial to write (streamed to disk\n"
       "                       as points complete; docs/RESULT_FORMAT.md)\n"
-      "  --snapshot-dir DIR   load/save serialized prefix snapshots here\n"
-      "  --compress-snapshots store cache snapshots deflate-compressed\n"
       "  -j, --threads N      worker threads (0 = hardware concurrency)\n",
       argv0);
   std::exit(2);
@@ -46,8 +43,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--manifest") manifest_path = value();
     else if (arg == "--out") options.columnar_output_path = value();
-    else if (arg == "--snapshot-dir") options.snapshot_dir = value();
-    else if (arg == "--compress-snapshots") options.compress_snapshots = true;
     else if (arg == "-j" || arg == "--threads")
       options.threads = std::stoi(value());
     else usage(argv[0]);
@@ -62,13 +57,11 @@ int main(int argc, char** argv) {
     std::printf(
         "{\"tool\":\"qufi_shard_worker\",\"shard\":%u,\"of\":%u,"
         "\"points\":%zu,\"records\":%llu,\"partial_bytes\":%llu,"
-        "\"snapshot_hits\":%llu,\"snapshot_misses\":%llu,\"out\":\"%s\"}\n",
+        "\"out\":\"%s\"}\n",
         manifest.shard_index, manifest.shard_count,
         manifest.point_indices.size(),
         static_cast<unsigned long long>(output.streamed_records),
         static_cast<unsigned long long>(output.partial_bytes),
-        static_cast<unsigned long long>(output.snapshot_hits),
-        static_cast<unsigned long long>(output.snapshot_misses),
         options.columnar_output_path.c_str());
     return 0;
   } catch (const qufi::Error& e) {

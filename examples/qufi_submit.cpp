@@ -17,6 +17,7 @@
 
 #include "service/submission.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -49,41 +50,45 @@ namespace {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using qufi::util::parse_unsigned_flag;
   std::string spool;
   qufi::service::CampaignRequest request;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--spool") spool = value();
-    else if (arg == "--name") request.name = value();
-    else if (arg == "--csv") request.csv_path = value();
-    else if (arg == "--priority") request.priority = std::stoi(value());
-    else if (arg == "--circuit") request.circuit = value();
-    else if (arg == "--width") request.width = std::stoi(value());
-    else if (arg == "--device") request.device = value();
-    else if (arg == "--opt") request.opt_level = std::stoi(value());
-    else if (arg == "--theta-step") request.theta_step = std::stod(value());
-    else if (arg == "--phi-step") request.phi_step = std::stod(value());
-    else if (arg == "--phi-max") request.phi_max = std::stod(value());
-    else if (arg == "--shots") request.shots = std::stoull(value());
-    else if (arg == "--seed") request.seed = std::stoull(value());
-    else if (arg == "--points") request.max_points = std::stoull(value());
-    else if (arg == "--double") request.double_fault = true;
-    else if (arg == "--idle-noise") request.idle_noise = true;
-    else if (arg == "--shards")
-      request.shards = static_cast<std::uint32_t>(std::stoul(value()));
-    else if (arg == "--policy") request.policy = value();
-    else if (arg == "--backend-kind") request.backend_kind = value();
-    else usage(argv[0]);
-  }
-  if (spool.empty() || request.name.empty() || request.csv_path.empty()) {
-    usage(argv[0]);
-  }
-
   try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto value = [&]() -> std::string {
+        if (i + 1 >= argc) usage(argv[0]);
+        return argv[++i];
+      };
+      if (arg == "--spool") spool = value();
+      else if (arg == "--name") request.name = value();
+      else if (arg == "--csv") request.csv_path = value();
+      else if (arg == "--priority") request.priority = std::stoi(value());
+      else if (arg == "--circuit") request.circuit = value();
+      else if (arg == "--width") request.width = std::stoi(value());
+      else if (arg == "--device") request.device = value();
+      else if (arg == "--opt") request.opt_level = std::stoi(value());
+      else if (arg == "--theta-step") request.theta_step = std::stod(value());
+      else if (arg == "--phi-step") request.phi_step = std::stod(value());
+      else if (arg == "--phi-max") request.phi_max = std::stod(value());
+      else if (arg == "--shots")
+        request.shots = parse_unsigned_flag<std::uint64_t>(arg, value());
+      else if (arg == "--seed")
+        request.seed = parse_unsigned_flag<std::uint64_t>(arg, value());
+      else if (arg == "--points")
+        request.max_points = parse_unsigned_flag<std::size_t>(arg, value());
+      else if (arg == "--double") request.double_fault = true;
+      else if (arg == "--idle-noise") request.idle_noise = true;
+      else if (arg == "--shards")
+        request.shards = parse_unsigned_flag<std::uint32_t>(arg, value());
+      else if (arg == "--policy") request.policy = value();
+      else if (arg == "--backend-kind") request.backend_kind = value();
+      else usage(argv[0]);
+    }
+    if (spool.empty() || request.name.empty() || request.csv_path.empty()) {
+      usage(argv[0]);
+    }
+
     std::filesystem::create_directories(spool);
     const std::string path =
         (std::filesystem::path(spool) / (request.name + ".submission"))

@@ -41,6 +41,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <span>
 #include <string>
@@ -62,7 +63,6 @@ using namespace qufi;
 struct DaemonOptions {
   std::string spool = "spool";
   std::string work_dir = "qufid-work";
-  std::string snapshot_dir;
   std::string fleet = "thread";
   int workers = 2;
   int threads_per_worker = 1;
@@ -82,7 +82,6 @@ struct DaemonOptions {
       "  --spool DIR          submission spool to watch     (default spool)\n"
       "  --work-dir DIR       partials + progress artifacts (default "
       "qufid-work)\n"
-      "  --snapshot-dir DIR   shared prefix-snapshot cache  (default off)\n"
       "  --fleet NAME         thread | process              (default thread)\n"
       "  --workers N          concurrent workers            (default 2)\n"
       "  --threads N          engine threads per worker     (default 1)\n"
@@ -111,7 +110,6 @@ DaemonOptions parse(int argc, char** argv) {
     };
     if (arg == "--spool") options.spool = value();
     else if (arg == "--work-dir") options.work_dir = value();
-    else if (arg == "--snapshot-dir") options.snapshot_dir = value();
     else if (arg == "--fleet") options.fleet = value();
     else if (arg == "--workers") options.workers = std::stoi(value());
     else if (arg == "--threads")
@@ -146,8 +144,10 @@ const char* state_name(service::CampaignState state) {
 }
 
 /// Admits every complete submission in the spool: plan, submit, rename to
-/// `*.accepted` (`*.rejected` on a planning error, so a bad submission
-/// cannot wedge the intake loop). Returns the number admitted.
+/// `*.accepted`. Any exception while loading or planning one — a named
+/// qufi::Error, or e.g. std::bad_alloc from a hostile size — renames it to
+/// `*.rejected` instead, so a bad submission can neither wedge the intake
+/// loop nor kill the daemon on every restart. Returns the number admitted.
 std::size_t scan_spool(const DaemonOptions& options,
                        service::Dispatcher& dispatcher) {
   std::size_t admitted = 0;
@@ -169,7 +169,7 @@ std::size_t scan_spool(const DaemonOptions& options,
                   "\"campaign\":\"%s\",\"priority\":%d}\n",
                   request.name.c_str(), request.priority);
       ++admitted;
-    } catch (const Error& e) {
+    } catch (const std::exception& e) {
       std::rename(path.c_str(), (path + ".rejected").c_str());
       std::fprintf(stderr, "qufid: rejected %s: %s\n", path.c_str(),
                    e.what());
@@ -337,7 +337,6 @@ void run_process_fleet(const DaemonOptions& options,
         try {
           dist::ShardRunOptions run;
           run.threads = options.threads_per_worker;
-          run.snapshot_dir = options.snapshot_dir;
           run.columnar_output_path = lease->output_path;
           run.columnar_live = true;
           dist::run_shard(lease->manifest, run);
@@ -386,7 +385,6 @@ void run_thread_fleet(const DaemonOptions& options,
   service::FleetOptions fleet_options;
   fleet_options.workers = options.workers;
   fleet_options.threads_per_worker = options.threads_per_worker;
-  fleet_options.snapshot_dir = options.snapshot_dir;
   fleet_options.heartbeat_interval_ms =
       std::max<std::int64_t>(1, options.lease_timeout_ms / 3);
   service::ThreadWorkerFleet fleet(dispatcher, fleet_options);

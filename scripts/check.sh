@@ -19,7 +19,7 @@ cmake --build build -j
 
 # ---- docs target ------------------------------------------------------------
 status=0
-for doc in README.md docs/ARCHITECTURE.md docs/CAMPAIGNS.md docs/SHARDING.md docs/SNAPSHOT_FORMAT.md docs/RESULT_FORMAT.md docs/DISPATCHER.md; do
+for doc in README.md docs/ARCHITECTURE.md docs/CAMPAIGNS.md docs/SHARDING.md docs/RESULT_FORMAT.md docs/DISPATCHER.md; do
   if [[ ! -f "$doc" ]]; then
     echo "docs check FAILED: $doc is missing" >&2
     status=1
@@ -70,13 +70,13 @@ fi
 if [[ $status -ne 0 ]]; then
   exit $status
 fi
-echo "docs check OK (README.md, docs/{ARCHITECTURE,CAMPAIGNS,SHARDING,SNAPSHOT_FORMAT,RESULT_FORMAT,DISPATCHER}.md, $bench_count bench executables, $flag_count perf flags)"
+echo "docs check OK (README.md, docs/{ARCHITECTURE,CAMPAIGNS,SHARDING,RESULT_FORMAT,DISPATCHER}.md, $bench_count bench executables, $flag_count perf flags)"
 
 # ---- sharding smoke ----------------------------------------------------------
 # Drive the distribution layer end to end through its real CLIs, once per
 # campaign kind: plan two shards, execute each as a separate worker process
-# streaming a QUFIPART partial (one resuming serialized v4 snapshot files),
-# then merge twice — straight to CSV, and to a merged QUFIPART file that
+# streaming a QUFIPART partial (one with 1 thread, one with 4, so the
+# partials must not depend on thread count), then merge twice — straight to CSV, and to a merged QUFIPART file that
 # qufi_export_csv converts. Both CSVs must be byte-identical to the
 # single-process `qufi_cli --csv` run (the docs/SHARDING.md equivalence
 # contract and the docs/RESULT_FORMAT.md projection contract). The kinds:
@@ -99,9 +99,9 @@ shard_smoke() {
   ./build/qufi_shard_plan $flags $plan_flags --shards 2 --out-dir "$dir" \
     > /dev/null
   ./build/qufi_shard_worker --manifest "$dir/shard_000.manifest" \
-    --out "$dir/part_000.qp" --snapshot-dir "$dir/snaps" > /dev/null
+    --out "$dir/part_000.qp" -j 1 > /dev/null
   ./build/qufi_shard_worker --manifest "$dir/shard_001.manifest" \
-    --out "$dir/part_001.qp" > /dev/null
+    --out "$dir/part_001.qp" -j 4 > /dev/null
   ./build/qufi_shard_merge --format csv --out "$dir/merged.csv" \
     "$dir/part_001.qp" "$dir/part_000.qp" > /dev/null
   ./build/qufi_shard_merge --format columnar --out "$dir/merged.qp" \
@@ -174,9 +174,21 @@ mkdir -p "$disp_dir/out"
 ./build/qufi_submit --spool "$disp_dir/spool" --name dj4 --circuit dj \
   --width 4 --theta-step 60 --phi-step 90 --priority 5 \
   --csv "$disp_dir/out/dj4.csv" > /dev/null
+# Hostile spool input: a submission asking for -1 shards (which a stream
+# extraction would wrap to 4294967295) sorts first in the intake order. It
+# must be renamed .rejected with a named error while qufid keeps serving
+# the two real campaigns.
+sed 's/^shards .*/shards -1/' "$disp_dir/spool/bv4.submission" \
+  > "$disp_dir/spool/aaa_hostile.submission"
 ./build/qufid --spool "$disp_dir/spool" --work-dir "$disp_dir/work" \
   --fleet process --workers 2 --chaos-kill 1 --lease-timeout 2000 \
-  --drain > "$disp_dir/qufid.log"
+  --drain > "$disp_dir/qufid.log" 2> "$disp_dir/qufid.err"
+if [[ ! -e "$disp_dir/spool/aaa_hostile.submission.rejected" ]] ||
+   ! grep -q 'bad shards line' "$disp_dir/qufid.err"; then
+  echo "dispatcher smoke FAILED: the shards -1 submission was not rejected by name" >&2
+  cat "$disp_dir/qufid.err" >&2
+  exit 1
+fi
 if ! grep -q '"event":"chaos_kill"' "$disp_dir/qufid.log"; then
   echo "dispatcher smoke FAILED: qufid --chaos-kill never killed a worker" >&2
   exit 1
@@ -197,7 +209,7 @@ for name in bv4 dj4; do
     exit 1
   fi
 done
-echo "dispatcher smoke OK (2 campaigns, chaos-killed worker, CSVs == single-process)"
+echo "dispatcher smoke OK (2 campaigns, chaos-killed worker, CSVs == single-process, shards -1 submission rejected)"
 
 # Crash-durability smoke: SIGKILL the daemon ITSELF (and its workers)
 # mid-campaign, then restart qufid over the same spool + work dir. The
@@ -316,8 +328,8 @@ fi
 # CHECK_SANITIZE=1 rebuilds the kernel-facing tests, the adaptive
 # estimation suite, the dispatcher/journal suite, the campaign engine's
 # tree, checkpoint and campaign suites, the binary-reader suites (QUFIPART
-# and snapshot corruption sweeps) and the util suite under ASan+UBSan in a
-# separate build tree and runs them, so the vectorized pointer arithmetic,
+# corruption sweeps) and the util suite under ASan+UBSan in a separate
+# build tree and runs them, so the vectorized pointer arithmetic,
 # the estimator's cell bookkeeping, the journal's recovery/truncation paths,
 # the snapshot tree sweep and its dynamically claimed chains, every reader
 # fed a corrupt file, and the buffered CSV writer's failure paths are

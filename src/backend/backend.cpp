@@ -78,11 +78,11 @@ PrefixSnapshotPtr Backend::extend_snapshot(const PrefixSnapshot& parent,
 
 bool Backend::save_snapshot(const PrefixSnapshot& /*snapshot*/,
                             std::ostream& /*out*/) const {
-  return false;  // splice snapshots carry no simulator state worth shipping
+  return false;
 }
 
 PrefixSnapshotPtr Backend::load_snapshot(std::istream& /*in*/) const {
-  throw Error("load_snapshot: backend has no serializable snapshot form");
+  throw Error("load_snapshot: snapshots have no serialized form");
 }
 
 std::vector<ExecutionResult> Backend::run_suffix_batch(

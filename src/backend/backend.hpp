@@ -31,9 +31,9 @@ class PrefixSnapshot {
   /// \return The circuit this snapshot was prepared over, or nullptr when
   ///         the snapshot kind does not retain it. All bundled snapshot
   ///         kinds (splice, density, trajectory) return non-null; the
-  ///         accessor lets decorators (e.g. the dist snapshot cache) key
-  ///         derived snapshots without widening extend_snapshot's
-  ///         signature.
+  ///         accessor lets backend decorators (e.g. perfbench's
+  ///         TracedBackend) key per-snapshot state without widening the
+  ///         run_suffix_batch signature.
   virtual const circ::QuantumCircuit* circuit() const { return nullptr; }
 
  protected:
@@ -93,21 +93,13 @@ class Backend {
                               std::uint64_t shots, std::uint64_t seed) = 0;
 
   /// \return True when prepare_prefix captures real simulator state, so
-  ///         run_suffix skips re-executing the prefix. The base
-  ///         implementation only records the circuit split (run_suffix
-  ///         re-simulates from scratch). Campaigns run the same engine
-  ///         either way; snapshot stores (the dist snapshot cache) use this
-  ///         to skip persisting snapshots that carry no state.
+  ///         run_suffix skips re-executing the prefix; the base splice
+  ///         snapshot only records the split. No engine path branches on
+  ///         it: the checkpoint and conformance tests assert it, and
+  ///         perfbench's TracedBackend forwards it.
   virtual bool supports_checkpointing() const { return false; }
 
-  /// Digest of any execution *schedule* a snapshot at (circuit,
-  /// prefix_length) would depend on beyond the circuit bytes themselves — a
-  /// cache-key component for snapshot stores (src/dist snapshot cache).
-  /// Backends whose prefix evolution is a pure function of the instruction
-  /// list return 0 (the default). The idle-noise density backend returns a
-  /// digest of its sealed moment schedule at the split, so snapshots written
-  /// by a different scheduler version (or a different sealing boundary) can
-  /// never be served from a shared cache directory.
+  /// Survives only for perfbench's TracedBackend forwarder; always 0.
   virtual std::uint64_t snapshot_schedule_digest(
       const circ::QuantumCircuit& circuit, std::size_t prefix_length) const {
     (void)circuit;
@@ -206,30 +198,11 @@ class Backend {
       const PrefixSnapshot& snapshot, std::span<const SuffixConfig> configs,
       std::uint64_t shots);
 
-  /// Serializes `snapshot` into the versioned binary container documented in
-  /// docs/SNAPSHOT_FORMAT.md (magic + version + backend kind + payload +
-  /// checksum). Serialized snapshots are the unit of distribution: a shard
-  /// worker can resume a prefix another process evolved.
-  ///
-  /// \param snapshot Snapshot produced by prepare_prefix on this backend.
-  /// \param out      Binary stream (open files with std::ios::binary).
-  /// \return True when the snapshot was written; false when this backend has
-  ///         no serializable snapshot form (the base splice snapshot carries
-  ///         no simulator state worth shipping — workers re-simulate).
+  /// Survives only for perfbench's TracedBackend forwarder; always false.
   virtual bool save_snapshot(const PrefixSnapshot& snapshot,
                              std::ostream& out) const;
 
-  /// Reconstructs a snapshot previously written by save_snapshot on a
-  /// backend of the same kind. The result is usable exactly like the
-  /// original: run_suffix / run_suffix_batch from it reproduce the same
-  /// records (bit-identical — the payload stores exact state bits).
-  ///
-  /// \param in Binary stream positioned at the container start.
-  /// \return The reconstructed snapshot.
-  /// \throws qufi::Error on bad magic, version or backend-kind mismatch,
-  ///         checksum failure, or truncation — corrupt files never yield a
-  ///         snapshot. The base implementation always throws (no
-  ///         serializable form).
+  /// Survives only for perfbench's TracedBackend forwarder; always throws.
   virtual PrefixSnapshotPtr load_snapshot(std::istream& in) const;
 };
 

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 
-#include "backend/snapshot_io.hpp"
 #include "circuit/moments.hpp"
 #include "noise/channels.hpp"
 #include "noise/readout.hpp"
@@ -190,34 +189,6 @@ struct Compaction {
   std::vector<int> active;      // compact -> physical
   std::vector<int> to_compact;  // physical -> compact (-1 unused)
 };
-
-/// Digest of the sealed moment schedule a moment-aware snapshot at
-/// (circuit, prefix_length) depends on: the split, the sealing boundary and
-/// the per-active-qubit moment frontier. Stored in density snapshot payloads
-/// and folded into dist snapshot-cache keys, so a snapshot written under a
-/// different scheduler (or loaded at the wrong boundary) is rejected
-/// instead of silently resuming a different schedule.
-std::uint64_t idle_schedule_digest(const circ::QuantumCircuit& circuit,
-                                   std::size_t prefix_length,
-                                   const std::vector<int>& active) {
-  const std::vector<int> frontier =
-      circ::moment_frontier(circuit, prefix_length);
-  // The sealed boundary is the min frontier over the active set (the same
-  // value sealed_moment_count computes; derived here from the frontier
-  // already in hand instead of rescanning the prefix).
-  int sealed = active.empty() ? 0
-                              : frontier[static_cast<std::size_t>(active[0])];
-  for (const int q : active) {
-    sealed = std::min(sealed, frontier[static_cast<std::size_t>(q)]);
-  }
-  util::ByteWriter w;
-  w.u64(prefix_length);
-  w.u64(static_cast<std::uint64_t>(sealed));
-  for (const int q : active) {
-    w.u32(static_cast<std::uint32_t>(frontier[static_cast<std::size_t>(q)]));
-  }
-  return util::fnv1a64(w.data());
-}
 
 Compaction build_compaction(const circ::QuantumCircuit& circuit) {
   Compaction c;
@@ -569,25 +540,21 @@ class DensitySnapshot final : public PrefixSnapshot {
   ///                        `moment_cursor` (not a flat gate prefix).
   /// \param moment_cursor   First unsealed moment at the split (0 for
   ///                        non-idle snapshots).
-  /// \param schedule_digest idle_schedule_digest at the split (0 non-idle).
   DensitySnapshot(sim::DensityMatrix dm, Compaction compaction,
                   circ::QuantumCircuit circuit, std::size_t prefix_length,
-                  bool idle_noise = false, std::size_t moment_cursor = 0,
-                  std::uint64_t schedule_digest = 0)
+                  bool idle_noise = false, std::size_t moment_cursor = 0)
       : PrefixSnapshot(prefix_length),
         dm_(std::move(dm)),
         compaction_(std::move(compaction)),
         circuit_(std::move(circuit)),
         idle_noise_(idle_noise),
-        moment_cursor_(moment_cursor),
-        schedule_digest_(schedule_digest) {}
+        moment_cursor_(moment_cursor) {}
 
   const sim::DensityMatrix& dm() const { return dm_; }
   const Compaction& compaction() const { return compaction_; }
   const circ::QuantumCircuit* circuit() const override { return &circuit_; }
   bool idle_noise() const { return idle_noise_; }
   std::size_t moment_cursor() const { return moment_cursor_; }
-  std::uint64_t schedule_digest() const { return schedule_digest_; }
 
   /// The fused suffix program plus the terminal-measurement resolver,
   /// compiled on first use and cached. Thread-safe: snapshots are shared
@@ -650,7 +617,6 @@ class DensitySnapshot final : public PrefixSnapshot {
   circ::QuantumCircuit circuit_;
   bool idle_noise_ = false;
   std::size_t moment_cursor_ = 0;
-  std::uint64_t schedule_digest_ = 0;
   mutable std::once_flag compile_once_;
   mutable CompiledSuffix compiled_;
   mutable std::mutex idle_compiled_mutex_;
@@ -808,9 +774,8 @@ SuffixResponseBasis build_response_basis(
   basis.targets = targets;
   basis.num_outcomes = std::size_t{1} << compiled.resolver.num_clbits;
   basis.responses.resize(m * m * m * m * basis.num_outcomes);
-  // One scratch matrix refilled in place per basis element — the m^4 loop
-  // used to allocate (and zero via from_raw) a fresh dim^2 buffer each
-  // iteration.
+  // One scratch matrix refilled in place per basis element, so the m^4 loop
+  // allocates no dim^2 buffer per iteration.
   sim::DensityMatrix basis_dm(rho0.num_qubits());
   for (std::uint64_t a = 0; a < m; ++a) {
     for (std::uint64_t b = 0; b < m; ++b) {
@@ -934,13 +899,6 @@ ExecutionResult DensityMatrixBackend::run(const circ::QuantumCircuit& circuit,
       std::move(probs), circuit.num_clbits(), shots, seed, name());
 }
 
-std::uint64_t DensityMatrixBackend::snapshot_schedule_digest(
-    const circ::QuantumCircuit& circuit, std::size_t prefix_length) const {
-  if (!idle_mode_active()) return 0;
-  return idle_schedule_digest(circuit, prefix_length,
-                              build_compaction(circuit).active);
-}
-
 PrefixSnapshotPtr DensityMatrixBackend::prepare_prefix(
     const circ::QuantumCircuit& circuit, std::size_t prefix_length,
     std::uint64_t shots_hint, std::uint64_t snapshot_seed) {
@@ -975,11 +933,9 @@ PrefixSnapshotPtr DensityMatrixBackend::prepare_prefix(
         circ::sealed_moment_count(circuit, prefix_length, compaction.active);
     execute_idle_moments(exec, circuit, moments, 0, sealed, noise_model_,
                          compaction.active);
-    const std::uint64_t digest =
-        idle_schedule_digest(circuit, prefix_length, compaction.active);
     return std::make_shared<DensitySnapshot>(
         std::move(exec.dm), std::move(compaction), circuit, prefix_length,
-        /*idle_noise=*/true, static_cast<std::size_t>(sealed), digest);
+        /*idle_noise=*/true, static_cast<std::size_t>(sealed));
   }
   for (std::size_t i = 0; i < prefix_length; ++i) exec.execute(instrs[i]);
   return std::make_shared<DensitySnapshot>(std::move(exec.dm),
@@ -1024,11 +980,9 @@ PrefixSnapshotPtr DensityMatrixBackend::extend_snapshot(
             "extend_snapshot: sealed boundary regressed (corrupt snapshot?)");
     execute_idle_moments(exec, circuit, moments, sealed_from, sealed_to,
                          noise_model_, snap->compaction().active);
-    const std::uint64_t digest =
-        idle_schedule_digest(circuit, to_gate, snap->compaction().active);
     return std::make_shared<DensitySnapshot>(
         std::move(exec.dm), snap->compaction(), circuit, to_gate,
-        /*idle_noise=*/true, static_cast<std::size_t>(sealed_to), digest);
+        /*idle_noise=*/true, static_cast<std::size_t>(sealed_to));
   }
   for (std::size_t i = from_gate; i < to_gate; ++i) exec.execute(instrs[i]);
   return std::make_shared<DensitySnapshot>(std::move(exec.dm),
@@ -1088,90 +1042,6 @@ ExecutionResult DensityMatrixBackend::run_suffix(
   auto probs = resolve_clbit_probs(exec, circuit, noise_model_);
   return ExecutionResult::from_distribution(
       std::move(probs), circuit.num_clbits(), shots, seed, name());
-}
-
-bool DensityMatrixBackend::save_snapshot(const PrefixSnapshot& snapshot,
-                                         std::ostream& out) const {
-  const auto* snap = dynamic_cast<const DensitySnapshot*>(&snapshot);
-  if (!snap) return false;
-
-  util::ByteWriter payload;
-  snapio::write_circuit(payload, *snap->circuit());
-  payload.u64(snap->prefix_length());
-  // Moment-aware header: idle flag, sealed-moment cursor, idle-schedule
-  // digest (zeros for plain snapshots — the flag keeps a moment-aware
-  // state from ever being resumed as a flat gate prefix, or vice versa).
-  payload.u8(snap->idle_noise() ? 1 : 0);
-  payload.u64(snap->moment_cursor());
-  payload.u64(snap->schedule_digest());
-  const sim::DensityMatrix& dm = snap->dm();
-  payload.u32(static_cast<std::uint32_t>(dm.num_qubits()));
-  for (const auto& amp : dm.raw()) {
-    payload.f64(amp.real());
-    payload.f64(amp.imag());
-  }
-  snapio::write_container(out, snapio::SnapshotKind::Density, payload.data());
-  return true;
-}
-
-PrefixSnapshotPtr DensityMatrixBackend::load_snapshot(std::istream& in) const {
-  const snapio::Container container = snapio::read_container(in);
-  require(container.kind == snapio::SnapshotKind::Density,
-          "load_snapshot: container was not written by a density backend");
-
-  util::ByteReader r(container.payload);
-  circ::QuantumCircuit circuit = snapio::read_circuit(r);
-  const std::uint64_t prefix_length = r.u64();
-  require(prefix_length <= circuit.size(),
-          "load_snapshot: prefix length exceeds circuit size");
-  // Moment-aware header (all zero for a plain gate-prefix snapshot).
-  const bool snapshot_idle = r.u8() != 0;
-  const std::uint64_t moment_cursor = r.u64();
-  const std::uint64_t schedule_digest = r.u64();
-  require(snapshot_idle == idle_mode_active(),
-          "load_snapshot: snapshot idle-noise mode does not match the "
-          "backend");
-
-  // The compaction is a pure function of the circuit, so it is re-derived
-  // instead of stored; the qubit count cross-checks payload vs circuit.
-  Compaction compaction = build_compaction(circuit);
-  if (snapshot_idle) {
-    // Re-derive the sealed schedule from the embedded circuit and require
-    // the stored cursor/digest to match: a snapshot written by a different
-    // moment scheduler (or tampered at the boundary) must never resume.
-    const int sealed = circ::sealed_moment_count(
-        circuit, static_cast<std::size_t>(prefix_length), compaction.active);
-    require(moment_cursor == static_cast<std::uint64_t>(sealed),
-            "load_snapshot: moment cursor does not match the schedule");
-    require(schedule_digest ==
-                idle_schedule_digest(circuit,
-                                     static_cast<std::size_t>(prefix_length),
-                                     compaction.active),
-            "load_snapshot: idle-schedule digest mismatch");
-  } else {
-    require(moment_cursor == 0 && schedule_digest == 0,
-            "load_snapshot: non-idle snapshot carries a moment cursor");
-  }
-  const auto num_qubits = static_cast<int>(r.u32());
-  require(num_qubits == static_cast<int>(compaction.active.size()),
-          "load_snapshot: density dimension does not match circuit");
-  // DensityMatrix supports at most 12 qubits; checking before the shift
-  // keeps the arithmetic defined for any checksum-valid file.
-  require(num_qubits >= 1 && num_qubits <= 12,
-          "load_snapshot: density qubit count out of range");
-  const std::uint64_t dim = std::uint64_t{1} << num_qubits;
-  std::vector<sim::cplx> rho(dim * dim);
-  for (auto& amp : rho) {
-    const double re = r.f64();
-    const double im = r.f64();
-    amp = sim::cplx{re, im};
-  }
-  require(r.at_end(), "load_snapshot: trailing bytes in density payload");
-  return std::make_shared<DensitySnapshot>(
-      sim::DensityMatrix::from_raw(num_qubits, std::move(rho)),
-      std::move(compaction), std::move(circuit),
-      static_cast<std::size_t>(prefix_length), snapshot_idle,
-      static_cast<std::size_t>(moment_cursor), schedule_digest);
 }
 
 std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(

@@ -48,15 +48,6 @@ class DensityMatrixBackend : public Backend {
   /// execution applies bit-identical idle channels to a from-scratch run.
   bool supports_checkpointing() const override { return true; }
 
-  /// Under idle_noise: a digest of the sealed moment schedule at the split
-  /// (the sealing boundary plus the per-qubit moment frontier) — the
-  /// snapshot-cache key component that keeps moment-aware snapshots from
-  /// being served across scheduler versions. 0 when idle_noise is off (the
-  /// prefix evolution is then a pure function of the circuit bytes).
-  std::uint64_t snapshot_schedule_digest(
-      const circ::QuantumCircuit& circuit,
-      std::size_t prefix_length) const override;
-
   PrefixSnapshotPtr prepare_prefix(const circ::QuantumCircuit& circuit,
                                    std::size_t prefix_length,
                                    std::uint64_t shots_hint = 0,
@@ -90,17 +81,6 @@ class DensityMatrixBackend : public Backend {
       const PrefixSnapshot& snapshot, std::span<const SuffixConfig> configs,
       std::uint64_t shots) override;
 
-  /// Writes the evolved density matrix plus the circuit and split point as
-  /// a kind=Density snapshot container (docs/SNAPSHOT_FORMAT.md). Returns
-  /// false only for foreign/fallback snapshots with no density state.
-  bool save_snapshot(const PrefixSnapshot& snapshot,
-                     std::ostream& out) const override;
-
-  /// Rebuilds a density snapshot from a kind=Density container; the
-  /// compaction maps are re-derived from the embedded circuit. The loaded
-  /// snapshot is bit-equivalent to the one save_snapshot consumed.
-  PrefixSnapshotPtr load_snapshot(std::istream& in) const override;
-
   const noise::NoiseModel& noise_model() const { return noise_model_; }
 
   /// Minimum same-target group sizes at which run_suffix_batch takes the
@@ -123,7 +103,7 @@ class DensityMatrixBackend : public Backend {
   /// idle_noise knob is on AND the model has noise to schedule (an ideal
   /// model takes the plain path, matching run()). The single definition of
   /// "moment-aware mode" — snapshots record it, and every resume path
-  /// (extend/run_suffix/batch/load) validates against this predicate.
+  /// (extend/run_suffix/batch) validates against this predicate.
   bool idle_mode_active() const {
     return idle_noise_ && !noise_model_.is_ideal();
   }

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "backend/snapshot_io.hpp"
 #include "noise/readout.hpp"
 #include "sim/statevector.hpp"
-#include "util/binary_io.hpp"
 #include "util/error.hpp"
 
 namespace qufi::backend {
@@ -253,71 +251,6 @@ PrefixSnapshotPtr TrajectoryBackend::extend_snapshot(
   }
   return std::make_shared<TrajectorySnapshot>(circuit, to_gate,
                                               std::move(cached));
-}
-
-bool TrajectoryBackend::save_snapshot(const PrefixSnapshot& snapshot,
-                                      std::ostream& out) const {
-  const auto* snap = dynamic_cast<const TrajectorySnapshot*>(&snapshot);
-  if (!snap) return false;
-
-  util::ByteWriter payload;
-  snapio::write_circuit(payload, *snap->circuit());
-  payload.u64(snap->prefix_length());
-  payload.u64(snap->shots().size());
-  for (const CachedShot& shot : snap->shots()) {
-    payload.u64(shot.outcome);
-    for (const std::uint64_t w : shot.rng_state) payload.u64(w);
-    for (const auto& amp : shot.sv.amplitudes()) {
-      payload.f64(amp.real());
-      payload.f64(amp.imag());
-    }
-  }
-  snapio::write_container(out, snapio::SnapshotKind::Trajectory,
-                          payload.data());
-  return true;
-}
-
-PrefixSnapshotPtr TrajectoryBackend::load_snapshot(std::istream& in) const {
-  const snapio::Container container = snapio::read_container(in);
-  require(container.kind == snapio::SnapshotKind::Trajectory,
-          "load_snapshot: container was not written by a trajectory backend");
-
-  util::ByteReader r(container.payload);
-  circ::QuantumCircuit circuit = snapio::read_circuit(r);
-  const std::uint64_t prefix_length = r.u64();
-  require(prefix_length <= circuit.size(),
-          "load_snapshot: prefix length exceeds circuit size");
-  // Statevector supports at most 24 qubits; checking before the shift also
-  // keeps the arithmetic below overflow-free for any checksum-valid file.
-  require(circuit.num_qubits() >= 1 && circuit.num_qubits() <= 24,
-          "load_snapshot: trajectory qubit count out of range");
-  const std::uint64_t num_shots = r.u64();
-  const std::uint64_t dim = std::uint64_t{1} << circuit.num_qubits();
-  // Per-shot bytes (outcome + RNG state + amplitudes) must account for the
-  // rest of the payload exactly; dividing (instead of multiplying shot
-  // count) cannot wrap.
-  const std::uint64_t per_shot = 8 + 32 + dim * 16;
-  require(r.remaining() % per_shot == 0 &&
-              r.remaining() / per_shot == num_shots,
-          "load_snapshot: trajectory payload size mismatch");
-
-  std::vector<CachedShot> shots;
-  shots.reserve(static_cast<std::size_t>(num_shots));
-  for (std::uint64_t s = 0; s < num_shots; ++s) {
-    CachedShot shot{sim::Statevector(circuit.num_qubits()), r.u64(), {}};
-    for (std::uint64_t& w : shot.rng_state) w = r.u64();
-    std::vector<sim::cplx> amps(static_cast<std::size_t>(dim));
-    for (auto& amp : amps) {
-      const double re = r.f64();
-      const double im = r.f64();
-      amp = sim::cplx{re, im};
-    }
-    shot.sv = sim::Statevector::from_amplitudes(std::move(amps));
-    shots.push_back(std::move(shot));
-  }
-  return std::make_shared<TrajectorySnapshot>(
-      std::move(circuit), static_cast<std::size_t>(prefix_length),
-      std::move(shots));
 }
 
 ExecutionResult TrajectoryBackend::run_suffix(

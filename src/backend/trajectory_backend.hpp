@@ -61,18 +61,6 @@ class TrajectoryBackend : public Backend {
       const PrefixSnapshot& snapshot, std::span<const SuffixConfig> configs,
       std::uint64_t shots) override;
 
-  /// Writes the cached per-shot prefix statevectors (and their mid-circuit
-  /// measurement bits) as a kind=Trajectory snapshot container. Returns
-  /// false for fallback splice snapshots (nothing cached to ship).
-  bool save_snapshot(const PrefixSnapshot& snapshot,
-                     std::ostream& out) const override;
-
-  /// Rebuilds a trajectory snapshot from a kind=Trajectory container.
-  /// Because the cached shots carry the prefix randomness, suffix sweeps
-  /// from a loaded snapshot are bit-identical to sweeps from the original
-  /// (common random numbers survive serialization).
-  PrefixSnapshotPtr load_snapshot(std::istream& in) const override;
-
  private:
   noise::NoiseModel noise_model_;
 };

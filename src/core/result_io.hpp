@@ -11,8 +11,8 @@
 
 namespace qufi::resio {
 
-/// 8-byte file magic of the binary columnar result/partial container — the
-/// result-layer sibling of QUFISNAP (docs/RESULT_FORMAT.md). The version
+/// 8-byte file magic of the binary columnar result/partial container
+/// (docs/RESULT_FORMAT.md). The version
 /// bumps on any layout change, and readers accept only the version they
 /// write: a partial in any other version is recomputed from its manifest.
 inline constexpr char kResultMagic[8] = {'Q', 'U', 'F', 'I',

@@ -236,8 +236,8 @@ AdaptivePointEstimate adaptive_point_estimate(
 }
 
 void CampaignResult::write_csv(const std::string& path) const {
-  // Write-then-rename (matching the snapshot cache): the destination name
-  // only ever holds a complete export.
+  // Write-then-rename: the destination name only ever holds a complete
+  // export.
   static std::atomic<std::uint64_t> counter{0};
   const std::string temp = path + ".tmp." + std::to_string(::getpid()) + "." +
                            std::to_string(counter.fetch_add(1));

@@ -78,8 +78,8 @@ ShardManifest load_manifest(const std::string& path);
 
 /// Rebuilds the CampaignSpec a worker executes: circuit, device properties
 /// (resolved from `device`), grid, seeds, and execution mode. The execution
-/// backend itself (density vs trajectory, snapshot caching) is chosen by
-/// run_shard, not the spec.
+/// backend itself (density vs trajectory) is chosen by run_shard, not the
+/// spec.
 CampaignSpec manifest_to_spec(const ShardManifest& manifest);
 
 /// Builds per-shard manifests from a campaign definition and a plan.

@@ -12,8 +12,8 @@
 /// are embarrassingly parallel across injection points (the paper sweeps
 /// every (qubit, gate, theta, phi) config independently), so the unit of
 /// distribution is the point — each shard owns whole points, evolves their
-/// prefixes (or loads serialized snapshots), sweeps their grids, and emits
-/// partial results that merge deterministically. See docs/SHARDING.md.
+/// prefixes, sweeps their grids, and emits partial results that merge
+/// deterministically. See docs/SHARDING.md.
 
 namespace qufi::dist {
 

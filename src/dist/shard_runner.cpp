@@ -5,9 +5,7 @@
 #include "backend/density_backend.hpp"
 #include "backend/trajectory_backend.hpp"
 #include "core/result_io.hpp"
-#include "dist/snapshot_cache.hpp"
 #include "noise/noise_model.hpp"
-#include "util/csv.hpp"
 #include "util/error.hpp"
 
 namespace qufi::dist {
@@ -21,8 +19,8 @@ ShardRunOutput run_shard(const ShardManifest& manifest,
   spec.threads = options.threads;
 
   // The worker owns its execution backend explicitly (instead of letting
-  // the campaign build one) so the snapshot cache can wrap it and so the
-  // trajectory family is reachable from a manifest.
+  // the campaign build one) so the trajectory family is reachable from a
+  // manifest.
   std::unique_ptr<backend::Backend> exec;
   const auto noise_model =
       noise::NoiseModel::from_backend(spec.backend, spec.noise_scale);
@@ -36,19 +34,7 @@ ShardRunOutput run_shard(const ShardManifest& manifest,
     exec = std::make_unique<backend::DensityMatrixBackend>(
         noise_model, manifest.idle_noise);
   }
-
-  std::unique_ptr<SnapshotCachingBackend> cache;
-  if (!options.snapshot_dir.empty()) {
-    // noise_scale changes the evolved state but is invisible in both the
-    // circuit bytes and the backend name, so it must ride in the key.
-    cache = std::make_unique<SnapshotCachingBackend>(
-        *exec, options.snapshot_dir,
-        "noise_scale=" + util::CsvWriter::field(spec.noise_scale),
-        options.compress_snapshots);
-    spec.backend_override = cache.get();
-  } else {
-    spec.backend_override = exec.get();
-  }
+  spec.backend_override = exec.get();
 
   // The file header — point table, metadata, expected total — is needed
   // before the first record exists, so mirror the campaign's own derivation
@@ -107,10 +93,6 @@ ShardRunOutput run_shard(const ShardManifest& manifest,
   ShardRunOutput out;
   out.partial_bytes = writer.bytes_written();
   out.streamed_records = writer.records_written();
-  if (cache) {
-    out.snapshot_hits = cache->hits();
-    out.snapshot_misses = cache->misses();
-  }
   return out;
 }
 

@@ -7,17 +7,10 @@
 
 namespace qufi::dist {
 
-/// Worker-side execution knobs that are not part of the campaign identity
-/// (they never change the computed records, only how fast they appear).
+/// Worker-side knobs that are not part of the campaign identity: how many
+/// threads compute the shard and where its partial goes. None of them
+/// changes the computed records.
 struct ShardRunOptions {
-  /// Directory of serialized prefix snapshots; empty = always re-simulate
-  /// prefixes. Shared across workers/retries, keyed to circuit bytes.
-  std::string snapshot_dir;
-  /// Store cache snapshots deflate-compressed (container v4). Purely a
-  /// storage choice: keys and loaded states are codec-independent, so
-  /// compressed and plain workers can share one snapshot_dir. Ignored
-  /// without zlib support or snapshot_dir.
-  bool compress_snapshots = false;
   /// Worker threads; 0 = hardware concurrency.
   int threads = 0;
   /// The shard's partial: a columnar QUFIPART file (docs/RESULT_FORMAT.md)
@@ -35,9 +28,6 @@ struct ShardRunOptions {
 
 /// What one shard execution produced.
 struct ShardRunOutput {
-  /// Snapshot-cache counters (both 0 when no snapshot_dir was given).
-  std::uint64_t snapshot_hits = 0;
-  std::uint64_t snapshot_misses = 0;
   /// Size of the sealed columnar partial.
   std::uint64_t partial_bytes = 0;
   /// Records streamed into the columnar partial.
@@ -45,11 +35,10 @@ struct ShardRunOutput {
 };
 
 /// Executes one shard manifest end to end: rebuilds the campaign spec,
-/// constructs the worker backend (density or trajectory, optionally behind
-/// a snapshot cache), and runs the subset campaign over the shard's points,
-/// streaming its records into options.columnar_output_path under a header
-/// that carries the global expected-record count the merger checks
-/// completeness against.
+/// constructs the worker backend (density or trajectory), and runs the
+/// subset campaign over the shard's points, streaming its records into
+/// options.columnar_output_path under a header that carries the global
+/// expected-record count the merger checks completeness against.
 ///
 /// Deterministic and idempotent: re-running the same manifest reproduces
 /// the same partial bit-for-bit, so retries after a crash are safe and the

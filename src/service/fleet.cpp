@@ -54,7 +54,6 @@ void ThreadWorkerFleet::worker_loop(int worker_index) {
     try {
       dist::ShardRunOptions run;
       run.threads = options_.threads_per_worker;
-      run.snapshot_dir = options_.snapshot_dir;
       run.columnar_output_path = lease->output_path;
       // Live so the dispatcher's incremental merges observe this shard's
       // completed points while it runs — and so a crash mid-shard leaves a

@@ -18,8 +18,6 @@ struct FleetOptions {
   /// Engine threads inside each worker's campaign run (ShardRunOptions::
   /// threads). Keep workers x threads near the core count.
   int threads_per_worker = 1;
-  /// Shared snapshot-cache directory for all workers; empty = no cache.
-  std::string snapshot_dir;
   /// How often the supervisor thread refreshes every in-flight lease. Keep
   /// well under the dispatcher's lease_timeout_ms (a third or less).
   std::int64_t heartbeat_interval_ms = 1'000;

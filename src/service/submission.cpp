@@ -6,12 +6,14 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "algorithms/algorithms.hpp"
 #include "dist/shard_plan.hpp"
 #include "noise/backend_props.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace qufi::service {
 
@@ -69,6 +71,17 @@ CampaignRequest load_submission(const std::string& path) {
     throw Error("submission " + path + ":" + std::to_string(line_no) + ": " +
                 why);
   };
+  // Unsigned fields go through util::parse_unsigned, not `>>`: a stream
+  // extraction takes "-1" and wraps it to the type's maximum.
+  const auto read_unsigned = [&](std::istringstream& ls, auto& field,
+                                 const std::string& key) {
+    std::string token;
+    ls >> token;
+    const auto value =
+        util::parse_unsigned<std::remove_reference_t<decltype(field)>>(token);
+    if (!value) fail("bad " + key + " line");
+    field = *value;
+  };
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
@@ -102,11 +115,11 @@ CampaignRequest load_submission(const std::string& path) {
         fail("bad grid line");
       }
     } else if (key == "shots") {
-      if (!(ls >> request.shots)) fail("bad shots line");
+      read_unsigned(ls, request.shots, key);
     } else if (key == "seed") {
-      if (!(ls >> request.seed)) fail("bad seed line");
+      read_unsigned(ls, request.seed, key);
     } else if (key == "max_points") {
-      if (!(ls >> request.max_points)) fail("bad max_points line");
+      read_unsigned(ls, request.max_points, key);
     } else if (key == "double") {
       int v = 0;
       if (!(ls >> v)) fail("bad double line");
@@ -116,7 +129,7 @@ CampaignRequest load_submission(const std::string& path) {
       if (!(ls >> v)) fail("bad idle_noise line");
       request.idle_noise = v != 0;
     } else if (key == "shards") {
-      if (!(ls >> request.shards)) fail("bad shards line");
+      read_unsigned(ls, request.shards, key);
     } else if (key == "policy") {
       if (!(ls >> request.policy)) fail("bad policy line");
     } else if (key == "backend_kind") {

@@ -23,14 +23,6 @@ DensityMatrix DensityMatrix::from_statevector(const Statevector& sv) {
   return dm;
 }
 
-DensityMatrix DensityMatrix::from_raw(int num_qubits, std::vector<cplx> rho) {
-  DensityMatrix dm(num_qubits);
-  require(rho.size() == dm.dim_ * dm.dim_,
-          "DensityMatrix::from_raw: storage size mismatch");
-  dm.rho_ = std::move(rho);
-  return dm;
-}
-
 cplx DensityMatrix::at(std::uint64_t r, std::uint64_t c) const {
   require(r < dim_ && c < dim_, "DensityMatrix::at: index out of range");
   return rho_[(r << num_qubits_) | c];

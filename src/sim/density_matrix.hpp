@@ -30,11 +30,6 @@ class DensityMatrix {
   /// rho = |psi><psi|.
   static DensityMatrix from_statevector(const Statevector& sv);
 
-  /// Takes ownership of explicit flat row-major storage (size must be
-  /// 4^num_qubits). Not validated for positivity/trace; intended for
-  /// deserializing snapshots written from a valid state.
-  static DensityMatrix from_raw(int num_qubits, std::vector<cplx> rho);
-
   /// Explicit deep copy — checkpointed execution resumes campaigns from a
   /// shared prefix snapshot, so the copy intent is spelled out at call
   /// sites instead of relying on implicit copies.

@@ -8,9 +8,9 @@ namespace qufi::util {
 
 /// Append-only binary buffer with an explicit little-endian wire format.
 ///
-/// Snapshot serialization and shard artifacts are written through this so
-/// the on-disk layout is byte-stable across platforms (the format is defined
-/// little-endian regardless of host endianness; see docs/SNAPSHOT_FORMAT.md).
+/// Binary result files (QUFIPART, docs/RESULT_FORMAT.md) are written
+/// through this so the on-disk layout is byte-stable across platforms
+/// (little-endian regardless of host endianness).
 class ByteWriter {
  public:
   void u8(std::uint8_t v);
@@ -33,8 +33,8 @@ class ByteWriter {
 /// Sequential reader over a byte buffer; the mirror of ByteWriter.
 ///
 /// Every accessor throws qufi::Error("binary_io: truncated input") when the
-/// buffer runs out, so truncated snapshot files are rejected instead of
-/// yielding garbage state.
+/// buffer runs out, so truncated files are rejected instead of yielding
+/// garbage records.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view buf) : buf_(buf) {}
@@ -54,8 +54,8 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// FNV-1a 64-bit hash — the snapshot container checksum. Not cryptographic;
-/// it guards against truncation and bit rot, not tampering.
+/// FNV-1a 64-bit hash — the result-file and journal checksum. Not
+/// cryptographic; it guards against truncation and bit rot, not tampering.
 std::uint64_t fnv1a64(std::string_view bytes);
 
 }  // namespace qufi::util

@@ -1,6 +1,6 @@
 // File helpers shared by the test suites: a per-test scratch directory,
 // whole-file read/write, and the corruption sweeps the binary-format tests
-// (snapshot containers, QUFIPART partials, the dispatcher journal) run over
+// (QUFIPART partials, the dispatcher journal) run over
 // a known-good byte string. Each sweep only generates the mutants; the
 // calling test keeps its own assertions about what a reader must do. A
 // file-size cap makes writers hit a real I/O error mid-file.

@@ -3,15 +3,14 @@
 // configuration — ideal, density, density+idle_noise, trajectory, and a
 // hardware-profile density instance. The point is honesty: a backend cannot
 // silently opt out of an invariant (prepare/run_suffix equivalence,
-// extend-vs-scratch bit equality, save/load round-trips, batch parity, or a
-// supports_checkpointing() claim its snapshots do not back up) without a
-// red test naming the configuration that diverged.
+// extend-vs-scratch bit equality, batch parity, or its declared
+// supports_checkpointing() capability) without a red test naming the
+// configuration that diverged.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -216,33 +215,6 @@ TEST_P(BackendContract, ExtendMatchesFromScratchBitExactly) {
   expect_bit_equal(from_extended, from_scratch);
 }
 
-// save_snapshot/load_snapshot must round-trip to a snapshot that resumes
-// bit-identically (when the backend has a serializable form at all).
-TEST_P(BackendContract, SaveLoadRoundTripResumesBitExactly) {
-  const BackendCase& c = GetParam();
-  const InjectionPoint& point = points_[points_.size() / 2];
-  const auto snapshot = exec_->prepare_prefix(
-      transpiled_.circuit, point.split_index(), c.shots, 5);
-
-  std::stringstream stream;
-  const bool saved = exec_->save_snapshot(*snapshot, stream);
-  if (!saved) {
-    // No serializable form: load must refuse rather than fabricate state.
-    std::istringstream empty{std::string()};
-    EXPECT_THROW((void)exec_->load_snapshot(empty), Error);
-    return;
-  }
-  const auto loaded = exec_->load_snapshot(stream);
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->prefix_length(), snapshot->prefix_length());
-
-  const PhaseShiftFault fault{0.5, 2.6};
-  const circ::Instruction injected[] = {fault.as_instruction(point.qubit)};
-  const auto original = exec_->run_suffix(*snapshot, injected, c.shots, 31);
-  const auto resumed = exec_->run_suffix(*loaded, injected, c.shots, 31);
-  expect_bit_equal(original, resumed);
-}
-
 // run_suffix_batch must agree with per-config run_suffix: bit-exactly where
 // the backend promises it (trajectory CRN, base fallback loop), within the
 // documented QVF-parity tolerance where suffix fusion reassociates floats.
@@ -274,22 +246,13 @@ TEST_P(BackendContract, BatchMatchesSequentialPerConfig) {
   }
 }
 
-// supports_checkpointing() must match observed behavior: a checkpointing
-// backend's snapshots carry real, serializable simulator state; a
-// non-checkpointing backend's are splice records with nothing to ship.
-// (This is the declared-capability honesty check — a backend that opts out
-// of checkpointing while claiming it, or vice versa, fails here.)
+// supports_checkpointing() must match the conformance table: a backend
+// that starts or stops capturing real prefix state fails here, naming the
+// configuration, until the table is updated on purpose.
 TEST_P(BackendContract, CheckpointingClaimMatchesObservedBehavior) {
   const BackendCase& c = GetParam();
   EXPECT_EQ(exec_->supports_checkpointing(), c.expect_checkpointing)
       << "backend capability changed; update the conformance table";
-  const InjectionPoint& point = points_[points_.size() / 2];
-  const auto snapshot = exec_->prepare_prefix(
-      transpiled_.circuit, point.split_index(), c.shots, 5);
-  std::stringstream stream;
-  EXPECT_EQ(exec_->save_snapshot(*snapshot, stream),
-            exec_->supports_checkpointing())
-      << "declared checkpointing does not match snapshot serializability";
 }
 
 // Snapshots are immutable and shareable: resuming twice with the same seed

@@ -12,11 +12,13 @@
 #include <vector>
 
 #include "algorithms/algorithms.hpp"
+#include "backend/density_backend.hpp"
 #include "backend/hardware_backend.hpp"
 #include "core/campaign.hpp"
 #include "core/injection.hpp"
 #include "core/report.hpp"
 #include "core/results.hpp"
+#include "noise/noise_model.hpp"
 #include "sim/statevector.hpp"
 #include "support/test_files.hpp"
 #include "util/error.hpp"
@@ -165,6 +167,77 @@ TEST(SingleCampaign, IdentityConfigMatchesFaultFree) {
   // Noise floor: fault-free QVF is small but positive (paper §V-B).
   EXPECT_GT(result.meta.faultfree_qvf, 0.0);
   EXPECT_LT(result.meta.faultfree_qvf, 0.3);
+}
+
+// Physics oracle: U(0, phi, 0) = diag(1, e^{i phi}) is a pure phase, and a
+// phase on a qubit that no later unitary gate touches commutes with
+// everything left before its Z-basis measurement (the noise channels
+// included), so it cannot move a single population. Checked on the density
+// backend at every such point, for every phi on the paper grid, through the
+// same batched suffix path the campaign engine uses, and on the campaign's
+// own records.
+TEST(PhysicsOracle, PhaseOnlyFaultAfterLastGateLeavesDistributionUnchanged) {
+  for (const char* name : {"bv", "dj", "qft"}) {
+    SCOPED_TRACE(name);
+    auto spec = quick_spec(name, 4);
+    spec.grid = FaultParamGrid{};  // the paper's 15-degree grid
+    const auto transpiled = campaign_transpile(spec);
+    const circ::QuantumCircuit& circuit = transpiled.circuit;
+    backend::DensityMatrixBackend backend(
+        noise::NoiseModel::from_backend(spec.backend, spec.noise_scale));
+    const auto faultfree = backend.run(circuit, 0, 0).probabilities;
+    const std::vector<PhaseShiftFault> faults = spec.grid.enumerate();
+
+    const auto last_gate_point = [&](const InjectionPoint& point) {
+      for (std::size_t i = point.split_index(); i < circuit.size(); ++i) {
+        const circ::Instruction& instr = circuit.instructions()[i];
+        if (instr.is_unitary() &&
+            std::find(instr.qubits.begin(), instr.qubits.end(),
+                      point.qubit) != instr.qubits.end()) {
+          return false;
+        }
+      }
+      return true;
+    };
+
+    const auto result = run_single_fault_campaign(spec);
+    std::size_t oracle_points = 0;
+    for (std::size_t p = 0; p < result.points.size(); ++p) {
+      const InjectionPoint& point = result.points[p];
+      if (!last_gate_point(point)) continue;
+      ++oracle_points;
+      // The whole grid in one batch, so the suffix-response path serves it
+      // exactly as in a campaign; only the theta = 0 row is checked.
+      std::vector<backend::SuffixConfig> configs;
+      for (const PhaseShiftFault& fault : faults) {
+        configs.push_back({{fault.as_instruction(point.qubit)}, 0});
+      }
+      const auto snapshot =
+          backend.prepare_prefix(circuit, point.split_index());
+      const auto results = backend.run_suffix_batch(*snapshot, configs, 0);
+      for (std::size_t k = 0; k < configs.size(); ++k) {
+        if (faults[k].theta != 0.0) continue;
+        const auto& probs = results[k].probabilities;
+        ASSERT_EQ(probs.size(), faultfree.size());
+        for (std::size_t o = 0; o < probs.size(); ++o) {
+          EXPECT_NEAR(probs[o], faultfree[o], 1e-12)
+              << "point " << p << " config " << k << " outcome " << o;
+        }
+      }
+    }
+    EXPECT_GT(oracle_points, 0u);
+
+    std::size_t oracle_records = 0;
+    for (const InjectionRecord& r : result.records) {
+      if (r.theta_index != 0 || !last_gate_point(result.points[r.point_index]))
+        continue;
+      ++oracle_records;
+      EXPECT_NEAR(r.qvf, result.meta.faultfree_qvf, 1e-12)
+          << "point " << r.point_index << " phi " << r.phi_index;
+    }
+    EXPECT_EQ(oracle_records,
+              oracle_points * static_cast<std::size_t>(spec.grid.num_phi()));
+  }
 }
 
 TEST(SingleCampaign, ThetaPiIsWorstRow) {

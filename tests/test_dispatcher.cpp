@@ -961,6 +961,28 @@ TEST(Submission, StrayUseTreeKeyIsRejected) {
                              "unknown key: use_tree");
 }
 
+TEST(Submission, SignedOrOverflowingUnsignedFieldsAreRejected) {
+  // Spool input is untrusted: a stream extraction would wrap "shards -1" to
+  // 4294967295 shards (and "shards 4294967298" to 2), so each unsigned
+  // field is rejected with a named error instead of planned.
+  TempDir dir("submission_unsigned");
+  const std::string path = dir.str("good.submission");
+  service::save_submission(sample_request(), path);
+  const std::string good = slurp(path);
+  for (const char* key : {"shards", "shots", "seed", "max_points"}) {
+    SCOPED_TRACE(key);
+    expect_submission_rejected(dir, good + key + " -1\n",
+                               std::string("bad ") + key + " line");
+    expect_submission_rejected(dir, good + key + " +1\n",
+                               std::string("bad ") + key + " line");
+  }
+  expect_submission_rejected(dir, good + "shards 4294967298\n",
+                             "bad shards line");
+  expect_submission_rejected(dir, good + "seed 18446744073709551616\n",
+                             "bad seed line");
+  expect_submission_rejected(dir, good + "shots 12x\n", "bad shots line");
+}
+
 TEST(Submission, OutOfRangeWidthsThrowBeforeAnyShift) {
   // Spool input is untrusted: widths that would overflow a 64-bit basis
   // mask must be rejected by the circuit builder, not shifted.

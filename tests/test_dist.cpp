@@ -1,8 +1,6 @@
-// Distribution-layer tests: snapshot serialization round-trips (both
-// checkpointing backends) and corruption rejection, shard planning,
-// manifest round-trips, the snapshot cache, shard execution into QUFIPART
-// partials, and N-shard merge equivalence against the single-process
-// campaign.
+// Distribution-layer tests: shard planning, manifest round-trips, shard
+// execution into QUFIPART partials, and N-shard merge equivalence against
+// the single-process campaign.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -10,8 +8,6 @@
 #include <sstream>
 
 #include "algorithms/algorithms.hpp"
-#include "backend/density_backend.hpp"
-#include "backend/snapshot_io.hpp"
 #include "backend/trajectory_backend.hpp"
 #include "core/campaign.hpp"
 #include "core/result_io.hpp"
@@ -19,20 +15,15 @@
 #include "dist/merge.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/shard_runner.hpp"
-#include "dist/snapshot_cache.hpp"
 #include "noise/backend_props.hpp"
 #include "noise/noise_model.hpp"
 #include "support/test_files.hpp"
-#include "util/binary_io.hpp"
-#include "util/compress.hpp"
 #include "util/error.hpp"
 
 namespace qufi {
 namespace {
 
 namespace fs = std::filesystem;
-using test_support::for_each_byte_flip;
-using test_support::for_each_truncation;
 using test_support::slurp;
 using test_support::TempDir;
 
@@ -45,30 +36,6 @@ CampaignSpec quick_spec(const std::string& name, int width) {
   spec.grid.phi_step_deg = 90.0;
   spec.threads = 2;
   return spec;
-}
-
-circ::QuantumCircuit small_circuit() {
-  circ::QuantumCircuit qc(3, 3);
-  qc.set_name("dist_test");
-  qc.h(0).cx(0, 1).rz(0.7853981633974483, 1).cx(1, 2).x(2);
-  qc.measure_all();
-  return qc;
-}
-
-backend::SuffixConfig fault_config(int qubit, std::uint64_t seed) {
-  backend::SuffixConfig config;
-  config.injected = {PhaseShiftFault{1.1, 2.2}.as_instruction(qubit)};
-  config.seed = seed;
-  return config;
-}
-
-void expect_same_probs(const backend::ExecutionResult& a,
-                       const backend::ExecutionResult& b) {
-  ASSERT_EQ(a.probabilities.size(), b.probabilities.size());
-  for (std::size_t i = 0; i < a.probabilities.size(); ++i) {
-    EXPECT_EQ(a.probabilities[i], b.probabilities[i]) << "index " << i;
-  }
-  EXPECT_EQ(a.counts, b.counts);
 }
 
 void expect_same_records(const CampaignResult& a, const CampaignResult& b) {
@@ -127,7 +94,6 @@ CampaignResult run_manifests(const std::vector<dist::ShardManifest>& manifests,
   std::vector<std::string> paths;
   for (const auto& manifest : manifests) {
     dist::ShardRunOptions options;
-    options.snapshot_dir = dir.str("snaps");
     options.threads = 2;
     options.columnar_output_path =
         dir.str("part_" + std::to_string(manifest.shard_index) + ".qp");
@@ -136,182 +102,6 @@ CampaignResult run_manifests(const std::vector<dist::ShardManifest>& manifests,
   }
   (void)dist::merge_result_files(paths, dir.str("merged.qp"));
   return load_result(dir.str("merged.qp"));
-}
-
-// ---- snapshot serialization ------------------------------------------------
-
-TEST(SnapshotSerialization, DensityRoundTripReproducesSuffixResults) {
-  const auto qc = small_circuit();
-  backend::DensityMatrixBackend be(
-      noise::NoiseModel::from_backend(noise::fake_casablanca()));
-
-  const auto snapshot = be.prepare_prefix(qc, 3, 0, 42);
-  std::stringstream stream;
-  ASSERT_TRUE(be.save_snapshot(*snapshot, stream));
-  const auto loaded = be.load_snapshot(stream);
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->prefix_length(), snapshot->prefix_length());
-
-  const backend::SuffixConfig configs[] = {fault_config(0, 7),
-                                           fault_config(1, 8)};
-  const auto original = be.run_suffix_batch(*snapshot, configs, 0);
-  const auto resumed = be.run_suffix_batch(*loaded, configs, 0);
-  ASSERT_EQ(original.size(), resumed.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    expect_same_probs(original[i], resumed[i]);
-  }
-}
-
-TEST(SnapshotSerialization, TrajectoryRoundTripIsBitIdentical) {
-  const auto qc = small_circuit();
-  backend::TrajectoryBackend be(
-      noise::NoiseModel::from_backend(noise::fake_casablanca()));
-
-  const std::uint64_t shots = 48;
-  const auto snapshot = be.prepare_prefix(qc, 3, shots, 42);
-  std::stringstream stream;
-  ASSERT_TRUE(be.save_snapshot(*snapshot, stream));
-  const auto loaded = be.load_snapshot(stream);
-  ASSERT_NE(loaded, nullptr);
-
-  const backend::SuffixConfig configs[] = {fault_config(0, 7),
-                                           fault_config(2, 9)};
-  const auto original = be.run_suffix_batch(*snapshot, configs, shots);
-  const auto resumed = be.run_suffix_batch(*loaded, configs, shots);
-  ASSERT_EQ(original.size(), resumed.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    expect_same_probs(original[i], resumed[i]);  // common random numbers
-  }
-}
-
-TEST(SnapshotSerialization, SpliceFallbackSnapshotIsNotSerializable) {
-  const auto qc = small_circuit();
-  backend::TrajectoryBackend be(
-      noise::NoiseModel::from_backend(noise::fake_casablanca()));
-  // shots_hint = 0 degrades to the base splice snapshot (nothing cached).
-  const auto snapshot = be.prepare_prefix(qc, 3, 0, 42);
-  std::stringstream stream;
-  EXPECT_FALSE(be.save_snapshot(*snapshot, stream));
-}
-
-TEST(SnapshotSerialization, RejectsCorruptHeaderTruncationAndWrongKind) {
-  const auto qc = small_circuit();
-  backend::DensityMatrixBackend density(
-      noise::NoiseModel::from_backend(noise::fake_casablanca()));
-  backend::TrajectoryBackend trajectory(
-      noise::NoiseModel::from_backend(noise::fake_casablanca()));
-
-  std::stringstream stream;
-  ASSERT_TRUE(density.save_snapshot(*density.prepare_prefix(qc, 2), stream));
-  const std::string good = stream.str();
-
-  {  // corrupt magic
-    std::string bad = good;
-    bad[0] ^= 0x01;
-    std::istringstream in(bad);
-    EXPECT_THROW((void)density.load_snapshot(in), Error);
-  }
-  {  // corrupt payload byte -> checksum mismatch
-    std::string bad = good;
-    bad[bad.size() / 2] ^= 0x40;
-    std::istringstream in(bad);
-    EXPECT_THROW((void)density.load_snapshot(in), Error);
-  }
-  {  // truncated file
-    std::istringstream in(good.substr(0, good.size() / 2));
-    EXPECT_THROW((void)density.load_snapshot(in), Error);
-  }
-  {  // empty file
-    std::istringstream in{std::string()};
-    EXPECT_THROW((void)density.load_snapshot(in), Error);
-  }
-  {  // wrong backend kind
-    std::istringstream in(good);
-    EXPECT_THROW((void)trajectory.load_snapshot(in), Error);
-  }
-  {  // a retired v3 container (no codec fields), framed with a valid
-     // checksum: rejected by version, so a cache re-simulates it
-    std::istringstream current(good);
-    const auto payload = backend::snapio::read_container(current).payload;
-    util::ByteWriter body;
-    body.u32(3);
-    body.u32(
-        static_cast<std::uint32_t>(backend::snapio::SnapshotKind::Density));
-    body.raw(payload.data(), payload.size());
-    util::ByteWriter checksum;
-    checksum.u64(util::fnv1a64(body.data()));
-    std::istringstream in(std::string(backend::snapio::kMagic, 8) +
-                          body.data() + checksum.data());
-    try {
-      (void)density.load_snapshot(in);
-      ADD_FAILURE() << "v3 container loaded";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("snapshot: unsupported version"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-}
-
-TEST(SnapshotCache, SecondPrepareHitsDiskAndMatches) {
-  TempDir dir("cache");
-  const auto qc = small_circuit();
-  backend::DensityMatrixBackend inner(
-      noise::NoiseModel::from_backend(noise::fake_casablanca()));
-
-  const backend::SuffixConfig configs[] = {fault_config(1, 3)};
-  std::vector<double> first_probs;
-  {
-    dist::SnapshotCachingBackend cached(inner, dir.str());
-    const auto snapshot = cached.prepare_prefix(qc, 3, 0, 42);
-    EXPECT_EQ(cached.hits(), 0u);
-    EXPECT_EQ(cached.misses(), 1u);
-    first_probs =
-        cached.run_suffix_batch(*snapshot, configs, 0).at(0).probabilities;
-  }
-  {
-    dist::SnapshotCachingBackend cached(inner, dir.str());
-    const auto snapshot = cached.prepare_prefix(qc, 3, 0, 42);
-    EXPECT_EQ(cached.hits(), 1u);
-    EXPECT_EQ(cached.misses(), 0u);
-    const auto probs =
-        cached.run_suffix_batch(*snapshot, configs, 0).at(0).probabilities;
-    EXPECT_EQ(probs, first_probs);
-    // A different key (other prefix length) must miss.
-    (void)cached.prepare_prefix(qc, 2, 0, 42);
-    EXPECT_EQ(cached.misses(), 1u);
-  }
-}
-
-TEST(SnapshotCache, KeysSeparateDevicesAndContexts) {
-  TempDir dir("cache_key");
-  const auto qc = small_circuit();
-  // Casablanca and Jakarta share a topology, so the same circuit can
-  // transpile to identical bytes — the key must still tell them apart.
-  backend::DensityMatrixBackend casablanca(
-      noise::NoiseModel::from_backend(noise::fake_casablanca()));
-  backend::DensityMatrixBackend jakarta(
-      noise::NoiseModel::from_backend(noise::fake_jakarta()));
-
-  dist::SnapshotCachingBackend cached_a(casablanca, dir.str());
-  (void)cached_a.prepare_prefix(qc, 3, 0, 42);
-  EXPECT_EQ(cached_a.misses(), 1u);
-
-  dist::SnapshotCachingBackend cached_b(jakarta, dir.str());
-  (void)cached_b.prepare_prefix(qc, 3, 0, 42);
-  EXPECT_EQ(cached_b.hits(), 0u);  // different device: no cross-serving
-  EXPECT_EQ(cached_b.misses(), 1u);
-
-  // Same device, different caller context (e.g. noise_scale) also misses.
-  dist::SnapshotCachingBackend cached_c(casablanca, dir.str(), "scale=0.5");
-  (void)cached_c.prepare_prefix(qc, 3, 0, 42);
-  EXPECT_EQ(cached_c.hits(), 0u);
-  EXPECT_EQ(cached_c.misses(), 1u);
-
-  // Identical identity does hit.
-  dist::SnapshotCachingBackend cached_d(casablanca, dir.str());
-  (void)cached_d.prepare_prefix(qc, 3, 0, 42);
-  EXPECT_EQ(cached_d.hits(), 1u);
 }
 
 // ---- shard planning --------------------------------------------------------
@@ -554,37 +344,6 @@ TEST(ShardPlan, TreeCostChargesExtensionNotFullPrefix) {
   EXPECT_EQ(dist::tree_point_cost(deeper, 30, 20), 1u + 5 + 5);
 }
 
-TEST(SnapshotCache, ExtendSharesTheCanonicalKeySpace) {
-  TempDir dir("cache_extend");
-  const auto qc = small_circuit();
-  backend::DensityMatrixBackend inner(
-      noise::NoiseModel::from_backend(noise::fake_casablanca()));
-
-  dist::SnapshotCachingBackend cached(inner, dir.str());
-  const auto parent = cached.prepare_prefix(qc, 2, 0, 42);
-  const auto derived = cached.extend_snapshot(*parent, 2, 4, 0, 42);
-  EXPECT_EQ(cached.misses(), 2u);
-  EXPECT_EQ(derived->prefix_length(), 4u);
-
-  // The derived snapshot was persisted under the canonical (circuit,
-  // split) key: a from-scratch prepare at the same split is served from
-  // disk, and so is a repeat extension.
-  EXPECT_EQ(cached.hits(), 0u);
-  const auto reloaded = cached.prepare_prefix(qc, 4, 0, 42);
-  EXPECT_EQ(cached.hits(), 1u);
-  const auto re_extended = cached.extend_snapshot(*parent, 2, 4, 0, 42);
-  EXPECT_EQ(cached.hits(), 2u);
-  EXPECT_EQ(cached.misses(), 2u);
-
-  const backend::SuffixConfig configs[] = {fault_config(1, 9)};
-  expect_same_probs(
-      cached.run_suffix_batch(*derived, configs, 0).at(0),
-      cached.run_suffix_batch(*reloaded, configs, 0).at(0));
-  expect_same_probs(
-      cached.run_suffix_batch(*derived, configs, 0).at(0),
-      cached.run_suffix_batch(*re_extended, configs, 0).at(0));
-}
-
 TEST(ShardMerge, TreePlannedDoubleFaultShardsMatchSingleProcess) {
   auto spec = quick_spec("bv", 4);
   spec.grid.theta_step_deg = 90.0;
@@ -606,74 +365,6 @@ TEST(ShardMerge, TreePlannedDoubleFaultShardsMatchSingleProcess) {
 }
 
 // ---- moment-aware (idle-noise) distribution --------------------------------
-
-TEST(SnapshotSerialization, IdleNoiseRoundTripCarriesMomentCursor) {
-  const auto qc = small_circuit();
-  backend::DensityMatrixBackend be(
-      noise::NoiseModel::from_backend(noise::fake_casablanca()),
-      /*idle_noise=*/true);
-
-  const auto snapshot = be.prepare_prefix(qc, 3, 0, 42);
-  std::stringstream stream;
-  ASSERT_TRUE(be.save_snapshot(*snapshot, stream));
-  const auto loaded = be.load_snapshot(stream);
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->prefix_length(), snapshot->prefix_length());
-
-  const backend::SuffixConfig configs[] = {fault_config(0, 7),
-                                           fault_config(1, 8)};
-  const auto original = be.run_suffix_batch(*snapshot, configs, 0);
-  const auto resumed = be.run_suffix_batch(*loaded, configs, 0);
-  ASSERT_EQ(original.size(), resumed.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    expect_same_probs(original[i], resumed[i]);
-  }
-
-  // A plain backend must refuse the moment-aware container (and the other
-  // way round): resuming the wrong execution mode silently would change
-  // every record downstream.
-  backend::DensityMatrixBackend plain(
-      noise::NoiseModel::from_backend(noise::fake_casablanca()));
-  std::stringstream again;
-  ASSERT_TRUE(be.save_snapshot(*snapshot, again));
-  EXPECT_THROW((void)plain.load_snapshot(again), Error);
-  std::stringstream plain_stream;
-  ASSERT_TRUE(plain.save_snapshot(*plain.prepare_prefix(qc, 3), plain_stream));
-  EXPECT_THROW((void)be.load_snapshot(plain_stream), Error);
-}
-
-TEST(SnapshotSerialization, ExhaustiveFlipAndTruncationSweepNeverLoads) {
-  // The loader-robustness sweep: for a small container, every single-byte
-  // corruption and every truncation must be rejected with a qufi::Error —
-  // never a crash, never a silently loaded snapshot. The container checksum
-  // covers version, kind and payload; the magic guards the head;
-  // ByteReader guards the tail.
-  const auto qc = small_circuit();
-  backend::DensityMatrixBackend be(
-      noise::NoiseModel::from_backend(noise::fake_casablanca()),
-      /*idle_noise=*/true);
-  std::stringstream stream;
-  ASSERT_TRUE(be.save_snapshot(*be.prepare_prefix(qc, 3), stream));
-  const std::string good = stream.str();
-  ASSERT_GT(good.size(), 0u);
-
-  // Sanity: the pristine bytes do load.
-  {
-    std::istringstream in(good);
-    EXPECT_NO_THROW((void)be.load_snapshot(in));
-  }
-  for_each_byte_flip(good, [&](const std::string& bad, std::size_t offset,
-                               unsigned mask) {
-    std::istringstream in(bad);
-    EXPECT_THROW((void)be.load_snapshot(in), Error)
-        << "flipped byte " << offset << " mask " << mask << " loaded anyway";
-  });
-  for_each_truncation(good, [&](const std::string& prefix, std::size_t len) {
-    std::istringstream in(prefix);
-    EXPECT_THROW((void)be.load_snapshot(in), Error)
-        << "truncation to " << len << " bytes loaded anyway";
-  });
-}
 
 TEST(ShardManifest, IdleNoiseKnobRoundTripsAndOlderVersionsDefaultOff) {
   TempDir dir("manifest_idle");
@@ -790,35 +481,6 @@ TEST(ShardRunner, IdleNoiseManifestMatchesDirectSubsetRun) {
         << e.what();
   }
   EXPECT_FALSE(fs::exists(options.columnar_output_path));
-}
-
-TEST(SnapshotCache, IdleNoiseKeysSeparateFromPlainSnapshots) {
-  TempDir dir("cache_idle");
-  const auto qc = small_circuit();
-  backend::DensityMatrixBackend plain(
-      noise::NoiseModel::from_backend(noise::fake_casablanca()));
-  backend::DensityMatrixBackend idle(
-      noise::NoiseModel::from_backend(noise::fake_casablanca()),
-      /*idle_noise=*/true);
-
-  dist::SnapshotCachingBackend cached_plain(plain, dir.str());
-  (void)cached_plain.prepare_prefix(qc, 3, 0, 42);
-  EXPECT_EQ(cached_plain.misses(), 1u);
-
-  // Same circuit, same split: the idle-noise execution mode (backend name
-  // + schedule digest in the key) must never be served the plain state.
-  dist::SnapshotCachingBackend cached_idle(idle, dir.str());
-  const auto first = cached_idle.prepare_prefix(qc, 3, 0, 42);
-  EXPECT_EQ(cached_idle.hits(), 0u);
-  EXPECT_EQ(cached_idle.misses(), 1u);
-
-  // And the idle entry round-trips: a second idle prepare is a disk hit
-  // that resumes identically.
-  const auto second = cached_idle.prepare_prefix(qc, 3, 0, 42);
-  EXPECT_EQ(cached_idle.hits(), 1u);
-  const backend::SuffixConfig configs[] = {fault_config(1, 3)};
-  expect_same_probs(cached_idle.run_suffix_batch(*first, configs, 0).at(0),
-                    cached_idle.run_suffix_batch(*second, configs, 0).at(0));
 }
 
 TEST(ShardRunner, ManifestExecutionMatchesDirectSubsetRun) {
@@ -1062,71 +724,6 @@ TEST(ShardRunner, StreamingColumnarOutputMatchesInMemoryPartial) {
               std::string::npos)
         << e.what();
   }
-}
-
-TEST(SnapshotCache, CompressedEntriesLoadBitIdenticalAndShareKeys) {
-  if (!util::deflate_available()) GTEST_SKIP() << "built without zlib";
-  TempDir dir("cache_compress");
-  const auto qc = small_circuit();
-  backend::DensityMatrixBackend inner(
-      noise::NoiseModel::from_backend(noise::fake_casablanca()));
-  const backend::SuffixConfig configs[] = {fault_config(1, 3)};
-
-  std::vector<double> plain_probs;
-  {
-    dist::SnapshotCachingBackend cached(inner, dir.str(), "",
-                                        /*compress=*/true);
-    const auto snapshot = cached.prepare_prefix(qc, 3, 0, 42);
-    EXPECT_EQ(cached.misses(), 1u);
-    plain_probs =
-        cached.run_suffix_batch(*snapshot, configs, 0).at(0).probabilities;
-  }
-  {
-    // Compression is a storage codec, not part of the cache key: a plain
-    // (uncompressed) cache instance must hit the compressed entry and
-    // resume to bit-identical results.
-    dist::SnapshotCachingBackend cached(inner, dir.str(), "",
-                                        /*compress=*/false);
-    const auto snapshot = cached.prepare_prefix(qc, 3, 0, 42);
-    EXPECT_EQ(cached.hits(), 1u);
-    EXPECT_EQ(cached.misses(), 0u);
-    const auto probs =
-        cached.run_suffix_batch(*snapshot, configs, 0).at(0).probabilities;
-    EXPECT_EQ(probs, plain_probs);
-  }
-}
-
-TEST(SnapshotCache, CompressedAndPlainContainersCarrySamePayload) {
-  if (!util::deflate_available()) GTEST_SKIP() << "built without zlib";
-  const auto qc = small_circuit();
-  backend::DensityMatrixBackend be(
-      noise::NoiseModel::from_backend(noise::fake_casablanca()));
-  std::stringstream direct;
-  ASSERT_TRUE(be.save_snapshot(*be.prepare_prefix(qc, 3, 0, 42), direct));
-  const auto container = backend::snapio::read_container(direct);
-
-  std::stringstream plain, deflated;
-  backend::snapio::write_container(plain, container.kind, container.payload,
-                                   backend::snapio::PayloadCodec::None);
-  backend::snapio::write_container(deflated, container.kind,
-                                   container.payload,
-                                   backend::snapio::PayloadCodec::Deflate);
-  EXPECT_LT(deflated.str().size(), plain.str().size())
-      << "deflate should shrink a density snapshot";
-
-  // Both frames decode to the identical payload, and the loaded snapshot
-  // resumes to bit-identical suffix results.
-  EXPECT_EQ(backend::snapio::read_container(plain).payload,
-            container.payload);
-  EXPECT_EQ(backend::snapio::read_container(deflated).payload,
-            container.payload);
-  deflated.seekg(0);
-  const auto loaded = be.load_snapshot(deflated);
-  ASSERT_NE(loaded, nullptr);
-  const backend::SuffixConfig configs[] = {fault_config(0, 7)};
-  const auto snapshot = be.prepare_prefix(qc, 3, 0, 42);
-  expect_same_probs(be.run_suffix_batch(*snapshot, configs, 0).at(0),
-                    be.run_suffix_batch(*loaded, configs, 0).at(0));
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
 // Prefix-tree engine tests: the snapshot-tree planner, extend_snapshot on
 // both checkpointing backends (parent-vs-from-scratch bit equivalence,
-// chain hops, serialized derived snapshots), the density suffix-response
+// chain hops), the density suffix-response
 // batch path, and tree-engine campaigns against full re-simulation (single
 // and double fault with the response path active, shard-subset unions,
 // points with no coupled active neighbor).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 
 #include "algorithms/algorithms.hpp"
 #include "backend/density_backend.hpp"
@@ -251,57 +250,6 @@ TEST(ExtendSnapshot, TrajectoryExtendResumesTheExactRngStream) {
       PhaseShiftFault{0.6, 1.2}.as_instruction(qubit)};
   expect_same_probs(backend.run_suffix(*extended, injected, shots, 5),
                     backend.run_suffix(*scratch, injected, shots, 5));
-}
-
-// ---- serialized derived snapshots ------------------------------------------
-
-TEST(ExtendSnapshot, SerializedDerivedDensitySnapshotRoundTrips) {
-  const auto spec = quick_spec("bv", 4);
-  const auto transpiled = campaign_transpile(spec);
-  backend::DensityMatrixBackend backend(
-      noise::NoiseModel::from_backend(spec.backend, 1.0));
-  const std::size_t size = transpiled.circuit.size();
-
-  const auto derived = backend.extend_snapshot(
-      *backend.prepare_prefix(transpiled.circuit, 2), 2, size / 2);
-  std::stringstream stream;
-  ASSERT_TRUE(backend.save_snapshot(*derived, stream));
-  const auto loaded = backend.load_snapshot(stream);
-  EXPECT_EQ(loaded->prefix_length(), size / 2);
-
-  const int qubit = transpiled.circuit.active_qubits().front();
-  const circ::Instruction injected[] = {
-      PhaseShiftFault{1.0, 0.3}.as_instruction(qubit)};
-  expect_same_probs(backend.run_suffix(*loaded, injected, 0, 9),
-                    backend.run_suffix(*derived, injected, 0, 9));
-}
-
-TEST(ExtendSnapshot, LoadedTrajectorySnapshotStaysExtendable) {
-  const auto spec = quick_spec("bv", 4);
-  const auto transpiled = campaign_transpile(spec);
-  backend::TrajectoryBackend backend(
-      noise::NoiseModel::from_backend(spec.backend, 1.0));
-  const std::uint64_t shots = 64;
-  const std::size_t size = transpiled.circuit.size();
-
-  const auto parent =
-      backend.prepare_prefix(transpiled.circuit, 3, shots, /*seed=*/13);
-  std::stringstream stream;
-  ASSERT_TRUE(backend.save_snapshot(*parent, stream));
-  const auto loaded = backend.load_snapshot(stream);
-
-  // The serialized per-shot RNG state survives the round-trip: extending
-  // the loaded snapshot matches extending the original bit-for-bit, so a
-  // worker can deepen a snapshot another process evolved.
-  const auto from_original =
-      backend.extend_snapshot(*parent, 3, size - 1, shots, 13);
-  const auto from_loaded =
-      backend.extend_snapshot(*loaded, 3, size - 1, shots, 13);
-  const int qubit = transpiled.circuit.active_qubits().front();
-  const circ::Instruction injected[] = {
-      PhaseShiftFault{2.2, 0.1}.as_instruction(qubit)};
-  expect_same_probs(backend.run_suffix(*from_original, injected, shots, 21),
-                    backend.run_suffix(*from_loaded, injected, shots, 21));
 }
 
 // ---- density suffix-response batch path ------------------------------------

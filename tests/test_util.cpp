@@ -17,6 +17,7 @@
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/matrix.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -347,6 +348,31 @@ TEST(Csv, CloseReportsWriteFailureNamingThePath) {
 }
 
 // ------------------------------------------------------------- bitstring
+
+TEST(ParseUnsigned, AcceptsPlainDecimalWithinTheTargetRange) {
+  EXPECT_EQ(util::parse_unsigned<std::uint32_t>("0"), 0u);
+  EXPECT_EQ(util::parse_unsigned<std::uint32_t>("4294967295"), 4294967295u);
+  EXPECT_EQ(util::parse_unsigned<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(ParseUnsigned, RejectsSignsOverflowAndStrayBytes) {
+  // Each of these wraps or truncates under std::stoul + a narrowing cast.
+  for (const char* bad : {"-1", "+1", "4294967296", "4294967298", "", " 1",
+                          "1 ", "12x", "0x10"}) {
+    EXPECT_FALSE(util::parse_unsigned<std::uint32_t>(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(
+      util::parse_unsigned<std::uint64_t>("18446744073709551616").has_value());
+  try {
+    (void)util::parse_unsigned_flag<std::uint32_t>("--shards", "-1");
+    ADD_FAILURE() << "--shards -1 parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad --shards value '-1'"),
+              std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(Bitstring, FormatsMsbFirst) {
   EXPECT_EQ(to_bitstring(0b101, 3), "101");
