@@ -69,7 +69,7 @@ struct CliOptions {
       "  --adaptive-seed N refinement-probe seed               (default 0)\n"
       "  --csv PATH        write per-record CSV\n"
       "  --out PATH        write binary columnar result (QUFIPART,\n"
-      "                    docs/RESULT_FORMAT.md; qufi_export_csv converts)\n",
+      "                    docs/RESULT_FORMAT.md; qufi_shard_merge converts)\n",
       argv0);
   std::exit(2);
 }

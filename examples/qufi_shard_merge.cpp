@@ -16,7 +16,9 @@
 //   qufi_shard_merge --out partial.csv --allow-partial parts/part_000.qp
 //
 // --format picks the *output* flavor: csv (campaign CSV, default) or
-// columnar (one merged QUFIPART file, convertible via qufi_export_csv).
+// columnar (one merged QUFIPART file). A single input with --format csv is
+// the QUFIPART-to-CSV export:
+//   qufi_shard_merge --out campaign.csv merged.qp
 
 #include <cstdio>
 #include <cstdlib>

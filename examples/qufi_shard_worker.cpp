@@ -11,11 +11,13 @@
 //                     --out parts/part_001.qp -j 4
 
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "dist/shard_runner.hpp"
-#include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -35,23 +37,24 @@ namespace {
 int main(int argc, char** argv) {
   std::string manifest_path;
   qufi::dist::ShardRunOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--manifest") manifest_path = value();
-    else if (arg == "--out") options.columnar_output_path = value();
-    else if (arg == "-j" || arg == "--threads")
-      options.threads = std::stoi(value());
-    else usage(argv[0]);
-  }
-  if (manifest_path.empty() || options.columnar_output_path.empty()) {
-    usage(argv[0]);
-  }
-
   try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto value = [&]() -> std::string {
+        if (i + 1 >= argc) usage(argv[0]);
+        return argv[++i];
+      };
+      if (arg == "--manifest") manifest_path = value();
+      else if (arg == "--out") options.columnar_output_path = value();
+      else if (arg == "-j" || arg == "--threads")
+        options.threads =
+            qufi::util::parse_unsigned_flag<std::uint16_t>(arg, value());
+      else usage(argv[0]);
+    }
+    if (manifest_path.empty() || options.columnar_output_path.empty()) {
+      usage(argv[0]);
+    }
+
     const auto manifest = qufi::dist::load_manifest(manifest_path);
     const auto output = qufi::dist::run_shard(manifest, options);
     std::printf(
@@ -64,7 +67,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(output.partial_bytes),
         options.columnar_output_path.c_str());
     return 0;
-  } catch (const qufi::Error& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

@@ -53,24 +53,25 @@
 #include "service/dispatcher.hpp"
 #include "service/fleet.hpp"
 #include "service/submission.hpp"
-#include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
 using namespace qufi;
+using util::parse_unsigned_flag;
 
 struct DaemonOptions {
   std::string spool = "spool";
   std::string work_dir = "qufid-work";
   std::string fleet = "thread";
-  int workers = 2;
-  int threads_per_worker = 1;
-  std::int64_t lease_timeout_ms = 30'000;
-  int max_retries = 2;
-  std::int64_t poll_ms = 50;
-  std::int64_t progress_every_ms = 1'000;
-  int chaos_kill = 0;
+  std::uint16_t workers = 2;
+  std::uint16_t threads_per_worker = 1;
+  std::uint32_t lease_timeout_ms = 30'000;
+  std::uint16_t max_retries = 2;
+  std::uint32_t poll_ms = 50;
+  std::uint32_t progress_every_ms = 1'000;
+  std::uint16_t chaos_kill = 0;
   bool drain = false;
   /// Empty = default (`<work_dir>/qufid.journal`); "off" disables.
   std::string journal;
@@ -111,21 +112,30 @@ DaemonOptions parse(int argc, char** argv) {
     if (arg == "--spool") options.spool = value();
     else if (arg == "--work-dir") options.work_dir = value();
     else if (arg == "--fleet") options.fleet = value();
-    else if (arg == "--workers") options.workers = std::stoi(value());
+    else if (arg == "--workers")
+      options.workers = parse_unsigned_flag<std::uint16_t>(arg, value());
     else if (arg == "--threads")
-      options.threads_per_worker = std::stoi(value());
+      options.threads_per_worker =
+          parse_unsigned_flag<std::uint16_t>(arg, value());
     else if (arg == "--lease-timeout")
-      options.lease_timeout_ms = std::stoll(value());
-    else if (arg == "--max-retries") options.max_retries = std::stoi(value());
-    else if (arg == "--poll") options.poll_ms = std::stoll(value());
+      options.lease_timeout_ms =
+          parse_unsigned_flag<std::uint32_t>(arg, value());
+    else if (arg == "--max-retries")
+      options.max_retries = parse_unsigned_flag<std::uint16_t>(arg, value());
+    else if (arg == "--poll")
+      options.poll_ms = parse_unsigned_flag<std::uint32_t>(arg, value());
     else if (arg == "--progress-every")
-      options.progress_every_ms = std::stoll(value());
-    else if (arg == "--chaos-kill") options.chaos_kill = std::stoi(value());
+      options.progress_every_ms =
+          parse_unsigned_flag<std::uint32_t>(arg, value());
+    else if (arg == "--chaos-kill")
+      options.chaos_kill = parse_unsigned_flag<std::uint16_t>(arg, value());
     else if (arg == "--journal") options.journal = value();
     else if (arg == "--drain") options.drain = true;
     else usage(argv[0]);
   }
   if (options.fleet != "thread" && options.fleet != "process") usage(argv[0]);
+  // No worker would ever drain the queue.
+  if (options.workers == 0) throw Error("--workers must be at least 1");
   if (options.chaos_kill > 0 && options.fleet != "process") {
     std::fprintf(stderr, "error: --chaos-kill requires --fleet process\n");
     std::exit(2);
@@ -189,52 +199,6 @@ bool spool_has_pending(const DaemonOptions& options) {
   return false;
 }
 
-/// Writes the merge prefix as a campaign CSV (temp + rename): the partial
-/// QVF map callers can tail while the campaign runs. Row bytes match the
-/// final CSV's first rows; the preamble converges once a shard seals (the
-/// fault-free QVF stops being the streaming placeholder).
-void write_prefix_csv(const std::string& path,
-                      const dist::PrefixMergeResult& prefix) {
-  const std::string temp = path + ".tmp";
-  try {
-    util::CsvWriter csv(temp);
-    write_csv_preamble(csv, prefix.meta);
-    if (prefix.meta.adaptive) {
-      // Adaptive rows carry per-point estimate columns, recomputed by
-      // replaying the point's (complete, whole-point) record run.
-      for (std::size_t i = 0; i < prefix.records.size();) {
-        std::size_t j = i;
-        while (j < prefix.records.size() &&
-               prefix.records[j].point_index ==
-                   prefix.records[i].point_index) {
-          ++j;
-        }
-        const auto estimate = adaptive_point_estimate(
-            prefix.meta,
-            std::span<const InjectionRecord>(prefix.records.data() + i,
-                                             j - i));
-        for (std::size_t k = i; k < j; ++k) {
-          write_csv_record(csv, prefix.meta, prefix.points,
-                           prefix.records[k], &estimate);
-        }
-        i = j;
-      }
-    } else {
-      for (const InjectionRecord& record : prefix.records) {
-        write_csv_record(csv, prefix.meta, prefix.points, record);
-      }
-    }
-    csv.close();
-  } catch (...) {
-    std::remove(temp.c_str());
-    throw;
-  }
-  if (std::rename(temp.c_str(), path.c_str()) != 0) {
-    std::remove(temp.c_str());
-    throw Error("qufid: cannot rename partial CSV into place: " + path);
-  }
-}
-
 void emit_progress(const DaemonOptions& options,
                    service::Dispatcher& dispatcher) {
   for (const auto& view : dispatcher.status()) {
@@ -252,10 +216,14 @@ void emit_progress(const DaemonOptions& options,
               ",\"sealed_inputs\":" + std::to_string(prefix.sealed_inputs);
       if (view.state == service::CampaignState::Queued ||
           view.state == service::CampaignState::Running) {
-        write_prefix_csv((std::filesystem::path(options.work_dir) /
-                           (view.name + ".partial.csv"))
-                              .string(),
-                          prefix);
+        // The merge prefix as a campaign CSV: the partial QVF map callers
+        // can tail while the campaign runs, its rows the final CSV's first.
+        CampaignCsvWriter csv((std::filesystem::path(options.work_dir) /
+                               (view.name + ".partial.csv"))
+                                  .string(),
+                              prefix.meta, prefix.points);
+        csv.write(prefix.records);
+        csv.commit();
       }
     } catch (const Error& e) {
       line += ",\"progress_error\":\"" + std::string(e.what()) + "\"";
@@ -329,7 +297,7 @@ void run_process_fleet(const DaemonOptions& options,
     dispatcher.tick();
 
     // Fill free slots.
-    while (static_cast<int>(children.size()) < options.workers) {
+    while (children.size() < options.workers) {
       auto lease = dispatcher.acquire("process-worker");
       if (!lease) break;
       const pid_t pid = ::fork();
@@ -412,8 +380,8 @@ void run_thread_fleet(const DaemonOptions& options,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const DaemonOptions options = parse(argc, argv);
   try {
+    const DaemonOptions options = parse(argc, argv);
     std::filesystem::create_directories(options.work_dir);
 
     service::SystemClock clock;
@@ -459,7 +427,7 @@ int main(int argc, char** argv) {
         "\"completed\":%zu,\"failed\":%zu}\n",
         dispatcher.status().size(), completed, failed);
     return failed == 0 ? 0 : 1;
-  } catch (const qufi::Error& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

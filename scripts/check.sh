@@ -6,8 +6,9 @@
 # Opt-in legs:
 #   CHECK_SANITIZE=1  rebuild the kernel-facing suites, the adaptive
 #                     estimation, dispatcher, campaign-engine (tree,
-#                     checkpoint, campaign), binary-reader (result_io, dist)
-#                     and util (buffered CSV writer) suites under ASan+UBSan
+#                     checkpoint, campaign), binary-reader (result_io, dist),
+#                     live-partial prefix merge (merge_prefix) and util
+#                     (buffered CSV writer) suites under ASan+UBSan
 #                     in build-asan/ and run them (the leg
 #                     .github/workflows/ci.yml runs on every push).
 set -euo pipefail
@@ -76,8 +77,9 @@ echo "docs check OK (README.md, docs/{ARCHITECTURE,CAMPAIGNS,SHARDING,RESULT_FOR
 # Drive the distribution layer end to end through its real CLIs, once per
 # campaign kind: plan two shards, execute each as a separate worker process
 # streaming a QUFIPART partial (one with 1 thread, one with 4, so the
-# partials must not depend on thread count), then merge twice — straight to CSV, and to a merged QUFIPART file that
-# qufi_export_csv converts. Both CSVs must be byte-identical to the
+# partials must not depend on thread count), then merge twice — straight to
+# CSV, and to a merged QUFIPART file that a one-input
+# `qufi_shard_merge --format csv` exports. Both CSVs must be byte-identical to the
 # single-process `qufi_cli --csv` run (the docs/SHARDING.md equivalence
 # contract and the docs/RESULT_FORMAT.md projection contract). The kinds:
 #  - single-fault: the paper's primary sweep;
@@ -106,8 +108,8 @@ shard_smoke() {
     "$dir/part_001.qp" "$dir/part_000.qp" > /dev/null
   ./build/qufi_shard_merge --format columnar --out "$dir/merged.qp" \
     "$dir/part_001.qp" "$dir/part_000.qp" > /dev/null
-  ./build/qufi_export_csv --out "$dir/exported.csv" "$dir/merged.qp" \
-    > /dev/null
+  ./build/qufi_shard_merge --format csv --out "$dir/exported.csv" \
+    "$dir/merged.qp" > /dev/null
   ./build/qufi_cli $flags --csv "$dir/single.csv" > /dev/null
   for out in merged exported; do
     if ! diff -q "$dir/$out.csv" "$dir/single.csv" > /dev/null; then
@@ -209,7 +211,22 @@ for name in bv4 dj4; do
     exit 1
   fi
 done
-echo "dispatcher smoke OK (2 campaigns, chaos-killed worker, CSVs == single-process, shards -1 submission rejected)"
+# Hostile flags: a non-number must exit 1 with a named error (not abort on
+# an uncaught exception), and --workers 0 must be refused up front instead
+# of draining forever with no worker. (Word-split on purpose.)
+q="./build/qufid --spool $disp_dir/flag_spool --work-dir $disp_dir/flag_work"
+for cmd in "$q --workers abc" "$q --workers 0 --fleet process --drain" \
+  "$q --threads abc" "$q --lease-timeout abc" "$q --max-retries abc" \
+  "$q --poll abc" "$q --progress-every abc" "$q --chaos-kill abc" \
+  "./build/qufi_shard_worker -j abc --manifest $disp_dir/none --out $disp_dir/none.qp"; do
+  rc=0
+  err="$(timeout 10 $cmd 2>&1 > /dev/null)" || rc=$?
+  if [[ $rc -ne 1 ]] || ! grep -q '^error: ' <<< "$err"; then
+    echo "dispatcher smoke FAILED: '$cmd' exited $rc (want 1 with a named error): $err" >&2
+    exit 1
+  fi
+done
+echo "dispatcher smoke OK (2 campaigns, chaos-killed worker, CSVs == single-process, shards -1 submission and bad integer flags rejected)"
 
 # Crash-durability smoke: SIGKILL the daemon ITSELF (and its workers)
 # mid-campaign, then restart qufid over the same spool + work dir. The
@@ -328,7 +345,8 @@ fi
 # CHECK_SANITIZE=1 rebuilds the kernel-facing tests, the adaptive
 # estimation suite, the dispatcher/journal suite, the campaign engine's
 # tree, checkpoint and campaign suites, the binary-reader suites (QUFIPART
-# corruption sweeps) and the util suite under ASan+UBSan in a separate
+# corruption sweeps), the prefix-merge suite (Live writers read by Tail
+# readers) and the util suite under ASan+UBSan in a separate
 # build tree and runs them, so the vectorized pointer arithmetic,
 # the estimator's cell bookkeeping, the journal's recovery/truncation paths,
 # the snapshot tree sweep and its dynamically claimed chains, every reader
@@ -339,14 +357,15 @@ if [[ "${CHECK_SANITIZE:-0}" == "1" ]]; then
     -DQUFI_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j --target test_kernels test_sim test_adaptive \
     test_dispatcher test_tree test_checkpoint test_result_io test_dist \
-    test_campaign test_util
+    test_campaign test_util test_merge_prefix
   for t in test_kernels test_sim test_adaptive test_dispatcher test_tree \
-    test_checkpoint test_result_io test_dist test_campaign test_util; do
+    test_checkpoint test_result_io test_dist test_campaign test_util \
+    test_merge_prefix; do
     ./build-asan/$t > /dev/null
   done
   # The vectorized sets must survive sanitized runs too, not just the default.
   for kset in $(./build/perf_simulator --list-kernels); do
     QUFI_KERNELS="$kset" ./build-asan/test_kernels > /dev/null
   done
-  echo "sanitizer pass OK (test_kernels + test_sim + test_adaptive + test_dispatcher + test_tree + test_checkpoint + test_result_io + test_dist + test_campaign + test_util under ASan+UBSan)"
+  echo "sanitizer pass OK (test_kernels + test_sim + test_adaptive + test_dispatcher + test_tree + test_checkpoint + test_result_io + test_dist + test_campaign + test_util + test_merge_prefix under ASan+UBSan)"
 fi

@@ -258,6 +258,16 @@ CampaignMetadata base_metadata(const CampaignSpec& spec, const Prepared& prep) {
   return meta;
 }
 
+/// Announces the campaign to CampaignSpec::record_sink, if any: called once
+/// the final metadata is set and before the sweep emits anything.
+void begin_sink(const CampaignSpec& spec, const CampaignResult& result,
+                std::uint64_t expected_total_records) {
+  if (spec.record_sink) {
+    spec.record_sink->begin(result.meta, result.points,
+                            expected_total_records);
+  }
+}
+
 /// Scores one executed config: pa/pb via the shared QVF split (paper
 /// Eq. 1) instead of a re-implemented loop.
 void score_record(InjectionRecord& rec, std::span<const double> probs,
@@ -394,6 +404,8 @@ CampaignResult single_campaign_impl(const CampaignSpec& spec, Prepared& prep,
   const std::size_t configs_per_point =
       static_cast<std::size_t>(num_theta) * static_cast<std::size_t>(num_phi);
   const std::size_t total = subset.size() * configs_per_point;
+  result.meta = base_metadata(spec, prep);
+  begin_sink(spec, result, result.points.size() * configs_per_point);
   std::unique_ptr<PointEmitter> emitter;
   if (spec.record_sink) {
     // Streaming mode: records live in per-point buffers that are emitted
@@ -445,8 +457,6 @@ CampaignResult single_campaign_impl(const CampaignSpec& spec, Prepared& prep,
   sweep_snapshot_tree(pool, prep, spec, subset_splits(result.points, subset),
                       slice_begin, kTreeChunk1q, sweep);
 
-  result.meta = base_metadata(spec, prep);
-  result.meta.double_fault = false;
   result.meta.executions = total;
   result.meta.injections = campaign_injections(total, spec.shots);
   return result;
@@ -473,6 +483,10 @@ CampaignResult adaptive_campaign_impl(const CampaignSpec& spec, Prepared& prep,
   result.points = std::move(points);
   validate_subset(subset, result.points.size());
   result.point_estimates.resize(result.points.size());
+  result.meta = base_metadata(spec, prep);
+  result.meta.adaptive = true;
+  result.meta.adaptive_policy = policy;
+  begin_sink(spec, result, 0);
 
   const int num_theta = spec.grid.num_theta();
   std::vector<std::vector<InjectionRecord>> blocks(subset.size());
@@ -530,10 +544,6 @@ CampaignResult adaptive_campaign_impl(const CampaignSpec& spec, Prepared& prep,
       result.records.insert(result.records.end(), block.begin(), block.end());
     }
   }
-  result.meta = base_metadata(spec, prep);
-  result.meta.double_fault = false;
-  result.meta.adaptive = true;
-  result.meta.adaptive_policy = policy;
   result.meta.executions = executions.load(std::memory_order_relaxed);
   result.meta.injections =
       campaign_injections(result.meta.executions, spec.shots);
@@ -623,6 +633,9 @@ CampaignResult double_campaign_impl(const CampaignSpec& spec, Prepared& prep,
   }
   require(!require_neighbors || any_neighbors,
           "double campaign: no coupled active neighbors (check topology)");
+  result.meta = base_metadata(spec, prep);
+  result.meta.double_fault = true;
+  begin_sink(spec, result, global_index);
 
   // Each subset point owns one contiguous slice of `configs` (the list is
   // ordered by point). The boundaries drive both the tree sweep and the
@@ -696,8 +709,6 @@ CampaignResult double_campaign_impl(const CampaignSpec& spec, Prepared& prep,
   sweep_snapshot_tree(pool, prep, spec, subset_splits(result.points, subset),
                       slice_begin, kTreeChunk2q, sweep);
 
-  result.meta = base_metadata(spec, prep);
-  result.meta.double_fault = true;
   result.meta.executions = configs.size();
   result.meta.injections = campaign_injections(configs.size(), spec.shots);
   return result;

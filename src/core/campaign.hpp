@@ -81,7 +81,8 @@ struct CampaignSpec {
   /// the moment its whole grid finished, instead of accumulating the full
   /// record vector: the returned CampaignResult then carries metadata, the
   /// point table and execution totals but an *empty* records vector, keeping
-  /// engine memory at O(points) slices instead of O(campaign). Blocks
+  /// engine memory at O(points) slices instead of O(campaign). The sink's
+  /// begin() receives the final metadata before the sweep; blocks then
   /// arrive in completion order (not point order) and emit() is called
   /// concurrently from pool lanes — see ResultBlockSink. Values are
   /// bit-identical to the accumulated records (same slots, same seeds).

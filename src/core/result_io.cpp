@@ -51,8 +51,6 @@ void encode_header(util::ByteWriter& w, const ResultFileHeader& h) {
   w.u8(h.meta.double_fault ? 1 : 0);
   w.u8(h.meta.idle_noise ? 1 : 0);
   w.f64(h.meta.faultfree_qvf);
-  // Adaptive fields are fixed-size, so set_meta()'s byte-size-identical
-  // header rewrite keeps working whatever the flag values.
   w.u8(h.meta.adaptive ? 1 : 0);
   w.f64(h.meta.adaptive_policy.max_config_fraction);
   w.f64(h.meta.adaptive_policy.qvf_ci_target);
@@ -147,7 +145,6 @@ std::uint64_t read_u64(std::ifstream& in, const std::string& path,
 ResultWriter::ResultWriter(std::string path, const ResultFileHeader& header,
                            std::size_t block_records, WriteMode mode)
     : path_(std::move(path)),
-      header_(header),
       block_records_(block_records),
       mode_(mode) {
   require(block_records_ > 0, "ResultWriter: block_records must be positive");
@@ -169,8 +166,7 @@ ResultWriter::ResultWriter(std::string path, const ResultFileHeader& header,
   head.raw(kResultMagic, sizeof(kResultMagic));
   head.u32(kResultVersion);
   util::ByteWriter body;
-  encode_header(body, header_);
-  header_body_size_ = body.size();
+  encode_header(body, header);
   head.u64(body.size());
   head.raw(body.data().data(), body.size());
   head.u64(util::fnv1a64(body.data()));
@@ -179,18 +175,6 @@ ResultWriter::ResultWriter(std::string path, const ResultFileHeader& header,
   if (mode_ == WriteMode::Live) out_.flush();
   require(out_.good(), "ResultWriter: write failed: " + temp_path_);
   bytes_written_ = head.size();
-}
-
-void ResultWriter::set_meta(const CampaignMetadata& meta) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  require(!finished_, "ResultWriter::set_meta: writer already finished");
-  ResultFileHeader updated = header_;
-  updated.meta = meta;
-  util::ByteWriter body;
-  encode_header(body, updated);
-  require(body.size() == header_body_size_,
-          "ResultWriter::set_meta: updated metadata changes the header size");
-  header_ = std::move(updated);
 }
 
 ResultWriter::~ResultWriter() {
@@ -283,20 +267,6 @@ void ResultWriter::finish(std::uint64_t executions, std::uint64_t injections) {
              static_cast<std::streamsize>(frame.size()));
   require(out_.good(), "ResultWriter: write failed: " + temp_path_);
   bytes_written_ += frame.size();
-  // Rewrite the header in place with the final metadata (see set_meta) —
-  // same byte size, so the block offsets that follow are untouched.
-  util::ByteWriter head_body;
-  encode_header(head_body, header_);
-  require(head_body.size() == header_body_size_,
-          "ResultWriter::finish: header size changed");
-  out_.seekp(static_cast<std::streamoff>(sizeof(kResultMagic) + 4 + 8),
-             std::ios::beg);
-  out_.write(head_body.data().data(),
-             static_cast<std::streamsize>(head_body.size()));
-  util::ByteWriter head_sum;
-  head_sum.u64(util::fnv1a64(head_body.data()));
-  out_.write(head_sum.data().data(),
-             static_cast<std::streamsize>(head_sum.size()));
   out_.flush();
   require(out_.good(), "ResultWriter: write failed: " + temp_path_);
   out_.close();
@@ -541,6 +511,33 @@ LoadedResultFile read_result_file(const std::string& path) {
     out.records.insert(out.records.end(), block.begin(), block.end());
   }
   return out;
+}
+
+ResultFileSink::ResultFileSink(std::string path, std::uint32_t shard_index,
+                               std::uint32_t shard_count, WriteMode mode)
+    : path_(std::move(path)),
+      shard_index_(shard_index),
+      shard_count_(shard_count),
+      mode_(mode) {}
+
+void ResultFileSink::begin(const CampaignMetadata& meta,
+                           std::span<const InjectionPoint> points,
+                           std::uint64_t expected_total_records) {
+  require(!writer_, "ResultFileSink::begin: called twice");
+  ResultFileHeader header;
+  header.shard_index = shard_index_;
+  header.shard_count = shard_count_;
+  header.expected_total_records = expected_total_records;
+  header.meta = meta;
+  header.points.assign(points.begin(), points.end());
+  writer_ = std::make_unique<ResultWriter>(path_, header,
+                                           kDefaultBlockRecords, mode_);
+}
+
+void ResultFileSink::finish(std::uint64_t executions,
+                            std::uint64_t injections) {
+  require(writer_ != nullptr, "ResultFileSink::finish: begin() never ran");
+  writer_->finish(executions, injections);
 }
 
 }  // namespace qufi::resio

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -67,7 +68,8 @@ struct ResultFileHeader {
   std::uint32_t shard_count = 1;
   /// Global record count of the full campaign (all shards) — the merger's
   /// completeness check. For a full (unsharded) result this equals the
-  /// file's own record count.
+  /// file's own record count; 0 for adaptive campaigns, whose merger checks
+  /// per-point coverage instead.
   std::uint64_t expected_total_records = 0;
 
   CampaignMetadata meta;
@@ -76,13 +78,13 @@ struct ResultFileHeader {
 
 /// Append-oriented writer for the QUFIPART container.
 ///
-/// The header (shard identity, metadata, point table) is written up front;
-/// records then stream out in checksummed columnar blocks, and finish()
-/// seals the file with an end marker carrying the totals that are only
-/// known once the campaign ran. Writes go to a process-unique temp file
-/// that finish() renames into place, so a crashed worker can never leave a
-/// truncated file that parses as a result (the reader requires the end
-/// marker).
+/// The header (shard identity, metadata, point table) is written once, up
+/// front, and never rewritten; records then stream out in checksummed
+/// columnar blocks, and finish() seals the file with an end marker carrying
+/// the totals that are only known once the campaign ran. Writes go to a
+/// process-unique temp file that finish() renames into place, so a crashed
+/// worker can never leave a truncated file that parses as a result (the
+/// reader requires the end marker).
 ///
 /// Block invariants (what makes the streaming k-way merge possible):
 ///  - records within a block are sorted by point index;
@@ -118,20 +120,9 @@ class ResultWriter {
   /// descending point index within the span or on I/O failure.
   void append(std::span<const InjectionRecord> records);
 
-  /// Replaces the header's campaign metadata; finish() rewrites the header
-  /// section in place before sealing the file. This is how a streaming
-  /// worker handles metadata only known once the campaign ran (the
-  /// fault-free QVF): open the writer with a placeholder, stream blocks,
-  /// set the real metadata, finish. The re-encoded header must be
-  /// byte-size-identical — same strings, numeric fields only — or this
-  /// throws qufi::Error.
-  void set_meta(const CampaignMetadata& meta);
-
   /// Flushes the remaining buffer, writes the end marker (record total plus
-  /// the campaign's execution accounting), rewrites the header (see
-  /// set_meta) and renames the temp file into place (TempRename mode; Live
-  /// mode patches the header of the in-place file). Must be called exactly
-  /// once.
+  /// the campaign's execution accounting) and renames the temp file into
+  /// place (TempRename mode). Must be called exactly once.
   void finish(std::uint64_t executions, std::uint64_t injections);
 
   std::uint64_t records_written() const { return records_written_; }
@@ -145,8 +136,6 @@ class ResultWriter {
   std::string path_;
   std::string temp_path_;
   std::ofstream out_;
-  ResultFileHeader header_;
-  std::uint64_t header_body_size_ = 0;
   std::size_t block_records_;
   WriteMode mode_;
   std::mutex mutex_;
@@ -247,19 +236,38 @@ struct LoadedResultFile {
 };
 LoadedResultFile read_result_file(const std::string& path);
 
-/// ResultBlockSink adapter over a ResultWriter: campaign engines hand
-/// completed point slices to sink(), the writer streams them to disk. The
+/// ResultBlockSink that streams a campaign into one QUFIPART file. begin()
+/// opens the ResultWriter with the final header — the engine's metadata and
+/// point table plus this file's shard identity — so every header that
+/// reaches the disk is final from its first write; emit() appends. The
 /// caller still invokes finish() (the engine cannot know when the *file* is
-/// complete — e.g. a worker appends nothing for an empty shard).
+/// complete).
 class ResultFileSink final : public ResultBlockSink {
  public:
-  explicit ResultFileSink(ResultWriter& writer) : writer_(writer) {}
+  ResultFileSink(std::string path, std::uint32_t shard_index,
+                 std::uint32_t shard_count,
+                 WriteMode mode = WriteMode::TempRename);
+
+  void begin(const CampaignMetadata& meta,
+             std::span<const InjectionPoint> points,
+             std::uint64_t expected_total_records) override;
   void emit(std::span<const InjectionRecord> records) override {
-    writer_.append(records);
+    writer_->append(records);
   }
 
+  /// Seals the file (ResultWriter::finish). Throws qufi::Error when begin()
+  /// never ran.
+  void finish(std::uint64_t executions, std::uint64_t injections);
+
+  /// The open writer; null before begin().
+  const ResultWriter* writer() const { return writer_.get(); }
+
  private:
-  ResultWriter& writer_;
+  std::string path_;
+  std::uint32_t shard_index_;
+  std::uint32_t shard_count_;
+  WriteMode mode_;
+  std::unique_ptr<ResultWriter> writer_;
 };
 
 }  // namespace qufi::resio

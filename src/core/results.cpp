@@ -154,6 +154,10 @@ CampaignResult::ImpactBreakdown CampaignResult::impact_breakdown() const {
   return b;
 }
 
+namespace {
+
+/// The two leading rows of every campaign CSV: metadata comment and column
+/// header.
 void write_csv_preamble(util::CsvWriter& csv, const CampaignMetadata& meta) {
   std::vector<std::string> head = {
       "# circuit", meta.circuit_name, "backend", meta.backend_name,
@@ -187,6 +191,8 @@ void write_csv_preamble(util::CsvWriter& csv, const CampaignMetadata& meta) {
   csv.write_row(columns);
 }
 
+/// One record row. Adaptive campaigns append the point's estimator columns
+/// from `estimate`; it is ignored otherwise.
 void write_csv_record(util::CsvWriter& csv, const CampaignMetadata& meta,
                       std::span<const InjectionPoint> points,
                       const InjectionRecord& r,
@@ -211,15 +217,14 @@ void write_csv_record(util::CsvWriter& csv, const CampaignMetadata& meta,
   csv.cell(r.pa);
   csv.cell(r.pb);
   if (meta.adaptive) {
-    require(estimate != nullptr,
-            "write_csv_record: adaptive campaign rows need the point's "
-            "estimate (see adaptive_point_estimate)");
     csv.cell(estimate->configs_evaluated);
     csv.cell(estimate->ci_halfwidth);
     csv.cell(estimate->est_qvf);
   }
   csv.end_row();
 }
+
+}  // namespace
 
 AdaptivePointEstimate adaptive_point_estimate(
     const CampaignMetadata& meta, std::span<const InjectionRecord> records) {
@@ -235,59 +240,81 @@ AdaptivePointEstimate adaptive_point_estimate(
                                records.front().point_index, records);
 }
 
-void CampaignResult::write_csv(const std::string& path) const {
-  // Write-then-rename: the destination name only ever holds a complete
-  // export.
+CampaignCsvWriter::CampaignCsvWriter(std::string path,
+                                     const CampaignMetadata& meta,
+                                     std::span<const InjectionPoint> points)
+    : path_(std::move(path)), meta_(meta), points_(points) {
   static std::atomic<std::uint64_t> counter{0};
-  const std::string temp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                           std::to_string(counter.fetch_add(1));
+  temp_ = path_ + ".tmp." + std::to_string(::getpid()) + "." +
+          std::to_string(counter.fetch_add(1));
+  csv_ = std::make_unique<util::CsvWriter>(temp_);
   try {
-    util::CsvWriter csv(temp);
-    write_csv_preamble(csv, meta);
-    // Rows are emitted in canonical point-ascending order no matter how the
-    // records were assembled (merged shard results arrive grouped by shard,
-    // not by point), so single-process and merged-shard CSVs are
-    // byte-comparable. The sort is stable: within a point, records keep
-    // their enumeration order, which every assembly path already shares.
-    std::vector<std::size_t> order(records.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return records[a].point_index < records[b].point_index;
-                     });
-    if (!meta.adaptive) {
-      for (const std::size_t i : order) {
-        write_csv_record(csv, meta, points, records[i]);
-      }
-    } else {
-      // Adaptive columns are per-point replay projections: gather each
-      // point's (now contiguous) block, recompute its estimate from the
-      // recorded QVFs, and stamp it on every row of the block.
-      std::vector<InjectionRecord> block;
-      for (std::size_t begin = 0; begin < order.size();) {
-        std::size_t end = begin;
-        block.clear();
-        while (end < order.size() &&
-               records[order[end]].point_index ==
-                   records[order[begin]].point_index) {
-          block.push_back(records[order[end++]]);
-        }
-        const AdaptivePointEstimate est = adaptive_point_estimate(meta, block);
-        for (const auto& r : block) {
-          write_csv_record(csv, meta, points, r, &est);
-        }
-        begin = end;
-      }
-    }
-    csv.close();
+    write_csv_preamble(*csv_, meta_);
   } catch (...) {
-    std::remove(temp.c_str());
+    csv_.reset();
+    std::remove(temp_.c_str());
     throw;
   }
-  if (std::rename(temp.c_str(), path.c_str()) != 0) {
-    std::remove(temp.c_str());
-    throw Error("write_csv: cannot rename temp file into place: " + path);
+}
+
+CampaignCsvWriter::~CampaignCsvWriter() {
+  if (csv_) {
+    csv_.reset();
+    std::remove(temp_.c_str());
   }
+}
+
+void CampaignCsvWriter::write(std::span<const InjectionRecord> records) {
+  if (!meta_.adaptive) {
+    for (const InjectionRecord& r : records) {
+      write_csv_record(*csv_, meta_, points_, r, nullptr);
+    }
+    return;
+  }
+  // Adaptive columns are per-point replay projections: recompute each
+  // run's estimate from its recorded QVFs and stamp it on every row.
+  for (std::size_t begin = 0; begin < records.size();) {
+    std::size_t end = begin;
+    while (end < records.size() &&
+           records[end].point_index == records[begin].point_index) {
+      ++end;
+    }
+    const auto run = records.subspan(begin, end - begin);
+    const AdaptivePointEstimate est = adaptive_point_estimate(meta_, run);
+    for (const InjectionRecord& r : run) {
+      write_csv_record(*csv_, meta_, points_, r, &est);
+    }
+    begin = end;
+  }
+}
+
+void CampaignCsvWriter::commit() {
+  csv_->close();
+  csv_.reset();
+  if (std::rename(temp_.c_str(), path_.c_str()) != 0) {
+    std::remove(temp_.c_str());
+    throw Error("campaign CSV: cannot rename temp file into place: " + path_);
+  }
+}
+
+void CampaignResult::write_csv(const std::string& path) const {
+  // Rows go out in canonical point-ascending order no matter how the
+  // records were assembled, so single-process and merged-shard CSVs are
+  // byte-comparable. The sort is stable: within a point, records keep
+  // their enumeration order, which every assembly path already shares.
+  const auto by_point = [](const InjectionRecord& a, const InjectionRecord& b) {
+    return a.point_index < b.point_index;
+  };
+  std::span<const InjectionRecord> rows = records;
+  std::vector<InjectionRecord> sorted;
+  if (!std::is_sorted(records.begin(), records.end(), by_point)) {
+    sorted = records;
+    std::stable_sort(sorted.begin(), sorted.end(), by_point);
+    rows = sorted;
+  }
+  CampaignCsvWriter csv(path, meta, points);
+  csv.write(rows);
+  csv.commit();
 }
 
 std::uint64_t single_campaign_executions(std::size_t num_points,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -45,23 +46,6 @@ struct HeatmapGrid {
   double at(int phi_index, int theta_index) const;
 };
 
-/// Receives completed record blocks from a running campaign engine.
-///
-/// When CampaignSpec::record_sink is set, the engine hands each injection
-/// point's finished record slice to emit() the moment its grid sweep
-/// completes — blocks arrive in completion order, not point order, and
-/// concurrently from pool lanes, so implementations must be internally
-/// synchronized and must consume the span before returning (it aliases
-/// engine-owned storage that is recycled afterwards). Each emitted block is
-/// one whole point's records, sorted in enumeration order — exactly the
-/// block shape the columnar result container stores (src/core/result_io.hpp)
-/// and the streaming shard merger consumes.
-class ResultBlockSink {
- public:
-  virtual ~ResultBlockSink() = default;
-  virtual void emit(std::span<const InjectionRecord> records) = 0;
-};
-
 /// Campaign-level metadata for reports.
 struct CampaignMetadata {
   std::string circuit_name;
@@ -86,6 +70,31 @@ struct CampaignMetadata {
   double faultfree_qvf = 0.0;  ///< QVF of the noisy, fault-free execution
   std::uint64_t executions = 0;  ///< faulty circuits executed
   std::uint64_t injections = 0;  ///< paper accounting: executions x shots
+};
+
+/// Receives a running campaign's output as the engine produces it.
+///
+/// When CampaignSpec::record_sink is set, the engine first calls begin()
+/// exactly once — before any emit(), also for an empty subset — with what
+/// is fixed before the sweep: the final metadata (the fault-free QVF
+/// included; executions/injections are zero, they are end-of-run totals),
+/// the full global point table, and the record total of the full campaign
+/// (all shards; 0 for adaptive campaigns, whose record count is decided
+/// while they run). It then hands each injection point's finished record
+/// slice to emit() the moment its grid sweep completes — blocks arrive in
+/// completion order, not point order, and concurrently from pool lanes, so
+/// emit() must be internally synchronized and must consume the span before
+/// returning (it aliases engine-owned storage that is recycled afterwards).
+/// Each emitted block is one whole point's records, sorted in enumeration
+/// order — exactly the block shape the columnar result container stores
+/// (src/core/result_io.hpp) and the streaming shard merger consumes.
+class ResultBlockSink {
+ public:
+  virtual ~ResultBlockSink() = default;
+  virtual void begin(const CampaignMetadata& meta,
+                     std::span<const InjectionPoint> points,
+                     std::uint64_t expected_total_records) = 0;
+  virtual void emit(std::span<const InjectionRecord> records) = 0;
 };
 
 /// Full output of a fault-injection campaign plus the aggregations used by
@@ -131,32 +140,51 @@ class CampaignResult {
   };
   ImpactBreakdown impact_breakdown() const;
 
-  /// Writes one row per record (plus a metadata header comment). Rows are
-  /// sorted by point index (stable within a point), so output is
-  /// deterministic for merged shard results as well as single-process runs;
-  /// the column schema is documented in the README ("Campaign CSV schema").
-  /// The file is written to a temp name and renamed into place, so a
-  /// crashed export can never leave a truncated CSV behind.
+  /// Writes one row per record through CampaignCsvWriter. Rows are sorted
+  /// by point index (stable within a point), so output is deterministic for
+  /// merged shard results as well as single-process runs.
   void write_csv(const std::string& path) const;
 
  private:
   HeatmapGrid empty_primary_grid() const;
 };
 
-/// The two leading rows of every campaign CSV (metadata comment + column
-/// header). Shared by CampaignResult::write_csv and the streaming exporters
-/// (qufi_export_csv, the columnar shard merger), so their output is
-/// byte-identical by construction.
-void write_csv_preamble(util::CsvWriter& csv, const CampaignMetadata& meta);
+/// The one campaign-CSV producer: CampaignResult::write_csv, the streaming
+/// shard merge and qufid's live prefix CSV all write through it, so their
+/// bytes agree by construction (column schema: README "Campaign CSV
+/// schema"). Rows go to a process-unique temp file that commit() renames
+/// into place; a writer destroyed without commit() removes the temp file,
+/// so a failed export never leaves a CSV, whole or truncated, at `path`.
+class CampaignCsvWriter {
+ public:
+  /// Opens the temp file and writes the preamble (metadata comment row and
+  /// column header). `points` is the global point table the rows index and
+  /// must outlive the writer. Throws qufi::Error when the file cannot be
+  /// created.
+  CampaignCsvWriter(std::string path, const CampaignMetadata& meta,
+                    std::span<const InjectionPoint> points);
+  ~CampaignCsvWriter();
 
-/// One record row of the campaign CSV (see write_csv_preamble). Adaptive
-/// campaigns append per-point estimator columns, so `estimate` must be
-/// non-null when meta.adaptive (use adaptive_point_estimate on the point's
-/// complete record block); it is ignored otherwise.
-void write_csv_record(util::CsvWriter& csv, const CampaignMetadata& meta,
-                      std::span<const InjectionPoint> points,
-                      const InjectionRecord& record,
-                      const AdaptivePointEstimate* estimate = nullptr);
+  CampaignCsvWriter(const CampaignCsvWriter&) = delete;
+  CampaignCsvWriter& operator=(const CampaignCsvWriter&) = delete;
+
+  /// Writes one row per record. `records` ascend by point and hold whole
+  /// point runs: a point never continues into a later call. Adaptive
+  /// campaigns stamp each run with its replayed estimate
+  /// (adaptive_point_estimate), which throws on a partial run.
+  void write(std::span<const InjectionRecord> records);
+
+  /// Flushes, closes and renames the file into place. Throws qufi::Error
+  /// naming the path on any failure, leaving no temp file behind.
+  void commit();
+
+ private:
+  std::string path_;
+  std::string temp_;
+  CampaignMetadata meta_;
+  std::span<const InjectionPoint> points_;
+  std::unique_ptr<util::CsvWriter> csv_;
+};
 
 /// Recomputes one point's adaptive estimate from its complete record block
 /// (all records share one point_index) by replaying the estimator against

@@ -45,7 +45,7 @@ void save_manifest(const ShardManifest& manifest, const std::string& path) {
 
   // Written files always use the current format, whatever version the
   // in-memory manifest claims.
-  out << "qufi-shard-manifest " << 5 << "\n";
+  out << "qufi-shard-manifest " << 6 << "\n";
   out << "shard " << manifest.shard_index << " " << manifest.shard_count
       << "\n";
   out << "device " << manifest.device << "\n";
@@ -71,7 +71,6 @@ void save_manifest(const ShardManifest& manifest, const std::string& path) {
   for (const auto& expected : manifest.expected_outputs) {
     out << "expected " << expected << "\n";
   }
-  out << "expected_records " << manifest.expected_records << "\n";
   out << "points";
   for (const std::size_t p : manifest.point_indices) out << " " << p;
   out << "\n";
@@ -119,7 +118,7 @@ ShardManifest load_manifest(const std::string& path) {
       if (key != "qufi-shard-manifest") fail("missing manifest header");
       std::uint32_t version = 0;
       if (!(ls >> version)) fail("bad header");
-      if (version != 5) fail("unsupported manifest version");
+      if (version != 6) fail("unsupported manifest version");
       m.format_version = version;
       saw_header = true;
       continue;
@@ -171,8 +170,6 @@ ShardManifest load_manifest(const std::string& path) {
       std::string bits;
       if (!(ls >> bits)) fail("bad expected line");
       m.expected_outputs.push_back(bits);
-    } else if (key == "expected_records") {
-      if (!(ls >> m.expected_records)) fail("bad expected_records line");
     } else if (key == "points") {
       std::size_t p = 0;
       while (ls >> p) m.point_indices.push_back(p);
@@ -254,19 +251,6 @@ std::vector<ShardManifest> make_manifests(const CampaignSpec& spec,
   require(!(double_fault && spec.adaptive),
           "make_manifests: adaptive estimation supports single-fault "
           "campaigns only");
-  // The planner computes the full-campaign record total once (for double
-  // campaigns this costs a transpile — here, in the coordinator, instead
-  // of once per worker) and stamps it into every manifest. Adaptive
-  // campaigns stamp 0 ("unknown"): how many configs each point evaluates is
-  // only decided while the estimator runs, so the merger's completeness
-  // check degrades to per-point coverage instead of a record total.
-  const std::uint64_t expected_records =
-      spec.adaptive
-          ? 0
-          : (double_fault
-                 ? double_campaign_executions(
-                       campaign_point_neighbor_pairs(spec).size(), spec.grid)
-                 : single_campaign_executions(plan.total_points, spec.grid));
   std::vector<ShardManifest> manifests;
   manifests.reserve(plan.shards.size());
   for (const ShardAssignment& shard : plan.shards) {
@@ -288,7 +272,6 @@ std::vector<ShardManifest> make_manifests(const CampaignSpec& spec,
     m.idle_noise = spec.idle_noise;
     m.adaptive = spec.adaptive;
     m.point_indices = shard.point_indices;
-    m.expected_records = expected_records;
     manifests.push_back(std::move(m));
   }
   return manifests;

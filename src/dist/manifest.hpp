@@ -26,11 +26,12 @@ enum class WorkerBackendKind {
 /// Manifests are plain text (one `key value...` line each, circuit block at
 /// the end); the format is versioned and documented in docs/SHARDING.md.
 struct ShardManifest {
-  /// v5: the only readable version. v1-v4 carried engine-mode keys for
-  /// execution modes that no longer exist, so they are rejected rather
-  /// than half-understood. The optional keys (`idle_noise`, `adaptive`)
-  /// default off when absent.
-  std::uint32_t format_version = 5;
+  /// v6: the only readable version. v1-v4 carried engine-mode keys for
+  /// execution modes that no longer exist, and v5 a full-campaign record
+  /// total the engine derives itself, so they are rejected rather than
+  /// half-understood. The optional keys (`idle_noise`, `adaptive`) default
+  /// off when absent.
+  std::uint32_t format_version = 6;
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
 
@@ -61,12 +62,6 @@ struct ShardManifest {
 
   /// This shard's global injection-point indices (strictly increasing).
   std::vector<std::size_t> point_indices;
-
-  /// Record count of the *full* campaign (all shards), stamped by the
-  /// planner so workers can emit the merger's completeness check without
-  /// re-deriving it (for double campaigns that would cost a transpile).
-  /// 0 = unknown; run_shard then computes it locally.
-  std::uint64_t expected_records = 0;
 };
 
 /// Writes `manifest` to `path`. Throws qufi::Error on I/O failure.

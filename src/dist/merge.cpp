@@ -1,40 +1,17 @@
 #include "dist/merge.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <vector>
 
 #include "core/result_io.hpp"
-#include "util/csv.hpp"
 #include "util/error.hpp"
 
 namespace qufi::dist {
 
 namespace {
-
-/// Campaign-identity comparison without the fault-free QVF: live partials
-/// carry the streaming placeholder there until their writer seals, so the
-/// incremental (prefix) merge must not treat the placeholder-vs-real
-/// difference as a campaign mismatch.
-bool meta_matches_prefix(const CampaignMetadata& a, const CampaignMetadata& b) {
-  return a.circuit_name == b.circuit_name &&
-         a.backend_name == b.backend_name &&
-         a.circuit_qubits == b.circuit_qubits &&
-         a.transpiled_gates == b.transpiled_gates &&
-         a.grid.theta_step_deg == b.grid.theta_step_deg &&
-         a.grid.phi_step_deg == b.grid.phi_step_deg &&
-         a.grid.theta_max_deg == b.grid.theta_max_deg &&
-         a.grid.phi_max_deg == b.grid.phi_max_deg && a.shots == b.shots &&
-         a.seed == b.seed && a.double_fault == b.double_fault &&
-         a.idle_noise == b.idle_noise && a.adaptive == b.adaptive &&
-         (!a.adaptive || a.adaptive_policy == b.adaptive_policy);
-}
 
 /// The adaptive analog of the idle-noise mode check: an adaptive shard in
 /// an exhaustive campaign (or a different policy) evaluates a different
@@ -52,10 +29,10 @@ void require_adaptive_compatible(const CampaignMetadata& a,
           "to line up; re-run the shard with the campaign's policy)");
 }
 
-/// Adaptive completeness: with no pre-computable record total (manifests
-/// stamp expected_records = 0), a merged adaptive campaign is complete when
-/// every point of the table contributed records — the estimator always
-/// evaluates at least its coarse lattice per point.
+/// Adaptive completeness: with no pre-computable record total (partials
+/// carry expected_total_records = 0), a merged adaptive campaign is
+/// complete when every point of the table contributed records — the
+/// estimator always evaluates at least its coarse lattice per point.
 void require_adaptive_coverage(const MissingPointReport& missing) {
   require(missing.count == 0,
           "merge: incomplete adaptive campaign (missing shard output?)" +
@@ -82,7 +59,18 @@ void project_point_estimates(CampaignResult& merged) {
 }
 
 bool meta_matches(const CampaignMetadata& a, const CampaignMetadata& b) {
-  return meta_matches_prefix(a, b) && a.faultfree_qvf == b.faultfree_qvf;
+  return a.circuit_name == b.circuit_name &&
+         a.backend_name == b.backend_name &&
+         a.circuit_qubits == b.circuit_qubits &&
+         a.transpiled_gates == b.transpiled_gates &&
+         a.grid.theta_step_deg == b.grid.theta_step_deg &&
+         a.grid.phi_step_deg == b.grid.phi_step_deg &&
+         a.grid.theta_max_deg == b.grid.theta_max_deg &&
+         a.grid.phi_max_deg == b.grid.phi_max_deg && a.shots == b.shots &&
+         a.seed == b.seed && a.double_fault == b.double_fault &&
+         a.idle_noise == b.idle_noise && a.adaptive == b.adaptive &&
+         (!a.adaptive || a.adaptive_policy == b.adaptive_policy) &&
+         a.faultfree_qvf == b.faultfree_qvf;
 }
 
 bool points_match(const std::vector<InjectionPoint>& a,
@@ -96,6 +84,23 @@ bool points_match(const std::vector<InjectionPoint>& a,
     }
   }
   return true;
+}
+
+/// Every input of a merge must describe one campaign. The mode mixups get
+/// their own diagnosis before the generic metadata comparison.
+void require_same_campaign(const CampaignMetadata& a_meta,
+                           const std::vector<InjectionPoint>& a_points,
+                           const CampaignMetadata& b_meta,
+                           const std::vector<InjectionPoint>& b_points) {
+  require(a_meta.idle_noise == b_meta.idle_noise,
+          "merge: cannot mix idle-noise and non-idle shards (the "
+          "idle_noise execution mode changes every record; re-run the "
+          "shard with the campaign's mode)");
+  require_adaptive_compatible(a_meta, b_meta);
+  require(meta_matches(a_meta, b_meta),
+          "merge: shard metadata mismatch (different campaigns?)");
+  require(points_match(a_points, b_points),
+          "merge: shard point tables differ (different campaigns?)");
 }
 
 /// Bit-exact record equality. Doubles compare by bit pattern, not value:
@@ -160,18 +165,8 @@ CampaignResult merge_shard_results(std::span<const CampaignResult> shards,
                                    const MergeOptions& options) {
   require(!shards.empty(), "merge: no shard results");
   for (const CampaignResult& shard : shards) {
-    // Checked before the general metadata comparison so the mode mixup —
-    // an idle-noise shard merged into a plain campaign (or vice versa) —
-    // fails with a diagnosis, not a generic mismatch.
-    require(shards[0].meta.idle_noise == shard.meta.idle_noise,
-            "merge: cannot mix idle-noise and non-idle shards (the "
-            "idle_noise execution mode changes every record; re-run the "
-            "shard with the campaign's mode)");
-    require_adaptive_compatible(shards[0].meta, shard.meta);
-    require(meta_matches(shards[0].meta, shard.meta),
-            "merge: shard metadata mismatch (different campaigns?)");
-    require(points_match(shards[0].points, shard.points),
-            "merge: shard point tables differ (different campaigns?)");
+    require_same_campaign(shards[0].meta, shards[0].points, shard.meta,
+                          shard.points);
   }
 
   const std::size_t num_points = shards[0].points.size();
@@ -303,8 +298,33 @@ std::uint64_t consume_duplicate_runs(std::vector<BlockStream>& streams,
   return dropped;
 }
 
-/// Core streaming k-way merge: validates headers, then repeatedly extracts
-/// the minimum-point run across inputs, cross-checks duplicate runs
+/// Opens every input as a sealed stream and checks that all headers
+/// describe one campaign.
+std::vector<BlockStream> open_merge_inputs(
+    std::span<const std::string> inputs) {
+  require(!inputs.empty(), "merge: no partial results");
+  std::vector<BlockStream> streams;
+  streams.reserve(inputs.size());
+  for (const std::string& input : inputs) {
+    BlockStream s;
+    s.reader = std::make_unique<resio::ResultReader>(input);
+    s.label = "shard " + std::to_string(s.reader->header().shard_index);
+    streams.push_back(std::move(s));
+  }
+  const resio::ResultFileHeader& first = streams[0].reader->header();
+  for (const BlockStream& s : streams) {
+    const resio::ResultFileHeader& h = s.reader->header();
+    require_same_campaign(first.meta, first.points, h.meta, h.points);
+    require(h.shard_count == first.shard_count,
+            "merge: partials disagree on shard count");
+    require(h.expected_total_records == first.expected_total_records,
+            "merge: partials disagree on expected record count");
+  }
+  return streams;
+}
+
+/// Core streaming k-way merge over opened inputs: repeatedly extracts the
+/// minimum-point run across inputs, cross-checks duplicate runs
 /// bit-exactly, and hands the surviving run to `emit` in ascending global
 /// point order. Memory: one decoded block per input, one run in flight.
 template <typename Emit>
@@ -312,33 +332,8 @@ StreamingMergeStats run_file_merge(std::span<const std::string> inputs,
                                    const MergeOptions& options,
                                    std::vector<BlockStream>& streams,
                                    const Emit& emit) {
-  require(!inputs.empty(), "merge: no partial results");
-  streams.reserve(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    BlockStream s;
-    s.reader = std::make_unique<resio::ResultReader>(inputs[i]);
-    s.label = "shard " + std::to_string(s.reader->header().shard_index);
-    streams.push_back(std::move(s));
-  }
   const resio::ResultFileHeader& first = streams[0].reader->header();
-  for (const BlockStream& s : streams) {
-    const resio::ResultFileHeader& h = s.reader->header();
-    require(first.meta.idle_noise == h.meta.idle_noise,
-            "merge: cannot mix idle-noise and non-idle shards (the "
-            "idle_noise execution mode changes every record; re-run the "
-            "shard with the campaign's mode)");
-    require_adaptive_compatible(first.meta, h.meta);
-    require(meta_matches(first.meta, h.meta),
-            "merge: shard metadata mismatch (different campaigns?)");
-    require(points_match(first.points, h.points),
-            "merge: shard point tables differ (different campaigns?)");
-    require(h.shard_count == first.shard_count,
-            "merge: partials disagree on shard count");
-    require(h.expected_total_records == first.expected_total_records,
-            "merge: partials disagree on expected record count");
-  }
-
-  std::uint64_t expected = options.expected_records > 0
+  const std::uint64_t expected = options.expected_records > 0
                               ? options.expected_records
                               : first.expected_total_records;
 
@@ -348,16 +343,16 @@ StreamingMergeStats run_file_merge(std::span<const std::string> inputs,
     // The owner of the next point: the first input (in order) at the
     // minimum pending point index — matching the bucket merge's
     // first-shard-wins rule, so in-memory and streaming merges agree.
-    std::size_t owner = inputs.size();
+    std::size_t owner = streams.size();
     std::uint32_t min_point = 0;
     for (std::size_t i = 0; i < streams.size(); ++i) {
       if (!streams[i].ready()) continue;
-      if (owner == inputs.size() || streams[i].point() < min_point) {
+      if (owner == streams.size() || streams[i].point() < min_point) {
         owner = i;
         min_point = streams[i].point();
       }
     }
-    if (owner == inputs.size()) break;
+    if (owner == streams.size()) break;
 
     const auto run = streams[owner].take_run();
     stats.duplicate_records +=
@@ -402,83 +397,31 @@ StreamingMergeStats run_file_merge(std::span<const std::string> inputs,
 StreamingMergeStats merge_result_files(std::span<const std::string> inputs,
                                        const std::string& out_path,
                                        const MergeOptions& options) {
-  std::vector<BlockStream> streams;
-  std::unique_ptr<resio::ResultWriter> writer;
-  StreamingMergeStats stats =
-      run_file_merge(inputs, options, streams,
-                     [&](std::span<const InjectionRecord> run) {
-                       if (!writer) {
-                         resio::ResultFileHeader header =
-                             streams[0].reader->header();
-                         header.shard_index = 0;
-                         header.shard_count = 1;
-                         writer = std::make_unique<resio::ResultWriter>(
-                             out_path, header);
-                       }
-                       writer->append(run);
-                     });
-  if (!writer) {
-    // Zero-record merge (empty shards): still produce a valid file.
-    resio::ResultFileHeader header = streams[0].reader->header();
-    header.shard_index = 0;
-    header.shard_count = 1;
-    writer = std::make_unique<resio::ResultWriter>(out_path, header);
-  }
+  std::vector<BlockStream> streams = open_merge_inputs(inputs);
+  resio::ResultFileHeader header = streams[0].reader->header();
+  header.shard_index = 0;
+  header.shard_count = 1;
+  resio::ResultWriter writer(out_path, header);
+  const StreamingMergeStats stats = run_file_merge(
+      inputs, options, streams,
+      [&](std::span<const InjectionRecord> run) { writer.append(run); });
   // Match merge_shard_results: executions are recomputed from the merged
   // record set, not summed over shards (duplicates would double-count).
-  const CampaignMetadata& meta = streams[0].reader->header().meta;
-  writer->finish(stats.merged_records,
-                 campaign_injections(stats.merged_records, meta.shots));
+  writer.finish(stats.merged_records,
+                campaign_injections(stats.merged_records, header.meta.shots));
   return stats;
 }
 
 StreamingMergeStats merge_result_files_to_csv(
     std::span<const std::string> inputs, const std::string& csv_path,
     const MergeOptions& options) {
-  static std::atomic<std::uint64_t> counter{0};
-  const std::string temp = csv_path + ".tmp." + std::to_string(::getpid()) +
-                           "." + std::to_string(counter.fetch_add(1));
-  StreamingMergeStats stats;
-  try {
-    std::vector<BlockStream> streams;
-    std::unique_ptr<util::CsvWriter> csv;
-    stats = run_file_merge(
-        inputs, options, streams,
-        [&](std::span<const InjectionRecord> run) {
-          if (!csv) {
-            csv = std::make_unique<util::CsvWriter>(temp);
-            write_csv_preamble(*csv, streams[0].reader->header().meta);
-          }
-          const auto& header = streams[0].reader->header();
-          if (header.meta.adaptive) {
-            // Each emitted run is one whole point: replay its estimate
-            // once and stamp it on every row — the same projection
-            // CampaignResult::write_csv applies, so merged and
-            // single-process CSVs stay byte-identical.
-            const AdaptivePointEstimate est =
-                adaptive_point_estimate(header.meta, run);
-            for (const InjectionRecord& r : run) {
-              write_csv_record(*csv, header.meta, header.points, r, &est);
-            }
-            return;
-          }
-          for (const InjectionRecord& r : run) {
-            write_csv_record(*csv, header.meta, header.points, r);
-          }
-        });
-    if (!csv) {
-      csv = std::make_unique<util::CsvWriter>(temp);
-      write_csv_preamble(*csv, streams[0].reader->header().meta);
-    }
-    csv->close();
-  } catch (...) {
-    std::remove(temp.c_str());
-    throw;
-  }
-  if (std::rename(temp.c_str(), csv_path.c_str()) != 0) {
-    std::remove(temp.c_str());
-    throw Error("merge: cannot rename CSV temp file into place: " + csv_path);
-  }
+  std::vector<BlockStream> streams = open_merge_inputs(inputs);
+  const resio::ResultFileHeader& header = streams[0].reader->header();
+  CampaignCsvWriter csv(csv_path, header.meta, header.points);
+  const StreamingMergeStats stats = run_file_merge(
+      inputs, options, streams,
+      [&](std::span<const InjectionRecord> run) { csv.write(run); });
+  csv.commit();
   return stats;
 }
 
@@ -536,23 +479,7 @@ PrefixMergeResult merge_result_prefix(
   out.points = first.points;
   for (const BlockStream& s : streams) {
     const resio::ResultFileHeader& h = s.reader->header();
-    require(first.meta.idle_noise == h.meta.idle_noise,
-            "merge: cannot mix idle-noise and non-idle shards (the "
-            "idle_noise execution mode changes every record; re-run the "
-            "shard with the campaign's mode)");
-    require_adaptive_compatible(first.meta, h.meta);
-    require(meta_matches_prefix(first.meta, h.meta),
-            "merge: shard metadata mismatch (different campaigns?)");
-    require(points_match(first.points, h.points),
-            "merge: shard point tables differ (different campaigns?)");
-  }
-  // Prefer a sealed input's metadata: its fault-free QVF is the real value,
-  // not the streaming placeholder a live header still carries.
-  for (const BlockStream& s : streams) {
-    if (s.reader->sealed()) {
-      out.meta = s.reader->header().meta;
-      break;
-    }
+    require_same_campaign(first.meta, first.points, h.meta, h.points);
   }
 
   // Resolve the frontier. A point is final when an input *owning* it proves

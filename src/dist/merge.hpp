@@ -96,10 +96,10 @@ StreamingMergeStats merge_result_files(std::span<const std::string> inputs,
                                        const std::string& out_path,
                                        const MergeOptions& options = {});
 
-/// Same streaming merge, but exporting straight to campaign CSV — the rows
-/// are byte-identical to CampaignResult::write_csv on the merged result
-/// (shared preamble/row helpers, same canonical point order). Written via
-/// temp file + rename like every result artifact.
+/// Same streaming merge, but exporting straight to campaign CSV through
+/// CampaignCsvWriter — byte-identical to CampaignResult::write_csv on the
+/// merged result (same writer, same canonical point order). A single
+/// input makes this the QUFIPART-to-CSV export.
 StreamingMergeStats merge_result_files_to_csv(
     std::span<const std::string> inputs, const std::string& csv_path,
     const MergeOptions& options = {});
@@ -135,10 +135,9 @@ struct PrefixMergeResult {
   /// ascending point order, duplicates verified bit-exactly and dropped
   /// (first input wins, as in merge_result_files).
   std::vector<InjectionRecord> records;
-  /// Header metadata — from a sealed input when one exists (its
-  /// faultfree_qvf is the real value), otherwise from the first readable
-  /// input (faultfree_qvf is then still the streaming placeholder).
-  /// executions/injections are recomputed over the prefix records.
+  /// Header metadata of the first readable input (every readable header
+  /// is final, so all inputs agree on it); executions/injections are
+  /// recomputed over the prefix records.
   CampaignMetadata meta;
   /// Global point table (identical across inputs), so callers can render
   /// the prefix as CSV rows without reopening any input.

@@ -37,8 +37,9 @@ struct ShardRunOutput {
 /// Executes one shard manifest end to end: rebuilds the campaign spec,
 /// constructs the worker backend (density or trajectory), and runs the
 /// subset campaign over the shard's points, streaming its records into
-/// options.columnar_output_path under a header that carries the global
-/// expected-record count the merger checks completeness against.
+/// options.columnar_output_path. The partial's header comes from the
+/// engine (ResultBlockSink::begin) and carries the global expected-record
+/// count the merger checks completeness against.
 ///
 /// Deterministic and idempotent: re-running the same manifest reproduces
 /// the same partial bit-for-bit, so retries after a crash are safe and the

@@ -29,6 +29,7 @@
 #include "dist/manifest.hpp"
 #include "dist/merge.hpp"
 #include "dist/shard_plan.hpp"
+#include "dist/shard_runner.hpp"
 #include "support/test_files.hpp"
 #include "util/error.hpp"
 
@@ -408,9 +409,6 @@ TEST(AdaptiveFormats, ManifestRoundTripsThePolicy) {
   for (const auto& manifest : manifests) {
     ASSERT_TRUE(manifest.adaptive.has_value());
     EXPECT_EQ(*manifest.adaptive, *spec.adaptive);
-    // Adaptive record counts are decided at run time; the planner must not
-    // pretend to know them.
-    EXPECT_EQ(manifest.expected_records, 0u);
     const auto path =
         dir.str("shard_" + std::to_string(manifest.shard_index) + ".manifest");
     dist::save_manifest(manifest, path);
@@ -421,6 +419,15 @@ TEST(AdaptiveFormats, ManifestRoundTripsThePolicy) {
     ASSERT_TRUE(respec.adaptive.has_value());
     EXPECT_EQ(*respec.adaptive, *spec.adaptive);
   }
+
+  // Adaptive record counts are decided at run time; the partial's header
+  // must not pretend to know them.
+  dist::ShardRunOptions options;
+  options.columnar_output_path = dir.str("part_000.qp");
+  (void)dist::run_shard(manifests[0], options);
+  EXPECT_EQ(resio::read_result_file(options.columnar_output_path)
+                .header.expected_total_records,
+            0u);
 
   // Double-fault campaigns cannot be planned adaptively.
   EXPECT_THROW((void)dist::make_manifests(spec, "casablanca",

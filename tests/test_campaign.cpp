@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -518,12 +519,60 @@ TEST(Results, WriteCsvFailureNamesThePathAndLeavesNoTempFile) {
 
 // ------------------------------------------------------- record streaming
 
-/// Collects emitted blocks; emit() is called concurrently from pool lanes.
+/// Collects what the engine announces and emits; emit() is called
+/// concurrently from pool lanes.
 class CollectingSink final : public ResultBlockSink {
  public:
+  void begin(const CampaignMetadata& meta,
+             std::span<const InjectionPoint> points,
+             std::uint64_t expected_total_records) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++begins_;
+    meta_ = meta;
+    points_.assign(points.begin(), points.end());
+    expected_total_records_ = expected_total_records;
+  }
   void emit(std::span<const InjectionRecord> records) override {
     std::lock_guard<std::mutex> lock(mutex_);
+    emitted_before_begin_ = emitted_before_begin_ || begins_ == 0;
     blocks_.emplace_back(records.begin(), records.end());
+  }
+
+  /// begin() ran exactly once, before every emit(), and announced the
+  /// returned result's metadata (executions/injections are end-of-run
+  /// totals, zero when announced), its point table and the full-campaign
+  /// record total.
+  void expect_announced(const CampaignResult& result,
+                        std::uint64_t expected_total_records) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    EXPECT_EQ(begins_, 1);
+    EXPECT_FALSE(emitted_before_begin_);
+    EXPECT_EQ(expected_total_records_, expected_total_records);
+    const CampaignMetadata& a = meta_;
+    const CampaignMetadata& b = result.meta;
+    EXPECT_EQ(a.circuit_name, b.circuit_name);
+    EXPECT_EQ(a.backend_name, b.backend_name);
+    EXPECT_EQ(a.circuit_qubits, b.circuit_qubits);
+    EXPECT_EQ(a.transpiled_gates, b.transpiled_gates);
+    EXPECT_EQ(a.grid.theta_step_deg, b.grid.theta_step_deg);
+    EXPECT_EQ(a.grid.phi_step_deg, b.grid.phi_step_deg);
+    EXPECT_EQ(a.grid.theta_max_deg, b.grid.theta_max_deg);
+    EXPECT_EQ(a.grid.phi_max_deg, b.grid.phi_max_deg);
+    EXPECT_EQ(a.shots, b.shots);
+    EXPECT_EQ(a.seed, b.seed);
+    EXPECT_EQ(a.double_fault, b.double_fault);
+    EXPECT_EQ(a.idle_noise, b.idle_noise);
+    EXPECT_EQ(a.adaptive, b.adaptive);
+    EXPECT_EQ(a.adaptive_policy, b.adaptive_policy);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.faultfree_qvf),
+              std::bit_cast<std::uint64_t>(b.faultfree_qvf));
+    EXPECT_EQ(a.executions, 0u);
+    EXPECT_EQ(a.injections, 0u);
+    ASSERT_EQ(points_.size(), result.points.size());
+    for (std::size_t i = 0; i < points_.size(); ++i) {
+      EXPECT_EQ(points_[i].instr_index, result.points[i].instr_index);
+      EXPECT_EQ(points_[i].qubit, result.points[i].qubit);
+    }
   }
   /// All records, re-sorted into canonical ascending-point order.
   std::vector<InjectionRecord> sorted() {
@@ -545,6 +594,11 @@ class CollectingSink final : public ResultBlockSink {
 
  private:
   std::mutex mutex_;
+  int begins_ = 0;
+  bool emitted_before_begin_ = false;
+  CampaignMetadata meta_;
+  std::vector<InjectionPoint> points_;
+  std::uint64_t expected_total_records_ = 0;
   std::vector<std::vector<InjectionRecord>> blocks_;
 };
 
@@ -596,6 +650,54 @@ TEST(RecordSink, DoubleCampaignStreamsWholePointsBitIdentically) {
   EXPECT_TRUE(streamed.records.empty());
   EXPECT_EQ(streamed.meta.executions, accumulated.meta.executions);
   expect_identical_records(sink.sorted(), accumulated.records);
+}
+
+TEST(RecordSink, BeginPrecedesEveryEmitWithTheFinalMetadata) {
+  auto spec = quick_spec();
+  spec.max_points = 4;
+  const std::uint64_t single_total =
+      run_single_fault_campaign(spec).records.size();
+  {
+    CollectingSink sink;
+    auto streamed = spec;
+    streamed.record_sink = &sink;
+    sink.expect_announced(run_single_fault_campaign(streamed), single_total);
+  }
+  {
+    // An empty subset still announces the campaign, and emits nothing.
+    CollectingSink sink;
+    auto streamed = spec;
+    streamed.record_sink = &sink;
+    sink.expect_announced(run_single_fault_campaign_subset(streamed, {}),
+                          single_total);
+    EXPECT_EQ(sink.num_blocks(), 0u);
+  }
+  {
+    auto double_spec = spec;
+    double_spec.grid.phi_max_deg = 180.0;
+    const std::uint64_t double_total =
+        run_double_fault_campaign(double_spec).records.size();
+    CollectingSink sink;
+    double_spec.record_sink = &sink;
+    sink.expect_announced(run_double_fault_campaign(double_spec),
+                          double_total);
+    // A shard's subset announces the total of the *full* campaign.
+    CollectingSink shard_sink;
+    double_spec.record_sink = &shard_sink;
+    const std::size_t tail[] = {2, 3};
+    shard_sink.expect_announced(
+        run_double_fault_campaign_subset(double_spec, tail), double_total);
+  }
+  {
+    // Adaptive record counts are decided while the campaign runs: 0.
+    auto adaptive_spec = spec;
+    adaptive_spec.adaptive = AdaptivePolicy{};
+    CollectingSink sink;
+    adaptive_spec.record_sink = &sink;
+    const auto result = run_single_fault_campaign(adaptive_spec);
+    EXPECT_TRUE(result.meta.adaptive);
+    sink.expect_announced(result, 0);
+  }
 }
 
 // ---------------------------------------------------------------- report

@@ -376,12 +376,12 @@ TEST(ShardManifest, IdleNoiseKnobRoundTripsAndOlderVersionsDefaultOff) {
   const auto path = (dir.path / "idle.manifest").string();
   dist::save_manifest(manifests[0], path);
   const auto loaded = dist::load_manifest(path);
-  EXPECT_EQ(loaded.format_version, 5u);
+  EXPECT_EQ(loaded.format_version, 6u);
   EXPECT_TRUE(loaded.idle_noise);
   EXPECT_TRUE(dist::manifest_to_spec(loaded).idle_noise);
 
-  // Any other version is rejected, not guessed at: the future v6, and the
-  // older v4, whose engine-mode keys this reader no longer knows.
+  // Any other version is rejected, not guessed at: the future v7, and the
+  // older v5, whose expected_records key this reader no longer knows.
   std::string text;
   {
     std::ifstream in(path);
@@ -389,9 +389,9 @@ TEST(ShardManifest, IdleNoiseKnobRoundTripsAndOlderVersionsDefaultOff) {
     buffer << in.rdbuf();
     text = buffer.str();
   }
-  const auto header = text.find("qufi-shard-manifest 5");
+  const auto header = text.find("qufi-shard-manifest 6");
   ASSERT_NE(header, std::string::npos);
-  for (const char* version : {"6", "4"}) {
+  for (const char* version : {"7", "5"}) {
     std::string other = text;
     other.replace(header, 21, std::string("qufi-shard-manifest ") + version);
     const auto other_path = (dir.path / ("v" + std::string(version) +

@@ -1,18 +1,23 @@
 // QUFIPART container tests (docs/RESULT_FORMAT.md): round-trips through
 // ResultWriter/ResultReader, the block invariants that make the streaming
 // k-way merge possible, exhaustive corruption rejection (every byte flipped,
-// every truncation length), and the double-bit exactness of a partial
-// through write -> read -> merge.
+// every truncation length), the double-bit exactness of a partial through
+// write -> read -> merge, and a live partial's header being final from its
+// first block.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "algorithms/algorithms.hpp"
+#include "core/campaign.hpp"
 #include "core/result_io.hpp"
 #include "dist/merge.hpp"
 #include "support/test_files.hpp"
@@ -184,31 +189,6 @@ TEST(ResultIo, CompletionOrderAppendsYieldSortedDisjointBlocks) {
   expect_bit_identical(loaded.records, records);  // reader sorts by point
 }
 
-TEST(ResultIo, SetMetaPatchesHeaderBeforeSeal) {
-  TempDir dir("set_meta");
-  auto header = test_header(2);
-  header.meta.faultfree_qvf = 0.0;  // streaming placeholder
-  const auto records = test_records(2, 2);
-
-  resio::ResultWriter writer(dir.str("file"), header);
-  writer.append(records);
-  auto meta = header.meta;
-  meta.faultfree_qvf = 0.03125;
-  meta.executions = 5;  // not stored in the header; end marker carries it
-  writer.set_meta(meta);
-  writer.finish(/*executions=*/5, /*injections=*/4);
-
-  const auto loaded = resio::read_result_file(dir.str("file"));
-  EXPECT_EQ(loaded.header.meta.faultfree_qvf, 0.03125);
-  EXPECT_EQ(loaded.executions, 5u);
-
-  // Changing a string's length would shift every block offset — refused.
-  resio::ResultWriter other(dir.str("other"), header);
-  auto longer = header.meta;
-  longer.circuit_name += "_suffix";
-  EXPECT_THROW(other.set_meta(longer), Error);
-}
-
 TEST(ResultIo, AbortedWriterLeavesNothingBehind) {
   TempDir dir("abort");
   {
@@ -353,6 +333,66 @@ TEST(ResultIo, TailReaderObservesLiveWriterGrowth) {
     all.insert(all.end(), block.begin(), block.end());
   }
   expect_bit_identical(all, records);
+}
+
+/// Forwards to a Live ResultFileSink and, right after the first block is
+/// handed over, reads the header back through a Tail reader: what a
+/// dispatcher polling a running shard sees.
+class TailProbeSink final : public ResultBlockSink {
+ public:
+  explicit TailProbeSink(std::string path)
+      : path_(path),
+        inner_(std::move(path), /*shard_index=*/0, /*shard_count=*/1,
+               resio::WriteMode::Live) {}
+
+  void begin(const CampaignMetadata& meta,
+             std::span<const InjectionPoint> points,
+             std::uint64_t expected_total_records) override {
+    inner_.begin(meta, points, expected_total_records);
+  }
+  void emit(std::span<const InjectionRecord> records) override {
+    inner_.emit(records);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (probed_faultfree_) return;
+    resio::ResultReader tail(path_, resio::ReadMode::Tail);
+    EXPECT_FALSE(tail.sealed());
+    probed_faultfree_ = tail.header().meta.faultfree_qvf;
+  }
+
+  resio::ResultFileSink& inner() { return inner_; }
+  std::optional<double> probed_faultfree() const { return probed_faultfree_; }
+
+ private:
+  std::string path_;
+  resio::ResultFileSink inner_;
+  std::mutex mutex_;
+  std::optional<double> probed_faultfree_;
+};
+
+TEST(ResultIo, LivePartialHeaderIsFinalFromTheFirstBlock) {
+  TempDir dir("live_header");
+  const std::string path = dir.str("live.qp");
+  const auto bench = algo::paper_circuit("bv", 4);
+  CampaignSpec spec;
+  spec.circuit = bench.circuit;
+  spec.expected_outputs = bench.expected_outputs;
+  spec.grid.theta_step_deg = 60.0;
+  spec.grid.phi_step_deg = 90.0;
+  spec.max_points = 4;
+  TailProbeSink sink(path);
+  spec.record_sink = &sink;
+  const CampaignResult result = run_single_fault_campaign(spec);
+  sink.inner().finish(result.meta.executions, result.meta.injections);
+
+  // A worker killed at any point after its first block leaves a header
+  // that already carries the real fault-free QVF, bit for bit.
+  ASSERT_TRUE(sink.probed_faultfree().has_value());
+  const auto sealed = resio::read_result_file(path);
+  EXPECT_NE(sealed.header.meta.faultfree_qvf, 0.0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(*sink.probed_faultfree()),
+            std::bit_cast<std::uint64_t>(sealed.header.meta.faultfree_qvf));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.meta.faultfree_qvf),
+            std::bit_cast<std::uint64_t>(sealed.header.meta.faultfree_qvf));
 }
 
 TEST(ResultIo, CorruptionDiagnosisNamesTheBadSection) {
