@@ -45,6 +45,7 @@
 #include <filesystem>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -153,6 +154,26 @@ const char* state_name(service::CampaignState state) {
   return "?";
 }
 
+/// `s` as a quoted JSON string: `"`, `\` and control characters escaped,
+/// so a campaign name or an error message carrying a path can never break
+/// the one-object-per-line event stream.
+std::string json_string(std::string_view s) {
+  std::string out = "\"";
+  for (const char ch : s) {
+    if (ch == '"' || ch == '\\') {
+      out += '\\';
+      out += ch;
+    } else if (static_cast<unsigned char>(ch) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
+      out += buf;
+    } else {
+      out += ch;
+    }
+  }
+  return out + '"';
+}
+
 /// Admits every complete submission in the spool: plan, submit, rename to
 /// `*.accepted`. Any exception while loading or planning one — a named
 /// qufi::Error, or e.g. std::bad_alloc from a hostile size — renames it to
@@ -176,8 +197,8 @@ std::size_t scan_spool(const DaemonOptions& options,
       dispatcher.submit(service::plan_submission(request));
       std::rename(path.c_str(), (path + ".accepted").c_str());
       std::printf("{\"tool\":\"qufid\",\"event\":\"accepted\","
-                  "\"campaign\":\"%s\",\"priority\":%d}\n",
-                  request.name.c_str(), request.priority);
+                  "\"campaign\":%s,\"priority\":%d}\n",
+                  json_string(request.name).c_str(), request.priority);
       ++admitted;
     } catch (const std::exception& e) {
       std::rename(path.c_str(), (path + ".rejected").c_str());
@@ -203,8 +224,8 @@ void emit_progress(const DaemonOptions& options,
                    service::Dispatcher& dispatcher) {
   for (const auto& view : dispatcher.status()) {
     std::string line =
-        "{\"tool\":\"qufid\",\"event\":\"progress\",\"campaign\":\"" +
-        view.name + "\",\"state\":\"" + state_name(view.state) +
+        "{\"tool\":\"qufid\",\"event\":\"progress\",\"campaign\":" +
+        json_string(view.name) + ",\"state\":\"" + state_name(view.state) +
         "\",\"shards_done\":" + std::to_string(view.shards_done) +
         ",\"shards_total\":" + std::to_string(view.shards_total) +
         ",\"requeues\":" + std::to_string(view.requeues);
@@ -226,9 +247,9 @@ void emit_progress(const DaemonOptions& options,
         csv.commit();
       }
     } catch (const Error& e) {
-      line += ",\"progress_error\":\"" + std::string(e.what()) + "\"";
+      line += ",\"progress_error\":" + json_string(e.what());
     }
-    if (!view.error.empty()) line += ",\"error\":\"" + view.error + "\"";
+    if (!view.error.empty()) line += ",\"error\":" + json_string(view.error);
     line += "}";
     std::printf("%s\n", line.c_str());
   }

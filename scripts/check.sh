@@ -4,7 +4,8 @@
 # README lists must be present in the build tree.
 #
 # Opt-in legs:
-#   CHECK_SANITIZE=1  rebuild the kernel-facing suites, the adaptive
+#   CHECK_SANITIZE=1  rebuild the kernel-facing suites, the backend
+#                     conformance suite (backend_contract), the adaptive
 #                     estimation, dispatcher, campaign-engine (tree,
 #                     checkpoint, campaign), binary-reader (result_io, dist),
 #                     live-partial prefix merge (merge_prefix) and util
@@ -177,11 +178,14 @@ mkdir -p "$disp_dir/out"
   --width 4 --theta-step 60 --phi-step 90 --priority 5 \
   --csv "$disp_dir/out/dj4.csv" > /dev/null
 # Hostile spool input: a submission asking for -1 shards (which a stream
-# extraction would wrap to 4294967295) sorts first in the intake order. It
-# must be renamed .rejected with a named error while qufid keeps serving
-# the two real campaigns.
+# extraction would wrap to 4294967295) and one named `..` (whose shard
+# manifests and partials would land in the parent of --work-dir) sort first
+# in the intake order. Each must be renamed .rejected with a named error
+# while qufid keeps serving the two real campaigns.
 sed 's/^shards .*/shards -1/' "$disp_dir/spool/bv4.submission" \
   > "$disp_dir/spool/aaa_hostile.submission"
+sed 's/^name .*/name ../' "$disp_dir/spool/bv4.submission" \
+  > "$disp_dir/spool/aab_dotdot.submission"
 ./build/qufid --spool "$disp_dir/spool" --work-dir "$disp_dir/work" \
   --fleet process --workers 2 --chaos-kill 1 --lease-timeout 2000 \
   --drain > "$disp_dir/qufid.log" 2> "$disp_dir/qufid.err"
@@ -189,6 +193,18 @@ if [[ ! -e "$disp_dir/spool/aaa_hostile.submission.rejected" ]] ||
    ! grep -q 'bad shards line' "$disp_dir/qufid.err"; then
   echo "dispatcher smoke FAILED: the shards -1 submission was not rejected by name" >&2
   cat "$disp_dir/qufid.err" >&2
+  exit 1
+fi
+if [[ ! -e "$disp_dir/spool/aab_dotdot.submission.rejected" ]] ||
+   ! grep -q 'must not be a relative directory' "$disp_dir/qufid.err"; then
+  echo "dispatcher smoke FAILED: the campaign named .. was not rejected by name" >&2
+  cat "$disp_dir/qufid.err" >&2
+  exit 1
+fi
+# Every event line qufid prints must be one well-formed JSON object.
+if ! python3 -c 'import json,sys; [json.loads(l) for l in sys.stdin]' \
+    < "$disp_dir/qufid.log"; then
+  echo "dispatcher smoke FAILED: qufid.log holds a line that is not JSON" >&2
   exit 1
 fi
 if ! grep -q '"event":"chaos_kill"' "$disp_dir/qufid.log"; then
@@ -226,7 +242,7 @@ for cmd in "$q --workers abc" "$q --workers 0 --fleet process --drain" \
     exit 1
   fi
 done
-echo "dispatcher smoke OK (2 campaigns, chaos-killed worker, CSVs == single-process, shards -1 submission and bad integer flags rejected)"
+echo "dispatcher smoke OK (2 campaigns, chaos-killed worker, CSVs == single-process, JSON event log, shards -1 and .. submissions and bad integer flags rejected)"
 
 # Crash-durability smoke: SIGKILL the daemon ITSELF (and its workers)
 # mid-campaign, then restart qufid over the same spool + work dir. The
@@ -342,30 +358,33 @@ else
 fi
 
 # ---- opt-in sanitizer pass ---------------------------------------------------
-# CHECK_SANITIZE=1 rebuilds the kernel-facing tests, the adaptive
-# estimation suite, the dispatcher/journal suite, the campaign engine's
+# CHECK_SANITIZE=1 rebuilds the kernel-facing tests, the backend
+# conformance suite, the adaptive estimation suite, the dispatcher/journal
+# suite, the campaign engine's
 # tree, checkpoint and campaign suites, the binary-reader suites (QUFIPART
 # corruption sweeps), the prefix-merge suite (Live writers read by Tail
 # readers) and the util suite under ASan+UBSan in a separate
-# build tree and runs them, so the vectorized pointer arithmetic,
-# the estimator's cell bookkeeping, the journal's recovery/truncation paths,
+# build tree and runs them, so the vectorized pointer arithmetic, the
+# density backend's prepare/extend/run_suffix/batch schedule walks (on
+# every backend and kernel set), the estimator's cell bookkeeping, the journal's recovery/truncation paths,
 # the snapshot tree sweep and its dynamically claimed chains, every reader
 # fed a corrupt file, and the buffered CSV writer's failure paths are
 # exercised with checking on before merge.
 if [[ "${CHECK_SANITIZE:-0}" == "1" ]]; then
   cmake -B build-asan -S . -DQUFI_SANITIZE=ON -DQUFI_BUILD_BENCHES=OFF \
     -DQUFI_BUILD_EXAMPLES=OFF
-  cmake --build build-asan -j --target test_kernels test_sim test_adaptive \
-    test_dispatcher test_tree test_checkpoint test_result_io test_dist \
-    test_campaign test_util test_merge_prefix
-  for t in test_kernels test_sim test_adaptive test_dispatcher test_tree \
+  cmake --build build-asan -j --target test_kernels test_sim \
+    test_backend_contract test_adaptive test_dispatcher test_tree \
     test_checkpoint test_result_io test_dist test_campaign test_util \
-    test_merge_prefix; do
+    test_merge_prefix
+  for t in test_kernels test_sim test_backend_contract test_adaptive \
+    test_dispatcher test_tree test_checkpoint test_result_io test_dist \
+    test_campaign test_util test_merge_prefix; do
     ./build-asan/$t > /dev/null
   done
   # The vectorized sets must survive sanitized runs too, not just the default.
   for kset in $(./build/perf_simulator --list-kernels); do
     QUFI_KERNELS="$kset" ./build-asan/test_kernels > /dev/null
   done
-  echo "sanitizer pass OK (test_kernels + test_sim + test_adaptive + test_dispatcher + test_tree + test_checkpoint + test_result_io + test_dist + test_campaign + test_util + test_merge_prefix under ASan+UBSan)"
+  echo "sanitizer pass OK (test_kernels + test_sim + test_backend_contract + test_adaptive + test_dispatcher + test_tree + test_checkpoint + test_result_io + test_dist + test_campaign + test_util + test_merge_prefix under ASan+UBSan)"
 fi

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "circuit/moments.hpp"
 #include "noise/channels.hpp"
@@ -33,11 +34,6 @@ const noise::KrausChannel1& reset_channel() {
   return kChannel;
 }
 
-void apply_channel(sim::DensityMatrix& dm, const noise::KrausChannel1& ch,
-                   int q) {
-  if (!ch.is_identity()) dm.apply_kraus1(ch.ops, q);
-}
-
 double instruction_duration_ns(const Instruction& instr,
                                const noise::NoiseModel& nm) {
   switch (instr.kind) {
@@ -58,6 +54,116 @@ double instruction_duration_ns(const Instruction& instr,
   return 0.0;  // virtual gates
 }
 
+/// Physical <-> compact index maps for a circuit's active-qubit set.
+struct Compaction {
+  std::vector<int> active;      // compact -> physical
+  std::vector<int> to_compact;  // physical -> compact (-1 unused)
+};
+
+Compaction build_compaction(const circ::QuantumCircuit& circuit) {
+  Compaction c;
+  c.active = circuit.active_qubits();
+  if (c.active.empty()) c.active.push_back(0);
+  c.to_compact.assign(static_cast<std::size_t>(circuit.num_qubits()), -1);
+  for (std::size_t k = 0; k < c.active.size(); ++k) {
+    c.to_compact[static_cast<std::size_t>(c.active[k])] = static_cast<int>(k);
+  }
+  return c;
+}
+
+/// The execution schedule of a circuit with fault gates spliced in: the
+/// order its instructions run in, plus the idle channels after each step.
+/// With idle noise a step is one ASAP moment of the spliced circuit,
+/// followed by thermal relaxation on the moment's idle active qubits;
+/// without it a step is one instruction, in index order, with no idle
+/// channels (and nothing is stored per instruction). Instruction indices
+/// are over the spliced sequence circuit[0, split) + injected +
+/// circuit[split, end), the order splice_circuit builds.
+///
+/// Every execution path walks this one schedule — full runs, prepare /
+/// extend (up to a snapshot's sealed cursor), run_suffix and the batch
+/// compiler (from it) — so a resumed execution applies the exact kernel
+/// sequence a from-scratch run of the spliced circuit would.
+class Schedule {
+ public:
+  Schedule(const circ::QuantumCircuit& circuit, bool idle_noise,
+           std::size_t split = 0, std::span<const Instruction> injected = {})
+      : circuit_(circuit), split_(split), injected_(injected) {
+    if (!idle_noise) return;
+    moments_ = injected.empty()
+                   ? circ::compute_moments(circuit)
+                   : circ::compute_moments(
+                         splice_circuit(circuit, split, injected));
+  }
+
+  /// Instruction `i` of the spliced sequence.
+  const Instruction& at(std::size_t i) const {
+    const auto& instrs = circuit_.instructions();
+    if (i < split_) return instrs[i];
+    if (is_injected(i)) return injected_[i - split_];
+    return instrs[i - injected_.size()];
+  }
+
+  bool is_injected(std::size_t i) const {
+    return i >= split_ && i - split_ < injected_.size();
+  }
+
+  std::size_t num_steps() const {
+    return moments_ ? static_cast<std::size_t>(moments_->num_moments())
+                    : circuit_.size() + injected_.size();
+  }
+
+  /// A snapshot's sealed cursor: the number of leading steps that no
+  /// instruction at or after `prefix_length` — nor a fault gate on
+  /// `active` qubits spliced in there — can ever join. A moment index with
+  /// idle noise (see circ::sealed_moment_count), `prefix_length` without.
+  std::size_t sealed_steps(std::size_t prefix_length,
+                           const std::vector<int>& active) const {
+    if (!moments_) return prefix_length;
+    return static_cast<std::size_t>(
+        circ::sealed_moment_count(circuit_, prefix_length, active));
+  }
+
+  /// Walks steps [from, to): `gate(i)` for each instruction of a step in
+  /// index order, then `idle(k, channel)` for each non-identity relaxation
+  /// channel on a compact qubit k the step leaves idle.
+  template <typename GateFn, typename IdleFn>
+  void walk(std::size_t from, std::size_t to, const Compaction& compaction,
+            const noise::NoiseModel& nm, GateFn&& gate, IdleFn&& idle) const {
+    if (!moments_) {
+      for (std::size_t i = from; i < to; ++i) gate(i);
+      return;
+    }
+    const std::vector<int>& active = compaction.active;
+    std::vector<bool> busy(active.size());
+    for (std::size_t m = from; m < to; ++m) {
+      const auto& idx = moments_->instructions_per_moment[m];
+      double duration = 0.0;
+      std::fill(busy.begin(), busy.end(), false);
+      for (const auto i : idx) {
+        duration = std::max(duration, instruction_duration_ns(at(i), nm));
+        for (int q : at(i).qubits) {
+          const int c = compaction.to_compact[static_cast<std::size_t>(q)];
+          if (c >= 0) busy[static_cast<std::size_t>(c)] = true;
+        }
+      }
+      for (const auto i : idx) gate(i);
+      if (duration <= 0.0) continue;
+      for (std::size_t k = 0; k < active.size(); ++k) {
+        if (busy[k]) continue;
+        const auto channel = nm.idle_relaxation(active[k], duration);
+        if (!channel.is_identity()) idle(static_cast<int>(k), channel);
+      }
+    }
+  }
+
+ private:
+  const circ::QuantumCircuit& circuit_;
+  std::size_t split_;
+  std::span<const Instruction> injected_;
+  std::optional<circ::Moments> moments_;  ///< set with idle noise only
+};
+
 /// Executor over the *compacted* qubit set: the density matrix holds only
 /// qubits the circuit touches (a 4-qubit circuit transpiled onto a 7-qubit
 /// device simulates 16x16, not 128x128), while noise lookups keep the
@@ -66,10 +172,20 @@ struct DensityExecutor {
   sim::DensityMatrix dm;
   const noise::NoiseModel& nm;
   const DensityRunOptions& options;
-  const std::vector<int>& to_compact;  // physical -> compact (-1 unused)
+  const Compaction& compaction;
 
   int compact(int physical) const {
-    return to_compact[static_cast<std::size_t>(physical)];
+    return compaction.to_compact[static_cast<std::size_t>(physical)];
+  }
+
+  /// Executes schedule steps [from, to) on the state.
+  void run(const Schedule& schedule, std::size_t from, std::size_t to) {
+    schedule.walk(
+        from, to, compaction, nm,
+        [&](std::size_t i) { execute(schedule.at(i)); },
+        [&](int k, const noise::KrausChannel1& channel) {
+          dm.apply_kraus1(channel.ops, k);
+        });
   }
 
   void execute(const Instruction& instr) {
@@ -148,58 +264,6 @@ struct DensityExecutor {
     }
   }
 };
-
-/// Executes moments [from_moment, to_moment) of `moments` over `circuit`:
-/// each moment's instructions in index order, then thermal relaxation on
-/// the moment's idle active qubits. This is the idle-noise scheduling loop,
-/// shared by run_density_probs and by the moment-aware snapshot paths
-/// (prepare_prefix / extend_snapshot / run_suffix), so a resumed execution
-/// applies the exact same kernel sequence a from-scratch run would.
-void execute_idle_moments(DensityExecutor& exec,
-                          const circ::QuantumCircuit& circuit,
-                          const circ::Moments& moments, int from_moment,
-                          int to_moment, const noise::NoiseModel& nm,
-                          const std::vector<int>& active) {
-  const auto& instrs = circuit.instructions();
-  for (int m = from_moment; m < to_moment; ++m) {
-    const auto& idx =
-        moments.instructions_per_moment[static_cast<std::size_t>(m)];
-    double duration = 0.0;
-    std::vector<bool> busy(active.size(), false);
-    for (const auto i : idx) {
-      duration = std::max(duration, instruction_duration_ns(instrs[i], nm));
-      for (int q : instrs[i].qubits) {
-        const int c = exec.compact(q);
-        if (c >= 0) busy[static_cast<std::size_t>(c)] = true;
-      }
-    }
-    for (const auto i : idx) exec.execute(instrs[i]);
-    if (duration > 0.0) {
-      for (std::size_t k = 0; k < active.size(); ++k) {
-        if (busy[k]) continue;
-        const auto idle = nm.idle_relaxation(active[k], duration);
-        apply_channel(exec.dm, idle, static_cast<int>(k));
-      }
-    }
-  }
-}
-
-/// Physical <-> compact index maps for a circuit's active-qubit set.
-struct Compaction {
-  std::vector<int> active;      // compact -> physical
-  std::vector<int> to_compact;  // physical -> compact (-1 unused)
-};
-
-Compaction build_compaction(const circ::QuantumCircuit& circuit) {
-  Compaction c;
-  c.active = circuit.active_qubits();
-  if (c.active.empty()) c.active.push_back(0);
-  c.to_compact.assign(static_cast<std::size_t>(circuit.num_qubits()), -1);
-  for (std::size_t k = 0; k < c.active.size(); ++k) {
-    c.to_compact[static_cast<std::size_t>(c.active[k])] = static_cast<int>(k);
-  }
-  return c;
-}
 
 /// Terminal-measurement layout of a circuit, precomputed once and reused
 /// across every execution that shares the circuit (batched suffix sweeps
@@ -288,7 +352,8 @@ std::vector<double> resolve_clbit_probs(const DensityExecutor& exec,
                                         const noise::NoiseModel& noise_model) {
   return resolve_probs(
       exec.dm,
-      build_measurement_resolver(circuit, exec.to_compact, noise_model));
+      build_measurement_resolver(circuit, exec.compaction.to_compact,
+                                 noise_model));
 }
 
 // ---- batched suffix execution ----------------------------------------------
@@ -400,21 +465,6 @@ bool bake_instruction(const Instruction& instr,
   return true;
 }
 
-std::vector<BakedOp> bake_suffix(const circ::QuantumCircuit& circuit,
-                                 std::size_t prefix_length,
-                                 const std::vector<int>& to_compact,
-                                 const noise::NoiseModel& nm) {
-  std::vector<BakedOp> ops;
-  const auto& instrs = circuit.instructions();
-  for (std::size_t i = prefix_length; i < instrs.size(); ++i) {
-    BakedOp op;
-    if (bake_instruction(instrs[i], to_compact, nm, op)) {
-      ops.push_back(std::move(op));
-    }
-  }
-  return ops;
-}
-
 void apply_baked_op(sim::DensityMatrix& dm, const BakedOp& op) {
   switch (op.kind) {
     case BakedOp::Kind::Unitary1:
@@ -483,6 +533,14 @@ std::vector<std::complex<double>> resolve_probs_complex(
   return clbit_probs;
 }
 
+/// A snapshot's suffix compiled for one program key: the schedule from the
+/// snapshot's sealed cursor on, flattened into baked ops (Inject slots where
+/// the fault gates land), plus the terminal-measurement resolver.
+struct CompiledProgram {
+  std::vector<BakedOp> ops;
+  MeasurementResolver resolver;
+};
+
 /// The suffix pipeline of a snapshot, compiled into a linear-response basis
 /// over the fault slot — the deepest level of the prefix tree, where the
 /// injection site itself becomes a split point shared by the whole grid.
@@ -503,24 +561,25 @@ std::vector<std::complex<double>> resolve_probs_complex(
 /// are complex (the basis matrices are not Hermitian); imaginary parts
 /// cancel in the weighted sum.
 struct SuffixResponseBasis {
+  const CompiledProgram* program = nullptr;  ///< the replayed suffix
   std::vector<int> targets;  ///< compact qubit indices, ascending (size 1-2)
-  /// Injection-shape key the basis was compiled for (empty when the suffix
-  /// does not depend on the shape, i.e. non-idle snapshots). Moment-aware
-  /// suffixes weave the spliced schedule's idle channels into the replayed
-  /// ops, and that schedule depends on where the fault gates land.
-  std::string shape;
   /// Response vectors, indexed [((a*m + b)*m + c)*m + d] * num_outcomes + o.
   std::vector<std::complex<double>> responses;
   std::size_t num_outcomes = 0;
 };
 
-/// Stable key of a batch config's injection *shape* — the gate kinds and
-/// operand qubits, excluding parameters. Two configs with the same shape
-/// splice into circuits with identical moment schedules (moment placement
-/// depends on qubits, durations on kind + qubits), so they share a compiled
-/// idle suffix and a response basis.
-std::string injection_shape_key(std::span<const Instruction> injected) {
+/// Key of the compiled program a batch config replays: what of its
+/// injection the spliced schedule depends on. A flat schedule depends only
+/// on how many fault gates there are, so non-idle configs of any shape —
+/// e.g. both operand points of a 2q gate under a double fault — share one
+/// program and its response bases. A moment schedule also depends on the
+/// gate kinds and operand qubits (moment placement on qubits, durations on
+/// kind + qubits), never on parameters.
+std::string program_key(bool idle_noise,
+                        std::span<const Instruction> injected) {
   util::ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(injected.size()));
+  if (!idle_noise) return w.data();
   for (const Instruction& instr : injected) {
     w.u32(static_cast<std::uint32_t>(instr.kind));
     w.u32(static_cast<std::uint32_t>(instr.qubits.size()));
@@ -530,84 +589,65 @@ std::string injection_shape_key(std::span<const Instruction> injected) {
 }
 
 /// Density-matrix state captured after a circuit prefix, together with the
-/// compaction maps, the circuit whose suffix run_suffix will replay, and a
-/// lazily-built cache of the compiled suffix program so every batch chunk
-/// submitted against this snapshot shares one compilation.
+/// compaction maps, the circuit whose suffix run_suffix will replay, the
+/// sealed cursor of its schedule, and a lazily-built cache of compiled
+/// suffix programs so every batch chunk submitted against this snapshot
+/// shares one compilation.
 class DensitySnapshot final : public PrefixSnapshot {
  public:
-  /// \param idle_noise      True when the snapshot is moment-aware: the
-  ///                        state covers exactly the sealed moments below
-  ///                        `moment_cursor` (not a flat gate prefix).
-  /// \param moment_cursor   First unsealed moment at the split (0 for
-  ///                        non-idle snapshots).
+  /// \param idle_noise  The schedule the state was evolved under (moments
+  ///                    with idle channels, or one instruction per step).
+  /// \param cursor      Schedule steps the state covers: the sealed moments
+  ///                    below the split under idle noise, `prefix_length`
+  ///                    instructions without.
   DensitySnapshot(sim::DensityMatrix dm, Compaction compaction,
                   circ::QuantumCircuit circuit, std::size_t prefix_length,
-                  bool idle_noise = false, std::size_t moment_cursor = 0)
+                  bool idle_noise, std::size_t cursor)
       : PrefixSnapshot(prefix_length),
         dm_(std::move(dm)),
         compaction_(std::move(compaction)),
         circuit_(std::move(circuit)),
         idle_noise_(idle_noise),
-        moment_cursor_(moment_cursor) {}
+        cursor_(cursor) {}
 
   const sim::DensityMatrix& dm() const { return dm_; }
   const Compaction& compaction() const { return compaction_; }
   const circ::QuantumCircuit* circuit() const override { return &circuit_; }
   bool idle_noise() const { return idle_noise_; }
-  std::size_t moment_cursor() const { return moment_cursor_; }
+  std::size_t cursor() const { return cursor_; }
 
-  /// The fused suffix program plus the terminal-measurement resolver,
-  /// compiled on first use and cached. Thread-safe: snapshots are shared
-  /// across pool lanes, and chunked campaigns submit several batches
-  /// against one snapshot.
-  struct CompiledSuffix {
-    std::vector<BakedOp> ops;
-    MeasurementResolver resolver;
-  };
-  const CompiledSuffix& compiled_suffix(const noise::NoiseModel& nm) const {
-    std::call_once(compile_once_, [&] {
-      compiled_.ops =
-          bake_suffix(circuit_, prefix_length(), compaction_.to_compact, nm);
-      compiled_.resolver =
-          build_measurement_resolver(circuit_, compaction_.to_compact, nm);
-    });
-    return compiled_;
-  }
-
-  /// Shape-keyed compiled suffixes for moment-aware snapshots: the spliced
-  /// schedule (and with it the interleaved idle channels and the Inject
-  /// slot positions) depends on where the fault gates land, so each
-  /// injection shape bakes its own program. Built on first use by `build`
-  /// under the snapshot's lock and shared across chunks and lanes, so
-  /// results stay independent of batch granularity.
+  /// The compiled program for `key`, built on first use by `build` under
+  /// the snapshot's lock and shared across chunks and lanes, so results
+  /// stay independent of batch granularity.
   template <typename BuildFn>
-  const CompiledSuffix& compiled_idle_suffix(const std::string& shape,
-                                             BuildFn&& build) const {
-    std::lock_guard<std::mutex> lock(idle_compiled_mutex_);
-    auto it = idle_compiled_.find(shape);
-    if (it == idle_compiled_.end()) {
-      it = idle_compiled_
-               .emplace(shape, std::make_unique<CompiledSuffix>(build()))
+  const CompiledProgram& program(const std::string& key,
+                                 BuildFn&& build) const {
+    std::lock_guard<std::mutex> lock(programs_mutex_);
+    auto it = programs_.find(key);
+    if (it == programs_.end()) {
+      it = programs_.emplace(key, std::make_unique<CompiledProgram>(build()))
                .first;
     }
     return *it->second;
   }
 
-  /// Cached response basis per (target-qubit set, injection shape), built
-  /// on first use by `build` under the snapshot's lock. Chunked submissions
-  /// against one snapshot share the basis, so per-config results are
-  /// independent of batch granularity (the shard byte-identity contract).
+  /// Cached response basis per (program, target-qubit set), built on first
+  /// use by `build` under the snapshot's lock. Chunked submissions against
+  /// one snapshot share the basis, so per-config results are independent of
+  /// batch granularity (the shard byte-identity contract).
   template <typename BuildFn>
-  const SuffixResponseBasis& response_basis(const std::vector<int>& targets,
-                                            const std::string& shape,
+  const SuffixResponseBasis& response_basis(const CompiledProgram& program,
+                                            const std::vector<int>& targets,
                                             BuildFn&& build) const {
     std::lock_guard<std::mutex> lock(response_mutex_);
     for (const auto& basis : response_bases_) {
-      if (basis->targets == targets && basis->shape == shape) return *basis;
+      if (basis->program == &program && basis->targets == targets) {
+        return *basis;
+      }
     }
     response_bases_.push_back(
         std::make_unique<SuffixResponseBasis>(build(targets)));
-    response_bases_.back()->shape = shape;
+    response_bases_.back()->program = &program;
     return *response_bases_.back();
   }
 
@@ -615,88 +655,62 @@ class DensitySnapshot final : public PrefixSnapshot {
   sim::DensityMatrix dm_;
   Compaction compaction_;
   circ::QuantumCircuit circuit_;
-  bool idle_noise_ = false;
-  std::size_t moment_cursor_ = 0;
-  mutable std::once_flag compile_once_;
-  mutable CompiledSuffix compiled_;
-  mutable std::mutex idle_compiled_mutex_;
-  mutable std::map<std::string, std::unique_ptr<CompiledSuffix>>
-      idle_compiled_;
+  bool idle_noise_;
+  std::size_t cursor_;
+  mutable std::mutex programs_mutex_;
+  mutable std::map<std::string, std::unique_ptr<CompiledProgram>> programs_;
   mutable std::mutex response_mutex_;
   mutable std::vector<std::unique_ptr<SuffixResponseBasis>> response_bases_;
 };
 
-/// Compiles the moment-aware suffix of a snapshot for one injection shape:
-/// splices representative fault gates in at the split, recomputes the
-/// spliced circuit's moment schedule, and flattens every moment at or above
-/// the snapshot's sealed boundary into baked ops — residue prefix gates
-/// (sealed later than the split), Inject slots where the fault gates land,
-/// the suffix gates (noise fused as in bake_suffix), and one idle-channel
-/// superop per (moment, idle qubit) pair. Replaying the result from the
-/// snapshot state applies the same schedule a from-scratch run of the
-/// spliced circuit would (parameters of the representative gates never
-/// matter: moment placement depends on qubits, durations on kind + qubits).
-DensitySnapshot::CompiledSuffix compile_idle_suffix(
-    const DensitySnapshot& snap, std::span<const Instruction> injected_rep,
-    const noise::NoiseModel& nm) {
+/// Compiles a snapshot's suffix for one program key: walks the schedule of
+/// the circuit with representative fault gates spliced in at the split,
+/// from the snapshot's sealed cursor on, and bakes each step — residue
+/// prefix gates (sealed later than the split), Inject slots where the fault
+/// gates land, the suffix gates (each noisy gate's unitary fused into its
+/// noise superop), and one idle-channel superop per (moment, idle qubit)
+/// pair. A flat schedule yields [Inject..., fused suffix]. Replaying the
+/// result from the snapshot state applies the same schedule a from-scratch
+/// run of the spliced circuit would (the representative gates' parameters
+/// never matter; see program_key).
+CompiledProgram compile_program(const DensitySnapshot& snap,
+                                std::span<const Instruction> injected_rep,
+                                const noise::NoiseModel& nm) {
   const circ::QuantumCircuit& circuit = *snap.circuit();
-  const circ::QuantumCircuit spliced =
-      splice_circuit(circuit, snap.prefix_length(), injected_rep);
-  const circ::Moments moments = circ::compute_moments(spliced);
-  const auto& instrs = spliced.instructions();
-  const std::vector<int>& to_compact = snap.compaction().to_compact;
-  const std::vector<int>& active = snap.compaction().active;
+  const Compaction& compaction = snap.compaction();
   const std::size_t split = snap.prefix_length();
-  const std::size_t num_injected = injected_rep.size();
+  const Schedule schedule(circuit, snap.idle_noise(), split, injected_rep);
 
-  DensitySnapshot::CompiledSuffix compiled;
-  for (int m = static_cast<int>(snap.moment_cursor());
-       m < moments.num_moments(); ++m) {
-    const auto& idx =
-        moments.instructions_per_moment[static_cast<std::size_t>(m)];
-    double duration = 0.0;
-    std::vector<bool> busy(active.size(), false);
-    for (const auto i : idx) {
-      duration = std::max(duration, instruction_duration_ns(instrs[i], nm));
-      for (int q : instrs[i].qubits) {
-        const int c = to_compact[static_cast<std::size_t>(q)];
-        if (c >= 0) busy[static_cast<std::size_t>(c)] = true;
-      }
-    }
-    for (const auto i : idx) {
-      if (i >= split && i < split + num_injected) {
+  CompiledProgram program;
+  schedule.walk(
+      snap.cursor(), schedule.num_steps(), compaction, nm,
+      [&](std::size_t i) {
         BakedOp op;
-        op.kind = BakedOp::Kind::Inject;
-        op.q0 = static_cast<int>(i - split);
-        compiled.ops.push_back(std::move(op));
-        continue;
-      }
-      BakedOp op;
-      if (bake_instruction(instrs[i], to_compact, nm, op)) {
-        compiled.ops.push_back(std::move(op));
-      }
-    }
-    if (duration > 0.0) {
-      for (std::size_t k = 0; k < active.size(); ++k) {
-        if (busy[k]) continue;
-        const auto idle = nm.idle_relaxation(active[k], duration);
-        if (idle.is_identity()) continue;
+        if (schedule.is_injected(i)) {
+          op.kind = BakedOp::Kind::Inject;
+          op.q0 = static_cast<int>(i - split);
+        } else if (!bake_instruction(schedule.at(i), compaction.to_compact,
+                                     nm, op)) {
+          return;
+        }
+        program.ops.push_back(std::move(op));
+      },
+      [&](int k, const noise::KrausChannel1& channel) {
         BakedOp op;
         op.kind = BakedOp::Kind::Superop1;
-        op.q0 = static_cast<int>(k);
-        op.m4 = noise::channel_superop(idle);
-        compiled.ops.push_back(std::move(op));
-      }
-    }
-  }
-  compiled.resolver = build_measurement_resolver(circuit, to_compact, nm);
-  return compiled;
+        op.q0 = k;
+        op.m4 = noise::channel_superop(channel);
+        program.ops.push_back(std::move(op));
+      });
+  program.resolver =
+      build_measurement_resolver(circuit, compaction.to_compact, nm);
+  return program;
 }
 
 /// True when a baked op acts on any of `targets` (compact indices) —
-/// the response-path eligibility scan under idle noise: an op on a target
-/// ahead of the last Inject slot would have to commute past the config's
-/// slot channel, which only disjoint-qubit ops do.
+/// the response-path eligibility scan: an op on a target ahead of the last
+/// Inject slot would have to commute past the config's slot channel, which
+/// only disjoint-qubit ops do.
 bool op_touches(const BakedOp& op, const std::vector<int>& targets) {
   const auto has = [&](int q) {
     return std::find(targets.begin(), targets.end(), q) != targets.end();
@@ -716,24 +730,24 @@ bool op_touches(const BakedOp& op, const std::vector<int>& targets) {
   return false;
 }
 
-/// Response-path eligibility of a compiled idle suffix for one target set:
+/// Response-path eligibility of a compiled program for one target set:
 /// every non-Inject op that precedes the last Inject slot must be disjoint
 /// from the targets. Then the whole post-injection pipeline factors as
 /// "slot channel, then one fixed linear map" exactly — ops ahead of the
 /// injection commute past the slot channel (disjoint qubits), idle channels
 /// on the targets only ever appear after the last fault gate (a target is
 /// busy in its own injection moment), and everything is baked into the
-/// basis replay.
-bool idle_response_eligible(const DensitySnapshot::CompiledSuffix& compiled,
-                            const std::vector<int>& targets) {
+/// basis replay. A flat program ([Inject..., suffix]) is always eligible.
+bool response_eligible(const CompiledProgram& program,
+                       const std::vector<int>& targets) {
   std::ptrdiff_t last_inject = -1;
-  for (std::size_t i = 0; i < compiled.ops.size(); ++i) {
-    if (compiled.ops[i].kind == BakedOp::Kind::Inject) {
+  for (std::size_t i = 0; i < program.ops.size(); ++i) {
+    if (program.ops[i].kind == BakedOp::Kind::Inject) {
       last_inject = static_cast<std::ptrdiff_t>(i);
     }
   }
   for (std::ptrdiff_t i = 0; i < last_inject; ++i) {
-    if (op_touches(compiled.ops[static_cast<std::size_t>(i)], targets)) {
+    if (op_touches(program.ops[static_cast<std::size_t>(i)], targets)) {
       return false;
     }
   }
@@ -745,9 +759,9 @@ bool idle_response_eligible(const DensitySnapshot::CompiledSuffix& compiled,
 /// (c,d) slice) is replayed through the compiled suffix and resolved. One
 /// replay per basis element, amortized over every config that shares the
 /// targets.
-SuffixResponseBasis build_response_basis(
-    const DensitySnapshot& snap, const std::vector<int>& targets,
-    const DensitySnapshot::CompiledSuffix& compiled) {
+SuffixResponseBasis build_response_basis(const DensitySnapshot& snap,
+                                         const std::vector<int>& targets,
+                                         const CompiledProgram& program) {
   const int k = static_cast<int>(targets.size());
   const std::uint64_t m = std::uint64_t{1} << k;
   const sim::DensityMatrix& rho0 = snap.dm();
@@ -772,7 +786,7 @@ SuffixResponseBasis build_response_basis(
 
   SuffixResponseBasis basis;
   basis.targets = targets;
-  basis.num_outcomes = std::size_t{1} << compiled.resolver.num_clbits;
+  basis.num_outcomes = std::size_t{1} << program.resolver.num_clbits;
   basis.responses.resize(m * m * m * m * basis.num_outcomes);
   // One scratch matrix refilled in place per basis element, so the m^4 loop
   // allocates no dim^2 buffer per iteration.
@@ -790,9 +804,9 @@ SuffixResponseBasis build_response_basis(
               rawb[row + si] = raw0[src + si];
             }
           }
-          replay_suffix(basis_dm, compiled.ops);
+          replay_suffix(basis_dm, program.ops);
           const auto response =
-              resolve_probs_complex(basis_dm, compiled.resolver);
+              resolve_probs_complex(basis_dm, program.resolver);
           const std::uint64_t beta = ((a * m + b) * m + c) * m + d;
           std::copy(response.begin(), response.end(),
                     basis.responses.begin() +
@@ -846,11 +860,11 @@ std::span<std::complex<double>> slot_channel_weights(
   return weights;
 }
 
-}  // namespace
-
-std::vector<double> run_density_probs(const circ::QuantumCircuit& circuit,
-                                      const noise::NoiseModel& noise_model,
-                                      const DensityRunOptions& options) {
+/// A from-scratch execution of `circuit` under the given schedule mode.
+std::vector<double> density_probs(const circ::QuantumCircuit& circuit,
+                                  const noise::NoiseModel& noise_model,
+                                  const DensityRunOptions& options,
+                                  bool idle_noise) {
   require(circuit.num_clbits() > 0,
           "run_density_probs: circuit has no classical bits");
   require(circuit.measurements_are_terminal(),
@@ -863,21 +877,20 @@ std::vector<double> run_density_probs(const circ::QuantumCircuit& circuit,
 
   // Compaction: simulate only the qubits the circuit touches.
   const Compaction compaction = build_compaction(circuit);
-  const std::vector<int>& active = compaction.active;
-
-  DensityExecutor exec{sim::DensityMatrix(static_cast<int>(active.size())),
-                       noise_model, options, compaction.to_compact};
-
-  if (options.idle_noise && !noise_model.is_ideal()) {
-    // Moment-scheduled execution: idle qubits decohere while others work.
-    const auto moments = circ::compute_moments(circuit);
-    execute_idle_moments(exec, circuit, moments, 0, moments.num_moments(),
-                         noise_model, active);
-  } else {
-    for (const auto& instr : circuit.instructions()) exec.execute(instr);
-  }
-
+  DensityExecutor exec{
+      sim::DensityMatrix(static_cast<int>(compaction.active.size())),
+      noise_model, options, compaction};
+  const Schedule schedule(circuit, idle_noise);
+  exec.run(schedule, 0, schedule.num_steps());
   return resolve_clbit_probs(exec, circuit, noise_model);
+}
+
+}  // namespace
+
+std::vector<double> run_density_probs(const circ::QuantumCircuit& circuit,
+                                      const noise::NoiseModel& noise_model,
+                                      const DensityRunOptions& options) {
+  return density_probs(circuit, noise_model, options, /*idle_noise=*/false);
 }
 
 DensityMatrixBackend::DensityMatrixBackend(noise::NoiseModel noise_model,
@@ -892,9 +905,7 @@ std::string DensityMatrixBackend::name() const {
 ExecutionResult DensityMatrixBackend::run(const circ::QuantumCircuit& circuit,
                                           std::uint64_t shots,
                                           std::uint64_t seed) {
-  DensityRunOptions options;
-  options.idle_noise = idle_noise_;
-  auto probs = run_density_probs(circuit, noise_model_, options);
+  auto probs = density_probs(circuit, noise_model_, {}, idle_mode_active());
   return ExecutionResult::from_distribution(
       std::move(probs), circuit.num_clbits(), shots, seed, name());
 }
@@ -919,28 +930,18 @@ PrefixSnapshotPtr DensityMatrixBackend::prepare_prefix(
   const DensityRunOptions options{};
   DensityExecutor exec{
       sim::DensityMatrix(static_cast<int>(compaction.active.size())),
-      noise_model_, options, compaction.to_compact};
-  const auto& instrs = circuit.instructions();
-  if (idle_mode_active()) {
-    // Moment-aware snapshot: evolve exactly the moments that are sealed at
-    // the split (no spliced-in fault gate or later instruction can ever
-    // join them), in the same moment order a from-scratch run uses.
-    // Everything above the boundary — including prefix gates whose moment
-    // is still open — replays at run_suffix time against the spliced
-    // circuit's own schedule.
-    const circ::Moments moments = circ::compute_moments(circuit);
-    const int sealed =
-        circ::sealed_moment_count(circuit, prefix_length, compaction.active);
-    execute_idle_moments(exec, circuit, moments, 0, sealed, noise_model_,
-                         compaction.active);
-    return std::make_shared<DensitySnapshot>(
-        std::move(exec.dm), std::move(compaction), circuit, prefix_length,
-        /*idle_noise=*/true, static_cast<std::size_t>(sealed));
-  }
-  for (std::size_t i = 0; i < prefix_length; ++i) exec.execute(instrs[i]);
-  return std::make_shared<DensitySnapshot>(std::move(exec.dm),
-                                           std::move(compaction), circuit,
-                                           prefix_length);
+      noise_model_, options, compaction};
+  // Evolve exactly the steps sealed at the split, in the order a
+  // from-scratch run uses. Under idle noise, prefix gates whose moment is
+  // still open replay at run_suffix time against the spliced circuit's own
+  // schedule.
+  const Schedule schedule(circuit, idle_mode_active());
+  const std::size_t cursor =
+      schedule.sealed_steps(prefix_length, compaction.active);
+  exec.run(schedule, 0, cursor);
+  return std::make_shared<DensitySnapshot>(
+      std::move(exec.dm), std::move(compaction), circuit, prefix_length,
+      idle_mode_active(), cursor);
 }
 
 PrefixSnapshotPtr DensityMatrixBackend::extend_snapshot(
@@ -962,32 +963,23 @@ PrefixSnapshotPtr DensityMatrixBackend::extend_snapshot(
           "extend_snapshot: snapshot idle-noise mode does not match the "
           "backend");
 
+  // Advance the sealed cursor: the child's sealed steps are a superset of
+  // the parent's (frontiers only grow with the prefix), so the derivation
+  // runs exactly the newly sealed steps — the same sequence a from-scratch
+  // prepare at to_gate runs after the parent's cursor. Bit-identical by
+  // construction.
   const DensityRunOptions options{};
   DensityExecutor exec{snap->dm().clone(), noise_model_, options,
-                       snap->compaction().to_compact};
-  const auto& instrs = circuit.instructions();
-  if (snap->idle_noise()) {
-    // Advance the sealed boundary: the child's sealed moments are a
-    // superset of the parent's (frontiers only grow with the prefix), so
-    // the derivation replays exactly the newly sealed moments — the same
-    // moment sequence a from-scratch prepare at to_gate runs after the
-    // parent's boundary. Bit-identical by construction.
-    const circ::Moments moments = circ::compute_moments(circuit);
-    const int sealed_to =
-        circ::sealed_moment_count(circuit, to_gate, snap->compaction().active);
-    const int sealed_from = static_cast<int>(snap->moment_cursor());
-    require(sealed_to >= sealed_from,
-            "extend_snapshot: sealed boundary regressed (corrupt snapshot?)");
-    execute_idle_moments(exec, circuit, moments, sealed_from, sealed_to,
-                         noise_model_, snap->compaction().active);
-    return std::make_shared<DensitySnapshot>(
-        std::move(exec.dm), snap->compaction(), circuit, to_gate,
-        /*idle_noise=*/true, static_cast<std::size_t>(sealed_to));
-  }
-  for (std::size_t i = from_gate; i < to_gate; ++i) exec.execute(instrs[i]);
+                       snap->compaction()};
+  const Schedule schedule(circuit, snap->idle_noise());
+  const std::size_t cursor =
+      schedule.sealed_steps(to_gate, snap->compaction().active);
+  require(cursor >= snap->cursor(),
+          "extend_snapshot: sealed boundary regressed (corrupt snapshot?)");
+  exec.run(schedule, snap->cursor(), cursor);
   return std::make_shared<DensitySnapshot>(std::move(exec.dm),
                                            snap->compaction(), circuit,
-                                           to_gate);
+                                           to_gate, snap->idle_noise(), cursor);
 }
 
 ExecutionResult DensityMatrixBackend::run_suffix(
@@ -1015,30 +1007,15 @@ ExecutionResult DensityMatrixBackend::run_suffix(
     }
   }
 
+  // Resume the spliced circuit's schedule from the snapshot's cursor (its
+  // sealed steps match the snapshot's by construction — that is what
+  // sealing means), fault gates included where splice_circuit puts them.
   const DensityRunOptions options{};
   DensityExecutor exec{snap->dm().clone(), noise_model_, options,
-                       snap->compaction().to_compact};
-  if (snap->idle_noise()) {
-    // Moment-aware resume: recompute the schedule of the spliced circuit
-    // (its sealed moments match the snapshot's by construction — that is
-    // what sealing means) and execute everything from the boundary on, idle
-    // channels included, in the same moment order run() uses.
-    const circ::QuantumCircuit spliced =
-        splice_circuit(circuit, snap->prefix_length(), injected);
-    const circ::Moments moments = circ::compute_moments(spliced);
-    execute_idle_moments(exec, spliced, moments,
-                         static_cast<int>(snap->moment_cursor()),
-                         moments.num_moments(), noise_model_,
-                         snap->compaction().active);
-    auto probs = resolve_clbit_probs(exec, spliced, noise_model_);
-    return ExecutionResult::from_distribution(
-        std::move(probs), circuit.num_clbits(), shots, seed, name());
-  }
-  for (const auto& instr : injected) exec.execute(instr);
-  const auto& instrs = circuit.instructions();
-  for (std::size_t i = snap->prefix_length(); i < instrs.size(); ++i) {
-    exec.execute(instrs[i]);
-  }
+                       snap->compaction()};
+  const Schedule schedule(circuit, snap->idle_noise(), snap->prefix_length(),
+                          injected);
+  exec.run(schedule, snap->cursor(), schedule.num_steps());
   auto probs = resolve_clbit_probs(exec, circuit, noise_model_);
   return ExecutionResult::from_distribution(
       std::move(probs), circuit.num_clbits(), shots, seed, name());
@@ -1073,42 +1050,41 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
   require(snap->idle_noise() == idle_mode_active(),
           "run_suffix_batch: snapshot idle-noise mode does not match the "
           "backend");
-  const bool idle = snap->idle_noise();
 
-  // Per-batch setup amortized over every config: the compiled suffix
-  // (cached on the snapshot, so chunked submissions share one compile), the
-  // backend name string, and one scratch density matrix (re-filled from the
-  // snapshot with no allocation). Moment-aware snapshots compile one suffix
-  // per injection *shape* (the spliced schedule depends on where the fault
-  // gates land); a single-fault grid has one shape, a double-fault slice
-  // one per neighbor.
-  const DensitySnapshot::CompiledSuffix* shared_compiled =
-      idle ? nullptr : &snap->compiled_suffix(noise_model_);
-  std::vector<const DensitySnapshot::CompiledSuffix*> compiled_of(
-      configs.size(), shared_compiled);
-  std::vector<std::string> shape_of(configs.size());
-  if (idle) {
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      if (needs_splice[c]) continue;
-      shape_of[c] = injection_shape_key(configs[c].injected);
-      compiled_of[c] = &snap->compiled_idle_suffix(shape_of[c], [&] {
-        return compile_idle_suffix(*snap, configs[c].injected, noise_model_);
+  // Per-batch setup amortized over every config: the compiled program of
+  // each distinct program key (cached on the snapshot, so chunked
+  // submissions share one compile; looked up once per key per batch), the
+  // backend name string, and one scratch density matrix (re-filled from
+  // the snapshot with no allocation). Non-idle batches have one key per
+  // injected-gate count; moment-aware ones one per injection shape (a
+  // single-fault grid has one, a double-fault slice one per neighbor).
+  std::vector<const CompiledProgram*> program_of(configs.size(), nullptr);
+  std::vector<std::pair<std::string, const CompiledProgram*>> programs;
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    if (needs_splice[c]) continue;
+    std::string key = program_key(snap->idle_noise(), configs[c].injected);
+    auto it = std::find_if(programs.begin(), programs.end(),
+                           [&](const auto& p) { return p.first == key; });
+    if (it == programs.end()) {
+      const CompiledProgram& program = snap->program(key, [&] {
+        return compile_program(*snap, configs[c].injected, noise_model_);
       });
+      it = programs.emplace(programs.end(), std::move(key), &program);
     }
+    program_of[c] = it->second;
   }
   const std::string backend_name = name();
 
   // Suffix-response grouping (the injection-site level of the prefix tree):
   // configs whose injected gates are all single-qubit and touch at most two
   // compact qubits share one m^4 basis of suffix responses; when enough of
-  // them share a target set (and, for moment-aware suffixes, an injection
-  // shape whose pre-injection ops are disjoint from the targets), each is
-  // evaluated as a weighted basis sum instead of a full suffix replay.
-  // Everything else (small groups, splice fallbacks, exotic injections)
-  // takes the replay path below.
+  // them share a program and a target set that its pre-injection ops are
+  // disjoint from, each is evaluated as a weighted basis sum instead of a
+  // full suffix replay. Everything else (small groups, splice fallbacks,
+  // exotic injections) takes the replay path below.
   struct ResponseGroup {
     std::vector<int> targets;
-    std::string shape;
+    const CompiledProgram* program;
     std::vector<std::size_t> config_indices;
   };
   std::vector<ResponseGroup> groups;
@@ -1130,31 +1106,27 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
     if (!eligible || targets.size() > 2) continue;
     std::sort(targets.begin(), targets.end());
     auto it = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
-      return g.targets == targets && g.shape == shape_of[c];
+      return g.targets == targets && g.program == program_of[c];
     });
     if (it == groups.end()) {
-      groups.push_back(ResponseGroup{std::move(targets), shape_of[c], {}});
+      groups.push_back(ResponseGroup{std::move(targets), program_of[c], {}});
       it = groups.end() - 1;
     }
     it->config_indices.push_back(c);
     group_of[c] = it - groups.begin();
   }
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    const std::size_t threshold = groups[g].targets.size() == 1
+  for (ResponseGroup& group : groups) {
+    const std::size_t threshold = group.targets.size() == 1
                                       ? kResponseMinConfigs1q
                                       : kResponseMinConfigs2q;
-    // Below break-even, or a moment-aware shape whose pre-injection ops
-    // touch a target (the slot channel would not factor out): replay
-    // path. Both predicates are pure functions of the batch contents, so
-    // the choice is identical across chunkings and shardings.
-    const bool ineligible =
-        groups[g].config_indices.size() < threshold ||
-        (idle && !idle_response_eligible(
-                     *compiled_of[groups[g].config_indices.front()],
-                     groups[g].targets));
-    if (ineligible) {
-      for (const std::size_t c : groups[g].config_indices) group_of[c] = -1;
-      groups[g].config_indices.clear();
+    // Below break-even, or a program whose pre-injection ops touch a
+    // target (the slot channel would not factor out): replay path. Both
+    // predicates are pure functions of the batch contents, so the choice
+    // is identical across chunkings and shardings.
+    if (group.config_indices.size() < threshold ||
+        !response_eligible(*group.program, group.targets)) {
+      for (const std::size_t c : group.config_indices) group_of[c] = -1;
+      group.config_indices.clear();
     }
   }
 
@@ -1162,7 +1134,7 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
   // The scratch starts empty (cheap |0><0| init, no snapshot copy) and is
   // re-filled from the snapshot per config below.
   DensityExecutor exec{sim::DensityMatrix(snap->dm().num_qubits()),
-                       noise_model_, options, to_compact};
+                       noise_model_, options, snap->compaction()};
 
   std::vector<ExecutionResult> results(configs.size());
   // Per-config scratch (response weights, accumulators, diagonal buffers)
@@ -1178,11 +1150,12 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
               shots, config.seed);
       continue;
     }
+    const CompiledProgram& program = *program_of[c];
     if (group_of[c] >= 0) {
       const ResponseGroup& group = groups[static_cast<std::size_t>(group_of[c])];
       const SuffixResponseBasis& basis = snap->response_basis(
-          group.targets, group.shape, [&](const std::vector<int>& targets) {
-            return build_response_basis(*snap, targets, *compiled_of[c]);
+          program, group.targets, [&](const std::vector<int>& targets) {
+            return build_response_basis(*snap, targets, program);
           });
       const auto weights = slot_channel_weights(
           arena, config.injected, group.targets, to_compact, noise_model_);
@@ -1207,25 +1180,18 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
           backend_name);
       continue;
     }
+    // Replay: Inject slots execute this config's own fault gates (unitary
+    // + its noise channel, as execute() would); every other op is baked.
     exec.dm = snap->dm();
-    if (idle) {
-      // Moment-aware replay: the compiled program interleaves residue
-      // prefix gates, Inject slots, suffix gates and idle channels in the
-      // spliced schedule's moment order; Inject slots execute this config's
-      // own fault gates (unitary + its noise channel, as execute() would).
-      for (const auto& op : compiled_of[c]->ops) {
-        if (op.kind == BakedOp::Kind::Inject) {
-          exec.execute(config.injected[static_cast<std::size_t>(op.q0)]);
-        } else {
-          apply_baked_op(exec.dm, op);
-        }
+    for (const auto& op : program.ops) {
+      if (op.kind == BakedOp::Kind::Inject) {
+        exec.execute(config.injected[static_cast<std::size_t>(op.q0)]);
+      } else {
+        apply_baked_op(exec.dm, op);
       }
-    } else {
-      for (const auto& instr : config.injected) exec.execute(instr);
-      replay_suffix(exec.dm, compiled_of[c]->ops);
     }
     results[c] = ExecutionResult::from_distribution(
-        resolve_probs(exec.dm, compiled_of[c]->resolver, arena),
+        resolve_probs(exec.dm, program.resolver, arena),
         circuit.num_clbits(), shots, config.seed, backend_name);
   }
   return results;

@@ -13,22 +13,23 @@ struct DensityRunOptions {
   /// Per-physical-qubit coherent miscalibration applied after every noisy
   /// 1q gate (used by the simulated-hardware backend). Empty = none.
   std::span<const noise::DriftModel::CoherentError> coherent_errors = {};
-  /// Apply thermal relaxation to idle qubits per circuit moment
-  /// (extension beyond the paper's Qiskit noise model; see ablation bench).
-  bool idle_noise = false;
 };
 
 /// Exact noisy execution: evolves the full density matrix through the
 /// circuit with the noise model's Kraus channels and returns the exact
-/// distribution over classical bitstrings (readout error included).
-/// Requires terminal measurements.
+/// distribution over classical bitstrings (readout error included), one
+/// instruction at a time in index order. Requires terminal measurements.
 std::vector<double> run_density_probs(const circ::QuantumCircuit& circuit,
                                       const noise::NoiseModel& noise_model,
                                       const DensityRunOptions& options = {});
 
-/// Backend wrapper over run_density_probs — the paper's scenario (2),
-/// "simulation of a physical machine, tuning the noise over which the
-/// fault is injected using the IBM-Q noise model".
+/// Backend wrapper over the density-matrix executor — the paper's scenario
+/// (2), "simulation of a physical machine, tuning the noise over which the
+/// fault is injected using the IBM-Q noise model". With `idle_noise` (an
+/// extension beyond the paper's Qiskit noise model; see the ablation bench)
+/// every execution runs the circuit's ASAP moments with thermal relaxation
+/// on each moment's idle active qubits; without it, one instruction per
+/// step with no idle channels. Every entry point walks that one schedule.
 class DensityMatrixBackend : public Backend {
  public:
   explicit DensityMatrixBackend(noise::NoiseModel noise_model,
@@ -39,13 +40,14 @@ class DensityMatrixBackend : public Backend {
   ExecutionResult run(const circ::QuantumCircuit& circuit, std::uint64_t shots,
                       std::uint64_t seed) override;
 
-  /// Real checkpointing: the snapshot holds the evolved density matrix.
-  /// Under idle_noise the snapshot is *moment-aware*: it captures the state
-  /// after the moments that are sealed at the split (no spliced-in fault
-  /// gate or later instruction can ever be scheduled into them) together
-  /// with the sealed boundary, and run_suffix resumes the idle-relaxation
-  /// schedule of the spliced circuit from that boundary — so the resumed
-  /// execution applies bit-identical idle channels to a from-scratch run.
+  /// Real checkpointing: the snapshot holds the density matrix evolved
+  /// through the schedule steps that are *sealed* at the split (no
+  /// spliced-in fault gate or later instruction can ever run in one of
+  /// them), together with that sealed cursor: the first `prefix_length`
+  /// instructions without idle noise, the sealed moments with it. run_suffix
+  /// and run_suffix_batch resume the spliced circuit's schedule from the
+  /// cursor, so a resumed execution is bit-identical to a from-scratch run,
+  /// idle channels included.
   bool supports_checkpointing() const override { return true; }
 
   PrefixSnapshotPtr prepare_prefix(const circ::QuantumCircuit& circuit,
@@ -53,15 +55,14 @@ class DensityMatrixBackend : public Backend {
                                    std::uint64_t shots_hint = 0,
                                    std::uint64_t snapshot_seed = 0) override;
 
-  /// Advances the parent's evolved density matrix through instructions
-  /// [from_gate, to_gate) — the same operation sequence a from-scratch
-  /// prepare_prefix(circuit, to_gate) would run on that state, so the
-  /// derived snapshot is bit-identical to the from-scratch one regardless
-  /// of how many chain hops produced it. Under idle_noise the extension
-  /// advances moment-by-moment from the parent's sealed boundary to the
-  /// child's (gates in moment order, idle channels per moment), preserving
-  /// the same bit-identity. Falls back to the base splice extension when
-  /// the parent is a fallback snapshot.
+  /// Advances the parent's evolved density matrix from its sealed cursor to
+  /// the one at `to_gate` (instructions [from_gate, to_gate) without idle
+  /// noise; the newly sealed moments, idle channels included, with it) —
+  /// the same step sequence a from-scratch prepare_prefix(circuit, to_gate)
+  /// runs on that state, so the derived snapshot is bit-identical to the
+  /// from-scratch one regardless of how many chain hops produced it. Falls
+  /// back to the base splice extension when the parent is a fallback
+  /// snapshot.
   PrefixSnapshotPtr extend_snapshot(const PrefixSnapshot& parent,
                                     std::size_t from_gate, std::size_t to_gate,
                                     std::uint64_t shots_hint = 0,
@@ -71,12 +72,16 @@ class DensityMatrixBackend : public Backend {
                              std::span<const circ::Instruction> injected,
                              std::uint64_t shots, std::uint64_t seed) override;
 
-  /// Batched grid sweep from one snapshot: compiles the shared suffix once
-  /// (gate matrices built once, each noisy gate's unitary fused into its
-  /// noise superoperator) and reuses a single scratch density matrix across
-  /// configs, so each config costs one snapshot refill + its own injected
-  /// gates + the fused replay. Equivalent to per-config run_suffix within
-  /// floating-point reassociation (QVF parity well under 1e-9).
+  /// Batched grid sweep from one snapshot: compiles the spliced schedule
+  /// from the snapshot's cursor once per program key (the injected-gate
+  /// count without idle noise, the injection shape with it) into baked ops
+  /// — gate matrices built once, each noisy gate's unitary fused into its
+  /// noise superoperator, idle channels baked, Inject slots where the fault
+  /// gates land — cached on the snapshot, and reuses a single scratch
+  /// density matrix across configs, so each config costs one snapshot
+  /// refill + the program replay with its own gates in the Inject slots.
+  /// Equivalent to per-config run_suffix within floating-point
+  /// reassociation (QVF parity well under 1e-9).
   std::vector<ExecutionResult> run_suffix_batch(
       const PrefixSnapshot& snapshot, std::span<const SuffixConfig> configs,
       std::uint64_t shots) override;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -129,6 +130,20 @@ std::string conflict_message(const std::string& a, const std::string& b,
          "); duplicates must be bit-exact retries";
 }
 
+/// The points of a per-point `seen` bitmap that contributed no records.
+MissingPointReport unseen_points(const std::vector<bool>& seen,
+                                 std::size_t max_examples) {
+  MissingPointReport report;
+  for (std::size_t p = 0; p < seen.size(); ++p) {
+    if (seen[p]) continue;
+    ++report.count;
+    if (report.first.size() < max_examples) {
+      report.first.push_back(static_cast<std::uint32_t>(p));
+    }
+  }
+  return report;
+}
+
 }  // namespace
 
 std::string MissingPointReport::describe() const {
@@ -150,15 +165,7 @@ MissingPointReport find_missing_points(std::size_t num_points,
   for (const InjectionRecord& r : records) {
     if (r.point_index < num_points) seen[r.point_index] = true;
   }
-  MissingPointReport report;
-  for (std::size_t p = 0; p < num_points; ++p) {
-    if (seen[p]) continue;
-    ++report.count;
-    if (report.first.size() < max_examples) {
-      report.first.push_back(static_cast<std::uint32_t>(p));
-    }
-  }
-  return report;
+  return unseen_points(seen, max_examples);
 }
 
 CampaignResult merge_shard_results(std::span<const CampaignResult> shards,
@@ -298,6 +305,33 @@ std::uint64_t consume_duplicate_runs(std::vector<BlockStream>& streams,
   return dropped;
 }
 
+/// The walk every file merge shares: takes the minimum pending point below
+/// `end_point`, owned by the first input at it (the bucket merge's
+/// first-shard-wins rule, so in-memory and streaming merges agree),
+/// cross-checks duplicate runs bit-exactly, and hands the owner's run to
+/// `emit` in ascending point order. Returns the duplicate records dropped.
+template <typename Emit>
+std::uint64_t walk_min_points(std::vector<BlockStream>& streams,
+                              std::uint64_t end_point, const Emit& emit) {
+  std::uint64_t dropped = 0;
+  while (true) {
+    std::size_t owner = streams.size();
+    std::uint32_t min_point = 0;
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      if (!streams[i].ready()) continue;
+      if (owner == streams.size() || streams[i].point() < min_point) {
+        owner = i;
+        min_point = streams[i].point();
+      }
+    }
+    if (owner == streams.size() || min_point >= end_point) break;
+    const auto run = streams[owner].take_run();
+    dropped += consume_duplicate_runs(streams, owner, min_point, run);
+    emit(run);
+  }
+  return dropped;
+}
+
 /// Opens every input as a sealed stream and checks that all headers
 /// describe one campaign.
 std::vector<BlockStream> open_merge_inputs(
@@ -339,39 +373,19 @@ StreamingMergeStats run_file_merge(std::span<const std::string> inputs,
 
   StreamingMergeStats stats;
   std::vector<bool> emitted(first.points.size(), false);
-  while (true) {
-    // The owner of the next point: the first input (in order) at the
-    // minimum pending point index — matching the bucket merge's
-    // first-shard-wins rule, so in-memory and streaming merges agree.
-    std::size_t owner = streams.size();
-    std::uint32_t min_point = 0;
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      if (!streams[i].ready()) continue;
-      if (owner == streams.size() || streams[i].point() < min_point) {
-        owner = i;
-        min_point = streams[i].point();
-      }
-    }
-    if (owner == streams.size()) break;
-
-    const auto run = streams[owner].take_run();
-    stats.duplicate_records +=
-        consume_duplicate_runs(streams, owner, min_point, run);
-    emit(run);
-    stats.merged_records += run.size();
-    if (min_point < emitted.size()) emitted[min_point] = true;
-  }
+  stats.duplicate_records = walk_min_points(
+      streams, std::numeric_limits<std::uint64_t>::max(),
+      [&](std::span<const InjectionRecord> run) {
+        emit(run);
+        stats.merged_records += run.size();
+        const std::uint32_t point = run.front().point_index;
+        if (point < emitted.size()) emitted[point] = true;
+      });
 
   // The requeue-aware diagnostic: which global points contributed nothing.
   // A lost or still-requeued shard shows up here by its point indices, so
   // dispatcher logs and --allow-partial CLI output name the same thing.
-  for (std::size_t p = 0; p < emitted.size(); ++p) {
-    if (emitted[p]) continue;
-    ++stats.missing.count;
-    if (stats.missing.first.size() < 8) {
-      stats.missing.first.push_back(static_cast<std::uint32_t>(p));
-    }
-  }
+  stats.missing = unseen_points(emitted, 8);
 
   if (!options.allow_incomplete && expected > 0) {
     require(stats.merged_records == expected,
@@ -515,24 +529,13 @@ PrefixMergeResult merge_result_prefix(
   out.frontier = frontier;
   out.complete = frontier == num_points;
 
-  // Merge exactly the points below the frontier — the same ascending-order,
-  // first-input-wins, bit-exact-duplicate walk as the full file merge, cut
-  // short at the first unresolved point.
-  while (true) {
-    std::size_t owner = streams.size();
-    std::uint32_t min_point = 0;
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      if (!streams[i].ready()) continue;
-      if (owner == streams.size() || streams[i].point() < min_point) {
-        owner = i;
-        min_point = streams[i].point();
-      }
-    }
-    if (owner == streams.size() || min_point >= frontier) break;
-    const auto run = streams[owner].take_run();
-    consume_duplicate_runs(streams, owner, min_point, run);
-    out.records.insert(out.records.end(), run.begin(), run.end());
-  }
+  // Merge exactly the points below the frontier — the full file merge's
+  // walk, cut short at the first unresolved point.
+  walk_min_points(streams, frontier,
+                  [&](std::span<const InjectionRecord> run) {
+                    out.records.insert(out.records.end(), run.begin(),
+                                       run.end());
+                  });
   out.meta.executions = out.records.size();
   out.meta.injections =
       campaign_injections(out.records.size(), out.meta.shots);

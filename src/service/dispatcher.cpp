@@ -349,6 +349,9 @@ void Dispatcher::submit(CampaignJob job) {
               job.name.find('\\') == std::string::npos,
           "Dispatcher::submit: campaign name must not contain path "
           "separators: " + job.name);
+  require(job.name != "." && job.name != "..",
+          "Dispatcher::submit: campaign name must not be a relative "
+          "directory: " + job.name);
   require(!job.manifests.empty(),
           "Dispatcher::submit: campaign has no shards: " + job.name);
   require(!job.csv_path.empty(),

@@ -30,12 +30,14 @@
 #include "dist/merge.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/shard_runner.hpp"
+#include "support/campaign_fixtures.hpp"
 #include "support/test_files.hpp"
 #include "util/error.hpp"
 
 namespace qufi {
 namespace {
 
+using test_support::expect_record_bits;
 using test_support::slurp;
 using test_support::TempDir;
 
@@ -84,22 +86,6 @@ std::map<std::uint32_t, double> gold_point_means(const std::string& csv) {
     mean[point] = total / static_cast<double>(count.at(point));
   }
   return mean;
-}
-
-void expect_record_bits(const InjectionRecord& a, const InjectionRecord& b,
-                        std::size_t i) {
-  EXPECT_EQ(a.point_index, b.point_index) << "record " << i;
-  EXPECT_EQ(a.theta_index, b.theta_index) << "record " << i;
-  EXPECT_EQ(a.phi_index, b.phi_index) << "record " << i;
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.qvf),
-            std::bit_cast<std::uint64_t>(b.qvf))
-      << "record " << i;
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.pa),
-            std::bit_cast<std::uint64_t>(b.pa))
-      << "record " << i;
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.pb),
-            std::bit_cast<std::uint64_t>(b.pb))
-      << "record " << i;
 }
 
 void expect_results_identical(const CampaignResult& a, const CampaignResult& b,

@@ -21,25 +21,16 @@
 #include "core/results.hpp"
 #include "noise/noise_model.hpp"
 #include "sim/statevector.hpp"
+#include "support/campaign_fixtures.hpp"
 #include "support/test_files.hpp"
 #include "util/error.hpp"
 
 namespace qufi {
 namespace {
 
-constexpr double kPi = std::numbers::pi;
+using test_support::quick_spec;
 
-/// Small, fast spec shared by the campaign tests.
-CampaignSpec quick_spec(const char* circuit_name = "bv", int width = 4) {
-  const auto bench = algo::paper_circuit(circuit_name, width);
-  CampaignSpec spec;
-  spec.circuit = bench.circuit;
-  spec.expected_outputs = bench.expected_outputs;
-  spec.grid.theta_step_deg = 60.0;
-  spec.grid.phi_step_deg = 90.0;
-  spec.threads = 2;
-  return spec;
-}
+constexpr double kPi = std::numbers::pi;
 
 // -------------------------------------------------------------- injection
 

@@ -17,21 +17,13 @@
 #include "noise/backend_props.hpp"
 #include "noise/noise_model.hpp"
 #include "resimulating_backend.hpp"
+#include "support/campaign_fixtures.hpp"
 #include "util/thread_pool.hpp"
 
 namespace qufi {
 namespace {
 
-CampaignSpec quick_spec(const std::string& name, int width) {
-  const auto bench = algo::paper_circuit(name, width);
-  CampaignSpec spec;
-  spec.circuit = bench.circuit;
-  spec.expected_outputs = bench.expected_outputs;
-  spec.grid.theta_step_deg = 60.0;
-  spec.grid.phi_step_deg = 90.0;
-  spec.threads = 2;
-  return spec;
-}
+using test_support::quick_spec;
 
 // ---- integer striding ------------------------------------------------------
 

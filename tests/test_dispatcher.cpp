@@ -26,6 +26,7 @@
 #include "service/dispatcher.hpp"
 #include "service/fleet.hpp"
 #include "service/submission.hpp"
+#include "support/campaign_fixtures.hpp"
 #include "support/test_files.hpp"
 #include "util/error.hpp"
 
@@ -36,22 +37,10 @@ namespace fs = std::filesystem;
 
 using test_support::for_each_byte_flip;
 using test_support::for_each_truncation;
+using test_support::quick_spec;
 using test_support::slurp;
 using test_support::spit;
 using test_support::TempDir;
-
-/// Small paper circuit on a coarse grid: fast enough to run many times per
-/// test, large enough that a 2-shard split is non-trivial.
-CampaignSpec quick_spec(const std::string& name, int width) {
-  const auto bench = algo::paper_circuit(name, width);
-  CampaignSpec spec;
-  spec.circuit = bench.circuit;
-  spec.expected_outputs = bench.expected_outputs;
-  spec.grid.theta_step_deg = 60.0;
-  spec.grid.phi_step_deg = 90.0;
-  spec.threads = 2;
-  return spec;
-}
 
 service::CampaignJob make_job(const std::string& name, int priority,
                               const CampaignSpec& spec, std::uint32_t shards,
@@ -101,6 +90,11 @@ TEST(Dispatcher, SubmitRejectsBadJobs) {
   EXPECT_THROW(
       dispatcher.submit(make_job("../oops", 0, spec, 2, dir.str("c.csv"))),
       Error);
+  // So would the relative directory names themselves.
+  EXPECT_THROW(dispatcher.submit(make_job(".", 0, spec, 2, dir.str("e.csv"))),
+               Error);
+  EXPECT_THROW(
+      dispatcher.submit(make_job("..", 0, spec, 2, dir.str("f.csv"))), Error);
   // Empty manifest list.
   service::CampaignJob empty_job;
   empty_job.name = "empty";

@@ -17,6 +17,7 @@
 #include "dist/shard_runner.hpp"
 #include "noise/backend_props.hpp"
 #include "noise/noise_model.hpp"
+#include "support/campaign_fixtures.hpp"
 #include "support/test_files.hpp"
 #include "util/error.hpp"
 
@@ -24,40 +25,10 @@ namespace qufi {
 namespace {
 
 namespace fs = std::filesystem;
+using test_support::expect_same_records;
+using test_support::quick_spec;
 using test_support::slurp;
 using test_support::TempDir;
-
-CampaignSpec quick_spec(const std::string& name, int width) {
-  const auto bench = algo::paper_circuit(name, width);
-  CampaignSpec spec;
-  spec.circuit = bench.circuit;
-  spec.expected_outputs = bench.expected_outputs;
-  spec.grid.theta_step_deg = 60.0;
-  spec.grid.phi_step_deg = 90.0;
-  spec.threads = 2;
-  return spec;
-}
-
-void expect_same_records(const CampaignResult& a, const CampaignResult& b) {
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const auto& ra = a.records[i];
-    const auto& rb = b.records[i];
-    ASSERT_EQ(ra.point_index, rb.point_index) << "record " << i;
-    ASSERT_EQ(ra.theta_index, rb.theta_index) << "record " << i;
-    ASSERT_EQ(ra.phi_index, rb.phi_index) << "record " << i;
-    ASSERT_EQ(ra.neighbor_qubit, rb.neighbor_qubit) << "record " << i;
-    ASSERT_EQ(ra.theta1_index, rb.theta1_index) << "record " << i;
-    ASSERT_EQ(ra.phi1_index, rb.phi1_index) << "record " << i;
-    // Bit-identical on the density backend; the 1e-9 QVF acceptance bound
-    // is the documented contract, so assert the tighter equality here and
-    // the bound explicitly.
-    EXPECT_NEAR(ra.qvf, rb.qvf, 1e-9) << "record " << i;
-    EXPECT_EQ(ra.qvf, rb.qvf) << "record " << i;
-    EXPECT_EQ(ra.pa, rb.pa) << "record " << i;
-    EXPECT_EQ(ra.pb, rb.pb) << "record " << i;
-  }
-}
 
 /// Runs spec as N shards via the subset API and merges.
 CampaignResult run_sharded(const CampaignSpec& spec, std::uint32_t shards,
@@ -215,7 +186,7 @@ TEST(ShardMerge, OneTwoAndEightShardsMatchSingleProcessOnPaperCircuits) {
         const auto merged = run_sharded(spec, shards, policy);
         EXPECT_EQ(merged.meta.executions, single.meta.executions);
         EXPECT_EQ(merged.meta.faultfree_qvf, single.meta.faultfree_qvf);
-        expect_same_records(merged, single);
+        expect_same_records(merged.records, single.records);
       }
     }
   }
@@ -231,7 +202,7 @@ TEST(ShardMerge, TrajectoryShardsAreBitIdenticalUnderCommonRandomNumbers) {
 
   const auto single = run_single_fault_campaign(spec);
   const auto merged = run_sharded(spec, 2, dist::ShardPolicy::CostWeighted);
-  expect_same_records(merged, single);  // exact equality inside
+  expect_same_records(merged.records, single.records);  // bit equality
 }
 
 TEST(ShardMerge, EmptyShardContributesNothingAndMergesCleanly) {
@@ -249,7 +220,7 @@ TEST(ShardMerge, EmptyShardContributesNothingAndMergesCleanly) {
   const auto full = run_single_fault_campaign_subset(spec, all);
   const CampaignResult shards[] = {empty, full};
   const auto merged = dist::merge_shard_results(shards);
-  expect_same_records(merged, single);
+  expect_same_records(merged.records, single.records);
 }
 
 TEST(ShardMerge, DuplicateShardOutputsAreIdempotent) {
@@ -264,7 +235,7 @@ TEST(ShardMerge, DuplicateShardOutputsAreIdempotent) {
   const CampaignResult shards[] = {b, a, b_retry};  // arrival order scrambled
   const auto merged = dist::merge_shard_results(shards);
   const auto single = run_single_fault_campaign(spec);
-  expect_same_records(merged, single);
+  expect_same_records(merged.records, single.records);
 }
 
 TEST(ShardMerge, CompletenessCheckCatchesMissingShard) {
@@ -298,7 +269,7 @@ TEST(ShardMerge, DoubleFaultShardsMatchSingleProcess) {
   }
   const auto merged = dist::merge_shard_results(results);
   EXPECT_EQ(merged.meta.executions, single.meta.executions);
-  expect_same_records(merged, single);
+  expect_same_records(merged.records, single.records);
 }
 
 // ---- prefix-tree engine across the dist layer ------------------------------
@@ -361,7 +332,7 @@ TEST(ShardMerge, TreePlannedDoubleFaultShardsMatchSingleProcess) {
   }
   const auto merged = dist::merge_shard_results(results);
   EXPECT_EQ(merged.meta.executions, single.meta.executions);
-  expect_same_records(merged, single);
+  expect_same_records(merged.records, single.records);
 }
 
 // ---- moment-aware (idle-noise) distribution --------------------------------
@@ -445,7 +416,7 @@ TEST(ShardMerge, IdleNoiseShardsMatchSingleProcess) {
     const auto merged = run_sharded(spec, shards,
                                     dist::ShardPolicy::TreeAware);
     EXPECT_EQ(merged.meta.executions, single.meta.executions);
-    expect_same_records(merged, single);
+    expect_same_records(merged.records, single.records);
   }
 }
 
@@ -463,7 +434,7 @@ TEST(ShardRunner, IdleNoiseManifestMatchesDirectSubsetRun) {
   const auto single = run_single_fault_campaign(spec);
   EXPECT_EQ(merged.meta.backend_name, single.meta.backend_name);
   EXPECT_TRUE(merged.meta.idle_noise);
-  expect_same_records(merged, single);
+  expect_same_records(merged.records, single.records);
 
   // The trajectory family has no idle mode: a manifest that asks for the
   // combination is rejected with a diagnosis, not silently downgraded.
@@ -494,7 +465,7 @@ TEST(ShardRunner, ManifestExecutionMatchesDirectSubsetRun) {
   const auto merged = run_manifests(manifests, dir);
   const auto single = run_single_fault_campaign(spec);
   EXPECT_EQ(merged.meta.backend_name, single.meta.backend_name);
-  expect_same_records(merged, single);
+  expect_same_records(merged.records, single.records);
 }
 
 // ---- columnar partials and the streaming file merge ------------------------
@@ -545,7 +516,7 @@ TEST(StreamingMerge, FileMergeMatchesInMemoryAndSingleProcessAt2And8Shards) {
     merged.meta = merged_file.header.meta;
     merged.points = merged_file.header.points;
     merged.records = merged_file.records;
-    expect_same_records(merged, single);
+    expect_same_records(merged.records, single.records);
     EXPECT_EQ(merged.meta.faultfree_qvf, single.meta.faultfree_qvf);
 
     // Streaming CSV export == CampaignResult::write_csv, byte for byte.
@@ -557,7 +528,8 @@ TEST(StreamingMerge, FileMergeMatchesInMemoryAndSingleProcessAt2And8Shards) {
     // And the same partials through the in-memory reference merge agree too.
     std::vector<CampaignResult> parts;
     for (const auto& path : paths) parts.push_back(load_result(path));
-    expect_same_records(dist::merge_shard_results(parts), single);
+    expect_same_records(dist::merge_shard_results(parts).records,
+                        single.records);
   }
 }
 
@@ -712,7 +684,7 @@ TEST(ShardRunner, StreamingColumnarOutputMatchesInMemoryPartial) {
     EXPECT_EQ(from_disk.executions, reference.meta.executions);
     CampaignResult loaded;
     loaded.records = from_disk.records;
-    expect_same_records(loaded, reference);
+    expect_same_records(loaded.records, reference.records);
   }
 
   // The partial is the only output, so a run without a path is refused.

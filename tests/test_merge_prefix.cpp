@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -25,44 +24,17 @@
 #include "core/result_io.hpp"
 #include "dist/merge.hpp"
 #include "dist/shard_plan.hpp"
+#include "support/campaign_fixtures.hpp"
 #include "support/test_files.hpp"
 #include "util/error.hpp"
 
 namespace qufi {
 namespace {
 
+using test_support::expect_record_bits;
+using test_support::quick_spec;
 using test_support::slurp;
 using test_support::TempDir;
-
-CampaignSpec quick_spec(const std::string& name, int width) {
-  const auto bench = algo::paper_circuit(name, width);
-  CampaignSpec spec;
-  spec.circuit = bench.circuit;
-  spec.expected_outputs = bench.expected_outputs;
-  spec.grid.theta_step_deg = 60.0;
-  spec.grid.phi_step_deg = 90.0;
-  spec.threads = 2;
-  return spec;
-}
-
-void expect_record_bits(const InjectionRecord& a, const InjectionRecord& b,
-                        std::size_t i) {
-  EXPECT_EQ(a.point_index, b.point_index) << "record " << i;
-  EXPECT_EQ(a.theta_index, b.theta_index) << "record " << i;
-  EXPECT_EQ(a.phi_index, b.phi_index) << "record " << i;
-  EXPECT_EQ(a.neighbor_qubit, b.neighbor_qubit) << "record " << i;
-  EXPECT_EQ(a.theta1_index, b.theta1_index) << "record " << i;
-  EXPECT_EQ(a.phi1_index, b.phi1_index) << "record " << i;
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.qvf),
-            std::bit_cast<std::uint64_t>(b.qvf))
-      << "record " << i;
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.pa),
-            std::bit_cast<std::uint64_t>(b.pa))
-      << "record " << i;
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.pb),
-            std::bit_cast<std::uint64_t>(b.pb))
-      << "record " << i;
-}
 
 /// One shard's in-memory execution, sliced per owned point for replay.
 struct ShardData {

@@ -20,6 +20,7 @@
 #include "core/campaign.hpp"
 #include "core/result_io.hpp"
 #include "dist/merge.hpp"
+#include "support/campaign_fixtures.hpp"
 #include "support/test_files.hpp"
 #include "util/binary_io.hpp"
 #include "util/error.hpp"
@@ -28,6 +29,7 @@ namespace qufi {
 namespace {
 
 namespace fs = std::filesystem;
+using test_support::expect_same_records;
 using test_support::for_each_byte_flip;
 using test_support::for_each_truncation;
 using test_support::slurp;
@@ -93,30 +95,6 @@ std::vector<InjectionRecord> test_records(std::size_t num_points,
   return records;
 }
 
-void expect_bit_identical(const std::vector<InjectionRecord>& a,
-                          const std::vector<InjectionRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].point_index, b[i].point_index) << "record " << i;
-    EXPECT_EQ(a[i].theta_index, b[i].theta_index) << "record " << i;
-    EXPECT_EQ(a[i].phi_index, b[i].phi_index) << "record " << i;
-    EXPECT_EQ(a[i].neighbor_qubit, b[i].neighbor_qubit) << "record " << i;
-    EXPECT_EQ(a[i].theta1_index, b[i].theta1_index) << "record " << i;
-    EXPECT_EQ(a[i].phi1_index, b[i].phi1_index) << "record " << i;
-    // Bit-level equality: distinguishes -0.0 from 0.0 and survives NaN-free
-    // subnormals, which is the format's actual contract.
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].qvf),
-              std::bit_cast<std::uint64_t>(b[i].qvf))
-        << "record " << i;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].pa),
-              std::bit_cast<std::uint64_t>(b[i].pa))
-        << "record " << i;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].pb),
-              std::bit_cast<std::uint64_t>(b[i].pb))
-        << "record " << i;
-  }
-}
-
 // ---- round trips -----------------------------------------------------------
 
 TEST(ResultIo, RoundTripAcrossMultipleBlocks) {
@@ -157,7 +135,7 @@ TEST(ResultIo, RoundTripAcrossMultipleBlocks) {
   }
   EXPECT_EQ(loaded.executions, 64u);
   EXPECT_EQ(loaded.injections, 63u);
-  expect_bit_identical(loaded.records, records);
+  expect_same_records(loaded.records, records);
 
   resio::ResultReader reader(dir.str("file"));
   EXPECT_GT(reader.num_blocks(), 1u) << "block size 8 must split 63 records";
@@ -186,7 +164,7 @@ TEST(ResultIo, CompletionOrderAppendsYieldSortedDisjointBlocks) {
   writer.finish(/*executions=*/15, /*injections=*/15);
 
   const auto loaded = resio::read_result_file(dir.str("file"));
-  expect_bit_identical(loaded.records, records);  // reader sorts by point
+  expect_same_records(loaded.records, records);  // reader sorts by point
 }
 
 TEST(ResultIo, AbortedWriterLeavesNothingBehind) {
@@ -281,7 +259,7 @@ TEST(ResultIo, ExhaustiveByteFlipAndTruncationSweep) {
       EXPECT_EQ(tail.block_info(b).num_records,
                 full.block_info(b).num_records)
           << "block " << b << " at " << len << " bytes";
-      expect_bit_identical(tail.read_block(b), full_blocks[b]);
+      expect_same_records(tail.read_block(b), full_blocks[b]);
     }
   };
   for_each_truncation(good, [&](const std::string& prefix, std::size_t len) {
@@ -332,7 +310,7 @@ TEST(ResultIo, TailReaderObservesLiveWriterGrowth) {
     const auto block = sealed.read_block(b);
     all.insert(all.end(), block.begin(), block.end());
   }
-  expect_bit_identical(all, records);
+  expect_same_records(all, records);
 }
 
 /// Forwards to a Live ResultFileSink and, right after the first block is
@@ -530,15 +508,14 @@ TEST(ResultIo, PartialsRoundTripDoubleBitsExactly) {
   const std::string partial_path = dir.str("partial.qp");
   resio::write_result_file(partial_path, header, records, /*executions=*/n,
                            /*injections=*/n);
-  expect_bit_identical(resio::read_result_file(partial_path).records,
-                       records);
+  expect_same_records(resio::read_result_file(partial_path).records, records);
 
   // A lone shard merges to itself, bit for bit.
   const std::string merged_path = dir.str("merged.qp");
   const std::string inputs[] = {partial_path};
   const auto stats = dist::merge_result_files(inputs, merged_path);
   EXPECT_EQ(stats.merged_records, n);
-  expect_bit_identical(resio::read_result_file(merged_path).records, records);
+  expect_same_records(resio::read_result_file(merged_path).records, records);
 }
 
 }  // namespace
