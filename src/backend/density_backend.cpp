@@ -501,15 +501,18 @@ void replay_suffix(sim::DensityMatrix& dm, std::span<const BakedOp> ops) {
 /// are not Hermitian, so their diagonals (and hence their "probabilities")
 /// are complex; the imaginary parts cancel when configs recombine them.
 /// The readout confusion map is real-linear, so it applies to the real and
-/// imaginary parts independently.
+/// imaginary parts independently. `lane` picks one matrix of a lane batch
+/// (0 for a single matrix).
 std::vector<std::complex<double>> resolve_probs_complex(
-    const sim::DensityMatrix& dm, const MeasurementResolver& res) {
+    const sim::DensityMatrix& dm, const MeasurementResolver& res,
+    std::uint64_t lane) {
   const std::uint64_t dim = dm.dim();
   const auto raw = dm.raw();
+  const int lane_bits = dm.lane_bits();
   const std::size_t num_outcomes = std::size_t{1} << res.num_clbits;
   std::vector<std::complex<double>> clbit_probs(num_outcomes, 0.0);
   for (std::uint64_t i = 0; i < dim; ++i) {
-    const sim::cplx diag = raw[i * dim + i];
+    const sim::cplx diag = raw[((i * dim + i) << lane_bits) | lane];
     if (diag == sim::cplx{}) continue;
     std::uint64_t j = 0;
     for (int c = 0; c < res.num_clbits; ++c) {
@@ -754,11 +757,25 @@ bool response_eligible(const CompiledProgram& program,
   return true;
 }
 
+/// Lane bits of the batches a response basis is replayed in: the most
+/// lanes, up to 8, whose batch of dim^2 complexes per lane fits 1 MiB. That
+/// is 8 lanes up to width 6, 4 at width 7, and one matrix from width 8 up.
+int basis_lane_bits(int num_qubits) {
+  constexpr std::uint64_t kBatchBytes = std::uint64_t{1} << 20;
+  const std::uint64_t matrix_bytes =
+      (std::uint64_t{1} << (2 * num_qubits)) * sizeof(sim::cplx);
+  int bits = 3;
+  while (bits > 0 && (matrix_bytes << bits) > kBatchBytes) --bits;
+  return bits;
+}
+
 /// Builds the m^4 basis responses for one target set: each slot matrix unit
 /// placement B_{ab,cd} (the |a><b| slot block filled with the snapshot's
-/// (c,d) slice) is replayed through the compiled suffix and resolved. One
-/// replay per basis element, amortized over every config that shares the
-/// targets.
+/// (c,d) slice) is replayed through the compiled suffix and resolved. The
+/// elements are replayed as lane batches (see sim::DensityMatrix), so one
+/// walk of the compiled ops serves up to 8 of them; each lane's bytes are
+/// those of a replay on its own. Amortized over every config that shares
+/// the targets.
 SuffixResponseBasis build_response_basis(const DensitySnapshot& snap,
                                          const std::vector<int>& targets,
                                          const CompiledProgram& program) {
@@ -784,35 +801,42 @@ SuffixResponseBasis build_response_basis(const DensitySnapshot& snap,
     if ((i & target_mask) == 0) rests.push_back(i);
   }
 
+  const std::uint64_t elements = m * m * m * m;
   SuffixResponseBasis basis;
   basis.targets = targets;
   basis.num_outcomes = std::size_t{1} << program.resolver.num_clbits;
-  basis.responses.resize(m * m * m * m * basis.num_outcomes);
-  // One scratch matrix refilled in place per basis element, so the m^4 loop
-  // allocates no dim^2 buffer per iteration.
-  sim::DensityMatrix basis_dm(rho0.num_qubits());
-  for (std::uint64_t a = 0; a < m; ++a) {
-    for (std::uint64_t b = 0; b < m; ++b) {
-      for (std::uint64_t c = 0; c < m; ++c) {
-        for (std::uint64_t d = 0; d < m; ++d) {
-          const std::span<sim::cplx> rawb = basis_dm.mutable_raw();
-          std::fill(rawb.begin(), rawb.end(), sim::cplx{});
-          for (const std::uint64_t ri : rests) {
-            const std::uint64_t row = (ri | spread[a]) * dim + spread[b];
-            const std::uint64_t src = (ri | spread[c]) * dim + spread[d];
-            for (const std::uint64_t si : rests) {
-              rawb[row + si] = raw0[src + si];
-            }
-          }
-          replay_suffix(basis_dm, program.ops);
-          const auto response =
-              resolve_probs_complex(basis_dm, program.resolver);
-          const std::uint64_t beta = ((a * m + b) * m + c) * m + d;
-          std::copy(response.begin(), response.end(),
-                    basis.responses.begin() +
-                        static_cast<std::ptrdiff_t>(beta * basis.num_outcomes));
+  basis.responses.resize(elements * basis.num_outcomes);
+  // One scratch batch refilled in place per lane batch, so the loop
+  // allocates no buffer per iteration. Lane l of the batch starting at
+  // `first` holds element beta = first + l = ((a*m + b)*m + c)*m + d.
+  const int lane_bits = basis_lane_bits(rho0.num_qubits());
+  const std::uint64_t lanes = std::uint64_t{1} << lane_bits;
+  sim::DensityMatrix batch(rho0.num_qubits(), lane_bits);
+  for (std::uint64_t first = 0; first < elements; first += lanes) {
+    const std::uint64_t count = std::min(lanes, elements - first);
+    const std::span<sim::cplx> rawb = batch.mutable_raw();
+    std::fill(rawb.begin(), rawb.end(), sim::cplx{});
+    for (std::uint64_t l = 0; l < count; ++l) {
+      const std::uint64_t beta = first + l;
+      const std::uint64_t d = beta & (m - 1);
+      const std::uint64_t c = (beta >> k) & (m - 1);
+      const std::uint64_t b = (beta >> (2 * k)) & (m - 1);
+      const std::uint64_t a = beta >> (3 * k);
+      for (const std::uint64_t ri : rests) {
+        const std::uint64_t row = (ri | spread[a]) * dim + spread[b];
+        const std::uint64_t src = (ri | spread[c]) * dim + spread[d];
+        for (const std::uint64_t si : rests) {
+          rawb[((row + si) << lane_bits) | l] = raw0[src + si];
         }
       }
+    }
+    replay_suffix(batch, program.ops);
+    for (std::uint64_t l = 0; l < count; ++l) {
+      const auto response =
+          resolve_probs_complex(batch, program.resolver, l);
+      std::copy(response.begin(), response.end(),
+                basis.responses.begin() + static_cast<std::ptrdiff_t>(
+                                              (first + l) * basis.num_outcomes));
     }
   }
   return basis;

@@ -1,17 +1,32 @@
 #include "sim/density_matrix.hpp"
 
+#include <string>
+
 #include "sim/kernel_dispatch.hpp"
 #include "sim/kernels.hpp"
 #include "util/error.hpp"
 
 namespace qufi::sim {
 
-DensityMatrix::DensityMatrix(int num_qubits) : num_qubits_(num_qubits) {
+DensityMatrix::DensityMatrix(int num_qubits, int lane_bits)
+    : num_qubits_(num_qubits), lane_bits_(lane_bits) {
   require(num_qubits >= 1 && num_qubits <= 12,
           "DensityMatrix: qubit count out of supported range [1, 12]");
+  require(lane_bits >= 0 && lane_bits <= 3,
+          "DensityMatrix: lane bits out of supported range [0, 3]");
   dim_ = std::uint64_t{1} << num_qubits;
-  rho_.assign(dim_ * dim_, cplx{});
-  rho_[0] = cplx{1, 0};
+  const std::uint64_t lanes = std::uint64_t{1} << lane_bits;
+  rho_.assign((dim_ * dim_) << lane_bits, cplx{});
+  for (std::uint64_t l = 0; l < lanes; ++l) rho_[l] = cplx{1, 0};
+}
+
+void DensityMatrix::require_single(const char* what) const {
+  // Branch before building the message: at() sits in the per-config
+  // slot-channel loop.
+  if (lane_bits_ != 0) {
+    throw Error(std::string("DensityMatrix::") + what +
+                ": reads one matrix, not a lane batch");
+  }
 }
 
 DensityMatrix DensityMatrix::from_statevector(const Statevector& sv) {
@@ -24,22 +39,25 @@ DensityMatrix DensityMatrix::from_statevector(const Statevector& sv) {
 }
 
 cplx DensityMatrix::at(std::uint64_t r, std::uint64_t c) const {
+  require_single("at");
   require(r < dim_ && c < dim_, "DensityMatrix::at: index out of range");
   return rho_[(r << num_qubits_) | c];
 }
 
 void DensityMatrix::apply_unitary1(const util::Mat2& u, int q) {
   require(q >= 0 && q < num_qubits_, "apply_unitary1: qubit out of range");
-  dispatch::apply_matrix1(rho_, u, q + num_qubits_);          // rows: U rho
-  dispatch::apply_matrix1(rho_, detail::conj_elementwise(u), q);  // cols: rho U†
+  dispatch::apply_matrix1(rho_, u, row_bit(q));  // rows: U rho
+  dispatch::apply_matrix1(rho_, detail::conj_elementwise(u),
+                          col_bit(q));  // cols: rho U†
 }
 
 void DensityMatrix::apply_unitary2(const util::Mat4& u, int q0, int q1) {
   require(q0 >= 0 && q0 < num_qubits_ && q1 >= 0 && q1 < num_qubits_ &&
               q0 != q1,
           "apply_unitary2: bad qubit operands");
-  dispatch::apply_matrix2(rho_, u, q0 + num_qubits_, q1 + num_qubits_);
-  dispatch::apply_matrix2(rho_, detail::conj_elementwise(u), q0, q1);
+  dispatch::apply_matrix2(rho_, u, row_bit(q0), row_bit(q1));
+  dispatch::apply_matrix2(rho_, detail::conj_elementwise(u), col_bit(q0),
+                          col_bit(q1));
 }
 
 void DensityMatrix::apply_instruction(const circ::Instruction& instr) {
@@ -59,11 +77,10 @@ void DensityMatrix::apply_instruction(const circ::Instruction& instr) {
     case 3: {
       require(instr.kind == circ::GateKind::CCX,
               "DensityMatrix: unsupported 3-qubit gate");
-      dispatch::apply_ccx(rho_, instr.qubits[0] + num_qubits_,
-                        instr.qubits[1] + num_qubits_,
-                        instr.qubits[2] + num_qubits_);
-      dispatch::apply_ccx(rho_, instr.qubits[0], instr.qubits[1],
-                        instr.qubits[2]);
+      dispatch::apply_ccx(rho_, row_bit(instr.qubits[0]),
+                          row_bit(instr.qubits[1]), row_bit(instr.qubits[2]));
+      dispatch::apply_ccx(rho_, col_bit(instr.qubits[0]),
+                          col_bit(instr.qubits[1]), col_bit(instr.qubits[2]));
       return;
     }
     default:
@@ -76,8 +93,9 @@ void DensityMatrix::apply_kraus1(std::span<const util::Mat2> kraus, int q) {
   require(!kraus.empty(), "apply_kraus1: empty Kraus set");
   if (kraus.size() == 1) {
     // Single operator: same machinery as a (possibly non-unitary) gate.
-    dispatch::apply_matrix1(rho_, kraus[0], q + num_qubits_);
-    dispatch::apply_matrix1(rho_, detail::conj_elementwise(kraus[0]), q);
+    dispatch::apply_matrix1(rho_, kraus[0], row_bit(q));
+    dispatch::apply_matrix1(rho_, detail::conj_elementwise(kraus[0]),
+                            col_bit(q));
     return;
   }
   // Superoperator fast path: vec_rm(K B K†) = (K (x) conj(K)) vec_rm(B), so
@@ -86,7 +104,7 @@ void DensityMatrix::apply_kraus1(std::span<const util::Mat2> kraus, int q) {
   for (const auto& k : kraus) {
     superop = superop + util::kron(k, detail::conj_elementwise(k));
   }
-  dispatch::apply_matrix2(rho_, superop, q, q + num_qubits_);
+  dispatch::apply_matrix2(rho_, superop, col_bit(q), row_bit(q));
 }
 
 void DensityMatrix::apply_kraus2(std::span<const util::Mat4> kraus, int q0,
@@ -112,13 +130,13 @@ void DensityMatrix::apply_kraus2(std::span<const util::Mat4> kraus, int q0,
       }
     }
   }
-  const int bits[] = {q0, q1, q0 + num_qubits_, q1 + num_qubits_};
+  const int bits[] = {col_bit(q0), col_bit(q1), row_bit(q0), row_bit(q1)};
   dispatch::apply_matrix_k(rho_, superop, bits);
 }
 
 void DensityMatrix::apply_superop1(const util::Mat4& superop, int q) {
   require(q >= 0 && q < num_qubits_, "apply_superop1: qubit out of range");
-  dispatch::apply_matrix2(rho_, superop, q, q + num_qubits_);
+  dispatch::apply_matrix2(rho_, superop, col_bit(q), row_bit(q));
 }
 
 void DensityMatrix::apply_superop2(std::span<const util::cplx> superop,
@@ -127,7 +145,7 @@ void DensityMatrix::apply_superop2(std::span<const util::cplx> superop,
               q0 != q1,
           "apply_superop2: bad qubit operands");
   require(superop.size() == 256, "apply_superop2: need a 16x16 matrix");
-  const int bits[] = {q0, q1, q0 + num_qubits_, q1 + num_qubits_};
+  const int bits[] = {col_bit(q0), col_bit(q1), row_bit(q0), row_bit(q1)};
   dispatch::apply_matrix_k(rho_, superop, bits);
 }
 
@@ -138,6 +156,7 @@ std::vector<double> DensityMatrix::probabilities() const {
 }
 
 void DensityMatrix::probabilities_into(std::span<double> out) const {
+  require_single("probabilities_into");
   require(out.size() == dim_,
           "probabilities_into: output span must have dim() entries");
   for (std::uint64_t i = 0; i < dim_; ++i)
@@ -145,6 +164,7 @@ void DensityMatrix::probabilities_into(std::span<double> out) const {
 }
 
 double DensityMatrix::trace() const {
+  require_single("trace");
   double t = 0.0;
   for (std::uint64_t i = 0; i < dim_; ++i)
     t += rho_[(i << num_qubits_) | i].real();
@@ -153,6 +173,7 @@ double DensityMatrix::trace() const {
 
 double DensityMatrix::purity() const {
   // tr(rho^2) = sum_{r,c} rho[r,c] * rho[c,r] = sum |rho[r,c]|^2 (Hermitian).
+  require_single("purity");
   double sum = 0.0;
   for (const auto& v : rho_) sum += std::norm(v);
   return sum;

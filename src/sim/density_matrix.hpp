@@ -22,10 +22,19 @@ namespace qufi::sim {
 /// a unitary on qubit q is one statevector-style kernel pass over the row
 /// bit (q + n) followed by the elementwise-conjugate matrix over the column
 /// bit q.
+///
+/// Lane batches: with lane_bits = b > 0 the object holds 2^b independent
+/// matrices ("lanes") interleaved as the b lowest index bits, element
+/// (row, col) of lane l at (((row << n) | col) << b) | l. Every apply_*
+/// then shifts its bit positions up by b and evolves all lanes in one
+/// kernel pass. The lanes are just more disjoint kernel groups, so each
+/// lane's amplitudes see exactly the operations a single matrix would, bit
+/// for bit. The single-matrix readers (at, probabilities, trace, purity)
+/// require b = 0.
 class DensityMatrix {
  public:
-  /// Initializes |0...0><0...0|.
-  explicit DensityMatrix(int num_qubits);
+  /// Initializes |0...0><0...0| in each of the 2^lane_bits lanes.
+  explicit DensityMatrix(int num_qubits, int lane_bits = 0);
 
   /// rho = |psi><psi|.
   static DensityMatrix from_statevector(const Statevector& sv);
@@ -35,7 +44,8 @@ class DensityMatrix {
   /// sites instead of relying on implicit copies.
   DensityMatrix clone() const { return *this; }
 
-  /// Read-only view of the flat row-major storage (index (row << n) | col).
+  /// Read-only view of the flat row-major storage (index (row << n) | col,
+  /// shifted up by lane_bits() with the lane in the low bits).
   std::span<const cplx> raw() const { return rho_; }
 
   /// Mutable view of the flat storage, for callers that refill a scratch
@@ -45,6 +55,7 @@ class DensityMatrix {
   std::span<cplx> mutable_raw() { return rho_; }
 
   int num_qubits() const { return num_qubits_; }
+  int lane_bits() const { return lane_bits_; }
   std::uint64_t dim() const { return std::uint64_t{1} << num_qubits_; }
 
   /// Element rho[r, c].
@@ -84,7 +95,13 @@ class DensityMatrix {
   double purity() const;
 
  private:
+  /// Flat bit positions of qubit q's row and column index bits.
+  int row_bit(int q) const { return q + num_qubits_ + lane_bits_; }
+  int col_bit(int q) const { return q + lane_bits_; }
+  void require_single(const char* what) const;
+
   int num_qubits_;
+  int lane_bits_;
   std::uint64_t dim_;
   std::vector<cplx> rho_;
 };

@@ -4,11 +4,14 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "sim/kernels_simd.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 #include "util/thread_pool.hpp"
 
 namespace qufi::sim {
@@ -27,8 +30,10 @@ const KernelSet kScalarSet{
 
 #if QUFI_KERNELS_HAVE_STD_SIMD
 // Portable set: vector m1/m2; ccx is a pure swap permutation (nothing to
-// vectorize profitably in ISA-portable code) and mk's gather pattern stays
-// scalar here — the AVX2 set covers it with intrinsics.
+// vectorize profitably in ISA-portable code) and mk stays on the scalar
+// sparse rows here. Its bases are enumerated mask-clear only (expand_group),
+// so the cost is the per-row walk, which the AVX2 set amortizes over two
+// adjacent bases (bit 0 free) or a run of 8 (lowest masked bit >= 3).
 const KernelSet kSimdSet{
     "simd",
     &kern::portable_m1_part,
@@ -48,15 +53,11 @@ const KernelSet kAvx2Set{
 };
 #endif
 
-u64 env_u64(const char* name, u64 fallback, u64 min_value) {
+u64 env_u64(const char* name, u64 fallback, u64 min_value,
+            u64 max_value = std::numeric_limits<u64>::max()) {
   const char* s = std::getenv(name);
   if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  require(end != nullptr && *end == '\0',
-          std::string(name) + ": expected an unsigned integer, got '" + s +
-              "'");
-  return std::max<u64>(v, min_value);
+  return parse_kernel_knob(name, s, min_value, max_value);
 }
 
 struct DispatchState {
@@ -89,7 +90,8 @@ struct DispatchState {
     tuning.block_groups = env_u64("QUFI_KERNEL_BLOCK", tuning.block_groups, 1);
     tuning.parallel_min_groups =
         env_u64("QUFI_KERNEL_PAR_MIN", tuning.parallel_min_groups, 2);
-    tuning.threads = static_cast<int>(env_u64("QUFI_KERNEL_THREADS", 0, 0));
+    tuning.threads = static_cast<int>(
+        env_u64("QUFI_KERNEL_THREADS", 0, 0, kMaxKernelThreads));
   }
 };
 
@@ -144,6 +146,19 @@ void run_partitioned(u64 groups, const Body& body) {
 }
 
 }  // namespace
+
+std::uint64_t parse_kernel_knob(std::string_view name, std::string_view text,
+                                std::uint64_t min_value,
+                                std::uint64_t max_value) {
+  const std::optional<u64> value = util::parse_unsigned<u64>(text);
+  require(value.has_value(),
+          std::string(name) + ": expected an unsigned integer no larger than " +
+              std::to_string(max_value) + ", got '" + std::string(text) + "'");
+  require(*value <= max_value, std::string(name) + ": " + std::string(text) +
+                                   " is above the cap of " +
+                                   std::to_string(max_value));
+  return std::max<u64>(*value, min_value);
+}
 
 const std::vector<const KernelSet*>& available_kernel_sets() {
   return state().available;

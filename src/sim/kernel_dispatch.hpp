@@ -17,7 +17,10 @@
 //   QUFI_KERNEL_BLOCK    — groups per cache tile (default 16384)
 //   QUFI_KERNEL_PAR_MIN  — min groups before ThreadPool splitting engages
 //                          (default 1<<19; campaign-sized states never hit it)
-//   QUFI_KERNEL_THREADS  — kernel pool size (default 0 = hardware)
+//   QUFI_KERNEL_THREADS  — kernel pool size (default 0 = hardware; at most
+//                          kMaxKernelThreads)
+// Each value must be a plain decimal number: a sign, a stray byte or an
+// overflow is an error naming the variable, never a wrapped value.
 
 #include <cstdint>
 #include <span>
@@ -68,6 +71,19 @@ struct KernelTuning {
 
 KernelTuning kernel_tuning();
 void set_kernel_tuning(const KernelTuning& t);
+
+/// Sanity cap on QUFI_KERNEL_THREADS: a pool size beyond it is a typo, not
+/// a machine.
+inline constexpr std::uint64_t kMaxKernelThreads = 1024;
+
+/// Parses the value `text` of the tuning variable `name`: a plain decimal
+/// unsigned integer, raised to `min_value` when below it.
+///
+/// \throws qufi::Error naming `name` on a sign, any non-digit byte, a value
+///         that overflows 64 bits, or a value above `max_value`.
+std::uint64_t parse_kernel_knob(std::string_view name, std::string_view text,
+                                std::uint64_t min_value,
+                                std::uint64_t max_value);
 
 namespace dispatch {
 

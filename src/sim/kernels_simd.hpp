@@ -195,10 +195,11 @@ inline void scalar_ccx_part(std::span<cplx> amps, int c0, int c1, int t,
   }
 }
 
-inline void scalar_mk_part(std::span<cplx> amps, std::span<const cplx> m,
-                           std::span<const int> bits, u64 g_begin, u64 g_end) {
-  const MkTables t = build_mk_tables(m, bits);
-  cplx* a = amps.data();
+/// The scalar reference over groups [g_begin, g_end) with the tables
+/// already built: the scalar set and every vectorized set's odd heads,
+/// tails and remainders share it, so no call scans its matrix twice.
+inline void scalar_mk_rows(cplx* a, const MkTables& t, u64 g_begin,
+                           u64 g_end) {
   std::array<cplx, 16> v{};
   for (u64 g = g_begin; g < g_end; ++g) {
     const u64 base = expand_group(g, t);
@@ -211,6 +212,11 @@ inline void scalar_mk_part(std::span<cplx> amps, std::span<const cplx> m,
       a[base | t.offset[r]] = sum;
     }
   }
+}
+
+inline void scalar_mk_part(std::span<cplx> amps, std::span<const cplx> m,
+                           std::span<const int> bits, u64 g_begin, u64 g_end) {
+  scalar_mk_rows(amps.data(), build_mk_tables(m, bits), g_begin, g_end);
 }
 
 // ---- portable std::experimental::simd variants ------------------------------
@@ -583,17 +589,62 @@ QUFI_AVX2_FN inline void avx2_mk_part(std::span<cplx> amps,
                                       u64 g_end) {
   const MkTables t = build_mk_tables(m, bits);
   cplx* a = amps.data();
+  std::array<Avx2Coeff, 256> ec;
+  const std::uint16_t nnz = t.row_start[t.dim];
+  if (t.sorted[0] >= 3) {
+    // The lowest masked bit is >= 3 (always so for a lane-batched density
+    // matrix): groups 8c..8c+7 expand to the contiguous bases
+    // base..base+7 in every local plane. One walk of the sparse rows then
+    // serves 8 complexes, 4 accumulators per row; the outputs are staged
+    // so inputs are read straight from the state. Each output still sums
+    // its products in ascending entry order from +0 with explicit
+    // mul/addsub/add, so the result is the scalar reference bit for bit.
+    for (std::uint16_t e = 0; e < nnz; ++e) {
+      ec[e] = avx2_coeff(t.entries[e].value);
+    }
+    u64 g = std::min(g_end, (g_begin + 7) & ~u64{7});
+    scalar_mk_rows(a, t, g_begin, g);
+    __m256d out[16][4];
+    for (; g + 8 <= g_end; g += 8) {
+      const u64 base = expand_group(g, t);
+      for (std::size_t r = 0; r < t.dim; ++r) {
+        __m256d s0 = _mm256_setzero_pd();
+        __m256d s1 = _mm256_setzero_pd();
+        __m256d s2 = _mm256_setzero_pd();
+        __m256d s3 = _mm256_setzero_pd();
+        for (std::uint16_t e = t.row_start[r]; e < t.row_start[r + 1]; ++e) {
+          const double* p = reinterpret_cast<const double*>(
+              a + (base | t.offset[t.entries[e].col]));
+          s0 = _mm256_add_pd(s0, avx2_cmul(ec[e], _mm256_loadu_pd(p)));
+          s1 = _mm256_add_pd(s1, avx2_cmul(ec[e], _mm256_loadu_pd(p + 4)));
+          s2 = _mm256_add_pd(s2, avx2_cmul(ec[e], _mm256_loadu_pd(p + 8)));
+          s3 = _mm256_add_pd(s3, avx2_cmul(ec[e], _mm256_loadu_pd(p + 12)));
+        }
+        out[r][0] = s0;
+        out[r][1] = s1;
+        out[r][2] = s2;
+        out[r][3] = s3;
+      }
+      for (std::size_t r = 0; r < t.dim; ++r) {
+        double* p = reinterpret_cast<double*>(a + (base | t.offset[r]));
+        _mm256_storeu_pd(p, out[r][0]);
+        _mm256_storeu_pd(p + 4, out[r][1]);
+        _mm256_storeu_pd(p + 8, out[r][2]);
+        _mm256_storeu_pd(p + 12, out[r][3]);
+      }
+    }
+    scalar_mk_rows(a, t, g, g_end);
+    return;
+  }
   if ((t.mask & 1) == 0) {
     // Bit 0 is free: group g and g+1 expand to adjacent bases (g even), so
     // every local amplitude vector serves two bases at once.
-    std::array<Avx2Coeff, 256> ec;
-    const std::uint16_t nnz = t.row_start[t.dim];
     for (std::uint16_t e = 0; e < nnz; ++e) {
       ec[e] = avx2_coeff(t.entries[e].value);
     }
     u64 g = g_begin;
     if ((g & 1) && g < g_end) {
-      scalar_mk_part(amps, m, bits, g, g + 1);
+      scalar_mk_rows(a, t, g, g + 1);
       ++g;
     }
     __m256d v[16];
@@ -612,7 +663,7 @@ QUFI_AVX2_FN inline void avx2_mk_part(std::span<cplx> amps,
                          sum);
       }
     }
-    if (g < g_end) scalar_mk_part(amps, m, bits, g, g_end);
+    scalar_mk_rows(a, t, g, g_end);
     return;
   }
   // Bit 0 is masked: bases are never adjacent; use branch-free 128-bit

@@ -11,9 +11,14 @@
 
 #include <complex>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "circuit/circuit.hpp"
+#include "sim/density_matrix.hpp"
 #include "sim/kernel_dispatch.hpp"
 #include "sim/kernels.hpp"
 #include "sim/kernels_simd.hpp"
@@ -268,6 +273,9 @@ TEST_F(KernelConformance, MatrixKAllSetsBitIdentical) {
       {0, 5}, {3, 8}, {1, 0},     // k=2, both orders
       {0, 4, 7}, {2, 5, 9},       // k=3
       {0, 3, 6, 9}, {1, 4, 7, 2}, // k=4 with and without bit 0
+      // k=4 with the lowest masked bit >= 3: the AVX2 contiguous-run path
+      // (the shape of a 2q superop on a lane-batched density matrix).
+      {3, 5, 7, 9}, {4, 3, 8, 6}, {3, 4, 8, 9},
   };
   for (const auto& bits : bit_cases) {
     const std::size_t dim = std::size_t{1} << bits.size();
@@ -287,6 +295,14 @@ TEST_F(KernelConformance, MatrixKAllSetsBitIdentical) {
       ks->mk_part(got2, m, bits, 3, groups);
       EXPECT_TRUE(BitIdentical(got2, want))
           << "set=" << ks->name << " k=" << bits.size() << " (split)";
+      // Splits that start and end mid-run of 8 groups: exercises the
+      // scalar head and tail around the contiguous-run path.
+      auto got3 = base;
+      ks->mk_part(got3, m, bits, 0, 5);
+      ks->mk_part(got3, m, bits, 5, 13);
+      ks->mk_part(got3, m, bits, 13, groups);
+      EXPECT_TRUE(BitIdentical(got3, want))
+          << "set=" << ks->name << " k=" << bits.size() << " (mid-run split)";
     }
   }
 }
@@ -437,6 +453,110 @@ TEST_F(KernelConformance, DispatchParallelVsSerialBitIdentical) {
     dispatch::apply_ccx(got, 1, n - 1, 3);
     EXPECT_TRUE(BitIdentical(got, want)) << "set=" << ks->name;
   }
+}
+
+// ---- lane-batched density matrices ------------------------------------------
+
+/// One matrix of a lane batch, copied out of the interleaved storage.
+std::vector<cplx> lane_of(const DensityMatrix& batch, u64 lane) {
+  const auto raw = batch.raw();
+  const int lb = batch.lane_bits();
+  std::vector<cplx> out(raw.size() >> lb);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = raw[(i << lb) | lane];
+  return out;
+}
+
+std::vector<cplx> raw_copy(const DensityMatrix& dm) {
+  return {dm.raw().begin(), dm.raw().end()};
+}
+
+// Every op kind the density backend replays (unitary 1q/2q, fused superop
+// 1q/2q, Toffoli) applied once to a lane batch equals the same op applied
+// to each lane's matrix on its own, bit for bit, under every kernel set and
+// lane count.
+TEST_F(KernelConformance, LaneBatchedReplayMatchesSingleMatrices) {
+  util::Xoshiro256pp rng(1313);
+  const int n = 3;
+  const Mat2 u1 = random_mat2(rng);
+  const Mat4 u2 = random_mat4(rng);
+  const Mat4 s1 = random_mat4(rng);
+  const auto s2 = random_sparse_superop(16, rng, 0.1);
+  using Op = std::function<void(DensityMatrix&)>;
+  const std::vector<std::pair<const char*, Op>> ops = {
+      {"Unitary1", [&](DensityMatrix& dm) { dm.apply_unitary1(u1, 1); }},
+      {"Unitary2", [&](DensityMatrix& dm) { dm.apply_unitary2(u2, 2, 0); }},
+      {"Superop1", [&](DensityMatrix& dm) { dm.apply_superop1(s1, 0); }},
+      {"Superop2", [&](DensityMatrix& dm) { dm.apply_superop2(s2, 0, 2); }},
+      {"CCX",
+       [&](DensityMatrix& dm) {
+         dm.apply_instruction(
+             circ::Instruction{circ::GateKind::CCX, {2, 0, 1}, {}, {}});
+       }},
+  };
+  for (const KernelSet* ks : available_kernel_sets()) {
+    select_kernel_set(ks->name);
+    for (const int lane_bits : {0, 2, 3}) {
+      const u64 lanes = u64{1} << lane_bits;
+      DensityMatrix batch(n, lane_bits);
+      std::vector<DensityMatrix> singles(lanes, DensityMatrix(n));
+      for (u64 l = 0; l < lanes; ++l) {
+        const auto fill = random_state(singles[l].raw().size(), rng);
+        std::copy(fill.begin(), fill.end(), singles[l].mutable_raw().begin());
+        for (std::size_t i = 0; i < fill.size(); ++i) {
+          batch.mutable_raw()[(i << lane_bits) | l] = fill[i];
+        }
+      }
+      for (const auto& [name, op] : ops) {
+        op(batch);
+        for (u64 l = 0; l < lanes; ++l) {
+          op(singles[l]);
+          EXPECT_TRUE(BitIdentical(lane_of(batch, l), raw_copy(singles[l])))
+              << "set=" << ks->name << " op=" << name << " lanes=" << lanes
+              << " lane=" << l;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelConformance, LaneBatchRejectsSingleMatrixReaders) {
+  DensityMatrix batch(2, 3);
+  EXPECT_THROW(batch.at(0, 0), Error);
+  EXPECT_THROW(batch.trace(), Error);
+  EXPECT_THROW(batch.probabilities(), Error);
+  EXPECT_THROW(DensityMatrix(2, 4), Error);
+}
+
+// ---- tuning environment values -----------------------------------------------
+
+TEST_F(KernelConformance, KnobParseRejectsSignsOverflowAndHugeThreadCounts) {
+  const auto threads = [](std::string_view text) {
+    return parse_kernel_knob("QUFI_KERNEL_THREADS", text, 0,
+                             kMaxKernelThreads);
+  };
+  EXPECT_EQ(threads("0"), 0u);
+  EXPECT_EQ(threads("4"), 4u);
+  EXPECT_EQ(threads("1024"), kMaxKernelThreads);
+  for (const char* bad : {"-1", "+4", " 4", "4 ", "4x", "", "1025",
+                          "18446744073709551615", "18446744073709551616"}) {
+    try {
+      threads(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("QUFI_KERNEL_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const u64 kMax = std::numeric_limits<u64>::max();
+  EXPECT_EQ(parse_kernel_knob("QUFI_KERNEL_BLOCK", "0", 1, kMax), 1u);
+  EXPECT_EQ(parse_kernel_knob("QUFI_KERNEL_BLOCK", "18446744073709551615", 1,
+                              kMax),
+            kMax);
+  EXPECT_THROW(parse_kernel_knob("QUFI_KERNEL_BLOCK", "-1", 1, kMax), Error);
+  EXPECT_THROW(
+      parse_kernel_knob("QUFI_KERNEL_PAR_MIN", "18446744073709551616", 2, kMax),
+      Error);
 }
 
 TEST_F(KernelConformance, DispatchSelectionRoutesToNamedSet) {
