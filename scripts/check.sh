@@ -352,7 +352,25 @@ if [[ -x build/perf_simulator ]]; then
       exit 1
     fi
   fi
-  echo "kernel smoke OK (byte-identical digests across: $(echo $kernel_sets | tr '\n' ' '))"
+  # bv2q_single.csv has 9 configs per point and takes the replay path, so
+  # the response path is pinned per set too: the exhaustive single-fault
+  # fixtures (1q basis) and the double-fault fixture (2q basis, 784
+  # configs per pair) must come out byte-identical under every set.
+  for kset in $kernel_sets; do
+    if ! QUFI_KERNELS="$kset" ./build/test_adaptive \
+        --gtest_filter=AdaptiveGold.ExhaustiveFixturesAreFresh > /dev/null; then
+      echo "kernel smoke FAILED: $kset-kernel exhaustive fixtures drifted" >&2
+      exit 1
+    fi
+    QUFI_KERNELS="$kset" ./build/qufi_cli --circuit bv --width 2 \
+      --theta-step 30 --phi-step 30 --phi-max 180 --double --points 2 \
+      --csv "$smoke_dir/double_$kset.csv" > /dev/null
+    if ! diff -q "$smoke_dir/double_$kset.csv" tests/golden/bv2q_double_30deg.csv > /dev/null; then
+      echo "kernel smoke FAILED: $kset-kernel double-fault CSV differs from tests/golden/bv2q_double_30deg.csv" >&2
+      exit 1
+    fi
+  done
+  echo "kernel smoke OK (byte-identical digests, exhaustive and double-fault fixtures across: $(echo $kernel_sets | tr '\n' ' '))"
 else
   echo "kernel smoke SKIPPED: build/perf_simulator missing (google-benchmark not found)"
 fi

@@ -854,29 +854,41 @@ std::span<std::complex<double>> slot_channel_weights(
   const int k = static_cast<int>(targets.size());
   const std::uint64_t m = std::uint64_t{1} << k;
   auto weights = arena.alloc_zeroed<std::complex<double>>(m * m * m * m);
+  // A fault gate's matrix, slot and noise superop depend on the config
+  // only, so they are built once here, not once per slot matrix unit.
+  struct SlotGate {
+    util::Mat2 u;
+    int slot;
+    const util::Mat4* superop;  ///< nullptr: no channel after the gate
+  };
+  const auto gates = arena.alloc<SlotGate>(injected.size());
+  for (std::size_t i = 0; i < injected.size(); ++i) {
+    const Instruction& instr = injected[i];
+    const int compact =
+        to_compact[static_cast<std::size_t>(instr.qubits[0])];
+    int slot = 0;
+    while (targets[static_cast<std::size_t>(slot)] != compact) ++slot;
+    gates[i] = SlotGate{
+        circ::gate_matrix1(instr.kind, instr.params), slot,
+        nm.is_ideal() ? nullptr
+                      : nm.superop_after_1q(instr.kind, instr.qubits[0])};
+  }
   sim::DensityMatrix tiny(k);
+  // One matrix, no lanes: element (a, b) sits at a * m + b.
+  const std::span<sim::cplx> raw = tiny.mutable_raw();
   for (std::uint64_t c = 0; c < m; ++c) {
     for (std::uint64_t d = 0; d < m; ++d) {
-      const std::span<sim::cplx> raw = tiny.mutable_raw();
       std::fill(raw.begin(), raw.end(), sim::cplx{});
       raw[c * m + d] = 1.0;
-      for (const Instruction& instr : injected) {
-        const int compact =
-            to_compact[static_cast<std::size_t>(instr.qubits[0])];
-        int slot = 0;
-        while (targets[static_cast<std::size_t>(slot)] != compact) ++slot;
-        tiny.apply_unitary1(circ::gate_matrix1(instr.kind, instr.params),
-                            slot);
-        if (!nm.is_ideal()) {
-          if (const auto* superop =
-                  nm.superop_after_1q(instr.kind, instr.qubits[0])) {
-            tiny.apply_superop1(*superop, slot);
-          }
+      for (const SlotGate& gate : gates) {
+        tiny.apply_unitary1(gate.u, gate.slot);
+        if (gate.superop != nullptr) {
+          tiny.apply_superop1(*gate.superop, gate.slot);
         }
       }
       for (std::uint64_t a = 0; a < m; ++a) {
         for (std::uint64_t b = 0; b < m; ++b) {
-          weights[((a * m + b) * m + c) * m + d] = tiny.at(a, b);
+          weights[((a * m + b) * m + c) * m + d] = raw[a * m + b];
         }
       }
     }
@@ -1183,21 +1195,26 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
           });
       const auto weights = slot_channel_weights(
           arena, config.injected, group.targets, to_compact, noise_model_);
-      const auto acc = arena.alloc_zeroed<std::complex<double>>(
-          basis.num_outcomes);
+      // Only the real part of sum_beta w * response is read (the
+      // imaginary parts cancel analytically), so only it is accumulated:
+      // the real part of each complex product, wr * rr - wi * ri, as the
+      // complex sum would form it.
+      const auto acc = arena.alloc_zeroed<double>(basis.num_outcomes);
       for (std::size_t beta = 0; beta < weights.size(); ++beta) {
         const std::complex<double> w = weights[beta];
         if (w == std::complex<double>{}) continue;
+        const double wr = w.real();
+        const double wi = w.imag();
         const auto* response = &basis.responses[beta * basis.num_outcomes];
         for (std::size_t o = 0; o < basis.num_outcomes; ++o) {
-          acc[o] += w * response[o];
+          acc[o] += wr * response[o].real() - wi * response[o].imag();
         }
       }
-      // Imaginary parts cancel analytically; rounding can leave a state
-      // with probability ~ -1e-16, which samplers must never see.
+      // Rounding can leave a state with probability ~ -1e-16, which
+      // samplers must never see.
       std::vector<double> probs(basis.num_outcomes);
       for (std::size_t o = 0; o < basis.num_outcomes; ++o) {
-        probs[o] = std::max(0.0, acc[o].real());
+        probs[o] = std::max(0.0, acc[o]);
       }
       results[c] = ExecutionResult::from_distribution(
           std::move(probs), circuit.num_clbits(), shots, config.seed,

@@ -46,6 +46,12 @@ cplx DensityMatrix::at(std::uint64_t r, std::uint64_t c) const {
 
 void DensityMatrix::apply_unitary1(const util::Mat2& u, int q) {
   require(q >= 0 && q < num_qubits_, "apply_unitary1: qubit out of range");
+  if (u.a[1] == cplx{} && u.a[2] == cplx{}) {
+    // Diagonal (virtual RZ, phase-only faults): one pass, the row phase
+    // then the conjugate column phase per amplitude.
+    dispatch::apply_diag1(rho_, u, row_bit(q), col_bit(q));
+    return;
+  }
   dispatch::apply_matrix1(rho_, u, row_bit(q));  // rows: U rho
   dispatch::apply_matrix1(rho_, detail::conj_elementwise(u),
                           col_bit(q));  // cols: rho U†

@@ -61,7 +61,10 @@ class DensityMatrix {
   /// Element rho[r, c].
   cplx at(std::uint64_t r, std::uint64_t c) const;
 
-  /// Applies a single-qubit unitary on qubit q.
+  /// Applies a single-qubit unitary on qubit q. A diagonal u (exact-zero
+  /// off-diagonals, e.g. RZ) takes one kernel pass instead of two; the
+  /// result differs from the two-pass one at most in the sign of an exact
+  /// zero.
   void apply_unitary1(const util::Mat2& u, int q);
   /// Applies a two-qubit unitary; operand 0 is the low local bit.
   void apply_unitary2(const util::Mat4& u, int q0, int q1);

@@ -26,12 +26,13 @@ const KernelSet kScalarSet{
     &kern::scalar_m2_part,
     &kern::scalar_ccx_part,
     &kern::scalar_mk_part,
+    &kern::scalar_diag1_part,
 };
 
 #if QUFI_KERNELS_HAVE_STD_SIMD
 // Portable set: vector m1/m2; ccx is a pure swap permutation (nothing to
-// vectorize profitably in ISA-portable code) and mk stays on the scalar
-// sparse rows here. Its bases are enumerated mask-clear only (expand_group),
+// vectorize profitably in ISA-portable code), and mk and diag1 stay on the
+// scalar loops here. Its bases are enumerated mask-clear only (expand_group),
 // so the cost is the per-row walk, which the AVX2 set amortizes over two
 // adjacent bases (bit 0 free) or a run of 8 (lowest masked bit >= 3).
 const KernelSet kSimdSet{
@@ -40,6 +41,7 @@ const KernelSet kSimdSet{
     &kern::portable_m2_part,
     &kern::scalar_ccx_part,
     &kern::scalar_mk_part,
+    &kern::scalar_diag1_part,
 };
 #endif
 
@@ -50,6 +52,7 @@ const KernelSet kAvx2Set{
     &kern::avx2_m2_part,
     &kern::scalar_ccx_part,
     &kern::avx2_mk_part,
+    &kern::avx2_diag1_part,
 };
 #endif
 
@@ -220,6 +223,14 @@ void apply_matrix_k(std::span<util::cplx> amps, std::span<const util::cplx> m,
           "widen the kernel scratch tables before growing k");
   run_partitioned(amps.size() >> bits.size(), [&](u64 b, u64 e) {
     ks.mk_part(amps, m, bits, b, e);
+  });
+}
+
+void apply_diag1(std::span<util::cplx> amps, const util::Mat2& u, int row_bit,
+                 int col_bit) {
+  const KernelSet& ks = active_kernel_set();
+  run_partitioned(amps.size() / 2, [&](u64 b, u64 e) {
+    ks.diag1_part(amps, u, row_bit, col_bit, b, e);
   });
 }
 

@@ -31,9 +31,16 @@
 
 namespace qufi::sim {
 
-/// One complete kernel implementation: part-range entry points for the four
+/// One complete kernel implementation: part-range entry points for the five
 /// simulator kernels. `*_part` functions process the half-open group range
 /// [g_begin, g_end) — see kernels_simd.hpp for the group-index convention.
+///
+/// Two entries skip products with an exact zero, which can move at most the
+/// sign of an exact-zero result, never a value: `mk_part` multiplies
+/// componentwise when every kept table entry is real (its row sums start
+/// from +0, so even zero signs match the complex products), and
+/// `diag1_part` evolves a density matrix under a diagonal 1q unitary in one
+/// pass over the row and column bits instead of two `m1_part` passes.
 struct KernelSet {
   const char* name;
   void (*m1_part)(std::span<util::cplx>, const util::Mat2&, int,
@@ -44,6 +51,8 @@ struct KernelSet {
                    std::uint64_t);
   void (*mk_part)(std::span<util::cplx>, std::span<const util::cplx>,
                   std::span<const int>, std::uint64_t, std::uint64_t);
+  void (*diag1_part)(std::span<util::cplx>, const util::Mat2&, int, int,
+                     std::uint64_t, std::uint64_t);
 };
 
 /// Kernel sets usable on this host (compiled in and CPU-supported), best
@@ -95,6 +104,11 @@ void apply_matrix2(std::span<util::cplx> amps, const util::Mat4& m, int q_low,
 void apply_ccx(std::span<util::cplx> amps, int c0, int c1, int t);
 void apply_matrix_k(std::span<util::cplx> amps, std::span<const util::cplx> m,
                     std::span<const int> bits);
+/// rho -> D rho D† for a diagonal `u` (u.a[1] == u.a[2] == 0) on the row
+/// and column bits of one qubit of a flat density matrix (col_bit <
+/// row_bit); see kern::scalar_diag1_part.
+void apply_diag1(std::span<util::cplx> amps, const util::Mat2& u, int row_bit,
+                 int col_bit);
 
 }  // namespace dispatch
 

@@ -84,6 +84,12 @@ inline void apply_ccx(std::span<cplx> amps, int c0, int c1, int t) {
 /// bounds.
 inline constexpr std::size_t kApplyMatrixKMaxBits = 4;
 
+/// When every kept entry has an exactly-zero imaginary part (the baked CX
+/// superops of fake_casablanca), each product is taken componentwise,
+/// (c.re * x.re, c.re * x.im). The skipped cross terms are products with
+/// that zero, so a product can differ only in the sign of an exact zero,
+/// and a row sum, which starts from +0 and never becomes -0, not at all.
+/// Every kernel set applies the same rule.
 inline void apply_matrix_k(std::span<cplx> amps, std::span<const cplx> m,
                            std::span<const int> bits) {
   const std::size_t k = bits.size();
@@ -111,12 +117,14 @@ inline void apply_matrix_k(std::span<cplx> amps, std::span<const cplx> m,
   std::array<Entry, 256> entries;
   std::array<std::uint16_t, 17> row_start{};
   std::uint16_t nnz = 0;
+  bool real = true;
   for (std::size_t r = 0; r < dim; ++r) {
     row_start[r] = nnz;
     const cplx* row = m.data() + r * dim;
     for (std::size_t c = 0; c < dim; ++c) {
       if (std::norm(row[c]) > 1e-24) {
         entries[nnz++] = Entry{static_cast<std::uint16_t>(c), row[c]};
+        real = real && row[c].imag() == 0.0;
       }
     }
   }
@@ -130,7 +138,9 @@ inline void apply_matrix_k(std::span<cplx> amps, std::span<const cplx> m,
     for (std::size_t r = 0; r < dim; ++r) {
       cplx sum{};
       for (std::uint16_t e = row_start[r]; e < row_start[r + 1]; ++e) {
-        sum += entries[e].value * v[entries[e].col];
+        const cplx c = entries[e].value;
+        const cplx x = v[entries[e].col];
+        sum += real ? cplx{c.real() * x.real(), c.real() * x.imag()} : c * x;
       }
       amps[base | offset[r]] = sum;
     }
@@ -142,7 +152,8 @@ inline void apply_matrix_k(std::span<cplx> amps, std::span<const cplx> m,
 /// is the oracle the kernel-conformance/fuzz suite checks the sparse
 /// production path against (the sparse path may drop entries with
 /// |x| <= 1e-12, so agreement is within that documented tolerance, not
-/// bit-level).
+/// bit-level; on a table with no such entries the two compare == equal,
+/// differing at most in the sign of an exact zero).
 inline void apply_matrix_k_dense(std::span<cplx> amps, std::span<const cplx> m,
                                  std::span<const int> bits) {
   const std::size_t k = bits.size();

@@ -4,12 +4,13 @@
 //
 // Every kernel here operates on "groups": the independent amplitude tuples a
 // gate application touches (pairs for a 1q matrix, quadruples for a 2q
-// matrix, 2^k-tuples for apply_matrix_k). A kernel variant processes the
-// half-open group range [g_begin, g_end) — the seam the dispatch layer uses
-// for cache-tiled iteration and for splitting one state across ThreadPool
-// lanes. Because groups are disjoint and each group's arithmetic is a fixed
-// sequence of IEEE-754 operations, results are bit-identical for any
-// partition of the range.
+// matrix, 2^k-tuples for apply_matrix_k, adjacent amplitude pairs for the
+// diagonal density kernel). A kernel variant processes the half-open group
+// range [g_begin, g_end) — the seam the dispatch layer uses for cache-tiled
+// iteration and for splitting one state across ThreadPool lanes. Because
+// groups are disjoint and each group's arithmetic is a fixed sequence of
+// IEEE-754 operations, results are bit-identical for any partition of the
+// range.
 //
 // The bit-identity contract (docs/ARCHITECTURE.md "Kernel dispatch"): every
 // variant performs, per amplitude, the exact operation sequence of the
@@ -76,6 +77,9 @@ struct MkTables {
   std::size_t k = 0;
   std::size_t dim = 0;
   u64 mask = 0;
+  /// Every kept entry has an exactly-zero imaginary part, so each product
+  /// is taken componentwise (the rule of detail::apply_matrix_k).
+  bool real = true;
   std::array<u64, 16> offset{};
   std::array<int, 4> sorted{};
   struct Entry {
@@ -114,6 +118,7 @@ inline MkTables build_mk_tables(std::span<const cplx> m,
       if (std::norm(row[c]) > 1e-24) {
         t.entries[nnz++] =
             MkTables::Entry{static_cast<std::uint16_t>(c), row[c]};
+        t.real = t.real && row[c].imag() == 0.0;
       }
     }
   }
@@ -195,9 +200,20 @@ inline void scalar_ccx_part(std::span<cplx> amps, int c0, int c1, int t,
   }
 }
 
+/// One sparse-row product c * x; `Real` tables take it componentwise.
+template <bool Real>
+inline cplx mk_mul(cplx c, cplx x) {
+  if constexpr (Real) {
+    return {c.real() * x.real(), c.real() * x.imag()};
+  } else {
+    return c * x;
+  }
+}
+
 /// The scalar reference over groups [g_begin, g_end) with the tables
 /// already built: the scalar set and every vectorized set's odd heads,
 /// tails and remainders share it, so no call scans its matrix twice.
+template <bool Real>
 inline void scalar_mk_rows(cplx* a, const MkTables& t, u64 g_begin,
                            u64 g_end) {
   std::array<cplx, 16> v{};
@@ -207,7 +223,7 @@ inline void scalar_mk_rows(cplx* a, const MkTables& t, u64 g_begin,
     for (std::size_t r = 0; r < t.dim; ++r) {
       cplx sum{};
       for (std::uint16_t e = t.row_start[r]; e < t.row_start[r + 1]; ++e) {
-        sum += t.entries[e].value * v[t.entries[e].col];
+        sum += mk_mul<Real>(t.entries[e].value, v[t.entries[e].col]);
       }
       a[base | t.offset[r]] = sum;
     }
@@ -216,7 +232,41 @@ inline void scalar_mk_rows(cplx* a, const MkTables& t, u64 g_begin,
 
 inline void scalar_mk_part(std::span<cplx> amps, std::span<const cplx> m,
                            std::span<const int> bits, u64 g_begin, u64 g_end) {
-  scalar_mk_rows(amps.data(), build_mk_tables(m, bits), g_begin, g_end);
+  const MkTables t = build_mk_tables(m, bits);
+  if (t.real) {
+    scalar_mk_rows<true>(amps.data(), t, g_begin, g_end);
+  } else {
+    scalar_mk_rows<false>(amps.data(), t, g_begin, g_end);
+  }
+}
+
+/// rho -> D rho D† for a diagonal 1q D = diag(d[0], d[1]) = diag(u.a[0],
+/// u.a[3]) on a density matrix: amplitude i becomes
+/// conj(d[col]) * (d[row] * x), with row and col its bits at `row_bit` and
+/// `col_bit` (col_bit < row_bit). That is the two dense m1 passes (rows,
+/// then columns with conj(u)) less their products with the exact-zero
+/// off-diagonals, so it differs from them at most in the sign of an exact
+/// zero. Groups are the amplitude pairs (2g, 2g + 1). The walk goes in runs
+/// of constant row bit (and column bit, unless that is bit 0), so the
+/// coefficients are picked once per run.
+inline void scalar_diag1_part(std::span<cplx> amps, const Mat2& u,
+                              int row_bit, int col_bit, u64 g_begin,
+                              u64 g_end) {
+  cplx* a = amps.data();
+  const cplx dr[2] = {u.a[0], u.a[3]};
+  const cplx dc[2] = {std::conj(u.a[0]), std::conj(u.a[3])};
+  const u64 run = u64{1} << (col_bit >= 1 ? col_bit : row_bit);
+  const u64 end = 2 * g_end;
+  for (u64 i = 2 * g_begin; i < end;) {
+    const u64 run_end = std::min(end, (i | (run - 1)) + 1);
+    const cplx r = dr[(i >> row_bit) & 1];
+    if (col_bit >= 1) {
+      const cplx c = dc[(i >> col_bit) & 1];
+      for (; i < run_end; ++i) a[i] = c * (r * a[i]);
+    } else {
+      for (; i < run_end; ++i) a[i] = dc[i & 1] * (r * a[i]);
+    }
+  }
 }
 
 // ---- portable std::experimental::simd variants ------------------------------
@@ -574,21 +624,66 @@ QUFI_AVX2_FN inline void avx2_m2_part(std::span<cplx> amps, const Mat4& m,
   }
 }
 
-QUFI_AVX2_INLINE __m128d avx2_cmul128(cplx c, __m128d x) {
-  const __m128d rr = _mm_set1_pd(c.real());
-  const __m128d ii = _mm_set1_pd(c.imag());
-  const __m128d t1 = _mm_mul_pd(x, rr);
-  const __m128d sw = _mm_shuffle_pd(x, x, 0x1);
-  const __m128d t2 = _mm_mul_pd(sw, ii);
-  return _mm_addsub_pd(t1, t2);
+/// The diagonal density-matrix kernel (see scalar_diag1_part), one pair per
+/// vector. The row bit is >= 1, so both complexes of a pair share the row
+/// phase; with col_bit == 0 they take conj(d[0]) and conj(d[1]) per 128-bit
+/// lane. Runs of constant coefficients keep the index arithmetic out of the
+/// inner loop.
+QUFI_AVX2_FN inline void avx2_diag1_part(std::span<cplx> amps, const Mat2& u,
+                                         int row_bit, int col_bit,
+                                         u64 g_begin, u64 g_end) {
+  double* p = reinterpret_cast<double*>(amps.data());
+  const Avx2Coeff dr[2] = {avx2_coeff(u.a[0]), avx2_coeff(u.a[3])};
+  const cplx c0 = std::conj(u.a[0]);
+  const cplx c1 = std::conj(u.a[3]);
+  Avx2Coeff dc[2];
+  if (col_bit == 0) {
+    dc[0] = dc[1] = avx2_coeff_pair(c0, c1);
+  } else {
+    dc[0] = avx2_coeff(c0);
+    dc[1] = avx2_coeff(c1);
+  }
+  const u64 run = u64{1} << ((col_bit >= 1 ? col_bit : row_bit) - 1);
+  for (u64 g = g_begin; g < g_end;) {
+    const u64 run_end = std::min(g_end, (g | (run - 1)) + 1);
+    const Avx2Coeff r = dr[(g >> (row_bit - 1)) & 1];
+    const Avx2Coeff c = dc[col_bit >= 1 ? (g >> (col_bit - 1)) & 1 : 0];
+#pragma GCC unroll 4
+    for (; g < run_end; ++g) {
+      double* pg = p + 4 * g;
+      _mm256_storeu_pd(pg, avx2_cmul(c, avx2_cmul(r, _mm256_loadu_pd(pg))));
+    }
+  }
 }
 
-QUFI_AVX2_FN inline void avx2_mk_part(std::span<cplx> amps,
-                                      std::span<const cplx> m,
-                                      std::span<const int> bits, u64 g_begin,
-                                      u64 g_end) {
-  const MkTables t = build_mk_tables(m, bits);
-  cplx* a = amps.data();
+/// One sparse-row product on two complexes; `Real` tables take it
+/// componentwise (see mk_mul).
+template <bool Real>
+QUFI_AVX2_INLINE __m256d avx2_mk_mul(const Avx2Coeff& c, __m256d x) {
+  if constexpr (Real) {
+    return _mm256_mul_pd(x, c.rr);
+  } else {
+    return avx2_cmul(c, x);
+  }
+}
+
+template <bool Real>
+QUFI_AVX2_INLINE __m128d avx2_mk_mul128(cplx c, __m128d x) {
+  const __m128d rr = _mm_set1_pd(c.real());
+  const __m128d t1 = _mm_mul_pd(x, rr);
+  if constexpr (Real) {
+    return t1;
+  } else {
+    const __m128d ii = _mm_set1_pd(c.imag());
+    const __m128d sw = _mm_shuffle_pd(x, x, 0x1);
+    const __m128d t2 = _mm_mul_pd(sw, ii);
+    return _mm_addsub_pd(t1, t2);
+  }
+}
+
+template <bool Real>
+QUFI_AVX2_FN inline void avx2_mk_rows(cplx* a, const MkTables& t,
+                                      u64 g_begin, u64 g_end) {
   std::array<Avx2Coeff, 256> ec;
   const std::uint16_t nnz = t.row_start[t.dim];
   if (t.sorted[0] >= 3) {
@@ -598,12 +693,13 @@ QUFI_AVX2_FN inline void avx2_mk_part(std::span<cplx> amps,
     // serves 8 complexes, 4 accumulators per row; the outputs are staged
     // so inputs are read straight from the state. Each output still sums
     // its products in ascending entry order from +0 with explicit
-    // mul/addsub/add, so the result is the scalar reference bit for bit.
+    // mul/addsub/add (mul/add on a real table), so the result is the
+    // scalar reference bit for bit.
     for (std::uint16_t e = 0; e < nnz; ++e) {
       ec[e] = avx2_coeff(t.entries[e].value);
     }
     u64 g = std::min(g_end, (g_begin + 7) & ~u64{7});
-    scalar_mk_rows(a, t, g_begin, g);
+    scalar_mk_rows<Real>(a, t, g_begin, g);
     __m256d out[16][4];
     for (; g + 8 <= g_end; g += 8) {
       const u64 base = expand_group(g, t);
@@ -615,10 +711,13 @@ QUFI_AVX2_FN inline void avx2_mk_part(std::span<cplx> amps,
         for (std::uint16_t e = t.row_start[r]; e < t.row_start[r + 1]; ++e) {
           const double* p = reinterpret_cast<const double*>(
               a + (base | t.offset[t.entries[e].col]));
-          s0 = _mm256_add_pd(s0, avx2_cmul(ec[e], _mm256_loadu_pd(p)));
-          s1 = _mm256_add_pd(s1, avx2_cmul(ec[e], _mm256_loadu_pd(p + 4)));
-          s2 = _mm256_add_pd(s2, avx2_cmul(ec[e], _mm256_loadu_pd(p + 8)));
-          s3 = _mm256_add_pd(s3, avx2_cmul(ec[e], _mm256_loadu_pd(p + 12)));
+          s0 = _mm256_add_pd(s0, avx2_mk_mul<Real>(ec[e], _mm256_loadu_pd(p)));
+          s1 = _mm256_add_pd(s1,
+                             avx2_mk_mul<Real>(ec[e], _mm256_loadu_pd(p + 4)));
+          s2 = _mm256_add_pd(s2,
+                             avx2_mk_mul<Real>(ec[e], _mm256_loadu_pd(p + 8)));
+          s3 = _mm256_add_pd(s3,
+                             avx2_mk_mul<Real>(ec[e], _mm256_loadu_pd(p + 12)));
         }
         out[r][0] = s0;
         out[r][1] = s1;
@@ -633,7 +732,7 @@ QUFI_AVX2_FN inline void avx2_mk_part(std::span<cplx> amps,
         _mm256_storeu_pd(p + 12, out[r][3]);
       }
     }
-    scalar_mk_rows(a, t, g, g_end);
+    scalar_mk_rows<Real>(a, t, g, g_end);
     return;
   }
   if ((t.mask & 1) == 0) {
@@ -644,7 +743,7 @@ QUFI_AVX2_FN inline void avx2_mk_part(std::span<cplx> amps,
     }
     u64 g = g_begin;
     if ((g & 1) && g < g_end) {
-      scalar_mk_rows(a, t, g, g + 1);
+      scalar_mk_rows<Real>(a, t, g, g + 1);
       ++g;
     }
     __m256d v[16];
@@ -657,13 +756,14 @@ QUFI_AVX2_FN inline void avx2_mk_part(std::span<cplx> amps,
       for (std::size_t r = 0; r < t.dim; ++r) {
         __m256d sum = _mm256_setzero_pd();
         for (std::uint16_t e = t.row_start[r]; e < t.row_start[r + 1]; ++e) {
-          sum = _mm256_add_pd(sum, avx2_cmul(ec[e], v[t.entries[e].col]));
+          sum = _mm256_add_pd(sum,
+                              avx2_mk_mul<Real>(ec[e], v[t.entries[e].col]));
         }
         _mm256_storeu_pd(reinterpret_cast<double*>(a + (base | t.offset[r])),
                          sum);
       }
     }
-    scalar_mk_rows(a, t, g, g_end);
+    scalar_mk_rows<Real>(a, t, g, g_end);
     return;
   }
   // Bit 0 is masked: bases are never adjacent; use branch-free 128-bit
@@ -678,11 +778,23 @@ QUFI_AVX2_FN inline void avx2_mk_part(std::span<cplx> amps,
     for (std::size_t r = 0; r < t.dim; ++r) {
       __m128d sum = _mm_setzero_pd();
       for (std::uint16_t e = t.row_start[r]; e < t.row_start[r + 1]; ++e) {
-        sum = _mm_add_pd(sum,
-                         avx2_cmul128(t.entries[e].value, v[t.entries[e].col]));
+        sum = _mm_add_pd(sum, avx2_mk_mul128<Real>(t.entries[e].value,
+                                                   v[t.entries[e].col]));
       }
       _mm_storeu_pd(reinterpret_cast<double*>(a + (base | t.offset[r])), sum);
     }
+  }
+}
+
+QUFI_AVX2_FN inline void avx2_mk_part(std::span<cplx> amps,
+                                      std::span<const cplx> m,
+                                      std::span<const int> bits, u64 g_begin,
+                                      u64 g_end) {
+  const MkTables t = build_mk_tables(m, bits);
+  if (t.real) {
+    avx2_mk_rows<true>(amps.data(), t, g_begin, g_end);
+  } else {
+    avx2_mk_rows<false>(amps.data(), t, g_begin, g_end);
   }
 }
 

@@ -1,5 +1,7 @@
 // Golden-CSV regression: a tiny bv-2q single-fault campaign, committed at
-// tests/golden/bv2q_single.csv, diffed byte-exact against a fresh run.
+// tests/golden/bv2q_single.csv, diffed byte-exact against a fresh run, and
+// a bv-2q double-fault campaign (tests/golden/bv2q_double_30deg.csv) that
+// pins the 2q response path's bytes.
 // This pins the full CLI-facing output contract in one shot — the metadata
 // header comment, the column schema documented in README ("Campaign CSV
 // schema"), the %.17g number formatting, and the canonical point-ascending
@@ -49,6 +51,35 @@ TEST(GoldenCsv, Bv2qSingleFaultCampaignIsByteIdenticalToCommittedFile) {
       << "campaign CSV output drifted from tests/golden/bv2q_single.csv — "
          "if the schema or determinism contract changed intentionally, "
          "regenerate the fixture and update README's CSV schema section";
+}
+
+// The double-fault pin: 2 points x 784 configs per (point, neighbor) pair,
+// at or above DensityMatrixBackend::kResponseMinConfigs2q, so every config
+// is resolved over the 256-element response basis (the path bv2q_single.csv,
+// with its 9 configs, never takes). Generated by
+//   qufi_cli --circuit bv --width 2 --theta-step 30 --phi-step 30
+//            --phi-max 180 --double --points 2 --csv bv2q_double_30deg.csv
+TEST(GoldenCsv, Bv2qDoubleFaultResponsePathIsByteIdenticalToCommittedFile) {
+  const auto bench = algo::paper_circuit("bv", 2);
+  CampaignSpec spec;
+  spec.circuit = bench.circuit;
+  spec.expected_outputs = bench.expected_outputs;
+  spec.grid.theta_step_deg = 30.0;
+  spec.grid.phi_step_deg = 30.0;
+  spec.grid.phi_max_deg = 180.0;
+  spec.max_points = 2;
+  const auto result = run_double_fault_campaign(spec);
+  const std::string fresh_path =
+      ::testing::TempDir() + "qufi_golden_bv2q_double.csv";
+  result.write_csv(fresh_path);
+  const std::string fresh = slurp(fresh_path);
+  const std::string golden = slurp(std::string(QUFI_SOURCE_DIR) +
+                                   "/tests/golden/bv2q_double_30deg.csv");
+  std::remove(fresh_path.c_str());
+
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(fresh, golden)
+      << "double-fault CSV drifted from tests/golden/bv2q_double_30deg.csv";
 }
 
 TEST(GoldenCsv, CommittedFilePinsTheDocumentedColumnSchema) {

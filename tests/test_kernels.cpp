@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "noise/backend_props.hpp"
+#include "noise/noise_model.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/kernel_dispatch.hpp"
 #include "sim/kernels.hpp"
@@ -263,11 +265,77 @@ std::vector<cplx> random_sparse_superop(std::size_t dim,
   return m;
 }
 
+/// A state whose components mix +0, -0, negatives and positives, so a
+/// kernel that moved the sign of a zero or dropped a nonzero product would
+/// show it.
+std::vector<cplx> signed_zero_state(std::size_t size, util::Xoshiro256pp& rng) {
+  const auto component = [&rng] {
+    const double u = rng.uniform();
+    if (u < 0.15) return 0.0;
+    if (u < 0.3) return -0.0;
+    return rng.uniform(-1, 1);
+  };
+  std::vector<cplx> amps(size);
+  for (auto& a : amps) {
+    const double re = component();
+    a = cplx{re, component()};
+  }
+  return amps;
+}
+
+/// Value comparison (+0 == -0): what a consumer of the state can observe.
+::testing::AssertionResult ValueEqual(const std::vector<cplx>& got,
+                                      const std::vector<cplx>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " != " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (!(got[i].real() == want[i].real() &&
+          got[i].imag() == want[i].imag())) {
+      return ::testing::AssertionFailure()
+             << "first value difference at amplitude " << i << ": got ("
+             << got[i].real() << ", " << got[i].imag() << ") want ("
+             << want[i].real() << ", " << want[i].imag() << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The fused CX + edge-noise superop the density backend bakes for a CX on
+/// fake_casablanca's (0, 1) edge.
+std::vector<cplx> baked_cx_superop() {
+  const auto nm = noise::NoiseModel::from_backend(noise::fake_casablanca());
+  const noise::SuperOp2 so = noise::compose_superops(
+      *nm.superop_after_2q(0, 1),
+      noise::channel_superop(noise::KrausChannel2{
+          {circ::gate_matrix2(circ::GateKind::CX, {})}}));
+  return {so.a.begin(), so.a.end()};
+}
+
+/// A random sparse table with exactly-real entries of both signs.
+std::vector<cplx> random_real_sparse(std::size_t dim, util::Xoshiro256pp& rng) {
+  std::vector<cplx> m(dim * dim);
+  for (auto& x : m) {
+    if (rng.uniform() < 0.3) x = cplx{rng.uniform(-1, 1), 0.0};
+  }
+  for (std::size_t i = 0; i < dim; ++i) m[i * dim + i] += cplx{1.0, 0.0};
+  return m;
+}
+
+// Every set equals the reference bit for bit on complex tables, on random
+// real ones and on a baked CX superop (k=4), over states with and without
+// signed zeros. A real table also equals the dense oracle by value and the
+// full complex products bit for bit: skipping the exact-zero cross terms
+// moves no value, and row sums from +0 never end at -0.
 TEST_F(KernelConformance, MatrixKAllSetsBitIdentical) {
   util::Xoshiro256pp rng(707);
+  util::Xoshiro256pp real_rng(1515);
   const int n = 10;
   const std::size_t size = std::size_t{1} << n;
   const auto base = random_state(size, rng);
+  const auto zeros = signed_zero_state(size, real_rng);
+  const auto cx = baked_cx_superop();
   const std::vector<std::vector<int>> bit_cases = {
       {0}, {5}, {n - 1},          // k=1: bit 0 masked and free
       {0, 5}, {3, 8}, {1, 0},     // k=2, both orders
@@ -279,30 +347,50 @@ TEST_F(KernelConformance, MatrixKAllSetsBitIdentical) {
   };
   for (const auto& bits : bit_cases) {
     const std::size_t dim = std::size_t{1} << bits.size();
-    const auto m = random_sparse_superop(dim, rng, 0.3);
-    auto want = base;
-    detail::apply_matrix_k(want, m, bits);
-    for (const KernelSet* ks : available_kernel_sets()) {
-      const u64 groups = size >> bits.size();
-      auto got = base;
-      ks->mk_part(got, m, bits, 0, groups);
-      EXPECT_TRUE(BitIdentical(got, want))
-          << "set=" << ks->name << " k=" << bits.size();
-      // Odd split: exercises the scalar head/tail stitching in the paired
-      // AVX2 path.
-      auto got2 = base;
-      ks->mk_part(got2, m, bits, 0, 3);
-      ks->mk_part(got2, m, bits, 3, groups);
-      EXPECT_TRUE(BitIdentical(got2, want))
-          << "set=" << ks->name << " k=" << bits.size() << " (split)";
-      // Splits that start and end mid-run of 8 groups: exercises the
-      // scalar head and tail around the contiguous-run path.
-      auto got3 = base;
-      ks->mk_part(got3, m, bits, 0, 5);
-      ks->mk_part(got3, m, bits, 5, 13);
-      ks->mk_part(got3, m, bits, 13, groups);
-      EXPECT_TRUE(BitIdentical(got3, want))
-          << "set=" << ks->name << " k=" << bits.size() << " (mid-run split)";
+    std::vector<std::pair<const char*, std::vector<cplx>>> tables = {
+        {"complex", random_sparse_superop(dim, rng, 0.3)},
+        {"real", random_real_sparse(dim, real_rng)}};
+    if (bits.size() == 4) tables.emplace_back("baked CX", cx);
+    const u64 groups = size >> bits.size();
+    for (const auto& [table, m] : tables) {
+      const auto tables_k = kern::build_mk_tables(m, bits);
+      for (const auto* state : {&base, &zeros}) {
+        const std::string what = std::string(table) + " k=" +
+                                 std::to_string(bits.size()) +
+                                 (state == &zeros ? " signed zeros" : "");
+        auto want = *state;
+        detail::apply_matrix_k(want, m, bits);
+        if (tables_k.real) {
+          auto dense = *state;
+          detail::apply_matrix_k_dense(dense, m, bits);
+          EXPECT_TRUE(ValueEqual(want, dense)) << what;
+          auto complex_products = *state;
+          kern::scalar_mk_rows<false>(complex_products.data(), tables_k, 0,
+                                      groups);
+          EXPECT_TRUE(BitIdentical(want, complex_products)) << what;
+        }
+        for (const KernelSet* ks : available_kernel_sets()) {
+          auto got = *state;
+          ks->mk_part(got, m, bits, 0, groups);
+          EXPECT_TRUE(BitIdentical(got, want)) << "set=" << ks->name << " "
+                                               << what;
+          // Odd split: exercises the scalar head/tail stitching in the
+          // paired AVX2 path.
+          auto got2 = *state;
+          ks->mk_part(got2, m, bits, 0, 3);
+          ks->mk_part(got2, m, bits, 3, groups);
+          EXPECT_TRUE(BitIdentical(got2, want))
+              << "set=" << ks->name << " " << what << " (split)";
+          // Splits that start and end mid-run of 8 groups: exercises the
+          // scalar head and tail around the contiguous-run path.
+          auto got3 = *state;
+          ks->mk_part(got3, m, bits, 0, 5);
+          ks->mk_part(got3, m, bits, 5, 13);
+          ks->mk_part(got3, m, bits, 13, groups);
+          EXPECT_TRUE(BitIdentical(got3, want))
+              << "set=" << ks->name << " " << what << " (mid-run split)";
+        }
+      }
     }
   }
 }
@@ -395,6 +483,85 @@ TEST_F(KernelConformance, MatrixKRejectsMoreThanFourBits) {
   EXPECT_THROW(kern::build_mk_tables(m, bits), Error);
 }
 
+// ---- exact-zero skipping: real tables and diagonal 1q unitaries ------------
+
+TEST_F(KernelConformance, MatrixKRealTablesTakeTheRealPathOnly) {
+  util::Xoshiro256pp rng(1414);
+  const std::vector<int> bits = {3, 5, 7, 9};
+  const auto cx = baked_cx_superop();
+  EXPECT_TRUE(kern::build_mk_tables(cx, bits).real);
+  EXPECT_TRUE(kern::build_mk_tables(random_real_sparse(16, rng), bits).real);
+  // One complex entry anywhere sends the whole table down the complex path.
+  auto one_complex = cx;
+  one_complex[16 * 7 + 2] = cplx{0.25, -1e-3};
+  EXPECT_FALSE(kern::build_mk_tables(one_complex, bits).real);
+  EXPECT_FALSE(
+      kern::build_mk_tables(random_sparse_superop(16, rng, 0.3), bits).real);
+}
+
+/// A diagonal 1q unitary: a virtual RZ, or two random complex phases.
+std::vector<std::pair<const char*, Mat2>> diagonal_unitaries(
+    util::Xoshiro256pp& rng) {
+  const double theta[] = {0.7};
+  Mat2 phases{};
+  phases.a[0] = std::polar(1.0, rng.uniform(-3, 3));
+  phases.a[3] = cplx{rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  return {{"RZ", circ::gate_matrix1(circ::GateKind::RZ, theta)},
+          {"phases", phases}};
+}
+
+// The one-pass diagonal kernel on a density matrix: every set, every qubit,
+// lane bits {0, 2, 3}, any partition, equals the scalar kernel bit for bit
+// and the old two dense m1 passes (rows with u, then columns with conj(u))
+// by value.
+TEST_F(KernelConformance, DiagonalUnitary1AllSetsMatchTwoDensePasses) {
+  util::Xoshiro256pp rng(1616);
+  const int n = 3;
+  for (const auto& [name, u] : diagonal_unitaries(rng)) {
+    ASSERT_EQ(u.a[1], cplx{});
+    ASSERT_EQ(u.a[2], cplx{});
+    for (const int lane_bits : {0, 2, 3}) {
+      const std::size_t size = std::size_t{1} << (2 * n + lane_bits);
+      const auto base = signed_zero_state(size, rng);
+      const u64 groups = size / 2;
+      for (int q = 0; q < n; ++q) {
+        const int row_bit = q + n + lane_bits;
+        const int col_bit = q + lane_bits;
+        auto want = base;
+        kern::scalar_diag1_part(want, u, row_bit, col_bit, 0, groups);
+        auto two_pass = base;
+        detail::apply_matrix1(two_pass, u, row_bit);
+        detail::apply_matrix1(two_pass, detail::conj_elementwise(u), col_bit);
+        EXPECT_TRUE(ValueEqual(want, two_pass))
+            << name << " lanes=" << lane_bits << " q=" << q;
+        for (const KernelSet* ks : available_kernel_sets()) {
+          for (u64 split : {u64{0}, u64{1}, u64{3}, groups / 2 + 1,
+                            groups - 1}) {
+            auto got = base;
+            ks->diag1_part(got, u, row_bit, col_bit, 0, split);
+            ks->diag1_part(got, u, row_bit, col_bit, split, groups);
+            EXPECT_TRUE(BitIdentical(got, want))
+                << "set=" << ks->name << " " << name << " lanes=" << lane_bits
+                << " q=" << q << " split=" << split;
+          }
+          // Through DensityMatrix and dispatch, in small odd tiles.
+          select_kernel_set(ks->name);
+          KernelTuning t = kernel_tuning();
+          t.parallel_enabled = false;
+          t.block_groups = 7;
+          set_kernel_tuning(t);
+          DensityMatrix dm(n, lane_bits);
+          std::copy(base.begin(), base.end(), dm.mutable_raw().begin());
+          dm.apply_unitary1(u, q);
+          EXPECT_TRUE(BitIdentical({dm.raw().begin(), dm.raw().end()}, want))
+              << "set=" << ks->name << " " << name << " lanes=" << lane_bits
+              << " q=" << q << " (DensityMatrix)";
+        }
+      }
+    }
+  }
+}
+
 // ---- dispatch layer: tiling and intra-state parallelism --------------------
 
 TEST_F(KernelConformance, DispatchBlockedVsUnblockedBitIdentical) {
@@ -471,8 +638,9 @@ std::vector<cplx> raw_copy(const DensityMatrix& dm) {
 }
 
 // Every op kind the density backend replays (unitary 1q/2q, fused superop
-// 1q/2q, Toffoli) applied once to a lane batch equals the same op applied
-// to each lane's matrix on its own, bit for bit, under every kernel set and
+// 1q/2q, Toffoli, and the exact-zero paths: a diagonal RZ and a real baked
+// CX superop) applied once to a lane batch equals the same op applied to
+// each lane's matrix on its own, bit for bit, under every kernel set and
 // lane count.
 TEST_F(KernelConformance, LaneBatchedReplayMatchesSingleMatrices) {
   util::Xoshiro256pp rng(1313);
@@ -481,12 +649,17 @@ TEST_F(KernelConformance, LaneBatchedReplayMatchesSingleMatrices) {
   const Mat4 u2 = random_mat4(rng);
   const Mat4 s1 = random_mat4(rng);
   const auto s2 = random_sparse_superop(16, rng, 0.1);
+  const double theta[] = {1.3};
+  const Mat2 rz = circ::gate_matrix1(circ::GateKind::RZ, theta);
+  const auto cx = baked_cx_superop();
   using Op = std::function<void(DensityMatrix&)>;
   const std::vector<std::pair<const char*, Op>> ops = {
       {"Unitary1", [&](DensityMatrix& dm) { dm.apply_unitary1(u1, 1); }},
       {"Unitary2", [&](DensityMatrix& dm) { dm.apply_unitary2(u2, 2, 0); }},
       {"Superop1", [&](DensityMatrix& dm) { dm.apply_superop1(s1, 0); }},
       {"Superop2", [&](DensityMatrix& dm) { dm.apply_superop2(s2, 0, 2); }},
+      {"RZ Unitary1", [&](DensityMatrix& dm) { dm.apply_unitary1(rz, 0); }},
+      {"CX Superop2", [&](DensityMatrix& dm) { dm.apply_superop2(cx, 1, 2); }},
       {"CCX",
        [&](DensityMatrix& dm) {
          dm.apply_instruction(
