@@ -354,8 +354,9 @@ if [[ -x build/perf_simulator ]]; then
   fi
   # bv2q_single.csv has 9 configs per point and takes the replay path, so
   # the response path is pinned per set too: the exhaustive single-fault
-  # fixtures (1q basis) and the double-fault fixture (2q basis, 784
-  # configs per pair) must come out byte-identical under every set.
+  # fixtures (1q basis), the double-fault fixture (2q basis, 784
+  # configs per pair) and the qft fixture (1q basis, qubits folded into
+  # lanes as they finish) must come out byte-identical under every set.
   for kset in $kernel_sets; do
     if ! QUFI_KERNELS="$kset" ./build/test_adaptive \
         --gtest_filter=AdaptiveGold.ExhaustiveFixturesAreFresh > /dev/null; then
@@ -369,8 +370,14 @@ if [[ -x build/perf_simulator ]]; then
       echo "kernel smoke FAILED: $kset-kernel double-fault CSV differs from tests/golden/bv2q_double_30deg.csv" >&2
       exit 1
     fi
+    QUFI_KERNELS="$kset" ./build/qufi_cli --circuit qft --width 3 \
+      --theta-step 30 --phi-step 60 --csv "$smoke_dir/qft3_$kset.csv" > /dev/null
+    if ! diff -q "$smoke_dir/qft3_$kset.csv" tests/golden/qft3q_single_30x60deg.csv > /dev/null; then
+      echo "kernel smoke FAILED: $kset-kernel folded qft CSV differs from tests/golden/qft3q_single_30x60deg.csv" >&2
+      exit 1
+    fi
   done
-  echo "kernel smoke OK (byte-identical digests, exhaustive and double-fault fixtures across: $(echo $kernel_sets | tr '\n' ' '))"
+  echo "kernel smoke OK (byte-identical digests, exhaustive, double-fault and folded qft fixtures across: $(echo $kernel_sets | tr '\n' ' '))"
 else
   echo "kernel smoke SKIPPED: build/perf_simulator missing (google-benchmark not found)"
 fi

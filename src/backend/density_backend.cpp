@@ -337,16 +337,6 @@ std::vector<double> resolve_probs(const sim::DensityMatrix& dm,
   return resolve_probs_from(dm.probabilities(), res);
 }
 
-/// Arena-backed variant for batch loops: the dim-sized diagonal scratch
-/// comes from the arena instead of a per-config heap allocation.
-std::vector<double> resolve_probs(const sim::DensityMatrix& dm,
-                                  const MeasurementResolver& res,
-                                  util::Arena& arena) {
-  auto qubit_probs = arena.alloc<double>(dm.dim());
-  dm.probabilities_into(qubit_probs);
-  return resolve_probs_from(qubit_probs, res);
-}
-
 std::vector<double> resolve_clbit_probs(const DensityExecutor& exec,
                                         const circ::QuantumCircuit& circuit,
                                         const noise::NoiseModel& noise_model) {
@@ -387,6 +377,7 @@ struct BakedOp {
     Superop2,  ///< fused 2q gate+channel superop: so2 on (q0, q1)
     CCX,       ///< noiseless Toffoli on (q0, q1, q2)
     Inject,    ///< per-config fault slot: injected[q0] executes here
+    Fold,      ///< no later op touches q0: fold it into a lane bit
   };
   Kind kind = Kind::Unitary1;
   int q0 = 0, q1 = 0, q2 = 0;
@@ -486,7 +477,29 @@ void apply_baked_op(sim::DensityMatrix& dm, const BakedOp& op) {
     }
     case BakedOp::Kind::Inject:
       break;  // per-config; callers substitute the config's fault gate
+    case BakedOp::Kind::Fold:
+      dm.fold(op.q0);
+      break;
   }
+}
+
+/// How many of q0, q1, q2 are compact qubits the op acts on: none for an
+/// Inject slot (its q0 indexes the fault gates) or a Fold.
+int num_operands(BakedOp::Kind kind) {
+  switch (kind) {
+    case BakedOp::Kind::Unitary1:
+    case BakedOp::Kind::Superop1:
+      return 1;
+    case BakedOp::Kind::Unitary2:
+    case BakedOp::Kind::Superop2:
+      return 2;
+    case BakedOp::Kind::CCX:
+      return 3;
+    case BakedOp::Kind::Inject:
+    case BakedOp::Kind::Fold:
+      return 0;
+  }
+  return 0;
 }
 
 /// Replays a compiled suffix, skipping Inject slots — the form the response
@@ -497,22 +510,47 @@ void replay_suffix(sim::DensityMatrix& dm, std::span<const BakedOp> ops) {
   for (const auto& op : ops) apply_baked_op(dm, op);
 }
 
+/// A snapshot's suffix compiled for one program key: the schedule from the
+/// snapshot's sealed cursor on, flattened into baked ops (Inject slots where
+/// the fault gates land), plus the terminal-measurement resolver.
+struct CompiledProgram {
+  std::vector<BakedOp> ops;
+  MeasurementResolver resolver;
+  /// Where the final diagonal lands once the ops' folds have run (see
+  /// sim::folded_diagonal_positions): entry i is diagonal element (i, i).
+  std::vector<std::uint64_t> diagonal;
+};
+
+/// Resolves terminal measurements from the final state of a per-config
+/// replay (one matrix, folded as the program says), the diagonal read
+/// through the program's positions into arena scratch.
+std::vector<double> resolve_probs(const sim::DensityMatrix& dm,
+                                  const CompiledProgram& program,
+                                  util::Arena& arena) {
+  const auto raw = dm.raw();
+  auto qubit_probs = arena.alloc<double>(program.diagonal.size());
+  for (std::size_t i = 0; i < qubit_probs.size(); ++i) {
+    qubit_probs[i] = raw[program.diagonal[i]].real();
+  }
+  return resolve_probs_from(qubit_probs, program.resolver);
+}
+
 /// Complex analogue of resolve_probs for the response basis: basis matrices
 /// are not Hermitian, so their diagonals (and hence their "probabilities")
 /// are complex; the imaginary parts cancel when configs recombine them.
 /// The readout confusion map is real-linear, so it applies to the real and
-/// imaginary parts independently. `lane` picks one matrix of a lane batch
-/// (0 for a single matrix).
+/// imaginary parts independently. `lane` picks one matrix of a replayed
+/// lane batch that started with `lane_bits` lane bits; the diagonal is read
+/// through the program's positions in ascending full-index order.
 std::vector<std::complex<double>> resolve_probs_complex(
-    const sim::DensityMatrix& dm, const MeasurementResolver& res,
-    std::uint64_t lane) {
-  const std::uint64_t dim = dm.dim();
+    const sim::DensityMatrix& dm, const CompiledProgram& program,
+    int lane_bits, std::uint64_t lane) {
+  const MeasurementResolver& res = program.resolver;
   const auto raw = dm.raw();
-  const int lane_bits = dm.lane_bits();
   const std::size_t num_outcomes = std::size_t{1} << res.num_clbits;
   std::vector<std::complex<double>> clbit_probs(num_outcomes, 0.0);
-  for (std::uint64_t i = 0; i < dim; ++i) {
-    const sim::cplx diag = raw[((i * dim + i) << lane_bits) | lane];
+  for (std::uint64_t i = 0; i < program.diagonal.size(); ++i) {
+    const sim::cplx diag = raw[(program.diagonal[i] << lane_bits) | lane];
     if (diag == sim::cplx{}) continue;
     std::uint64_t j = 0;
     for (int c = 0; c < res.num_clbits; ++c) {
@@ -535,14 +573,6 @@ std::vector<std::complex<double>> resolve_probs_complex(
   }
   return clbit_probs;
 }
-
-/// A snapshot's suffix compiled for one program key: the schedule from the
-/// snapshot's sealed cursor on, flattened into baked ops (Inject slots where
-/// the fault gates land), plus the terminal-measurement resolver.
-struct CompiledProgram {
-  std::vector<BakedOp> ops;
-  MeasurementResolver resolver;
-};
 
 /// The suffix pipeline of a snapshot, compiled into a linear-response basis
 /// over the fault slot — the deepest level of the prefix tree, where the
@@ -666,6 +696,64 @@ class DensitySnapshot final : public PrefixSnapshot {
   mutable std::vector<std::unique_ptr<SuffixResponseBasis>> response_bases_;
 };
 
+/// Inserts a Fold op for each compact qubit right after the op where it
+/// finishes: its last op, or the program's last Inject slot if that comes
+/// later. From there on its row != col blocks can never reach the final
+/// diagonal, so every later op walks half the data, while each kept
+/// amplitude sees the same operations as unfolded. The ops after a fold are
+/// renumbered to the narrower state, and `program.diagonal` records where
+/// the final diagonal lands. A qubit that finishes with the last op is not
+/// folded (no op after it would gain), so at least one qubit remains.
+void place_folds(CompiledProgram& program, int num_qubits) {
+  std::vector<BakedOp>& ops = program.ops;
+  const auto width = static_cast<std::size_t>(num_qubits);
+  std::ptrdiff_t last_inject = -1;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].kind == BakedOp::Kind::Inject) {
+      last_inject = static_cast<std::ptrdiff_t>(i);
+    }
+  }
+  std::vector<std::ptrdiff_t> done(width, last_inject);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const int qs[] = {ops[i].q0, ops[i].q1, ops[i].q2};
+    for (int j = 0; j < num_operands(ops[i].kind); ++j) {
+      auto& d = done[static_cast<std::size_t>(qs[j])];
+      d = std::max(d, static_cast<std::ptrdiff_t>(i));
+    }
+  }
+  const auto last = static_cast<std::ptrdiff_t>(ops.size()) - 1;
+  // current[q]: compact qubit q's index in the state as folded so far.
+  std::vector<int> current(width);
+  for (std::size_t q = 0; q < width; ++q) current[q] = static_cast<int>(q);
+  std::vector<int> folds;
+  std::vector<BakedOp> out;
+  out.reserve(ops.size() + width);
+  const auto fold_finished = [&](std::ptrdiff_t i) {
+    if (i >= last) return;
+    for (std::size_t q = 0; q < width; ++q) {
+      if (done[q] != i) continue;
+      BakedOp fold;
+      fold.kind = BakedOp::Kind::Fold;
+      fold.q0 = current[q];
+      folds.push_back(fold.q0);
+      out.push_back(std::move(fold));
+      for (std::size_t p = q + 1; p < width; ++p) --current[p];
+    }
+  };
+  fold_finished(-1);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    BakedOp& op = ops[i];
+    int* qs[] = {&op.q0, &op.q1, &op.q2};
+    for (int j = 0; j < num_operands(op.kind); ++j) {
+      *qs[j] = current[static_cast<std::size_t>(*qs[j])];
+    }
+    out.push_back(std::move(op));
+    fold_finished(static_cast<std::ptrdiff_t>(i));
+  }
+  ops = std::move(out);
+  program.diagonal = sim::folded_diagonal_positions(num_qubits, folds);
+}
+
 /// Compiles a snapshot's suffix for one program key: walks the schedule of
 /// the circuit with representative fault gates spliced in at the split,
 /// from the snapshot's sealed cursor on, and bakes each step — residue
@@ -675,7 +763,8 @@ class DensitySnapshot final : public PrefixSnapshot {
 /// pair. A flat schedule yields [Inject..., fused suffix]. Replaying the
 /// result from the snapshot state applies the same schedule a from-scratch
 /// run of the spliced circuit would (the representative gates' parameters
-/// never matter; see program_key).
+/// never matter; see program_key). Qubits that finish before the end are
+/// folded into lanes (see place_folds).
 CompiledProgram compile_program(const DensitySnapshot& snap,
                                 std::span<const Instruction> injected_rep,
                                 const noise::NoiseModel& nm) {
@@ -707,6 +796,7 @@ CompiledProgram compile_program(const DensitySnapshot& snap,
       });
   program.resolver =
       build_measurement_resolver(circuit, compaction.to_compact, nm);
+  place_folds(program, snap.dm().num_qubits());
   return program;
 }
 
@@ -718,17 +808,9 @@ bool op_touches(const BakedOp& op, const std::vector<int>& targets) {
   const auto has = [&](int q) {
     return std::find(targets.begin(), targets.end(), q) != targets.end();
   };
-  switch (op.kind) {
-    case BakedOp::Kind::Unitary1:
-    case BakedOp::Kind::Superop1:
-      return has(op.q0);
-    case BakedOp::Kind::Unitary2:
-    case BakedOp::Kind::Superop2:
-      return has(op.q0) || has(op.q1);
-    case BakedOp::Kind::CCX:
-      return has(op.q0) || has(op.q1) || has(op.q2);
-    case BakedOp::Kind::Inject:
-      return false;
+  const int qs[] = {op.q0, op.q1, op.q2};
+  for (int j = 0; j < num_operands(op.kind); ++j) {
+    if (has(qs[j])) return true;
   }
   return false;
 }
@@ -774,8 +856,9 @@ int basis_lane_bits(int num_qubits) {
 /// (c,d) slice) is replayed through the compiled suffix and resolved. The
 /// elements are replayed as lane batches (see sim::DensityMatrix), so one
 /// walk of the compiled ops serves up to 8 of them; each lane's bytes are
-/// those of a replay on its own. Amortized over every config that shares
-/// the targets.
+/// those of a replay on its own. The program's folds shrink the batch in
+/// place as qubits finish. Amortized over every config that shares the
+/// targets.
 SuffixResponseBasis build_response_basis(const DensitySnapshot& snap,
                                          const std::vector<int>& targets,
                                          const CompiledProgram& program) {
@@ -806,16 +889,17 @@ SuffixResponseBasis build_response_basis(const DensitySnapshot& snap,
   basis.targets = targets;
   basis.num_outcomes = std::size_t{1} << program.resolver.num_clbits;
   basis.responses.resize(elements * basis.num_outcomes);
-  // One scratch batch refilled in place per lane batch, so the loop
-  // allocates no buffer per iteration. Lane l of the batch starting at
-  // `first` holds element beta = first + l = ((a*m + b)*m + c)*m + d.
+  // One scratch batch refilled in place per lane batch (its folds only
+  // shrink it), so the loop allocates no buffer per iteration. Lane l of
+  // the batch starting at `first` holds element
+  // beta = first + l = ((a*m + b)*m + c)*m + d.
   const int lane_bits = basis_lane_bits(rho0.num_qubits());
   const std::uint64_t lanes = std::uint64_t{1} << lane_bits;
   sim::DensityMatrix batch(rho0.num_qubits(), lane_bits);
   for (std::uint64_t first = 0; first < elements; first += lanes) {
     const std::uint64_t count = std::min(lanes, elements - first);
+    batch.assign_zero(rho0.num_qubits(), lane_bits);
     const std::span<sim::cplx> rawb = batch.mutable_raw();
-    std::fill(rawb.begin(), rawb.end(), sim::cplx{});
     for (std::uint64_t l = 0; l < count; ++l) {
       const std::uint64_t beta = first + l;
       const std::uint64_t d = beta & (m - 1);
@@ -833,7 +917,7 @@ SuffixResponseBasis build_response_basis(const DensitySnapshot& snap,
     replay_suffix(batch, program.ops);
     for (std::uint64_t l = 0; l < count; ++l) {
       const auto response =
-          resolve_probs_complex(batch, program.resolver, l);
+          resolve_probs_complex(batch, program, lane_bits, l);
       std::copy(response.begin(), response.end(),
                 basis.responses.begin() + static_cast<std::ptrdiff_t>(
                                               (first + l) * basis.num_outcomes));
@@ -1223,6 +1307,8 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
     }
     // Replay: Inject slots execute this config's own fault gates (unitary
     // + its noise channel, as execute() would); every other op is baked.
+    // Folds only shrink exec.dm, so the copy from the snapshot reuses its
+    // storage.
     exec.dm = snap->dm();
     for (const auto& op : program.ops) {
       if (op.kind == BakedOp::Kind::Inject) {
@@ -1232,7 +1318,7 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
       }
     }
     results[c] = ExecutionResult::from_distribution(
-        resolve_probs(exec.dm, program.resolver, arena),
+        resolve_probs(exec.dm, program, arena),
         circuit.num_clbits(), shots, config.seed, backend_name);
   }
   return results;

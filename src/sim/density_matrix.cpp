@@ -8,16 +8,40 @@
 
 namespace qufi::sim {
 
-DensityMatrix::DensityMatrix(int num_qubits, int lane_bits)
-    : num_qubits_(num_qubits), lane_bits_(lane_bits) {
+namespace {
+
+/// Index bits of the largest state: 12 qubits in 8 lanes.
+constexpr int kMaxStateBits = 27;
+
+/// `x` with a zero bit inserted at position `pos`.
+std::uint64_t insert_zero_bit(std::uint64_t x, int pos) {
+  const std::uint64_t low = (std::uint64_t{1} << pos) - 1;
+  return ((x & ~low) << 1) | (x & low);
+}
+
+}  // namespace
+
+DensityMatrix::DensityMatrix(int num_qubits, int lane_bits) {
+  set_shape(num_qubits, lane_bits);
+  rho_.assign((dim_ * dim_) << lane_bits, cplx{});
+  const std::uint64_t lanes = std::uint64_t{1} << lane_bits;
+  for (std::uint64_t l = 0; l < lanes; ++l) rho_[l] = cplx{1, 0};
+}
+
+void DensityMatrix::assign_zero(int num_qubits, int lane_bits) {
+  set_shape(num_qubits, lane_bits);
+  rho_.assign((dim_ * dim_) << lane_bits, cplx{});
+}
+
+void DensityMatrix::set_shape(int num_qubits, int lane_bits) {
   require(num_qubits >= 1 && num_qubits <= 12,
           "DensityMatrix: qubit count out of supported range [1, 12]");
-  require(lane_bits >= 0 && lane_bits <= 3,
-          "DensityMatrix: lane bits out of supported range [0, 3]");
+  require(lane_bits >= 0 && lane_bits <= kMaxStateBits - 2 * num_qubits,
+          "DensityMatrix: lane bits out of range (need lane_bits >= 0 and "
+          "2 * qubits + lane_bits <= 27)");
+  num_qubits_ = num_qubits;
+  lane_bits_ = lane_bits;
   dim_ = std::uint64_t{1} << num_qubits;
-  const std::uint64_t lanes = std::uint64_t{1} << lane_bits;
-  rho_.assign((dim_ * dim_) << lane_bits, cplx{});
-  for (std::uint64_t l = 0; l < lanes; ++l) rho_[l] = cplx{1, 0};
 }
 
 void DensityMatrix::require_single(const char* what) const {
@@ -155,18 +179,45 @@ void DensityMatrix::apply_superop2(std::span<const util::cplx> superop,
   dispatch::apply_matrix_k(rho_, superop, bits);
 }
 
-std::vector<double> DensityMatrix::probabilities() const {
-  std::vector<double> probs(dim_);
-  probabilities_into(probs);
-  return probs;
+void DensityMatrix::fold(int q) {
+  require(q >= 0 && q < num_qubits_ && num_qubits_ >= 2,
+          "fold: qubit out of range, or no qubit would remain");
+  // Element (row, col) of every lane is one run of 2^b complexes. Folded
+  // row r, column c and fold bit f come from unfolded row r_f and column
+  // c_f (r and c with bit f inserted at q) and go to run 2 * (r * dim/2 +
+  // c) + f, which lies inside unfolded row r. Walking r up and c down
+  // reads every run before it is overwritten: rows r_f >= r are untouched
+  // by the writes of rows below r, and within row r_0 == r the run read
+  // at column c is never past the 2c the walk has already written down to.
+  const int b = lane_bits_;
+  const std::uint64_t run = std::uint64_t{1} << b;
+  const std::uint64_t half = dim_ >> 1;
+  const std::uint64_t bit = std::uint64_t{1} << q;
+  cplx* a = rho_.data();
+  for (std::uint64_t r = 0; r < half; ++r) {
+    const std::uint64_t r0 = insert_zero_bit(r, q);
+    cplx* dst_row = a + ((r << num_qubits_) << b);
+    const cplx* row0 = a + ((r0 << num_qubits_) << b);
+    const cplx* row1 = a + (((r0 | bit) << num_qubits_) << b) + (bit << b);
+    for (std::uint64_t c = half; c-- > 0;) {
+      const std::uint64_t c0 = insert_zero_bit(c, q) << b;
+      cplx* dst = dst_row + ((2 * c) << b);
+      // Element-wise: a run is often one complex, and dst may equal row0
+      // + c0 (then every assignment is to itself).
+      for (std::uint64_t k = 0; k < run; ++k) dst[k] = row0[c0 + k];
+      for (std::uint64_t k = 0; k < run; ++k) dst[run + k] = row1[c0 + k];
+    }
+  }
+  set_shape(num_qubits_ - 1, lane_bits_ + 1);
+  rho_.resize(rho_.size() / 2);
 }
 
-void DensityMatrix::probabilities_into(std::span<double> out) const {
-  require_single("probabilities_into");
-  require(out.size() == dim_,
-          "probabilities_into: output span must have dim() entries");
+std::vector<double> DensityMatrix::probabilities() const {
+  require_single("probabilities");
+  std::vector<double> probs(dim_);
   for (std::uint64_t i = 0; i < dim_; ++i)
-    out[i] = rho_[(i << num_qubits_) | i].real();
+    probs[i] = rho_[(i << num_qubits_) | i].real();
+  return probs;
 }
 
 double DensityMatrix::trace() const {
@@ -183,6 +234,37 @@ double DensityMatrix::purity() const {
   double sum = 0.0;
   for (const auto& v : rho_) sum += std::norm(v);
   return sum;
+}
+
+std::vector<std::uint64_t> folded_diagonal_positions(
+    int num_qubits, std::span<const int> folds) {
+  // remaining[k]: the full-width qubit now at index k; folded[j]: the one
+  // behind fold lane bit j.
+  std::vector<int> remaining(static_cast<std::size_t>(num_qubits));
+  for (int k = 0; k < num_qubits; ++k) remaining[static_cast<std::size_t>(k)] = k;
+  std::vector<int> folded;
+  for (const int q : folds) {
+    require(q >= 0 && q < static_cast<int>(remaining.size()) &&
+                remaining.size() >= 2,
+            "folded_diagonal_positions: fold qubit out of range");
+    folded.push_back(remaining[static_cast<std::size_t>(q)]);
+    remaining.erase(remaining.begin() + q);
+  }
+  const int width = static_cast<int>(remaining.size());
+  const int lane_bits = static_cast<int>(folded.size());
+  std::vector<std::uint64_t> positions(std::uint64_t{1} << num_qubits);
+  for (std::uint64_t i = 0; i < positions.size(); ++i) {
+    std::uint64_t r = 0;
+    for (int k = 0; k < width; ++k) {
+      r |= ((i >> remaining[static_cast<std::size_t>(k)]) & 1ULL) << k;
+    }
+    std::uint64_t f = 0;
+    for (int j = 0; j < lane_bits; ++j) {
+      f |= ((i >> folded[static_cast<std::size_t>(j)]) & 1ULL) << j;
+    }
+    positions[i] = (((r << width) | r) << lane_bits) | f;
+  }
+  return positions;
 }
 
 }  // namespace qufi::sim

@@ -31,10 +31,24 @@ namespace qufi::sim {
 /// lane's amplitudes see exactly the operations a single matrix would, bit
 /// for bit. The single-matrix readers (at, probabilities, trace, purity)
 /// require b = 0.
+///
+/// A folded qubit is a lane bit too: fold(q) keeps only the two blocks of
+/// qubit q where its row bit equals its column bit, as two more lanes of a
+/// matrix one qubit narrower. Once no later op touches q, those are the
+/// only blocks that can reach the diagonal, and every kept amplitude then
+/// sees the operations it would have seen unfolded.
+///
+/// A state holds at most 2^27 complexes, as many as 12 qubits in 8 lanes:
+/// 2 * qubits + lane bits <= 27.
 class DensityMatrix {
  public:
   /// Initializes |0...0><0...0| in each of the 2^lane_bits lanes.
   explicit DensityMatrix(int num_qubits, int lane_bits = 0);
+
+  /// Reshapes to `num_qubits` qubits and 2^lane_bits lanes with every
+  /// amplitude zero. Reuses the storage, so a batch folded by its last
+  /// replay refills for the next one without allocating.
+  void assign_zero(int num_qubits, int lane_bits);
 
   /// rho = |psi><psi|.
   static DensityMatrix from_statevector(const Statevector& sv);
@@ -84,12 +98,15 @@ class DensityMatrix {
   /// local index (rowpart << 2) | colpart, operand 0 = low bit).
   void apply_superop2(std::span<const util::cplx> superop, int q0, int q1);
 
+  /// Folds qubit q into a new top lane bit, in place: the state becomes
+  /// num_qubits() - 1 qubits (q removed, higher qubits renumbered down by
+  /// one) and lane_bits() + 1 lanes, where new lane bit lane_bits() is q's
+  /// row (= column) bit. The blocks where q's row and column bits differ
+  /// are dropped, so only call this once no later op touches q.
+  void fold(int q);
+
   /// Diagonal of rho: probability of each basis state.
   std::vector<double> probabilities() const;
-
-  /// probabilities() into caller-provided storage (size must be dim());
-  /// allocation-free for arena-backed batch loops.
-  void probabilities_into(std::span<double> out) const;
 
   /// tr(rho); should stay ~1 under CPTP evolution.
   double trace() const;
@@ -102,11 +119,21 @@ class DensityMatrix {
   int row_bit(int q) const { return q + num_qubits_ + lane_bits_; }
   int col_bit(int q) const { return q + lane_bits_; }
   void require_single(const char* what) const;
+  void set_shape(int num_qubits, int lane_bits);
 
   int num_qubits_;
   int lane_bits_;
   std::uint64_t dim_;
   std::vector<cplx> rho_;
 };
+
+/// Where the diagonal of a `num_qubits`-wide matrix lands after the folds
+/// `folds` (each a qubit index at the time of its fold, in fold order):
+/// entry i is diagonal element (i, i), a full-width index, and sits at
+/// raw()[(entry << b) | lane] of the folded state, where b is the lane bits
+/// the state had before its first fold. With no folds, entry i is
+/// (i << num_qubits) | i.
+std::vector<std::uint64_t> folded_diagonal_positions(int num_qubits,
+                                                     std::span<const int> folds);
 
 }  // namespace qufi::sim

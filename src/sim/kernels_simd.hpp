@@ -681,6 +681,13 @@ QUFI_AVX2_INLINE __m128d avx2_mk_mul128(cplx c, __m128d x) {
   }
 }
 
+/// One entry of a real table on the contiguous-run path: the byte offset
+/// of its column's local plane and its real coefficient.
+struct Avx2RealEntry {
+  u64 byte_offset;
+  double re;
+};
+
 template <bool Real>
 QUFI_AVX2_FN inline void avx2_mk_rows(cplx* a, const MkTables& t,
                                       u64 g_begin, u64 g_end) {
@@ -694,30 +701,46 @@ QUFI_AVX2_FN inline void avx2_mk_rows(cplx* a, const MkTables& t,
     // so inputs are read straight from the state. Each output still sums
     // its products in ascending entry order from +0 with explicit
     // mul/addsub/add (mul/add on a real table), so the result is the
-    // scalar reference bit for bit.
+    // scalar reference bit for bit. A real table walks a flat list of
+    // (byte offset, coefficient) entries, 16 bytes each, instead of
+    // looking up each entry's column offset and 64-byte coefficient.
+    std::array<Avx2RealEntry, 256> flat;
     for (std::uint16_t e = 0; e < nnz; ++e) {
-      ec[e] = avx2_coeff(t.entries[e].value);
+      if constexpr (Real) {
+        flat[e] = {t.offset[t.entries[e].col] * sizeof(cplx),
+                   t.entries[e].value.real()};
+      } else {
+        ec[e] = avx2_coeff(t.entries[e].value);
+      }
     }
     u64 g = std::min(g_end, (g_begin + 7) & ~u64{7});
     scalar_mk_rows<Real>(a, t, g_begin, g);
     __m256d out[16][4];
     for (; g + 8 <= g_end; g += 8) {
       const u64 base = expand_group(g, t);
+      const char* plane0 = reinterpret_cast<const char*>(a + base);
       for (std::size_t r = 0; r < t.dim; ++r) {
         __m256d s0 = _mm256_setzero_pd();
         __m256d s1 = _mm256_setzero_pd();
         __m256d s2 = _mm256_setzero_pd();
         __m256d s3 = _mm256_setzero_pd();
         for (std::uint16_t e = t.row_start[r]; e < t.row_start[r + 1]; ++e) {
-          const double* p = reinterpret_cast<const double*>(
-              a + (base | t.offset[t.entries[e].col]));
-          s0 = _mm256_add_pd(s0, avx2_mk_mul<Real>(ec[e], _mm256_loadu_pd(p)));
-          s1 = _mm256_add_pd(s1,
-                             avx2_mk_mul<Real>(ec[e], _mm256_loadu_pd(p + 4)));
-          s2 = _mm256_add_pd(s2,
-                             avx2_mk_mul<Real>(ec[e], _mm256_loadu_pd(p + 8)));
-          s3 = _mm256_add_pd(s3,
-                             avx2_mk_mul<Real>(ec[e], _mm256_loadu_pd(p + 12)));
+          if constexpr (Real) {
+            const double* p =
+                reinterpret_cast<const double*>(plane0 + flat[e].byte_offset);
+            const __m256d c = _mm256_set1_pd(flat[e].re);
+            s0 = _mm256_add_pd(s0, _mm256_mul_pd(_mm256_loadu_pd(p), c));
+            s1 = _mm256_add_pd(s1, _mm256_mul_pd(_mm256_loadu_pd(p + 4), c));
+            s2 = _mm256_add_pd(s2, _mm256_mul_pd(_mm256_loadu_pd(p + 8), c));
+            s3 = _mm256_add_pd(s3, _mm256_mul_pd(_mm256_loadu_pd(p + 12), c));
+          } else {
+            const double* p = reinterpret_cast<const double*>(
+                a + (base | t.offset[t.entries[e].col]));
+            s0 = _mm256_add_pd(s0, avx2_cmul(ec[e], _mm256_loadu_pd(p)));
+            s1 = _mm256_add_pd(s1, avx2_cmul(ec[e], _mm256_loadu_pd(p + 4)));
+            s2 = _mm256_add_pd(s2, avx2_cmul(ec[e], _mm256_loadu_pd(p + 8)));
+            s3 = _mm256_add_pd(s3, avx2_cmul(ec[e], _mm256_loadu_pd(p + 12)));
+          }
         }
         out[r][0] = s0;
         out[r][1] = s1;

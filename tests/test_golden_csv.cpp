@@ -1,7 +1,9 @@
 // Golden-CSV regression: a tiny bv-2q single-fault campaign, committed at
 // tests/golden/bv2q_single.csv, diffed byte-exact against a fresh run, and
 // a bv-2q double-fault campaign (tests/golden/bv2q_double_30deg.csv) that
-// pins the 2q response path's bytes.
+// pins the 2q response path's bytes, and a qft-3q single-fault campaign
+// (tests/golden/qft3q_single_30x60deg.csv) that pins the 1q response path
+// with qubits folded into lanes.
 // This pins the full CLI-facing output contract in one shot — the metadata
 // header comment, the column schema documented in README ("Campaign CSV
 // schema"), the %.17g number formatting, and the canonical point-ascending
@@ -80,6 +82,36 @@ TEST(GoldenCsv, Bv2qDoubleFaultResponsePathIsByteIdenticalToCommittedFile) {
   ASSERT_FALSE(golden.empty());
   EXPECT_EQ(fresh, golden)
       << "double-fault CSV drifted from tests/golden/bv2q_double_30deg.csv";
+}
+
+// The qft-3q pin: 53 points x 42 configs, at or above
+// DensityMatrixBackend::kResponseMinConfigs1q, so every config is resolved
+// over the 16-element response basis. Its qubits finish at different points
+// of each suffix, in an order that is not their index order, so the basis
+// replay folds finished qubits into lanes and the resolver reads the final
+// diagonal through the folded positions. Generated by
+//   qufi_cli --circuit qft --width 3 --theta-step 30 --phi-step 60
+//            --csv qft3q_single_30x60deg.csv
+TEST(GoldenCsv, Qft3qSingleFaultFoldedResponsePathIsByteIdenticalToCommittedFile) {
+  const auto bench = algo::paper_circuit("qft", 3);
+  CampaignSpec spec;
+  spec.circuit = bench.circuit;
+  spec.expected_outputs = bench.expected_outputs;
+  spec.grid.theta_step_deg = 30.0;
+  spec.grid.phi_step_deg = 60.0;
+  const auto result = run_single_fault_campaign(spec);
+  const std::string fresh_path =
+      ::testing::TempDir() + "qufi_golden_qft3q.csv";
+  result.write_csv(fresh_path);
+  const std::string fresh = slurp(fresh_path);
+  const std::string golden = slurp(std::string(QUFI_SOURCE_DIR) +
+                                   "/tests/golden/qft3q_single_30x60deg.csv");
+  std::remove(fresh_path.c_str());
+
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(fresh, golden)
+      << "qft single-fault CSV drifted from "
+         "tests/golden/qft3q_single_30x60deg.csv";
 }
 
 TEST(GoldenCsv, CommittedFilePinsTheDocumentedColumnSchema) {

@@ -668,7 +668,7 @@ TEST_F(KernelConformance, LaneBatchedReplayMatchesSingleMatrices) {
   };
   for (const KernelSet* ks : available_kernel_sets()) {
     select_kernel_set(ks->name);
-    for (const int lane_bits : {0, 2, 3}) {
+    for (const int lane_bits : {0, 2, 3, 5}) {
       const u64 lanes = u64{1} << lane_bits;
       DensityMatrix batch(n, lane_bits);
       std::vector<DensityMatrix> singles(lanes, DensityMatrix(n));
@@ -692,12 +692,189 @@ TEST_F(KernelConformance, LaneBatchedReplayMatchesSingleMatrices) {
   }
 }
 
+// A state holds at most 2^27 complexes (2 * qubits + lane bits <= 27); the
+// shapes just past that bound are rejected before anything is allocated.
 TEST_F(KernelConformance, LaneBatchRejectsSingleMatrixReaders) {
   DensityMatrix batch(2, 3);
   EXPECT_THROW(batch.at(0, 0), Error);
   EXPECT_THROW(batch.trace(), Error);
   EXPECT_THROW(batch.probabilities(), Error);
-  EXPECT_THROW(DensityMatrix(2, 4), Error);
+  EXPECT_THROW(DensityMatrix(12, 4), Error);
+  EXPECT_THROW(DensityMatrix(2, 24), Error);
+  EXPECT_THROW(DensityMatrix(2, -1), Error);
+}
+
+// ---- folding finished qubits into lanes --------------------------------------
+
+// fold(q) keeps exactly the blocks where q's row bit equals its column bit:
+// element (r, c) of lane l, with bit f inserted at q into both r and c,
+// becomes element (r, c) of lane (f << b) | l, for every q and lane count.
+TEST_F(KernelConformance, FoldKeepsTheRowEqualsColumnBlocksAsLanes) {
+  util::Xoshiro256pp rng(2020);
+  const int n = 4;
+  for (const int lane_bits : {0, 1, 3}) {
+    for (int q = 0; q < n; ++q) {
+      DensityMatrix dm(n, lane_bits);
+      const auto fill = random_state(dm.raw().size(), rng);
+      std::copy(fill.begin(), fill.end(), dm.mutable_raw().begin());
+      dm.fold(q);
+      ASSERT_EQ(dm.num_qubits(), n - 1);
+      ASSERT_EQ(dm.lane_bits(), lane_bits + 1);
+      ASSERT_EQ(dm.raw().size(), fill.size() / 2);
+      const auto insert = [q](u64 x, u64 f) {
+        const u64 low = (u64{1} << q) - 1;
+        return ((x & ~low) << 1) | (f << q) | (x & low);
+      };
+      const u64 half = u64{1} << (n - 1);
+      const u64 lanes = u64{1} << lane_bits;
+      for (u64 r = 0; r < half; ++r) {
+        for (u64 c = 0; c < half; ++c) {
+          for (u64 f = 0; f < 2; ++f) {
+            for (u64 l = 0; l < lanes; ++l) {
+              const u64 from =
+                  (((insert(r, f) << n) | insert(c, f)) << lane_bits) | l;
+              const u64 to =
+                  (((r << (n - 1)) | c) << (lane_bits + 1)) | (f << lane_bits) |
+                  l;
+              ASSERT_EQ(std::memcmp(&dm.raw()[to], &fill[from], sizeof(cplx)),
+                        0)
+                  << "q=" << q << " lanes=" << lanes << " r=" << r
+                  << " c=" << c << " f=" << f << " l=" << l;
+            }
+          }
+        }
+      }
+    }
+  }
+  DensityMatrix one(1, 2);
+  EXPECT_THROW(one.fold(0), Error);
+}
+
+// Folding moves no byte of the final diagonal. Random sequences of every op
+// kind the density backend bakes (unitary 1q/2q, diagonal RZ, superop 1q,
+// complex and baked-CX superop 2q, Toffoli), with qubits finishing at
+// random points, run twice under every kernel set at lane bits {0, 3}:
+// unfolded, and folding each qubit into a lane bit once it finishes, the
+// later ops renumbered. The diagonal read through
+// folded_diagonal_positions is memcmp-equal to the unfolded replay's. Half
+// of the sequences fold down to a single remaining qubit.
+TEST_F(KernelConformance, FoldedReplayKeepsTheFinalDiagonalBitForBit) {
+  util::Xoshiro256pp rng(2121);
+  const int n = 5;
+  const int num_ops = 24;
+  const double theta[] = {0.7};
+  const Mat2 rz = circ::gate_matrix1(circ::GateKind::RZ, theta);
+  const auto cx = baked_cx_superop();
+  enum class Kind { Unitary1, Rz, Unitary2, Superop1, Superop2, CxSuperop2,
+                    Ccx };
+  struct Op {
+    Kind kind;
+    std::vector<int> qubits;
+    Mat2 m1;
+    Mat4 m4;
+    std::vector<cplx> so2;
+  };
+  const auto apply = [&](DensityMatrix& dm, const Op& op,
+                         const std::vector<int>& index) {
+    const auto at = [&](std::size_t j) {
+      return index[static_cast<std::size_t>(op.qubits[j])];
+    };
+    switch (op.kind) {
+      case Kind::Unitary1:
+        dm.apply_unitary1(op.m1, at(0));
+        break;
+      case Kind::Rz:
+        dm.apply_unitary1(rz, at(0));
+        break;
+      case Kind::Unitary2:
+        dm.apply_unitary2(op.m4, at(0), at(1));
+        break;
+      case Kind::Superop1:
+        dm.apply_superop1(op.m4, at(0));
+        break;
+      case Kind::Superop2:
+        dm.apply_superop2(op.so2, at(0), at(1));
+        break;
+      case Kind::CxSuperop2:
+        dm.apply_superop2(cx, at(0), at(1));
+        break;
+      case Kind::Ccx:
+        dm.apply_instruction(circ::Instruction{
+            circ::GateKind::CCX, {at(0), at(1), at(2)}, {}, {}});
+        break;
+    }
+  };
+  for (int trial = 0; trial < 8; ++trial) {
+    // finish[q]: the first op index q no longer takes part in; one qubit
+    // (two in odd trials) runs to the end.
+    const bool down_to_one = trial % 2 == 0;
+    std::vector<int> finish(n);
+    for (int q = 0; q < n; ++q) {
+      finish[static_cast<std::size_t>(q)] =
+          static_cast<int>(rng.uniform_int(num_ops));
+    }
+    const int keep = static_cast<int>(rng.uniform_int(n));
+    finish[static_cast<std::size_t>(keep)] = num_ops;
+    if (!down_to_one) finish[static_cast<std::size_t>((keep + 1) % n)] = num_ops;
+    std::vector<Op> ops;
+    for (int i = 0; i < num_ops; ++i) {
+      std::vector<int> alive;
+      for (int q = 0; q < n; ++q) {
+        if (finish[static_cast<std::size_t>(q)] > i) alive.push_back(q);
+      }
+      for (std::size_t j = alive.size(); j > 1; --j) {
+        std::swap(alive[j - 1], alive[rng.uniform_int(j)]);
+      }
+      auto kind = static_cast<Kind>(rng.uniform_int(7));
+      const std::size_t arity = kind == Kind::Ccx ? 3
+                                : (kind == Kind::Unitary2 ||
+                                   kind == Kind::Superop2 ||
+                                   kind == Kind::CxSuperop2)
+                                    ? 2
+                                    : 1;
+      if (alive.size() < arity) kind = Kind::Unitary1;
+      Op op{kind, {}, random_mat2(rng), random_mat4(rng),
+            random_sparse_superop(16, rng, 0.3)};
+      const std::size_t take = kind == Kind::Unitary1 ? 1 : arity;
+      op.qubits.assign(alive.begin(), alive.begin() + static_cast<long>(take));
+      ops.push_back(std::move(op));
+    }
+    for (const KernelSet* ks : available_kernel_sets()) {
+      select_kernel_set(ks->name);
+      for (const int lane_bits : {0, 3}) {
+        DensityMatrix unfolded(n, lane_bits);
+        const auto fill = random_state(unfolded.raw().size(), rng);
+        std::copy(fill.begin(), fill.end(), unfolded.mutable_raw().begin());
+        DensityMatrix folded = unfolded.clone();
+        std::vector<int> identity(n), index(n), folds;
+        for (int q = 0; q < n; ++q) identity[q] = index[q] = q;
+        for (int i = 0; i < num_ops; ++i) {
+          for (int q = 0; q < n; ++q) {
+            if (finish[static_cast<std::size_t>(q)] != i) continue;
+            folds.push_back(index[static_cast<std::size_t>(q)]);
+            folded.fold(folds.back());
+            for (int p = q + 1; p < n; ++p) --index[static_cast<std::size_t>(p)];
+          }
+          apply(unfolded, ops[static_cast<std::size_t>(i)], identity);
+          apply(folded, ops[static_cast<std::size_t>(i)], index);
+        }
+        ASSERT_EQ(folded.num_qubits(), down_to_one ? 1 : 2);
+        const auto positions = folded_diagonal_positions(n, folds);
+        const u64 lanes = u64{1} << lane_bits;
+        std::vector<cplx> want, got;
+        for (u64 l = 0; l < lanes; ++l) {
+          for (u64 i = 0; i < (u64{1} << n); ++i) {
+            want.push_back(
+                unfolded.raw()[((((i << n) | i)) << lane_bits) | l]);
+            got.push_back(folded.raw()[(positions[i] << lane_bits) | l]);
+          }
+        }
+        EXPECT_TRUE(BitIdentical(got, want))
+            << "set=" << ks->name << " trial=" << trial
+            << " lanes=" << lanes << " folds=" << folds.size();
+      }
+    }
+  }
 }
 
 // ---- tuning environment values -----------------------------------------------
