@@ -86,12 +86,18 @@ CliOptions parse(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--circuit") options.circuit = value();
-    else if (arg == "--width") options.width = std::stoi(value());
+    else if (arg == "--width")
+      options.width = util::parse_unsigned_flag<std::uint16_t>(arg, value());
     else if (arg == "--device") options.device = value();
-    else if (arg == "--opt") options.opt_level = std::stoi(value());
-    else if (arg == "--theta-step") options.theta_step = std::stod(value());
-    else if (arg == "--phi-step") options.phi_step = std::stod(value());
-    else if (arg == "--phi-max") options.phi_max = std::stod(value());
+    else if (arg == "--opt")
+      options.opt_level =
+          util::parse_unsigned_flag<std::uint16_t>(arg, value());
+    else if (arg == "--theta-step")
+      options.theta_step = util::parse_number_flag<double>(arg, value());
+    else if (arg == "--phi-step")
+      options.phi_step = util::parse_number_flag<double>(arg, value());
+    else if (arg == "--phi-max")
+      options.phi_max = util::parse_number_flag<double>(arg, value());
     else if (arg == "--shots")
       options.shots = util::parse_unsigned_flag<std::uint64_t>(arg, value());
     else if (arg == "--seed")
@@ -103,10 +109,12 @@ CliOptions parse(int argc, char** argv) {
     else if (arg == "--adaptive") options.adaptive = true;
     else if (arg == "--adaptive-budget") {
       options.adaptive = true;
-      options.adaptive_policy.max_config_fraction = std::stod(value());
+      options.adaptive_policy.max_config_fraction =
+          util::parse_number_flag<double>(arg, value());
     } else if (arg == "--adaptive-ci") {
       options.adaptive = true;
-      options.adaptive_policy.qvf_ci_target = std::stod(value());
+      options.adaptive_policy.qvf_ci_target =
+          util::parse_number_flag<double>(arg, value());
     } else if (arg == "--adaptive-min") {
       options.adaptive = true;
       options.adaptive_policy.min_configs_per_point =

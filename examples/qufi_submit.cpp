@@ -50,6 +50,7 @@ namespace {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using qufi::util::parse_number_flag;
   using qufi::util::parse_unsigned_flag;
   std::string spool;
   qufi::service::CampaignRequest request;
@@ -63,14 +64,20 @@ int main(int argc, char** argv) {
       if (arg == "--spool") spool = value();
       else if (arg == "--name") request.name = value();
       else if (arg == "--csv") request.csv_path = value();
-      else if (arg == "--priority") request.priority = std::stoi(value());
+      else if (arg == "--priority")
+        request.priority = parse_number_flag<int>(arg, value());
       else if (arg == "--circuit") request.circuit = value();
-      else if (arg == "--width") request.width = std::stoi(value());
+      else if (arg == "--width")
+        request.width = parse_unsigned_flag<std::uint16_t>(arg, value());
       else if (arg == "--device") request.device = value();
-      else if (arg == "--opt") request.opt_level = std::stoi(value());
-      else if (arg == "--theta-step") request.theta_step = std::stod(value());
-      else if (arg == "--phi-step") request.phi_step = std::stod(value());
-      else if (arg == "--phi-max") request.phi_max = std::stod(value());
+      else if (arg == "--opt")
+        request.opt_level = parse_unsigned_flag<std::uint16_t>(arg, value());
+      else if (arg == "--theta-step")
+        request.theta_step = parse_number_flag<double>(arg, value());
+      else if (arg == "--phi-step")
+        request.phi_step = parse_number_flag<double>(arg, value());
+      else if (arg == "--phi-max")
+        request.phi_max = parse_number_flag<double>(arg, value());
       else if (arg == "--shots")
         request.shots = parse_unsigned_flag<std::uint64_t>(arg, value());
       else if (arg == "--seed")

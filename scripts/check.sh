@@ -227,14 +227,23 @@ for name in bv4 dj4; do
     exit 1
   fi
 done
-# Hostile flags: a non-number must exit 1 with a named error (not abort on
-# an uncaught exception), and --workers 0 must be refused up front instead
-# of draining forever with no worker. (Word-split on purpose.)
+# Hostile flags: a non-number, a number with trailing bytes or a
+# non-finite value must exit 1 with a named error (not abort on an
+# uncaught exception or parse a prefix), and --workers 0 must be refused
+# up front instead of draining forever with no worker. (Word-split on
+# purpose.)
 q="./build/qufid --spool $disp_dir/flag_spool --work-dir $disp_dir/flag_work"
 for cmd in "$q --workers abc" "$q --workers 0 --fleet process --drain" \
   "$q --threads abc" "$q --lease-timeout abc" "$q --max-retries abc" \
   "$q --poll abc" "$q --progress-every abc" "$q --chaos-kill abc" \
-  "./build/qufi_shard_worker -j abc --manifest $disp_dir/none --out $disp_dir/none.qp"; do
+  "./build/qufi_shard_worker -j abc --manifest $disp_dir/none --out $disp_dir/none.qp" \
+  "./build/qufi_cli --width abc" "./build/qufi_cli --opt 3x" \
+  "./build/qufi_cli --theta-step x" "./build/qufi_cli --phi-max inf" \
+  "./build/qufi_cli --adaptive-budget 0.5x" "./build/qufi_cli --adaptive-ci nan" \
+  "./build/qufi_submit --width abc" "./build/qufi_submit --priority 1.5" \
+  "./build/qufi_submit --phi-step 1e999" \
+  "./build/qufi_shard_plan --phi-max 1e999" "./build/qufi_shard_plan --opt -1" \
+  "./build/qufi_shard_plan --adaptive-ci x"; do
   rc=0
   err="$(timeout 10 $cmd 2>&1 > /dev/null)" || rc=$?
   if [[ $rc -ne 1 ]] || ! grep -q '^error: ' <<< "$err"; then
@@ -242,7 +251,7 @@ for cmd in "$q --workers abc" "$q --workers 0 --fleet process --drain" \
     exit 1
   fi
 done
-echo "dispatcher smoke OK (2 campaigns, chaos-killed worker, CSVs == single-process, JSON event log, shards -1 and .. submissions and bad integer flags rejected)"
+echo "dispatcher smoke OK (2 campaigns, chaos-killed worker, CSVs == single-process, JSON event log, shards -1 and .. submissions and bad numeric flags rejected)"
 
 # Crash-durability smoke: SIGKILL the daemon ITSELF (and its workers)
 # mid-campaign, then restart qufid over the same spool + work dir. The

@@ -1,16 +1,14 @@
 #pragma once
 
-// Vectorized, range-partitionable variants of the simulator bit-kernels.
+// Vectorized variants of the simulator bit-kernels.
 //
-// Every kernel here operates on "groups": the independent amplitude tuples a
-// gate application touches (pairs for a 1q matrix, quadruples for a 2q
-// matrix, 2^k-tuples for apply_matrix_k, adjacent amplitude pairs for the
-// diagonal density kernel). A kernel variant processes the half-open group
-// range [g_begin, g_end) — the seam the dispatch layer uses for cache-tiled
-// iteration and for splitting one state across ThreadPool lanes. Because
-// groups are disjoint and each group's arithmetic is a fixed sequence of
-// IEEE-754 operations, results are bit-identical for any partition of the
-// range.
+// Every kernel here walks a whole state in "groups": the independent
+// amplitude tuples a gate application touches (pairs for a 1q matrix,
+// quadruples for a 2q matrix, 2^k-tuples for apply_matrix_k, adjacent
+// amplitude pairs for the diagonal density kernel). The state size is a
+// power of two, so the group count is too, and a vector path that takes
+// groups two or eight at a time needs a scalar remainder only where the
+// whole state is smaller than one step.
 //
 // The bit-identity contract (docs/ARCHITECTURE.md "Kernel dispatch"): every
 // variant performs, per amplitude, the exact operation sequence of the
@@ -21,9 +19,8 @@
 // (golden CSVs, shard merges) therefore do not depend on which kernel set
 // executed them.
 //
-// Three implementations:
-//   scalar   — the reference loops, restructured over group ranges;
-//   simd     — std::experimental::simd (portable; SSE2-width by default);
+// Two implementations:
+//   scalar   — the reference loops, restructured over groups;
 //   avx2     — AVX2 intrinsics behind __attribute__((target)), selected at
 //              runtime by CPUID, so the build needs no global arch flags.
 
@@ -46,13 +43,6 @@
 #include <immintrin.h>
 #else
 #define QUFI_KERNELS_HAVE_AVX2 0
-#endif
-
-#if __has_include(<experimental/simd>)
-#define QUFI_KERNELS_HAVE_STD_SIMD 1
-#include <experimental/simd>
-#else
-#define QUFI_KERNELS_HAVE_STD_SIMD 0
 #endif
 
 namespace qufi::sim::kern {
@@ -134,18 +124,15 @@ inline u64 expand_group(u64 g, const MkTables& t) {
   return x;
 }
 
-// ---- scalar reference over group ranges -------------------------------------
+// ---- scalar reference ---------------------------------------------------------
 
-inline void scalar_m1_part(std::span<cplx> amps, const Mat2& m, int q,
-                           u64 g_begin, u64 g_end) {
+inline void scalar_m1(std::span<cplx> amps, const Mat2& m, int q) {
   cplx* a = amps.data();
   const u64 stride = u64{1} << q;
-  u64 g = g_begin;
-  while (g < g_end) {
-    const u64 off0 = g & (stride - 1);
-    const u64 run = std::min(stride - off0, g_end - g);
-    const u64 i0_first = ((g >> q) << (q + 1)) | off0;
-    for (u64 r = 0; r < run; ++r) {
+  const u64 groups = amps.size() / 2;
+  for (u64 g = 0; g < groups; g += stride) {
+    const u64 i0_first = (g >> q) << (q + 1);
+    for (u64 r = 0; r < stride; ++r) {
       const u64 i0 = i0_first + r;
       const u64 i1 = i0 + stride;
       const cplx a0 = a[i0];
@@ -153,24 +140,21 @@ inline void scalar_m1_part(std::span<cplx> amps, const Mat2& m, int q,
       a[i0] = m.a[0] * a0 + m.a[1] * a1;
       a[i1] = m.a[2] * a0 + m.a[3] * a1;
     }
-    g += run;
   }
 }
 
-inline void scalar_m2_part(std::span<cplx> amps, const Mat4& m, int q_low,
-                           int q_high, u64 g_begin, u64 g_end) {
+inline void scalar_m2(std::span<cplx> amps, const Mat4& m, int q_low,
+                      int q_high) {
   cplx* a = amps.data();
   const u64 bl = u64{1} << q_low;
   const u64 bh = u64{1} << q_high;
   const int s0 = std::min(q_low, q_high);
   const int s1 = std::max(q_low, q_high);
   const u64 low = u64{1} << s0;
-  u64 g = g_begin;
-  while (g < g_end) {
-    const u64 off0 = g & (low - 1);
-    const u64 run = std::min(low - off0, g_end - g);
+  const u64 groups = amps.size() / 4;
+  for (u64 g = 0; g < groups; g += low) {
     const u64 i00_first = insert_zero_bit(insert_zero_bit(g, s0), s1);
-    for (u64 r = 0; r < run; ++r) {
+    for (u64 r = 0; r < low; ++r) {
       const u64 i00 = i00_first + r;
       const u64 i01 = i00 | bl;
       const u64 i10 = i00 | bh;
@@ -184,17 +168,16 @@ inline void scalar_m2_part(std::span<cplx> amps, const Mat4& m, int q_low,
       a[i10] = m.a[8] * a0 + m.a[9] * a1 + m.a[10] * a2 + m.a[11] * a3;
       a[i11] = m.a[12] * a0 + m.a[13] * a1 + m.a[14] * a2 + m.a[15] * a3;
     }
-    g += run;
   }
 }
 
-inline void scalar_ccx_part(std::span<cplx> amps, int c0, int c1, int t,
-                            u64 g_begin, u64 g_end) {
+inline void scalar_ccx(std::span<cplx> amps, int c0, int c1, int t) {
   cplx* a = amps.data();
   const u64 bc0 = u64{1} << c0;
   const u64 bc1 = u64{1} << c1;
   const u64 bt = u64{1} << t;
-  for (u64 g = g_begin; g < g_end; ++g) {
+  const u64 groups = amps.size() / 2;
+  for (u64 g = 0; g < groups; ++g) {
     const u64 i = insert_zero_bit(g, t);
     if ((i & bc0) && (i & bc1)) std::swap(a[i], a[i | bt]);
   }
@@ -210,14 +193,13 @@ inline cplx mk_mul(cplx c, cplx x) {
   }
 }
 
-/// The scalar reference over groups [g_begin, g_end) with the tables
-/// already built: the scalar set and every vectorized set's odd heads,
-/// tails and remainders share it, so no call scans its matrix twice.
+/// The scalar reference with the tables already built.
 template <bool Real>
-inline void scalar_mk_rows(cplx* a, const MkTables& t, u64 g_begin,
-                           u64 g_end) {
+inline void scalar_mk_rows(std::span<cplx> amps, const MkTables& t) {
+  cplx* a = amps.data();
+  const u64 groups = amps.size() >> t.k;
   std::array<cplx, 16> v{};
-  for (u64 g = g_begin; g < g_end; ++g) {
+  for (u64 g = 0; g < groups; ++g) {
     const u64 base = expand_group(g, t);
     for (std::size_t j = 0; j < t.dim; ++j) v[j] = a[base | t.offset[j]];
     for (std::size_t r = 0; r < t.dim; ++r) {
@@ -230,13 +212,13 @@ inline void scalar_mk_rows(cplx* a, const MkTables& t, u64 g_begin,
   }
 }
 
-inline void scalar_mk_part(std::span<cplx> amps, std::span<const cplx> m,
-                           std::span<const int> bits, u64 g_begin, u64 g_end) {
+inline void scalar_mk(std::span<cplx> amps, std::span<const cplx> m,
+                      std::span<const int> bits) {
   const MkTables t = build_mk_tables(m, bits);
   if (t.real) {
-    scalar_mk_rows<true>(amps.data(), t, g_begin, g_end);
+    scalar_mk_rows<true>(amps, t);
   } else {
-    scalar_mk_rows<false>(amps.data(), t, g_begin, g_end);
+    scalar_mk_rows<false>(amps, t);
   }
 }
 
@@ -246,19 +228,16 @@ inline void scalar_mk_part(std::span<cplx> amps, std::span<const cplx> m,
 /// `col_bit` (col_bit < row_bit). That is the two dense m1 passes (rows,
 /// then columns with conj(u)) less their products with the exact-zero
 /// off-diagonals, so it differs from them at most in the sign of an exact
-/// zero. Groups are the amplitude pairs (2g, 2g + 1). The walk goes in runs
-/// of constant row bit (and column bit, unless that is bit 0), so the
-/// coefficients are picked once per run.
-inline void scalar_diag1_part(std::span<cplx> amps, const Mat2& u,
-                              int row_bit, int col_bit, u64 g_begin,
-                              u64 g_end) {
+/// zero. The walk goes in runs of constant row bit (and column bit, unless
+/// that is bit 0), so the coefficients are picked once per run.
+inline void scalar_diag1(std::span<cplx> amps, const Mat2& u, int row_bit,
+                         int col_bit) {
   cplx* a = amps.data();
   const cplx dr[2] = {u.a[0], u.a[3]};
   const cplx dc[2] = {std::conj(u.a[0]), std::conj(u.a[3])};
   const u64 run = u64{1} << (col_bit >= 1 ? col_bit : row_bit);
-  const u64 end = 2 * g_end;
-  for (u64 i = 2 * g_begin; i < end;) {
-    const u64 run_end = std::min(end, (i | (run - 1)) + 1);
+  for (u64 i = 0; i < amps.size();) {
+    const u64 run_end = i + run;
     const cplx r = dr[(i >> row_bit) & 1];
     if (col_bit >= 1) {
       const cplx c = dc[(i >> col_bit) & 1];
@@ -268,143 +247,6 @@ inline void scalar_diag1_part(std::span<cplx> amps, const Mat2& u,
     }
   }
 }
-
-// ---- portable std::experimental::simd variants ------------------------------
-//
-// Complexes stay interleaved (re, im, re, im, ...); a coefficient multiply
-// uses the alternating-sign trick: with rr = broadcast(c.re) and
-// ia = (-c.im, +c.im, ...), cmul(x) = x*rr + swap_pairs(x)*ia reproduces the
-// scalar (re*re - im*im, re*im + im*re) bit-for-bit (IEEE a + (-b) == a - b
-// and negation/multiplication commute exactly).
-
-#if QUFI_KERNELS_HAVE_STD_SIMD
-
-namespace stdx = std::experimental;
-using vd = stdx::native_simd<double>;
-
-struct PortableCoeff {
-  vd rr;  ///< coefficient real part in every lane
-  vd ia;  ///< alternating (-im, +im) per complex lane pair
-};
-
-inline PortableCoeff portable_coeff(cplx c) {
-  PortableCoeff out;
-  out.rr = vd(c.real());
-  out.ia = vd([&](auto i) {
-    return (static_cast<int>(i) & 1) ? c.imag() : -c.imag();
-  });
-  return out;
-}
-
-inline vd portable_cmul(const PortableCoeff& c, vd x) {
-  const vd swp([&x](auto i) { return x[static_cast<int>(i) ^ 1]; });
-  return x * c.rr + swp * c.ia;
-}
-
-inline void portable_m1_part(std::span<cplx> amps, const Mat2& m, int q,
-                             u64 g_begin, u64 g_end) {
-  constexpr u64 kVc = vd::size() / 2;  // complexes per vector
-  if constexpr (kVc < 1) {
-    scalar_m1_part(amps, m, q, g_begin, g_end);
-    return;
-  }
-  cplx* a = amps.data();
-  const u64 stride = u64{1} << q;
-  const PortableCoeff c0 = portable_coeff(m.a[0]);
-  const PortableCoeff c1 = portable_coeff(m.a[1]);
-  const PortableCoeff c2 = portable_coeff(m.a[2]);
-  const PortableCoeff c3 = portable_coeff(m.a[3]);
-  u64 g = g_begin;
-  while (g < g_end) {
-    const u64 off0 = g & (stride - 1);
-    const u64 run = std::min(stride - off0, g_end - g);
-    const u64 i0_first = ((g >> q) << (q + 1)) | off0;
-    u64 r = 0;
-    for (; r + kVc <= run; r += kVc) {
-      double* p0 = reinterpret_cast<double*>(a + i0_first + r);
-      double* p1 = reinterpret_cast<double*>(a + i0_first + r + stride);
-      const vd a0(p0, stdx::element_aligned);
-      const vd a1(p1, stdx::element_aligned);
-      const vd r0 = portable_cmul(c0, a0) + portable_cmul(c1, a1);
-      const vd r1 = portable_cmul(c2, a0) + portable_cmul(c3, a1);
-      r0.copy_to(p0, stdx::element_aligned);
-      r1.copy_to(p1, stdx::element_aligned);
-    }
-    for (; r < run; ++r) {
-      const u64 i0 = i0_first + r;
-      const u64 i1 = i0 + stride;
-      const cplx a0 = a[i0];
-      const cplx a1 = a[i1];
-      a[i0] = m.a[0] * a0 + m.a[1] * a1;
-      a[i1] = m.a[2] * a0 + m.a[3] * a1;
-    }
-    g += run;
-  }
-}
-
-inline void portable_m2_part(std::span<cplx> amps, const Mat4& m, int q_low,
-                             int q_high, u64 g_begin, u64 g_end) {
-  constexpr u64 kVc = vd::size() / 2;
-  if constexpr (kVc < 1) {
-    scalar_m2_part(amps, m, q_low, q_high, g_begin, g_end);
-    return;
-  }
-  cplx* a = amps.data();
-  const u64 bl = u64{1} << q_low;
-  const u64 bh = u64{1} << q_high;
-  const int s0 = std::min(q_low, q_high);
-  const int s1 = std::max(q_low, q_high);
-  const u64 low = u64{1} << s0;
-  std::array<PortableCoeff, 16> c;
-  for (int i = 0; i < 16; ++i) c[static_cast<std::size_t>(i)] = portable_coeff(m.a[static_cast<std::size_t>(i)]);
-  u64 g = g_begin;
-  while (g < g_end) {
-    const u64 off0 = g & (low - 1);
-    const u64 run = std::min(low - off0, g_end - g);
-    const u64 i00_first = insert_zero_bit(insert_zero_bit(g, s0), s1);
-    u64 r = 0;
-    for (; r + kVc <= run; r += kVc) {
-      const u64 i00 = i00_first + r;
-      double* p0 = reinterpret_cast<double*>(a + i00);
-      double* p1 = reinterpret_cast<double*>(a + (i00 | bl));
-      double* p2 = reinterpret_cast<double*>(a + (i00 | bh));
-      double* p3 = reinterpret_cast<double*>(a + (i00 | bl | bh));
-      const vd a0(p0, stdx::element_aligned);
-      const vd a1(p1, stdx::element_aligned);
-      const vd a2(p2, stdx::element_aligned);
-      const vd a3(p3, stdx::element_aligned);
-      const vd r0 = portable_cmul(c[0], a0) + portable_cmul(c[1], a1) +
-                    portable_cmul(c[2], a2) + portable_cmul(c[3], a3);
-      const vd r1 = portable_cmul(c[4], a0) + portable_cmul(c[5], a1) +
-                    portable_cmul(c[6], a2) + portable_cmul(c[7], a3);
-      const vd r2 = portable_cmul(c[8], a0) + portable_cmul(c[9], a1) +
-                    portable_cmul(c[10], a2) + portable_cmul(c[11], a3);
-      const vd r3 = portable_cmul(c[12], a0) + portable_cmul(c[13], a1) +
-                    portable_cmul(c[14], a2) + portable_cmul(c[15], a3);
-      r0.copy_to(p0, stdx::element_aligned);
-      r1.copy_to(p1, stdx::element_aligned);
-      r2.copy_to(p2, stdx::element_aligned);
-      r3.copy_to(p3, stdx::element_aligned);
-    }
-    for (; r < run; ++r) {
-      const u64 i00 = i00_first + r;
-      const u64 i01 = i00 | bl;
-      const u64 i10 = i00 | bh;
-      const u64 i11 = i00 | bl | bh;
-      const cplx a0 = a[i00];
-      const cplx a1 = a[i01];
-      const cplx a2 = a[i10];
-      const cplx a3 = a[i11];
-      a[i00] = m.a[0] * a0 + m.a[1] * a1 + m.a[2] * a2 + m.a[3] * a3;
-      a[i01] = m.a[4] * a0 + m.a[5] * a1 + m.a[6] * a2 + m.a[7] * a3;
-      a[i10] = m.a[8] * a0 + m.a[9] * a1 + m.a[10] * a2 + m.a[11] * a3;
-      a[i11] = m.a[12] * a0 + m.a[13] * a1 + m.a[14] * a2 + m.a[15] * a3;
-    }
-    g += run;
-  }
-}
-
-#endif  // QUFI_KERNELS_HAVE_STD_SIMD
 
 // ---- AVX2 variants ----------------------------------------------------------
 //
@@ -442,22 +284,20 @@ QUFI_AVX2_INLINE __m256d avx2_cmul(const Avx2Coeff& c, __m256d x) {
   return _mm256_addsub_pd(t1, t2);
 }
 
-QUFI_AVX2_FN inline void avx2_m1_part(std::span<cplx> amps, const Mat2& m,
-                                      int q, u64 g_begin, u64 g_end) {
+QUFI_AVX2_FN inline void avx2_m1(std::span<cplx> amps, const Mat2& m,
+                                 int q) {
   cplx* a = amps.data();
   const u64 stride = u64{1} << q;
+  const u64 groups = amps.size() / 2;
   const Avx2Coeff c0 = avx2_coeff(m.a[0]);
   const Avx2Coeff c1 = avx2_coeff(m.a[1]);
   const Avx2Coeff c2 = avx2_coeff(m.a[2]);
   const Avx2Coeff c3 = avx2_coeff(m.a[3]);
   if (stride >= 2) {
-    u64 g = g_begin;
-    while (g < g_end) {
-      const u64 off0 = g & (stride - 1);
-      const u64 run = std::min(stride - off0, g_end - g);
-      const u64 i0_first = ((g >> q) << (q + 1)) | off0;
-      u64 r = 0;
-      for (; r + 2 <= run; r += 2) {
+    // Runs of `stride` (even) contiguous groups: two per vector.
+    for (u64 g = 0; g < groups; g += stride) {
+      const u64 i0_first = (g >> q) << (q + 1);
+      for (u64 r = 0; r < stride; r += 2) {
         double* p0 = reinterpret_cast<double*>(a + i0_first + r);
         double* p1 = reinterpret_cast<double*>(a + i0_first + r + stride);
         const __m256d a0 = _mm256_loadu_pd(p0);
@@ -467,23 +307,15 @@ QUFI_AVX2_FN inline void avx2_m1_part(std::span<cplx> amps, const Mat2& m,
         _mm256_storeu_pd(p0, r0);
         _mm256_storeu_pd(p1, r1);
       }
-      for (; r < run; ++r) {
-        const u64 i0 = i0_first + r;
-        const u64 i1 = i0 + stride;
-        const cplx a0 = a[i0];
-        const cplx a1 = a[i1];
-        a[i0] = m.a[0] * a0 + m.a[1] * a1;
-        a[i1] = m.a[2] * a0 + m.a[3] * a1;
-      }
-      g += run;
     }
     return;
   }
   // q == 0: each group is an adjacent (a0, a1) pair; process two groups per
   // iteration by regrouping lanes so each vector holds one local index of
-  // both groups.
-  u64 g = g_begin;
-  for (; g + 2 <= g_end; g += 2) {
+  // both groups. A 1-qubit statevector has a single group, left to the
+  // scalar remainder.
+  u64 g = 0;
+  for (; g + 2 <= groups; g += 2) {
     double* p = reinterpret_cast<double*>(a + 2 * g);
     const __m256d x = _mm256_loadu_pd(p);      // [g0.a0, g0.a1]
     const __m256d y = _mm256_loadu_pd(p + 4);  // [g1.a0, g1.a1]
@@ -494,7 +326,7 @@ QUFI_AVX2_FN inline void avx2_m1_part(std::span<cplx> amps, const Mat2& m,
     _mm256_storeu_pd(p, _mm256_permute2f128_pd(r0, r1, 0x20));
     _mm256_storeu_pd(p + 4, _mm256_permute2f128_pd(r0, r1, 0x31));
   }
-  for (; g < g_end; ++g) {
+  for (; g < groups; ++g) {
     const u64 i0 = 2 * g;
     const cplx a0 = a[i0];
     const cplx a1 = a[i0 + 1];
@@ -503,27 +335,23 @@ QUFI_AVX2_FN inline void avx2_m1_part(std::span<cplx> amps, const Mat2& m,
   }
 }
 
-QUFI_AVX2_FN inline void avx2_m2_part(std::span<cplx> amps, const Mat4& m,
-                                      int q_low, int q_high, u64 g_begin,
-                                      u64 g_end) {
+QUFI_AVX2_FN inline void avx2_m2(std::span<cplx> amps, const Mat4& m,
+                                 int q_low, int q_high) {
   cplx* a = amps.data();
   const u64 bl = u64{1} << q_low;
   const u64 bh = u64{1} << q_high;
   const int s0 = std::min(q_low, q_high);
   const int s1 = std::max(q_low, q_high);
+  const u64 groups = amps.size() / 4;
   if (s0 >= 1) {
     // Offsets below s0 are contiguous in every plane: vectorize two offsets
     // per step with broadcast coefficients.
     std::array<Avx2Coeff, 16> c;
     for (std::size_t i = 0; i < 16; ++i) c[i] = avx2_coeff(m.a[i]);
     const u64 low = u64{1} << s0;
-    u64 g = g_begin;
-    while (g < g_end) {
-      const u64 off0 = g & (low - 1);
-      const u64 run = std::min(low - off0, g_end - g);
+    for (u64 g = 0; g < groups; g += low) {
       const u64 i00_first = insert_zero_bit(insert_zero_bit(g, s0), s1);
-      u64 r = 0;
-      for (; r + 2 <= run; r += 2) {
+      for (u64 r = 0; r < low; r += 2) {
         const u64 i00 = i00_first + r;
         double* p0 = reinterpret_cast<double*>(a + i00);
         double* p1 = reinterpret_cast<double*>(a + (i00 | bl));
@@ -558,21 +386,6 @@ QUFI_AVX2_FN inline void avx2_m2_part(std::span<cplx> amps, const Mat4& m,
         _mm256_storeu_pd(p2, r2);
         _mm256_storeu_pd(p3, r3);
       }
-      for (; r < run; ++r) {
-        const u64 i00 = i00_first + r;
-        const u64 i01 = i00 | bl;
-        const u64 i10 = i00 | bh;
-        const u64 i11 = i00 | bl | bh;
-        const cplx a0 = a[i00];
-        const cplx a1 = a[i01];
-        const cplx a2 = a[i10];
-        const cplx a3 = a[i11];
-        a[i00] = m.a[0] * a0 + m.a[1] * a1 + m.a[2] * a2 + m.a[3] * a3;
-        a[i01] = m.a[4] * a0 + m.a[5] * a1 + m.a[6] * a2 + m.a[7] * a3;
-        a[i10] = m.a[8] * a0 + m.a[9] * a1 + m.a[10] * a2 + m.a[11] * a3;
-        a[i11] = m.a[12] * a0 + m.a[13] * a1 + m.a[14] * a2 + m.a[15] * a3;
-      }
-      g += run;
     }
     return;
   }
@@ -597,7 +410,7 @@ QUFI_AVX2_FN inline void avx2_m2_part(std::span<cplx> amps, const Mat4& m,
     cx[j] = avx2_coeff_pair(m.a[0 * 4 + j], m.a[lx1 * 4 + j]);
     cz[j] = avx2_coeff_pair(m.a[lz0 * 4 + j], m.a[3 * 4 + j]);
   }
-  for (u64 g = g_begin; g < g_end; ++g) {
+  for (u64 g = 0; g < groups; ++g) {
     const u64 i00 = insert_zero_bit(g << 1, s1);
     double* px = reinterpret_cast<double*>(a + i00);
     double* pz = reinterpret_cast<double*>(a + (i00 | bfar));
@@ -624,15 +437,15 @@ QUFI_AVX2_FN inline void avx2_m2_part(std::span<cplx> amps, const Mat4& m,
   }
 }
 
-/// The diagonal density-matrix kernel (see scalar_diag1_part), one pair per
-/// vector. The row bit is >= 1, so both complexes of a pair share the row
-/// phase; with col_bit == 0 they take conj(d[0]) and conj(d[1]) per 128-bit
-/// lane. Runs of constant coefficients keep the index arithmetic out of the
-/// inner loop.
-QUFI_AVX2_FN inline void avx2_diag1_part(std::span<cplx> amps, const Mat2& u,
-                                         int row_bit, int col_bit,
-                                         u64 g_begin, u64 g_end) {
+/// The diagonal density-matrix kernel (see scalar_diag1), one amplitude
+/// pair (2g, 2g + 1) per vector. The row bit is >= 1, so both complexes of
+/// a pair share the row phase; with col_bit == 0 they take conj(d[0]) and
+/// conj(d[1]) per 128-bit lane. Runs of constant coefficients keep the
+/// index arithmetic out of the inner loop.
+QUFI_AVX2_FN inline void avx2_diag1(std::span<cplx> amps, const Mat2& u,
+                                    int row_bit, int col_bit) {
   double* p = reinterpret_cast<double*>(amps.data());
+  const u64 groups = amps.size() / 2;
   const Avx2Coeff dr[2] = {avx2_coeff(u.a[0]), avx2_coeff(u.a[3])};
   const cplx c0 = std::conj(u.a[0]);
   const cplx c1 = std::conj(u.a[3]);
@@ -644,8 +457,8 @@ QUFI_AVX2_FN inline void avx2_diag1_part(std::span<cplx> amps, const Mat2& u,
     dc[1] = avx2_coeff(c1);
   }
   const u64 run = u64{1} << ((col_bit >= 1 ? col_bit : row_bit) - 1);
-  for (u64 g = g_begin; g < g_end;) {
-    const u64 run_end = std::min(g_end, (g | (run - 1)) + 1);
+  for (u64 g = 0; g < groups;) {
+    const u64 run_end = g + run;
     const Avx2Coeff r = dr[(g >> (row_bit - 1)) & 1];
     const Avx2Coeff c = dc[col_bit >= 1 ? (g >> (col_bit - 1)) & 1 : 0];
 #pragma GCC unroll 4
@@ -689,14 +502,17 @@ struct Avx2RealEntry {
 };
 
 template <bool Real>
-QUFI_AVX2_FN inline void avx2_mk_rows(cplx* a, const MkTables& t,
-                                      u64 g_begin, u64 g_end) {
+QUFI_AVX2_FN inline void avx2_mk_rows(std::span<cplx> amps,
+                                      const MkTables& t) {
+  cplx* a = amps.data();
+  const u64 groups = amps.size() >> t.k;
   std::array<Avx2Coeff, 256> ec;
   const std::uint16_t nnz = t.row_start[t.dim];
   if (t.sorted[0] >= 3) {
     // The lowest masked bit is >= 3 (always so for a lane-batched density
     // matrix): groups 8c..8c+7 expand to the contiguous bases
-    // base..base+7 in every local plane. One walk of the sparse rows then
+    // base..base+7 in every local plane, and bits 0-2 are free, so the
+    // group count is a multiple of 8. One walk of the sparse rows then
     // serves 8 complexes, 4 accumulators per row; the outputs are staged
     // so inputs are read straight from the state. Each output still sums
     // its products in ascending entry order from +0 with explicit
@@ -713,10 +529,8 @@ QUFI_AVX2_FN inline void avx2_mk_rows(cplx* a, const MkTables& t,
         ec[e] = avx2_coeff(t.entries[e].value);
       }
     }
-    u64 g = std::min(g_end, (g_begin + 7) & ~u64{7});
-    scalar_mk_rows<Real>(a, t, g_begin, g);
     __m256d out[16][4];
-    for (; g + 8 <= g_end; g += 8) {
+    for (u64 g = 0; g < groups; g += 8) {
       const u64 base = expand_group(g, t);
       const char* plane0 = reinterpret_cast<const char*>(a + base);
       for (std::size_t r = 0; r < t.dim; ++r) {
@@ -755,22 +569,17 @@ QUFI_AVX2_FN inline void avx2_mk_rows(cplx* a, const MkTables& t,
         _mm256_storeu_pd(p + 12, out[r][3]);
       }
     }
-    scalar_mk_rows<Real>(a, t, g, g_end);
     return;
   }
   if ((t.mask & 1) == 0) {
     // Bit 0 is free: group g and g+1 expand to adjacent bases (g even), so
-    // every local amplitude vector serves two bases at once.
+    // every local amplitude vector serves two bases at once, and the group
+    // count is even.
     for (std::uint16_t e = 0; e < nnz; ++e) {
       ec[e] = avx2_coeff(t.entries[e].value);
     }
-    u64 g = g_begin;
-    if ((g & 1) && g < g_end) {
-      scalar_mk_rows<Real>(a, t, g, g + 1);
-      ++g;
-    }
     __m256d v[16];
-    for (; g + 2 <= g_end; g += 2) {
+    for (u64 g = 0; g < groups; g += 2) {
       const u64 base = expand_group(g, t);
       for (std::size_t j = 0; j < t.dim; ++j) {
         v[j] = _mm256_loadu_pd(
@@ -786,13 +595,12 @@ QUFI_AVX2_FN inline void avx2_mk_rows(cplx* a, const MkTables& t,
                          sum);
       }
     }
-    scalar_mk_rows<Real>(a, t, g, g_end);
     return;
   }
   // Bit 0 is masked: bases are never adjacent; use branch-free 128-bit
   // complex arithmetic per base.
   __m128d v[16];
-  for (u64 g = g_begin; g < g_end; ++g) {
+  for (u64 g = 0; g < groups; ++g) {
     const u64 base = expand_group(g, t);
     for (std::size_t j = 0; j < t.dim; ++j) {
       v[j] =
@@ -809,15 +617,14 @@ QUFI_AVX2_FN inline void avx2_mk_rows(cplx* a, const MkTables& t,
   }
 }
 
-QUFI_AVX2_FN inline void avx2_mk_part(std::span<cplx> amps,
-                                      std::span<const cplx> m,
-                                      std::span<const int> bits, u64 g_begin,
-                                      u64 g_end) {
+QUFI_AVX2_FN inline void avx2_mk(std::span<cplx> amps,
+                                 std::span<const cplx> m,
+                                 std::span<const int> bits) {
   const MkTables t = build_mk_tables(m, bits);
   if (t.real) {
-    avx2_mk_rows<true>(amps.data(), t, g_begin, g_end);
+    avx2_mk_rows<true>(amps, t);
   } else {
-    avx2_mk_rows<false>(amps.data(), t, g_begin, g_end);
+    avx2_mk_rows<false>(amps, t);
   }
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <concepts>
 #include <limits>
 #include <optional>
@@ -40,6 +41,28 @@ T parse_unsigned_flag(std::string_view flag, std::string_view text) {
                 std::to_string(std::numeric_limits<T>::max()));
   }
   return *value;
+}
+
+/// Parses a signed integer or floating-point command-line flag value: all of
+/// `text` must be one std::from_chars number (an optional '-', but no '+',
+/// whitespace or trailing bytes) within T's range, and a floating-point
+/// value must be finite.
+///
+/// \throws qufi::Error naming `flag` and `text` otherwise.
+template <typename T>
+  requires std::signed_integral<T> || std::floating_point<T>
+T parse_number_flag(std::string_view flag, std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = !text.empty() && ec == std::errc{} && ptr == end;
+  if constexpr (std::floating_point<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    throw Error("bad " + std::string(flag) + " value '" + std::string(text) +
+                (std::floating_point<T> ? "': expected a finite number"
+                                        : "': expected an integer in range"));
+  }
+  return value;
 }
 
 }  // namespace qufi::util

@@ -1,18 +1,16 @@
 // Differential kernel-conformance and fuzz suite.
 //
 // The engine's merge/golden-CSV gates promise bit-identical results no
-// matter which kernel set, tile size, range partition, or thread count
-// executed a campaign. This suite is that promise's enforcement point:
-// every available kernel variant is diffed bit-for-bit against the scalar
-// reference in kernels.hpp on randomized states and matrices across all
-// qubit positions and sizes, and the sparse apply_matrix_k path is fuzzed
-// against a naive dense oracle.
+// matter which kernel set executed a campaign. This suite is that
+// promise's enforcement point: every available kernel variant is diffed
+// bit-for-bit against the scalar reference in kernels.hpp on randomized
+// states and matrices across all qubit positions and sizes, and the sparse
+// apply_matrix_k path is fuzzed against a naive dense oracle.
 #include <gtest/gtest.h>
 
 #include <complex>
 #include <cstring>
 #include <functional>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,22 +74,15 @@ Mat4 random_mat4(util::Xoshiro256pp& rng) {
   return ::testing::AssertionFailure() << "memcmp mismatch (padding?)";
 }
 
-/// Saves and restores the globally selected kernel set + tuning so each
-/// test can reconfigure dispatch freely.
+/// Saves and restores the globally selected kernel set so each test can
+/// reconfigure dispatch freely.
 class KernelConformance : public ::testing::Test {
  protected:
-  void SetUp() override {
-    saved_set_ = active_kernel_set().name;
-    saved_tuning_ = kernel_tuning();
-  }
-  void TearDown() override {
-    select_kernel_set(saved_set_);
-    set_kernel_tuning(saved_tuning_);
-  }
+  void SetUp() override { saved_set_ = active_kernel_set().name; }
+  void TearDown() override { select_kernel_set(saved_set_); }
 
  private:
   std::string saved_set_;
-  KernelTuning saved_tuning_;
 };
 
 TEST_F(KernelConformance, ScalarSetIsAlwaysAvailable) {
@@ -119,32 +110,9 @@ TEST_F(KernelConformance, Matrix1AllSetsAllPositionsBitIdentical) {
       detail::apply_matrix1(want, m, q);
       for (const KernelSet* ks : available_kernel_sets()) {
         auto got = base;
-        ks->m1_part(got, m, q, 0, size / 2);
+        ks->m1(got, m, q);
         EXPECT_TRUE(BitIdentical(got, want))
             << "set=" << ks->name << " n=" << n << " q=" << q;
-      }
-    }
-  }
-}
-
-TEST_F(KernelConformance, Matrix1PartitionAndOddSplitInvariance) {
-  util::Xoshiro256pp rng(202);
-  const int n = 9;
-  const std::size_t size = std::size_t{1} << n;
-  const auto base = random_state(size, rng);
-  const Mat2 m = random_mat2(rng);
-  for (int q : {0, 1, n / 2, n - 1}) {
-    auto want = base;
-    detail::apply_matrix1(want, m, q);
-    for (const KernelSet* ks : available_kernel_sets()) {
-      const u64 groups = size / 2;
-      // Odd/prime split points land mid-stride and mid-vector on purpose.
-      for (u64 split : {u64{1}, u64{3}, u64{37}, groups / 2 + 1, groups - 1}) {
-        auto got = base;
-        ks->m1_part(got, m, q, 0, split);
-        ks->m1_part(got, m, q, split, groups);
-        EXPECT_TRUE(BitIdentical(got, want))
-            << "set=" << ks->name << " q=" << q << " split=" << split;
       }
     }
   }
@@ -163,7 +131,7 @@ TEST_F(KernelConformance, Matrix1MisalignedSubspan) {
     std::span<cplx> got(got_backing.data() + 1, size);
     std::span<cplx> want(want_backing.data() + 1, size);
     detail::apply_matrix1(want, m, 3);
-    ks->m1_part(got, m, 3, 0, size / 2);
+    ks->m1(got, m, 3);
     EXPECT_TRUE(BitIdentical(got_backing, want_backing)) << "set=" << ks->name;
   }
 }
@@ -185,36 +153,11 @@ TEST_F(KernelConformance, Matrix2AllSetsAllPairsBitIdentical) {
         detail::apply_matrix2(want, m, q0, q1);
         for (const KernelSet* ks : available_kernel_sets()) {
           auto got = base;
-          ks->m2_part(got, m, q0, q1, 0, size / 4);
+          ks->m2(got, m, q0, q1);
           EXPECT_TRUE(BitIdentical(got, want))
               << "set=" << ks->name << " n=" << n << " q0=" << q0
               << " q1=" << q1;
         }
-      }
-    }
-  }
-}
-
-TEST_F(KernelConformance, Matrix2PartitionInvariance) {
-  util::Xoshiro256pp rng(505);
-  const int n = 10;
-  const std::size_t size = std::size_t{1} << n;
-  const auto base = random_state(size, rng);
-  const Mat4 m = random_mat4(rng);
-  const std::pair<int, int> pairs[] = {{0, 1}, {1, 0}, {0, n - 1},
-                                       {n - 1, 0}, {3, 7}, {n - 2, n - 1}};
-  for (auto [q0, q1] : pairs) {
-    auto want = base;
-    detail::apply_matrix2(want, m, q0, q1);
-    for (const KernelSet* ks : available_kernel_sets()) {
-      const u64 groups = size / 4;
-      for (u64 split : {u64{1}, u64{5}, u64{31}, groups - 1}) {
-        auto got = base;
-        ks->m2_part(got, m, q0, q1, 0, split);
-        ks->m2_part(got, m, q0, q1, split, groups);
-        EXPECT_TRUE(BitIdentical(got, want))
-            << "set=" << ks->name << " q0=" << q0 << " q1=" << q1
-            << " split=" << split;
       }
     }
   }
@@ -238,7 +181,7 @@ TEST_F(KernelConformance, CcxAllSetsBitIdentical) {
       detail::apply_ccx(want, c0, c1, t);
       for (const KernelSet* ks : available_kernel_sets()) {
         auto got = base;
-        ks->ccx_part(got, c0, c1, t, 0, size / 2);
+        ks->ccx(got, c0, c1, t);
         EXPECT_TRUE(BitIdentical(got, want))
             << "set=" << ks->name << " n=" << n << " c0=" << c0
             << " c1=" << c1 << " t=" << t;
@@ -247,7 +190,7 @@ TEST_F(KernelConformance, CcxAllSetsBitIdentical) {
   }
 }
 
-// ---- apply_matrix_k: variants, partitioning, fuzz vs dense oracle ----------
+// ---- apply_matrix_k: variants and fuzz vs dense oracle ---------------------
 
 /// Pauli-mixture-shaped superoperator: structurally sparse with the zero
 /// pattern real channels produce, plus optional fill to hit capacity.
@@ -327,35 +270,44 @@ std::vector<cplx> random_real_sparse(std::size_t dim, util::Xoshiro256pp& rng) {
 // real ones and on a baked CX superop (k=4), over states with and without
 // signed zeros. A real table also equals the dense oracle by value and the
 // full complex products bit for bit: skipping the exact-zero cross terms
-// moves no value, and row sums from +0 never end at -0.
+// moves no value, and row sums from +0 never end at -0. Besides a 10-qubit
+// state, each AVX2 path that takes groups two or eight at a time also runs
+// on the smallest state it accepts.
 TEST_F(KernelConformance, MatrixKAllSetsBitIdentical) {
   util::Xoshiro256pp rng(707);
   util::Xoshiro256pp real_rng(1515);
-  const int n = 10;
-  const std::size_t size = std::size_t{1} << n;
-  const auto base = random_state(size, rng);
-  const auto zeros = signed_zero_state(size, real_rng);
   const auto cx = baked_cx_superop();
-  const std::vector<std::vector<int>> bit_cases = {
-      {0}, {5}, {n - 1},          // k=1: bit 0 masked and free
-      {0, 5}, {3, 8}, {1, 0},     // k=2, both orders
-      {0, 4, 7}, {2, 5, 9},       // k=3
-      {0, 3, 6, 9}, {1, 4, 7, 2}, // k=4 with and without bit 0
+  struct Case {
+    int n;
+    std::vector<int> bits;
+  };
+  const std::vector<Case> cases = {
+      {10, {0}}, {10, {5}}, {10, {9}},         // k=1: bit 0 masked and free
+      {10, {0, 5}}, {10, {3, 8}}, {10, {1, 0}}, // k=2, both orders
+      {10, {0, 4, 7}}, {10, {2, 5, 9}},         // k=3
+      {10, {0, 3, 6, 9}}, {10, {1, 4, 7, 2}},   // k=4 with and without bit 0
       // k=4 with the lowest masked bit >= 3: the AVX2 contiguous-run path
       // (the shape of a 2q superop on a lane-batched density matrix).
-      {3, 5, 7, 9}, {4, 3, 8, 6}, {3, 4, 8, 9},
+      {10, {3, 5, 7, 9}}, {10, {4, 3, 8, 6}}, {10, {3, 4, 8, 9}},
+      // Exactly 8 groups on the contiguous-run path (n = k + 3).
+      {4, {3}}, {5, {4, 3}}, {7, {3, 5, 4, 6}},
+      // Exactly 2 groups on the bit-0-free path (n = k + 1).
+      {2, {1}}, {3, {2, 1}}, {5, {1, 4, 2, 3}},
   };
-  for (const auto& bits : bit_cases) {
+  for (const auto& [n, bits] : cases) {
+    const std::size_t size = std::size_t{1} << n;
+    const auto base = random_state(size, rng);
+    const auto zeros = signed_zero_state(size, real_rng);
     const std::size_t dim = std::size_t{1} << bits.size();
     std::vector<std::pair<const char*, std::vector<cplx>>> tables = {
         {"complex", random_sparse_superop(dim, rng, 0.3)},
         {"real", random_real_sparse(dim, real_rng)}};
     if (bits.size() == 4) tables.emplace_back("baked CX", cx);
-    const u64 groups = size >> bits.size();
     for (const auto& [table, m] : tables) {
       const auto tables_k = kern::build_mk_tables(m, bits);
       for (const auto* state : {&base, &zeros}) {
-        const std::string what = std::string(table) + " k=" +
+        const std::string what = std::string(table) + " n=" +
+                                 std::to_string(n) + " k=" +
                                  std::to_string(bits.size()) +
                                  (state == &zeros ? " signed zeros" : "");
         auto want = *state;
@@ -365,30 +317,14 @@ TEST_F(KernelConformance, MatrixKAllSetsBitIdentical) {
           detail::apply_matrix_k_dense(dense, m, bits);
           EXPECT_TRUE(ValueEqual(want, dense)) << what;
           auto complex_products = *state;
-          kern::scalar_mk_rows<false>(complex_products.data(), tables_k, 0,
-                                      groups);
+          kern::scalar_mk_rows<false>(complex_products, tables_k);
           EXPECT_TRUE(BitIdentical(want, complex_products)) << what;
         }
         for (const KernelSet* ks : available_kernel_sets()) {
           auto got = *state;
-          ks->mk_part(got, m, bits, 0, groups);
+          ks->mk(got, m, bits);
           EXPECT_TRUE(BitIdentical(got, want)) << "set=" << ks->name << " "
                                                << what;
-          // Odd split: exercises the scalar head/tail stitching in the
-          // paired AVX2 path.
-          auto got2 = *state;
-          ks->mk_part(got2, m, bits, 0, 3);
-          ks->mk_part(got2, m, bits, 3, groups);
-          EXPECT_TRUE(BitIdentical(got2, want))
-              << "set=" << ks->name << " " << what << " (split)";
-          // Splits that start and end mid-run of 8 groups: exercises the
-          // scalar head and tail around the contiguous-run path.
-          auto got3 = *state;
-          ks->mk_part(got3, m, bits, 0, 5);
-          ks->mk_part(got3, m, bits, 5, 13);
-          ks->mk_part(got3, m, bits, 13, groups);
-          EXPECT_TRUE(BitIdentical(got3, want))
-              << "set=" << ks->name << " " << what << " (mid-run split)";
         }
       }
     }
@@ -466,7 +402,7 @@ TEST_F(KernelConformance, MatrixKFullDenseHitsEntryCapacity) {
   EXPECT_TRUE(BitIdentical(want, dense));  // nothing droppable: bit-equal
   for (const KernelSet* ks : available_kernel_sets()) {
     auto got = base;
-    ks->mk_part(got, m, bits, 0, size >> 4);
+    ks->mk(got, m, bits);
     EXPECT_TRUE(BitIdentical(got, want)) << "set=" << ks->name;
   }
 }
@@ -510,115 +446,50 @@ std::vector<std::pair<const char*, Mat2>> diagonal_unitaries(
           {"phases", phases}};
 }
 
-// The one-pass diagonal kernel on a density matrix: every set, every qubit,
-// lane bits {0, 2, 3}, any partition, equals the scalar kernel bit for bit
-// and the old two dense m1 passes (rows with u, then columns with conj(u))
-// by value.
+// The one-pass diagonal kernel on a density matrix: every set, every qubit
+// of a 1- and a 3-qubit matrix, lane bits {0, 2, 3}, equals the scalar
+// kernel bit for bit and the old two dense m1 passes (rows with u, then
+// columns with conj(u)) by value.
 TEST_F(KernelConformance, DiagonalUnitary1AllSetsMatchTwoDensePasses) {
   util::Xoshiro256pp rng(1616);
-  const int n = 3;
   for (const auto& [name, u] : diagonal_unitaries(rng)) {
     ASSERT_EQ(u.a[1], cplx{});
     ASSERT_EQ(u.a[2], cplx{});
-    for (const int lane_bits : {0, 2, 3}) {
-      const std::size_t size = std::size_t{1} << (2 * n + lane_bits);
-      const auto base = signed_zero_state(size, rng);
-      const u64 groups = size / 2;
-      for (int q = 0; q < n; ++q) {
-        const int row_bit = q + n + lane_bits;
-        const int col_bit = q + lane_bits;
-        auto want = base;
-        kern::scalar_diag1_part(want, u, row_bit, col_bit, 0, groups);
-        auto two_pass = base;
-        detail::apply_matrix1(two_pass, u, row_bit);
-        detail::apply_matrix1(two_pass, detail::conj_elementwise(u), col_bit);
-        EXPECT_TRUE(ValueEqual(want, two_pass))
-            << name << " lanes=" << lane_bits << " q=" << q;
-        for (const KernelSet* ks : available_kernel_sets()) {
-          for (u64 split : {u64{0}, u64{1}, u64{3}, groups / 2 + 1,
-                            groups - 1}) {
+    for (const int n : {1, 3}) {
+      for (const int lane_bits : {0, 2, 3}) {
+        const std::size_t size = std::size_t{1} << (2 * n + lane_bits);
+        const auto base = signed_zero_state(size, rng);
+        for (int q = 0; q < n; ++q) {
+          const int row_bit = q + n + lane_bits;
+          const int col_bit = q + lane_bits;
+          const std::string what = std::string(name) + " n=" +
+                                   std::to_string(n) + " lanes=" +
+                                   std::to_string(lane_bits) + " q=" +
+                                   std::to_string(q);
+          auto want = base;
+          kern::scalar_diag1(want, u, row_bit, col_bit);
+          auto two_pass = base;
+          detail::apply_matrix1(two_pass, u, row_bit);
+          detail::apply_matrix1(two_pass, detail::conj_elementwise(u),
+                                col_bit);
+          EXPECT_TRUE(ValueEqual(want, two_pass)) << what;
+          for (const KernelSet* ks : available_kernel_sets()) {
             auto got = base;
-            ks->diag1_part(got, u, row_bit, col_bit, 0, split);
-            ks->diag1_part(got, u, row_bit, col_bit, split, groups);
+            ks->diag1(got, u, row_bit, col_bit);
             EXPECT_TRUE(BitIdentical(got, want))
-                << "set=" << ks->name << " " << name << " lanes=" << lane_bits
-                << " q=" << q << " split=" << split;
+                << "set=" << ks->name << " " << what;
+            // Through DensityMatrix and dispatch.
+            select_kernel_set(ks->name);
+            DensityMatrix dm(n, lane_bits);
+            std::copy(base.begin(), base.end(), dm.mutable_raw().begin());
+            dm.apply_unitary1(u, q);
+            EXPECT_TRUE(
+                BitIdentical({dm.raw().begin(), dm.raw().end()}, want))
+                << "set=" << ks->name << " " << what << " (DensityMatrix)";
           }
-          // Through DensityMatrix and dispatch, in small odd tiles.
-          select_kernel_set(ks->name);
-          KernelTuning t = kernel_tuning();
-          t.parallel_enabled = false;
-          t.block_groups = 7;
-          set_kernel_tuning(t);
-          DensityMatrix dm(n, lane_bits);
-          std::copy(base.begin(), base.end(), dm.mutable_raw().begin());
-          dm.apply_unitary1(u, q);
-          EXPECT_TRUE(BitIdentical({dm.raw().begin(), dm.raw().end()}, want))
-              << "set=" << ks->name << " " << name << " lanes=" << lane_bits
-              << " q=" << q << " (DensityMatrix)";
         }
       }
     }
-  }
-}
-
-// ---- dispatch layer: tiling and intra-state parallelism --------------------
-
-TEST_F(KernelConformance, DispatchBlockedVsUnblockedBitIdentical) {
-  util::Xoshiro256pp rng(1010);
-  const int n = 11;
-  const std::size_t size = std::size_t{1} << n;
-  const auto base = random_state(size, rng);
-  const Mat2 m1 = random_mat2(rng);
-  const Mat4 m2 = random_mat4(rng);
-  for (const KernelSet* ks : available_kernel_sets()) {
-    select_kernel_set(ks->name);
-    KernelTuning t = kernel_tuning();
-    t.parallel_enabled = false;
-    t.block_groups = u64{1} << 30;  // one tile: unblocked
-    set_kernel_tuning(t);
-    auto want = base;
-    dispatch::apply_matrix1(want, m1, 4);
-    dispatch::apply_matrix2(want, m2, 1, n - 1);
-    for (u64 block : {u64{3}, u64{64}, u64{1000}}) {
-      t.block_groups = block;
-      set_kernel_tuning(t);
-      auto got = base;
-      dispatch::apply_matrix1(got, m1, 4);
-      dispatch::apply_matrix2(got, m2, 1, n - 1);
-      EXPECT_TRUE(BitIdentical(got, want))
-          << "set=" << ks->name << " block=" << block;
-    }
-  }
-}
-
-TEST_F(KernelConformance, DispatchParallelVsSerialBitIdentical) {
-  util::Xoshiro256pp rng(1111);
-  const int n = 12;
-  const std::size_t size = std::size_t{1} << n;
-  const auto base = random_state(size, rng);
-  const Mat2 m1 = random_mat2(rng);
-  const Mat4 m2 = random_mat4(rng);
-  for (const KernelSet* ks : available_kernel_sets()) {
-    select_kernel_set(ks->name);
-    KernelTuning t = kernel_tuning();
-    t.parallel_enabled = false;
-    set_kernel_tuning(t);
-    auto want = base;
-    dispatch::apply_matrix1(want, m1, 0);
-    dispatch::apply_matrix2(want, m2, 0, n - 1);
-    dispatch::apply_ccx(want, 1, n - 1, 3);
-
-    t.parallel_enabled = true;
-    t.parallel_min_groups = 2;  // force the pool even at test sizes
-    t.threads = 4;
-    t.block_groups = 17;  // odd tile inside each lane chunk
-    set_kernel_tuning(t);
-    auto got = base;
-    dispatch::apply_matrix1(got, m1, 0);
-    dispatch::apply_matrix2(got, m2, 0, n - 1);
-    dispatch::apply_ccx(got, 1, n - 1, 3);
-    EXPECT_TRUE(BitIdentical(got, want)) << "set=" << ks->name;
   }
 }
 
@@ -875,38 +746,6 @@ TEST_F(KernelConformance, FoldedReplayKeepsTheFinalDiagonalBitForBit) {
       }
     }
   }
-}
-
-// ---- tuning environment values -----------------------------------------------
-
-TEST_F(KernelConformance, KnobParseRejectsSignsOverflowAndHugeThreadCounts) {
-  const auto threads = [](std::string_view text) {
-    return parse_kernel_knob("QUFI_KERNEL_THREADS", text, 0,
-                             kMaxKernelThreads);
-  };
-  EXPECT_EQ(threads("0"), 0u);
-  EXPECT_EQ(threads("4"), 4u);
-  EXPECT_EQ(threads("1024"), kMaxKernelThreads);
-  for (const char* bad : {"-1", "+4", " 4", "4 ", "4x", "", "1025",
-                          "18446744073709551615", "18446744073709551616"}) {
-    try {
-      threads(bad);
-      ADD_FAILURE() << "accepted '" << bad << "'";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("QUFI_KERNEL_THREADS"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-  const u64 kMax = std::numeric_limits<u64>::max();
-  EXPECT_EQ(parse_kernel_knob("QUFI_KERNEL_BLOCK", "0", 1, kMax), 1u);
-  EXPECT_EQ(parse_kernel_knob("QUFI_KERNEL_BLOCK", "18446744073709551615", 1,
-                              kMax),
-            kMax);
-  EXPECT_THROW(parse_kernel_knob("QUFI_KERNEL_BLOCK", "-1", 1, kMax), Error);
-  EXPECT_THROW(
-      parse_kernel_knob("QUFI_KERNEL_PAR_MIN", "18446744073709551616", 2, kMax),
-      Error);
 }
 
 TEST_F(KernelConformance, DispatchSelectionRoutesToNamedSet) {

@@ -374,6 +374,31 @@ TEST(ParseUnsigned, RejectsSignsOverflowAndStrayBytes) {
   }
 }
 
+TEST(ParseNumberFlag, AcceptsSignedAndFiniteValuesAndRejectsTheRest) {
+  EXPECT_EQ(util::parse_number_flag<int>("--priority", "-7"), -7);
+  EXPECT_EQ(util::parse_number_flag<double>("--phi-max", "180"), 180.0);
+  EXPECT_EQ(util::parse_number_flag<double>("--adaptive-ci", "5e-3"), 5e-3);
+  EXPECT_EQ(util::parse_number_flag<double>("--theta-step", "-0.5"), -0.5);
+  // std::stoi / std::stod take " 3", "3x" as 3 and throw a bare
+  // std::invalid_argument or std::out_of_range on "x" and "1e999".
+  for (const char* bad : {"", "x", "3x", " 3", "3 ", "+3", "2147483648"}) {
+    EXPECT_THROW(util::parse_number_flag<int>("--priority", bad), Error)
+        << bad;
+  }
+  for (const char* bad : {"", "x", "15x", " 15", "+15", "1e999", "inf",
+                          "-inf", "nan"}) {
+    try {
+      (void)util::parse_number_flag<double>("--phi-max", bad);
+      ADD_FAILURE() << "--phi-max '" << bad << "' parsed";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad --phi-max value '" +
+                                           std::string(bad) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Bitstring, FormatsMsbFirst) {
   EXPECT_EQ(to_bitstring(0b101, 3), "101");
   EXPECT_EQ(to_bitstring(1, 4), "0001");
