@@ -1,11 +1,13 @@
 #include "backend/density_backend.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <complex>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <unordered_map>
 
 #include "circuit/moments.hpp"
 #include "noise/channels.hpp"
@@ -381,37 +383,93 @@ struct BakedOp {
   };
   Kind kind = Kind::Unitary1;
   int q0 = 0, q1 = 0, q2 = 0;
+  /// The (delta_in, delta_out) pairs the op carries amplitude along, where
+  /// delta is an amplitude's row bits XOR column bits over the operands:
+  /// bit (delta_in << n) | delta_out, n = num_operands(kind) <= 2, is set
+  /// when an exact-nonzero coefficient maps an amplitude with delta_in onto
+  /// one with delta_out (see proven_zero). Unitary and superop kinds only.
+  std::uint16_t delta_pairs = 0;
   util::Mat2 m1{};
   util::Mat4 m4{};
-  /// Held out of line: it is 16x the size of m4 and only Superop2 ops need
-  /// it, while compiled suffixes of many snapshots are alive at once.
-  std::unique_ptr<const noise::SuperOp2> so2;
+  /// Held out of line and shared: it is 16x the size of m4, only Superop2
+  /// ops need it, and every program a backend compiles shares one copy per
+  /// gate through the bake memo.
+  std::shared_ptr<const noise::SuperOp2> so2;
 };
 
-/// Bakes one instruction into `op` (gate matrix built once, noise fused in).
-/// Returns false for instructions with nothing to replay (barriers, and
-/// terminal measures, which are resolved from the final diagonal).
-bool bake_instruction(const Instruction& instr,
-                      const std::vector<int>& to_compact,
-                      const noise::NoiseModel& nm, BakedOp& op) {
-  const auto compact = [&](int physical) {
-    return to_compact[static_cast<std::size_t>(physical)];
-  };
-  switch (instr.kind) {
-    case GateKind::Barrier:
-    case GateKind::Measure:
-      return false;
-    case GateKind::Reset:
-      op.kind = BakedOp::Kind::Superop1;
-      op.q0 = compact(instr.qubits[0]);
-      op.m4 = noise::channel_superop(reset_channel());
-      return true;
+/// delta_pairs of an n-operand unitary u (dim = 2^n, row-major, operand 0 =
+/// low local bit): amplitude (r, c) reaches (r', c') when u[r'][r] and
+/// u[c'][c] are both nonzero.
+std::uint16_t unitary_delta_pairs(const util::cplx* u, int n) {
+  const int dim = 1 << n;
+  std::uint16_t pairs = 0;
+  for (int r = 0; r < dim; ++r) {
+    for (int rp = 0; rp < dim; ++rp) {
+      if (u[rp * dim + r] == util::cplx{}) continue;
+      for (int c = 0; c < dim; ++c) {
+        for (int cp = 0; cp < dim; ++cp) {
+          if (u[cp * dim + c] == util::cplx{}) continue;
+          pairs |= std::uint16_t(1u << (((r ^ c) << n) | (rp ^ cp)));
+        }
+      }
+    }
+  }
+  return pairs;
+}
+
+/// delta_pairs of an n-operand superoperator s (4^n x 4^n, row-major): its
+/// local index holds the n column bits low and the n row bits above them
+/// (Superop1: col | row << 1; Superop2: col q0, col q1, row q0, row q1).
+std::uint16_t superop_delta_pairs(const util::cplx* s, int n) {
+  const int dim = 1 << (2 * n);
+  const int low = (1 << n) - 1;
+  std::uint16_t pairs = 0;
+  for (int o = 0; o < dim; ++o) {
+    for (int i = 0; i < dim; ++i) {
+      if (s[o * dim + i] == util::cplx{}) continue;
+      const int din = (i & low) ^ (i >> n);
+      const int dout = (o & low) ^ (o >> n);
+      pairs |= std::uint16_t(1u << ((din << n) | dout));
+    }
+  }
+  return pairs;
+}
+
+/// Fills op.delta_pairs from its coefficients.
+void set_delta_pairs(BakedOp& op) {
+  switch (op.kind) {
+    case BakedOp::Kind::Unitary1:
+      op.delta_pairs = unitary_delta_pairs(op.m1.a.data(), 1);
+      break;
+    case BakedOp::Kind::Unitary2:
+      op.delta_pairs = unitary_delta_pairs(op.m4.a.data(), 2);
+      break;
+    case BakedOp::Kind::Superop1:
+      op.delta_pairs = superop_delta_pairs(op.m4.a.data(), 1);
+      break;
+    case BakedOp::Kind::Superop2:
+      op.delta_pairs = superop_delta_pairs(op.so2->a.data(), 2);
+      break;
     default:
       break;
   }
+}
 
+/// Bakes one replayable instruction (not a barrier or measure): gate
+/// matrix built once, noise fused in.
+BakedOp bake_instruction(const Instruction& instr,
+                         const std::vector<int>& to_compact,
+                         const noise::NoiseModel& nm) {
+  const auto compact = [&](int physical) {
+    return to_compact[static_cast<std::size_t>(physical)];
+  };
+  BakedOp op;
   const auto& info = circ::gate_info(instr.kind);
-  if (info.num_qubits == 1) {
+  if (instr.kind == GateKind::Reset) {
+    op.kind = BakedOp::Kind::Superop1;
+    op.q0 = compact(instr.qubits[0]);
+    op.m4 = noise::channel_superop(reset_channel());
+  } else if (info.num_qubits == 1) {
     const util::Mat2 u = circ::gate_matrix1(instr.kind, instr.params);
     op.q0 = compact(instr.qubits[0]);
     if (const auto* superop = nm.superop_after_1q(instr.kind,
@@ -435,7 +493,7 @@ bool bake_instruction(const Instruction& instr,
       op.kind = BakedOp::Kind::Superop2;
       op.q0 = compact(lo);
       op.q1 = compact(hi);
-      op.so2 = std::make_unique<const noise::SuperOp2>(
+      op.so2 = std::make_shared<const noise::SuperOp2>(
           noise::compose_superops(*superop,
                                   noise::channel_superop(
                                       noise::KrausChannel2{{u_sorted}})));
@@ -453,8 +511,49 @@ bool bake_instruction(const Instruction& instr,
     op.q1 = compact(instr.qubits[1]);
     op.q2 = compact(instr.qubits[2]);
   }
-  return true;
+  set_delta_pairs(op);
+  return op;
 }
+
+}  // namespace
+
+namespace detail {
+
+/// Every gate a backend has baked. Across one campaign's snapshots,
+/// compile_program bakes the same few hundred suffix gates thousands of
+/// times, so each is baked once and copied out (a Superop2's matrix shared,
+/// not copied). The key holds exactly what bake_instruction reads: the gate
+/// kind, its parameters' bits, and each physical operand with its compact
+/// index. Owned by its backend, so it lives no longer than the backend.
+class BakeMemo {
+ public:
+  BakedOp bake(const Instruction& instr, const std::vector<int>& to_compact,
+               const noise::NoiseModel& nm) {
+    util::ByteWriter key;
+    key.u32(static_cast<std::uint32_t>(instr.kind));
+    for (const double p : instr.params) key.f64(p);
+    for (const int q : instr.qubits) {
+      key.u32(static_cast<std::uint32_t>(q));
+      key.u32(static_cast<std::uint32_t>(
+          to_compact[static_cast<std::size_t>(q)]));
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = ops_.find(key.data());
+    if (it == ops_.end()) {
+      it = ops_.emplace(key.data(), bake_instruction(instr, to_compact, nm))
+               .first;
+    }
+    return it->second;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::unordered_map<std::string, BakedOp> ops_;
+};
+
+}  // namespace detail
+
+namespace {
 
 void apply_baked_op(sim::DensityMatrix& dm, const BakedOp& op) {
   switch (op.kind) {
@@ -593,10 +692,17 @@ std::vector<std::complex<double>> resolve_probs_complex(
 /// m^4 x 2^nc weighted sum — replacing a full suffix replay. The responses
 /// are complex (the basis matrices are not Hermitian); imaginary parts
 /// cancel in the weighted sum.
+///
+/// Only the `live` elements are replayed: an element whose response
+/// live_elements proves exactly zero is left out of the replay and of the
+/// weighted sum alike.
 struct SuffixResponseBasis {
   const CompiledProgram* program = nullptr;  ///< the replayed suffix
   std::vector<int> targets;  ///< compact qubit indices, ascending (size 1-2)
-  /// Response vectors, indexed [((a*m + b)*m + c)*m + d] * num_outcomes + o.
+  /// Elements beta = ((a*m + b)*m + c)*m + d not proven zero, ascending.
+  std::vector<std::uint64_t> live;
+  /// Response vectors of the live elements, indexed
+  /// [i * num_outcomes + o] for element live[i].
   std::vector<std::complex<double>> responses;
   std::size_t num_outcomes = 0;
 };
@@ -764,10 +870,11 @@ void place_folds(CompiledProgram& program, int num_qubits) {
 /// result from the snapshot state applies the same schedule a from-scratch
 /// run of the spliced circuit would (the representative gates' parameters
 /// never matter; see program_key). Qubits that finish before the end are
-/// folded into lanes (see place_folds).
+/// folded into lanes (see place_folds). Gates are baked through `memo`.
 CompiledProgram compile_program(const DensitySnapshot& snap,
                                 std::span<const Instruction> injected_rep,
-                                const noise::NoiseModel& nm) {
+                                const noise::NoiseModel& nm,
+                                detail::BakeMemo& memo) {
   const circ::QuantumCircuit& circuit = *snap.circuit();
   const Compaction& compaction = snap.compaction();
   const std::size_t split = snap.prefix_length();
@@ -777,21 +884,24 @@ CompiledProgram compile_program(const DensitySnapshot& snap,
   schedule.walk(
       snap.cursor(), schedule.num_steps(), compaction, nm,
       [&](std::size_t i) {
-        BakedOp op;
+        const Instruction& instr = schedule.at(i);
         if (schedule.is_injected(i)) {
+          BakedOp op;
           op.kind = BakedOp::Kind::Inject;
           op.q0 = static_cast<int>(i - split);
-        } else if (!bake_instruction(schedule.at(i), compaction.to_compact,
-                                     nm, op)) {
-          return;
+          program.ops.push_back(std::move(op));
+        } else if (instr.kind != GateKind::Barrier &&
+                   instr.kind != GateKind::Measure) {
+          // Terminal measures are resolved from the final diagonal.
+          program.ops.push_back(memo.bake(instr, compaction.to_compact, nm));
         }
-        program.ops.push_back(std::move(op));
       },
       [&](int k, const noise::KrausChannel1& channel) {
         BakedOp op;
         op.kind = BakedOp::Kind::Superop1;
         op.q0 = k;
         op.m4 = noise::channel_superop(channel);
+        set_delta_pairs(op);
         program.ops.push_back(std::move(op));
       });
   program.resolver =
@@ -851,17 +961,113 @@ int basis_lane_bits(int num_qubits) {
   return bits;
 }
 
-/// Builds the m^4 basis responses for one target set: each slot matrix unit
-/// placement B_{ab,cd} (the |a><b| slot block filled with the snapshot's
-/// (c,d) slice) is replayed through the compiled suffix and resolved. The
-/// elements are replayed as lane batches (see sim::DensityMatrix), so one
-/// walk of the compiled ops serves up to 8 of them; each lane's bytes are
-/// those of a replay on its own. The program's folds shrink the batch in
-/// place as qubits finish. Amortized over every config that shares the
-/// targets.
+/// True when replaying `ops` provably leaves every diagonal amplitude of a
+/// state exactly zero (+0 or -0), given that the state starts with every
+/// amplitude whose row XOR column index r ^ c has g(r ^ c) = 0 (parity of
+/// r ^ c & g) exactly zero. g is a GF(2) functional over the compact
+/// qubits, tracked through the ops so that the invariant keeps holding:
+///   - an op on qubits S maps amplitudes along the (delta_in, delta_out)
+///     pairs of its exact-nonzero coefficients (BakedOp::delta_pairs) and
+///     leaves the other bits of r ^ c alone. If g is zero on S it stays;
+///     otherwise g takes on S the first g' (ascending) with
+///     g'.delta_out = g.delta_in on every pair, so a target amplitude with
+///     g' = 0 is a sum of exact zeros. With no such g' nothing is proven;
+///   - a Fold of q keeps only r_q = c_q, so g drops bit q (and the higher
+///     bits shift down, as the qubits do). A zero g proves the state zero;
+///   - a CCX on g's support is not tracked; Inject slots are not replayed.
+/// At the end the diagonal has r ^ c = 0, so g(r ^ c) = 0 there. The
+/// kernels' own 1e-12 drop only removes products, never adds one.
+bool proven_zero(std::span<const BakedOp> ops, std::uint64_t g) {
+  const auto parity = [](unsigned x) { return std::popcount(x) & 1; };
+  for (const BakedOp& op : ops) {
+    switch (op.kind) {
+      case BakedOp::Kind::Inject:
+        continue;
+      case BakedOp::Kind::Fold: {
+        const std::uint64_t low = (std::uint64_t{1} << op.q0) - 1;
+        g = (g & low) | ((g >> 1) & ~low);
+        if (g == 0) return true;
+        continue;
+      }
+      case BakedOp::Kind::CCX:
+        if (((g >> op.q0) | (g >> op.q1) | (g >> op.q2)) & 1) return false;
+        continue;
+      default:
+        break;
+    }
+    const int n = num_operands(op.kind);
+    const int qs[] = {op.q0, op.q1};
+    unsigned local = 0;
+    for (int j = 0; j < n; ++j) local |= ((g >> qs[j]) & 1) << j;
+    if (local == 0) continue;
+    const unsigned dim = 1u << n;
+    unsigned next = dim;  // none found
+    for (unsigned cand = 0; cand < dim && next == dim; ++cand) {
+      bool holds = true;
+      for (unsigned din = 0; din < dim && holds; ++din) {
+        for (unsigned dout = 0; dout < dim && holds; ++dout) {
+          if ((op.delta_pairs >> ((din << n) | dout)) & 1) {
+            holds = parity(cand & dout) == parity(local & din);
+          }
+        }
+      }
+      if (holds) next = cand;
+    }
+    if (next == dim) return false;
+    for (int j = 0; j < n; ++j) {
+      const std::uint64_t bit = std::uint64_t{1} << qs[j];
+      g = ((next >> j) & 1) ? (g | bit) : (g & ~bit);
+    }
+  }
+  return true;
+}
+
+/// The basis elements beta = ((a*m + b)*m + c)*m + d whose responses are not
+/// proven exactly zero, ascending. Element beta starts with its slot block
+/// at rows a, columns b, so every nonzero amplitude has r ^ c = v = a ^ b on
+/// the targets; any g on the targets with g.v = 1 satisfies proven_zero's
+/// invariant, and each such g is tried. Elements with a = b always live.
+/// A proven element's diagonal is all +-0, which resolve_probs_complex
+/// skips, so its response would be exactly +0 and its weighted-sum terms
+/// would add only +-0 to a sum that starts at +0: leaving it out moves no
+/// byte.
+std::vector<std::uint64_t> live_elements(const CompiledProgram& program,
+                                         const std::vector<int>& targets,
+                                         bool prune) {
+  const int k = static_cast<int>(targets.size());
+  const std::uint64_t m = std::uint64_t{1} << k;
+  std::vector<char> dead(m, 0);  // by v = a ^ b
+  for (std::uint64_t v = 1; prune && v < m; ++v) {
+    for (std::uint64_t h = 1; h < m && !dead[v]; ++h) {
+      if ((std::popcount(h & v) & 1) == 0) continue;
+      std::uint64_t g = 0;
+      for (int j = 0; j < k; ++j) {
+        if ((h >> j) & 1) g |= std::uint64_t{1} << targets[j];
+      }
+      dead[v] = proven_zero(program.ops, g);
+    }
+  }
+  std::vector<std::uint64_t> live;
+  for (std::uint64_t beta = 0; beta < m * m * m * m; ++beta) {
+    const std::uint64_t a = beta >> (3 * k);
+    const std::uint64_t b = (beta >> (2 * k)) & (m - 1);
+    if (!dead[a ^ b]) live.push_back(beta);
+  }
+  return live;
+}
+
+/// Builds the basis responses for one target set: each live slot matrix
+/// unit placement B_{ab,cd} (the |a><b| slot block filled with the
+/// snapshot's (c,d) slice) is replayed through the compiled suffix and
+/// resolved. The elements are replayed as lane batches (see
+/// sim::DensityMatrix), so one walk of the compiled ops serves up to 8 of
+/// them; each lane's bytes are those of a replay on its own. The program's
+/// folds shrink the batch in place as qubits finish. Amortized over every
+/// config that shares the targets. Without `prune` every element is live.
 SuffixResponseBasis build_response_basis(const DensitySnapshot& snap,
                                          const std::vector<int>& targets,
-                                         const CompiledProgram& program) {
+                                         const CompiledProgram& program,
+                                         bool prune = true) {
   const int k = static_cast<int>(targets.size());
   const std::uint64_t m = std::uint64_t{1} << k;
   const sim::DensityMatrix& rho0 = snap.dm();
@@ -884,24 +1090,26 @@ SuffixResponseBasis build_response_basis(const DensitySnapshot& snap,
     if ((i & target_mask) == 0) rests.push_back(i);
   }
 
-  const std::uint64_t elements = m * m * m * m;
   SuffixResponseBasis basis;
   basis.targets = targets;
+  basis.live = live_elements(program, targets, prune);
   basis.num_outcomes = std::size_t{1} << program.resolver.num_clbits;
-  basis.responses.resize(elements * basis.num_outcomes);
+  basis.responses.resize(basis.live.size() * basis.num_outcomes);
   // One scratch batch refilled in place per lane batch (its folds only
   // shrink it), so the loop allocates no buffer per iteration. Lane l of
   // the batch starting at `first` holds element
-  // beta = first + l = ((a*m + b)*m + c)*m + d.
-  const int lane_bits = basis_lane_bits(rho0.num_qubits());
-  const std::uint64_t lanes = std::uint64_t{1} << lane_bits;
-  sim::DensityMatrix batch(rho0.num_qubits(), lane_bits);
-  for (std::uint64_t first = 0; first < elements; first += lanes) {
-    const std::uint64_t count = std::min(lanes, elements - first);
+  // live[first + l] = ((a*m + b)*m + c)*m + d; a short last batch takes
+  // only the lane bits it fills.
+  const int max_lane_bits = basis_lane_bits(rho0.num_qubits());
+  const std::uint64_t lanes = std::uint64_t{1} << max_lane_bits;
+  sim::DensityMatrix batch(rho0.num_qubits(), max_lane_bits);
+  for (std::uint64_t first = 0; first < basis.live.size(); first += lanes) {
+    const std::uint64_t count = std::min(lanes, basis.live.size() - first);
+    const int lane_bits = std::bit_width(count - 1);
     batch.assign_zero(rho0.num_qubits(), lane_bits);
     const std::span<sim::cplx> rawb = batch.mutable_raw();
     for (std::uint64_t l = 0; l < count; ++l) {
-      const std::uint64_t beta = first + l;
+      const std::uint64_t beta = basis.live[first + l];
       const std::uint64_t d = beta & (m - 1);
       const std::uint64_t c = (beta >> k) & (m - 1);
       const std::uint64_t b = (beta >> (2 * k)) & (m - 1);
@@ -928,56 +1136,33 @@ SuffixResponseBasis build_response_basis(const DensitySnapshot& snap,
 
 /// Weights of one config over a response basis: W_beta = Phi(|c><d|)[a][b],
 /// where Phi is the config's slot channel — its injected unitaries composed
-/// with the same per-qubit noise channels the replay path applies. Computed
-/// by evolving each slot matrix unit through a tiny k-qubit density matrix
-/// with the same kernels, so the channel semantics match execute() exactly.
-std::span<std::complex<double>> slot_channel_weights(
-    util::Arena& arena, std::span<const Instruction> injected,
+/// with the same per-qubit noise channels the replay path applies. The m^2
+/// slot matrix units |c><d| are evolved as the lanes of one k-qubit batch
+/// in `scratch` (lane l = c*m + d), with the same kernels, so the channel
+/// semantics match execute() exactly. Element (a, b) of lane l sits at
+/// ((a*m + b) << 2k) | l = ((a*m + b)*m + c)*m + d, the weight index
+/// itself: the weights are the raw state, valid until `scratch` changes.
+std::span<const std::complex<double>> slot_channel_weights(
+    sim::DensityMatrix& scratch, std::span<const Instruction> injected,
     const std::vector<int>& targets, const std::vector<int>& to_compact,
     const noise::NoiseModel& nm) {
   const int k = static_cast<int>(targets.size());
-  const std::uint64_t m = std::uint64_t{1} << k;
-  auto weights = arena.alloc_zeroed<std::complex<double>>(m * m * m * m);
-  // A fault gate's matrix, slot and noise superop depend on the config
-  // only, so they are built once here, not once per slot matrix unit.
-  struct SlotGate {
-    util::Mat2 u;
-    int slot;
-    const util::Mat4* superop;  ///< nullptr: no channel after the gate
-  };
-  const auto gates = arena.alloc<SlotGate>(injected.size());
-  for (std::size_t i = 0; i < injected.size(); ++i) {
-    const Instruction& instr = injected[i];
-    const int compact =
-        to_compact[static_cast<std::size_t>(instr.qubits[0])];
+  const std::uint64_t units = std::uint64_t{1} << (2 * k);
+  scratch.assign_zero(k, 2 * k);
+  const std::span<sim::cplx> raw = scratch.mutable_raw();
+  for (std::uint64_t l = 0; l < units; ++l) raw[(l << (2 * k)) | l] = 1.0;
+  for (const Instruction& instr : injected) {
+    const int compact = to_compact[static_cast<std::size_t>(instr.qubits[0])];
     int slot = 0;
     while (targets[static_cast<std::size_t>(slot)] != compact) ++slot;
-    gates[i] = SlotGate{
-        circ::gate_matrix1(instr.kind, instr.params), slot,
+    scratch.apply_unitary1(circ::gate_matrix1(instr.kind, instr.params),
+                           slot);
+    const util::Mat4* superop =
         nm.is_ideal() ? nullptr
-                      : nm.superop_after_1q(instr.kind, instr.qubits[0])};
+                      : nm.superop_after_1q(instr.kind, instr.qubits[0]);
+    if (superop != nullptr) scratch.apply_superop1(*superop, slot);
   }
-  sim::DensityMatrix tiny(k);
-  // One matrix, no lanes: element (a, b) sits at a * m + b.
-  const std::span<sim::cplx> raw = tiny.mutable_raw();
-  for (std::uint64_t c = 0; c < m; ++c) {
-    for (std::uint64_t d = 0; d < m; ++d) {
-      std::fill(raw.begin(), raw.end(), sim::cplx{});
-      raw[c * m + d] = 1.0;
-      for (const SlotGate& gate : gates) {
-        tiny.apply_unitary1(gate.u, gate.slot);
-        if (gate.superop != nullptr) {
-          tiny.apply_superop1(*gate.superop, gate.slot);
-        }
-      }
-      for (std::uint64_t a = 0; a < m; ++a) {
-        for (std::uint64_t b = 0; b < m; ++b) {
-          weights[((a * m + b) * m + c) * m + d] = raw[a * m + b];
-        }
-      }
-    }
-  }
-  return weights;
+  return scratch.raw();
 }
 
 /// A from-scratch execution of `circuit` under the given schedule mode.
@@ -1015,7 +1200,11 @@ std::vector<double> run_density_probs(const circ::QuantumCircuit& circuit,
 
 DensityMatrixBackend::DensityMatrixBackend(noise::NoiseModel noise_model,
                                            bool idle_noise)
-    : noise_model_(std::move(noise_model)), idle_noise_(idle_noise) {}
+    : noise_model_(std::move(noise_model)),
+      idle_noise_(idle_noise),
+      bake_memo_(std::make_unique<detail::BakeMemo>()) {}
+
+DensityMatrixBackend::~DensityMatrixBackend() = default;
 
 std::string DensityMatrixBackend::name() const {
   return "density_matrix(" + noise_model_.source_name() +
@@ -1187,7 +1376,8 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
                            [&](const auto& p) { return p.first == key; });
     if (it == programs.end()) {
       const CompiledProgram& program = snap->program(key, [&] {
-        return compile_program(*snap, configs[c].injected, noise_model_);
+        return compile_program(*snap, configs[c].injected, noise_model_,
+                               *bake_memo_);
       });
       it = programs.emplace(programs.end(), std::move(key), &program);
     }
@@ -1257,10 +1447,11 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
                        noise_model_, options, snap->compaction()};
 
   std::vector<ExecutionResult> results(configs.size());
-  // Per-config scratch (response weights, accumulators, diagonal buffers)
-  // comes from one arena: after the first config its blocks are warm and
-  // the steady-state loop allocates nothing.
+  // Per-config scratch (accumulators, diagonal buffers) comes from one
+  // arena, and response weights from one slot batch: after the first config
+  // both are warm and the steady-state loop allocates nothing.
   util::Arena arena;
+  sim::DensityMatrix slot_scratch(1);
   for (std::size_t c = 0; c < configs.size(); ++c) {
     arena.reset();
     const SuffixConfig& config = configs[c];
@@ -1277,19 +1468,21 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
           program, group.targets, [&](const std::vector<int>& targets) {
             return build_response_basis(*snap, targets, program);
           });
-      const auto weights = slot_channel_weights(
-          arena, config.injected, group.targets, to_compact, noise_model_);
+      const auto weights =
+          slot_channel_weights(slot_scratch, config.injected, group.targets,
+                               to_compact, noise_model_);
       // Only the real part of sum_beta w * response is read (the
       // imaginary parts cancel analytically), so only it is accumulated:
       // the real part of each complex product, wr * rr - wi * ri, as the
-      // complex sum would form it.
+      // complex sum would form it, over the live elements in ascending
+      // order.
       const auto acc = arena.alloc_zeroed<double>(basis.num_outcomes);
-      for (std::size_t beta = 0; beta < weights.size(); ++beta) {
-        const std::complex<double> w = weights[beta];
+      for (std::size_t i = 0; i < basis.live.size(); ++i) {
+        const std::complex<double> w = weights[basis.live[i]];
         if (w == std::complex<double>{}) continue;
         const double wr = w.real();
         const double wi = w.imag();
-        const auto* response = &basis.responses[beta * basis.num_outcomes];
+        const auto* response = &basis.responses[i * basis.num_outcomes];
         for (std::size_t o = 0; o < basis.num_outcomes; ++o) {
           acc[o] += wr * response[o].real() - wi * response[o].imag();
         }
@@ -1323,5 +1516,51 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
   }
   return results;
 }
+
+namespace detail {
+
+ResponseBasisProbe probe_response_basis(
+    const DensityMatrixBackend& backend, const PrefixSnapshot& snapshot,
+    std::span<const circ::Instruction> injected, bool prune) {
+  const auto* snap = dynamic_cast<const DensitySnapshot*>(&snapshot);
+  require(snap != nullptr,
+          "probe_response_basis: not a density-matrix snapshot");
+  std::vector<int> targets;
+  for (const Instruction& instr : injected) {
+    require(circ::gate_info(instr.kind).num_qubits == 1,
+            "probe_response_basis: fault gates must be single-qubit");
+    const int q =
+        snap->compaction().to_compact[static_cast<std::size_t>(
+            instr.qubits[0])];
+    if (std::find(targets.begin(), targets.end(), q) == targets.end()) {
+      targets.push_back(q);
+    }
+  }
+  std::sort(targets.begin(), targets.end());
+  require(!targets.empty() && targets.size() <= 2,
+          "probe_response_basis: need one or two target qubits");
+  BakeMemo memo;
+  const CompiledProgram program =
+      compile_program(*snap, injected, backend.noise_model(), memo);
+  require(response_eligible(program, targets),
+          "probe_response_basis: program is not response-eligible");
+  const SuffixResponseBasis basis =
+      build_response_basis(*snap, targets, program, prune);
+  const std::uint64_t m = std::uint64_t{1} << targets.size();
+  ResponseBasisProbe probe;
+  probe.live = basis.live.size();
+  probe.responses.assign(m * m * m * m * basis.num_outcomes, {});
+  for (std::size_t i = 0; i < basis.live.size(); ++i) {
+    std::copy_n(basis.responses.begin() +
+                    static_cast<std::ptrdiff_t>(i * basis.num_outcomes),
+                basis.num_outcomes,
+                probe.responses.begin() + static_cast<std::ptrdiff_t>(
+                                              basis.live[i] *
+                                              basis.num_outcomes));
+  }
+  return probe;
+}
+
+}  // namespace detail
 
 }  // namespace qufi::backend

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <complex>
+#include <memory>
 #include <span>
 
 #include "backend/backend.hpp"
@@ -23,6 +25,10 @@ std::vector<double> run_density_probs(const circ::QuantumCircuit& circuit,
                                       const noise::NoiseModel& noise_model,
                                       const DensityRunOptions& options = {});
 
+namespace detail {
+class BakeMemo;
+}  // namespace detail
+
 /// Backend wrapper over the density-matrix executor — the paper's scenario
 /// (2), "simulation of a physical machine, tuning the noise over which the
 /// fault is injected using the IBM-Q noise model". With `idle_noise` (an
@@ -34,6 +40,7 @@ class DensityMatrixBackend : public Backend {
  public:
   explicit DensityMatrixBackend(noise::NoiseModel noise_model,
                                 bool idle_noise = false);
+  ~DensityMatrixBackend() override;
 
   std::string name() const override;
 
@@ -115,6 +122,30 @@ class DensityMatrixBackend : public Backend {
 
   noise::NoiseModel noise_model_;
   bool idle_noise_;
+  /// Every suffix gate this backend has baked for run_suffix_batch, shared
+  /// by all the programs it compiles.
+  std::unique_ptr<detail::BakeMemo> bake_memo_;
 };
+
+namespace detail {
+
+/// What probe_response_basis returns: every element's responses, indexed
+/// [(((a*m + b)*m + c)*m + d) * outcomes + o] (+0 for an element pruned as
+/// proven zero), and how many elements were replayed.
+struct ResponseBasisProbe {
+  std::vector<std::complex<double>> responses;
+  std::size_t live = 0;
+};
+
+/// Test seam, not an option: builds the suffix-response basis that
+/// `backend`'s run_suffix_batch would build on `snapshot` (one of its own)
+/// for configs shaped like `injected` (single-qubit fault gates on one or
+/// two qubits), with or without pruning the elements proven zero. Throws
+/// qufi::Error when the program is not response-eligible.
+ResponseBasisProbe probe_response_basis(
+    const DensityMatrixBackend& backend, const PrefixSnapshot& snapshot,
+    std::span<const circ::Instruction> injected, bool prune);
+
+}  // namespace detail
 
 }  // namespace qufi::backend

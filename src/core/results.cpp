@@ -4,12 +4,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdio>
+#include <exception>
+#include <mutex>
 #include <set>
 
 #include "core/qvf.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qufi {
 
@@ -191,40 +195,86 @@ void write_csv_preamble(util::CsvWriter& csv, const CampaignMetadata& meta) {
   csv.write_row(columns);
 }
 
-/// One record row. Adaptive campaigns append the point's estimator columns
-/// from `estimate`; it is ignored otherwise.
-void write_csv_record(util::CsvWriter& csv, const CampaignMetadata& meta,
-                      std::span<const InjectionPoint> points,
-                      const InjectionRecord& r,
-                      const AdaptivePointEstimate* estimate) {
-  const auto& p = points[r.point_index];
-  csv.cell(r.point_index);
-  csv.cell(p.instr_index);
-  csv.cell(p.qubit);
-  csv.cell(p.logical_qubit);
-  csv.cell(p.moment);
-  csv.cell(meta.grid.theta_at(r.theta_index));
-  csv.cell(meta.grid.phi_at(r.phi_index));
-  csv.cell(r.neighbor_qubit);
-  if (r.theta1_index >= 0) {
-    csv.cell(meta.grid.theta_at(r.theta1_index));
-    csv.cell(meta.grid.phi_at(r.phi1_index));
-  } else {
-    csv.cell("");
-    csv.cell("");
-  }
-  csv.cell(r.qvf);
-  csv.cell(r.pa);
-  csv.cell(r.pb);
-  if (meta.adaptive) {
-    csv.cell(estimate->configs_evaluated);
-    csv.cell(estimate->ci_halfwidth);
-    csv.cell(estimate->est_qvf);
-  }
-  csv.end_row();
+/// Appends `value` as one cell, after a separating comma.
+template <typename T>
+void append_cell(std::string& out, T value) {
+  out += ',';
+  util::append_number(out, value);
 }
 
+/// Appends grid-angle cell `i` of `text` (the formatted angles), after a
+/// separating comma, with FaultParamGrid's range check.
+void append_angle(std::string& out, const std::vector<std::string>& text,
+                  std::int32_t i, const char* range_error) {
+  require(i >= 0 && static_cast<std::size_t>(i) < text.size(), range_error);
+  out += ',';
+  out += text[static_cast<std::size_t>(i)];
+}
+
+constexpr const char* kThetaRange = "FaultParamGrid: theta index range";
+constexpr const char* kPhiRange = "FaultParamGrid: phi index range";
+
 }  // namespace
+
+void CampaignCsvWriter::format_rows(std::span<const InjectionRecord> records,
+                                    std::string& out) const {
+  // Cells that are the same on every row of a point run are formatted once
+  // per run: the five point cells, and for adaptive campaigns the
+  // estimator cells, a replay of the run's recorded QVFs.
+  std::string head;
+  std::string tail;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const InjectionRecord& r = records[i];
+    if (i == 0 || r.point_index != records[i - 1].point_index) {
+      const InjectionPoint& p = points_[r.point_index];
+      head.clear();
+      util::append_number(head, r.point_index);
+      append_cell(head, p.instr_index);
+      append_cell(head, p.qubit);
+      append_cell(head, p.logical_qubit);
+      append_cell(head, p.moment);
+      if (meta_.adaptive) {
+        std::size_t end = i;
+        while (end < records.size() &&
+               records[end].point_index == r.point_index) {
+          ++end;
+        }
+        const AdaptivePointEstimate est =
+            adaptive_point_estimate(meta_, records.subspan(i, end - i));
+        tail.clear();
+        append_cell(tail, est.configs_evaluated);
+        append_cell(tail, est.ci_halfwidth);
+        append_cell(tail, est.est_qvf);
+      }
+    }
+    out += head;
+    append_angle(out, theta_text_, r.theta_index, kThetaRange);
+    append_angle(out, phi_text_, r.phi_index, kPhiRange);
+    append_cell(out, r.neighbor_qubit);
+    if (r.theta1_index >= 0) {
+      append_angle(out, theta_text_, r.theta1_index, kThetaRange);
+      append_angle(out, phi_text_, r.phi1_index, kPhiRange);
+    } else {
+      out += ",,";
+    }
+    append_cell(out, r.qvf);
+    append_cell(out, r.pa);
+    append_cell(out, r.pb);
+    out += tail;
+    out += '\n';
+  }
+}
+
+std::size_t CampaignCsvWriter::block_end(
+    std::span<const InjectionRecord> records, std::size_t begin) const {
+  std::size_t end = std::min(records.size(), begin + kBlockRows);
+  // An adaptive run's estimate needs the whole run in one block.
+  while (meta_.adaptive && end < records.size() &&
+         records[end].point_index == records[end - 1].point_index) {
+    ++end;
+  }
+  return end;
+}
 
 AdaptivePointEstimate adaptive_point_estimate(
     const CampaignMetadata& meta, std::span<const InjectionRecord> records) {
@@ -244,6 +294,14 @@ CampaignCsvWriter::CampaignCsvWriter(std::string path,
                                      const CampaignMetadata& meta,
                                      std::span<const InjectionPoint> points)
     : path_(std::move(path)), meta_(meta), points_(points) {
+  // Grid-angle cells are formatted once per writer, by the same
+  // append_number call a per-row format would make.
+  for (int i = 0; i < meta_.grid.num_theta(); ++i) {
+    util::append_number(theta_text_.emplace_back(), meta_.grid.theta_at(i));
+  }
+  for (int j = 0; j < meta_.grid.num_phi(); ++j) {
+    util::append_number(phi_text_.emplace_back(), meta_.grid.phi_at(j));
+  }
   static std::atomic<std::uint64_t> counter{0};
   temp_ = path_ + ".tmp." + std::to_string(::getpid()) + "." +
           std::to_string(counter.fetch_add(1));
@@ -265,26 +323,78 @@ CampaignCsvWriter::~CampaignCsvWriter() {
 }
 
 void CampaignCsvWriter::write(std::span<const InjectionRecord> records) {
-  if (!meta_.adaptive) {
-    for (const InjectionRecord& r : records) {
-      write_csv_record(*csv_, meta_, points_, r, nullptr);
-    }
-    return;
-  }
-  // Adaptive columns are per-point replay projections: recompute each
-  // run's estimate from its recorded QVFs and stamp it on every row.
+  std::string text;
   for (std::size_t begin = 0; begin < records.size();) {
-    std::size_t end = begin;
-    while (end < records.size() &&
-           records[end].point_index == records[begin].point_index) {
-      ++end;
-    }
-    const auto run = records.subspan(begin, end - begin);
-    const AdaptivePointEstimate est = adaptive_point_estimate(meta_, run);
-    for (const InjectionRecord& r : run) {
-      write_csv_record(*csv_, meta_, points_, r, &est);
-    }
+    const std::size_t end = block_end(records, begin);
+    text.clear();
+    format_rows(records.subspan(begin, end - begin), text);
+    csv_->write_rows(text);
     begin = end;
+  }
+}
+
+void CampaignCsvWriter::write(std::span<const InjectionRecord> records,
+                              util::ThreadPool& pool) {
+  std::vector<std::size_t> starts;
+  for (std::size_t begin = 0; begin < records.size();
+       begin = block_end(records, begin)) {
+    starts.push_back(begin);
+  }
+  starts.push_back(records.size());
+  const std::size_t blocks = starts.size() - 1;
+  // Block b is formatted into slot b % slots.size() on a pool lane and
+  // appended here in block order; a slot is refilled only after its block
+  // was written, so at most 2 x lanes blocks are in flight.
+  struct Slot {
+    std::string text;
+    std::exception_ptr error;
+    bool ready = false;
+  };
+  std::vector<Slot> slots(std::min(blocks, 2 * pool.size()));
+  std::mutex mutex;
+  std::condition_variable done;
+  std::size_t pending = 0;
+  const auto submit = [&](std::size_t b) {
+    Slot& slot = slots[b % slots.size()];
+    slot.text.clear();
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      ++pending;
+    }
+    pool.submit([&, b] {
+      std::exception_ptr error;
+      try {
+        format_rows(records.subspan(starts[b], starts[b + 1] - starts[b]),
+                    slot.text);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      // Notified under the lock: once the writer sees pending == 0 it may
+      // unwind this frame.
+      std::lock_guard<std::mutex> lock(mutex);
+      slot.error = error;
+      slot.ready = true;
+      --pending;
+      done.notify_all();
+    });
+  };
+  try {
+    for (std::size_t b = 0; b < slots.size(); ++b) submit(b);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      Slot& slot = slots[b % slots.size()];
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        done.wait(lock, [&] { return slot.ready; });
+        slot.ready = false;
+      }
+      if (slot.error) std::rethrow_exception(slot.error);
+      csv_->write_rows(slot.text);
+      if (b + slots.size() < blocks) submit(b + slots.size());
+    }
+  } catch (...) {
+    std::unique_lock<std::mutex> lock(mutex);
+    done.wait(lock, [&] { return pending == 0; });
+    throw;
   }
 }
 
@@ -313,7 +423,8 @@ void CampaignResult::write_csv(const std::string& path) const {
     rows = sorted;
   }
   CampaignCsvWriter csv(path, meta, points);
-  csv.write(rows);
+  util::ThreadPool pool;
+  csv.write(rows, pool);
   csv.commit();
 }
 

@@ -15,6 +15,7 @@ namespace qufi {
 
 namespace util {
 class CsvWriter;
+class ThreadPool;
 }  // namespace util
 
 /// One executed injection configuration and its score.
@@ -140,9 +141,10 @@ class CampaignResult {
   };
   ImpactBreakdown impact_breakdown() const;
 
-  /// Writes one row per record through CampaignCsvWriter. Rows are sorted
-  /// by point index (stable within a point), so output is deterministic for
-  /// merged shard results as well as single-process runs.
+  /// Writes one row per record through CampaignCsvWriter, its blocks
+  /// formatted on a pool of hardware threads. Rows are sorted by point
+  /// index (stable within a point), so output is deterministic for merged
+  /// shard results as well as single-process runs.
   void write_csv(const std::string& path) const;
 
  private:
@@ -155,8 +157,18 @@ class CampaignResult {
 /// schema"). Rows go to a process-unique temp file that commit() renames
 /// into place; a writer destroyed without commit() removes the temp file,
 /// so a failed export never leaves a CSV, whole or truncated, at `path`.
+///
+/// Rows are formatted in blocks of about kBlockRows records (whole point
+/// runs for adaptive campaigns) by one row formatter. The grid-angle cells
+/// are formatted once per writer, and the point (and adaptive estimator)
+/// cells once per point run, each by the append_number call a per-row
+/// cell would make. Both write overloads emit the same bytes.
 class CampaignCsvWriter {
  public:
+  /// Records per formatted block (an adaptive block extends to the end of
+  /// its last point run).
+  static constexpr std::size_t kBlockRows = 1024;
+
   /// Opens the temp file and writes the preamble (metadata comment row and
   /// column header). `points` is the global point table the rows index and
   /// must outlive the writer. Throws qufi::Error when the file cannot be
@@ -174,15 +186,29 @@ class CampaignCsvWriter {
   /// (adaptive_point_estimate), which throws on a partial run.
   void write(std::span<const InjectionRecord> records);
 
+  /// As write(records), with the blocks formatted on `pool`'s lanes, at
+  /// most 2 x pool.size() at a time, and appended in record order. Waits
+  /// for every block it submitted before returning or throwing.
+  void write(std::span<const InjectionRecord> records, util::ThreadPool& pool);
+
   /// Flushes, closes and renames the file into place. Throws qufi::Error
   /// naming the path on any failure, leaving no temp file behind.
   void commit();
 
  private:
+  /// Appends the rows of `records` (whole point runs) to `out`.
+  void format_rows(std::span<const InjectionRecord> records,
+                   std::string& out) const;
+  /// End of the block of `records` that starts at `begin`.
+  std::size_t block_end(std::span<const InjectionRecord> records,
+                        std::size_t begin) const;
+
   std::string path_;
   std::string temp_;
   CampaignMetadata meta_;
   std::span<const InjectionPoint> points_;
+  std::vector<std::string> theta_text_;  ///< theta_at(i), formatted
+  std::vector<std::string> phi_text_;    ///< phi_at(j), formatted
   std::unique_ptr<util::CsvWriter> csv_;
 };
 

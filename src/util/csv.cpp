@@ -67,6 +67,13 @@ void CsvWriter::end_row() {
   if (buf_.size() >= kFlushBytes) flush_buffer();
 }
 
+void CsvWriter::write_rows(std::string_view rows) {
+  if (fd_ < 0) throw Error("CsvWriter: write after close for " + path_);
+  require(!row_open_, "CsvWriter: write_rows inside an open row");
+  buf_ += rows;
+  if (buf_.size() >= kFlushBytes) flush_buffer();
+}
+
 void CsvWriter::write_row(const std::vector<std::string>& fields) {
   for (const auto& field : fields) cell(field);
   end_row();

@@ -62,6 +62,10 @@ class CsvWriter {
   /// Ends the current row.
   void end_row();
 
+  /// Appends whole pre-formatted rows, each ending in a newline, between
+  /// rows (no row open).
+  void write_rows(std::string_view rows);
+
   /// Flushes and closes the file. Throws qufi::Error naming the path when
   /// any write, or the close itself, failed. Call it before renaming the
   /// file into place.

@@ -24,6 +24,7 @@
 #include "support/campaign_fixtures.hpp"
 #include "support/test_files.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qufi {
 namespace {
@@ -496,6 +497,137 @@ TEST(Results, WriteCsvFailureNamesThePathAndLeavesNoTempFile) {
   const std::string path = dir.str("out.csv");
   {
     const test_support::FileSizeCap cap(1024);
+    try {
+      result.write_csv(path);
+      ADD_FAILURE() << "write_csv succeeded past the file-size cap";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir.path))
+      << "temp file left behind";
+}
+
+// ------------------------------------------------- parallel CSV projection
+
+/// Campaigns of every CSV shape, each several CampaignCsvWriter blocks
+/// long: single fault, double fault (theta1/phi1 filled) and adaptive (the
+/// estimator columns, blocks extended to whole point runs).
+const std::vector<CampaignResult>& csv_campaigns() {
+  static const std::vector<CampaignResult> campaigns = [] {
+    std::vector<CampaignResult> out;
+    auto single = quick_spec("bv", 4);
+    single.grid.theta_step_deg = 15.0;
+    single.grid.phi_step_deg = 15.0;
+    out.push_back(run_single_fault_campaign(single));
+    auto dbl = quick_spec("bv", 3);
+    dbl.grid.theta_step_deg = 45.0;
+    dbl.grid.phi_step_deg = 45.0;
+    out.push_back(run_double_fault_campaign(dbl));
+    auto adaptive = single;
+    adaptive.adaptive = AdaptivePolicy{};
+    out.push_back(run_single_fault_campaign(adaptive));
+    return out;
+  }();
+  return campaigns;
+}
+
+/// The CSV of `rows` written through one CampaignCsvWriter, serially or
+/// with its blocks formatted on `pool`.
+std::string csv_of(const CampaignResult& result,
+                   std::span<const InjectionRecord> rows,
+                   util::ThreadPool* pool, const std::string& path) {
+  CampaignCsvWriter csv(path, result.meta, result.points);
+  if (pool != nullptr) {
+    csv.write(rows, *pool);
+  } else {
+    csv.write(rows);
+  }
+  csv.commit();
+  return test_support::slurp(path);
+}
+
+TEST(Results, ParallelCsvMatchesSerialFormatterOnEveryLaneCount) {
+  const test_support::TempDir dir("csv_parallel");
+  for (const CampaignResult& result : csv_campaigns()) {
+    SCOPED_TRACE(result.meta.circuit_name +
+                 (result.meta.double_fault ? " double" : "") +
+                 (result.meta.adaptive ? " adaptive" : ""));
+    ASSERT_GT(result.records.size(), 2 * CampaignCsvWriter::kBlockRows);
+    const std::string serial =
+        csv_of(result, result.records, nullptr, dir.str("serial.csv"));
+    for (std::size_t lanes = 1; lanes <= 8; ++lanes) {
+      util::ThreadPool pool(lanes);
+      EXPECT_EQ(csv_of(result, result.records, &pool, dir.str("pool.csv")),
+                serial)
+          << lanes << " lanes";
+    }
+    result.write_csv(dir.str("write_csv.csv"));
+    EXPECT_EQ(test_support::slurp(dir.str("write_csv.csv")), serial);
+  }
+}
+
+TEST(Results, ParallelCsvMatchesSerialFormatterAroundTheBlockSize) {
+  const test_support::TempDir dir("csv_block_edges");
+  constexpr std::size_t kBlock = CampaignCsvWriter::kBlockRows;
+  for (const CampaignResult& full : csv_campaigns()) {
+    SCOPED_TRACE(full.meta.circuit_name +
+                 (full.meta.double_fault ? " double" : "") +
+                 (full.meta.adaptive ? " adaptive" : ""));
+    for (const std::size_t rows :
+         {std::size_t{0}, std::size_t{1}, kBlock - 1, kBlock, kBlock + 1}) {
+      CampaignResult result = full;
+      std::size_t keep = rows;
+      // An adaptive CSV holds whole point runs: round up to the run's end.
+      while (full.meta.adaptive && keep > 0 && keep < full.records.size() &&
+             full.records[keep].point_index ==
+                 full.records[keep - 1].point_index) {
+        ++keep;
+      }
+      result.records.resize(keep);
+      const std::string serial =
+          csv_of(result, result.records, nullptr, dir.str("serial.csv"));
+      result.write_csv(dir.str("write_csv.csv"));
+      EXPECT_EQ(test_support::slurp(dir.str("write_csv.csv")), serial)
+          << rows << " rows";
+      for (const std::size_t lanes : {1, 3, 8}) {
+        util::ThreadPool pool(lanes);
+        EXPECT_EQ(csv_of(result, result.records, &pool, dir.str("pool.csv")),
+                  serial)
+            << rows << " rows, " << lanes << " lanes";
+      }
+    }
+  }
+}
+
+TEST(Results, ParallelCsvRethrowsABlockErrorAndLeavesNoTempFile) {
+  // An adaptive point run cut short fails its estimate replay on a pool
+  // lane; the writer rethrows it once no block is in flight.
+  const CampaignResult& adaptive = csv_campaigns()[2];
+  ASSERT_TRUE(adaptive.meta.adaptive);
+  std::vector<InjectionRecord> rows = adaptive.records;
+  rows.pop_back();
+  const test_support::TempDir dir("csv_parallel_error");
+  for (const std::size_t lanes : {1, 4}) {
+    util::ThreadPool pool(lanes);
+    {
+      CampaignCsvWriter csv(dir.str("out.csv"), adaptive.meta,
+                            adaptive.points);
+      EXPECT_THROW(csv.write(rows, pool), Error) << lanes << " lanes";
+    }
+    EXPECT_TRUE(std::filesystem::is_empty(dir.path))
+        << "temp file left behind";
+  }
+}
+
+TEST(Results, ParallelWriteCsvFailureNamesThePath) {
+  const CampaignResult& result = csv_campaigns()[0];
+  ASSERT_GT(result.records.size(), CampaignCsvWriter::kBlockRows);
+  const test_support::TempDir dir("csv_parallel_failure");
+  const std::string path = dir.str("out.csv");
+  {
+    const test_support::FileSizeCap cap(64 * 1024);
     try {
       result.write_csv(path);
       ADD_FAILURE() << "write_csv succeeded past the file-size cap";

@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <span>
+#include <string>
+#include <utility>
 
 #include "algorithms/algorithms.hpp"
 #include "backend/density_backend.hpp"
@@ -313,6 +317,101 @@ TEST(SuffixResponse, LargeTwoQubitBatchMatchesSequentialRunSuffix) {
                   1e-12)
           << "config " << c << " state " << s;
     }
+  }
+}
+
+// ---- pruning response elements proven zero ----------------------------------
+
+/// The basis at `snapshot` for faults shaped like `injected`, built with and
+/// without pruning: the responses must be memcmp-equal (a pruned element's
+/// replayed response is exactly +0). Returns {live pruned, live unpruned}.
+std::pair<std::size_t, std::size_t> expect_pruning_moves_no_byte(
+    const backend::DensityMatrixBackend& backend,
+    const backend::PrefixSnapshot& snapshot,
+    std::span<const circ::Instruction> injected) {
+  const auto pruned =
+      backend::detail::probe_response_basis(backend, snapshot, injected, true);
+  const auto full = backend::detail::probe_response_basis(backend, snapshot,
+                                                          injected, false);
+  EXPECT_LE(pruned.live, full.live);
+  EXPECT_EQ(pruned.responses.size(), full.responses.size());
+  EXPECT_EQ(std::memcmp(pruned.responses.data(), full.responses.data(),
+                        full.responses.size() * sizeof(full.responses[0])),
+            0);
+  return {pruned.live, full.live};
+}
+
+TEST(SuffixResponse, PruningMovesNoResponseByteAtAnyInjectionPoint) {
+  for (const char* name : {"bv", "dj", "qft"}) {
+    SCOPED_TRACE(name);
+    const auto spec = quick_spec(name, 4);
+    const auto transpiled = campaign_transpile(spec);
+    backend::DensityMatrixBackend backend(
+        noise::NoiseModel::from_backend(spec.backend, 1.0));
+    std::size_t live = 0, elements = 0;
+    for (const InjectionPoint& point : enumerate_injection_points(
+             transpiled, InjectionStrategy::OperandsAfterEachGate)) {
+      const auto snapshot =
+          backend.prepare_prefix(transpiled.circuit, point.split_index());
+      const circ::Instruction injected[] = {
+          PhaseShiftFault{0.7, 1.9}.as_instruction(point.qubit)};
+      const auto [pruned, full] =
+          expect_pruning_moves_no_byte(backend, *snapshot, injected);
+      EXPECT_EQ(full, 16u);
+      live += pruned;
+      elements += full;
+    }
+    if (std::string(name) == "qft") {
+      // After a qubit's last sx only phases, CX and rz follow: its
+      // coherence never reaches the diagonal.
+      EXPECT_LT(live, elements);
+    }
+  }
+}
+
+TEST(SuffixResponse, PruningMovesNoResponseByteOnDoubleFaults) {
+  const auto spec = quick_spec("bv", 3);
+  const auto transpiled = campaign_transpile(spec);
+  backend::DensityMatrixBackend backend(
+      noise::NoiseModel::from_backend(spec.backend, 1.0));
+  const auto pairs = campaign_point_neighbor_pairs(spec);
+  ASSERT_FALSE(pairs.empty());
+  for (const auto& [point, neighbor] : pairs) {
+    const auto snapshot =
+        backend.prepare_prefix(transpiled.circuit, point.split_index());
+    const circ::Instruction injected[] = {
+        PhaseShiftFault{0.7, 1.9}.as_instruction(point.qubit),
+        PhaseShiftFault{0.3, 2.6}.as_instruction(neighbor)};
+    const auto [pruned, full] =
+        expect_pruning_moves_no_byte(backend, *snapshot, injected);
+    EXPECT_EQ(full, 256u);
+  }
+}
+
+TEST(SuffixResponse, AnSxOnTheTargetAfterTheSlotIsNeverPruned) {
+  // Fault slot on qubit 0 after its first sx. With only CX (qubit 0 the
+  // control) and rz left on it, every a != b element is proven zero; one
+  // more sx on it rotates coherence back into populations, and nothing is.
+  const auto circuit = [](bool trailing_sx) {
+    circ::QuantumCircuit qc(2, 2);
+    qc.sx(0).sx(1).cx(0, 1).rz(0.4, 0).cx(0, 1);
+    if (trailing_sx) qc.sx(0);
+    qc.measure(0, 0).measure(1, 1);
+    return qc;
+  };
+  const circ::Instruction injected[] = {
+      PhaseShiftFault{0.7, 1.9}.as_instruction(0)};
+  for (const bool noisy : {false, true}) {
+    SCOPED_TRACE(noisy ? "noisy" : "ideal");
+    backend::DensityMatrixBackend backend(
+        noisy ? noise::NoiseModel::from_backend(quick_spec().backend, 1.0)
+              : noise::NoiseModel::ideal());
+    const auto open = backend.prepare_prefix(circuit(true), 1);
+    EXPECT_EQ(expect_pruning_moves_no_byte(backend, *open, injected).first,
+              16u);
+    const auto closed = backend.prepare_prefix(circuit(false), 1);
+    EXPECT_EQ(expect_pruning_moves_no_byte(backend, *closed, injected).first,
+              8u);
   }
 }
 
