@@ -143,6 +143,10 @@ noise::BackendProperties build_device(const CliOptions& options) {
 int main(int argc, char** argv) {
   try {
     const CliOptions options = parse(argc, argv);
+    const dist::ShardPolicy policy =
+        dist::shard_policy_from_name(options.policy);
+    const dist::WorkerBackendKind kind =
+        dist::worker_backend_kind_from_name(options.backend_kind);
     const auto bench = algo::paper_circuit(options.circuit, options.width);
 
     CampaignSpec spec;
@@ -163,28 +167,9 @@ int main(int argc, char** argv) {
       spec.adaptive = options.adaptive_policy;
     }
 
-    dist::ShardPolicy policy;
-    if (options.policy == "cost") policy = dist::ShardPolicy::CostWeighted;
-    else if (options.policy == "points") policy = dist::ShardPolicy::PointCount;
-    else if (options.policy == "tree") policy = dist::ShardPolicy::TreeAware;
-    else throw Error("unknown policy: " + options.policy);
-
-    dist::WorkerBackendKind kind;
-    if (options.backend_kind == "density") {
-      kind = dist::WorkerBackendKind::Density;
-    } else if (options.backend_kind == "trajectory") {
-      kind = dist::WorkerBackendKind::Trajectory;
-    } else {
-      throw Error("unknown backend kind: " + options.backend_kind);
-    }
-    if (options.idle_noise && kind == dist::WorkerBackendKind::Trajectory) {
-      throw Error("--idle-noise requires --backend-kind density");
-    }
-
     const auto plan = dist::plan_campaign_shards(spec, options.shards, policy);
-    const auto manifests =
-        dist::make_manifests(spec, options.device, kind, plan,
-                             options.double_faults);
+    const auto manifests = dist::make_manifests(spec, options.device, kind,
+                                                plan, options.double_faults);
 
     std::filesystem::create_directories(options.out_dir);
     for (const auto& manifest : manifests) {

@@ -4,14 +4,9 @@
 # README lists must be present in the build tree.
 #
 # Opt-in legs:
-#   CHECK_SANITIZE=1  rebuild the kernel-facing suites, the backend
-#                     conformance suite (backend_contract), the adaptive
-#                     estimation, dispatcher, campaign-engine (tree,
-#                     checkpoint, campaign), binary-reader (result_io, dist),
-#                     live-partial prefix merge (merge_prefix) and util
-#                     (buffered CSV writer) suites under ASan+UBSan
-#                     in build-asan/ and run them (the leg
-#                     .github/workflows/ci.yml runs on every push).
+#   CHECK_SANITIZE=1  run scripts/sanitize.sh: the ASan+UBSan suites in
+#                     build-asan/ (the leg .github/workflows/ci.yml runs on
+#                     every push; the suite list lives only there).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -392,33 +387,6 @@ else
 fi
 
 # ---- opt-in sanitizer pass ---------------------------------------------------
-# CHECK_SANITIZE=1 rebuilds the kernel-facing tests, the backend
-# conformance suite, the adaptive estimation suite, the dispatcher/journal
-# suite, the campaign engine's
-# tree, checkpoint and campaign suites, the binary-reader suites (QUFIPART
-# corruption sweeps), the prefix-merge suite (Live writers read by Tail
-# readers) and the util suite under ASan+UBSan in a separate
-# build tree and runs them, so the vectorized pointer arithmetic, the
-# density backend's prepare/extend/run_suffix/batch schedule walks (on
-# every backend and kernel set), the estimator's cell bookkeeping, the journal's recovery/truncation paths,
-# the snapshot tree sweep and its dynamically claimed chains, every reader
-# fed a corrupt file, and the buffered CSV writer's failure paths are
-# exercised with checking on before merge.
 if [[ "${CHECK_SANITIZE:-0}" == "1" ]]; then
-  cmake -B build-asan -S . -DQUFI_SANITIZE=ON -DQUFI_BUILD_BENCHES=OFF \
-    -DQUFI_BUILD_EXAMPLES=OFF
-  cmake --build build-asan -j --target test_kernels test_sim \
-    test_backend_contract test_adaptive test_dispatcher test_tree \
-    test_checkpoint test_result_io test_dist test_campaign test_util \
-    test_merge_prefix
-  for t in test_kernels test_sim test_backend_contract test_adaptive \
-    test_dispatcher test_tree test_checkpoint test_result_io test_dist \
-    test_campaign test_util test_merge_prefix; do
-    ./build-asan/$t > /dev/null
-  done
-  # The vectorized sets must survive sanitized runs too, not just the default.
-  for kset in $(./build/perf_simulator --list-kernels); do
-    QUFI_KERNELS="$kset" ./build-asan/test_kernels > /dev/null
-  done
-  echo "sanitizer pass OK (test_kernels + test_sim + test_backend_contract + test_adaptive + test_dispatcher + test_tree + test_checkpoint + test_result_io + test_dist + test_campaign + test_util + test_merge_prefix under ASan+UBSan)"
+  scripts/sanitize.sh
 fi

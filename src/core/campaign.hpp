@@ -119,7 +119,8 @@ CampaignResult run_double_fault_campaign(const CampaignSpec& spec);
 /// indices refer to the *global* enumeration (campaign_points(spec)), and
 /// per-config seeds are derived from those global indices, so the union of
 /// disjoint shard runs is record-for-record identical to the one-process
-/// run: qufi::dist::merge_shard_results reassembles it bit-exactly on the
+/// run: streamed into QUFIPART partials (spec.record_sink), the shards
+/// reassemble through qufi::dist::merge_result_files bit-exactly on the
 /// density backend and under common random numbers on the trajectory
 /// backend.
 ///

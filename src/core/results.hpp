@@ -106,9 +106,10 @@ class CampaignResult {
   std::vector<InjectionPoint> points;
   std::vector<InjectionRecord> records;
   /// Adaptive campaigns only: per-point estimator outputs, parallel to
-  /// `points` (empty otherwise). Derived data — every exporter recomputes
-  /// these from `records` via replay_adaptive_point rather than trusting
-  /// this vector, so merged-shard and single-process projections cannot
+  /// `points` (empty otherwise). Derived data, filled only by the engine:
+  /// every exporter recomputes these from `records` via
+  /// replay_adaptive_point rather than trusting this vector, so a CSV
+  /// merged from shard partials and the single-process write_csv cannot
   /// diverge; it exists for in-process consumers (CLIs, tests).
   std::vector<AdaptivePointEstimate> point_estimates;
 

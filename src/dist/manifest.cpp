@@ -31,13 +31,14 @@ const char* kind_name(WorkerBackendKind k) {
   return k == WorkerBackendKind::Density ? "density" : "trajectory";
 }
 
-WorkerBackendKind kind_from_name(const std::string& name) {
+}  // namespace
+
+WorkerBackendKind worker_backend_kind_from_name(const std::string& name) {
   if (name == "density") return WorkerBackendKind::Density;
   if (name == "trajectory") return WorkerBackendKind::Trajectory;
-  throw Error("manifest: unknown backend kind: " + name);
+  throw Error("unknown backend kind: " + name +
+              " (want density or trajectory)");
 }
-
-}  // namespace
 
 void save_manifest(const ShardManifest& manifest, const std::string& path) {
   std::ofstream out(path);
@@ -131,7 +132,7 @@ ShardManifest load_manifest(const std::string& path) {
     } else if (key == "backend_kind") {
       std::string kind;
       if (!(ls >> kind)) fail("bad backend_kind line");
-      m.backend_kind = kind_from_name(kind);
+      m.backend_kind = worker_backend_kind_from_name(kind);
     } else if (key == "opt_level") {
       if (!(ls >> m.opt_level)) fail("bad opt_level line");
     } else if (key == "strategy") {
@@ -251,6 +252,9 @@ std::vector<ShardManifest> make_manifests(const CampaignSpec& spec,
   require(!(double_fault && spec.adaptive),
           "make_manifests: adaptive estimation supports single-fault "
           "campaigns only");
+  require(!(spec.idle_noise && kind == WorkerBackendKind::Trajectory),
+          "make_manifests: idle_noise requires the density backend kind "
+          "(the trajectory family has no idle mode)");
   std::vector<ShardManifest> manifests;
   manifests.reserve(plan.shards.size());
   for (const ShardAssignment& shard : plan.shards) {

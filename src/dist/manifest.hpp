@@ -17,6 +17,11 @@ enum class WorkerBackendKind {
   Trajectory,
 };
 
+/// Parses a worker backend family name as manifests, CLIs and submissions
+/// spell it: "density" or "trajectory". Throws qufi::Error naming the
+/// accepted names on anything else.
+WorkerBackendKind worker_backend_kind_from_name(const std::string& name);
+
 /// A self-contained description of one shard: everything a worker process
 /// on another machine needs to execute its points bit-compatibly with the
 /// single-process campaign — the full campaign definition (circuit embedded
@@ -82,10 +87,14 @@ CampaignSpec manifest_to_spec(const ShardManifest& manifest);
 /// \param spec        The campaign being distributed.
 /// \param device      Fake-device name (must match spec.backend; the
 ///                    manifest stores the name, not the properties).
-/// \param kind        Worker backend family.
+/// \param kind        Worker backend family; idle-noise campaigns require
+///                    the density kind (the trajectory family has no idle
+///                    mode).
 /// \param plan        Output of plan_shards / plan_campaign_shards.
 /// \param double_fault True to run the double-fault campaign per shard.
 /// \return One manifest per shard, in shard-index order.
+/// \throws qufi::Error on idle noise with the trajectory kind, or adaptive
+///         estimation on a double-fault campaign.
 std::vector<ShardManifest> make_manifests(const CampaignSpec& spec,
                                           const std::string& device,
                                           WorkerBackendKind kind,

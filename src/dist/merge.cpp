@@ -40,25 +40,6 @@ void require_adaptive_coverage(const MissingPointReport& missing) {
               missing.describe());
 }
 
-/// Fills CampaignResult::point_estimates for a merged adaptive result by
-/// replaying each point's (contiguous, ascending) record run.
-void project_point_estimates(CampaignResult& merged) {
-  if (!merged.meta.adaptive) return;
-  merged.point_estimates.resize(merged.points.size());
-  std::span<const InjectionRecord> records = merged.records;
-  for (std::size_t begin = 0; begin < records.size();) {
-    std::size_t end = begin;
-    while (end < records.size() &&
-           records[end].point_index == records[begin].point_index) {
-      ++end;
-    }
-    merged.point_estimates[records[begin].point_index] =
-        adaptive_point_estimate(merged.meta,
-                                records.subspan(begin, end - begin));
-    begin = end;
-  }
-}
-
 bool meta_matches(const CampaignMetadata& a, const CampaignMetadata& b) {
   return a.circuit_name == b.circuit_name &&
          a.backend_name == b.backend_name &&
@@ -131,116 +112,18 @@ std::string conflict_message(const std::string& a, const std::string& b,
 }
 
 /// The points of a per-point `seen` bitmap that contributed no records.
-MissingPointReport unseen_points(const std::vector<bool>& seen,
-                                 std::size_t max_examples) {
+MissingPointReport unseen_points(const std::vector<bool>& seen) {
+  constexpr std::size_t kMaxExamples = 8;
   MissingPointReport report;
   for (std::size_t p = 0; p < seen.size(); ++p) {
     if (seen[p]) continue;
     ++report.count;
-    if (report.first.size() < max_examples) {
+    if (report.first.size() < kMaxExamples) {
       report.first.push_back(static_cast<std::uint32_t>(p));
     }
   }
   return report;
 }
-
-}  // namespace
-
-std::string MissingPointReport::describe() const {
-  if (count == 0) return "";
-  std::string out = " (" + std::to_string(count) + " point" +
-                    (count == 1 ? "" : "s") + " have no records; first missing:";
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    out += (i == 0 ? " " : ", ") + std::to_string(first[i]);
-  }
-  if (count > first.size()) out += ", ...";
-  out += ")";
-  return out;
-}
-
-MissingPointReport find_missing_points(std::size_t num_points,
-                                       std::span<const InjectionRecord> records,
-                                       std::size_t max_examples) {
-  std::vector<bool> seen(num_points, false);
-  for (const InjectionRecord& r : records) {
-    if (r.point_index < num_points) seen[r.point_index] = true;
-  }
-  return unseen_points(seen, max_examples);
-}
-
-CampaignResult merge_shard_results(std::span<const CampaignResult> shards,
-                                   const MergeOptions& options) {
-  require(!shards.empty(), "merge: no shard results");
-  for (const CampaignResult& shard : shards) {
-    require_same_campaign(shards[0].meta, shards[0].points, shard.meta,
-                          shard.points);
-  }
-
-  const std::size_t num_points = shards[0].points.size();
-  // Per-point record slices, taken from the first shard (in input order)
-  // that executed the point. Shards are idempotent retry units, so a point
-  // appearing in several shards is legal — but only when the duplicates
-  // agree bit-exactly; disagreement means divergent workers, not a retry.
-  std::vector<std::vector<const InjectionRecord*>> buckets(num_points);
-  std::vector<int> owner(num_points, -1);
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    // Bucket this shard's records per point (order-preserving).
-    std::vector<std::vector<const InjectionRecord*>> mine(num_points);
-    for (const InjectionRecord& r : shards[s].records) {
-      require(r.point_index < num_points,
-              "merge: record references point outside the table");
-      mine[r.point_index].push_back(&r);
-    }
-    for (std::size_t p = 0; p < num_points; ++p) {
-      if (mine[p].empty()) continue;
-      if (owner[p] < 0) {
-        owner[p] = static_cast<int>(s);
-        buckets[p] = std::move(mine[p]);
-        continue;
-      }
-      const std::string owner_label = "input " + std::to_string(owner[p]);
-      const std::string label = "input " + std::to_string(s);
-      const std::uint32_t point = static_cast<std::uint32_t>(p);
-      require(buckets[p].size() == mine[p].size(),
-              conflict_message(owner_label, label, point,
-                               std::to_string(buckets[p].size()) + " vs " +
-                                   std::to_string(mine[p].size()) +
-                                   " records"));
-      for (std::size_t k = 0; k < mine[p].size(); ++k) {
-        require(record_matches(*buckets[p][k], *mine[p][k]),
-                conflict_message(owner_label, label, point,
-                                 "record " + std::to_string(k) + " of " +
-                                     std::to_string(mine[p].size()) +
-                                     " differs"));
-      }
-    }
-  }
-
-  CampaignResult merged;
-  merged.meta = shards[0].meta;
-  merged.points = shards[0].points;
-  // Ascending point index — the single-process enumeration order — so the
-  // output is independent of shard arrival order.
-  for (std::size_t p = 0; p < num_points; ++p) {
-    for (const InjectionRecord* r : buckets[p]) merged.records.push_back(*r);
-  }
-  merged.meta.executions = merged.records.size();
-  merged.meta.injections =
-      campaign_injections(merged.records.size(), merged.meta.shots);
-
-  if (!options.allow_incomplete && options.expected_records > 0) {
-    require(merged.records.size() == options.expected_records,
-            "merge: incomplete campaign (missing shard output?)");
-  }
-  if (!options.allow_incomplete && merged.meta.adaptive) {
-    require_adaptive_coverage(
-        find_missing_points(num_points, merged.records));
-  }
-  project_point_estimates(merged);
-  return merged;
-}
-
-namespace {
 
 /// One input of the streaming merge: a block-indexed reader plus a cursor
 /// over the current (single) decoded block — the only record storage the
@@ -306,8 +189,7 @@ std::uint64_t consume_duplicate_runs(std::vector<BlockStream>& streams,
 }
 
 /// The walk every file merge shares: takes the minimum pending point below
-/// `end_point`, owned by the first input at it (the bucket merge's
-/// first-shard-wins rule, so in-memory and streaming merges agree),
+/// `end_point`, owned by the first input at it (first input wins),
 /// cross-checks duplicate runs bit-exactly, and hands the owner's run to
 /// `emit` in ascending point order. Returns the duplicate records dropped.
 template <typename Emit>
@@ -367,10 +249,7 @@ StreamingMergeStats run_file_merge(std::span<const std::string> inputs,
                                    std::vector<BlockStream>& streams,
                                    const Emit& emit) {
   const resio::ResultFileHeader& first = streams[0].reader->header();
-  const std::uint64_t expected = options.expected_records > 0
-                              ? options.expected_records
-                              : first.expected_total_records;
-
+  const std::uint64_t expected = first.expected_total_records;
   StreamingMergeStats stats;
   std::vector<bool> emitted(first.points.size(), false);
   stats.duplicate_records = walk_min_points(
@@ -385,7 +264,7 @@ StreamingMergeStats run_file_merge(std::span<const std::string> inputs,
   // The requeue-aware diagnostic: which global points contributed nothing.
   // A lost or still-requeued shard shows up here by its point indices, so
   // dispatcher logs and --allow-partial CLI output name the same thing.
-  stats.missing = unseen_points(emitted, 8);
+  stats.missing = unseen_points(emitted);
 
   if (!options.allow_incomplete && expected > 0) {
     require(stats.merged_records == expected,
@@ -408,6 +287,18 @@ StreamingMergeStats run_file_merge(std::span<const std::string> inputs,
 
 }  // namespace
 
+std::string MissingPointReport::describe() const {
+  if (count == 0) return "";
+  std::string out = " (" + std::to_string(count) + " point" +
+                    (count == 1 ? "" : "s") + " have no records; first missing:";
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    out += (i == 0 ? " " : ", ") + std::to_string(first[i]);
+  }
+  if (count > first.size()) out += ", ...";
+  out += ")";
+  return out;
+}
+
 StreamingMergeStats merge_result_files(std::span<const std::string> inputs,
                                        const std::string& out_path,
                                        const MergeOptions& options) {
@@ -419,8 +310,8 @@ StreamingMergeStats merge_result_files(std::span<const std::string> inputs,
   const StreamingMergeStats stats = run_file_merge(
       inputs, options, streams,
       [&](std::span<const InjectionRecord> run) { writer.append(run); });
-  // Match merge_shard_results: executions are recomputed from the merged
-  // record set, not summed over shards (duplicates would double-count).
+  // Executions are recomputed from the merged record set, not summed over
+  // shards (duplicates would double-count).
   writer.finish(stats.merged_records,
                 campaign_injections(stats.merged_records, header.meta.shots));
   return stats;

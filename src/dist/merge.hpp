@@ -11,41 +11,11 @@ namespace qufi::dist {
 
 /// Knobs for recombining shard outputs.
 struct MergeOptions {
-  /// Expected record count of the full campaign; 0 skips the completeness
-  /// check (the file merges then default it to the partials' own
-  /// expected_total_records).
-  std::uint64_t expected_records = 0;
   /// Accept an incomplete merge (lost shard recovery): suppresses the
-  /// completeness check entirely, including the partials' default.
+  /// completeness check against the partials' expected_total_records and
+  /// the adaptive every-point check.
   bool allow_incomplete = false;
 };
-
-/// Recombines shard results into the full-campaign result.
-///
-/// Deterministic by construction: records are reassembled in ascending
-/// global point-index order (the single-process enumeration order), not in
-/// shard arrival order — merging the same shard set in any permutation
-/// yields the identical CampaignResult, and on the density backend the
-/// records are bit-identical to the one-process run (trajectory: identical
-/// under common random numbers, i.e. when every shard was produced with
-/// the same manifest seed).
-///
-/// Shards are idempotent retry units: when two inputs both carry a point
-/// (a retried shard re-ran it), the duplicates must agree bit-exactly and
-/// one copy is kept; conflicting duplicates throw (they indicate divergent
-/// workers, not a retry).
-///
-/// \param shards  One CampaignResult per shard (from
-///                run_*_fault_campaign_subset). Metadata and point tables
-///                must agree across shards; `meta.executions` may differ
-///                (it is shard-local).
-/// \param options See MergeOptions.
-/// \return The recombined result; meta.executions/injections are recomputed
-///         from the merged record set.
-/// \throws qufi::Error on empty input, metadata/point-table mismatch,
-///         conflicting duplicate points, or a failed completeness check.
-CampaignResult merge_shard_results(std::span<const CampaignResult> shards,
-                                   const MergeOptions& options = {});
 
 /// Which injection points ended a merge with zero records. For single-fault
 /// campaigns that is exactly the not-yet-merged set (every point sweeps a
@@ -55,19 +25,13 @@ CampaignResult merge_shard_results(std::span<const CampaignResult> shards,
 /// points are outstanding and which global indices to look at first.
 struct MissingPointReport {
   std::uint64_t count = 0;
-  /// First few missing global point indices (at most `max_examples` of the
-  /// finder call), ascending.
+  /// First few missing global point indices (at most 8), ascending.
   std::vector<std::uint32_t> first;
 
   /// " (3 points have no records; first missing: 4, 7, 11)" — empty string
   /// when nothing is missing. Appended to merge errors and CLI summaries.
   std::string describe() const;
 };
-
-/// Scans `records` (any order) against a `num_points`-entry point table.
-MissingPointReport find_missing_points(std::size_t num_points,
-                                       std::span<const InjectionRecord> records,
-                                       std::size_t max_examples = 8);
 
 /// What a streaming file merge did (for perf reporting and CLI summaries).
 struct StreamingMergeStats {
@@ -82,16 +46,37 @@ struct StreamingMergeStats {
   MissingPointReport missing;
 };
 
-/// Streaming k-way merge over columnar QUFIPART partials, writing the
-/// merged result as one columnar file (shard 0-of-1). Never materializes
-/// the campaign: each input contributes at most one decoded block at a time
-/// (peak memory O(shards x block), not O(campaign)), and the output
-/// streams through a resio::ResultWriter. Semantics match
-/// merge_shard_results — order-independent (ascending global point
-/// order), duplicate-tolerant for bit-exact retries, completeness checked
-/// against expected_total_records — with conflicts diagnosed by shard and
-/// point ("shard 2 and shard 5 disagree on point 17"). Throws qufi::Error
-/// on any header mismatch, conflict, or failed completeness check.
+/// Recombines shard partials into the full-campaign result: a streaming
+/// k-way merge over columnar QUFIPART partials, writing the merged result
+/// as one columnar file (shard 0-of-1).
+///
+/// Deterministic by construction: records are reassembled in ascending
+/// global point-index order (the single-process enumeration order), not in
+/// shard arrival order — merging the same partials in any permutation
+/// yields the identical records, and on the density backend they are
+/// bit-identical to the one-process run (trajectory: identical under
+/// common random numbers, i.e. when every shard was produced with the same
+/// manifest seed).
+///
+/// Shards are idempotent retry units: when two inputs both carry a point
+/// (a retried shard re-ran it), the duplicates must agree bit-exactly and
+/// the first input's copy is kept; conflicting duplicates throw, naming
+/// the shard pair and the point ("shard 2 and shard 5 disagree on point
+/// 17"): they indicate divergent workers, not a retry.
+///
+/// Unless options.allow_incomplete, the merged record count must equal the
+/// partials' expected_total_records (adaptive partials carry 0 and instead
+/// need records at every point); the error names the missing points.
+///
+/// Never materializes the campaign: each input contributes at most one
+/// decoded block at a time (peak memory O(shards x block), not
+/// O(campaign)), and the output streams through a resio::ResultWriter.
+/// The merged file's executions/injections are recomputed from the merged
+/// record set (duplicates would double-count a sum over shards).
+///
+/// Throws qufi::Error on empty input, a header (metadata, point table,
+/// shard count, expected total) mismatch, a conflict, or a failed
+/// completeness check.
 StreamingMergeStats merge_result_files(std::span<const std::string> inputs,
                                        const std::string& out_path,
                                        const MergeOptions& options = {});

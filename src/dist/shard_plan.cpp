@@ -23,6 +23,14 @@ std::uint64_t scaled_suffix(std::size_t circuit_size, std::size_t split,
 
 }  // namespace
 
+ShardPolicy shard_policy_from_name(const std::string& name) {
+  if (name == "cost") return ShardPolicy::CostWeighted;
+  if (name == "points") return ShardPolicy::PointCount;
+  if (name == "tree") return ShardPolicy::TreeAware;
+  throw Error("unknown shard policy: " + name +
+              " (want cost, points or tree)");
+}
+
 std::uint64_t point_cost(const InjectionPoint& point, std::size_t circuit_size,
                          double sweep_scale) {
   require(point.split_index() <= circuit_size,

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -39,6 +40,11 @@ enum class ShardPolicy {
   /// already reaches similar depth.
   TreeAware,
 };
+
+/// Parses a policy name as the CLIs and submissions spell it: "cost"
+/// (CostWeighted), "points" (PointCount) or "tree" (TreeAware). Throws
+/// qufi::Error naming the accepted names on anything else.
+ShardPolicy shard_policy_from_name(const std::string& name);
 
 /// The points one worker executes, in strictly increasing global order (the
 /// order run_single_fault_campaign_subset requires).

@@ -149,6 +149,9 @@ CampaignRequest load_submission(const std::string& path) {
 CampaignJob plan_submission(const CampaignRequest& request) {
   require(request.shards >= 1,
           "submission: shards must be >= 1 (campaign " + request.name + ")");
+  const dist::ShardPolicy policy = dist::shard_policy_from_name(request.policy);
+  const dist::WorkerBackendKind kind =
+      dist::worker_backend_kind_from_name(request.backend_kind);
 
   const algo::AlgorithmCircuit bench =
       algo::paper_circuit(request.circuit, request.width);
@@ -166,37 +169,13 @@ CampaignJob plan_submission(const CampaignRequest& request) {
   spec.max_points = request.max_points;
   spec.idle_noise = request.idle_noise;
 
-  dist::ShardPolicy policy;
-  if (request.policy == "cost") {
-    policy = dist::ShardPolicy::CostWeighted;
-  } else if (request.policy == "points") {
-    policy = dist::ShardPolicy::PointCount;
-  } else if (request.policy == "tree") {
-    policy = dist::ShardPolicy::TreeAware;
-  } else {
-    throw Error("submission: unknown policy: " + request.policy);
-  }
-
-  dist::WorkerBackendKind kind;
-  if (request.backend_kind == "density") {
-    kind = dist::WorkerBackendKind::Density;
-  } else if (request.backend_kind == "trajectory") {
-    kind = dist::WorkerBackendKind::Trajectory;
-  } else {
-    throw Error("submission: unknown backend kind: " + request.backend_kind);
-  }
-  require(!(request.idle_noise && kind == dist::WorkerBackendKind::Trajectory),
-          "submission: idle_noise requires the density backend (campaign " +
-              request.name + ")");
-
   const auto plan = dist::plan_campaign_shards(spec, request.shards, policy);
   CampaignJob job;
   job.name = request.name;
   job.priority = request.priority;
   job.csv_path = request.csv_path;
-  job.manifests =
-      dist::make_manifests(spec, request.device, kind, plan,
-                           request.double_fault);
+  job.manifests = dist::make_manifests(spec, request.device, kind, plan,
+                                       request.double_fault);
   return job;
 }
 

@@ -16,6 +16,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
@@ -31,6 +32,7 @@
 #include "dist/shard_plan.hpp"
 #include "dist/shard_runner.hpp"
 #include "support/campaign_fixtures.hpp"
+#include "support/shard_partials.hpp"
 #include "support/test_files.hpp"
 #include "util/error.hpp"
 
@@ -214,19 +216,17 @@ TEST(AdaptiveShardInvariance, PlanRunMergeMatchesSingleProcess) {
   const std::string single_bytes = slurp(single_csv);
 
   for (const std::uint32_t num_shards : {1u, 2u, 8u}) {
-    const auto plan = dist::plan_campaign_shards(spec, num_shards);
-    std::vector<CampaignResult> parts;
-    for (const auto& assignment : plan.shards) {
-      if (assignment.point_indices.empty()) continue;
-      parts.push_back(
-          run_single_fault_campaign_subset(spec, assignment.point_indices));
-    }
-    const auto merged = dist::merge_shard_results(parts);
-    expect_results_identical(single, merged,
-                             std::to_string(num_shards) + " shards");
-    const auto merged_csv =
-        dir.str("merged_" + std::to_string(num_shards) + ".csv");
-    merged.write_csv(merged_csv);
+    const auto sub = dir.str("s" + std::to_string(num_shards));
+    std::filesystem::create_directories(sub);
+    const auto paths = test_support::write_partials(
+        spec, dist::plan_campaign_shards(spec, num_shards), sub);
+    SCOPED_TRACE(std::to_string(num_shards) + " shards");
+    test_support::expect_same_records(
+        test_support::merge_partials(paths, sub).records, single.records);
+    // The CSV carries the per-point estimate columns, recomputed from the
+    // merged records by replay.
+    const auto merged_csv = sub + "/merged.csv";
+    (void)dist::merge_result_files_to_csv(paths, merged_csv);
     EXPECT_EQ(slurp(merged_csv), single_bytes)
         << num_shards << "-shard merge CSV differs from single-process run";
   }
@@ -425,37 +425,26 @@ TEST(AdaptiveFormats, ManifestRoundTripsThePolicy) {
 // ---- merge policy enforcement ---------------------------------------------
 
 TEST(AdaptiveMerge, RefusesMixedModesAndDifferingPolicies) {
+  TempDir dir("adaptive_mix");
   auto spec = gold_spec("bv");
   spec.max_points = 4;
-  const std::size_t first[] = {0, 1};
-  const std::size_t second[] = {2, 3};
+  const std::vector<std::size_t> first = {0, 1};
+  const std::vector<std::size_t> second = {2, 3};
 
-  const auto exhaustive = run_single_fault_campaign_subset(spec, first);
+  test_support::write_partial(spec, first, 0, 2, dir.str("exhaustive.qp"));
   spec.adaptive = AdaptivePolicy{};
-  const auto adaptive = run_single_fault_campaign_subset(spec, second);
-  {
-    const CampaignResult shards[] = {exhaustive, adaptive};
-    try {
-      (void)dist::merge_shard_results(shards);
-      FAIL() << "merge accepted mixed adaptive/exhaustive shards";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("adaptive"), std::string::npos)
-          << e.what();
-    }
-  }
-
+  test_support::write_partial(spec, second, 1, 2, dir.str("adaptive.qp"));
   spec.adaptive->seed = 123;
-  const auto reseeded = run_single_fault_campaign_subset(spec, first);
-  {
-    const CampaignResult shards[] = {reseeded, adaptive};
-    try {
-      (void)dist::merge_shard_results(shards);
-      FAIL() << "merge accepted shards with differing adaptive policies";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("polic"), std::string::npos)
-          << e.what();
-    }
-  }
+  test_support::write_partial(spec, first, 0, 2, dir.str("reseeded.qp"));
+
+  // The file merge and the dispatcher's prefix merge give each mixup its
+  // own diagnosis.
+  test_support::expect_merges_refuse(
+      {{dir.str("exhaustive.qp"), first}, {dir.str("adaptive.qp"), second}},
+      dir.str("merged.qp"), "cannot mix adaptive and exhaustive");
+  test_support::expect_merges_refuse(
+      {{dir.str("reseeded.qp"), first}, {dir.str("adaptive.qp"), second}},
+      dir.str("merged.qp"), "disagree on the adaptive policy");
 }
 
 }  // namespace

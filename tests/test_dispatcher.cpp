@@ -27,6 +27,7 @@
 #include "service/fleet.hpp"
 #include "service/submission.hpp"
 #include "support/campaign_fixtures.hpp"
+#include "support/shard_partials.hpp"
 #include "support/test_files.hpp"
 #include "util/error.hpp"
 
@@ -35,6 +36,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using test_support::expect_error;
 using test_support::for_each_byte_flip;
 using test_support::for_each_truncation;
 using test_support::quick_spec;
@@ -975,6 +977,25 @@ TEST(Submission, SignedOrOverflowingUnsignedFieldsAreRejected) {
   expect_submission_rejected(dir, good + "seed 18446744073709551616\n",
                              "bad seed line");
   expect_submission_rejected(dir, good + "shots 12x\n", "bad shots line");
+}
+
+TEST(Submission, UnknownNamesAndIdleTrajectoryAreRefusedAtPlanning) {
+  // plan_submission parses with the shared dist parsers and leaves the
+  // idle-noise rule to make_manifests: each refusal names its reason.
+  auto request = sample_request();
+  request.policy = "fastest";
+  expect_error([&] { (void)service::plan_submission(request); },
+               "unknown shard policy: fastest");
+  request = sample_request();
+  request.backend_kind = "statevector";
+  expect_error([&] { (void)service::plan_submission(request); },
+               "unknown backend kind: statevector");
+  request = sample_request();
+  request.double_fault = false;
+  request.backend_kind = "trajectory";
+  ASSERT_TRUE(request.idle_noise);
+  expect_error([&] { (void)service::plan_submission(request); },
+               "idle_noise requires the density backend kind");
 }
 
 TEST(Submission, OutOfRangeWidthsThrowBeforeAnyShift) {

@@ -18,6 +18,7 @@
 #include "noise/backend_props.hpp"
 #include "noise/noise_model.hpp"
 #include "support/campaign_fixtures.hpp"
+#include "support/shard_partials.hpp"
 #include "support/test_files.hpp"
 #include "util/error.hpp"
 
@@ -25,55 +26,17 @@ namespace qufi {
 namespace {
 
 namespace fs = std::filesystem;
+using test_support::expect_error;
 using test_support::expect_same_records;
+using test_support::load_result;
+using test_support::merge_partials;
 using test_support::quick_spec;
+using test_support::run_manifests;
+using test_support::run_sharded;
 using test_support::slurp;
 using test_support::TempDir;
-
-/// Runs spec as N shards via the subset API and merges.
-CampaignResult run_sharded(const CampaignSpec& spec, std::uint32_t shards,
-                           dist::ShardPolicy policy) {
-  const auto plan = dist::plan_campaign_shards(spec, shards, policy);
-  std::vector<CampaignResult> results;
-  for (const auto& shard : plan.shards) {
-    results.push_back(
-        run_single_fault_campaign_subset(spec, shard.point_indices));
-  }
-  dist::MergeOptions options;
-  options.expected_records = single_campaign_executions(
-      results.at(0).points.size(), spec.grid);
-  return dist::merge_shard_results(results, options);
-}
-
-/// A QUFIPART partial loaded back as the campaign result it encodes
-/// (executions/injections from the end marker).
-CampaignResult load_result(const std::string& path) {
-  auto file = resio::read_result_file(path);
-  CampaignResult result;
-  result.meta = file.header.meta;
-  result.meta.executions = file.executions;
-  result.meta.injections = file.injections;
-  result.points = std::move(file.header.points);
-  result.records = std::move(file.records);
-  return result;
-}
-
-/// Runs every manifest through run_shard into `dir`/part_<k>.qp, then
-/// file-merges the partials: the worker -> merger path of a real fleet.
-CampaignResult run_manifests(const std::vector<dist::ShardManifest>& manifests,
-                             const TempDir& dir) {
-  std::vector<std::string> paths;
-  for (const auto& manifest : manifests) {
-    dist::ShardRunOptions options;
-    options.threads = 2;
-    options.columnar_output_path =
-        dir.str("part_" + std::to_string(manifest.shard_index) + ".qp");
-    (void)dist::run_shard(manifest, options);
-    paths.push_back(options.columnar_output_path);
-  }
-  (void)dist::merge_result_files(paths, dir.str("merged.qp"));
-  return load_result(dir.str("merged.qp"));
-}
+using test_support::write_partial;
+using test_support::write_partials;
 
 // ---- shard planning --------------------------------------------------------
 
@@ -173,6 +136,41 @@ TEST(ShardManifest, SaveLoadRoundTripPreservesEverything) {
   }
 }
 
+TEST(ShardManifest, NamesParseOnceAndIdleNoiseNeedsTheDensityKind) {
+  EXPECT_EQ(dist::shard_policy_from_name("cost"),
+            dist::ShardPolicy::CostWeighted);
+  EXPECT_EQ(dist::shard_policy_from_name("points"),
+            dist::ShardPolicy::PointCount);
+  EXPECT_EQ(dist::shard_policy_from_name("tree"),
+            dist::ShardPolicy::TreeAware);
+  expect_error([] { (void)dist::shard_policy_from_name("Tree"); },
+               "unknown shard policy: Tree");
+  EXPECT_EQ(dist::worker_backend_kind_from_name("density"),
+            dist::WorkerBackendKind::Density);
+  EXPECT_EQ(dist::worker_backend_kind_from_name("trajectory"),
+            dist::WorkerBackendKind::Trajectory);
+  expect_error(
+      [] { (void)dist::worker_backend_kind_from_name("statevector"); },
+      "unknown backend kind: statevector");
+
+  // Both planners (qufi_shard_plan and plan_submission) build manifests
+  // here, so the trajectory family's missing idle mode is refused here.
+  auto spec = quick_spec("bv", 4);
+  spec.idle_noise = true;
+  const auto plan = dist::plan_campaign_shards(spec, 2);
+  expect_error(
+      [&] {
+        (void)dist::make_manifests(spec, "casablanca",
+                                   dist::WorkerBackendKind::Trajectory, plan,
+                                   false);
+      },
+      "idle_noise requires the density backend kind");
+  EXPECT_EQ(dist::make_manifests(spec, "casablanca",
+                                 dist::WorkerBackendKind::Density, plan, false)
+                .size(),
+            2u);
+}
+
 // ---- shard execution + merge equivalence -----------------------------------
 
 TEST(ShardMerge, OneTwoAndEightShardsMatchSingleProcessOnPaperCircuits) {
@@ -206,54 +204,48 @@ TEST(ShardMerge, TrajectoryShardsAreBitIdenticalUnderCommonRandomNumbers) {
 }
 
 TEST(ShardMerge, EmptyShardContributesNothingAndMergesCleanly) {
+  TempDir dir("empty_shard");
   auto spec = quick_spec("bv", 4);
   spec.max_points = 4;
 
-  const auto empty =
-      run_single_fault_campaign_subset(spec, std::span<const std::size_t>{});
+  const std::string empty_path = dir.str("empty.qp");
+  write_partial(spec, std::span<const std::size_t>{}, 0, 2, empty_path);
+  const auto empty = load_result(empty_path);
   EXPECT_TRUE(empty.records.empty());
   EXPECT_EQ(empty.meta.executions, 0u);
   EXPECT_EQ(empty.points.size(), 4u);  // full table still present
 
-  const auto single = run_single_fault_campaign(spec);
   const std::size_t all[] = {0, 1, 2, 3};
-  const auto full = run_single_fault_campaign_subset(spec, all);
-  const CampaignResult shards[] = {empty, full};
-  const auto merged = dist::merge_shard_results(shards);
-  expect_same_records(merged.records, single.records);
+  const std::string full_path = dir.str("full.qp");
+  write_partial(spec, all, 1, 2, full_path);
+  const std::string paths[] = {empty_path, full_path};
+  const auto merged = merge_partials(paths, dir.str());
+  expect_same_records(merged.records, run_single_fault_campaign(spec).records);
 }
 
 TEST(ShardMerge, DuplicateShardOutputsAreIdempotent) {
+  TempDir dir("duplicate_shard");
   auto spec = quick_spec("bv", 4);
   spec.max_points = 4;
   const std::size_t lo[] = {0, 1};
   const std::size_t hi[] = {2, 3};
-  const auto a = run_single_fault_campaign_subset(spec, lo);
-  const auto b = run_single_fault_campaign_subset(spec, hi);
-  const auto b_retry = run_single_fault_campaign_subset(spec, hi);
+  write_partial(spec, lo, 0, 2, dir.str("a.qp"));
+  write_partial(spec, hi, 1, 2, dir.str("b.qp"));
+  write_partial(spec, hi, 1, 2, dir.str("b_retry.qp"));
 
-  const CampaignResult shards[] = {b, a, b_retry};  // arrival order scrambled
-  const auto merged = dist::merge_shard_results(shards);
-  const auto single = run_single_fault_campaign(spec);
-  expect_same_records(merged.records, single.records);
+  // Arrival order scrambled; the retry's records are confirmations.
+  const std::string paths[] = {dir.str("b.qp"), dir.str("a.qp"),
+                               dir.str("b_retry.qp")};
+  const auto stats = dist::merge_result_files(paths, dir.str("merged.qp"));
+  EXPECT_EQ(stats.duplicate_records,
+            load_result(dir.str("b.qp")).records.size());
+  expect_same_records(load_result(dir.str("merged.qp")).records,
+                      run_single_fault_campaign(spec).records);
 }
 
-TEST(ShardMerge, CompletenessCheckCatchesMissingShard) {
-  auto spec = quick_spec("bv", 4);
-  spec.max_points = 4;
-  const std::size_t lo[] = {0, 1};
-  const auto a = run_single_fault_campaign_subset(spec, lo);
-  const CampaignResult shards[] = {a};
-  dist::MergeOptions options;
-  options.expected_records =
-      single_campaign_executions(a.points.size(), spec.grid);
-  EXPECT_THROW((void)dist::merge_shard_results(shards, options), Error);
-  options.allow_incomplete = true;
-  const auto partial_merge = dist::merge_shard_results(shards, options);
-  EXPECT_EQ(partial_merge.records.size(), a.records.size());
-}
-
-TEST(ShardMerge, DoubleFaultShardsMatchSingleProcess) {
+/// A 3-shard double-fault campaign under `policy` merges to the
+/// single-process double-fault run.
+void expect_double_fault_shards_match(dist::ShardPolicy policy) {
   auto spec = quick_spec("bv", 4);
   spec.grid.theta_step_deg = 90.0;
   spec.grid.phi_step_deg = 90.0;
@@ -261,15 +253,13 @@ TEST(ShardMerge, DoubleFaultShardsMatchSingleProcess) {
   spec.max_points = 4;
 
   const auto single = run_double_fault_campaign(spec);
-  const auto plan = dist::plan_campaign_shards(spec, 3);
-  std::vector<CampaignResult> results;
-  for (const auto& shard : plan.shards) {
-    results.push_back(
-        run_double_fault_campaign_subset(spec, shard.point_indices));
-  }
-  const auto merged = dist::merge_shard_results(results);
+  const auto merged = run_sharded(spec, 3, policy, /*double_fault=*/true);
   EXPECT_EQ(merged.meta.executions, single.meta.executions);
   expect_same_records(merged.records, single.records);
+}
+
+TEST(ShardMerge, DoubleFaultShardsMatchSingleProcess) {
+  expect_double_fault_shards_match(dist::ShardPolicy::CostWeighted);
 }
 
 // ---- prefix-tree engine across the dist layer ------------------------------
@@ -316,23 +306,7 @@ TEST(ShardPlan, TreeCostChargesExtensionNotFullPrefix) {
 }
 
 TEST(ShardMerge, TreePlannedDoubleFaultShardsMatchSingleProcess) {
-  auto spec = quick_spec("bv", 4);
-  spec.grid.theta_step_deg = 90.0;
-  spec.grid.phi_step_deg = 90.0;
-  spec.grid.phi_max_deg = 180.0;
-  spec.max_points = 4;
-
-  const auto single = run_double_fault_campaign(spec);
-  const auto plan = dist::plan_campaign_shards(spec, 3,
-                                               dist::ShardPolicy::TreeAware);
-  std::vector<CampaignResult> results;
-  for (const auto& shard : plan.shards) {
-    results.push_back(
-        run_double_fault_campaign_subset(spec, shard.point_indices));
-  }
-  const auto merged = dist::merge_shard_results(results);
-  EXPECT_EQ(merged.meta.executions, single.meta.executions);
-  expect_same_records(merged.records, single.records);
+  expect_double_fault_shards_match(dist::ShardPolicy::TreeAware);
 }
 
 // ---- moment-aware (idle-noise) distribution --------------------------------
@@ -384,23 +358,20 @@ TEST(ShardManifest, IdleNoiseKnobRoundTripsAndOlderVersionsDefaultOff) {
 }
 
 TEST(ShardMerge, RefusesToMixIdleNoiseAndPlainShards) {
+  TempDir dir("idle_mix");
   auto spec = quick_spec("bv", 4);
   spec.max_points = 4;
-  const std::size_t first[] = {0, 1};
-  const std::size_t second[] = {2, 3};
-  const auto plain = run_single_fault_campaign_subset(spec, first);
+  const std::vector<std::size_t> first = {0, 1};
+  const std::vector<std::size_t> second = {2, 3};
+  write_partial(spec, first, 0, 2, dir.str("plain.qp"));
   spec.idle_noise = true;
-  const auto idle = run_single_fault_campaign_subset(spec, second);
+  write_partial(spec, second, 1, 2, dir.str("idle.qp"));
 
-  const CampaignResult shards[] = {plain, idle};
-  try {
-    (void)dist::merge_shard_results(shards);
-    FAIL() << "merge accepted mixed idle-noise/plain shards";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("idle-noise"), std::string::npos)
-        << "mixup error should diagnose the idle_noise mode, got: "
-        << e.what();
-  }
+  // Both the file merge and the dispatcher's prefix merge diagnose the
+  // idle_noise mode, not a generic metadata mismatch.
+  test_support::expect_merges_refuse(
+      {{dir.str("plain.qp"), first}, {dir.str("idle.qp"), second}},
+      dir.str("merged.qp"), "idle-noise");
 }
 
 TEST(ShardMerge, IdleNoiseShardsMatchSingleProcess) {
@@ -470,66 +441,34 @@ TEST(ShardRunner, ManifestExecutionMatchesDirectSubsetRun) {
 
 // ---- columnar partials and the streaming file merge ------------------------
 
-/// Subset-runs spec as `shards` columnar partial files on disk.
-std::vector<std::string> write_columnar_shards(const fs::path& dir,
-                                               const CampaignSpec& spec,
-                                               std::uint32_t shards) {
-  const auto plan = dist::plan_campaign_shards(spec, shards);
-  std::vector<std::string> paths;
-  for (std::size_t k = 0; k < plan.shards.size(); ++k) {
-    const auto result =
-        run_single_fault_campaign_subset(spec, plan.shards[k].point_indices);
-    resio::ResultFileHeader header;
-    header.shard_index = static_cast<std::uint32_t>(k);
-    header.shard_count = static_cast<std::uint32_t>(plan.shards.size());
-    header.expected_total_records =
-        single_campaign_executions(result.points.size(), spec.grid);
-    header.meta = result.meta;
-    header.points = result.points;
-    paths.push_back((dir / ("part_" + std::to_string(k) + ".qp")).string());
-    resio::write_result_file(paths.back(), header, result.records,
-                             result.meta.executions, result.meta.injections);
-  }
-  return paths;
-}
-
-TEST(StreamingMerge, FileMergeMatchesInMemoryAndSingleProcessAt2And8Shards) {
+TEST(StreamingMerge, FileMergeMatchesSingleProcessAt2And8Shards) {
   TempDir dir("streaming");
   auto spec = quick_spec("bv", 4);
   spec.max_points = 6;
   const auto single = run_single_fault_campaign(spec);
-  const std::string reference_csv = (dir.path / "single.csv").string();
+  const std::string reference_csv = dir.str("single.csv");
   single.write_csv(reference_csv);
 
   for (const std::uint32_t shards : {2u, 8u}) {
-    const auto sub = dir.path / ("s" + std::to_string(shards));
+    const auto sub = dir.str("s" + std::to_string(shards));
     fs::create_directories(sub);
-    const auto paths = write_columnar_shards(sub, spec, shards);
+    const auto paths =
+        write_partials(spec, dist::plan_campaign_shards(spec, shards), sub);
 
     // Columnar file merge == the single-process campaign, bit for bit.
-    const std::string merged_path = (sub / "merged.qp").string();
+    const std::string merged_path = sub + "/merged.qp";
     const auto stats = dist::merge_result_files(paths, merged_path);
     EXPECT_EQ(stats.merged_records, single.records.size());
     EXPECT_EQ(stats.duplicate_records, 0u);
-    const auto merged_file = resio::read_result_file(merged_path);
-    CampaignResult merged;
-    merged.meta = merged_file.header.meta;
-    merged.points = merged_file.header.points;
-    merged.records = merged_file.records;
+    const auto merged = load_result(merged_path);
     expect_same_records(merged.records, single.records);
     EXPECT_EQ(merged.meta.faultfree_qvf, single.meta.faultfree_qvf);
 
     // Streaming CSV export == CampaignResult::write_csv, byte for byte.
-    const std::string merged_csv = (sub / "merged.csv").string();
+    const std::string merged_csv = sub + "/merged.csv";
     (void)dist::merge_result_files_to_csv(paths, merged_csv);
     EXPECT_EQ(slurp(merged_csv), slurp(reference_csv))
         << shards << "-shard streaming CSV diverges from write_csv";
-
-    // And the same partials through the in-memory reference merge agree too.
-    std::vector<CampaignResult> parts;
-    for (const auto& path : paths) parts.push_back(load_result(path));
-    expect_same_records(dist::merge_shard_results(parts).records,
-                        single.records);
   }
 }
 
@@ -537,7 +476,8 @@ TEST(StreamingMerge, CsvWriteFailureNamesThePathAndLeavesNoTempFile) {
   TempDir dir("csv_failure");
   auto spec = quick_spec("bv", 4);
   spec.max_points = 6;
-  const auto paths = write_columnar_shards(dir.path, spec, 2);
+  const auto paths =
+      write_partials(spec, dist::plan_campaign_shards(spec, 2), dir.str());
   const std::string csv = dir.str("merged.csv");
   {
     const test_support::FileSizeCap cap(1024);
@@ -609,40 +549,44 @@ TEST(StreamingMerge, BitExactDuplicatesMergeConflictsAreNamed) {
     EXPECT_NE(message.find("shard 0"), std::string::npos) << message;
     EXPECT_NE(message.find("shard 1"), std::string::npos) << message;
   }
-
-  // The in-memory reference merge applies the identical rule.
-  const CampaignResult bad_parts[] = {load_result(a_path),
-                                      load_result(bad_path)};
-  try {
-    (void)dist::merge_shard_results(bad_parts);
-    FAIL() << "conflicting duplicate not detected (in-memory)";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("disagree on point 1"),
-              std::string::npos)
-        << e.what();
-  }
 }
 
 TEST(StreamingMerge, IncompleteColumnarMergeIsDiagnosedUnlessAllowed) {
   TempDir dir("incomplete");
   auto spec = quick_spec("bv", 4);
   spec.max_points = 4;
-  auto paths = write_columnar_shards(dir.path, spec, 2);
+  const auto plan = dist::plan_campaign_shards(spec, 2);
+  auto paths = write_partials(spec, plan, dir.str());
   paths.pop_back();  // lose a shard
+  const std::vector<std::size_t>& lost = plan.shards.back().point_indices;
+  ASSERT_FALSE(lost.empty());
+  std::string lost_list;
+  for (const std::size_t p : lost) {
+    lost_list += (lost_list.empty() ? "" : ", ") + std::to_string(p);
+  }
 
-  const std::string merged_path = (dir.path / "merged.qp").string();
+  // The error names the lost shard's points, as qufi_shard_merge's
+  // missing_points / first_missing report does.
+  const std::string merged_path = dir.str("merged.qp");
   try {
     (void)dist::merge_result_files(paths, merged_path);
     FAIL() << "missing shard not detected";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("incomplete campaign"),
+    const std::string message = e.what();
+    EXPECT_NE(message.find("incomplete campaign"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("first missing: " + lost_list + ")"),
               std::string::npos)
-        << e.what();
+        << message;
   }
   dist::MergeOptions options;
   options.allow_incomplete = true;
   const auto stats = dist::merge_result_files(paths, merged_path, options);
   EXPECT_GT(stats.merged_records, 0u);
+  EXPECT_EQ(stats.missing.count, lost.size());
+  EXPECT_EQ(std::vector<std::size_t>(stats.missing.first.begin(),
+                                     stats.missing.first.end()),
+            lost);
 }
 
 TEST(ShardRunner, StreamingColumnarOutputMatchesInMemoryPartial) {
@@ -682,9 +626,7 @@ TEST(ShardRunner, StreamingColumnarOutputMatchesInMemoryPartial) {
               reference.meta.faultfree_qvf);
     EXPECT_EQ(from_disk.header.meta.backend_name, reference.meta.backend_name);
     EXPECT_EQ(from_disk.executions, reference.meta.executions);
-    CampaignResult loaded;
-    loaded.records = from_disk.records;
-    expect_same_records(loaded.records, reference.records);
+    expect_same_records(from_disk.records, reference.records);
   }
 
   // The partial is the only output, so a run without a path is refused.

@@ -58,6 +58,7 @@ struct Attempt {
 /// The ground truth plus everything the replay needs, built once per
 /// circuit (the expensive part) and shared across trials.
 struct Campaign {
+  /// The single-process run: what every merged prefix must be a prefix of.
   CampaignResult merged;
   std::vector<ShardData> shards;
   /// records with point_index < f, i.e. the expected prefix size at
@@ -76,7 +77,7 @@ Campaign build_campaign(const std::string& circuit) {
     results.push_back(
         run_single_fault_campaign_subset(spec, assignment.point_indices));
   }
-  campaign.merged = dist::merge_shard_results(results);
+  campaign.merged = run_single_fault_campaign(spec);
 
   for (std::size_t i = 0; i < results.size(); ++i) {
     ShardData shard;
