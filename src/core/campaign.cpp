@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "backend/density_backend.hpp"
 #include "core/adaptive.hpp"
@@ -55,41 +57,70 @@ Prepared prepare(const CampaignSpec& spec) {
   return prep;
 }
 
-/// Walks a prefix-tree plan with one task per chain: the chain head is
-/// prepared from scratch, every later node is derived from its predecessor
-/// via extend_snapshot (bit-identical to a from-scratch prepare), and
-/// `visit(pos, snapshot)` runs for each of the node's member positions with
-/// work. Nodes none of whose members have work are skipped entirely — the
-/// next extension jumps across them — so e.g. double-fault points with no
-/// coupled active neighbor never materialize a snapshot. At most two
-/// snapshots are alive per chain (few-point campaigns that store the
-/// handful of snapshots for chunked sweeping are bounded by the pool size
-/// instead).
+/// What a chain hands the next one: a snapshot and its prefix length, or a
+/// null snapshot when the next chain must prepare from scratch.
+using ChainHead = std::pair<backend::PrefixSnapshotPtr, std::size_t>;
+
+/// Walks a prefix-tree plan with one task per chain. Only the sweep's
+/// first snapshot is prepared from scratch; every later one is derived via
+/// extend_snapshot (bit-identical to a from-scratch prepare) from the one
+/// before it. `visit(pos, snapshot)` runs for each of the node's member
+/// positions with work. Nodes none of whose members have work are skipped
+/// entirely — the next extension jumps across them — so e.g. double-fault
+/// points with no coupled active neighbor never materialize a snapshot.
+///
+/// Chains relay: each chain hands its first snapshot to the next chain,
+/// whose first snapshot extends it. A chain with no work passes on what it
+/// received; a chain that throws passes on nothing, and the next chain
+/// prepares from scratch. The relay is decided here, not in the plan,
+/// whose parent links price each chain head as a root. At most two
+/// snapshots are alive per chain, plus one handed over and not yet taken
+/// (few-point campaigns that store the handful of snapshots for chunked
+/// sweeping are bounded by the pool size instead).
 template <typename HasWork, typename Visit>
 void run_tree_chains(util::ThreadPool& pool, backend::Backend& exec,
                      const circ::QuantumCircuit& circuit,
                      const CampaignSpec& spec, const SnapshotTreePlan& plan,
                      const HasWork& has_work, const Visit& visit) {
-  pool.parallel_for(plan.num_chains(), [&](std::size_t chain) {
-    backend::PrefixSnapshotPtr prev;
-    std::size_t prev_split = 0;
-    for (std::size_t i = plan.chain_begin[chain];
-         i < plan.chain_begin[chain + 1]; ++i) {
-      const SnapshotTreeNode& node = plan.nodes[i];
-      const bool any_work = std::any_of(node.members.begin(),
-                                        node.members.end(), has_work);
-      if (!any_work) continue;
-      backend::PrefixSnapshotPtr snapshot =
-          prev ? exec.extend_snapshot(*prev, prev_split, node.split,
-                                      spec.shots, spec.seed)
-               : exec.prepare_prefix(circuit, node.split, spec.shots,
-                                     spec.seed);
-      for (const std::size_t pos : node.members) {
-        if (has_work(pos)) visit(pos, snapshot);
+  // handoff[c] carries chain c - 1's head to chain c; taking it moves the
+  // snapshot out, so a head outlives its hand-off only while its own chain
+  // still sweeps from it. Waiting cannot deadlock: parallel_for claims
+  // chain c only after chain c - 1, and every claimed chain passes.
+  const std::size_t chains = plan.num_chains();
+  std::vector<std::promise<ChainHead>> handoff(chains);
+  std::vector<std::future<ChainHead>> received;
+  for (auto& promise : handoff) received.push_back(promise.get_future());
+  pool.parallel_for(chains, [&](std::size_t chain) {
+    auto [prev, prev_split] = chain == 0 ? ChainHead{} : received[chain].get();
+    bool passed = false;
+    const auto pass = [&](ChainHead head) {
+      passed = true;
+      if (chain + 1 < chains) handoff[chain + 1].set_value(std::move(head));
+    };
+    try {
+      for (std::size_t i = plan.chain_begin[chain];
+           i < plan.chain_begin[chain + 1]; ++i) {
+        const SnapshotTreeNode& node = plan.nodes[i];
+        const bool any_work = std::any_of(node.members.begin(),
+                                          node.members.end(), has_work);
+        if (!any_work) continue;
+        backend::PrefixSnapshotPtr snapshot =
+            prev ? exec.extend_snapshot(*prev, prev_split, node.split,
+                                        spec.shots, spec.seed)
+                 : exec.prepare_prefix(circuit, node.split, spec.shots,
+                                       spec.seed);
+        if (!passed) pass({snapshot, node.split});
+        for (const std::size_t pos : node.members) {
+          if (has_work(pos)) visit(pos, snapshot);
+        }
+        prev = std::move(snapshot);
+        prev_split = node.split;
       }
-      prev = std::move(snapshot);
-      prev_split = node.split;
+    } catch (...) {
+      if (!passed) pass({});
+      throw;
     }
+    if (!passed) pass({std::move(prev), prev_split});
   });
 }
 

@@ -459,14 +459,18 @@ std::vector<InjectionRecord> ResultReader::read_block(std::size_t i) {
   for (auto& rec : records) rec.pb = r.f64();
   require(r.at_end(),
           "result file " + path_ + ": " + label + ": trailing bytes");
+  // Per-record checks build their message only when one fails.
   for (std::size_t k = 0; k < records.size(); ++k) {
-    const auto& rec = records[k];
-    require(rec.point_index >= first && rec.point_index <= last,
-            "result file " + path_ + ": " + label +
-                ": record outside declared point range");
-    require(k == 0 || rec.point_index >= records[k - 1].point_index,
-            "result file " + path_ + ": " + label +
-                ": records not sorted by point index");
+    const std::uint32_t point = records[k].point_index;
+    const char* broken = nullptr;
+    if (point < first || point > last) {
+      broken = "record outside declared point range";
+    } else if (k > 0 && point < records[k - 1].point_index) {
+      broken = "records not sorted by point index";
+    }
+    if (broken) {
+      throw Error("result file " + path_ + ": " + label + ": " + broken);
+    }
   }
   return records;
 }

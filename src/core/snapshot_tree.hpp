@@ -31,6 +31,9 @@ struct SnapshotTreeNode {
 /// function of (splits, max_chains) — subsets plan their own trees, and
 /// because extend_snapshot is bit-identical to a from-scratch prepare, the
 /// tree shape never changes campaign records (the sharding contract).
+/// The plan prices each chain on its own; at run time the campaign engine
+/// (run_tree_chains in core/campaign.cpp) also hands each chain's first
+/// snapshot to the next chain, so a sweep prepares only one from scratch.
 struct SnapshotTreePlan {
   std::vector<SnapshotTreeNode> nodes;
   /// Chain c covers nodes [chain_begin[c], chain_begin[c + 1]); size is
@@ -41,7 +44,8 @@ struct SnapshotTreePlan {
     return chain_begin.empty() ? 0 : chain_begin.size() - 1;
   }
 
-  /// Gates evolved from scratch (sum of root splits) — what the roots cost.
+  /// Gates evolved from scratch (sum of root splits) — what the roots would
+  /// cost if each chain prepared its own head.
   std::uint64_t scratch_gates() const;
   /// Gates advanced via extend_snapshot (sum of child - parent splits).
   std::uint64_t extended_gates() const;

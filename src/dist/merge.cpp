@@ -9,6 +9,7 @@
 
 #include "core/result_io.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qufi::dist {
 
@@ -173,15 +174,20 @@ std::uint64_t consume_duplicate_runs(std::vector<BlockStream>& streams,
   for (std::size_t i = owner + 1; i < streams.size(); ++i) {
     if (!streams[i].ready() || streams[i].point() != point) continue;
     const auto dup = streams[i].take_run();
-    require(dup.size() == run.size(),
-            conflict_message(streams[owner].label, streams[i].label, point,
-                             std::to_string(run.size()) + " vs " +
-                                 std::to_string(dup.size()) + " records"));
+    if (dup.size() != run.size()) {
+      throw Error(conflict_message(streams[owner].label, streams[i].label,
+                                   point,
+                                   std::to_string(run.size()) + " vs " +
+                                       std::to_string(dup.size()) +
+                                       " records"));
+    }
     for (std::size_t k = 0; k < run.size(); ++k) {
-      require(record_matches(run[k], dup[k]),
-              conflict_message(streams[owner].label, streams[i].label, point,
-                               "record " + std::to_string(k) + " of " +
-                                   std::to_string(run.size()) + " differs"));
+      if (!record_matches(run[k], dup[k])) {
+        throw Error(conflict_message(
+            streams[owner].label, streams[i].label, point,
+            "record " + std::to_string(k) + " of " +
+                std::to_string(run.size()) + " differs"));
+      }
     }
     dropped += dup.size();
   }
@@ -323,9 +329,19 @@ StreamingMergeStats merge_result_files_to_csv(
   std::vector<BlockStream> streams = open_merge_inputs(inputs);
   const resio::ResultFileHeader& header = streams[0].reader->header();
   CampaignCsvWriter csv(csv_path, header.meta, header.points);
+  // Whole point runs are gathered into batches, so each write hands the
+  // pool many blocks to format at once, as CampaignResult::write_csv does.
+  util::ThreadPool pool;
+  std::vector<InjectionRecord> batch;
   const StreamingMergeStats stats = run_file_merge(
-      inputs, options, streams,
-      [&](std::span<const InjectionRecord> run) { csv.write(run); });
+      inputs, options, streams, [&](std::span<const InjectionRecord> run) {
+        batch.insert(batch.end(), run.begin(), run.end());
+        if (batch.size() >= kMergeCsvBatchRecords) {
+          csv.write(batch, pool);
+          batch.clear();
+        }
+      });
+  csv.write(batch, pool);
   csv.commit();
   return stats;
 }

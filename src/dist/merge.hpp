@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -71,6 +72,8 @@ struct StreamingMergeStats {
 /// Never materializes the campaign: each input contributes at most one
 /// decoded block at a time (peak memory O(shards x block), not
 /// O(campaign)), and the output streams through a resio::ResultWriter.
+/// The CSV export below adds one merge batch of records and the formatted
+/// text of at most 2 x lanes CSV blocks.
 /// The merged file's executions/injections are recomputed from the merged
 /// record set (duplicates would double-count a sum over shards).
 ///
@@ -81,10 +84,17 @@ StreamingMergeStats merge_result_files(std::span<const std::string> inputs,
                                        const std::string& out_path,
                                        const MergeOptions& options = {});
 
+/// Records merge_result_files_to_csv gathers (in whole point runs) before
+/// it formats them on its thread pool: 8 CSV blocks.
+inline constexpr std::size_t kMergeCsvBatchRecords =
+    8 * CampaignCsvWriter::kBlockRows;
+
 /// Same streaming merge, but exporting straight to campaign CSV through
 /// CampaignCsvWriter — byte-identical to CampaignResult::write_csv on the
 /// merged result (same writer, same canonical point order). A single
-/// input makes this the QUFIPART-to-CSV export.
+/// input makes this the QUFIPART-to-CSV export. Rows are formatted on a
+/// pool of hardware threads, one batch of kMergeCsvBatchRecords records
+/// (plus the rest of the point run that crossed it) at a time.
 StreamingMergeStats merge_result_files_to_csv(
     std::span<const std::string> inputs, const std::string& csv_path,
     const MergeOptions& options = {});

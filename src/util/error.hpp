@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace qufi {
 
@@ -15,9 +16,11 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Throws qufi::Error with `message` when `condition` is false.
-inline void require(bool condition, const std::string& message) {
-  if (!condition) throw Error(message);
+/// Throws qufi::Error with `message` when `condition` is false. A passing
+/// check with a literal message allocates nothing, so per-field and
+/// per-record checks can use it on hot paths.
+inline void require(bool condition, std::string_view message) {
+  if (!condition) throw Error(std::string(message));
 }
 
 }  // namespace qufi

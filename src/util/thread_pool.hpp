@@ -34,9 +34,14 @@ class ThreadPool {
   void wait_idle();
 
   /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// Exceptions from tasks are captured and the first one is rethrown;
-  /// after any failure, lanes stop claiming new iterations (already-claimed
-  /// ones still finish), so not every remaining index is attempted.
+  /// Indices are claimed in ascending order: index i is claimed only after
+  /// every lower index, and a claimed index always runs to completion on
+  /// its lane. fn(i) may therefore wait on work that fn(i - 1) hands over
+  /// (the campaign engine's chain-head relay relies on this) without
+  /// deadlock. Exceptions from tasks are captured and the first one is
+  /// rethrown; after any failure, lanes stop claiming new iterations
+  /// (already-claimed ones still finish), so not every remaining index is
+  /// attempted. Must not be called from one of this pool's own lanes.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

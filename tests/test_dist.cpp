@@ -1,14 +1,19 @@
 // Distribution-layer tests: shard planning, manifest round-trips, shard
-// execution into QUFIPART partials, and N-shard merge equivalence against
-// the single-process campaign.
+// execution into QUFIPART partials, N-shard merge equivalence against
+// the single-process campaign, and the pooled CSV export around one merge
+// batch (bytes, and no file left after a failure mid-merge).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "algorithms/algorithms.hpp"
 #include "backend/trajectory_backend.hpp"
+#include "core/adaptive.hpp"
 #include "core/campaign.hpp"
 #include "core/result_io.hpp"
 #include "dist/manifest.hpp"
@@ -492,6 +497,184 @@ TEST(StreamingMerge, CsvWriteFailureNamesThePathAndLeavesNoTempFile) {
   for (const auto& entry : fs::directory_iterator(dir.path)) {
     EXPECT_EQ(entry.path().extension(), ".qp")
         << "left behind: " << entry.path();
+  }
+}
+
+/// A synthetic campaign of `total` records for the pooled CSV merge: 16
+/// records per point on a 4 x 4 grid (the last run shorter when 16 does
+/// not divide `total`), single- or double-fault. Adaptive campaigns take
+/// whole runs: each point's records are the estimator's evaluated set on
+/// made-up QVFs (the grid is under the budget floor, so all 16 configs).
+CampaignResult synthetic_campaign(const std::string& kind,
+                                  std::size_t total) {
+  CampaignResult result;
+  result.meta.circuit_name = "pooled_" + kind;
+  result.meta.backend_name = "synthetic";
+  result.meta.grid.theta_step_deg = 60.0;
+  result.meta.grid.phi_step_deg = 90.0;
+  result.meta.seed = 7;
+  result.meta.double_fault = kind == "double";
+  result.meta.adaptive = kind == "adaptive";
+  const std::size_t per_point = 16;
+  const std::size_t num_points = (total + per_point - 1) / per_point;
+  for (std::size_t p = 0; p < num_points; ++p) {
+    InjectionPoint point;
+    point.instr_index = 3 * p + 1;
+    point.qubit = static_cast<int>(p % 5);
+    point.logical_qubit = static_cast<int>(p % 4);
+    point.moment = static_cast<int>(p / 2);
+    result.points.push_back(point);
+  }
+  const auto qvf_of = [](std::size_t p, std::size_t k) {
+    return static_cast<double>((p * 7919 + k * 104729) % 1000) / 999.0;
+  };
+  for (std::size_t p = 0; p < num_points; ++p) {
+    if (result.meta.adaptive) {
+      std::vector<InjectionRecord> run;
+      const AdaptiveBatchEval eval = [&](std::span<const std::uint32_t> rems) {
+        std::vector<double> qvfs;
+        for (const std::uint32_t rem : rems) {
+          InjectionRecord r;
+          r.point_index = static_cast<std::uint32_t>(p);
+          r.theta_index = static_cast<int>(rem % 4);
+          r.phi_index = static_cast<int>(rem / 4);
+          r.qvf = qvf_of(p, rem);
+          r.pa = 0.5 * r.qvf;
+          r.pb = 1.0 - r.pa;
+          run.push_back(r);
+          qvfs.push_back(r.qvf);
+        }
+        return qvfs;
+      };
+      (void)run_adaptive_point(result.meta.grid, result.meta.adaptive_policy,
+                               result.meta.seed, p, eval);
+      EXPECT_EQ(run.size(), per_point);
+      std::sort(run.begin(), run.end(),
+                [](const InjectionRecord& a, const InjectionRecord& b) {
+                  return std::pair(a.phi_index, a.theta_index) <
+                         std::pair(b.phi_index, b.theta_index);
+                });
+      result.records.insert(result.records.end(), run.begin(), run.end());
+      continue;
+    }
+    for (std::size_t k = 0; k < per_point && result.records.size() < total;
+         ++k) {
+      InjectionRecord r;
+      r.point_index = static_cast<std::uint32_t>(p);
+      r.theta_index = static_cast<int>(k % 4);
+      r.phi_index = static_cast<int>(k / 4);
+      if (result.meta.double_fault) {
+        r.neighbor_qubit = static_cast<int>((p + 1) % 5);
+        r.theta1_index = static_cast<int>((k + 1) % 4);
+        r.phi1_index = static_cast<int>((k / 2) % 4);
+      }
+      r.qvf = qvf_of(p, k);
+      r.pa = 0.5 * r.qvf;
+      r.pb = 1.0 - r.pa;
+      result.records.push_back(r);
+    }
+  }
+  result.meta.executions = result.records.size();
+  result.meta.injections = result.records.size();
+  return result;
+}
+
+/// Writes `result` as `shards` partials in `dir`, point p going to shard
+/// p % shards, and returns their paths.
+std::vector<std::string> write_synthetic_partials(const CampaignResult& result,
+                                                  std::uint32_t shards,
+                                                  const std::string& dir) {
+  std::vector<std::string> paths;
+  for (std::uint32_t k = 0; k < shards; ++k) {
+    resio::ResultFileHeader header;
+    header.shard_index = k;
+    header.shard_count = shards;
+    header.expected_total_records =
+        result.meta.adaptive ? 0 : result.records.size();
+    header.meta = result.meta;
+    header.points = result.points;
+    std::vector<InjectionRecord> mine;
+    for (const InjectionRecord& r : result.records) {
+      if (r.point_index % shards == k) mine.push_back(r);
+    }
+    paths.push_back(dir + "/part_" + std::to_string(k) + ".qp");
+    resio::write_result_file(paths.back(), header, mine, mine.size(),
+                             mine.size());
+  }
+  return paths;
+}
+
+/// Fails for every file in `dir` that is not a QUFIPART partial.
+void expect_only_partials(const TempDir& dir) {
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    EXPECT_EQ(entry.path().extension(), ".qp")
+        << "left behind: " << entry.path();
+  }
+}
+
+TEST(StreamingMerge, PooledCsvMatchesWriteCsvAroundOneMergeBatch) {
+  constexpr std::size_t batch = dist::kMergeCsvBatchRecords;
+  static_assert(batch % 16 == 0);
+  for (const std::string kind : {"single", "double", "adaptive"}) {
+    // Adaptive runs are whole 16-record points; the others end mid-run.
+    const std::size_t step = kind == "adaptive" ? 16 : 1;
+    for (const std::size_t total : {batch - step, batch, batch + step}) {
+      SCOPED_TRACE(kind + " x " + std::to_string(total));
+      TempDir dir("pooled_csv");
+      const CampaignResult result = synthetic_campaign(kind, total);
+      ASSERT_EQ(result.records.size(), total);
+      const std::string reference = dir.str("reference.csv");
+      result.write_csv(reference);
+      const std::string merged = dir.str("merged.csv");
+      const auto paths = write_synthetic_partials(result, 3, dir.str());
+      const auto stats = dist::merge_result_files_to_csv(paths, merged);
+      EXPECT_EQ(stats.merged_records, total);
+      EXPECT_EQ(slurp(merged), slurp(reference));
+    }
+  }
+}
+
+TEST(StreamingMerge, PooledCsvFailuresMidMergeLeaveNoFile) {
+  constexpr std::size_t batch = dist::kMergeCsvBatchRecords;
+  {  // a conflicting duplicate past the first batch
+    TempDir dir("pooled_conflict");
+    const CampaignResult result = synthetic_campaign("single", 3 * batch);
+    auto paths = write_synthetic_partials(result, 2, dir.str());
+    // A retry of shard 1 whose record 3 of point p differs in one bit.
+    const std::uint32_t p = static_cast<std::uint32_t>(2 * batch / 16 + 1);
+    ASSERT_EQ(p % 2, 1u);
+    auto loaded = resio::read_result_file(paths[1]);
+    for (auto& r : loaded.records) {
+      if (r.point_index == p && r.theta_index == 3 && r.phi_index == 0) {
+        r.pb = std::nextafter(r.pb, 2.0);
+      }
+    }
+    paths.push_back(dir.str("retry.qp"));
+    resio::write_result_file(paths.back(), loaded.header, loaded.records,
+                             loaded.executions, loaded.injections);
+    expect_error(
+        [&] { (void)dist::merge_result_files_to_csv(paths, dir.str("m.csv")); },
+        "disagree on point " + std::to_string(p) + " (record 3 of 16");
+    expect_only_partials(dir);
+  }
+  {  // a write failure past the first of three batches
+    TempDir dir("pooled_full");
+    const CampaignResult result = synthetic_campaign("double", 3 * batch);
+    const auto paths = write_synthetic_partials(result, 2, dir.str());
+    std::uintmax_t csv_bytes = 0;
+    {
+      TempDir reference("pooled_full_reference");
+      result.write_csv(reference.str("reference.csv"));
+      csv_bytes = fs::file_size(reference.str("reference.csv"));
+    }
+    const std::uintmax_t limit = csv_bytes / 2;
+    const std::string csv = dir.str("merged.csv");
+    {
+      const test_support::FileSizeCap cap(limit);
+      expect_error([&] { (void)dist::merge_result_files_to_csv(paths, csv); },
+                   csv);
+    }
+    expect_only_partials(dir);
   }
 }
 

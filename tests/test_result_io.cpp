@@ -1,9 +1,9 @@
 // QUFIPART container tests (docs/RESULT_FORMAT.md): round-trips through
 // ResultWriter/ResultReader, the block invariants that make the streaming
 // k-way merge possible, exhaustive corruption rejection (every byte flipped,
-// every truncation length), the double-bit exactness of a partial through
-// write -> read -> merge, and a live partial's header being final from its
-// first block.
+// every truncation length), the reader's per-record error texts, the
+// double-bit exactness of a partial through write -> read -> merge, and a
+// live partial's header being final from its first block.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -462,6 +462,63 @@ TEST(ResultIo, CorruptionDiagnosisNamesTheBadSection) {
   {  // trailing garbage after the end marker
     std::string mutant = good + "junk";
     EXPECT_NE(message_for(mutant).find("trailing bytes"), std::string::npos);
+  }
+}
+
+/// The reader's per-record checks, reached through a block whose checksum is
+/// valid but whose point column breaks an invariant, and the byte codec's
+/// truncation check. The full texts are pinned: they name the file and the
+/// block (its ordinal and declared point range) an operator must look at.
+TEST(ResultIo, RecordCheckErrorsNameFileAndBlock) {
+  TempDir dir("record_checks");
+  // One block over points 0..2 of a 4-point table (6 records).
+  const std::string good_path = dir.str("good");
+  resio::write_result_file(good_path, test_header(4), test_records(3, 2),
+                           /*executions=*/6, /*injections=*/6);
+  const std::string good = slurp(good_path);
+  const std::string size_bytes = good.substr(8 + 4, 8);
+  util::ByteReader sizer(size_bytes);
+  const std::size_t header_size = static_cast<std::size_t>(sizer.u64());
+  // magic + version + header size + header + checksum, then tag + size.
+  const std::size_t body = 8 + 4 + 8 + header_size + 8 + 1 + 8;
+  const std::size_t body_size = 16 + 6 * (6 * 4 + 3 * 8);
+
+  // Rewrites the point column (it follows the 16-byte block prefix) and
+  // re-seals the block checksum, so only the record checks can object.
+  const auto message_for =
+      [&](const std::vector<std::uint32_t>& points) -> std::string {
+    std::string mutant = good;
+    util::ByteWriter column;
+    for (const std::uint32_t p : points) column.u32(p);
+    mutant.replace(body + 16, column.size(), column.data());
+    util::ByteWriter sum;
+    sum.u64(util::fnv1a64(std::string_view(mutant).substr(body, body_size)));
+    mutant.replace(body + body_size, 8, sum.data());
+    const std::string path = dir.str("mutant");
+    spit(path, mutant);
+    try {
+      (void)resio::read_result_file(path);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+
+  EXPECT_EQ(message_for({0, 0, 1, 1, 2, 2}), "");  // the framing is right
+  const std::string block = "result file " + dir.str("mutant") +
+                            ": block 0 (points 0..2): ";
+  EXPECT_EQ(message_for({0, 0, 1, 1, 2, 3}),
+            block + "record outside declared point range");
+  EXPECT_EQ(message_for({0, 1, 0, 1, 2, 2}),
+            block + "records not sorted by point index");
+
+  const std::string three = "abc";
+  util::ByteReader short_reader(three);
+  try {
+    (void)short_reader.u32();
+    ADD_FAILURE() << "a 3-byte buffer yielded a u32";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "binary_io: truncated input");
   }
 }
 

@@ -1,16 +1,21 @@
 // Prefix-tree engine tests: the snapshot-tree planner, extend_snapshot on
 // both checkpointing backends (parent-vs-from-scratch bit equivalence,
 // chain hops), the density suffix-response
-// batch path, and tree-engine campaigns against full re-simulation (single
+// batch path, tree-engine campaigns against full re-simulation (single
 // and double fault with the response path active, shard-subset unions,
-// points with no coupled active neighbor).
+// points with no coupled active neighbor), and the head relay between
+// chains (one prefix per sweep, hand-off across chains without work, a
+// failing extension, records across thread counts and shardings).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "algorithms/algorithms.hpp"
 #include "backend/density_backend.hpp"
@@ -19,6 +24,7 @@
 #include "core/campaign.hpp"
 #include "core/injection.hpp"
 #include "core/snapshot_tree.hpp"
+#include "dist/shard_plan.hpp"
 #include "noise/backend_props.hpp"
 #include "noise/noise_model.hpp"
 #include "resimulating_backend.hpp"
@@ -512,6 +518,248 @@ TEST(TreeEquivalence, EmptyNeighborPointsYieldNoRecordsAndNoCrash) {
   EXPECT_TRUE(result.records.empty());
   EXPECT_EQ(result.meta.executions, 0u);
   EXPECT_EQ(result.points.size(), points.size());
+}
+
+// ---- head relay between chains ---------------------------------------------
+
+/// Forwards every call to `inner` and counts the prepares the engine asks
+/// for. With `throw_at` set, an extension to that prefix length throws
+/// instead.
+class CountingBackend final : public backend::Backend {
+ public:
+  explicit CountingBackend(backend::Backend& inner,
+                           std::optional<std::size_t> throw_at = {})
+      : inner_(inner), throw_at_(throw_at) {}
+
+  std::string name() const override { return inner_.name(); }
+  bool supports_checkpointing() const override {
+    return inner_.supports_checkpointing();
+  }
+  backend::ExecutionResult run(const circ::QuantumCircuit& circuit,
+                               std::uint64_t shots,
+                               std::uint64_t seed) override {
+    return inner_.run(circuit, shots, seed);
+  }
+  backend::PrefixSnapshotPtr prepare_prefix(
+      const circ::QuantumCircuit& circuit, std::size_t prefix_length,
+      std::uint64_t shots_hint, std::uint64_t snapshot_seed) override {
+    ++prepares;
+    return inner_.prepare_prefix(circuit, prefix_length, shots_hint,
+                                 snapshot_seed);
+  }
+  backend::PrefixSnapshotPtr extend_snapshot(
+      const backend::PrefixSnapshot& parent, std::size_t from_gate,
+      std::size_t to_gate, std::uint64_t shots_hint,
+      std::uint64_t snapshot_seed) override {
+    if (throw_at_ && *throw_at_ == to_gate) {
+      throw Error("counting backend: extension to " +
+                  std::to_string(to_gate) + " failed");
+    }
+    return inner_.extend_snapshot(parent, from_gate, to_gate, shots_hint,
+                                  snapshot_seed);
+  }
+  backend::ExecutionResult run_suffix(
+      const backend::PrefixSnapshot& snapshot,
+      std::span<const circ::Instruction> injected, std::uint64_t shots,
+      std::uint64_t seed) override {
+    return inner_.run_suffix(snapshot, injected, shots, seed);
+  }
+  std::vector<backend::ExecutionResult> run_suffix_batch(
+      const backend::PrefixSnapshot& snapshot,
+      std::span<const backend::SuffixConfig> configs,
+      std::uint64_t shots) override {
+    return inner_.run_suffix_batch(snapshot, configs, shots);
+  }
+
+  std::atomic<std::size_t> prepares{0};
+
+ private:
+  backend::Backend& inner_;
+  std::optional<std::size_t> throw_at_;
+};
+
+backend::DensityMatrixBackend density_for(const CampaignSpec& spec) {
+  return backend::DensityMatrixBackend(
+      noise::NoiseModel::from_backend(spec.backend, spec.noise_scale),
+      spec.idle_noise);
+}
+
+TEST(TreeRelay, EverySweepPreparesItsPrefixOnce) {
+  for (const char* name : {"bv", "dj", "qft"}) {
+    SCOPED_TRACE(name);
+    auto spec = quick_spec(name, 4);
+    spec.threads = 4;
+    auto density = density_for(spec);
+    {
+      CountingBackend counting(density);
+      spec.backend_override = &counting;
+      const auto full = run_single_fault_campaign(spec);
+      ASSERT_FALSE(full.records.empty());
+      EXPECT_EQ(counting.prepares.load(), 1u);
+    }
+    // Each shard of a 12-way cost plan is its own sweep over its subset.
+    const auto plan =
+        dist::plan_campaign_shards(spec, 12, dist::ShardPolicy::CostWeighted);
+    ASSERT_EQ(plan.shards.size(), 12u);
+    for (const auto& shard : plan.shards) {
+      CountingBackend counting(density);
+      spec.backend_override = &counting;
+      (void)run_single_fault_campaign_subset(spec, shard.point_indices);
+      EXPECT_EQ(counting.prepares.load(), shard.point_indices.empty() ? 0u : 1u)
+          << "shard " << shard.shard_index;
+    }
+  }
+}
+
+/// Five qubits on a trivial layout: physical qubit 4's only coupled
+/// neighbor (5) holds no logical qubit, so double-fault points on qubit 4
+/// have no work. Gates on qubit 0 (coupled to the active qubit 1) surround
+/// a longer run on qubit 4, so the chains in the middle of the sweep have
+/// no work at all and must hand the trunk on.
+CampaignSpec hollow_double_spec() {
+  circ::QuantumCircuit qc(5, 5);
+  qc.set_name("hollow");
+  for (int k = 0; k < 6; ++k) qc.x(0);
+  for (int k = 0; k < 18; ++k) qc.x(4);
+  for (int k = 0; k < 6; ++k) qc.x(0);
+  for (int q = 0; q < 5; ++q) qc.measure(q, q);
+
+  CampaignSpec spec;
+  spec.circuit = qc;
+  spec.transpile_options.optimization_level = 0;
+  spec.transpile_options.layout_method = transpile::LayoutMethod::Trivial;
+  spec.grid.theta_step_deg = 90.0;
+  spec.grid.phi_step_deg = 90.0;
+  spec.grid.phi_max_deg = 180.0;
+  return spec;
+}
+
+TEST(TreeRelay, ChainsWithoutWorkPassTheTrunkOn) {
+  auto spec = hollow_double_spec();
+  const auto transpiled = campaign_transpile(spec);
+  const auto coupling = transpile::CouplingMap::from_backend(spec.backend);
+  const auto points = campaign_points(spec);
+  // The shape the test relies on: work, then a run without, then work.
+  std::vector<bool> work;
+  for (const auto& point : points) {
+    work.push_back(!neighbor_candidates(transpiled, coupling, point).empty());
+  }
+  ASSERT_GE(work.size(), 30u);
+  ASSERT_TRUE(work.front());
+  ASSERT_TRUE(work.back());
+  ASSERT_GE(std::count(work.begin(), work.end(), false), 18);
+
+  auto density = density_for(spec);
+  spec.threads = 1;
+  const auto reference = run_double_fault_campaign(spec);
+  ASSERT_FALSE(reference.records.empty());
+  for (int threads = 2; threads <= 4; ++threads) {
+    SCOPED_TRACE(threads);
+    CountingBackend counting(density);
+    spec.backend_override = &counting;
+    spec.threads = threads;
+    const auto result = run_double_fault_campaign(spec);
+    EXPECT_EQ(counting.prepares.load(), 1u);
+    test_support::expect_same_records(result.records, reference.records);
+
+    // A subset that starts at the run without work: its leading chains
+    // pass on nothing, and the first chain with work prepares the trunk.
+    CountingBackend tail(density);
+    spec.backend_override = &tail;
+    const std::size_t idle_from = static_cast<std::size_t>(
+        std::find(work.begin(), work.end(), false) - work.begin());
+    const std::size_t work_from = static_cast<std::size_t>(
+        std::find(work.begin() + static_cast<std::ptrdiff_t>(idle_from),
+                  work.end(), true) -
+        work.begin());
+    std::vector<std::size_t> subset;
+    for (std::size_t p = idle_from; p < points.size(); ++p) {
+      subset.push_back(p);
+    }
+    const auto partial = run_double_fault_campaign_subset(spec, subset);
+    EXPECT_EQ(tail.prepares.load(), 1u);
+    ASSERT_FALSE(partial.records.empty());
+    EXPECT_EQ(partial.records.front().point_index, work_from);
+  }
+}
+
+TEST(TreeRelay, AFailedExtensionIsRethrownNotHung) {
+  auto spec = quick_spec("qft", 4);
+  const auto points = campaign_points(spec);
+  ASSERT_GE(points.size(), 8u);
+  auto density = density_for(spec);
+  for (const std::size_t victim : {std::size_t{1}, points.size() / 2,
+                                   points.size() - 1}) {
+    for (int threads = 1; threads <= 4; ++threads) {
+      SCOPED_TRACE(std::to_string(victim) + " at " + std::to_string(threads));
+      const std::size_t split = points[victim].split_index();
+      if (split == points.front().split_index()) continue;  // the root
+      CountingBackend failing(density, split);
+      spec.backend_override = &failing;
+      spec.threads = threads;
+      try {
+        (void)run_single_fault_campaign(spec);
+        ADD_FAILURE() << "the failed extension was swallowed";
+      } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()), "counting backend: extension to " +
+                                             std::to_string(split) +
+                                             " failed");
+      }
+    }
+  }
+}
+
+/// Records of `spec` as one sweep, or as the 12 subsets of a cost plan
+/// concatenated in ascending point order.
+std::vector<InjectionRecord> relay_records(const CampaignSpec& spec,
+                                           bool sharded) {
+  if (!sharded) return run_single_fault_campaign(spec).records;
+  const auto plan =
+      dist::plan_campaign_shards(spec, 12, dist::ShardPolicy::CostWeighted);
+  std::vector<InjectionRecord> records;
+  for (const auto& shard : plan.shards) {
+    const auto part = run_single_fault_campaign_subset(spec,
+                                                       shard.point_indices);
+    records.insert(records.end(), part.records.begin(), part.records.end());
+  }
+  std::stable_sort(records.begin(), records.end(),
+                   [](const InjectionRecord& a, const InjectionRecord& b) {
+                     return a.point_index < b.point_index;
+                   });
+  return records;
+}
+
+TEST(TreeRelay, RecordsAreIdenticalAcrossThreadsAndShards) {
+  // Six index columns and three doubles: no padding, so memcmp compares
+  // exactly the record bits.
+  static_assert(sizeof(InjectionRecord) == 6 * 4 + 3 * 8);
+  for (const char* kind : {"density", "density+idle", "trajectory"}) {
+    SCOPED_TRACE(kind);
+    auto spec = quick_spec("bv", 4);
+    spec.max_points = 16;  // still more points than shards
+    std::optional<backend::TrajectoryBackend> trajectory;
+    if (std::string(kind) == "density+idle") spec.idle_noise = true;
+    if (std::string(kind) == "trajectory") {
+      trajectory.emplace(noise::NoiseModel::from_backend(spec.backend));
+      spec.backend_override = &*trajectory;
+      spec.shots = 16;
+    }
+    spec.threads = 1;
+    const auto reference = relay_records(spec, false);
+    ASSERT_FALSE(reference.empty());
+    for (int threads = 1; threads <= 4; ++threads) {
+      for (const bool sharded : {false, true}) {
+        SCOPED_TRACE(std::to_string(threads) +
+                     (sharded ? " threads, 12 shards" : " threads"));
+        spec.threads = threads;
+        const auto records = relay_records(spec, sharded);
+        ASSERT_EQ(records.size(), reference.size());
+        EXPECT_EQ(std::memcmp(records.data(), reference.data(),
+                              records.size() * sizeof(InjectionRecord)),
+                  0);
+      }
+    }
+  }
 }
 
 }  // namespace
