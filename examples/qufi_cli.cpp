@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
                   options.out_path.c_str());
     }
     return 0;
-  } catch (const qufi::Error& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

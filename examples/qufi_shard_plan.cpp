@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
     std::printf("planned %zu points across %u shards (%s policy)\n",
                 plan.total_points, plan.num_shards, options.policy.c_str());
     return 0;
-  } catch (const qufi::Error& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
         "\"shards\":%u,\"submission\":\"%s\"}\n",
         request.name.c_str(), request.priority, request.shards, path.c_str());
     return 0;
-  } catch (const qufi::Error& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

@@ -225,8 +225,9 @@ done
 # Hostile flags: a non-number, a number with trailing bytes or a
 # non-finite value must exit 1 with a named error (not abort on an
 # uncaught exception or parse a prefix), and --workers 0 must be refused
-# up front instead of draining forever with no worker. (Word-split on
-# purpose.)
+# up front instead of draining forever with no worker. A 1e-300 grid step
+# divides any range exactly, so its step count (1.8e302) must be refused
+# by name rather than wrapped into an int. (Word-split on purpose.)
 q="./build/qufid --spool $disp_dir/flag_spool --work-dir $disp_dir/flag_work"
 for cmd in "$q --workers abc" "$q --workers 0 --fleet process --drain" \
   "$q --threads abc" "$q --lease-timeout abc" "$q --max-retries abc" \
@@ -238,7 +239,9 @@ for cmd in "$q --workers abc" "$q --workers 0 --fleet process --drain" \
   "./build/qufi_submit --width abc" "./build/qufi_submit --priority 1.5" \
   "./build/qufi_submit --phi-step 1e999" \
   "./build/qufi_shard_plan --phi-max 1e999" "./build/qufi_shard_plan --opt -1" \
-  "./build/qufi_shard_plan --adaptive-ci x"; do
+  "./build/qufi_shard_plan --adaptive-ci x" \
+  "./build/qufi_cli --theta-step 1e-300" "./build/qufi_cli --phi-step 1e-300" \
+  "./build/qufi_shard_plan --theta-step 1e-300 --out-dir $disp_dir/flag_plan"; do
   rc=0
   err="$(timeout 10 $cmd 2>&1 > /dev/null)" || rc=$?
   if [[ $rc -ne 1 ]] || ! grep -q '^error: ' <<< "$err"; then
@@ -246,7 +249,7 @@ for cmd in "$q --workers abc" "$q --workers 0 --fleet process --drain" \
     exit 1
   fi
 done
-echo "dispatcher smoke OK (2 campaigns, chaos-killed worker, CSVs == single-process, JSON event log, shards -1 and .. submissions and bad numeric flags rejected)"
+echo "dispatcher smoke OK (2 campaigns, chaos-killed worker, CSVs == single-process, JSON event log, shards -1 and .. submissions and bad numeric flags and overflowing grid steps rejected)"
 
 # Crash-durability smoke: SIGKILL the daemon ITSELF (and its workers)
 # mid-campaign, then restart qufid over the same spool + work dir. The

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "backend/density_backend.hpp"
 #include "core/adaptive.hpp"
-#include "core/snapshot_tree.hpp"
 #include "noise/noise_model.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -57,36 +60,60 @@ Prepared prepare(const CampaignSpec& spec) {
   return prep;
 }
 
+/// Snapshot chains per pool lane. A split's first batch replays its whole
+/// suffix to build the response basis, so a split costs in proportion to
+/// its suffix length: with one chain per lane, the lane holding the
+/// earliest splits carried several times the work of the last one. Several
+/// chains per lane, claimed in index order (heaviest first), let lanes that
+/// finish early take more. 4 and 16 per lane measured within 10% of 8 on
+/// perfbench's single_sweep (4-vCPU Xeon).
+constexpr std::size_t kChainsPerLane = 8;
+
 /// What a chain hands the next one: a snapshot and its prefix length, or a
 /// null snapshot when the next chain must prepare from scratch.
 using ChainHead = std::pair<backend::PrefixSnapshotPtr, std::size_t>;
 
-/// Walks a prefix-tree plan with one task per chain. Only the sweep's
-/// first snapshot is prepared from scratch; every later one is derived via
-/// extend_snapshot (bit-identical to a from-scratch prepare) from the one
-/// before it. `visit(pos, snapshot)` runs for each of the node's member
-/// positions with work. Nodes none of whose members have work are skipped
-/// entirely — the next extension jumps across them — so e.g. double-fault
+/// The snapshot walk of every campaign kind. Position s of the sweep
+/// injects at prefix length `splits[s]`. Positions sharing a split share
+/// one snapshot (operand points of one multi-qubit gate all split at the
+/// same instruction). The sorted unique splits are cut by integer striding
+/// into at most pool.size() x kChainsPerLane contiguous chains, one task
+/// each, so a chain keeps at most two snapshots alive. `visit(s, snapshot)`
+/// runs, in input order, for each position at the split with
+/// `has_work(s)`. A split none of whose positions has work is skipped
+/// entirely and the next extension jumps across it, so e.g. double-fault
 /// points with no coupled active neighbor never materialize a snapshot.
 ///
+/// Only the sweep's first snapshot is prepared from scratch; every later
+/// one is derived via extend_snapshot (bit-identical to a from-scratch
+/// prepare) from the one before it, so the chain cut never moves a record.
 /// Chains relay: each chain hands its first snapshot to the next chain,
 /// whose first snapshot extends it. A chain with no work passes on what it
 /// received; a chain that throws passes on nothing, and the next chain
-/// prepares from scratch. The relay is decided here, not in the plan,
-/// whose parent links price each chain head as a root. At most two
-/// snapshots are alive per chain, plus one handed over and not yet taken
+/// prepares from scratch. At most one handed-over snapshot waits per chain
 /// (few-point campaigns that store the handful of snapshots for chunked
 /// sweeping are bounded by the pool size instead).
 template <typename HasWork, typename Visit>
-void run_tree_chains(util::ThreadPool& pool, backend::Backend& exec,
-                     const circ::QuantumCircuit& circuit,
-                     const CampaignSpec& spec, const SnapshotTreePlan& plan,
+void run_tree_chains(util::ThreadPool& pool, const Prepared& prep,
+                     const CampaignSpec& spec,
+                     std::span<const std::size_t> splits,
                      const HasWork& has_work, const Visit& visit) {
+  // One node per unique split, ascending, with its positions in input order.
+  std::map<std::size_t, std::vector<std::size_t>> by_split;
+  for (std::size_t s = 0; s < splits.size(); ++s) {
+    by_split[splits[s]].push_back(s);
+  }
+  const std::vector<std::pair<std::size_t, std::vector<std::size_t>>> nodes(
+      std::make_move_iterator(by_split.begin()),
+      std::make_move_iterator(by_split.end()));
+  // Chain c owns nodes [c x nodes / chains, (c + 1) x nodes / chains).
+  const std::size_t chains =
+      std::min(pool.size() * kChainsPerLane, nodes.size());
+
   // handoff[c] carries chain c - 1's head to chain c; taking it moves the
   // snapshot out, so a head outlives its hand-off only while its own chain
   // still sweeps from it. Waiting cannot deadlock: parallel_for claims
   // chain c only after chain c - 1, and every claimed chain passes.
-  const std::size_t chains = plan.num_chains();
   std::vector<std::promise<ChainHead>> handoff(chains);
   std::vector<std::future<ChainHead>> received;
   for (auto& promise : handoff) received.push_back(promise.get_future());
@@ -98,23 +125,21 @@ void run_tree_chains(util::ThreadPool& pool, backend::Backend& exec,
       if (chain + 1 < chains) handoff[chain + 1].set_value(std::move(head));
     };
     try {
-      for (std::size_t i = plan.chain_begin[chain];
-           i < plan.chain_begin[chain + 1]; ++i) {
-        const SnapshotTreeNode& node = plan.nodes[i];
-        const bool any_work = std::any_of(node.members.begin(),
-                                          node.members.end(), has_work);
-        if (!any_work) continue;
+      for (std::size_t n = nodes.size() * chain / chains;
+           n < nodes.size() * (chain + 1) / chains; ++n) {
+        const auto& [split, members] = nodes[n];
+        if (std::none_of(members.begin(), members.end(), has_work)) continue;
         backend::PrefixSnapshotPtr snapshot =
-            prev ? exec.extend_snapshot(*prev, prev_split, node.split,
-                                        spec.shots, spec.seed)
-                 : exec.prepare_prefix(circuit, node.split, spec.shots,
-                                       spec.seed);
-        if (!passed) pass({snapshot, node.split});
-        for (const std::size_t pos : node.members) {
+            prev ? prep.exec->extend_snapshot(*prev, prev_split, split,
+                                              spec.shots, spec.seed)
+                 : prep.exec->prepare_prefix(prep.transpiled.circuit, split,
+                                             spec.shots, spec.seed);
+        if (!passed) pass({snapshot, split});
+        for (const std::size_t pos : members) {
           if (has_work(pos)) visit(pos, snapshot);
         }
         prev = std::move(snapshot);
-        prev_split = node.split;
+        prev_split = split;
       }
     } catch (...) {
       if (!passed) pass({});
@@ -123,6 +148,10 @@ void run_tree_chains(util::ThreadPool& pool, backend::Backend& exec,
     if (!passed) pass({std::move(prev), prev_split});
   });
 }
+
+/// has_work for sweeps where every position has work (adaptive and
+/// named-fault campaigns).
+constexpr auto kEveryPosition = [](std::size_t) { return true; };
 
 /// Deterministic batch boundaries for a config slice: floor(len/chunk)
 /// chunks of at least `chunk` configs each, remainder merged into the last
@@ -153,15 +182,6 @@ static_assert(kTreeChunk1q >=
 static_assert(kTreeChunk2q >=
               backend::DensityMatrixBackend::kResponseMinConfigs2q);
 
-/// Snapshot-tree chains planned per pool lane. A split's first batch
-/// replays its whole suffix to build the response basis, so a split costs
-/// in proportion to its suffix length: with one chain per lane, the lane
-/// holding the earliest splits carried several times the work of the last
-/// one. Several chains per lane, claimed in index order (heaviest first),
-/// let lanes that finish early take more. 4 and 16 per lane measured
-/// within 10% of 8 on perfbench's single_sweep (4-vCPU Xeon).
-constexpr std::size_t kChainsPerLane = 8;
-
 /// The sweep shared by single- and double-fault campaigns. Subset
 /// position s injects at `splits[s]` and owns the flat configs
 /// [slice_begin[s], slice_begin[s + 1]); positions with an empty slice
@@ -178,8 +198,6 @@ void sweep_snapshot_tree(util::ThreadPool& pool, const Prepared& prep,
                          std::span<const std::size_t> splits,
                          std::span<const std::size_t> slice_begin,
                          std::size_t chunk_floor, const Sweep& sweep) {
-  const SnapshotTreePlan tree =
-      plan_snapshot_tree(splits, pool.size() * kChainsPerLane);
   const auto has_work = [&](std::size_t s) {
     return slice_begin[s] < slice_begin[s + 1];
   };
@@ -187,8 +205,7 @@ void sweep_snapshot_tree(util::ThreadPool& pool, const Prepared& prep,
     return chunk_slice(slice_begin[s], slice_begin[s + 1], chunk_floor);
   };
   if (splits.size() >= pool.size()) {
-    run_tree_chains(pool, *prep.exec, prep.transpiled.circuit, spec, tree,
-                    has_work,
+    run_tree_chains(pool, prep, spec, splits, has_work,
                     [&](std::size_t s,
                         const backend::PrefixSnapshotPtr& snapshot) {
                       for (const auto& [begin, end] : chunks_of(s)) {
@@ -198,8 +215,7 @@ void sweep_snapshot_tree(util::ThreadPool& pool, const Prepared& prep,
     return;
   }
   std::vector<backend::PrefixSnapshotPtr> snapshots(splits.size());
-  run_tree_chains(pool, *prep.exec, prep.transpiled.circuit, spec, tree,
-                  has_work,
+  run_tree_chains(pool, prep, spec, splits, has_work,
                   [&](std::size_t s,
                       const backend::PrefixSnapshotPtr& snapshot) {
                     snapshots[s] = snapshot;
@@ -373,6 +389,42 @@ class PointEmitter {
   std::unique_ptr<std::atomic<std::size_t>[]> remaining_;
 };
 
+/// The campaign's injection points over `transpiled`, after max_points
+/// striding.
+std::vector<InjectionPoint> strided_points(
+    const transpile::TranspileResult& transpiled, const CampaignSpec& spec) {
+  return stride_points(enumerate_injection_points(transpiled, spec.strategy),
+                       spec.max_points);
+}
+
+/// A prepared campaign, its point table and the global point indices to
+/// run.
+struct Entry {
+  Prepared prep;
+  std::vector<InjectionPoint> points;
+  std::vector<std::size_t> subset;
+};
+
+/// The one entry path of every campaign kind: refuses an adaptive spec for
+/// kinds without adaptive estimation, prepares the campaign, builds its
+/// point table (an empty one is refused with `no_points`) and resolves the
+/// subset, every point when there is none.
+Entry enter_campaign(
+    const CampaignSpec& spec, bool adaptive_ok,
+    std::optional<std::span<const std::size_t>> subset,
+    std::string_view no_points = "campaign: no injection points") {
+  require(adaptive_ok || !spec.adaptive,
+          "campaign: adaptive estimation supports single-fault campaigns "
+          "only");
+  Entry entry{prepare(spec), {}, {}};
+  entry.points = strided_points(entry.prep.transpiled, spec);
+  require(!entry.points.empty(), no_points);
+  entry.subset = subset ? std::vector<std::size_t>(subset->begin(),
+                                                   subset->end())
+                        : identity_subset(entry.points.size());
+  return entry;
+}
+
 }  // namespace
 
 std::vector<InjectionPoint> stride_points(std::vector<InjectionPoint> points,
@@ -395,17 +447,14 @@ transpile::TranspileResult campaign_transpile(const CampaignSpec& spec) {
 }
 
 std::vector<InjectionPoint> campaign_points(const CampaignSpec& spec) {
-  const auto transpiled = campaign_transpile(spec);
-  return stride_points(enumerate_injection_points(transpiled, spec.strategy),
-                       spec.max_points);
+  return strided_points(campaign_transpile(spec), spec);
 }
 
 std::vector<std::pair<InjectionPoint, int>> campaign_point_neighbor_pairs(
     const CampaignSpec& spec) {
   const auto transpiled = campaign_transpile(spec);
   const auto coupling = transpile::CouplingMap::from_backend(spec.backend);
-  const auto points = stride_points(
-      enumerate_injection_points(transpiled, spec.strategy), spec.max_points);
+  const auto points = strided_points(transpiled, spec);
   std::vector<std::pair<InjectionPoint, int>> pairs;
   for (const auto& p : points) {
     for (int nb : neighbor_candidates(transpiled, coupling, p)) {
@@ -525,11 +574,10 @@ CampaignResult adaptive_campaign_impl(const CampaignSpec& spec, Prepared& prep,
 
   util::ThreadPool pool(static_cast<std::size_t>(
       spec.threads > 0 ? spec.threads : 0));
-  pool.parallel_for(subset.size(), [&](std::size_t s) {
+  const auto estimate_point = [&](std::size_t s,
+                                  const backend::PrefixSnapshotPtr& snapshot) {
     const std::size_t global_point = subset[s];
     const InjectionPoint& point = result.points[global_point];
-    const backend::PrefixSnapshotPtr snapshot = prep.exec->prepare_prefix(
-        prep.transpiled.circuit, point.split_index(), spec.shots, spec.seed);
     auto& block = blocks[s];
 
     const AdaptiveBatchEval eval =
@@ -568,7 +616,9 @@ CampaignResult adaptive_campaign_impl(const CampaignSpec& spec, Prepared& prep,
       spec.record_sink->emit(block);
       block = {};
     }
-  });
+  };
+  run_tree_chains(pool, prep, spec, subset_splits(result.points, subset),
+                  kEveryPosition, estimate_point);
 
   if (!spec.record_sink) {
     for (auto& block : blocks) {
@@ -581,33 +631,28 @@ CampaignResult adaptive_campaign_impl(const CampaignSpec& spec, Prepared& prep,
   return result;
 }
 
+/// Single-fault campaign over `subset`, or over every point without one.
+CampaignResult single_fault_entry(
+    const CampaignSpec& spec,
+    std::optional<std::span<const std::size_t>> subset) {
+  Entry entry = enter_campaign(spec, /*adaptive_ok=*/true, subset);
+  if (spec.adaptive) {
+    return adaptive_campaign_impl(spec, entry.prep, std::move(entry.points),
+                                  entry.subset);
+  }
+  return single_campaign_impl(spec, entry.prep, std::move(entry.points),
+                              entry.subset);
+}
+
 }  // namespace
 
 CampaignResult run_single_fault_campaign(const CampaignSpec& spec) {
-  Prepared prep = prepare(spec);
-  auto points = stride_points(
-      enumerate_injection_points(prep.transpiled, spec.strategy),
-      spec.max_points);
-  require(!points.empty(), "campaign: no injection points");
-  const auto subset = identity_subset(points.size());
-  if (spec.adaptive) {
-    return adaptive_campaign_impl(spec, prep, std::move(points), subset);
-  }
-  return single_campaign_impl(spec, prep, std::move(points), subset);
+  return single_fault_entry(spec, std::nullopt);
 }
 
 CampaignResult run_single_fault_campaign_subset(
     const CampaignSpec& spec, std::span<const std::size_t> point_indices) {
-  Prepared prep = prepare(spec);
-  auto points = stride_points(
-      enumerate_injection_points(prep.transpiled, spec.strategy),
-      spec.max_points);
-  require(!points.empty(), "campaign: no injection points");
-  if (spec.adaptive) {
-    return adaptive_campaign_impl(spec, prep, std::move(points),
-                                  point_indices);
-  }
-  return single_campaign_impl(spec, prep, std::move(points), point_indices);
+  return single_fault_entry(spec, point_indices);
 }
 
 namespace {
@@ -748,65 +793,45 @@ CampaignResult double_campaign_impl(const CampaignSpec& spec, Prepared& prep,
 }  // namespace
 
 CampaignResult run_double_fault_campaign(const CampaignSpec& spec) {
-  require(!spec.adaptive,
-          "campaign: adaptive estimation supports single-fault campaigns "
-          "only");
-  Prepared prep = prepare(spec);
-  auto points = stride_points(
-      enumerate_injection_points(prep.transpiled, spec.strategy),
-      spec.max_points);
-  require(!points.empty(), "campaign: no injection points");
-  const auto subset = identity_subset(points.size());
-  return double_campaign_impl(spec, prep, std::move(points), subset,
-                              /*require_neighbors=*/true);
+  Entry entry = enter_campaign(spec, /*adaptive_ok=*/false, std::nullopt);
+  return double_campaign_impl(spec, entry.prep, std::move(entry.points),
+                              entry.subset, /*require_neighbors=*/true);
 }
 
 CampaignResult run_double_fault_campaign_subset(
     const CampaignSpec& spec, std::span<const std::size_t> point_indices) {
-  require(!spec.adaptive,
-          "campaign: adaptive estimation supports single-fault campaigns "
-          "only");
-  Prepared prep = prepare(spec);
-  auto points = stride_points(
-      enumerate_injection_points(prep.transpiled, spec.strategy),
-      spec.max_points);
-  require(!points.empty(), "campaign: no injection points");
-  return double_campaign_impl(spec, prep, std::move(points), point_indices,
-                              /*require_neighbors=*/false);
+  Entry entry = enter_campaign(spec, /*adaptive_ok=*/false, point_indices);
+  return double_campaign_impl(spec, entry.prep, std::move(entry.points),
+                              entry.subset, /*require_neighbors=*/false);
 }
 
 std::vector<NamedFaultQvf> run_named_fault_campaign(
     const CampaignSpec& spec, std::span<const NamedFault> faults) {
-  require(!spec.adaptive,
-          "campaign: adaptive estimation supports single-fault campaigns "
-          "only");
-  Prepared prep = prepare(spec);
-  const auto points = stride_points(
-      enumerate_injection_points(prep.transpiled, spec.strategy),
-      spec.max_points);
-  require(!points.empty(), "named-fault campaign: no injection points");
+  Entry entry = enter_campaign(spec, /*adaptive_ok=*/false, std::nullopt,
+                               "named-fault campaign: no injection points");
+  const Prepared& prep = entry.prep;
+  const auto& points = entry.points;
 
-  // One prefix snapshot per point covers every named fault injected there,
-  // so the point loop is the parallel (and amortization) axis, and all
+  // One snapshot per split covers every named fault injected there, so all
   // named faults at one point go out as a single batch.
   std::vector<std::vector<double>> qvfs(
       faults.size(), std::vector<double>(points.size(), 0.0));
   util::ThreadPool pool(static_cast<std::size_t>(
       spec.threads > 0 ? spec.threads : 0));
-  pool.parallel_for(points.size(), [&](std::size_t p) {
-    const InjectionPoint& point = points[p];
-    const auto snapshot = prep.exec->prepare_prefix(
-        prep.transpiled.circuit, point.split_index(), spec.shots, spec.seed);
+  const auto inject_all = [&](std::size_t p,
+                              const backend::PrefixSnapshotPtr& snapshot) {
     std::vector<backend::SuffixConfig> batch(faults.size());
     for (std::size_t f = 0; f < faults.size(); ++f) {
-      batch[f].injected = {faults[f].fault.as_instruction(point.qubit)};
+      batch[f].injected = {faults[f].fault.as_instruction(points[p].qubit)};
       batch[f].seed = config_seed(spec, f, p, 0, 1);
     }
     const auto runs = run_batch(prep, spec, *snapshot, batch);
     for (std::size_t f = 0; f < faults.size(); ++f) {
       qvfs[f][p] = compute_qvf(runs[f].probabilities, prep.golden);
     }
-  });
+  };
+  run_tree_chains(pool, prep, spec, subset_splits(points, entry.subset),
+                  kEveryPosition, inject_all);
 
   std::vector<NamedFaultQvf> out;
   for (std::size_t f = 0; f < faults.size(); ++f) {

@@ -1,6 +1,7 @@
 #include "core/fault_model.hpp"
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <sstream>
 
@@ -69,6 +70,15 @@ void FaultParamGrid::validate() const {
           "FaultParamGrid: theta step must divide the range");
   require(std::abs(phi_steps - std::round(phi_steps)) < 1e-9,
           "FaultParamGrid: phi step must divide the range");
+  // Counts are ints: a tiny step (1e-300 divides any range) must be refused
+  // here, not wrapped by lround into a wrong or negative count.
+  constexpr double kMaxCount = std::numeric_limits<int>::max();
+  require(theta_steps + 1 <= kMaxCount,
+          "FaultParamGrid: theta step too small (theta count overflows int)");
+  require(phi_steps + 1 <= kMaxCount,
+          "FaultParamGrid: phi step too small (phi count overflows int)");
+  require(static_cast<double>(num_theta()) * num_phi() <= kMaxCount,
+          "FaultParamGrid: steps too small (config count overflows int)");
 }
 
 std::vector<NamedFault> gate_equivalent_faults() {

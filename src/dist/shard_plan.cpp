@@ -148,6 +148,7 @@ ShardPlan plan_shards(std::span<const InjectionPoint> points,
 
 ShardPlan plan_campaign_shards(const CampaignSpec& spec,
                                std::uint32_t num_shards, ShardPolicy policy) {
+  spec.grid.validate();
   const auto transpiled = campaign_transpile(spec);
   const auto points = stride_points(
       enumerate_injection_points(transpiled, spec.strategy), spec.max_points);

@@ -103,8 +103,9 @@ ShardPlan plan_shards(std::span<const InjectionPoint> points,
                       ShardPolicy policy = ShardPolicy::CostWeighted,
                       double sweep_scale = 1.0);
 
-/// Convenience: transpiles `spec`, enumerates + strides its points exactly
-/// as the campaign would, and plans over them. When spec.adaptive is set,
+/// Convenience: validates spec.grid (throws qufi::Error, so a bad grid is
+/// refused before any shard runs), transpiles `spec`, enumerates + strides
+/// its points exactly as the campaign would, and plans over them. When spec.adaptive is set,
 /// the per-point sweep costs are scaled by the policy's config budget over
 /// the full grid size, so adaptive budgets slot straight into ShardPolicy
 /// balancing (prefix work keeps its full weight — it does not shrink with

@@ -85,6 +85,15 @@ TEST(ShardPlan, MoreShardsThanPointsYieldsEmptyShards) {
   EXPECT_GE(empty, 5u);
 }
 
+TEST(ShardPlan, CampaignPlanRefusesAGridWhoseCountOverflows) {
+  // Refused at planning time, before a manifest or worker exists.
+  for (const bool theta_axis : {true, false}) {
+    auto spec = quick_spec("bv", 4);
+    (theta_axis ? spec.grid.theta_step_deg : spec.grid.phi_step_deg) = 1e-300;
+    EXPECT_THROW((void)dist::plan_campaign_shards(spec, 2), Error);
+  }
+}
+
 TEST(ShardPlan, DeterministicAndCostBalanced) {
   const auto spec = quick_spec("qft", 4);
   const auto a = dist::plan_campaign_shards(spec, 4);

@@ -1,6 +1,8 @@
 // QVF metric tests: contrast algebra, golden outputs, classification.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "algorithms/algorithms.hpp"
 #include "core/fault_model.hpp"
 #include "core/qvf.hpp"
@@ -169,6 +171,38 @@ TEST(FaultModel, Validation) {
   bad = FaultParamGrid{};
   bad.phi_step_deg = -15.0;
   EXPECT_THROW(bad.validate(), Error);
+}
+
+TEST(FaultModel, StepCountsThatOverflowIntAreRefused) {
+  // 1e-300 divides any range exactly in double arithmetic, so only the
+  // count check stands between it and an lround that wraps the int.
+  const auto refusal = [](const FaultParamGrid& grid) -> std::string {
+    try {
+      grid.validate();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  FaultParamGrid grid;
+  grid.theta_step_deg = 1e-300;
+  EXPECT_EQ(refusal(grid),
+            "FaultParamGrid: theta step too small (theta count overflows int)");
+  grid = FaultParamGrid{};
+  grid.phi_step_deg = 1e-300;
+  EXPECT_EQ(refusal(grid),
+            "FaultParamGrid: phi step too small (phi count overflows int)");
+  // Each axis fits (1.8e9 + 1 thetas) but the product with 24 phis does not.
+  grid = FaultParamGrid{};
+  grid.theta_step_deg = 1e-7;
+  EXPECT_EQ(refusal(grid),
+            "FaultParamGrid: steps too small (config count overflows int)");
+  // A grid just inside the int range still passes.
+  grid = FaultParamGrid{};
+  grid.theta_step_deg = 180.0 / 1024;
+  grid.phi_step_deg = 360.0 / (1 << 20);
+  EXPECT_EQ(refusal(grid), "accepted");
+  EXPECT_EQ(grid.num_configs(), 1025 << 20);
 }
 
 TEST(FaultModel, InstructionIsUGateWithLambdaZero) {

@@ -1,17 +1,19 @@
-// Prefix-tree engine tests: the snapshot-tree planner, extend_snapshot on
-// both checkpointing backends (parent-vs-from-scratch bit equivalence,
-// chain hops), the density suffix-response
-// batch path, tree-engine campaigns against full re-simulation (single
-// and double fault with the response path active, shard-subset unions,
-// points with no coupled active neighbor), and the head relay between
-// chains (one prefix per sweep, hand-off across chains without work, a
-// failing extension, records across thread counts and shardings).
+// Prefix-tree engine tests: extend_snapshot on both checkpointing backends
+// (parent-vs-from-scratch bit equivalence, chain hops), the density
+// suffix-response batch path, tree-engine campaigns against full
+// re-simulation (single and double fault with the response path active,
+// shard-subset unions, points with no coupled active neighbor), and the
+// snapshot walk every campaign kind shares (one prefix per sweep, one
+// snapshot per unique split with work, hand-off across chains without
+// work, a failing extension, records across thread counts and shardings).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -21,9 +23,9 @@
 #include "backend/density_backend.hpp"
 #include "backend/ideal_backend.hpp"
 #include "backend/trajectory_backend.hpp"
+#include "core/adaptive.hpp"
 #include "core/campaign.hpp"
 #include "core/injection.hpp"
-#include "core/snapshot_tree.hpp"
 #include "dist/shard_plan.hpp"
 #include "noise/backend_props.hpp"
 #include "noise/noise_model.hpp"
@@ -43,109 +45,6 @@ void expect_same_probs(const backend::ExecutionResult& a,
     EXPECT_EQ(a.probabilities[i], b.probabilities[i]) << "index " << i;
   }
   EXPECT_EQ(a.counts, b.counts);
-}
-
-// ---- snapshot-tree planner -------------------------------------------------
-
-TEST(SnapshotTreePlanner, DeduplicatesSplitsAndChainsThem) {
-  // Operand points of 2q gates share splits: 7 points, 4 unique splits.
-  const std::size_t splits[] = {2, 2, 5, 5, 9, 9, 12};
-  const auto plan = plan_snapshot_tree(splits, 1);
-  ASSERT_EQ(plan.nodes.size(), 4u);
-  ASSERT_EQ(plan.num_chains(), 1u);
-  EXPECT_EQ(plan.nodes[0].split, 2u);
-  EXPECT_EQ(plan.nodes[3].split, 12u);
-  EXPECT_EQ(plan.nodes[0].parent, -1);
-  for (std::size_t i = 1; i < plan.nodes.size(); ++i) {
-    EXPECT_EQ(plan.nodes[i].parent, static_cast<std::ptrdiff_t>(i - 1));
-  }
-  // Every input position appears exactly once, on the node of its split.
-  std::size_t total_members = 0;
-  for (const auto& node : plan.nodes) {
-    for (const std::size_t pos : node.members) {
-      EXPECT_EQ(splits[pos], node.split);
-    }
-    total_members += node.members.size();
-  }
-  EXPECT_EQ(total_members, 7u);
-  // One chain evolves 2 gates from scratch and extends through the rest.
-  EXPECT_EQ(plan.scratch_gates(), 2u);
-  EXPECT_EQ(plan.extended_gates(), 10u);  // (5-2) + (9-5) + (12-9)
-  EXPECT_EQ(plan.flat_gates(), 2u + 2 + 5 + 5 + 9 + 9 + 12);
-}
-
-TEST(SnapshotTreePlanner, PartitionsIntoAtMostMaxChains) {
-  std::vector<std::size_t> splits(20);
-  for (std::size_t i = 0; i < splits.size(); ++i) splits[i] = i;
-  const auto plan = plan_snapshot_tree(splits, 4);
-  EXPECT_EQ(plan.num_chains(), 4u);
-  EXPECT_EQ(plan.nodes.size(), 20u);
-  // Chain heads are roots; everything else extends its predecessor.
-  std::size_t roots = 0;
-  for (std::size_t c = 0; c < plan.num_chains(); ++c) {
-    EXPECT_EQ(plan.nodes[plan.chain_begin[c]].parent, -1);
-    for (std::size_t i = plan.chain_begin[c] + 1; i < plan.chain_begin[c + 1];
-         ++i) {
-      EXPECT_EQ(plan.nodes[i].parent, static_cast<std::ptrdiff_t>(i - 1));
-    }
-    ++roots;
-  }
-  EXPECT_EQ(roots, 4u);
-  // More chains than unique splits degenerates to all-roots.
-  const auto wide = plan_snapshot_tree(splits, 100);
-  EXPECT_EQ(wide.num_chains(), 20u);
-  EXPECT_EQ(wide.extended_gates(), 0u);
-}
-
-TEST(SnapshotTreePlanner, SeveralChainsPerLaneCoverEachSplitOnce) {
-  // A campaign-shaped input: 2q-gate operand pairs share splits, and the
-  // chain budget (4 lanes x 8 chains per lane) is below the unique count.
-  std::vector<std::size_t> splits;
-  for (std::size_t split = 1; split <= 90; ++split) {
-    splits.push_back(split);
-    if (split % 3 == 0) splits.push_back(split);
-  }
-  const auto plan = plan_snapshot_tree(splits, 4 * 8);
-  ASSERT_EQ(plan.num_chains(), 32u);
-  ASSERT_EQ(plan.nodes.size(), 90u);
-  EXPECT_EQ(plan.chain_begin.front(), 0u);
-  EXPECT_EQ(plan.chain_begin.back(), plan.nodes.size());
-  for (std::size_t c = 0; c < plan.num_chains(); ++c) {
-    // Contiguous, non-empty, headed by a root; equal counts within one.
-    ASSERT_LT(plan.chain_begin[c], plan.chain_begin[c + 1]);
-    const std::size_t length = plan.chain_begin[c + 1] - plan.chain_begin[c];
-    EXPECT_TRUE(length == 2 || length == 3) << "chain " << c;
-    EXPECT_EQ(plan.nodes[plan.chain_begin[c]].parent, -1);
-    for (std::size_t i = plan.chain_begin[c] + 1; i < plan.chain_begin[c + 1];
-         ++i) {
-      EXPECT_EQ(plan.nodes[i].parent, static_cast<std::ptrdiff_t>(i - 1));
-    }
-  }
-  // Every unique split is one node, in ascending (chain-claim) order, and
-  // every input position is a member of exactly that node.
-  std::vector<int> seen(splits.size(), 0);
-  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
-    EXPECT_EQ(plan.nodes[i].split, i + 1);
-    for (const std::size_t pos : plan.nodes[i].members) {
-      EXPECT_EQ(splits[pos], plan.nodes[i].split);
-      ++seen[pos];
-    }
-  }
-  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
-            static_cast<std::ptrdiff_t>(splits.size()));
-  // Each non-head node extends its predecessor by one gate.
-  EXPECT_EQ(plan.extended_gates(), 90u - 32u);
-}
-
-TEST(SnapshotTreePlanner, EmptyInputAndZeroChains) {
-  const auto empty = plan_snapshot_tree({}, 8);
-  EXPECT_EQ(empty.nodes.size(), 0u);
-  EXPECT_EQ(empty.num_chains(), 0u);
-  const std::size_t one[] = {3};
-  const auto plan = plan_snapshot_tree(one, 0);  // 0 treated as 1
-  EXPECT_EQ(plan.num_chains(), 1u);
-  ASSERT_EQ(plan.nodes.size(), 1u);
-  EXPECT_EQ(plan.nodes[0].parent, -1);
 }
 
 // ---- extend_snapshot: density ----------------------------------------------
@@ -522,9 +421,9 @@ TEST(TreeEquivalence, EmptyNeighborPointsYieldNoRecordsAndNoCrash) {
 
 // ---- head relay between chains ---------------------------------------------
 
-/// Forwards every call to `inner` and counts the prepares the engine asks
-/// for. With `throw_at` set, an extension to that prefix length throws
-/// instead.
+/// Forwards every call to `inner` and counts the prepares and extensions
+/// the engine asks for. With `throw_at` set, an extension to that prefix
+/// length throws instead.
 class CountingBackend final : public backend::Backend {
  public:
   explicit CountingBackend(backend::Backend& inner,
@@ -555,6 +454,7 @@ class CountingBackend final : public backend::Backend {
       throw Error("counting backend: extension to " +
                   std::to_string(to_gate) + " failed");
     }
+    ++extends;
     return inner_.extend_snapshot(parent, from_gate, to_gate, shots_hint,
                                   snapshot_seed);
   }
@@ -572,6 +472,7 @@ class CountingBackend final : public backend::Backend {
   }
 
   std::atomic<std::size_t> prepares{0};
+  std::atomic<std::size_t> extends{0};
 
  private:
   backend::Backend& inner_;
@@ -584,29 +485,76 @@ backend::DensityMatrixBackend density_for(const CampaignSpec& spec) {
       spec.idle_noise);
 }
 
+/// Unique split indices among the points `indices` selects.
+std::size_t unique_splits(const std::vector<InjectionPoint>& points,
+                          std::span<const std::size_t> indices) {
+  std::set<std::size_t> splits;
+  for (const std::size_t p : indices) splits.insert(points[p].split_index());
+  return splits.size();
+}
+
+std::vector<std::size_t> every_point(std::size_t n) {
+  std::vector<std::size_t> all(n);
+  for (std::size_t i = 0; i < n; ++i) all[i] = i;
+  return all;
+}
+
+/// Runs `run` on `spec` through a CountingBackend over `inner` and checks
+/// the sweep's snapshot walk: one prepare when any split has work, and one
+/// snapshot, prepared or extended, per unique split with work.
+void expect_one_walk(CampaignSpec spec, backend::Backend& inner,
+                     std::size_t splits_with_work,
+                     const std::function<void(const CampaignSpec&)>& run) {
+  CountingBackend counting(inner);
+  spec.backend_override = &counting;
+  run(spec);
+  EXPECT_EQ(counting.prepares.load(), splits_with_work == 0 ? 0u : 1u);
+  EXPECT_EQ(counting.prepares.load() + counting.extends.load(),
+            splits_with_work);
+}
+
 TEST(TreeRelay, EverySweepPreparesItsPrefixOnce) {
+  const auto named = gate_equivalent_faults();
   for (const char* name : {"bv", "dj", "qft"}) {
     SCOPED_TRACE(name);
-    auto spec = quick_spec(name, 4);
-    spec.threads = 4;
-    auto density = density_for(spec);
+    auto exhaustive = quick_spec(name, 4);
+    exhaustive.threads = 4;
+    auto adaptive = exhaustive;
+    adaptive.grid.theta_step_deg = 30.0;  // 84 configs: the estimator
+    adaptive.grid.phi_step_deg = 30.0;    // evaluates a subset
+    adaptive.adaptive = AdaptivePolicy{};
+    auto density = density_for(exhaustive);
+    const auto points = campaign_points(exhaustive);
+    const auto all = every_point(points.size());
+    ASSERT_LT(unique_splits(points, all), points.size());  // splits shared
+
     {
-      CountingBackend counting(density);
-      spec.backend_override = &counting;
-      const auto full = run_single_fault_campaign(spec);
-      ASSERT_FALSE(full.records.empty());
-      EXPECT_EQ(counting.prepares.load(), 1u);
+      SCOPED_TRACE("named-fault");
+      expect_one_walk(exhaustive, density, unique_splits(points, all),
+                      [&](const CampaignSpec& spec) {
+                        (void)run_named_fault_campaign(spec, named);
+                      });
     }
-    // Each shard of a 12-way cost plan is its own sweep over its subset.
-    const auto plan =
-        dist::plan_campaign_shards(spec, 12, dist::ShardPolicy::CostWeighted);
-    ASSERT_EQ(plan.shards.size(), 12u);
-    for (const auto& shard : plan.shards) {
-      CountingBackend counting(density);
-      spec.backend_override = &counting;
-      (void)run_single_fault_campaign_subset(spec, shard.point_indices);
-      EXPECT_EQ(counting.prepares.load(), shard.point_indices.empty() ? 0u : 1u)
-          << "shard " << shard.shard_index;
+    for (const CampaignSpec& spec : {exhaustive, adaptive}) {
+      SCOPED_TRACE(spec.adaptive ? "adaptive" : "exhaustive");
+      expect_one_walk(spec, density, unique_splits(points, all),
+                      [](const CampaignSpec& run_spec) {
+                        ASSERT_FALSE(
+                            run_single_fault_campaign(run_spec).records.empty());
+                      });
+      // Each shard of a 12-way cost plan is its own sweep over its subset.
+      const auto plan =
+          dist::plan_campaign_shards(spec, 12, dist::ShardPolicy::CostWeighted);
+      ASSERT_EQ(plan.shards.size(), 12u);
+      for (const auto& shard : plan.shards) {
+        SCOPED_TRACE("shard " + std::to_string(shard.shard_index));
+        expect_one_walk(spec, density,
+                        unique_splits(points, shard.point_indices),
+                        [&](const CampaignSpec& run_spec) {
+                          (void)run_single_fault_campaign_subset(
+                              run_spec, shard.point_indices);
+                        });
+      }
     }
   }
 }
@@ -648,6 +596,10 @@ TEST(TreeRelay, ChainsWithoutWorkPassTheTrunkOn) {
   ASSERT_TRUE(work.front());
   ASSERT_TRUE(work.back());
   ASSERT_GE(std::count(work.begin(), work.end(), false), 18);
+  std::vector<std::size_t> with_work;
+  for (std::size_t p = 0; p < work.size(); ++p) {
+    if (work[p]) with_work.push_back(p);
+  }
 
   auto density = density_for(spec);
   spec.threads = 1;
@@ -660,6 +612,9 @@ TEST(TreeRelay, ChainsWithoutWorkPassTheTrunkOn) {
     spec.threads = threads;
     const auto result = run_double_fault_campaign(spec);
     EXPECT_EQ(counting.prepares.load(), 1u);
+    // Splits without work are jumped, never materialized.
+    EXPECT_EQ(counting.prepares.load() + counting.extends.load(),
+              unique_splits(points, with_work));
     test_support::expect_same_records(result.records, reference.records);
 
     // A subset that starts at the run without work: its leading chains
@@ -688,75 +643,114 @@ TEST(TreeRelay, AFailedExtensionIsRethrownNotHung) {
   const auto points = campaign_points(spec);
   ASSERT_GE(points.size(), 8u);
   auto density = density_for(spec);
-  for (const std::size_t victim : {std::size_t{1}, points.size() / 2,
-                                   points.size() - 1}) {
-    for (int threads = 1; threads <= 4; ++threads) {
-      SCOPED_TRACE(std::to_string(victim) + " at " + std::to_string(threads));
-      const std::size_t split = points[victim].split_index();
-      if (split == points.front().split_index()) continue;  // the root
-      CountingBackend failing(density, split);
-      spec.backend_override = &failing;
-      spec.threads = threads;
-      try {
-        (void)run_single_fault_campaign(spec);
-        ADD_FAILURE() << "the failed extension was swallowed";
-      } catch (const Error& e) {
-        EXPECT_EQ(std::string(e.what()), "counting backend: extension to " +
-                                             std::to_string(split) +
-                                             " failed");
+  const auto named = gate_equivalent_faults();
+  const std::pair<const char*, std::function<void(const CampaignSpec&)>>
+      kinds[] = {
+          {"exhaustive",
+           [](const CampaignSpec& s) { (void)run_single_fault_campaign(s); }},
+          {"adaptive",
+           [](CampaignSpec s) {
+             s.adaptive = AdaptivePolicy{};
+             (void)run_single_fault_campaign(s);
+           }},
+          {"named-fault",
+           [&](const CampaignSpec& s) {
+             (void)run_named_fault_campaign(s, named);
+           }},
+      };
+  for (const auto& [kind, run] : kinds) {
+    for (const std::size_t victim : {std::size_t{1}, points.size() / 2,
+                                     points.size() - 1}) {
+      for (int threads = 1; threads <= 4; ++threads) {
+        SCOPED_TRACE(std::string(kind) + ": " + std::to_string(victim) +
+                     " at " + std::to_string(threads));
+        const std::size_t split = points[victim].split_index();
+        if (split == points.front().split_index()) continue;  // the root
+        CountingBackend failing(density, split);
+        spec.backend_override = &failing;
+        spec.threads = threads;
+        try {
+          run(spec);
+          ADD_FAILURE() << "the failed extension was swallowed";
+        } catch (const Error& e) {
+          EXPECT_EQ(std::string(e.what()), "counting backend: extension to " +
+                                               std::to_string(split) +
+                                               " failed");
+        }
       }
     }
   }
 }
 
-/// Records of `spec` as one sweep, or as the 12 subsets of a cost plan
-/// concatenated in ascending point order.
-std::vector<InjectionRecord> relay_records(const CampaignSpec& spec,
-                                           bool sharded) {
-  if (!sharded) return run_single_fault_campaign(spec).records;
+/// Records and per-point estimates of `spec` as one sweep, or as the 12
+/// subsets of a cost plan merged in ascending point order.
+CampaignResult relay_run(const CampaignSpec& spec, bool sharded) {
+  if (!sharded) return run_single_fault_campaign(spec);
   const auto plan =
       dist::plan_campaign_shards(spec, 12, dist::ShardPolicy::CostWeighted);
-  std::vector<InjectionRecord> records;
+  CampaignResult merged;
   for (const auto& shard : plan.shards) {
     const auto part = run_single_fault_campaign_subset(spec,
                                                        shard.point_indices);
-    records.insert(records.end(), part.records.begin(), part.records.end());
+    merged.records.insert(merged.records.end(), part.records.begin(),
+                          part.records.end());
+    merged.point_estimates.resize(part.point_estimates.size());
+    for (const std::size_t p : shard.point_indices) {
+      if (p < part.point_estimates.size()) {
+        merged.point_estimates[p] = part.point_estimates[p];
+      }
+    }
   }
-  std::stable_sort(records.begin(), records.end(),
+  std::stable_sort(merged.records.begin(), merged.records.end(),
                    [](const InjectionRecord& a, const InjectionRecord& b) {
                      return a.point_index < b.point_index;
                    });
-  return records;
+  return merged;
+}
+
+/// memcmp equality of two vectors of padding-free values.
+template <typename T>
+void expect_same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  if (a.empty()) return;  // memcmp must not see an empty vector's null data
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0);
 }
 
 TEST(TreeRelay, RecordsAreIdenticalAcrossThreadsAndShards) {
-  // Six index columns and three doubles: no padding, so memcmp compares
-  // exactly the record bits.
+  // Six index columns and three doubles, and a count and two doubles: no
+  // padding, so memcmp compares exactly the record and estimate bits.
   static_assert(sizeof(InjectionRecord) == 6 * 4 + 3 * 8);
-  for (const char* kind : {"density", "density+idle", "trajectory"}) {
+  static_assert(sizeof(AdaptivePointEstimate) == 3 * 8);
+  for (const char* kind : {"density", "density+idle", "trajectory",
+                           "adaptive density", "adaptive trajectory"}) {
     SCOPED_TRACE(kind);
+    const std::string k = kind;
     auto spec = quick_spec("bv", 4);
     spec.max_points = 16;  // still more points than shards
     std::optional<backend::TrajectoryBackend> trajectory;
-    if (std::string(kind) == "density+idle") spec.idle_noise = true;
-    if (std::string(kind) == "trajectory") {
+    if (k == "density+idle") spec.idle_noise = true;
+    if (k.ends_with("trajectory")) {
       trajectory.emplace(noise::NoiseModel::from_backend(spec.backend));
       spec.backend_override = &*trajectory;
       spec.shots = 16;
     }
+    if (k.starts_with("adaptive")) {
+      spec.grid.theta_step_deg = 30.0;  // 84 configs: the estimator
+      spec.grid.phi_step_deg = 30.0;    // evaluates a subset
+      spec.adaptive = AdaptivePolicy{};
+    }
     spec.threads = 1;
-    const auto reference = relay_records(spec, false);
-    ASSERT_FALSE(reference.empty());
+    const auto reference = relay_run(spec, false);
+    ASSERT_FALSE(reference.records.empty());
+    ASSERT_EQ(reference.point_estimates.empty(), !spec.adaptive);
     for (int threads = 1; threads <= 4; ++threads) {
       for (const bool sharded : {false, true}) {
         SCOPED_TRACE(std::to_string(threads) +
                      (sharded ? " threads, 12 shards" : " threads"));
         spec.threads = threads;
-        const auto records = relay_records(spec, sharded);
-        ASSERT_EQ(records.size(), reference.size());
-        EXPECT_EQ(std::memcmp(records.data(), reference.data(),
-                              records.size() * sizeof(InjectionRecord)),
-                  0);
+        const auto result = relay_run(spec, sharded);
+        expect_same_bytes(result.records, reference.records);
+        expect_same_bytes(result.point_estimates, reference.point_estimates);
       }
     }
   }
