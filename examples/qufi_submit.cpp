@@ -96,6 +96,9 @@ int main(int argc, char** argv) {
       usage(argv[0]);
     }
 
+    // Refused here, not first at qufid's intake: a grid whose step count
+    // overflows exits 1 and leaves no submission behind.
+    qufi::service::request_grid(request).validate();
     std::filesystem::create_directories(spool);
     const std::string path =
         (std::filesystem::path(spool) / (request.name + ".submission"))

@@ -227,7 +227,8 @@ done
 # uncaught exception or parse a prefix), and --workers 0 must be refused
 # up front instead of draining forever with no worker. A 1e-300 grid step
 # divides any range exactly, so its step count (1.8e302) must be refused
-# by name rather than wrapped into an int. (Word-split on purpose.)
+# by name rather than wrapped into an int, by qufi_submit before it writes
+# a submission too. (Word-split on purpose.)
 q="./build/qufid --spool $disp_dir/flag_spool --work-dir $disp_dir/flag_work"
 for cmd in "$q --workers abc" "$q --workers 0 --fleet process --drain" \
   "$q --threads abc" "$q --lease-timeout abc" "$q --max-retries abc" \
@@ -241,7 +242,8 @@ for cmd in "$q --workers abc" "$q --workers 0 --fleet process --drain" \
   "./build/qufi_shard_plan --phi-max 1e999" "./build/qufi_shard_plan --opt -1" \
   "./build/qufi_shard_plan --adaptive-ci x" \
   "./build/qufi_cli --theta-step 1e-300" "./build/qufi_cli --phi-step 1e-300" \
-  "./build/qufi_shard_plan --theta-step 1e-300 --out-dir $disp_dir/flag_plan"; do
+  "./build/qufi_shard_plan --theta-step 1e-300 --out-dir $disp_dir/flag_plan" \
+  "./build/qufi_submit --spool $disp_dir/flag_submit --name x --csv x.csv --theta-step 1e-300"; do
   rc=0
   err="$(timeout 10 $cmd 2>&1 > /dev/null)" || rc=$?
   if [[ $rc -ne 1 ]] || ! grep -q '^error: ' <<< "$err"; then
@@ -249,6 +251,11 @@ for cmd in "$q --workers abc" "$q --workers 0 --fleet process --drain" \
     exit 1
   fi
 done
+# A refused submission leaves nothing in the spool for qufid to pick up.
+if [[ -e "$disp_dir/flag_submit/x.submission" ]]; then
+  echo "dispatcher smoke FAILED: qufi_submit left a submission for an overflowing grid" >&2
+  exit 1
+fi
 echo "dispatcher smoke OK (2 campaigns, chaos-killed worker, CSVs == single-process, JSON event log, shards -1 and .. submissions and bad numeric flags and overflowing grid steps rejected)"
 
 # Crash-durability smoke: SIGKILL the daemon ITSELF (and its workers)

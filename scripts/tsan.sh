@@ -5,8 +5,9 @@
 # walks its snapshot chains on the pool with a promise/future hand-off of
 # each chain's first snapshot, streams records through the per-point
 # emitter's atomic countdown, and the distribution layer and dispatcher run
-# worker fleets on threads, so a data race anywhere on those paths fails
-# this leg even when the records come out right.
+# worker fleets on threads that share one lane pool (whose concurrent
+# parallel_for callers test_util drives directly), so a data race anywhere
+# on those paths fails this leg even when the records come out right.
 #
 # The flag goes through CMAKE_CXX_FLAGS / CMAKE_EXE_LINKER_FLAGS (no CMake
 # option of its own). Extra arguments go to the configure step (CI passes
@@ -16,7 +17,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-suites=(test_tree test_campaign test_adaptive test_dist test_dispatcher)
+suites=(test_util test_tree test_campaign test_adaptive test_dist test_dispatcher)
 
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" \

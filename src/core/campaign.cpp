@@ -60,6 +60,15 @@ Prepared prepare(const CampaignSpec& spec) {
   return prep;
 }
 
+/// The lanes a campaign runs on: spec.pool when borrowed, else a pool of
+/// spec.threads built into `owned`.
+util::ThreadPool& campaign_pool(const CampaignSpec& spec,
+                                std::optional<util::ThreadPool>& owned) {
+  if (spec.pool != nullptr) return *spec.pool;
+  return owned.emplace(static_cast<std::size_t>(
+      spec.threads > 0 ? spec.threads : 0));
+}
+
 /// Snapshot chains per pool lane. A split's first batch replays its whole
 /// suffix to build the response basis, so a split costs in proportion to
 /// its suffix length: with one chain per lane, the lane holding the
@@ -532,8 +541,8 @@ CampaignResult single_campaign_impl(const CampaignSpec& spec, Prepared& prep,
   // Prefix-tree engine: one snapshot per unique split (operand points of a
   // multi-qubit gate share one), derived along chains, each point's grid
   // swept in fixed-size chunks.
-  util::ThreadPool pool(static_cast<std::size_t>(
-      spec.threads > 0 ? spec.threads : 0));
+  std::optional<util::ThreadPool> owned_pool;
+  util::ThreadPool& pool = campaign_pool(spec, owned_pool);
   sweep_snapshot_tree(pool, prep, spec, subset_splits(result.points, subset),
                       slice_begin, kTreeChunk1q, sweep);
 
@@ -572,8 +581,8 @@ CampaignResult adaptive_campaign_impl(const CampaignSpec& spec, Prepared& prep,
   std::vector<std::vector<InjectionRecord>> blocks(subset.size());
   std::atomic<std::uint64_t> executions{0};
 
-  util::ThreadPool pool(static_cast<std::size_t>(
-      spec.threads > 0 ? spec.threads : 0));
+  std::optional<util::ThreadPool> owned_pool;
+  util::ThreadPool& pool = campaign_pool(spec, owned_pool);
   const auto estimate_point = [&](std::size_t s,
                                   const backend::PrefixSnapshotPtr& snapshot) {
     const std::size_t global_point = subset[s];
@@ -780,8 +789,8 @@ CampaignResult double_campaign_impl(const CampaignSpec& spec, Prepared& prep,
   // full primary x secondary grid over every coupled neighbor — sweeps from
   // its shared snapshot. Points with an empty slice (no coupled active
   // neighbor) never materialize a snapshot.
-  util::ThreadPool pool(static_cast<std::size_t>(
-      spec.threads > 0 ? spec.threads : 0));
+  std::optional<util::ThreadPool> owned_pool;
+  util::ThreadPool& pool = campaign_pool(spec, owned_pool);
   sweep_snapshot_tree(pool, prep, spec, subset_splits(result.points, subset),
                       slice_begin, kTreeChunk2q, sweep);
 
@@ -816,8 +825,8 @@ std::vector<NamedFaultQvf> run_named_fault_campaign(
   // named faults at one point go out as a single batch.
   std::vector<std::vector<double>> qvfs(
       faults.size(), std::vector<double>(points.size(), 0.0));
-  util::ThreadPool pool(static_cast<std::size_t>(
-      spec.threads > 0 ? spec.threads : 0));
+  std::optional<util::ThreadPool> owned_pool;
+  util::ThreadPool& pool = campaign_pool(spec, owned_pool);
   const auto inject_all = [&](std::size_t p,
                               const backend::PrefixSnapshotPtr& snapshot) {
     std::vector<backend::SuffixConfig> batch(faults.size());

@@ -67,6 +67,11 @@ struct CampaignSpec {
   std::optional<AdaptivePolicy> adaptive;
 
   int threads = 0;  ///< worker threads; 0 = hardware concurrency
+  /// Run the engine on these borrowed lanes instead of a pool of `threads`
+  /// built for the call (`threads` is then ignored). Other callers may
+  /// share the lanes at the same time, as a thread fleet's workers do;
+  /// records never depend on it. Not owned; nullptr = a pool of its own.
+  util::ThreadPool* pool = nullptr;
 
   /// Execute on this backend instead of the density-matrix simulator built
   /// from `backend` (e.g. SimulatedHardwareBackend). Must be thread-safe:
@@ -98,8 +103,9 @@ struct CampaignSpec {
 ///         and campaign metadata. Record values are independent of thread
 ///         count and scheduling (per-config seeds, index-addressed slots).
 ///
-/// Thread-safety: runs its own worker pool internally; concurrent campaign
-/// calls are safe as long as any backend_override is itself thread-safe.
+/// Thread-safety: runs on spec.pool or a worker pool of its own; concurrent
+/// campaign calls are safe, on one shared pool too, as long as any
+/// backend_override is itself thread-safe.
 CampaignResult run_single_fault_campaign(const CampaignSpec& spec);
 
 /// Runs the double-fault campaign of §IV-C: for every injection point and

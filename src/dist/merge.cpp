@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/result_io.hpp"
@@ -325,13 +326,14 @@ StreamingMergeStats merge_result_files(std::span<const std::string> inputs,
 
 StreamingMergeStats merge_result_files_to_csv(
     std::span<const std::string> inputs, const std::string& csv_path,
-    const MergeOptions& options) {
+    const MergeOptions& options, util::ThreadPool* borrowed) {
   std::vector<BlockStream> streams = open_merge_inputs(inputs);
   const resio::ResultFileHeader& header = streams[0].reader->header();
   CampaignCsvWriter csv(csv_path, header.meta, header.points);
   // Whole point runs are gathered into batches, so each write hands the
   // pool many blocks to format at once, as CampaignResult::write_csv does.
-  util::ThreadPool pool;
+  std::optional<util::ThreadPool> owned;
+  util::ThreadPool& pool = borrowed != nullptr ? *borrowed : owned.emplace();
   std::vector<InjectionRecord> batch;
   const StreamingMergeStats stats = run_file_merge(
       inputs, options, streams, [&](std::span<const InjectionRecord> run) {

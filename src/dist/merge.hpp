@@ -85,19 +85,21 @@ StreamingMergeStats merge_result_files(std::span<const std::string> inputs,
                                        const MergeOptions& options = {});
 
 /// Records merge_result_files_to_csv gathers (in whole point runs) before
-/// it formats them on its thread pool: 8 CSV blocks.
+/// it formats them on its pool's lanes: 8 CSV blocks.
 inline constexpr std::size_t kMergeCsvBatchRecords =
     8 * CampaignCsvWriter::kBlockRows;
 
 /// Same streaming merge, but exporting straight to campaign CSV through
 /// CampaignCsvWriter — byte-identical to CampaignResult::write_csv on the
 /// merged result (same writer, same canonical point order). A single
-/// input makes this the QUFIPART-to-CSV export. Rows are formatted on a
-/// pool of hardware threads, one batch of kMergeCsvBatchRecords records
-/// (plus the rest of the point run that crossed it) at a time.
+/// input makes this the QUFIPART-to-CSV export. Rows are formatted on
+/// `pool`'s lanes (borrowed, may be shared with other callers) or, when it
+/// is null, on a pool of hardware threads built for the call, one batch of
+/// kMergeCsvBatchRecords records (plus the rest of the point run that
+/// crossed it) at a time.
 StreamingMergeStats merge_result_files_to_csv(
     std::span<const std::string> inputs, const std::string& csv_path,
-    const MergeOptions& options = {});
+    const MergeOptions& options = {}, util::ThreadPool* pool = nullptr);
 
 /// One input of an incremental (prefix) merge: a columnar partial that may
 /// still be growing, plus the global point indices its shard owns (from the

@@ -17,6 +17,7 @@ ShardRunOutput run_shard(const ShardManifest& manifest,
           "QUFIPART partial)");
   CampaignSpec spec = manifest_to_spec(manifest);
   spec.threads = options.threads;
+  spec.pool = options.pool;
 
   // The worker owns its execution backend explicitly (instead of letting
   // the campaign build one) so the trajectory family is reachable from a

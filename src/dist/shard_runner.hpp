@@ -13,6 +13,9 @@ namespace qufi::dist {
 struct ShardRunOptions {
   /// Worker threads; 0 = hardware concurrency.
   int threads = 0;
+  /// Borrowed lanes to run the shard's engine work on instead of a pool of
+  /// `threads` (CampaignSpec::pool). Not owned; nullptr = own pool.
+  util::ThreadPool* pool = nullptr;
   /// The shard's partial: a columnar QUFIPART file (docs/RESULT_FORMAT.md)
   /// the records stream into as points complete, so worker memory stays at
   /// O(in-flight points) whatever the grid size. Written via temp + rename

@@ -1,7 +1,9 @@
 #include "service/dispatcher.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 
 #include "core/result_io.hpp"
@@ -35,6 +37,29 @@ bool probe_sealed_clean(const std::string& path, std::string* why) {
   } catch (const Error& e) {
     if (why != nullptr) *why = e.what();
     return false;
+  }
+}
+
+/// Where a campaign's final merge writes before the dispatcher, holding
+/// its lock again, renames the file to the campaign's csv_path: a CSV at
+/// csv_path always belongs to a Completed campaign, even when a divergent
+/// duplicate fails the campaign while its merge runs.
+std::string staged_csv_path(const std::string& csv_path) {
+  return csv_path + ".merging";
+}
+
+/// The final merge of a campaign's accepted partials into its staged CSV.
+/// Touches no dispatcher state, so it runs without the lock. Returns the
+/// failure, empty on success.
+std::string merge_staged_csv(const std::vector<std::string>& inputs,
+                             const std::string& csv_path,
+                             util::ThreadPool* pool) {
+  try {
+    dist::merge_result_files_to_csv(inputs, staged_csv_path(csv_path), {},
+                                    pool);
+    return {};
+  } catch (const std::exception& e) {
+    return e.what();
   }
 }
 
@@ -275,7 +300,7 @@ void Dispatcher::adopt_disk_state_locked() {
             event.path = output;
             return event;
           }());
-          accept_completion_locked(campaign, shard, lease_id, output);
+          accept_completion_locked(campaign, shard, output);
         } else {
           if (!output.empty()) {
             quarantine_locked(campaign, shard, output);
@@ -305,8 +330,9 @@ void Dispatcher::adopt_disk_state_locked() {
         }
       }
     }
-    // Crash between the complete record and the terminal record: every
-    // shard is Done but the campaign never finalized. Merge now.
+    // Every shard Done but no terminal record (a crash between the last
+    // complete record and the terminal one, or the last shard adopted
+    // above): merge now.
     if ((campaign.state == CampaignState::Running ||
          campaign.state == CampaignState::Queued) &&
         !campaign.shards.empty() &&
@@ -480,8 +506,8 @@ bool Dispatcher::heartbeat(std::uint64_t lease_id) {
   return true;
 }
 
-void Dispatcher::complete(std::uint64_t lease_id) {
-  std::lock_guard<std::mutex> lock(mutex_);
+void Dispatcher::complete(std::uint64_t lease_id, util::ThreadPool* pool) {
+  std::unique_lock<std::mutex> lock(mutex_);
   std::string campaign_name;
   std::uint32_t shard_index = 0;
   std::string output;
@@ -562,8 +588,21 @@ void Dispatcher::complete(std::uint64_t lease_id) {
     event.path = output;
     journal_append_locked(std::move(event));
   }
-  accept_completion_locked(*campaign, shard, lease_id, output);
-  journal_sync_locked();  // complete() returning IS the acknowledgment
+  const bool last = accept_completion_locked(*campaign, shard, output);
+  journal_sync_locked();  // the completion is acknowledged from here on
+  if (!last) return;
+
+  // The final merge runs unlocked: it reads only the accepted partials,
+  // which nothing changes once Done, and writes only the staged CSV. The
+  // campaign stays Running meanwhile, so idle() stays false; the Campaign
+  // object outlives the unlock (campaigns are never erased).
+  const std::vector<std::string> inputs = accepted_paths_locked(*campaign);
+  const std::string csv_path = campaign->csv_path;
+  lock.unlock();
+  std::string error = merge_staged_csv(inputs, csv_path, pool);
+  lock.lock();
+  seal_final_merge_locked(*campaign, std::move(error));
+  journal_sync_locked();
 }
 
 bool Dispatcher::fail(std::uint64_t lease_id, const std::string& reason) {
@@ -730,39 +769,63 @@ void Dispatcher::fail_campaign_locked(Campaign& campaign,
   // leases are pruned — late duplicates for a terminal campaign change
   // nothing, and the journal keeps them reconstructible for post-mortem.
   prune_retired_locked(campaign.name);
+  terminal_.notify_all();
 }
 
-void Dispatcher::accept_completion_locked(Campaign& campaign, Shard& shard,
-                                          std::uint64_t lease_id,
+bool Dispatcher::accept_completion_locked(Campaign& campaign, Shard& shard,
                                           const std::string& output_path) {
-  (void)lease_id;  // journaled by the caller before state changes
   shard.state = ShardState::Done;
   shard.accepted_path = output_path;
-  const bool all_done =
-      std::all_of(campaign.shards.begin(), campaign.shards.end(),
-                  [](const Shard& s) { return s.state == ShardState::Done; });
-  if (all_done) finalize_locked(campaign);
+  return std::all_of(
+      campaign.shards.begin(), campaign.shards.end(),
+      [](const Shard& s) { return s.state == ShardState::Done; });
 }
 
-void Dispatcher::finalize_locked(Campaign& campaign) {
+std::vector<std::string> Dispatcher::accepted_paths_locked(
+    const Campaign& campaign) const {
   std::vector<std::string> inputs;
   inputs.reserve(campaign.shards.size());
   for (const Shard& shard : campaign.shards) {
     inputs.push_back(shard.accepted_path);
   }
-  try {
-    dist::merge_result_files_to_csv(inputs, campaign.csv_path);
-    campaign.state = CampaignState::Completed;
-    JournalEvent event;
-    event.type = JournalEventType::CampaignTerminal;
-    event.campaign = campaign.name;
-    event.detail = "completed";
-    journal_append_locked(std::move(event));
-    prune_retired_locked(campaign.name);
-  } catch (const Error& e) {
-    fail_campaign_locked(campaign, "campaign '" + campaign.name +
-                                       "': final merge failed: " + e.what());
+  return inputs;
+}
+
+void Dispatcher::seal_final_merge_locked(Campaign& campaign,
+                                         std::string merge_error) {
+  const std::string staged = staged_csv_path(campaign.csv_path);
+  if (campaign.state == CampaignState::Failed) {
+    // A divergent duplicate failed the campaign while its merge ran.
+    std::remove(staged.c_str());
+    return;
   }
+  if (merge_error.empty() &&
+      std::rename(staged.c_str(), campaign.csv_path.c_str()) != 0) {
+    merge_error = "cannot rename " + staged + " into place";
+  }
+  if (!merge_error.empty()) {
+    std::remove(staged.c_str());
+    fail_campaign_locked(campaign, "campaign '" + campaign.name +
+                                       "': final merge failed: " +
+                                       merge_error);
+    return;
+  }
+  campaign.state = CampaignState::Completed;
+  JournalEvent event;
+  event.type = JournalEventType::CampaignTerminal;
+  event.campaign = campaign.name;
+  event.detail = "completed";
+  journal_append_locked(std::move(event));
+  prune_retired_locked(campaign.name);
+  terminal_.notify_all();
+}
+
+void Dispatcher::finalize_locked(Campaign& campaign) {
+  // Recovery only: the constructor has not returned, so no other call can
+  // wait on the lock while this merge holds it.
+  seal_final_merge_locked(
+      campaign, merge_staged_csv(accepted_paths_locked(campaign),
+                                 campaign.csv_path, nullptr));
 }
 
 Dispatcher::Campaign* Dispatcher::find_campaign_locked(
@@ -848,13 +911,23 @@ dist::PrefixMergeResult Dispatcher::progress(const std::string& name) const {
   return dist::merge_result_prefix(inputs);
 }
 
-bool Dispatcher::idle() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+bool Dispatcher::idle_locked() const {
   return std::all_of(campaigns_.begin(), campaigns_.end(),
                      [](const std::unique_ptr<Campaign>& c) {
                        return c->state == CampaignState::Completed ||
                               c->state == CampaignState::Failed;
                      });
+}
+
+bool Dispatcher::idle() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return idle_locked();
+}
+
+bool Dispatcher::wait_idle_for(std::int64_t timeout_ms) const {
+  std::unique_lock<std::mutex> lock(mutex_);
+  return terminal_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                            [this] { return idle_locked(); });
 }
 
 }  // namespace qufi::service

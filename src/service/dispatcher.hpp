@@ -1,5 +1,6 @@
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -167,8 +168,15 @@ class Dispatcher {
   /// another attempt) is verified bit-exact against the accepted partial
   /// and dropped; divergence fails the campaign — determinism is the
   /// contract that makes requeues safe. When the last shard lands, the
-  /// final CSV is merged and written before complete() returns.
-  void complete(std::uint64_t lease_id);
+  /// final CSV is merged and written before complete() returns: the
+  /// completion is journaled first, then the merge runs with the
+  /// dispatcher's lock released (every other call proceeds meanwhile, and
+  /// the campaign stays Running), its rows formatted on `pool`'s lanes
+  /// (borrowed; null builds a pool of hardware threads for the merge).
+  /// The lock is then re-taken to rename the CSV into place and mark the
+  /// campaign Completed, or Failed when the merge failed or a divergent
+  /// duplicate failed the campaign in the meantime (no CSV is left then).
+  void complete(std::uint64_t lease_id, util::ThreadPool* pool = nullptr);
 
   /// Voluntary failure (the worker caught an exception): requeues the
   /// shard against its retry budget. Returns false when the lease is no
@@ -200,6 +208,11 @@ class Dispatcher {
   /// True when every campaign is terminal (Completed or Failed).
   bool idle() const;
 
+  /// Blocks until idle() holds or `timeout_ms` passed, and returns idle().
+  /// Wakes the moment a campaign turns terminal, so a fleet's drain need
+  /// not poll.
+  bool wait_idle_for(std::int64_t timeout_ms) const;
+
   /// What constructing over an existing journal recovered (all-zeros for a
   /// fresh dispatcher). Written once in the constructor, immutable after.
   const RecoveryReport& recovery_report() const { return recovery_; }
@@ -222,10 +235,13 @@ class Dispatcher {
   void requeue_locked(Campaign& campaign, Shard& shard,
                       const std::string& why);
   void fail_campaign_locked(Campaign& campaign, const std::string& error);
-  void accept_completion_locked(Campaign& campaign, Shard& shard,
-                                std::uint64_t lease_id,
+  bool accept_completion_locked(Campaign& campaign, Shard& shard,
                                 const std::string& output_path);
+  std::vector<std::string> accepted_paths_locked(
+      const Campaign& campaign) const;
+  void seal_final_merge_locked(Campaign& campaign, std::string merge_error);
   void finalize_locked(Campaign& campaign);
+  bool idle_locked() const;
   void prune_retired_locked(const std::string& campaign_name);
   void quarantine_locked(Campaign& campaign, Shard& shard,
                          const std::string& output_path);
@@ -242,6 +258,8 @@ class Dispatcher {
   DispatcherOptions options_;
   Clock& clock_;
   mutable std::mutex mutex_;
+  /// Notified (under mutex_) whenever a campaign turns terminal.
+  mutable std::condition_variable terminal_;
   std::vector<std::unique_ptr<Campaign>> campaigns_;  // submission order
   std::map<std::uint64_t, ActiveLease> active_;
   /// Retired leases (expired, completed, failed) kept so a late complete()

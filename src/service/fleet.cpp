@@ -8,10 +8,25 @@
 
 namespace qufi::service {
 
+namespace {
+
+/// The fleet pool's size, checked before the pool is built.
+std::size_t lane_count(const FleetOptions& options) {
+  require(options.workers > 0, "ThreadWorkerFleet: workers must be positive");
+  const std::size_t per_worker =
+      options.threads_per_worker > 0
+          ? static_cast<std::size_t>(options.threads_per_worker)
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return static_cast<std::size_t>(options.workers) * per_worker;
+}
+
+}  // namespace
+
 ThreadWorkerFleet::ThreadWorkerFleet(Dispatcher& dispatcher,
                                      FleetOptions options)
-    : dispatcher_(dispatcher), options_(std::move(options)) {
-  require(options_.workers > 0, "ThreadWorkerFleet: workers must be positive");
+    : dispatcher_(dispatcher),
+      options_(std::move(options)),
+      pool_(lane_count(options_)) {
   require(options_.heartbeat_interval_ms > 0,
           "ThreadWorkerFleet: heartbeat_interval_ms must be positive");
   workers_.reserve(static_cast<std::size_t>(options_.workers));
@@ -24,9 +39,8 @@ ThreadWorkerFleet::ThreadWorkerFleet(Dispatcher& dispatcher,
 ThreadWorkerFleet::~ThreadWorkerFleet() { stop(); }
 
 void ThreadWorkerFleet::drain() {
-  while (!stopping_.load() && !dispatcher_.idle()) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(options_.poll_interval_ms));
+  while (!stopping_.load() &&
+         !dispatcher_.wait_idle_for(options_.poll_interval_ms)) {
   }
 }
 
@@ -53,7 +67,7 @@ void ThreadWorkerFleet::worker_loop(int worker_index) {
     }
     try {
       dist::ShardRunOptions run;
-      run.threads = options_.threads_per_worker;
+      run.pool = &pool_;
       run.columnar_output_path = lease->output_path;
       // Live so the dispatcher's incremental merges observe this shard's
       // completed points while it runs — and so a crash mid-shard leaves a
@@ -63,7 +77,7 @@ void ThreadWorkerFleet::worker_loop(int worker_index) {
       const bool deliver = !options_.deliver_completion ||
                            options_.deliver_completion(*lease);
       if (deliver) {
-        dispatcher_.complete(lease->id);
+        dispatcher_.complete(lease->id, &pool_);
         shards_completed_.fetch_add(1);
       }
     } catch (const Error& e) {

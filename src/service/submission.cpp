@@ -146,6 +146,14 @@ CampaignRequest load_submission(const std::string& path) {
   return request;
 }
 
+FaultParamGrid request_grid(const CampaignRequest& request) {
+  FaultParamGrid grid;
+  grid.theta_step_deg = request.theta_step;
+  grid.phi_step_deg = request.phi_step;
+  grid.phi_max_deg = request.phi_max;
+  return grid;
+}
+
 CampaignJob plan_submission(const CampaignRequest& request) {
   require(request.shards >= 1,
           "submission: shards must be >= 1 (campaign " + request.name + ")");
@@ -161,9 +169,7 @@ CampaignJob plan_submission(const CampaignRequest& request) {
   spec.expected_outputs = bench.expected_outputs;
   spec.backend = noise::fake_backend_by_name(request.device, request.width);
   spec.transpile_options.optimization_level = request.opt_level;
-  spec.grid.theta_step_deg = request.theta_step;
-  spec.grid.phi_step_deg = request.phi_step;
-  spec.grid.phi_max_deg = request.phi_max;
+  spec.grid = request_grid(request);
   spec.shots = request.shots;
   spec.seed = request.seed;
   spec.max_points = request.max_points;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/fault_model.hpp"
 #include "service/dispatcher.hpp"
 
 namespace qufi::service {
@@ -33,6 +34,11 @@ struct CampaignRequest {
   std::string backend_kind = "density"; ///< density | trajectory
   std::string csv_path;
 };
+
+/// The fault grid `request` asks for (theta to 180 degrees, phi to
+/// phi_max), as plan_submission runs it. qufi_submit validates it before
+/// it writes a submission.
+FaultParamGrid request_grid(const CampaignRequest& request);
 
 /// Writes `request` to `path` (temp + rename, so a spool watcher never
 /// reads a half-written submission). Throws qufi::Error on I/O failure.

@@ -34,14 +34,8 @@ void ThreadPool::submit(std::function<void()> task) {
     std::unique_lock lock(mutex_);
     require(!stopping_, "ThreadPool: submit after shutdown");
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   task_ready_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::worker_loop() {
@@ -58,10 +52,6 @@ void ThreadPool::worker_loop() {
       tasks_.pop();
     }
     task();
-    {
-      std::unique_lock lock(mutex_);
-      if (--in_flight_ == 0) idle_.notify_all();
-    }
   }
 }
 
@@ -69,30 +59,38 @@ void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   std::exception_ptr first_error;
-  std::mutex error_mutex;
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
-
+  // This call's claimers that have not finished yet: the call returns when
+  // they have, whatever other callers keep the lanes busy with.
   const std::size_t lanes = std::min(n, workers_.size());
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    submit([&] {
-      for (;;) {
-        // Once any iteration failed, stop claiming work: a failing campaign
-        // aborts promptly instead of burning the rest of the grid.
-        if (failed.load(std::memory_order_relaxed)) return;
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        try {
-          fn(i);
-        } catch (...) {
-          failed.store(true, std::memory_order_relaxed);
-          std::scoped_lock lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
+  std::size_t claimers = lanes;
+  std::mutex mutex;
+  std::condition_variable done;
+
+  const auto claim = [&] {
+    for (;;) {
+      // Once any iteration failed, stop claiming work: a failing campaign
+      // aborts promptly instead of burning the rest of the grid.
+      if (failed.load(std::memory_order_relaxed)) break;
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) break;
+      try {
+        fn(i);
+      } catch (...) {
+        failed.store(true, std::memory_order_relaxed);
+        std::scoped_lock lock(mutex);
+        if (!first_error) first_error = std::current_exception();
       }
-    });
-  }
-  wait_idle();
+    }
+    // Notified under the lock: once the caller sees zero it may unwind
+    // this frame.
+    std::scoped_lock lock(mutex);
+    if (--claimers == 0) done.notify_all();
+  };
+  for (std::size_t lane = 0; lane < lanes; ++lane) submit(claim);
+  std::unique_lock lock(mutex);
+  done.wait(lock, [&] { return claimers == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

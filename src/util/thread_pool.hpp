@@ -14,7 +14,10 @@ namespace qufi::util {
 ///
 /// Campaigns submit independent injection configs; determinism is guaranteed
 /// by the *submitter* (per-config seeds + index-addressed result slots), not
-/// by execution order, so a plain queue is sufficient.
+/// by execution order, so a plain queue is sufficient. One pool may serve
+/// several outside callers at once (a thread fleet's workers share one), so
+/// every call waits for its own tasks only: the pool has no notion of
+/// being idle.
 class ThreadPool {
  public:
   /// Spawns `threads` workers (0 means std::thread::hardware_concurrency(),
@@ -30,18 +33,20 @@ class ThreadPool {
   /// Enqueues a task. Throws qufi::Error after shutdown began.
   void submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished executing.
-  void wait_idle();
-
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// Indices are claimed in ascending order: index i is claimed only after
-  /// every lower index, and a claimed index always runs to completion on
-  /// its lane. fn(i) may therefore wait on work that fn(i - 1) hands over
-  /// (the campaign engine's chain-head relay relies on this) without
-  /// deadlock. Exceptions from tasks are captured and the first one is
-  /// rethrown; after any failure, lanes stop claiming new iterations
-  /// (already-claimed ones still finish), so not every remaining index is
-  /// attempted. Must not be called from one of this pool's own lanes.
+  /// Runs fn(i) for i in [0, n) across the pool and returns once this
+  /// call's iterations have finished. Several threads outside the pool may
+  /// call it concurrently: each call queues its own claimer tasks, waits
+  /// for those alone, and sees only its own iterations and errors. Within
+  /// a call, indices are claimed in ascending order: index i is claimed
+  /// only after every lower index, and a claimed index always runs to
+  /// completion on its lane. fn(i) may therefore wait on work that
+  /// fn(i - 1) of the same call hands over (the campaign engine's
+  /// chain-head relay relies on this) without deadlock, whatever other
+  /// calls share the lanes. Exceptions from tasks are captured and the
+  /// call's first one is rethrown; after any failure, the call's lanes
+  /// stop claiming new iterations (already-claimed ones still finish), so
+  /// not every remaining index is attempted. Must not be called from one
+  /// of this pool's own lanes.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
@@ -51,8 +56,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable task_ready_;
-  std::condition_variable idle_;
-  std::size_t in_flight_ = 0;
   bool stopping_ = false;
 };
 

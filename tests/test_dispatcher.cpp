@@ -9,10 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "algorithms/algorithms.hpp"
@@ -30,6 +34,7 @@
 #include "support/shard_partials.hpp"
 #include "support/test_files.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qufi {
 namespace {
@@ -486,6 +491,268 @@ TEST(Dispatcher, ThreadFleetSurvivesASwallowedCompletionEndToEnd) {
   // Kill schedules never leak into results: both CSVs byte-identical.
   EXPECT_EQ(slurp(dir.str("bv4.csv")), slurp(ref_bv));
   EXPECT_EQ(slurp(dir.str("dj4.csv")), slurp(ref_dj));
+}
+
+TEST(Dispatcher, SharedLaneFleetsWriteTheSingleProcessCsvs) {
+  TempDir dir("lanes");
+  const std::vector<std::string> names = {"bv", "dj", "qft"};
+  std::vector<std::string> references;
+  for (const std::string& name : names) {
+    references.push_back(slurp(reference_csv(
+        quick_spec(name, 4), dir.str("ref_" + name + ".csv"))));
+  }
+  // workers x threads_per_worker: one shared pool of 4 lanes each time.
+  for (const auto& [workers, threads] :
+       std::vector<std::pair<int, int>>{{1, 4}, {2, 2}, {4, 1}}) {
+    const std::string tag =
+        std::to_string(workers) + "x" + std::to_string(threads);
+    service::SystemClock clock;
+    service::DispatcherOptions options;
+    options.work_dir = dir.str("work_" + tag);
+    options.journal_path = dir.str("work_" + tag + "/journal");
+    service::Dispatcher dispatcher(options, clock);
+    for (const std::string& name : names) {
+      dispatcher.submit(make_job(name + "4", 0, quick_spec(name, 4), 12,
+                                 dir.str(tag + "_" + name + ".csv")));
+    }
+    service::FleetOptions fleet_options;
+    fleet_options.workers = workers;
+    fleet_options.threads_per_worker = threads;
+    service::ThreadWorkerFleet fleet(dispatcher, fleet_options);
+    fleet.drain();
+    fleet.stop();
+    EXPECT_EQ(fleet.shards_completed(), 36u) << tag;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      const auto status = dispatcher.campaign_status(names[i] + "4");
+      EXPECT_EQ(status.state, service::CampaignState::Completed)
+          << tag << " " << names[i] << ": " << status.error;
+      EXPECT_EQ(slurp(dir.str(tag + "_" + names[i] + ".csv")), references[i])
+          << tag << " " << names[i];
+    }
+  }
+}
+
+// ---- the final merge runs outside the dispatcher lock ----------------------
+
+/// A one-lane pool whose lane is held until release(), or for at most
+/// 10 s: a merge formatting on it cannot finish before then, and a
+/// regression fails its test instead of hanging it.
+class HeldLane {
+ public:
+  HeldLane() : held_(release_.get_future().share()) {
+    pool_.submit([held = held_] { held.wait_for(std::chrono::seconds(10)); });
+  }
+  ~HeldLane() { release(); }
+  util::ThreadPool& pool() { return pool_; }
+  void release() {
+    if (!released_) release_.set_value();
+    released_ = true;
+  }
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> held_;
+  bool released_ = false;
+  util::ThreadPool pool_{1};
+};
+
+/// Runs complete(lease, held lane) on a thread and returns once the
+/// completion is acknowledged (every shard of `campaign` Done) while the
+/// final merge waits for the held lane. `returned` turns true when
+/// complete() returns.
+std::thread complete_on_held_lane(service::Dispatcher& dispatcher,
+                                  std::uint64_t lease_id,
+                                  const std::string& campaign,
+                                  HeldLane& lane, std::atomic<bool>& returned) {
+  std::thread completer([&dispatcher, lease_id, &lane, &returned] {
+    dispatcher.complete(lease_id, &lane.pool());
+    returned.store(true);
+  });
+  for (int i = 0; i < 10'000; ++i) {
+    const auto status = dispatcher.campaign_status(campaign);
+    if (status.shards_done == status.shards_total) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return completer;
+}
+
+TEST(Dispatcher, FinalMergeLeavesTheDispatcherFreeWhileItFormats) {
+  TempDir dir("unlocked");
+  const auto bv = quick_spec("bv", 4);
+  const std::string reference = reference_csv(bv, dir.str("ref.csv"));
+
+  service::FakeClock clock;
+  service::DispatcherOptions options;
+  options.work_dir = dir.str("work");
+  options.journal_path = dir.str("work/journal");
+  service::Dispatcher dispatcher(options, clock);
+  dispatcher.submit(make_job("bv4", 1, bv, 1, dir.str("bv4.csv")));
+  dispatcher.submit(
+      make_job("dj4", 0, quick_spec("dj", 4), 2, dir.str("dj4.csv")));
+
+  const auto last = dispatcher.acquire("w0");
+  ASSERT_TRUE(last.has_value());
+  ASSERT_EQ(last->campaign, "bv4");
+  run_lease(*last);
+
+  HeldLane lane;
+  std::atomic<bool> returned{false};
+  std::thread completer =
+      complete_on_held_lane(dispatcher, last->id, "bv4", lane, returned);
+  // The merge waits for the held lane, and every other call goes on.
+  // (No ASSERT until the completer is joined.)
+  const auto other = dispatcher.acquire("w1");
+  EXPECT_TRUE(other.has_value() && other->campaign == "dj4");
+  EXPECT_TRUE(other.has_value() && dispatcher.heartbeat(other->id));
+  const auto all = dispatcher.status();
+  EXPECT_EQ(all.size(), 2u);
+  EXPECT_EQ(all.at(0).state, service::CampaignState::Running);
+  EXPECT_EQ(all.at(0).shards_done, 1u);
+  EXPECT_EQ(dispatcher.campaign_status("dj4").shards_leased, 1u);
+  EXPECT_FALSE(dispatcher.idle());
+  EXPECT_FALSE(dispatcher.wait_idle_for(1));
+  EXPECT_FALSE(fs::exists(dir.str("bv4.csv")));
+  EXPECT_FALSE(returned.load());
+  // The completion was journaled before the merge began; the terminal
+  // record waits for it.
+  const std::string during = slurp(options.journal_path);
+  EXPECT_NE(during.find(" complete "), std::string::npos) << during;
+  EXPECT_EQ(during.find(" terminal "), std::string::npos) << during;
+
+  lane.release();
+  completer.join();
+  EXPECT_EQ(dispatcher.campaign_status("bv4").state,
+            service::CampaignState::Completed);
+  EXPECT_EQ(slurp(dir.str("bv4.csv")), slurp(reference));
+  EXPECT_FALSE(fs::exists(dir.str("bv4.csv.merging")));
+  EXPECT_NE(slurp(options.journal_path).find(" terminal "), std::string::npos);
+}
+
+/// A late duplicate of the campaign's only shard lands while the final
+/// merge of the accepted attempt waits for its lane: `diverge` forges one
+/// QVF in the duplicate's file.
+void duplicate_during_final_merge(bool diverge) {
+  TempDir dir(diverge ? "merge_divergent" : "merge_duplicate");
+  const auto spec = quick_spec("bv", 4);
+  const std::string reference = reference_csv(spec, dir.str("ref.csv"));
+
+  service::FakeClock clock;
+  service::DispatcherOptions options;
+  options.work_dir = dir.str("work");
+  options.lease_timeout_ms = 1'000;
+  service::Dispatcher dispatcher(options, clock);
+  dispatcher.submit(make_job("bv4", 0, spec, 1, dir.str("bv4.csv")));
+
+  // Attempt 1 finishes but is presumed dead; attempt 2 completes the
+  // campaign.
+  const auto slow = dispatcher.acquire("w0");
+  ASSERT_TRUE(slow.has_value());
+  run_lease(*slow);
+  clock.advance(1'500);
+  EXPECT_EQ(dispatcher.tick(), 1u);
+  const auto retry = dispatcher.acquire("w1");
+  ASSERT_TRUE(retry.has_value());
+  run_lease(*retry);
+  if (diverge) {
+    auto forged = resio::read_result_file(retry->output_path);
+    ASSERT_FALSE(forged.records.empty());
+    forged.records.front().qvf += 0.25;
+    resio::write_result_file(slow->output_path, forged.header,
+                             forged.records, forged.executions,
+                             forged.injections);
+  }
+
+  HeldLane lane;
+  std::atomic<bool> returned{false};
+  std::thread completer =
+      complete_on_held_lane(dispatcher, retry->id, "bv4", lane, returned);
+  dispatcher.complete(slow->id);
+  EXPECT_FALSE(returned.load());
+  lane.release();
+  completer.join();
+
+  const auto status = dispatcher.campaign_status("bv4");
+  EXPECT_EQ(status.shards.at(0).quarantined, 0u);
+  EXPECT_TRUE(dispatcher.idle());
+  EXPECT_EQ(dispatcher.retired_lease_count(), 0u);
+  EXPECT_FALSE(fs::exists(dir.str("bv4.csv.merging")));
+  if (diverge) {
+    EXPECT_EQ(status.state, service::CampaignState::Failed);
+    EXPECT_NE(status.error.find("diverge"), std::string::npos)
+        << status.error;
+    EXPECT_FALSE(fs::exists(dir.str("bv4.csv")));
+  } else {
+    EXPECT_EQ(status.state, service::CampaignState::Completed)
+        << status.error;
+    EXPECT_EQ(slurp(dir.str("bv4.csv")), slurp(reference));
+  }
+}
+
+TEST(Dispatcher, DivergentDuplicateDuringTheFinalMergeFailsAndLeavesNoCsv) {
+  duplicate_during_final_merge(/*diverge=*/true);
+}
+
+TEST(Dispatcher, BitExactDuplicateDuringTheFinalMergeIsTolerated) {
+  duplicate_during_final_merge(/*diverge=*/false);
+}
+
+TEST(Dispatcher, IdleWaitWakesAtTheTerminalTransitionAndDrainHonorsStop) {
+  TempDir dir("idlewait");
+  const auto spec = quick_spec("bv", 4);
+  {
+    service::FakeClock clock;
+    service::DispatcherOptions options;
+    options.work_dir = dir.str("work");
+    service::Dispatcher dispatcher(options, clock);
+    dispatcher.submit(make_job("bv4", 0, spec, 1, dir.str("bv4.csv")));
+    const auto lease = dispatcher.acquire("w0");
+    ASSERT_TRUE(lease.has_value());
+    run_lease(*lease);
+    EXPECT_FALSE(dispatcher.wait_idle_for(1));
+
+    // A waiter with a minute to spare wakes when complete() turns the
+    // campaign terminal, not when its timeout runs out.
+    std::atomic<bool> woke_idle{false};
+    std::chrono::steady_clock::duration waited{};
+    std::thread waiter([&] {
+      const auto start = std::chrono::steady_clock::now();
+      woke_idle.store(dispatcher.wait_idle_for(60'000));
+      waited = std::chrono::steady_clock::now() - start;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    dispatcher.complete(lease->id);
+    waiter.join();
+    EXPECT_TRUE(woke_idle.load());
+    EXPECT_LT(waited, std::chrono::seconds(30));
+  }
+
+  // A drain over a campaign that never finishes (every completion is
+  // swallowed, the lease never expires) returns once stop() is called
+  // from another thread.
+  service::SystemClock clock;
+  service::DispatcherOptions options;
+  options.work_dir = dir.str("work_stop");
+  options.lease_timeout_ms = 600'000;
+  service::Dispatcher dispatcher(options, clock);
+  dispatcher.submit(make_job("bv4", 0, spec, 1, dir.str("stop.csv")));
+  service::FleetOptions fleet_options;
+  fleet_options.workers = 1;
+  fleet_options.heartbeat_interval_ms = 50;
+  fleet_options.deliver_completion = [](const service::ShardLease&) {
+    return false;
+  };
+  service::ThreadWorkerFleet fleet(dispatcher, fleet_options);
+  std::atomic<bool> drained{false};
+  std::thread drainer([&] {
+    fleet.drain();
+    drained.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(drained.load());
+  fleet.stop();
+  drainer.join();
+  EXPECT_TRUE(drained.load());
+  EXPECT_FALSE(dispatcher.idle());
 }
 
 // ---- lease-lifecycle bugfixes -----------------------------------------------

@@ -2,14 +2,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <numbers>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "support/test_files.hpp"
 #include "util/ascii_plot.hpp"
@@ -438,14 +443,74 @@ TEST(ThreadPool, ParallelForPropagatesException) {
                Error);
 }
 
-TEST(ThreadPool, WaitIdleBlocksUntilDone) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&] { ++done; });
+/// One parallel_for in the campaign relay's pattern: fn(i) waits for the
+/// promise fn(i - 1) sets. Throws Error(`error`) at index `throw_at` (n and
+/// beyond never throw). Returns how many iterations ran.
+std::size_t relay_call(ThreadPool& pool, std::size_t n, std::size_t throw_at,
+                       const std::string& error) {
+  std::vector<std::promise<void>> handoff(n);
+  std::vector<std::future<void>> received;
+  for (auto& promise : handoff) received.push_back(promise.get_future());
+  std::atomic<std::size_t> ran{0};
+  pool.parallel_for(n, [&](std::size_t i) {
+    if (i > 0) received[i - 1].wait();
+    ran.fetch_add(1);
+    // Hand over before throwing, as a relay chain passes on before it
+    // rethrows, so the next index never waits on a failed one.
+    handoff[i].set_value();
+    if (i == throw_at) throw Error(error);
+  });
+  return ran.load();
+}
+
+TEST(ThreadPool, ConcurrentCallersRelayAndKeepTheirOwnErrors) {
+  ThreadPool pool(4);
+  constexpr std::size_t n = 64;
+  for (int round = 0; round < 20; ++round) {
+    // On odd rounds caller a throws mid-relay: it rethrows its own error,
+    // and caller b still runs every one of its iterations.
+    const std::size_t throw_at = round % 2 == 1 ? 17 : n;
+    std::size_t ran_b = 0;
+    std::string error_a;
+    std::thread a([&] {
+      try {
+        (void)relay_call(pool, n, throw_at, "caller a");
+      } catch (const Error& e) {
+        error_a = e.what();
+      }
+    });
+    std::thread b([&] { ran_b = relay_call(pool, n, n, "caller b"); });
+    a.join();
+    b.join();
+    EXPECT_EQ(ran_b, n) << "round " << round;
+    EXPECT_EQ(error_a, throw_at < n ? "caller a" : "") << "round " << round;
   }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 16);
+}
+
+TEST(ThreadPool, ACallReturnsWithoutWaitingForAnotherCallersIterations) {
+  ThreadPool pool(4);
+  // Caller a holds one lane until released (bounded, so a regression fails
+  // instead of hanging); caller b's relay runs on the other lanes and must
+  // return while a's iteration is still running.
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::promise<void> running;
+  std::atomic<bool> a_done{false};
+  std::thread a([&] {
+    pool.parallel_for(1, [&](std::size_t) {
+      running.set_value();
+      released.wait_for(std::chrono::seconds(10));
+    });
+    a_done.store(true);
+  });
+  running.get_future().wait();
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(relay_call(pool, 64, 64, "caller b"), 64u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_FALSE(a_done.load());
+  release.set_value();
+  a.join();
+  EXPECT_TRUE(a_done.load());
 }
 
 // ------------------------------------------------------------ ascii plot
