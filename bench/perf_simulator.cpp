@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
           "  --digest         fixed-seed statevector+density digests "
           "(kernel-set independent by contract)\n"
           "  (no flag)        run the registered google-benchmark suite\n"
-          "Kernel selection: QUFI_KERNELS=scalar|avx2\n");
+          "Kernel selection: QUFI_KERNELS=scalar|avx2|avx512\n");
       return 0;
     }
   }

@@ -10,7 +10,7 @@
 # the snapshot tree sweep and its dynamically claimed chains, every reader
 # fed a corrupt file, and the buffered CSV writer's failure paths run with
 # checking on. test_kernels runs once per kernel set: scalar always, avx2
-# when the CPU lists it.
+# and avx512 when the CPU lists avx2 and avx512f.
 #
 # The one list both callers share: `CHECK_SANITIZE=1 scripts/check.sh` and
 # the sanitize job of .github/workflows/ci.yml. Extra arguments go to the
@@ -42,6 +42,7 @@ run() {
 
 ksets="scalar"
 if grep -qw avx2 /proc/cpuinfo 2> /dev/null; then ksets="$ksets avx2"; fi
+if grep -qw avx512f /proc/cpuinfo 2> /dev/null; then ksets="$ksets avx512"; fi
 for kset in $ksets; do
   run "test_kernels ($kset)" env QUFI_KERNELS="$kset" ./build-asan/test_kernels
 done

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -9,6 +10,33 @@
 #include "util/matrix.hpp"
 
 namespace qufi::sim {
+
+/// Hands out 64-byte-aligned blocks, so a 512-bit vector over four
+/// complexes at a multiple of four never splits a cache line. Each block is
+/// a plain ::operator new of 64 bytes more, the shift to the boundary kept
+/// in the byte before it: blocks of one size then reuse each other's heap
+/// chunks as unaligned ones do, where an aligned operator new asks for a
+/// larger chunk than the last one freed and grows the heap.
+template <class T>
+struct CacheLineAllocator {
+  using value_type = T;
+
+  CacheLineAllocator() = default;
+  template <class U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    auto* raw = static_cast<unsigned char*>(::operator new(n * sizeof(T) + 64));
+    const std::size_t shift = 64 - reinterpret_cast<std::uintptr_t>(raw) % 64;
+    raw[shift - 1] = static_cast<unsigned char>(shift);
+    return reinterpret_cast<T*>(raw + shift);
+  }
+  void deallocate(T* p, std::size_t) noexcept {
+    auto* block = reinterpret_cast<unsigned char*>(p);
+    ::operator delete(block - block[-1]);
+  }
+  bool operator==(const CacheLineAllocator&) const = default;
+};
 
 /// Mixed-state simulator: the full 2^n x 2^n density matrix, row-major.
 ///
@@ -124,7 +152,7 @@ class DensityMatrix {
   int num_qubits_;
   int lane_bits_;
   std::uint64_t dim_;
-  std::vector<cplx> rho_;
+  std::vector<cplx, CacheLineAllocator<cplx>> rho_;
 };
 
 /// Where the diagonal of a `num_qubits`-wide matrix lands after the folds

@@ -30,6 +30,17 @@ const KernelSet kAvx2Set{
     &kern::avx2_mk,
     &kern::avx2_diag1,
 };
+
+// Widens the mk, m2 and diag1 paths the lane-batched basis replay runs; m1
+// and every narrower shape are the AVX2 kernels.
+const KernelSet kAvx512Set{
+    "avx512",
+    &kern::avx2_m1,
+    &kern::avx512_m2,
+    &kern::scalar_ccx,
+    &kern::avx512_mk,
+    &kern::avx512_diag1,
+};
 #endif
 
 struct DispatchState {
@@ -38,6 +49,8 @@ struct DispatchState {
 
   DispatchState() {
 #if QUFI_KERNELS_HAVE_AVX2
+    // Every AVX-512F CPU also has AVX2, which the avx512 fallbacks run.
+    if (__builtin_cpu_supports("avx512f")) available.push_back(&kAvx512Set);
     if (__builtin_cpu_supports("avx2")) available.push_back(&kAvx2Set);
 #endif
     available.push_back(&kScalarSet);
@@ -51,9 +64,19 @@ struct DispatchState {
       }
       require(chosen != nullptr,
               std::string("QUFI_KERNELS: unknown or unavailable kernel set '") +
-                  env + "' (try scalar or avx2)");
+                  env + "' (this host offers: " + offered() + ")");
     }
     active.store(chosen, std::memory_order_release);
+  }
+
+  /// The available set names, best first, comma-separated.
+  std::string offered() const {
+    std::string out;
+    for (const KernelSet* ks : available) {
+      if (!out.empty()) out += ", ";
+      out += ks->name;
+    }
+    return out;
   }
 };
 
@@ -83,7 +106,8 @@ const KernelSet& select_kernel_set(std::string_view name) {
   const KernelSet* ks = find_kernel_set(name);
   require(ks != nullptr,
           std::string("select_kernel_set: unknown or unavailable kernel set '") +
-              std::string(name) + "'");
+              std::string(name) + "' (this host offers: " + state().offered() +
+              ")");
   state().active.store(ks, std::memory_order_release);
   return *ks;
 }

@@ -1,15 +1,15 @@
 #pragma once
 
 // Runtime kernel dispatch: selects between the scalar reference kernels and
-// the AVX2 variants in kernels_simd.hpp, and calls the active set's kernel
-// once over the whole state. All variants are bit-identical by contract
-// (see kernels_simd.hpp), so the selection is purely a performance choice:
-// golden CSVs, shard merges, and snapshot replay do not depend on it.
+// the AVX2 and AVX-512 variants in kernels_simd.hpp, and calls the active
+// set's kernel once over the whole state. All variants are bit-identical by
+// contract (see kernels_simd.hpp), so the selection is purely a performance
+// choice: golden CSVs, shard merges, and snapshot replay do not depend on it.
 //
-// Selection order: the `QUFI_KERNELS` environment variable (`scalar|avx2`)
-// if set, else the best set the CPU supports (CPUID probe for AVX2, then
-// scalar). Tests and benches can also switch programmatically via
-// select_kernel_set().
+// Selection order: the `QUFI_KERNELS` environment variable
+// (`scalar|avx2|avx512`) if set, else the best set the CPU supports (CPUID
+// probes for AVX-512F, then AVX2, then scalar). Tests and benches can also
+// switch programmatically via select_kernel_set().
 
 #include <span>
 #include <string_view>
@@ -48,8 +48,9 @@ const KernelSet* find_kernel_set(std::string_view name);
 /// The set dispatch currently routes to.
 const KernelSet& active_kernel_set();
 
-/// Makes `name` the active set. Throws qufi::Error if the set is unknown or
-/// unavailable on this host. Returns the newly active set.
+/// Makes `name` the active set. Throws qufi::Error, naming the sets this
+/// host offers, if the set is unknown or unavailable. Returns the newly
+/// active set.
 const KernelSet& select_kernel_set(std::string_view name);
 
 namespace dispatch {

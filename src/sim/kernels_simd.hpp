@@ -7,8 +7,8 @@
 // quadruples for a 2q matrix, 2^k-tuples for apply_matrix_k, adjacent
 // amplitude pairs for the diagonal density kernel). The state size is a
 // power of two, so the group count is too, and a vector path that takes
-// groups two or eight at a time needs a scalar remainder only where the
-// whole state is smaller than one step.
+// groups two, four or eight at a time needs a scalar remainder only where
+// the whole state is smaller than one step.
 //
 // The bit-identity contract (docs/ARCHITECTURE.md "Kernel dispatch"): every
 // variant performs, per amplitude, the exact operation sequence of the
@@ -19,15 +19,18 @@
 // (golden CSVs, shard merges) therefore do not depend on which kernel set
 // executed them.
 //
-// Two implementations:
+// Three implementations:
 //   scalar   — the reference loops, restructured over groups;
 //   avx2     — AVX2 intrinsics behind __attribute__((target)), selected at
-//              runtime by CPUID, so the build needs no global arch flags.
+//              runtime by CPUID, so the build needs no global arch flags;
+//   avx512   — AVX-512F intrinsics on the three paths the lane-batched
+//              response-basis replay runs, the avx2 kernels elsewhere.
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "sim/kernels.hpp"
 #include "util/error.hpp"
@@ -627,6 +630,268 @@ QUFI_AVX2_FN inline void avx2_mk(std::span<cplx> amps,
     avx2_mk_rows<false>(amps, t);
   }
 }
+
+// ---- AVX-512 variants -------------------------------------------------------
+//
+// One __m512d holds four interleaved complexes. Only the three paths the
+// lane-batched response-basis replay runs are widened, each where four
+// complexes of one plane are contiguous: the sparse k-qubit kernel's
+// contiguous-run path (Superop2), the dense 2q kernel with its lower operand
+// bit >= 2 (Superop1), and the diagonal density kernel with col_bit >= 2 (a
+// virtual RZ). Every other shape, and every other kernel, runs the AVX2
+// function. The entry points carry no target attribute: they pick the path
+// and build the sparse tables in baseline code, and only the widened loops
+// are compiled for AVX-512.
+//
+// Two rules keep the scalar operation sequence. First, AVX-512F implies FMA,
+// and under target("avx512f") GCC contracts a plain vector mul feeding an
+// add into one fused op that rounds once where the scalar reference rounds
+// twice. Every product and sum therefore goes through the embedded-rounding
+// intrinsics (round to nearest, exceptions suppressed), which the compiler
+// never fuses. Second, there is no 512-bit addsub: the real part
+// x.re*re - x.im*im is taken as x.re*re + x.im*(-im), with the sign of the
+// imaginary coefficient flipped on the even lanes once per coefficient.
+// Negating a factor negates the product exactly, and a - b == a + (-b).
+
+// GCC 12 reports the undefined merge source of the unmasked AVX-512
+// intrinsics as maybe-uninitialized once they are inlined.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+#define QUFI_AVX512_FN __attribute__((target("avx512f")))
+#define QUFI_AVX512_INLINE \
+  __attribute__((target("avx512f"), always_inline)) inline
+
+inline constexpr int kAvx512Round =
+    _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+
+QUFI_AVX512_INLINE __m512d avx512_mul(__m512d a, __m512d b) {
+  return _mm512_mul_round_pd(a, b, kAvx512Round);
+}
+
+QUFI_AVX512_INLINE __m512d avx512_add(__m512d a, __m512d b) {
+  return _mm512_add_round_pd(a, b, kAvx512Round);
+}
+
+/// A coefficient broadcast to four complexes: `ii` holds (-im, im) pairs.
+struct Avx512Coeff {
+  __m512d rr;
+  __m512d ii;
+};
+
+QUFI_AVX512_INLINE Avx512Coeff avx512_coeff(cplx c) {
+  const double im = c.imag();
+  return {_mm512_set1_pd(c.real()),
+          _mm512_set_pd(im, -im, im, -im, im, -im, im, -im)};
+}
+
+/// Swaps re and im within each complex.
+QUFI_AVX512_INLINE __m512d avx512_swap(__m512d x) {
+  return _mm512_permute_pd(x, 0x55);
+}
+
+/// c * x on four complexes, given sw = avx512_swap(x).
+QUFI_AVX512_INLINE __m512d avx512_cmul(const Avx512Coeff& c, __m512d x,
+                                       __m512d sw) {
+  return avx512_add(avx512_mul(x, c.rr), avx512_mul(sw, c.ii));
+}
+
+QUFI_AVX512_INLINE __m512d avx512_load(const cplx* p) {
+  return _mm512_loadu_pd(reinterpret_cast<const double*>(p));
+}
+
+QUFI_AVX512_INLINE void avx512_store(cplx* p, __m512d x) {
+  _mm512_storeu_pd(reinterpret_cast<double*>(p), x);
+}
+
+/// One output of a dense 4x4 row c[0..3] over four complexes: the scalar
+/// ((c0 x0 + c1 x1) + c2 x2) + c3 x3, given wj = avx512_swap(xj).
+QUFI_AVX512_INLINE __m512d avx512_m2_row(const Avx512Coeff* c, __m512d x0,
+                                         __m512d x1, __m512d x2, __m512d x3,
+                                         __m512d w0, __m512d w1, __m512d w2,
+                                         __m512d w3) {
+  return avx512_add(avx512_add(avx512_add(avx512_cmul(c[0], x0, w0),
+                                          avx512_cmul(c[1], x1, w1)),
+                               avx512_cmul(c[2], x2, w2)),
+                    avx512_cmul(c[3], x3, w3));
+}
+
+/// avx2_m2 with both operand bits >= 2: the offsets below them run in
+/// blocks of at least four complexes in every plane, one vector per plane
+/// per step. Each input is swapped once and serves its four products.
+QUFI_AVX512_FN inline void avx512_m2_runs(std::span<cplx> amps, const Mat4& m,
+                                          int q_low, int q_high) {
+  cplx* a = amps.data();
+  const u64 bl = u64{1} << q_low;
+  const u64 bh = u64{1} << q_high;
+  const int s0 = std::min(q_low, q_high);
+  const int s1 = std::max(q_low, q_high);
+  const u64 low = u64{1} << s0;
+  const u64 groups = amps.size() / 4;
+  std::array<Avx512Coeff, 16> c;
+  for (std::size_t i = 0; i < 16; ++i) c[i] = avx512_coeff(m.a[i]);
+  for (u64 g = 0; g < groups; g += low) {
+    const u64 i00_first = insert_zero_bit(insert_zero_bit(g, s0), s1);
+    for (u64 r = 0; r < low; r += 4) {
+      cplx* p0 = a + i00_first + r;
+      cplx* p1 = p0 + bl;
+      cplx* p2 = p0 + bh;
+      cplx* p3 = p0 + (bl | bh);
+      const __m512d x0 = avx512_load(p0);
+      const __m512d x1 = avx512_load(p1);
+      const __m512d x2 = avx512_load(p2);
+      const __m512d x3 = avx512_load(p3);
+      const __m512d w0 = avx512_swap(x0);
+      const __m512d w1 = avx512_swap(x1);
+      const __m512d w2 = avx512_swap(x2);
+      const __m512d w3 = avx512_swap(x3);
+      avx512_store(p0, avx512_m2_row(&c[0], x0, x1, x2, x3, w0, w1, w2, w3));
+      avx512_store(p1, avx512_m2_row(&c[4], x0, x1, x2, x3, w0, w1, w2, w3));
+      avx512_store(p2, avx512_m2_row(&c[8], x0, x1, x2, x3, w0, w1, w2, w3));
+      avx512_store(p3, avx512_m2_row(&c[12], x0, x1, x2, x3, w0, w1, w2, w3));
+    }
+  }
+}
+
+inline void avx512_m2(std::span<cplx> amps, const Mat4& m, int q_low,
+                      int q_high) {
+  if (std::min(q_low, q_high) >= 2) {
+    avx512_m2_runs(amps, m, q_low, q_high);
+  } else {
+    avx2_m2(amps, m, q_low, q_high);
+  }
+}
+
+/// avx2_diag1 with col_bit >= 2: runs of constant row and column phase are
+/// at least four complexes long, one vector per step.
+QUFI_AVX512_FN inline void avx512_diag1_runs(std::span<cplx> amps,
+                                             const Mat2& u, int row_bit,
+                                             int col_bit) {
+  cplx* a = amps.data();
+  const Avx512Coeff dr[2] = {avx512_coeff(u.a[0]), avx512_coeff(u.a[3])};
+  const Avx512Coeff dc[2] = {avx512_coeff(std::conj(u.a[0])),
+                             avx512_coeff(std::conj(u.a[3]))};
+  const u64 run = u64{1} << col_bit;
+  for (u64 i = 0; i < amps.size(); i += run) {
+    const Avx512Coeff& r = dr[(i >> row_bit) & 1];
+    const Avx512Coeff& c = dc[(i >> col_bit) & 1];
+#pragma GCC unroll 4
+    for (u64 j = i; j < i + run; j += 4) {
+      const __m512d x = avx512_load(a + j);
+      const __m512d y = avx512_cmul(r, x, avx512_swap(x));
+      avx512_store(a + j, avx512_cmul(c, y, avx512_swap(y)));
+    }
+  }
+}
+
+inline void avx512_diag1(std::span<cplx> amps, const Mat2& u, int row_bit,
+                         int col_bit) {
+  if (col_bit >= 2) {
+    avx512_diag1_runs(amps, u, row_bit, col_bit);
+  } else {
+    avx2_diag1(amps, u, row_bit, col_bit);
+  }
+}
+
+/// One sparse-table entry on the AVX-512 contiguous-run path: the byte
+/// offset of its column's plane and its coefficient (`ii` as in
+/// Avx512Coeff; unused on a real table).
+struct Avx512MkEntry {
+  u64 byte_offset;
+  double re;
+  double ii[2];
+};
+
+/// One output row over four complexes: its products in ascending entry
+/// order, summed from +0.
+template <bool Real>
+QUFI_AVX512_INLINE __m512d avx512_mk_row(const Avx512MkEntry* e,
+                                         const Avx512MkEntry* end,
+                                         const char* plane0) {
+  __m512d sum = _mm512_setzero_pd();
+  for (; e != end; ++e) {
+    const __m512d x = _mm512_loadu_pd(
+        reinterpret_cast<const double*>(plane0 + e->byte_offset));
+    const __m512d rr = _mm512_set1_pd(e->re);
+    if constexpr (Real) {
+      sum = avx512_add(sum, avx512_mul(x, rr));
+    } else {
+      const __m512d ii = _mm512_castps_pd(
+          _mm512_broadcast_f32x4(_mm_castpd_ps(_mm_loadu_pd(e->ii))));
+      sum = avx512_add(sum, avx512_cmul({rr, ii}, x, avx512_swap(x)));
+    }
+  }
+  return sum;
+}
+
+/// avx2_mk_rows' contiguous-run path (lowest masked bit >= 3), four
+/// complexes per plane per step. R... enumerates the table's rows, so the
+/// row outputs are held in registers until every input is read.
+template <bool Real, std::size_t... R>
+QUFI_AVX512_FN inline void avx512_mk_runs(std::span<cplx> amps,
+                                          const MkTables& t,
+                                          std::index_sequence<R...>) {
+  cplx* a = amps.data();
+  std::array<Avx512MkEntry, 256> flat;
+  for (std::uint16_t e = 0; e < t.row_start[t.dim]; ++e) {
+    const cplx c = t.entries[e].value;
+    flat[e] = {t.offset[t.entries[e].col] * sizeof(cplx), c.real(),
+               {-c.imag(), c.imag()}};
+  }
+  const u64 run = u64{1} << t.sorted[0];
+  const u64 groups = amps.size() >> t.k;
+  for (u64 g = 0; g < groups; g += run) {
+    cplx* const base = a + expand_group(g, t);
+    for (u64 r = 0; r < run; r += 4) {
+      const char* plane0 = reinterpret_cast<const char*>(base + r);
+      const __m512d out[] = {avx512_mk_row<Real>(
+          flat.data() + t.row_start[R], flat.data() + t.row_start[R + 1],
+          plane0)...};
+      (avx512_store(base + r + t.offset[R], out[R]), ...);
+    }
+  }
+}
+
+template <bool Real>
+inline void avx512_mk_rows(std::span<cplx> amps, const MkTables& t) {
+  switch (t.dim) {
+    case 2:
+      return avx512_mk_runs<Real>(amps, t, std::make_index_sequence<2>{});
+    case 4:
+      return avx512_mk_runs<Real>(amps, t, std::make_index_sequence<4>{});
+    case 8:
+      return avx512_mk_runs<Real>(amps, t, std::make_index_sequence<8>{});
+    default:
+      return avx512_mk_runs<Real>(amps, t, std::make_index_sequence<16>{});
+  }
+}
+
+/// One accumulator per row makes each output of avx512_mk_runs a single
+/// dependent add chain, where the avx2 path runs four per row. A table
+/// averaging more than 8 entries per row therefore stays on avx2: on an
+/// 8-lane width-6 state a scratch sweep read 0.45 against 0.65 ns per
+/// amplitude at 2 entries per row, about even at 8, and 2.69 against 2.52
+/// at 16.
+inline constexpr std::size_t kAvx512MaxEntriesPerRow = 8;
+
+inline void avx512_mk(std::span<cplx> amps, std::span<const cplx> m,
+                      std::span<const int> bits) {
+  const MkTables t = build_mk_tables(m, bits);
+  if (t.sorted[0] < 3 ||
+      t.row_start[t.dim] > kAvx512MaxEntriesPerRow * t.dim) {
+    if (t.real) {
+      avx2_mk_rows<true>(amps, t);
+    } else {
+      avx2_mk_rows<false>(amps, t);
+    }
+  } else if (t.real) {
+    avx512_mk_rows<true>(amps, t);
+  } else {
+    avx512_mk_rows<false>(amps, t);
+  }
+}
+
+#pragma GCC diagnostic pop
 
 #endif  // QUFI_KERNELS_HAVE_AVX2
 

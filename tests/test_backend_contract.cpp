@@ -90,16 +90,13 @@ std::vector<BackendCase> contract_cases() {
        },
        0, true, SuffixEquivalence::Numeric, 1e-9});
 
-  // Kernel-dispatch axis: every backend case runs under the scalar
-  // reference set and, when the host has one, the best vectorized set.
-  std::vector<std::string> kernel_axis = {"scalar"};
-  const std::string best = sim::available_kernel_sets().front()->name;
-  if (best != "scalar") kernel_axis.push_back(best);
+  // Kernel-dispatch axis: every backend case runs under every kernel set
+  // the host offers.
   std::vector<BackendCase> expanded;
-  for (const auto& kernels : kernel_axis) {
+  for (const sim::KernelSet* ks : sim::available_kernel_sets()) {
     for (BackendCase c : cases) {
-      c.kernels = kernels;
-      c.label += "_" + kernels;
+      c.kernels = ks->name;
+      c.label += "_" + c.kernels;
       expanded.push_back(std::move(c));
     }
   }

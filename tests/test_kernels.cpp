@@ -93,8 +93,33 @@ TEST_F(KernelConformance, ScalarSetIsAlwaysAvailable) {
             available_kernel_sets().front());
 }
 
+// The error names every set this host offers, best first.
 TEST_F(KernelConformance, SelectRejectsUnknownSet) {
-  EXPECT_THROW(select_kernel_set("avx9000"), Error);
+  std::string offered;
+  for (const KernelSet* ks : available_kernel_sets()) {
+    offered += (offered.empty() ? "" : ", ") + std::string(ks->name);
+  }
+  try {
+    select_kernel_set("avx9000");
+    ADD_FAILURE() << "avx9000 was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("(this host offers: " + offered + ")"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// avx512 is offered exactly when CPUID reports AVX-512F, and then first.
+TEST_F(KernelConformance, Avx512IsOfferedExactlyWhenTheCpuHasIt) {
+#if QUFI_KERNELS_HAVE_AVX2
+  const bool cpu_has = __builtin_cpu_supports("avx512f");
+#else
+  const bool cpu_has = false;
+#endif
+  EXPECT_EQ(find_kernel_set("avx512") != nullptr, cpu_has);
+  if (cpu_has) {
+    EXPECT_STREQ(available_kernel_sets().front()->name, "avx512");
+  }
 }
 
 // ---- apply_matrix1: every set x every qubit position x 1..12 qubits -------
@@ -293,6 +318,8 @@ TEST_F(KernelConformance, MatrixKAllSetsBitIdentical) {
       {4, {3}}, {5, {4, 3}}, {7, {3, 5, 4, 6}},
       // Exactly 2 groups on the bit-0-free path (n = k + 1).
       {2, {1}}, {3, {2, 1}}, {5, {1, 4, 2, 3}},
+      // Lowest masked bit 2: just under the contiguous-run path.
+      {10, {2, 7}}, {10, {6, 2, 9, 4}},
   };
   for (const auto& [n, bits] : cases) {
     const std::size_t size = std::size_t{1} << n;
@@ -387,23 +414,27 @@ TEST_F(KernelConformance, MatrixKDropThresholdBoundary) {
 
 TEST_F(KernelConformance, MatrixKFullDenseHitsEntryCapacity) {
   // k=4 with every one of the 256 entries nonzero: exercises the full
-  // sparse-entry store on every set.
+  // sparse-entry store on every set, with bit 0 masked and with the lowest
+  // masked bit >= 3 (where avx512 hands a table this dense to avx2).
   util::Xoshiro256pp rng(909);
   const int n = 8;
   const std::size_t size = std::size_t{1} << n;
-  const std::vector<int> bits = {0, 2, 5, 7};
   std::vector<cplx> m(256);
   for (auto& x : m) x = cplx{rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)};
   const auto base = random_state(size, rng);
-  auto want = base;
-  detail::apply_matrix_k(want, m, bits);
-  auto dense = base;
-  detail::apply_matrix_k_dense(dense, m, bits);
-  EXPECT_TRUE(BitIdentical(want, dense));  // nothing droppable: bit-equal
-  for (const KernelSet* ks : available_kernel_sets()) {
-    auto got = base;
-    ks->mk(got, m, bits);
-    EXPECT_TRUE(BitIdentical(got, want)) << "set=" << ks->name;
+  for (const std::vector<int>& bits : {std::vector<int>{0, 2, 5, 7},
+                                       std::vector<int>{3, 4, 6, 7}}) {
+    auto want = base;
+    detail::apply_matrix_k(want, m, bits);
+    auto dense = base;
+    detail::apply_matrix_k_dense(dense, m, bits);
+    EXPECT_TRUE(BitIdentical(want, dense));  // nothing droppable: bit-equal
+    for (const KernelSet* ks : available_kernel_sets()) {
+      auto got = base;
+      ks->mk(got, m, bits);
+      EXPECT_TRUE(BitIdentical(got, want))
+          << "set=" << ks->name << " lowest bit=" << bits[0];
+    }
   }
 }
 
@@ -417,6 +448,34 @@ TEST_F(KernelConformance, MatrixKRejectsMoreThanFourBits) {
   EXPECT_THROW(detail::apply_matrix_k_dense(amps, m, bits), Error);
   EXPECT_THROW(dispatch::apply_matrix_k(amps, m, bits), Error);
   EXPECT_THROW(kern::build_mk_tables(m, bits), Error);
+}
+
+// The dense 2q kernel on states with signed zeros and a table with exact
+// zeros and real entries (the shape of a fused Superop1), with the lower
+// operand bit on either side of 2, where four complexes of a plane first
+// run contiguously: both operand orders, far and adjacent upper bits.
+TEST_F(KernelConformance, Matrix2SignedZerosAroundTheContiguousThreshold) {
+  util::Xoshiro256pp rng(505);
+  const int n = 8;
+  const auto base = signed_zero_state(std::size_t{1} << n, rng);
+  Mat4 m = random_mat4(rng);
+  for (const std::size_t i : {1, 6, 11}) m.a[i] = cplx{};
+  for (const std::size_t i : {0, 5, 9, 15}) m.a[i] = cplx{m.a[i].real(), 0.0};
+  for (const int low : {1, 2}) {
+    for (const int high : {low + 1, n - 1}) {
+      for (const auto& [q0, q1] :
+           {std::pair{low, high}, std::pair{high, low}}) {
+        auto want = base;
+        detail::apply_matrix2(want, m, q0, q1);
+        for (const KernelSet* ks : available_kernel_sets()) {
+          auto got = base;
+          ks->m2(got, m, q0, q1);
+          EXPECT_TRUE(BitIdentical(got, want))
+              << "set=" << ks->name << " q0=" << q0 << " q1=" << q1;
+        }
+      }
+    }
+  }
 }
 
 // ---- exact-zero skipping: real tables and diagonal 1q unitaries ------------
@@ -447,7 +506,8 @@ std::vector<std::pair<const char*, Mat2>> diagonal_unitaries(
 }
 
 // The one-pass diagonal kernel on a density matrix: every set, every qubit
-// of a 1- and a 3-qubit matrix, lane bits {0, 2, 3}, equals the scalar
+// of a 1- and a 3-qubit matrix, lane bits {0, 2, 3} (so col_bit 0 to 5,
+// either side of the contiguous-run threshold 2), equals the scalar
 // kernel bit for bit and the old two dense m1 passes (rows with u, then
 // columns with conj(u)) by value.
 TEST_F(KernelConformance, DiagonalUnitary1AllSetsMatchTwoDensePasses) {
