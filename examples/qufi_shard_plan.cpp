@@ -6,7 +6,7 @@
 //
 // Usage examples:
 //   qufi_shard_plan --circuit bv --width 4 --shards 4 --out-dir shards/
-//   qufi_shard_plan --circuit qft --width 5 --shards 8 --policy points
+//   qufi_shard_plan --circuit qft --width 5 --shards 8 \
 //                   --theta-step 30 --phi-step 30 --out-dir shards/
 
 #include <cstdio>
@@ -42,7 +42,6 @@ struct CliOptions {
   bool adaptive = false;
   AdaptivePolicy adaptive_policy;
   std::uint32_t shards = 2;
-  std::string policy = "cost";
   std::string backend_kind = "density";
   std::string out_dir = ".";
 };
@@ -70,7 +69,6 @@ struct CliOptions {
       "  --adaptive-min N    per-point config floor            (default 32)\n"
       "  --adaptive-seed N   refinement-probe seed             (default 0)\n"
       "  --shards N          number of shards                  (default 2)\n"
-      "  --policy NAME       cost | points | tree              (default cost)\n"
       "  --backend-kind NAME density | trajectory              (default density)\n"
       "  --out-dir DIR       where shard_NNN.manifest files go (default .)\n",
       argv0);
@@ -126,7 +124,6 @@ CliOptions parse(int argc, char** argv) {
     }
     else if (arg == "--shards")
       options.shards = util::parse_unsigned_flag<std::uint32_t>(arg, value());
-    else if (arg == "--policy") options.policy = value();
     else if (arg == "--backend-kind") options.backend_kind = value();
     else if (arg == "--out-dir") options.out_dir = value();
     else usage(argv[0]);
@@ -143,8 +140,6 @@ noise::BackendProperties build_device(const CliOptions& options) {
 int main(int argc, char** argv) {
   try {
     const CliOptions options = parse(argc, argv);
-    const dist::ShardPolicy policy =
-        dist::shard_policy_from_name(options.policy);
     const dist::WorkerBackendKind kind =
         dist::worker_backend_kind_from_name(options.backend_kind);
     const auto bench = algo::paper_circuit(options.circuit, options.width);
@@ -167,7 +162,7 @@ int main(int argc, char** argv) {
       spec.adaptive = options.adaptive_policy;
     }
 
-    const auto plan = dist::plan_campaign_shards(spec, options.shards, policy);
+    const auto plan = dist::plan_campaign_shards(spec, options.shards);
     const auto manifests = dist::make_manifests(spec, options.device, kind,
                                                 plan, options.double_faults);
 
@@ -185,8 +180,8 @@ int main(int argc, char** argv) {
                       plan.shards[manifest.shard_index].estimated_cost),
                   path.c_str());
     }
-    std::printf("planned %zu points across %u shards (%s policy)\n",
-                plan.total_points, plan.num_shards, options.policy.c_str());
+    std::printf("planned %zu points across %u shards\n", plan.total_points,
+                plan.num_shards);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -1,8 +1,9 @@
 // Campaign submission CLI — writes one qufi-submission file into a qufid
 // spool directory (docs/DISPATCHER.md). The file carries the campaign
 // *definition* (the same knobs qufi_cli takes), not planned shards: qufid
-// plans deterministically on intake. The write is temp + rename, so the
-// daemon's spool scan never sees a half-written submission.
+// plans deterministically on intake. qufi_submit runs that planning first
+// and refuses what the intake would reject. The write is temp + rename, so
+// the daemon's spool scan never sees a half-written submission.
 //
 // Usage examples:
 //   qufi_submit --spool spool/ --name bv4 --circuit bv --width 4 \
@@ -41,7 +42,6 @@ namespace {
       "  --double            submit the double-fault campaign\n"
       "  --idle-noise        moment-scheduled idle relaxation\n"
       "  --shards N          shard count                    (default 2)\n"
-      "  --policy NAME       cost | points | tree           (default cost)\n"
       "  --backend-kind NAME density | trajectory           (default density)\n",
       argv0);
   std::exit(2);
@@ -88,7 +88,6 @@ int main(int argc, char** argv) {
       else if (arg == "--idle-noise") request.idle_noise = true;
       else if (arg == "--shards")
         request.shards = parse_unsigned_flag<std::uint32_t>(arg, value());
-      else if (arg == "--policy") request.policy = value();
       else if (arg == "--backend-kind") request.backend_kind = value();
       else usage(argv[0]);
     }
@@ -96,9 +95,11 @@ int main(int argc, char** argv) {
       usage(argv[0]);
     }
 
-    // Refused here, not first at qufid's intake: a grid whose step count
-    // overflows exits 1 and leaves no submission behind.
-    qufi::service::request_grid(request).validate();
+    // The intake's own planning, run here: whatever qufid would reject
+    // (zero shards, an unknown circuit or policy, an out-of-range width, a
+    // grid whose step count overflows, idle noise on the trajectory kind)
+    // exits 1 and leaves no submission behind.
+    (void)qufi::service::plan_submission(request);
     std::filesystem::create_directories(spool);
     const std::string path =
         (std::filesystem::path(spool) / (request.name + ".submission"))

@@ -79,8 +79,7 @@ echo "docs check OK (README.md, docs/{ARCHITECTURE,CAMPAIGNS,SHARDING,RESULT_FOR
 # single-process `qufi_cli --csv` run (the docs/SHARDING.md equivalence
 # contract and the docs/RESULT_FORMAT.md projection contract). The kinds:
 #  - single-fault: the paper's primary sweep;
-#  - double-fault: the full primary x secondary grid through the tree engine
-#    and the tree-aware shard policy;
+#  - double-fault: the full primary x secondary grid through the tree engine;
 #  - idle-noise: moment-aware snapshots (the re-admission contract of
 #    docs/CAMPAIGNS.md);
 #  - adaptive: the policy travels in the manifest and every worker runs the
@@ -90,12 +89,11 @@ echo "docs check OK (README.md, docs/{ARCHITECTURE,CAMPAIGNS,SHARDING,RESULT_FOR
 smoke_dir=build/shard_smoke
 rm -rf "$smoke_dir"
 mkdir -p "$smoke_dir"
-# shard_smoke LABEL DIR CAMPAIGN_FLAGS [PLAN_FLAGS] — the flags are
-# word-split on purpose (none contains spaces).
+# shard_smoke LABEL DIR CAMPAIGN_FLAGS — the flags are word-split on
+# purpose (none contains spaces).
 shard_smoke() {
-  local label="$1" dir="$2" flags="$3" plan_flags="${4:-}"
-  ./build/qufi_shard_plan $flags $plan_flags --shards 2 --out-dir "$dir" \
-    > /dev/null
+  local label="$1" dir="$2" flags="$3"
+  ./build/qufi_shard_plan $flags --shards 2 --out-dir "$dir" > /dev/null
   ./build/qufi_shard_worker --manifest "$dir/shard_000.manifest" \
     --out "$dir/part_000.qp" -j 1 > /dev/null
   ./build/qufi_shard_worker --manifest "$dir/shard_001.manifest" \
@@ -119,8 +117,7 @@ shard_smoke() {
 shard_smoke single-fault "$smoke_dir/single" \
   "--circuit bv --width 4 --theta-step 60 --phi-step 90 --points 4"
 shard_smoke double-fault "$smoke_dir/double" \
-  "--circuit bv --width 4 --double --theta-step 60 --phi-step 90 --points 4" \
-  "--policy tree"
+  "--circuit bv --width 4 --double --theta-step 60 --phi-step 90 --points 4"
 shard_smoke idle-noise "$smoke_dir/idle" \
   "--circuit bv --width 4 --idle-noise --theta-step 60 --phi-step 90 --points 4"
 shard_smoke adaptive "$smoke_dir/adaptive" \
@@ -173,14 +170,17 @@ mkdir -p "$disp_dir/out"
   --width 4 --theta-step 60 --phi-step 90 --priority 5 \
   --csv "$disp_dir/out/dj4.csv" > /dev/null
 # Hostile spool input: a submission asking for -1 shards (which a stream
-# extraction would wrap to 4294967295) and one named `..` (whose shard
-# manifests and partials would land in the parent of --work-dir) sort first
-# in the intake order. Each must be renamed .rejected with a named error
-# while qufid keeps serving the two real campaigns.
+# extraction would wrap to 4294967295), one named `..` (whose shard
+# manifests and partials would land in the parent of --work-dir) and one
+# asking for the removed `tree` shard policy sort first in the intake
+# order. Each must be renamed .rejected with a named error while qufid
+# keeps serving the two real campaigns.
 sed 's/^shards .*/shards -1/' "$disp_dir/spool/bv4.submission" \
   > "$disp_dir/spool/aaa_hostile.submission"
 sed 's/^name .*/name ../' "$disp_dir/spool/bv4.submission" \
   > "$disp_dir/spool/aab_dotdot.submission"
+sed 's/^policy .*/policy tree/' "$disp_dir/spool/bv4.submission" \
+  > "$disp_dir/spool/aac_tree.submission"
 ./build/qufid --spool "$disp_dir/spool" --work-dir "$disp_dir/work" \
   --fleet process --workers 2 --chaos-kill 1 --lease-timeout 2000 \
   --drain > "$disp_dir/qufid.log" 2> "$disp_dir/qufid.err"
@@ -193,6 +193,12 @@ fi
 if [[ ! -e "$disp_dir/spool/aab_dotdot.submission.rejected" ]] ||
    ! grep -q 'must not be a relative directory' "$disp_dir/qufid.err"; then
   echo "dispatcher smoke FAILED: the campaign named .. was not rejected by name" >&2
+  cat "$disp_dir/qufid.err" >&2
+  exit 1
+fi
+if [[ ! -e "$disp_dir/spool/aac_tree.submission.rejected" ]] ||
+   ! grep -q 'unknown shard policy: tree' "$disp_dir/qufid.err"; then
+  echo "dispatcher smoke FAILED: the policy tree submission was not rejected by name" >&2
   cat "$disp_dir/qufid.err" >&2
   exit 1
 fi
@@ -228,7 +234,11 @@ done
 # up front instead of draining forever with no worker. A 1e-300 grid step
 # divides any range exactly, so its step count (1.8e302) must be refused
 # by name rather than wrapped into an int, by qufi_submit before it writes
-# a submission too. (Word-split on purpose.)
+# a submission too. qufi_submit runs the intake's planning, so zero shards,
+# an unknown circuit, an out-of-range width and idle noise on the
+# trajectory kind are refused before a submission exists, and
+# qufi_shard_plan refuses an adaptive budget every worker would refuse
+# before it writes a manifest. (Word-split on purpose.)
 q="./build/qufid --spool $disp_dir/flag_spool --work-dir $disp_dir/flag_work"
 for cmd in "$q --workers abc" "$q --workers 0 --fleet process --drain" \
   "$q --threads abc" "$q --lease-timeout abc" "$q --max-retries abc" \
@@ -243,7 +253,13 @@ for cmd in "$q --workers abc" "$q --workers 0 --fleet process --drain" \
   "./build/qufi_shard_plan --adaptive-ci x" \
   "./build/qufi_cli --theta-step 1e-300" "./build/qufi_cli --phi-step 1e-300" \
   "./build/qufi_shard_plan --theta-step 1e-300 --out-dir $disp_dir/flag_plan" \
-  "./build/qufi_submit --spool $disp_dir/flag_submit --name x --csv x.csv --theta-step 1e-300"; do
+  "./build/qufi_shard_plan --adaptive-budget -0.5 --out-dir $disp_dir/flag_adaptive" \
+  "./build/qufi_shard_plan --adaptive-min 0 --out-dir $disp_dir/flag_adaptive" \
+  "./build/qufi_submit --spool $disp_dir/flag_submit --name x --csv x.csv --theta-step 1e-300" \
+  "./build/qufi_submit --spool $disp_dir/flag_submit --name x --csv x.csv --shards 0" \
+  "./build/qufi_submit --spool $disp_dir/flag_submit --name x --csv x.csv --circuit nosuch" \
+  "./build/qufi_submit --spool $disp_dir/flag_submit --name x --csv x.csv --width 200" \
+  "./build/qufi_submit --spool $disp_dir/flag_submit --name x --csv x.csv --backend-kind trajectory --idle-noise"; do
   rc=0
   err="$(timeout 10 $cmd 2>&1 > /dev/null)" || rc=$?
   if [[ $rc -ne 1 ]] || ! grep -q '^error: ' <<< "$err"; then
@@ -251,12 +267,17 @@ for cmd in "$q --workers abc" "$q --workers 0 --fleet process --drain" \
     exit 1
   fi
 done
-# A refused submission leaves nothing in the spool for qufid to pick up.
+# A refused submission leaves nothing in the spool for qufid to pick up,
+# and a refused plan leaves no manifest for a worker to pick up.
 if [[ -e "$disp_dir/flag_submit/x.submission" ]]; then
-  echo "dispatcher smoke FAILED: qufi_submit left a submission for an overflowing grid" >&2
+  echo "dispatcher smoke FAILED: qufi_submit left a submission it should have refused" >&2
   exit 1
 fi
-echo "dispatcher smoke OK (2 campaigns, chaos-killed worker, CSVs == single-process, JSON event log, shards -1 and .. submissions and bad numeric flags and overflowing grid steps rejected)"
+if compgen -G "$disp_dir/flag_adaptive/*.manifest" > /dev/null; then
+  echo "dispatcher smoke FAILED: qufi_shard_plan wrote manifests for an adaptive policy workers refuse" >&2
+  exit 1
+fi
+echo "dispatcher smoke OK (2 campaigns, chaos-killed worker, CSVs == single-process, JSON event log, shards -1, .. and policy tree submissions, bad numeric flags, overflowing grid steps, unplannable submissions and adaptive plans rejected)"
 
 # Crash-durability smoke: SIGKILL the daemon ITSELF (and its workers)
 # mid-campaign, then restart qufid over the same spool + work dir. The

@@ -132,9 +132,10 @@ CampaignResult run_double_fault_campaign(const CampaignSpec& spec);
 ///
 /// \param spec          Campaign definition, as in run_single_fault_campaign.
 /// \param point_indices Strictly increasing global point indices (a shard
-///                      from qufi::dist::plan_shards). May be empty: the
-///                      result then carries metadata and the full point
-///                      table but no records (idempotent empty shard).
+///                      from qufi::dist::plan_campaign_shards). May be
+///                      empty: the result then carries metadata and the
+///                      full point table but no records (idempotent empty
+///                      shard).
 /// \return Shard-local records (point_index fields stay global) plus the
 ///         full point table, so shards merge without re-transpiling.
 CampaignResult run_single_fault_campaign_subset(

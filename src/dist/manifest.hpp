@@ -90,7 +90,7 @@ CampaignSpec manifest_to_spec(const ShardManifest& manifest);
 /// \param kind        Worker backend family; idle-noise campaigns require
 ///                    the density kind (the trajectory family has no idle
 ///                    mode).
-/// \param plan        Output of plan_shards / plan_campaign_shards.
+/// \param plan        Output of plan_campaign_shards.
 /// \param double_fault True to run the double-fault campaign per shard.
 /// \return One manifest per shard, in shard-index order.
 /// \throws qufi::Error on idle noise with the trajectory kind, or adaptive

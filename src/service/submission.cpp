@@ -23,6 +23,16 @@ namespace {
 /// manifest idiom), so re-planning a loaded submission stays bit-exact.
 std::string g17(double v) { return util::CsvWriter::field(v); }
 
+/// The fault grid `request` asks for (theta to 180 degrees, phi to
+/// phi_max).
+FaultParamGrid request_grid(const CampaignRequest& request) {
+  FaultParamGrid grid;
+  grid.theta_step_deg = request.theta_step;
+  grid.phi_step_deg = request.phi_step;
+  grid.phi_max_deg = request.phi_max;
+  return grid;
+}
+
 }  // namespace
 
 void save_submission(const CampaignRequest& request,
@@ -146,18 +156,11 @@ CampaignRequest load_submission(const std::string& path) {
   return request;
 }
 
-FaultParamGrid request_grid(const CampaignRequest& request) {
-  FaultParamGrid grid;
-  grid.theta_step_deg = request.theta_step;
-  grid.phi_step_deg = request.phi_step;
-  grid.phi_max_deg = request.phi_max;
-  return grid;
-}
-
 CampaignJob plan_submission(const CampaignRequest& request) {
   require(request.shards >= 1,
           "submission: shards must be >= 1 (campaign " + request.name + ")");
-  const dist::ShardPolicy policy = dist::shard_policy_from_name(request.policy);
+  require(request.policy == "cost",
+          "unknown shard policy: " + request.policy + " (want cost)");
   const dist::WorkerBackendKind kind =
       dist::worker_backend_kind_from_name(request.backend_kind);
 
@@ -175,7 +178,7 @@ CampaignJob plan_submission(const CampaignRequest& request) {
   spec.max_points = request.max_points;
   spec.idle_noise = request.idle_noise;
 
-  const auto plan = dist::plan_campaign_shards(spec, request.shards, policy);
+  const auto plan = dist::plan_campaign_shards(spec, request.shards);
   CampaignJob job;
   job.name = request.name;
   job.priority = request.priority;

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/fault_model.hpp"
 #include "service/dispatcher.hpp"
 
 namespace qufi::service {
@@ -30,15 +29,13 @@ struct CampaignRequest {
   bool double_fault = false;
   bool idle_noise = false;
   std::uint32_t shards = 2;
-  std::string policy = "cost";          ///< cost | points | tree
+  /// Only "cost" is accepted (there is one shard planner); the field and
+  /// its `policy` line stay so existing v2 submissions, and callers that
+  /// set it, keep loading unchanged.
+  std::string policy = "cost";
   std::string backend_kind = "density"; ///< density | trajectory
   std::string csv_path;
 };
-
-/// The fault grid `request` asks for (theta to 180 degrees, phi to
-/// phi_max), as plan_submission runs it. qufi_submit validates it before
-/// it writes a submission.
-FaultParamGrid request_grid(const CampaignRequest& request);
 
 /// Writes `request` to `path` (temp + rename, so a spool watcher never
 /// reads a half-written submission). Throws qufi::Error on I/O failure.
@@ -51,9 +48,11 @@ CampaignRequest load_submission(const std::string& path);
 /// Turns a request into a dispatchable job: builds the circuit and device,
 /// plans the shard partition (deterministic — re-planning the same request
 /// reproduces identical manifests), and stamps the job's name, priority and
-/// CSV path. Throws qufi::Error on unknown circuit/policy/backend names,
-/// out-of-range widths, or invalid combinations (idle noise on the
-/// trajectory family).
+/// CSV path. Throws qufi::Error on unknown circuit/backend names, a shard
+/// policy other than "cost", zero shards, out-of-range widths, a grid or
+/// adaptive policy the planner refuses, or invalid combinations (idle
+/// noise on the trajectory family). qufi_submit runs it before writing, so
+/// it never leaves a submission the intake would reject.
 CampaignJob plan_submission(const CampaignRequest& request);
 
 }  // namespace qufi::service

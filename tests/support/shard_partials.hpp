@@ -87,10 +87,9 @@ inline CampaignResult merge_partials(std::span<const std::string> paths,
 /// delivers it.
 inline CampaignResult run_sharded(const CampaignSpec& spec,
                                   std::uint32_t shards,
-                                  dist::ShardPolicy policy,
                                   bool double_fault = false) {
   const TempDir dir("sharded");
-  const auto plan = dist::plan_campaign_shards(spec, shards, policy);
+  const auto plan = dist::plan_campaign_shards(spec, shards);
   return merge_partials(write_partials(spec, plan, dir.str(), double_fault),
                         dir.str());
 }

@@ -53,7 +53,7 @@ service::CampaignJob make_job(const std::string& name, int priority,
                               const CampaignSpec& spec, std::uint32_t shards,
                               const std::string& csv_path) {
   const auto plan =
-      dist::plan_campaign_shards(spec, shards, dist::ShardPolicy::CostWeighted);
+      dist::plan_campaign_shards(spec, shards);
   service::CampaignJob job;
   job.name = name;
   job.priority = priority;
@@ -1156,7 +1156,7 @@ service::CampaignRequest sample_request() {
   request.double_fault = true;
   request.idle_noise = true;
   request.shards = 3;
-  request.policy = "tree";
+  request.policy = "cost";
   request.backend_kind = "density";
   request.csv_path = "out/dj5.csv";
   return request;
@@ -1248,12 +1248,15 @@ TEST(Submission, SignedOrOverflowingUnsignedFieldsAreRejected) {
 
 TEST(Submission, UnknownNamesAndIdleTrajectoryAreRefusedAtPlanning) {
   // plan_submission parses with the shared dist parsers and leaves the
-  // idle-noise rule to make_manifests: each refusal names its reason.
+  // idle-noise rule to make_manifests: each refusal names its reason. The
+  // one shard planner is "cost"; the removed policies are refused by name.
+  for (const char* policy : {"fastest", "points", "tree"}) {
+    auto request = sample_request();
+    request.policy = policy;
+    expect_error([&] { (void)service::plan_submission(request); },
+                 std::string("unknown shard policy: ") + policy);
+  }
   auto request = sample_request();
-  request.policy = "fastest";
-  expect_error([&] { (void)service::plan_submission(request); },
-               "unknown shard policy: fastest");
-  request = sample_request();
   request.backend_kind = "statevector";
   expect_error([&] { (void)service::plan_submission(request); },
                "unknown backend kind: statevector");

@@ -49,24 +49,21 @@ TEST(ShardPlan, BothPoliciesPartitionEveryPointExactlyOnce) {
   const auto spec = quick_spec("bv", 4);
   const auto points = campaign_points(spec);
   ASSERT_GT(points.size(), 4u);
-  for (const auto policy :
-       {dist::ShardPolicy::PointCount, dist::ShardPolicy::CostWeighted}) {
-    for (const std::uint32_t shards : {1u, 2u, 3u, 8u}) {
-      const auto plan = dist::plan_campaign_shards(spec, shards, policy);
-      ASSERT_EQ(plan.shards.size(), shards);
-      std::vector<int> seen(points.size(), 0);
-      for (const auto& shard : plan.shards) {
-        for (std::size_t s = 1; s < shard.point_indices.size(); ++s) {
-          EXPECT_LT(shard.point_indices[s - 1], shard.point_indices[s]);
-        }
-        for (const std::size_t p : shard.point_indices) {
-          ASSERT_LT(p, points.size());
-          ++seen[p];
-        }
+  for (const std::uint32_t shards : {1u, 2u, 3u, 8u}) {
+    const auto plan = dist::plan_campaign_shards(spec, shards);
+    ASSERT_EQ(plan.shards.size(), shards);
+    std::vector<int> seen(points.size(), 0);
+    for (const auto& shard : plan.shards) {
+      for (std::size_t s = 1; s < shard.point_indices.size(); ++s) {
+        EXPECT_LT(shard.point_indices[s - 1], shard.point_indices[s]);
       }
-      for (std::size_t p = 0; p < seen.size(); ++p) {
-        EXPECT_EQ(seen[p], 1) << "point " << p << " shards " << shards;
+      for (const std::size_t p : shard.point_indices) {
+        ASSERT_LT(p, points.size());
+        ++seen[p];
       }
+    }
+    for (std::size_t p = 0; p < seen.size(); ++p) {
+      EXPECT_EQ(seen[p], 1) << "point " << p << " shards " << shards;
     }
   }
 }
@@ -91,6 +88,23 @@ TEST(ShardPlan, CampaignPlanRefusesAGridWhoseCountOverflows) {
     auto spec = quick_spec("bv", 4);
     (theta_axis ? spec.grid.theta_step_deg : spec.grid.phi_step_deg) = 1e-300;
     EXPECT_THROW((void)dist::plan_campaign_shards(spec, 2), Error);
+  }
+}
+
+TEST(ShardPlan, CampaignPlanRefusesAnAdaptivePolicyWorkersRefuse) {
+  // Refused at planning time by the check every worker runs, before a
+  // manifest exists (and before a negative budget reaches the unsigned
+  // config-budget cast).
+  AdaptivePolicy negative_budget;
+  negative_budget.max_config_fraction = -0.5;
+  AdaptivePolicy zero_floor;
+  zero_floor.min_configs_per_point = 0;
+  for (const auto& [policy, reason] :
+       {std::pair{negative_budget, "max_config_fraction must be in (0, 1]"},
+        std::pair{zero_floor, "min_configs_per_point must be at least 1"}}) {
+    auto spec = quick_spec("bv", 4);
+    spec.adaptive = policy;
+    expect_error([&] { (void)dist::plan_campaign_shards(spec, 2); }, reason);
   }
 }
 
@@ -151,14 +165,6 @@ TEST(ShardManifest, SaveLoadRoundTripPreservesEverything) {
 }
 
 TEST(ShardManifest, NamesParseOnceAndIdleNoiseNeedsTheDensityKind) {
-  EXPECT_EQ(dist::shard_policy_from_name("cost"),
-            dist::ShardPolicy::CostWeighted);
-  EXPECT_EQ(dist::shard_policy_from_name("points"),
-            dist::ShardPolicy::PointCount);
-  EXPECT_EQ(dist::shard_policy_from_name("tree"),
-            dist::ShardPolicy::TreeAware);
-  expect_error([] { (void)dist::shard_policy_from_name("Tree"); },
-               "unknown shard policy: Tree");
   EXPECT_EQ(dist::worker_backend_kind_from_name("density"),
             dist::WorkerBackendKind::Density);
   EXPECT_EQ(dist::worker_backend_kind_from_name("trajectory"),
@@ -188,14 +194,26 @@ TEST(ShardManifest, NamesParseOnceAndIdleNoiseNeedsTheDensityKind) {
 // ---- shard execution + merge equivalence -----------------------------------
 
 TEST(ShardMerge, OneTwoAndEightShardsMatchSingleProcessOnPaperCircuits) {
+  // Both partition shapes: the planner's interleaved cost-balanced shards,
+  // and contiguous ranges (shard k owns [k*N/M, (k+1)*N/M)).
   for (const char* name : {"bv", "dj", "qft"}) {
     auto spec = quick_spec(name, 4);
     spec.max_points = 6;  // keep the 3-circuit sweep quick
     const auto single = run_single_fault_campaign(spec);
+    const std::size_t n = single.points.size();
     for (const std::uint32_t shards : {1u, 2u, 8u}) {
-      for (const auto policy :
-           {dist::ShardPolicy::PointCount, dist::ShardPolicy::CostWeighted}) {
-        const auto merged = run_sharded(spec, shards, policy);
+      const TempDir dir("contiguous");
+      std::vector<std::string> paths;
+      for (std::uint32_t k = 0; k < shards; ++k) {
+        std::vector<std::size_t> range;
+        for (std::size_t i = n * k / shards; i < n * (k + 1) / shards; ++i) {
+          range.push_back(i);
+        }
+        paths.push_back(dir.str("part_" + std::to_string(k) + ".qp"));
+        write_partial(spec, range, k, shards, paths.back());
+      }
+      for (const auto& merged :
+           {run_sharded(spec, shards), merge_partials(paths, dir.str())}) {
         EXPECT_EQ(merged.meta.executions, single.meta.executions);
         EXPECT_EQ(merged.meta.faultfree_qvf, single.meta.faultfree_qvf);
         expect_same_records(merged.records, single.records);
@@ -213,7 +231,7 @@ TEST(ShardMerge, TrajectoryShardsAreBitIdenticalUnderCommonRandomNumbers) {
   spec.backend_override = &be;
 
   const auto single = run_single_fault_campaign(spec);
-  const auto merged = run_sharded(spec, 2, dist::ShardPolicy::CostWeighted);
+  const auto merged = run_sharded(spec, 2);
   expect_same_records(merged.records, single.records);  // bit equality
 }
 
@@ -257,9 +275,8 @@ TEST(ShardMerge, DuplicateShardOutputsAreIdempotent) {
                       run_single_fault_campaign(spec).records);
 }
 
-/// A 3-shard double-fault campaign under `policy` merges to the
-/// single-process double-fault run.
-void expect_double_fault_shards_match(dist::ShardPolicy policy) {
+TEST(ShardMerge, DoubleFaultShardsMatchSingleProcess) {
+  // A 3-shard double-fault campaign merges to the single-process run.
   auto spec = quick_spec("bv", 4);
   spec.grid.theta_step_deg = 90.0;
   spec.grid.phi_step_deg = 90.0;
@@ -267,60 +284,9 @@ void expect_double_fault_shards_match(dist::ShardPolicy policy) {
   spec.max_points = 4;
 
   const auto single = run_double_fault_campaign(spec);
-  const auto merged = run_sharded(spec, 3, policy, /*double_fault=*/true);
+  const auto merged = run_sharded(spec, 3, /*double_fault=*/true);
   EXPECT_EQ(merged.meta.executions, single.meta.executions);
   expect_same_records(merged.records, single.records);
-}
-
-TEST(ShardMerge, DoubleFaultShardsMatchSingleProcess) {
-  expect_double_fault_shards_match(dist::ShardPolicy::CostWeighted);
-}
-
-// ---- prefix-tree engine across the dist layer ------------------------------
-
-TEST(ShardPlan, TreeAwarePolicyPartitionsDeterministically) {
-  const auto spec = quick_spec("qft", 4);
-  const auto points = campaign_points(spec);
-  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    const auto a = dist::plan_campaign_shards(spec, shards,
-                                              dist::ShardPolicy::TreeAware);
-    const auto b = dist::plan_campaign_shards(spec, shards,
-                                              dist::ShardPolicy::TreeAware);
-    ASSERT_EQ(a.shards.size(), shards);
-    std::vector<int> seen(points.size(), 0);
-    for (std::size_t k = 0; k < a.shards.size(); ++k) {
-      EXPECT_EQ(a.shards[k].point_indices, b.shards[k].point_indices);
-      EXPECT_EQ(a.shards[k].estimated_cost, b.shards[k].estimated_cost);
-      for (std::size_t s = 1; s < a.shards[k].point_indices.size(); ++s) {
-        EXPECT_LT(a.shards[k].point_indices[s - 1],
-                  a.shards[k].point_indices[s]);
-      }
-      for (const std::size_t p : a.shards[k].point_indices) {
-        ASSERT_LT(p, points.size());
-        ++seen[p];
-      }
-    }
-    for (std::size_t p = 0; p < seen.size(); ++p) {
-      EXPECT_EQ(seen[p], 1) << "point " << p << " shards " << shards;
-    }
-  }
-}
-
-TEST(ShardPlan, TreeCostChargesExtensionNotFullPrefix) {
-  InjectionPoint deep;
-  deep.instr_index = 19;  // split 20 of a 30-instruction circuit
-  // First point on an empty shard pays root prep + suffix; a second point
-  // at the same split rides the chain for just its suffix (+1).
-  EXPECT_EQ(dist::tree_point_cost(deep, 30, 0), 1u + 20 + 10);
-  EXPECT_EQ(dist::tree_point_cost(deep, 30, 20), 1u + 0 + 10);
-  EXPECT_EQ(dist::tree_point_cost(deep, 30, 25), 1u + 0 + 10);
-  InjectionPoint deeper;
-  deeper.instr_index = 24;
-  EXPECT_EQ(dist::tree_point_cost(deeper, 30, 20), 1u + 5 + 5);
-}
-
-TEST(ShardMerge, TreePlannedDoubleFaultShardsMatchSingleProcess) {
-  expect_double_fault_shards_match(dist::ShardPolicy::TreeAware);
 }
 
 // ---- moment-aware (idle-noise) distribution --------------------------------
@@ -398,8 +364,7 @@ TEST(ShardMerge, IdleNoiseShardsMatchSingleProcess) {
   const auto single = run_single_fault_campaign(spec);
   EXPECT_TRUE(single.meta.idle_noise);
   for (const std::uint32_t shards : {2u, 4u}) {
-    const auto merged = run_sharded(spec, shards,
-                                    dist::ShardPolicy::TreeAware);
+    const auto merged = run_sharded(spec, shards);
     EXPECT_EQ(merged.meta.executions, single.meta.executions);
     expect_same_records(merged.records, single.records);
   }

@@ -69,7 +69,7 @@ struct Campaign {
 Campaign build_campaign(const std::string& circuit) {
   const auto spec = quick_spec(circuit, 4);
   const auto plan =
-      dist::plan_campaign_shards(spec, 2, dist::ShardPolicy::CostWeighted);
+      dist::plan_campaign_shards(spec, 2);
 
   Campaign campaign;
   std::vector<CampaignResult> results;
@@ -265,7 +265,7 @@ TEST(MergePrefix, AdaptiveShardSchedulesMergeToTheSingleProcessCsv) {
   ASSERT_FALSE(single_bytes.empty());
 
   const auto plan =
-      dist::plan_campaign_shards(spec, 2, dist::ShardPolicy::CostWeighted);
+      dist::plan_campaign_shards(spec, 2);
   std::vector<CampaignResult> results;
   for (const auto& assignment : plan.shards) {
     results.push_back(

@@ -7,7 +7,6 @@
 
 #include "core/injection.hpp"
 #include "core/qvf.hpp"
-#include "noise/mitigation.hpp"
 #include "qec/repetition_code.hpp"
 #include "sim/statevector.hpp"
 #include "util/error.hpp"
@@ -207,38 +206,6 @@ TEST(DecodeMajority, SplitsDistribution) {
   // Majority-one states: 3 (011), 5 (101), 6 (110), 7 (111).
   EXPECT_NEAR(logical[1], 0.0 + 0.0 + 0.1 + 0.1, 1e-12);
   EXPECT_NEAR(logical[0] + logical[1], 1.0, 1e-12);
-}
-
-// ---------------------------------------------------- readout mitigation
-
-TEST(Mitigation, InvertsKnownConfusion) {
-  // Apply readout error, then mitigate: should recover the original.
-  std::vector<double> truth{0.7, 0.1, 0.05, 0.15};
-  auto observed = truth;
-  const int clbits[] = {0, 1};
-  const noise::ReadoutError errors[] = {{0.02, 0.05}, {0.03, 0.04}};
-  noise::apply_readout_error(observed, clbits, errors);
-  const auto mitigated = noise::mitigate_readout(observed, clbits, errors);
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_NEAR(mitigated[i], truth[i], 1e-10) << i;
-  }
-}
-
-TEST(Mitigation, ClipsNegativeQuasiProbabilities) {
-  // Over-aggressive mitigation of a distribution that never saw the error.
-  const std::vector<double> observed{1.0, 0.0};
-  const int clbits[] = {0};
-  const noise::ReadoutError errors[] = {{0.2, 0.2}};
-  const auto mitigated = noise::mitigate_readout(observed, clbits, errors);
-  EXPECT_GE(mitigated[1], 0.0);
-  EXPECT_NEAR(mitigated[0] + mitigated[1], 1.0, 1e-12);
-}
-
-TEST(Mitigation, RejectsSingularConfusion) {
-  const std::vector<double> observed{0.5, 0.5};
-  const int clbits[] = {0};
-  const noise::ReadoutError errors[] = {{0.5, 0.5}};
-  EXPECT_THROW(noise::mitigate_readout(observed, clbits, errors), Error);
 }
 
 }  // namespace

@@ -544,7 +544,7 @@ TEST(TreeRelay, EverySweepPreparesItsPrefixOnce) {
                       });
       // Each shard of a 12-way cost plan is its own sweep over its subset.
       const auto plan =
-          dist::plan_campaign_shards(spec, 12, dist::ShardPolicy::CostWeighted);
+          dist::plan_campaign_shards(spec, 12);
       ASSERT_EQ(plan.shards.size(), 12u);
       for (const auto& shard : plan.shards) {
         SCOPED_TRACE("shard " + std::to_string(shard.shard_index));
@@ -687,7 +687,7 @@ TEST(TreeRelay, AFailedExtensionIsRethrownNotHung) {
 CampaignResult relay_run(const CampaignSpec& spec, bool sharded) {
   if (!sharded) return run_single_fault_campaign(spec);
   const auto plan =
-      dist::plan_campaign_shards(spec, 12, dist::ShardPolicy::CostWeighted);
+      dist::plan_campaign_shards(spec, 12);
   CampaignResult merged;
   for (const auto& shard : plan.shards) {
     const auto part = run_single_fault_campaign_subset(spec,
