@@ -16,8 +16,9 @@
 #include <filesystem>
 #include <string>
 
+#include "dist/campaign_definition.hpp"
 #include "service/submission.hpp"
-#include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/parse.hpp"
 
 namespace {
@@ -28,28 +29,19 @@ namespace {
       "  --spool DIR         qufid spool directory (required)\n"
       "  --name NAME         campaign name, unique per daemon (required)\n"
       "  --csv PATH          final merged campaign CSV (required)\n"
-      "  --priority N        higher runs first              (default 0)\n"
-      "  --circuit NAME      bv | dj | qft | ghz | grover   (default bv)\n"
-      "  --width N           total qubits                   (default 4)\n"
-      "  --device NAME       casablanca | jakarta | linear | full\n"
-      "  --opt N             transpiler optimization level  (default 3)\n"
-      "  --theta-step DEG    theta grid step                (default 15)\n"
-      "  --phi-step DEG      phi grid step                  (default 15)\n"
-      "  --phi-max DEG       phi range limit                (default 360)\n"
-      "  --shots N           0 = exact distributions        (default 0)\n"
-      "  --seed N            campaign seed\n"
-      "  --points N          cap injection points (0 = all)\n"
-      "  --double            submit the double-fault campaign\n"
-      "  --idle-noise        moment-scheduled idle relaxation\n"
-      "  --shards N          shard count                    (default 2)\n"
-      "  --backend-kind NAME density | trajectory           (default density)\n",
-      argv0);
+      "  --priority N        higher runs first                 (default 0)\n"
+      "  --shards N          shard count                       (default 2)\n"
+      "  --backend-kind NAME density | trajectory              (default density)\n"
+      "%s"
+      "A submission cannot carry an adaptive policy: --adaptive is refused.\n",
+      argv0, qufi::dist::campaign_flags_help());
   std::exit(2);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  using qufi::util::json_string;
   using qufi::util::parse_number_flag;
   using qufi::util::parse_unsigned_flag;
   std::string spool;
@@ -61,31 +53,12 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc) usage(argv[0]);
         return argv[++i];
       };
+      if (qufi::dist::parse_campaign_flag(arg, value, request)) continue;
       if (arg == "--spool") spool = value();
       else if (arg == "--name") request.name = value();
       else if (arg == "--csv") request.csv_path = value();
       else if (arg == "--priority")
         request.priority = parse_number_flag<int>(arg, value());
-      else if (arg == "--circuit") request.circuit = value();
-      else if (arg == "--width")
-        request.width = parse_unsigned_flag<std::uint16_t>(arg, value());
-      else if (arg == "--device") request.device = value();
-      else if (arg == "--opt")
-        request.opt_level = parse_unsigned_flag<std::uint16_t>(arg, value());
-      else if (arg == "--theta-step")
-        request.theta_step = parse_number_flag<double>(arg, value());
-      else if (arg == "--phi-step")
-        request.phi_step = parse_number_flag<double>(arg, value());
-      else if (arg == "--phi-max")
-        request.phi_max = parse_number_flag<double>(arg, value());
-      else if (arg == "--shots")
-        request.shots = parse_unsigned_flag<std::uint64_t>(arg, value());
-      else if (arg == "--seed")
-        request.seed = parse_unsigned_flag<std::uint64_t>(arg, value());
-      else if (arg == "--points")
-        request.max_points = parse_unsigned_flag<std::size_t>(arg, value());
-      else if (arg == "--double") request.double_fault = true;
-      else if (arg == "--idle-noise") request.idle_noise = true;
       else if (arg == "--shards")
         request.shards = parse_unsigned_flag<std::uint32_t>(arg, value());
       else if (arg == "--backend-kind") request.backend_kind = value();
@@ -96,9 +69,10 @@ int main(int argc, char** argv) {
     }
 
     // The intake's own planning, run here: whatever qufid would reject
-    // (zero shards, an unknown circuit or policy, an out-of-range width, a
-    // grid whose step count overflows, idle noise on the trajectory kind)
-    // exits 1 and leaves no submission behind.
+    // (zero shards, an unknown circuit or policy, a bad campaign name, an
+    // out-of-range width, a grid whose step count overflows, idle noise on
+    // the trajectory kind) exits 1 and leaves no submission behind; so
+    // does an adaptive policy, which the file cannot carry.
     (void)qufi::service::plan_submission(request);
     std::filesystem::create_directories(spool);
     const std::string path =
@@ -106,9 +80,10 @@ int main(int argc, char** argv) {
             .string();
     qufi::service::save_submission(request, path);
     std::printf(
-        "{\"tool\":\"qufi_submit\",\"campaign\":\"%s\",\"priority\":%d,"
-        "\"shards\":%u,\"submission\":\"%s\"}\n",
-        request.name.c_str(), request.priority, request.shards, path.c_str());
+        "{\"tool\":\"qufi_submit\",\"campaign\":%s,\"priority\":%d,"
+        "\"shards\":%u,\"submission\":%s}\n",
+        json_string(request.name).c_str(), request.priority, request.shards,
+        json_string(path).c_str());
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

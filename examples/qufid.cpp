@@ -45,7 +45,6 @@
 #include <filesystem>
 #include <span>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -55,11 +54,13 @@
 #include "service/fleet.hpp"
 #include "service/submission.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/parse.hpp"
 
 namespace {
 
 using namespace qufi;
+using util::json_string;
 using util::parse_unsigned_flag;
 
 struct DaemonOptions {
@@ -152,26 +153,6 @@ const char* state_name(service::CampaignState state) {
     case service::CampaignState::Failed: return "failed";
   }
   return "?";
-}
-
-/// `s` as a quoted JSON string: `"`, `\` and control characters escaped,
-/// so a campaign name or an error message carrying a path can never break
-/// the one-object-per-line event stream.
-std::string json_string(std::string_view s) {
-  std::string out = "\"";
-  for (const char ch : s) {
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
-      out += buf;
-    } else {
-      out += ch;
-    }
-  }
-  return out + '"';
 }
 
 /// Admits every complete submission in the spool: plan, submit, rename to

@@ -85,7 +85,9 @@ echo "docs check OK (README.md, docs/{ARCHITECTURE,CAMPAIGNS,SHARDING,RESULT_FOR
 #  - adaptive: the policy travels in the manifest and every worker runs the
 #    deterministic estimator, so the derived configs_evaluated /
 #    ci_halfwidth / est_qvf columns, which exporters recompute by replay,
-#    must match too (docs/CAMPAIGNS.md "Adaptive estimation").
+#    must match too (docs/CAMPAIGNS.md "Adaptive estimation");
+#  - device: a non-default device and optimization level, which the plan
+#    and the single-process run take through the same campaign flags.
 smoke_dir=build/shard_smoke
 rm -rf "$smoke_dir"
 mkdir -p "$smoke_dir"
@@ -122,6 +124,8 @@ shard_smoke idle-noise "$smoke_dir/idle" \
   "--circuit bv --width 4 --idle-noise --theta-step 60 --phi-step 90 --points 4"
 shard_smoke adaptive "$smoke_dir/adaptive" \
   "--circuit bv --width 4 --adaptive --points 4"
+shard_smoke device "$smoke_dir/device" \
+  "--circuit bv --width 4 --device jakarta --opt 2 --theta-step 60 --phi-step 90 --points 4"
 
 # A partial that is not a sealed QUFIPART file — a worker killed mid-write
 # (torn), or a text file — must stop the merge with a diagnosis (exit 1) and
@@ -236,9 +240,11 @@ done
 # by name rather than wrapped into an int, by qufi_submit before it writes
 # a submission too. qufi_submit runs the intake's planning, so zero shards,
 # an unknown circuit, an out-of-range width and idle noise on the
-# trajectory kind are refused before a submission exists, and
-# qufi_shard_plan refuses an adaptive budget every worker would refuse
-# before it writes a manifest. (Word-split on purpose.)
+# trajectory kind are refused before a submission exists, as are a
+# campaign named `..` and an adaptive campaign (the submission format
+# cannot carry its policy), and qufi_shard_plan refuses an adaptive budget
+# every worker would refuse before it writes a manifest. (Word-split on
+# purpose.)
 q="./build/qufid --spool $disp_dir/flag_spool --work-dir $disp_dir/flag_work"
 for cmd in "$q --workers abc" "$q --workers 0 --fleet process --drain" \
   "$q --threads abc" "$q --lease-timeout abc" "$q --max-retries abc" \
@@ -259,7 +265,9 @@ for cmd in "$q --workers abc" "$q --workers 0 --fleet process --drain" \
   "./build/qufi_submit --spool $disp_dir/flag_submit --name x --csv x.csv --shards 0" \
   "./build/qufi_submit --spool $disp_dir/flag_submit --name x --csv x.csv --circuit nosuch" \
   "./build/qufi_submit --spool $disp_dir/flag_submit --name x --csv x.csv --width 200" \
-  "./build/qufi_submit --spool $disp_dir/flag_submit --name x --csv x.csv --backend-kind trajectory --idle-noise"; do
+  "./build/qufi_submit --spool $disp_dir/flag_submit --name x --csv x.csv --backend-kind trajectory --idle-noise" \
+  "./build/qufi_submit --spool $disp_dir/flag_submit --name .. --csv x.csv" \
+  "./build/qufi_submit --spool $disp_dir/flag_submit --name x --csv x.csv --adaptive"; do
   rc=0
   err="$(timeout 10 $cmd 2>&1 > /dev/null)" || rc=$?
   if [[ $rc -ne 1 ]] || ! grep -q '^error: ' <<< "$err"; then
@@ -269,15 +277,16 @@ for cmd in "$q --workers abc" "$q --workers 0 --fleet process --drain" \
 done
 # A refused submission leaves nothing in the spool for qufid to pick up,
 # and a refused plan leaves no manifest for a worker to pick up.
-if [[ -e "$disp_dir/flag_submit/x.submission" ]]; then
-  echo "dispatcher smoke FAILED: qufi_submit left a submission it should have refused" >&2
+if [[ -n "$(ls -A "$disp_dir/flag_submit" 2> /dev/null)" ]]; then
+  echo "dispatcher smoke FAILED: qufi_submit left a file it should have refused:" \
+    "$(ls -A "$disp_dir/flag_submit")" >&2
   exit 1
 fi
 if compgen -G "$disp_dir/flag_adaptive/*.manifest" > /dev/null; then
   echo "dispatcher smoke FAILED: qufi_shard_plan wrote manifests for an adaptive policy workers refuse" >&2
   exit 1
 fi
-echo "dispatcher smoke OK (2 campaigns, chaos-killed worker, CSVs == single-process, JSON event log, shards -1, .. and policy tree submissions, bad numeric flags, overflowing grid steps, unplannable submissions and adaptive plans rejected)"
+echo "dispatcher smoke OK (2 campaigns, chaos-killed worker, CSVs == single-process, JSON event log, shards -1, .. and policy tree submissions, bad numeric flags, overflowing grid steps, unplannable, .. and adaptive submissions and adaptive plans rejected)"
 
 # Crash-durability smoke: SIGKILL the daemon ITSELF (and its workers)
 # mid-campaign, then restart qufid over the same spool + work dir. The
@@ -338,6 +347,39 @@ if ! awk '
   exit 1
 fi
 echo "restart smoke OK (daemon SIGKILLed mid-campaign, journal recovery, no completed shard re-run)"
+
+# Thread-fleet smoke: a campaign whose name holds a space and a quote, and
+# whose CSV path holds spaces, runs through qufid's thread fleet with the
+# default 30 s lease (so a 10 s heartbeat interval). Both values must reach
+# qufid whole: the final CSV lands at the full path, byte-identical to the
+# single-process run, and every JSON line qufi_submit and qufid print
+# parses. qufid must also exit within 1 s of writing that CSV: stop() wakes
+# the fleet's supervisor and idle workers instead of waiting out a sleep.
+thread_dir=build/dispatcher_thread_smoke
+rm -rf "$thread_dir"
+mkdir -p "$thread_dir/out dir"
+thread_csv="$thread_dir/out dir/bv 4.csv"
+./build/qufi_submit --spool "$thread_dir/spool" --name 'bv "4"' --circuit bv \
+  --width 4 --theta-step 60 --phi-step 90 --csv "$thread_csv" \
+  > "$thread_dir/qufid.log"
+./build/qufid --spool "$thread_dir/spool" --work-dir "$thread_dir/work" \
+  --fleet thread --drain >> "$thread_dir/qufid.log"
+exit_at="$(python3 -c 'import time; print(time.time())')"
+if ! python3 -c 'import json,sys; [json.loads(l) for l in sys.stdin]' \
+    < "$thread_dir/qufid.log"; then
+  echo "thread fleet smoke FAILED: a qufi_submit or qufid line is not JSON" >&2
+  exit 1
+fi
+if ! diff -q "$thread_csv" "$disp_dir/ref_bv4.csv" > /dev/null; then
+  echo "thread fleet smoke FAILED: no CSV at '$thread_csv' equal to the single-process CSV" >&2
+  exit 1
+fi
+if ! python3 -c 'import os,sys; sys.exit(float(sys.argv[2]) - os.stat(sys.argv[1]).st_mtime >= 1.0)' \
+    "$thread_csv" "$exit_at"; then
+  echo "thread fleet smoke FAILED: qufid exited 1 s or more after the final CSV" >&2
+  exit 1
+fi
+echo "thread fleet smoke OK (name and CSV path with spaces, JSON-escaped name, qufid exits within 1 s of the final CSV)"
 
 # Golden-CSV regression through the real CLI: the committed bv-2q fixture
 # pins the column schema and row ordering documented in the README, so

@@ -369,15 +369,17 @@ void Dispatcher::journal_sync_locked() {
 
 // ---- submission -------------------------------------------------------------
 
+void check_campaign_name(const std::string& name) {
+  require(!name.empty(), "campaign name is empty");
+  require(name.find('/') == std::string::npos &&
+              name.find('\\') == std::string::npos,
+          "campaign name must not contain path separators: " + name);
+  require(name != "." && name != "..",
+          "campaign name must not be a relative directory: " + name);
+}
+
 void Dispatcher::submit(CampaignJob job) {
-  require(!job.name.empty(), "Dispatcher::submit: campaign name is empty");
-  require(job.name.find('/') == std::string::npos &&
-              job.name.find('\\') == std::string::npos,
-          "Dispatcher::submit: campaign name must not contain path "
-          "separators: " + job.name);
-  require(job.name != "." && job.name != "..",
-          "Dispatcher::submit: campaign name must not be a relative "
-          "directory: " + job.name);
+  check_campaign_name(job.name);
   require(!job.manifests.empty(),
           "Dispatcher::submit: campaign has no shards: " + job.name);
   require(!job.csv_path.empty(),

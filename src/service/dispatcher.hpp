@@ -71,6 +71,11 @@ struct CampaignJob {
   std::string csv_path;
 };
 
+/// Throws qufi::Error unless `name` can name a campaign: it becomes a
+/// directory under the work dir, so it must not be empty, hold a path
+/// separator (`/` or `\`), or be the relative directory `.` or `..`.
+void check_campaign_name(const std::string& name);
+
 enum class ShardState {
   Pending,  ///< waiting for a worker (initial state, and after a requeue)
   Leased,   ///< running under an active lease
@@ -144,8 +149,8 @@ class Dispatcher {
   Dispatcher& operator=(const Dispatcher&) = delete;
 
   /// Registers a campaign and creates its spool directory. Throws
-  /// qufi::Error on a duplicate or empty name, a name with path
-  /// separators, or an empty manifest list.
+  /// qufi::Error on a duplicate name, a name check_campaign_name refuses,
+  /// or an empty manifest list.
   void submit(CampaignJob job);
 
   /// Leases the next shard: highest campaign priority first (ties to the

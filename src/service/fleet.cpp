@@ -45,11 +45,23 @@ void ThreadWorkerFleet::drain() {
 }
 
 void ThreadWorkerFleet::stop() {
-  stopping_.store(true);
+  {
+    // Under the mutex, so no waiter can miss the flag between its check
+    // and its wait.
+    std::lock_guard<std::mutex> lock(wake_mutex_);
+    stopping_.store(true);
+  }
+  wake_.notify_all();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
   if (supervisor_.joinable()) supervisor_.join();
+}
+
+void ThreadWorkerFleet::sleep_unless_stopping(std::int64_t ms) {
+  std::unique_lock<std::mutex> lock(wake_mutex_);
+  wake_.wait_for(lock, std::chrono::milliseconds(ms),
+                 [this] { return stopping_.load(); });
 }
 
 void ThreadWorkerFleet::worker_loop(int worker_index) {
@@ -57,8 +69,7 @@ void ThreadWorkerFleet::worker_loop(int worker_index) {
   while (!stopping_.load()) {
     std::optional<ShardLease> lease = dispatcher_.acquire(worker_id);
     if (!lease) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.poll_interval_ms));
+      sleep_unless_stopping(options_.poll_interval_ms);
       continue;
     }
     {
@@ -109,8 +120,7 @@ void ThreadWorkerFleet::supervisor_loop() {
       snapshot = inflight_;
     }
     for (const std::uint64_t id : snapshot) dispatcher_.heartbeat(id);
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(options_.heartbeat_interval_ms));
+    sleep_unless_stopping(options_.heartbeat_interval_ms);
   }
 }
 

@@ -1,8 +1,10 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,7 +30,8 @@ struct FleetOptions {
   /// well under the dispatcher's lease_timeout_ms (a third or less).
   std::int64_t heartbeat_interval_ms = 1'000;
   /// Idle worker backoff between acquire() polls; also how long drain()
-  /// may take to notice stop() from another thread.
+  /// may take to notice stop() from another thread. Idle workers and the
+  /// supervisor wake at once on stop(), whatever the intervals.
   std::int64_t poll_interval_ms = 20;
   /// Test-only fault hook, called after a shard ran but before its
   /// completion is reported. Return false to swallow the completion —
@@ -72,6 +75,8 @@ class ThreadWorkerFleet {
  private:
   void worker_loop(int worker_index);
   void supervisor_loop();
+  /// Sleeps up to `ms`, waking early once stop() was called.
+  void sleep_unless_stopping(std::int64_t ms);
 
   Dispatcher& dispatcher_;
   FleetOptions options_;
@@ -79,6 +84,9 @@ class ThreadWorkerFleet {
   /// merges run on.
   util::ThreadPool pool_;
   std::atomic<bool> stopping_{false};
+  /// Signalled by stop(): idle workers and the supervisor wait on it.
+  std::mutex wake_mutex_;
+  std::condition_variable wake_;
   std::atomic<std::uint64_t> shards_completed_{0};
   std::atomic<std::uint64_t> shards_failed_{0};
   /// Lease ids currently being executed, for the supervisor to heartbeat.

@@ -8,9 +8,7 @@
 #include <sstream>
 #include <type_traits>
 
-#include "algorithms/algorithms.hpp"
 #include "dist/shard_plan.hpp"
-#include "noise/backend_props.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/parse.hpp"
@@ -23,20 +21,14 @@ namespace {
 /// manifest idiom), so re-planning a loaded submission stays bit-exact.
 std::string g17(double v) { return util::CsvWriter::field(v); }
 
-/// The fault grid `request` asks for (theta to 180 degrees, phi to
-/// phi_max).
-FaultParamGrid request_grid(const CampaignRequest& request) {
-  FaultParamGrid grid;
-  grid.theta_step_deg = request.theta_step;
-  grid.phi_step_deg = request.phi_step;
-  grid.phi_max_deg = request.phi_max;
-  return grid;
-}
-
 }  // namespace
 
 void save_submission(const CampaignRequest& request,
                      const std::string& path) {
+  require(!request.adaptive,
+          "submission: adaptive campaigns cannot be submitted (the "
+          "submission format has no adaptive policy key; campaign " +
+              request.name + ")");
   static std::atomic<std::uint64_t> counter{0};
   const std::string temp = path + ".tmp." + std::to_string(::getpid()) + "." +
                            std::to_string(counter.fetch_add(1));
@@ -92,6 +84,16 @@ CampaignRequest load_submission(const std::string& path) {
     if (!value) fail("bad " + key + " line");
     field = *value;
   };
+  // `name` and `csv` values run to the end of the line, so they may hold
+  // spaces (the manifest reads its circuit name line the same way).
+  const auto read_rest_of_line = [&](std::string& field,
+                                     const std::string& key) {
+    const std::string prefix = key + " ";
+    if (line.rfind(prefix, 0) != 0 || line.size() == prefix.size()) {
+      fail("bad " + key + " line");
+    }
+    field = line.substr(prefix.size());
+  };
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
@@ -108,7 +110,7 @@ CampaignRequest load_submission(const std::string& path) {
       continue;
     }
     if (key == "name") {
-      if (!(ls >> request.name)) fail("bad name line");
+      read_rest_of_line(request.name, key);
     } else if (key == "priority") {
       if (!(ls >> request.priority)) fail("bad priority line");
     } else if (key == "circuit") {
@@ -145,7 +147,7 @@ CampaignRequest load_submission(const std::string& path) {
     } else if (key == "backend_kind") {
       if (!(ls >> request.backend_kind)) fail("bad backend_kind line");
     } else if (key == "csv") {
-      if (!(ls >> request.csv_path)) fail("bad csv line");
+      read_rest_of_line(request.csv_path, key);
     } else {
       fail("unknown key: " + key);
     }
@@ -157,26 +159,19 @@ CampaignRequest load_submission(const std::string& path) {
 }
 
 CampaignJob plan_submission(const CampaignRequest& request) {
+  check_campaign_name(request.name);
+  // Each value is one line of the file; a carriage return would survive a
+  // CRLF file's load into the CSV path.
+  require(request.name.find_first_of("\r\n") == std::string::npos &&
+              request.csv_path.find_first_of("\r\n") == std::string::npos,
+          "submission: name and csv must not hold a line break");
   require(request.shards >= 1,
           "submission: shards must be >= 1 (campaign " + request.name + ")");
   require(request.policy == "cost",
           "unknown shard policy: " + request.policy + " (want cost)");
   const dist::WorkerBackendKind kind =
       dist::worker_backend_kind_from_name(request.backend_kind);
-
-  const algo::AlgorithmCircuit bench =
-      algo::paper_circuit(request.circuit, request.width);
-
-  CampaignSpec spec;
-  spec.circuit = bench.circuit;
-  spec.expected_outputs = bench.expected_outputs;
-  spec.backend = noise::fake_backend_by_name(request.device, request.width);
-  spec.transpile_options.optimization_level = request.opt_level;
-  spec.grid = request_grid(request);
-  spec.shots = request.shots;
-  spec.seed = request.seed;
-  spec.max_points = request.max_points;
-  spec.idle_noise = request.idle_noise;
+  const CampaignSpec spec = dist::campaign_spec(request);
 
   const auto plan = dist::plan_campaign_shards(spec, request.shards);
   CampaignJob job;

@@ -20,8 +20,10 @@
 #include <vector>
 
 #include "algorithms/algorithms.hpp"
+#include "core/adaptive.hpp"
 #include "core/campaign.hpp"
 #include "core/result_io.hpp"
+#include "dist/campaign_definition.hpp"
 #include "dist/manifest.hpp"
 #include "dist/merge.hpp"
 #include "dist/shard_plan.hpp"
@@ -755,6 +757,26 @@ TEST(Dispatcher, IdleWaitWakesAtTheTerminalTransitionAndDrainHonorsStop) {
   EXPECT_FALSE(dispatcher.idle());
 }
 
+TEST(Dispatcher, FleetStopsAtOnceWhateverItsIntervals) {
+  // qufid derives the heartbeat interval from the lease (10 s by default);
+  // stop() must not wait out the supervisor's or an idle worker's sleep.
+  TempDir dir("fleetstop");
+  service::SystemClock clock;
+  service::DispatcherOptions options;
+  options.work_dir = dir.str("work");
+  service::Dispatcher dispatcher(options, clock);
+  service::FleetOptions fleet_options;
+  fleet_options.workers = 2;
+  fleet_options.heartbeat_interval_ms = 10'000;
+  fleet_options.poll_interval_ms = 10'000;
+  service::ThreadWorkerFleet fleet(dispatcher, fleet_options);
+  // Let every thread reach its wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  fleet.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+}
+
 // ---- lease-lifecycle bugfixes -----------------------------------------------
 
 TEST(Dispatcher, FailReturnsFalseForUnknownOrRetiredLeases) {
@@ -1203,6 +1225,116 @@ TEST(Submission, V2SaveLoadRoundTripPreservesEverything) {
   EXPECT_EQ(loaded.policy, request.policy);
   EXPECT_EQ(loaded.backend_kind, request.backend_kind);
   EXPECT_EQ(loaded.csv_path, request.csv_path);
+}
+
+TEST(Submission, NameAndCsvValuesRunToTheEndOfTheLine) {
+  TempDir dir("submission_spaces");
+  auto request = sample_request();
+  request.name = "dj 5 (rerun)";
+  request.csv_path = "out dir/dj 5.csv";
+  const std::string path = dir.str("spaces.submission");
+  service::save_submission(request, path);
+  const auto loaded = service::load_submission(path);
+  EXPECT_EQ(loaded.name, request.name);
+  EXPECT_EQ(loaded.csv_path, request.csv_path);
+  EXPECT_EQ(service::plan_submission(loaded).csv_path, request.csv_path);
+
+  // A key with no value is still refused.
+  for (const char* key : {"name", "csv"}) {
+    SCOPED_TRACE(key);
+    expect_submission_rejected(
+        dir, "qufi-submission 2\n" + std::string(key) + " \n",
+        std::string("bad ") + key + " line");
+  }
+}
+
+TEST(Submission, SingleTokenV2FileLoadsAndSavesAsBefore) {
+  // A v2 file whose values are all single tokens loads to the same request,
+  // and saving that request reproduces the same bytes.
+  const std::string text =
+      "qufi-submission 2\n"
+      "name dj5\n"
+      "priority 7\n"
+      "circuit dj\n"
+      "width 5\n"
+      "device jakarta\n"
+      "opt_level 2\n"
+      "grid 30 0.10000000000000001 180\n"
+      "shots 512\n"
+      "seed 244837814094590\n"
+      "max_points 9\n"
+      "double 1\n"
+      "idle_noise 1\n"
+      "shards 3\n"
+      "policy cost\n"
+      "backend_kind density\n"
+      "csv out/dj5.csv\n";
+  TempDir dir("submission_v2");
+  const std::string path = dir.str("dj5.submission");
+  spit(path, text);
+  const auto loaded = service::load_submission(path);
+  const auto expected = sample_request();
+  EXPECT_EQ(loaded.name, expected.name);
+  EXPECT_EQ(loaded.csv_path, expected.csv_path);
+  EXPECT_TRUE(static_cast<const dist::CampaignDefinition&>(loaded) ==
+              static_cast<const dist::CampaignDefinition&>(expected));
+  const std::string saved = dir.str("saved.submission");
+  service::save_submission(expected, saved);
+  EXPECT_EQ(slurp(saved), text);
+}
+
+TEST(Submission, CampaignNameRulesApplyWhenPlanning) {
+  // One rule set for the intake and Dispatcher::submit, so a name the
+  // dispatcher would refuse never reaches the spool.
+  const std::pair<const char*, const char*> bad[] = {
+      {"", "campaign name is empty"},
+      {"a/b", "must not contain path separators"},
+      {"a\\b", "must not contain path separators"},
+      {".", "must not be a relative directory"},
+      {"..", "must not be a relative directory"}};
+  for (const auto& [name, reason] : bad) {
+    auto request = sample_request();
+    request.name = name;
+    expect_error([&] { (void)service::plan_submission(request); }, reason);
+  }
+  auto request = sample_request();
+  request.name = "dj\n5";
+  expect_error([&] { (void)service::plan_submission(request); },
+               "must not hold a line break");
+  request = sample_request();
+  request.csv_path = "out/dj5.csv\npriority 99";
+  expect_error([&] { (void)service::plan_submission(request); },
+               "must not hold a line break");
+
+  // A CRLF file loads with a `\r` ending its name and CSV path; planning
+  // refuses it rather than write the CSV to a path ending in `\r`.
+  TempDir dir("submission_crlf");
+  const std::string path = dir.str("crlf.submission");
+  service::save_submission(sample_request(), path);
+  std::string crlf;
+  for (const char ch : slurp(path)) {
+    if (ch == '\n') crlf += '\r';
+    crlf += ch;
+  }
+  spit(path, crlf);
+  expect_error(
+      [&] { (void)service::plan_submission(service::load_submission(path)); },
+      "must not hold a line break");
+}
+
+TEST(Submission, AdaptiveRequestsAreRefusedBeforeAnyFileExists) {
+  TempDir dir("submission_adaptive");
+  auto request = sample_request();
+  request.double_fault = false;
+  request.adaptive = AdaptivePolicy{};
+  const std::string path = dir.str("adaptive.submission");
+  expect_error([&] { service::save_submission(request, path); },
+               "adaptive campaigns cannot be submitted");
+  EXPECT_TRUE(fs::is_empty(dir.str()));
+  // The one adaptive + double-fault refusal is the spec builder's.
+  request.double_fault = true;
+  expect_error([&] { (void)service::plan_submission(request); },
+               "--adaptive supports single-fault campaigns only");
 }
 
 TEST(Submission, V1FileIsRejectedWithANamedError) {

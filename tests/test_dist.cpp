@@ -9,13 +9,16 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "algorithms/algorithms.hpp"
 #include "backend/trajectory_backend.hpp"
 #include "core/adaptive.hpp"
 #include "core/campaign.hpp"
 #include "core/result_io.hpp"
+#include "dist/campaign_definition.hpp"
 #include "dist/manifest.hpp"
 #include "dist/merge.hpp"
 #include "dist/shard_plan.hpp"
@@ -42,6 +45,173 @@ using test_support::slurp;
 using test_support::TempDir;
 using test_support::write_partial;
 using test_support::write_partials;
+
+// ---- campaign definition ----------------------------------------------------
+
+/// Feeds `args` through parse_campaign_flag the way a CLI's flag loop does;
+/// every flag in `args` must be a campaign flag.
+dist::CampaignDefinition parse_campaign(const std::vector<std::string>& args) {
+  dist::CampaignDefinition definition;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const auto value = [&] { return args.at(++i); };
+    EXPECT_TRUE(dist::parse_campaign_flag(args[i], value, definition))
+        << args[i];
+  }
+  return definition;
+}
+
+TEST(CampaignDefinition, EveryCampaignFlagSetsItsField) {
+  const auto d = parse_campaign(
+      {"--circuit", "qft", "--width", "5", "--device", "jakarta", "--opt",
+       "2", "--theta-step", "30", "--phi-step", "45", "--phi-max", "180",
+       "--shots", "512", "--seed", "7", "--points", "9", "--double",
+       "--idle-noise"});
+  EXPECT_EQ(d.circuit, "qft");
+  EXPECT_EQ(d.width, 5);
+  EXPECT_EQ(d.device, "jakarta");
+  EXPECT_EQ(d.opt_level, 2);
+  EXPECT_EQ(d.theta_step, 30.0);
+  EXPECT_EQ(d.phi_step, 45.0);
+  EXPECT_EQ(d.phi_max, 180.0);
+  EXPECT_EQ(d.shots, 512u);
+  EXPECT_EQ(d.seed, 7u);
+  EXPECT_EQ(d.max_points, 9u);
+  EXPECT_TRUE(d.double_fault);
+  EXPECT_TRUE(d.idle_noise);
+  EXPECT_FALSE(d.adaptive.has_value());
+
+  // --adaptive alone turns the default policy on; each knob turns it on
+  // too and keeps the knobs set before it, in any order.
+  EXPECT_EQ(parse_campaign({"--adaptive"}).adaptive, AdaptivePolicy{});
+  AdaptivePolicy policy;
+  policy.seed = 3;
+  EXPECT_EQ(parse_campaign({"--adaptive-seed", "3"}).adaptive, policy);
+  policy.max_config_fraction = 0.5;
+  policy.qvf_ci_target = 0.01;
+  policy.min_configs_per_point = 16;
+  EXPECT_EQ(parse_campaign({"--adaptive-seed", "3", "--adaptive-budget",
+                            "0.5", "--adaptive-ci", "0.01", "--adaptive",
+                            "--adaptive-min", "16"})
+                .adaptive,
+            policy);
+}
+
+TEST(CampaignDefinition, BadNumbersAreRefusedAndForeignFlagsLeftAlone) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"--width", "abc"},        {"--width", "65536"},
+      {"--opt", "3x"},           {"--opt", "-1"},
+      {"--theta-step", "x"},     {"--phi-step", "1e999"},
+      {"--phi-max", "inf"},      {"--shots", "-1"},
+      {"--seed", "1.5"},         {"--points", "x"},
+      {"--adaptive-budget", "0.5x"}, {"--adaptive-ci", "nan"},
+      {"--adaptive-min", "-1"},  {"--adaptive-seed", "+1"}};
+  for (const auto& [flag, text] : bad) {
+    dist::CampaignDefinition definition;
+    expect_error(
+        [&] {
+          (void)dist::parse_campaign_flag(
+              flag, [&] { return std::string(text); }, definition);
+        },
+        std::string("bad ") + flag + " value '" + text + "'");
+  }
+
+  // Tool flags stay with their tool, and the old qufi_cli spelling of
+  // --device is no campaign flag: the definition is untouched and no
+  // value is consumed.
+  for (const char* flag : {"--csv", "--out", "--shards", "--spool", "--name",
+                           "--priority", "--backend-kind", "--out-dir",
+                           "--backend", "circuit", "--double-fault", ""}) {
+    dist::CampaignDefinition definition;
+    bool consumed = false;
+    EXPECT_FALSE(dist::parse_campaign_flag(
+        flag,
+        [&] {
+          consumed = true;
+          return std::string("x");
+        },
+        definition))
+        << flag;
+    EXPECT_FALSE(consumed) << flag;
+    EXPECT_EQ(definition, dist::CampaignDefinition{}) << flag;
+  }
+}
+
+TEST(CampaignDefinition, BuiltSpecEqualsTheHandBuiltOne) {
+  dist::CampaignDefinition definition;
+  definition.circuit = "dj";
+  definition.width = 5;
+  definition.device = "jakarta";
+  definition.opt_level = 2;
+  definition.theta_step = 30.0;
+  definition.phi_step = 0.1;
+  definition.phi_max = 180.0;
+  definition.shots = 512;
+  definition.seed = 7;
+  definition.max_points = 9;
+  definition.idle_noise = true;
+  definition.adaptive = AdaptivePolicy{};
+  definition.adaptive->seed = 5;
+  const CampaignSpec built = dist::campaign_spec(definition);
+
+  const auto bench = algo::paper_circuit("dj", 5);
+  CampaignSpec spec;
+  spec.circuit = bench.circuit;
+  spec.expected_outputs = bench.expected_outputs;
+  spec.backend = noise::fake_backend_by_name("jakarta", 5);
+  spec.transpile_options.optimization_level = 2;
+  spec.grid.theta_step_deg = 30.0;
+  spec.grid.phi_step_deg = 0.1;
+  spec.grid.phi_max_deg = 180.0;
+  spec.shots = 512;
+  spec.seed = 7;
+  spec.max_points = 9;
+  spec.idle_noise = true;
+  spec.adaptive = definition.adaptive;
+
+  EXPECT_EQ(built.circuit.name(), spec.circuit.name());
+  EXPECT_EQ(built.expected_outputs, spec.expected_outputs);
+  EXPECT_EQ(built.backend.name, spec.backend.name);
+  EXPECT_EQ(built.transpile_options.optimization_level,
+            spec.transpile_options.optimization_level);
+  EXPECT_EQ(built.grid.theta_step_deg, spec.grid.theta_step_deg);
+  EXPECT_EQ(built.grid.phi_step_deg, spec.grid.phi_step_deg);
+  EXPECT_EQ(built.grid.phi_max_deg, spec.grid.phi_max_deg);
+  EXPECT_EQ(built.shots, spec.shots);
+  EXPECT_EQ(built.seed, spec.seed);
+  EXPECT_EQ(built.max_points, spec.max_points);
+  EXPECT_EQ(built.idle_noise, spec.idle_noise);
+  EXPECT_EQ(built.adaptive, spec.adaptive);
+  // The manifests carry the transpiled circuit, the device's calibration
+  // and every knob: the two specs plan to the same bytes.
+  TempDir dir("campaign_definition");
+  const auto save_all = [&](const CampaignSpec& s, const std::string& tag) {
+    const auto plan = dist::plan_campaign_shards(s, 2);
+    std::string bytes;
+    for (const auto& m : dist::make_manifests(
+             s, "jakarta", dist::WorkerBackendKind::Density, plan, false)) {
+      const std::string path =
+          dir.str(tag + std::to_string(m.shard_index) + ".manifest");
+      dist::save_manifest(m, path);
+      bytes += slurp(path);
+    }
+    return bytes;
+  };
+  EXPECT_EQ(save_all(built, "built"), save_all(spec, "hand"));
+}
+
+TEST(CampaignDefinition, UnknownNamesAndAdaptiveDoubleFaultAreRefused) {
+  dist::CampaignDefinition definition;
+  definition.circuit = "nosuch";
+  EXPECT_THROW((void)dist::campaign_spec(definition), Error);
+  definition = {};
+  definition.device = "nosuch";
+  EXPECT_THROW((void)dist::campaign_spec(definition), Error);
+  definition = parse_campaign({"--double", "--adaptive"});
+  expect_error([&] { (void)dist::campaign_spec(definition); },
+               "--adaptive supports single-fault campaigns only");
+  definition.double_fault = false;
+  EXPECT_NO_THROW((void)dist::campaign_spec(definition));
+}
 
 // ---- shard planning --------------------------------------------------------
 

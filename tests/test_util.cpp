@@ -21,6 +21,7 @@
 #include "util/bitstring.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/matrix.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
@@ -402,6 +403,18 @@ TEST(ParseNumberFlag, AcceptsSignedAndFiniteValuesAndRejectsTheRest) {
           << e.what();
     }
   }
+}
+
+TEST(JsonString, EscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(util::json_string(""), "\"\"");
+  EXPECT_EQ(util::json_string("bv4 a/b"), "\"bv4 a/b\"");
+  EXPECT_EQ(util::json_string("q\"x"), "\"q\\\"x\"");
+  EXPECT_EQ(util::json_string("C:\\out"), "\"C:\\\\out\"");
+  EXPECT_EQ(util::json_string(std::string("a\nb\tc\x01\x1f", 7)),
+            "\"a\\u000ab\\u0009c\\u0001\\u001f\"");
+  EXPECT_EQ(util::json_string(std::string("\0", 1)), "\"\\u0000\"");
+  // Bytes from 0x20 up, UTF-8 included, pass through unchanged.
+  EXPECT_EQ(util::json_string("\x7f \xc3\xa9"), "\"\x7f \xc3\xa9\"");
 }
 
 TEST(Bitstring, FormatsMsbFirst) {
